@@ -46,7 +46,6 @@ from .asymptotics import (
 )
 from .errors import GeometryError
 from .sections import (
-    Hyperplane,
     SectionStats,
     admissible_levels,
     section_bounded,
@@ -60,7 +59,7 @@ __all__ = [
     "BodySpec", "ConeDescriptor",
     "ellipsoid", "unit_disk", "unit_sphere", "paraboloid_epigraph",
     "hyperboloid_sheet", "circular_cone", "function_epigraph", "superellipsoid",
-    "Hyperplane", "SectionStats", "section_bounded", "admissible_levels",
+    "SectionStats", "section_bounded", "admissible_levels",
     "section_stats", "section_measure", "section_diameter",
     "LineFit", "LineFamilyVerdict", "sample_levels", "centroid_curve",
     "fit_line", "sccp_residual", "classify_lines", "cone_direction_check",

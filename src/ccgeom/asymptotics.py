@@ -2,8 +2,10 @@
 
 The boundary/sphere intersection is sampled by ray casting from an interior
 anchor: a coarse angular scan brackets the crossings of ||hit|| = R, and all
-brackets are then polished simultaneously by direction bisection.  The
-cone/sphere intersection comes from the cone's closed-form generators.  The
+brackets are then polished simultaneously by direction bisection, each step
+starting the root-finder from the previous step's hit distances.  In 3D the
+scan runs over blocks of azimuths, a few thousand rays per root-finder call.
+The cone/sphere intersection comes from the cone's closed-form generators.  The
 symmetric Hausdorff distance between the two sample sets is the reported
 shell distance (one-sided values are exposed for verbose output).
 """
@@ -22,6 +24,7 @@ _N_AZIMUTH = 720
 _N_SCAN_2D = 2048
 _N_SCAN_SLICE = 192
 _N_POLISH = 48
+_AZIMUTH_BLOCK = 16  # azimuths per 3D scan block (16 x 192 rays)
 
 
 @dataclass(frozen=True)
@@ -39,50 +42,78 @@ class ShellDistance:
         return [self.R, self.d_asym, self.d_blowdown, self.err]
 
 
-def _radius_gap(body, cone, anchor, center, R, dirs):
-    """||boundary hit - center|| - R per direction; +inf along recessive rays."""
+def _radius_gap(body, cone, anchor, center, R, dirs, guess=None):
+    """||boundary hit - center|| - R per direction, and the hit distances.
+
+    Both are +inf along recessive rays.
+    """
     g = np.full(len(dirs), np.inf)
+    t = np.full(len(dirs), np.inf)
     free = ~np.asarray(cone.contains(dirs))
     if free.any():
-        t = ray_hits_batch(body, anchor, dirs[free])
-        hits = anchor + t[:, None] * dirs[free]
+        t[free] = ray_hits_batch(body, anchor, dirs[free],
+                                 guess=None if guess is None else guess[free])
+        hits = anchor + t[free, None] * dirs[free]
         g[free] = np.linalg.norm(hits - center, axis=-1) - R
-    return g
+    return g, t
 
 
-def _collect_brackets(dirs, g, wrap):
-    """Pairs of adjacent directions where the sign of g flips (inf counts +)."""
-    sign = np.where(np.isfinite(g), g > 0, True)
-    finite_any = np.isfinite(g)
-    n = len(dirs)
-    neg, pos = [], []
-    last = n if wrap else n - 1
-    for i in range(last):
-        j = (i + 1) % n
-        if not (finite_any[i] or finite_any[j]):
-            continue
-        if sign[i] == sign[j]:
-            continue
-        if sign[i]:
-            neg.append(dirs[j])
-            pos.append(dirs[i])
-        else:
-            neg.append(dirs[i])
-            pos.append(dirs[j])
-    return np.array(neg), np.array(pos)
+def _collect_brackets(dirs, g, t, wrap):
+    """Adjacent directions along the scan axis where the sign of g flips.
+
+    dirs has shape (..., n, dim) and g, t shape (..., n); inf counts as
+    positive. Returns the (negative, positive) direction pairs and the hit
+    distances of the negative ones, in row-major order.
+    """
+    finite = np.isfinite(g)
+    sign = np.where(finite, g > 0, True)
+    flip = (sign != np.roll(sign, -1, axis=-1)) & (finite | np.roll(finite, -1, axis=-1))
+    if not wrap:
+        flip[..., -1] = False
+    *rows, j = np.nonzero(flip)
+    a = (*rows, j)
+    b = (*rows, (j + 1) % g.shape[-1])
+    a_pos = sign[a]
+    neg = np.where(a_pos[:, None], dirs[b], dirs[a])
+    pos = np.where(a_pos[:, None], dirs[a], dirs[b])
+    return neg, pos, np.where(a_pos, t[b], t[a])
 
 
-def _polish_brackets(body, cone, anchor, center, R, neg, pos):
-    """Bisect each (negative, positive) direction bracket down to the shell."""
+def _polish_brackets(body, cone, anchor, center, R, neg, pos, t_neg):
+    """Bisect each (negative, positive) direction bracket down to the shell.
+
+    Each step starts the root-finder at the previous step's hit distances.
+    """
+    guess = t_neg
     for _ in range(_N_POLISH):
         mid = neg + pos
         mid /= np.linalg.norm(mid, axis=-1, keepdims=True)
-        g = _radius_gap(body, cone, anchor, center, R, mid)
+        g, t = _radius_gap(body, cone, anchor, center, R, mid,
+                           np.where(np.isfinite(guess), guess, t_neg))
         take_pos = np.where(np.isfinite(g), g > 0, True)
         pos = np.where(take_pos[:, None], mid, pos)
         neg = np.where(take_pos[:, None], neg, mid)
-    t = ray_hits_batch(body, anchor, neg)
-    return anchor + t[:, None] * neg
+        t_neg = np.where(take_pos, t_neg, t)
+        guess = t
+    return anchor + t_neg[:, None] * neg
+
+
+def _scan_3d(body, cone, anchor, center, R, n_azimuth):
+    """Brackets of the shell crossing in each azimuth plane, scanned in blocks."""
+    psi = math.pi * ((np.arange(_N_SCAN_SLICE) + 0.5) / _N_SCAN_SLICE - 0.5)
+    phi = 2.0 * math.pi * np.arange(n_azimuth) / n_azimuth
+    # (azimuth, slice, xyz) directions: cos(psi) * (cos phi, sin phi, 0) + sin(psi) * e3
+    w = np.stack([np.cos(phi), np.sin(phi), np.zeros(n_azimuth)], axis=-1)
+    e3 = np.array([0.0, 0.0, 1.0])
+    cos_psi, sin_psi = np.cos(psi)[:, None], np.sin(psi)[:, None] * e3
+    found = []
+    for k in range(0, n_azimuth, _AZIMUTH_BLOCK):
+        dirs = cos_psi * w[k:k + _AZIMUTH_BLOCK, None, :] + sin_psi
+        flat = dirs.reshape(-1, 3)
+        g, t = _radius_gap(body, cone, anchor, center, R, flat)
+        found.append(_collect_brackets(dirs, g.reshape(dirs.shape[:2]),
+                                       t.reshape(dirs.shape[:2]), wrap=False))
+    return tuple(np.concatenate(parts) for parts in zip(*found))
 
 
 def body_shell_points(body, R, center=None, n_azimuth=_N_AZIMUTH):
@@ -94,30 +125,13 @@ def body_shell_points(body, R, center=None, n_azimuth=_N_AZIMUTH):
     if dim == 2:
         theta = 2.0 * math.pi * np.arange(_N_SCAN_2D) / _N_SCAN_2D
         dirs = np.column_stack([np.cos(theta), np.sin(theta)])
-        g = _radius_gap(body, cone, anchor, center, R, dirs)
-        neg, pos = _collect_brackets(dirs, g, wrap=True)
+        g, t = _radius_gap(body, cone, anchor, center, R, dirs)
+        neg, pos, t_neg = _collect_brackets(dirs, g, t, wrap=True)
     else:
-        neg_all, pos_all = [], []
-        psi = math.pi * ((np.arange(_N_SCAN_SLICE) + 0.5) / _N_SCAN_SLICE - 0.5)
-        e3 = np.array([0.0, 0.0, 1.0])
-        for kphi in range(n_azimuth):
-            phi = 2.0 * math.pi * kphi / n_azimuth
-            w = np.array([math.cos(phi), math.sin(phi), 0.0])
-            dirs = np.outer(np.cos(psi), w) + np.outer(np.sin(psi), e3)
-            g = _radius_gap(body, cone, anchor, center, R, dirs)
-            n, p = _collect_brackets(dirs, g, wrap=False)
-            if len(n):
-                neg_all.append(n)
-                pos_all.append(p)
-        if not neg_all:
-            raise EmptyShellIntersection(
-                f"boundary does not meet the sphere of radius {R}"
-            )
-        neg = np.concatenate(neg_all)
-        pos = np.concatenate(pos_all)
+        neg, pos, t_neg = _scan_3d(body, cone, anchor, center, R, n_azimuth)
     if len(neg) == 0:
         raise EmptyShellIntersection(f"boundary does not meet the sphere of radius {R}")
-    return _polish_brackets(body, cone, anchor, center, R, neg, pos)
+    return _polish_brackets(body, cone, anchor, center, R, neg, pos, t_neg)
 
 
 def cone_shell_points(cone: ConeDescriptor, R, n_azimuth=_N_AZIMUTH):

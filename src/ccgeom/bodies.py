@@ -1,8 +1,9 @@
 """Catalog of convex bodies in R^2 / R^3 with exact analytic oracles.
 
 Every body is described by a global convex defining function F with
-membership F(x) <= 0, so that ray/boundary queries reduce to robust 1D
-bisection and all downstream quadrature error is attributable to the
+membership F(x) <= 0. Every boundary query (ray hits, chords, the gauge)
+is a root of F along rays, solved by one batched bracketing root-finder,
+``ray_hits_batch``, so downstream quadrature error is attributable to the
 integration scheme, not the oracles.
 
 Membership and defining-value evaluation are vectorized over trailing
@@ -12,7 +13,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import minimize_scalar
@@ -40,6 +42,11 @@ FUNCTION_TAGS = ("square", "quartic", "exp", "cosh")
 
 _UNIT_TOL = 1e-12
 _DIVERGENCE_CAP = 1e12
+# ray root-finder: relative offset of the two probes around a guess, caps on
+# bracket steps and on solver steps
+_GUESS_SPREAD = 2.0 ** -20
+_BRACKET_STEPS = 200
+_SOLVE_STEPS = 100
 
 
 def _as_point(x, dim):
@@ -51,8 +58,9 @@ def _as_point(x, dim):
 
 def _check_unit(u):
     u = np.asarray(u, dtype=float)
-    if abs(np.linalg.norm(u) - 1.0) > _UNIT_TOL:
-        raise ValueError("direction must be a unit vector (within 1e-12)")
+    # written so that a NaN norm fails the test too
+    if not abs(np.linalg.norm(u) - 1.0) <= _UNIT_TOL:
+        raise ValueError("direction must be a finite unit vector (within 1e-12)")
     return u
 
 
@@ -108,10 +116,6 @@ class ConeDescriptor:
     @property
     def scale(self) -> float:
         return 1.0
-
-    @property
-    def translation(self):
-        return np.zeros(self.ambient_dim)
 
     def defining(self, x):
         """Convex defining function; membership is defining(x) <= 0."""
@@ -205,16 +209,6 @@ class ConeDescriptor:
     def recession_cone(self) -> "ConeDescriptor":
         return self
 
-    def generators(self) -> str:
-        if self.kind == "zero":
-            return "{0}"
-        if self.kind == "ray":
-            return f"ray through {tuple(self.params)}"
-        if self.kind == "quadrant":
-            return "second quadrant {x <= 0, y >= 0}"
-        alpha = tuple(self.params)
-        return f"elliptic cone x_d >= sqrt(sum (x_i/{alpha})^2)"
-
     def boundary_hit(self, origin, direction) -> float:
         return _ray_hit(self, origin, direction)
 
@@ -238,11 +232,15 @@ class BodySpec:
         if self.ambient_dim not in (2, 3):
             raise ValueError("ambient_dim must be 2 or 3")
         params = tuple(float(p) for p in np.atleast_1d(self.params))
+        if not all(math.isfinite(p) for p in params):
+            raise ValueError("body params must be finite")
         object.__setattr__(self, "params", params)
         tr = self.translation
-        tr = np.zeros(self.ambient_dim) if tr is None else np.asarray(tr, dtype=float)
+        tr = np.zeros(self.ambient_dim) if tr is None else np.array(tr, dtype=float)
         if tr.shape != (self.ambient_dim,):
             raise ValueError("translation dimension mismatch")
+        if not np.all(np.isfinite(tr)):
+            raise ValueError("translation must be finite")
         tr.flags.writeable = False
         object.__setattr__(self, "translation", tr)
         self._validate()
@@ -273,7 +271,7 @@ class BodySpec:
 
     # -- basic geometry -------------------------------------------------
 
-    @property
+    @cached_property
     def scale(self) -> float:
         s = max(1.0, float(np.linalg.norm(self.translation)))
         if self.params:
@@ -467,8 +465,13 @@ class BodySpec:
     # -- gauge and ray casting -------------------------------------------
 
     def gauge(self, x) -> float:
-        """Minkowski functional inf{lam > 0 : x in lam*K}; requires 0 in int K."""
+        """Minkowski functional inf{lam > 0 : x in lam*K}; requires 0 in int K.
+
+        Computed as |x| over the boundary hit from 0 along x/|x|.
+        """
         x = _as_point(x, self.ambient_dim)
+        if not np.all(np.isfinite(x)):
+            raise ValueError("point must be finite")
         m = 1e-6 * self.scale
         probes = np.vstack([np.eye(self.ambient_dim) * m, -np.eye(self.ambient_dim) * m])
         if not bool(np.all(self.contains(probes))):
@@ -476,23 +479,7 @@ class BodySpec:
         nx = float(np.linalg.norm(x))
         if nx == 0.0:
             return 0.0
-        if self.recession_cone().contains(x):
-            return 0.0
-        lam = 1.0
-        for _ in range(600):
-            if bool(self.contains(x / lam)):
-                break
-            lam *= 2.0
-        else:  # pragma: no cover
-            raise GeometryError("gauge bracketing failed")
-        lo, hi = 0.0, lam
-        while hi - lo > 1e-12 * max(1.0, hi):
-            mid = 0.5 * (lo + hi)
-            if mid > 0.0 and bool(self.contains(x / mid)):
-                hi = mid
-            else:
-                lo = mid
-        return hi
+        return nx / _ray_hit(self, np.zeros(self.ambient_dim), x / nx)
 
     def boundary_hit(self, origin, direction) -> float:
         """Distance along a unit ray from a strictly interior origin to the boundary."""
@@ -551,55 +538,158 @@ class BodySpec:
 
 
 def _ray_hit(setlike, origin, direction) -> float:
-    """Generic membership-bisection boundary hit; +inf along recession directions."""
+    """Distance along one unit ray to the boundary; +inf along recession directions."""
     origin = np.asarray(origin, dtype=float)
     direction = np.asarray(direction, dtype=float)
     if setlike.recession_cone().contains(direction):
         return INF
-    t = setlike.scale
-    for _ in range(200):
-        if not bool(setlike.contains(origin + t * direction)):
-            break
-        t *= 2.0
-    else:  # pragma: no cover
-        raise GeometryError("boundary bracketing failed; direction nearly recessive")
-    lo, hi = 0.0, t
-    while hi - lo > 1e-12 * max(1.0, hi):
-        mid = 0.5 * (lo + hi)
-        if bool(setlike.contains(origin + mid * direction)):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return float(ray_hits_batch(setlike, origin, direction[None, :])[0])
 
 
-def ray_hits_batch(setlike, origin, directions, rtol=1e-12):
-    """Vectorized boundary hits from one interior origin along many unit rays.
+def ray_hits_batch(setlike, origin, directions, rtol=1e-12, guess=None,
+                   return_evals=False):
+    """Distances s > 0 with F(origin + s*w) = 0, one per unit direction w.
+
+    This is the one boundary root-finder of the package. F is the convex
+    defining function of ``setlike``, and the origin must satisfy F < 0.
+    A ray is bracketed from ``guess`` (two probes just below and above it)
+    or, without one, from a probe at the body scale, stepping outward while
+    the probes stay inside. Then each step evaluates two points in one
+    ``defining`` call. F is convex along a ray, so the chord through the
+    inside and outside ends lands inside, and the secant through the last
+    two outside points (or the last two inside points) lands outside; each
+    point updates whichever end its sign says. A step that does not halve
+    the bracket (in log scale) is followed by a bisection. Every ray stops
+    on its own bracket width, ``rtol`` relative to its hit distance, or
+    when F at an end is down to rounding noise, so its root does not
+    depend on the other rays of the batch.
 
     All directions must be non-recessive (guaranteed for bounded sections).
+    With ``return_evals`` the result is ``(hits, oracle points evaluated)``.
     """
-    directions = np.asarray(directions, dtype=float)
-    m = directions.shape[0]
-    t = np.full(m, setlike.scale, dtype=float)
-    inside = np.asarray(setlike.contains(origin + t[:, None] * directions))
-    for _ in range(200):
-        if not inside.any():
-            break
-        t[inside] *= 2.0
-        inside = np.asarray(setlike.contains(origin + t[:, None] * directions))
-    else:  # pragma: no cover
-        raise GeometryError("batch boundary bracketing failed")
-    lo = np.zeros(m)
-    hi = t
-    # fixed iteration count => bitwise-deterministic node schedule
-    for _ in range(80):
-        if np.all(hi - lo <= rtol * np.maximum(1.0, hi)):
-            break
-        mid = 0.5 * (lo + hi)
-        ins = np.asarray(setlike.contains(origin + mid[:, None] * directions))
-        lo = np.where(ins, mid, lo)
-        hi = np.where(ins, hi, mid)
-    return 0.5 * (lo + hi)
+    origin = np.asarray(origin, dtype=float)
+    W = np.asarray(directions, dtype=float)
+    m = W.shape[0]
+    if not (np.all(np.isfinite(origin)) and np.all(np.isfinite(W))):
+        raise ValueError("ray origin and directions must be finite")
+    if guess is None:
+        probes = np.full((1, m), float(setlike.scale))
+    else:
+        g = np.array(guess, dtype=float).reshape(m)
+        if not np.all((g > 0.0) & np.isfinite(g)):
+            raise ValueError("initial guesses must be finite and positive")
+        probes = np.stack([g * (1.0 - _GUESS_SPREAD), g * (1.0 + _GUESS_SPREAD)])
+    hits = np.empty(m)
+    n_evals = 0
+    if m:
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            state, f0, n_evals = _bracket(setlike.defining, origin, W, probes)
+            n_evals += _solve(setlike.defining, origin, W, state, f0, rtol, hits)
+    return (hits, n_evals) if return_evals else hits
+
+
+# Solver state: an array of shape (2, 6, rays) holding (position, F) in the
+# slots a, b (this step's two points), Lp, l (the last two inside points) and
+# h, p (the first two outside points). Unknown slots hold NaN. Column n of
+# _NEXT lists, for n of the two points found inside, the slots that become
+# a, b, Lp, l, h, p (a and b are placeholders until the next step).
+_LP, _L, _H = 2, 3, 4
+_NEXT = np.array([[0, 1, 2, 3, 0, 1], [0, 1, 3, 0, 1, 4], [0, 1, 0, 1, 4, 5]]).T
+
+
+def _bracket(F, origin, W, probes):
+    """Evaluate the probes (ascending along each ray), then step every ray
+    without an outside point outward until it has one.
+
+    Returns the solver state, F(origin) and the number of points evaluated.
+    """
+    n, m = probes.shape
+    WW = W if n == 1 else np.concatenate([W, W])
+    f = F(np.concatenate([origin + probes.reshape(-1, 1) * WW, origin[None, :]]))
+    f0 = f[-1]
+    if not f0 < 0.0:
+        raise NotInterior("ray origin is not inside the body")
+    # each ray's points in order: NaN, the origin, the probes, NaN, NaN; with
+    # c probes inside, (Lp, l, h, p) are the points c to c + 3
+    seq = np.full((2, n + 4, m), np.nan)
+    seq[0, 1], seq[1, 1] = 0.0, f0
+    seq[0, 2:n + 2], seq[1, 2:n + 2] = probes, f[:-1].reshape(n, m)
+    c = np.count_nonzero(seq[1, 2:n + 2] <= 0.0, axis=0)
+    S = np.empty((2, 6, m))
+    S[:, _LP:] = seq[:, c + np.arange(4)[:, None], np.arange(m)]
+    n_evals = probes.size + 1
+    # step to the zero of the line through the last two inside points, which
+    # lies outside by convexity, but at most to twice the distance of l
+    idx = np.flatnonzero(c == n)
+    for _ in range(_BRACKET_STEPS):
+        if idx.size == 0:
+            return S, f0, n_evals
+        (xp, x), (fp, fx) = S[:, _LP:_H, idx]
+        z = x - fx * ((x - xp) / (fx - fp))
+        t = np.where(z > x, np.fmin(z, 2.0 * x), 2.0 * x)
+        ft = F(origin + t[:, None] * W[idx])
+        n_evals += idx.size
+        i = ft <= 0.0
+        j, o = idx[i], idx[~i]
+        S[:, _LP, j] = S[:, _L, j]
+        S[0, _L, j], S[1, _L, j] = t[i], ft[i]
+        S[0, _H, o], S[1, _H, o] = t[~i], ft[~i]
+        idx = idx[i]
+    raise GeometryError("boundary bracketing failed; direction nearly recessive")
+
+
+def _solve(F, origin, W, S, f0, rtol, hits):
+    """Shrink each ray's bracket [l, h] to F = 0; writes hits.
+
+    Only unfinished rays stay in the state. Returns the points evaluated.
+    """
+    rays = np.arange(S.shape[2])
+    cols = rays
+    last_sqrt_ratio = np.full(rays.size, INF)
+    noisy = np.zeros(rays.size, dtype=bool)
+    # F(origin) is made of terms at least this large, so a value of F this
+    # close to 0 is rounding noise
+    noise = -4.0 * np.finfo(float).eps * -f0
+    n_evals = 0
+    for _ in range(_SOLVE_STEPS):
+        X, Fx = S[0], S[1]
+        l, h = X[_L], X[_H]
+        # zeros of the lines through (Lp, l), (l, h) and (h, p), each taken
+        # from its first point, so that F = inf at h or p gives l or NaN
+        x1, f1 = X[_LP:_H + 1], Fx[_LP:_H + 1]
+        z = x1 - f1 * ((X[_L:] - x1) / (Fx[_L:] - f1))
+        # a: the chord root, kept rtol/2 inside h so that an accurate h ends it
+        a = np.fmin(z[1], (1.0 - 0.5 * rtol) * h, out=X[0])
+        # b: the nearer secant root from outside; by convexity the root lies
+        # in [a, b]. A geometric bisection instead when there is none or the
+        # last step did not halve the bracket's log-width
+        b = np.fmin(np.where(z[0] > a, z[0], np.nan), z[2])
+        ok = (b > a) & (b < h)
+        close = ok & (b <= (1.0 + 0.25 * rtol) * a)
+        done = close | (l >= (1.0 - rtol) * h) | (Fx[_L] >= noise) | noisy
+        ratio = h / l
+        X[1] = np.where(ok & (ratio <= last_sqrt_ratio), b,
+                        np.sqrt(np.fmax(a, 2.0 ** -20 * h) * h))
+        last_sqrt_ratio = np.sqrt(ratio)
+        if np.count_nonzero(done):
+            hits[rays[done]] = np.where(close, 0.5 * (a + b), z[1])[done]
+            keep = ~done
+            rays, S, W = rays[keep], S[:, :, keep], W[keep]
+            if rays.size == 0:
+                return n_evals
+            last_sqrt_ratio = last_sqrt_ratio[keep]
+            cols = np.arange(rays.size)
+        k = rays.size
+        S[1, 0:2] = F(origin + (S[0, 0:2, :, None] * W).reshape(-1, origin.size)).reshape(2, k)
+        n_evals += 2 * k
+        inside = S[1, 0:2] <= 0.0
+        # the chord root is inside unless F is rounding noise there
+        noisy = ~inside[0]
+        S = S[:, _NEXT[:, inside[0] * (1 + inside[1])], cols]
+    # step cap: the chord roots of the brackets still open
+    (l, h), (fl, fh) = S[:, _L:_H + 1]
+    hits[rays] = l - fl * ((h - l) / (fh - fl))
+    return n_evals
 
 
 def _epigraph_support(tag, u) -> float:

@@ -455,7 +455,9 @@ def main(argv=None) -> int:
     t0 = time.perf_counter()
     try:
         header, rows, summary, all_failed = COMMANDS[args.command](cfg)
-    except (ConfigError, ValueError) as e:
+    except (ConfigError, ValueError, GeometryError) as e:
+        # a geometry error outside the per-row handlers means the config asks
+        # for an operation the body does not support
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BAD_CONFIG
     wall = time.perf_counter() - t0

@@ -41,9 +41,9 @@ class CutParam:
     a: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.a, dtype=float)
-        if np.linalg.norm(a) == 0.0:
-            raise ValueError("cut parameter must be nonzero")
+        a = np.array(self.a, dtype=float)
+        if not 0.0 < np.linalg.norm(a) < INF:
+            raise ValueError("cut parameter must be finite and nonzero")
         a.flags.writeable = False
         object.__setattr__(self, "a", a)
 
@@ -94,6 +94,8 @@ def halfspace_cut_volume(body, u, t, rtol=DEFAULT_RTOL) -> float:
     """
     u = np.array(_check_unit(u))
     t = float(t)
+    if math.isnan(t):
+        raise ValueError("cut level must be a number")
     cone = body.recession_cone()
     if not cone.positive_on(u):
         # some recession direction stays in the halfspace: infinite volume
@@ -129,8 +131,8 @@ def cut_volume(body, a, rtol=DEFAULT_RTOL) -> float:
     """V(a) = volume of body on the <= side of {<a,x> = 1}."""
     a = a.a if isinstance(a, CutParam) else np.asarray(a, dtype=float)
     nrm = float(np.linalg.norm(a))
-    if nrm == 0.0:
-        raise ValueError("cut parameter must be nonzero")
+    if not (0.0 < nrm < INF):
+        raise ValueError("cut parameter must be finite and nonzero")
     return halfspace_cut_volume(body, a / nrm, 1.0 / nrm, rtol=rtol)
 
 

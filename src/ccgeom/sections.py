@@ -1,9 +1,10 @@
 """Hyperplane sections: boundedness, admissible levels, measure and centroid.
 
-2D sections are chords resolved by convex 1D root finding.  3D sections are
-integrated in polar coordinates around an interior anchor with a fixed
-node-doubling refinement schedule, so results are deterministic for a given
-tolerance.
+2D sections are chords: both ends come from one two-ray call of the
+boundary root-finder.  3D sections are integrated in polar coordinates
+around an interior anchor with a fixed node-doubling refinement schedule,
+so results are deterministic for a given tolerance.  ``n_evals`` counts the
+points at which the body's defining function was evaluated, in 2D and 3D.
 """
 from __future__ import annotations
 
@@ -12,28 +13,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies import BodySpec, ConeDescriptor, INF, _check_unit, ray_hits_batch
+from .bodies import ConeDescriptor, _check_unit, ray_hits_batch
 from .errors import (
     DegenerateSection,
-    GeometryError,
     LevelOutOfRange,
+    NotInterior,
     UnboundedSection,
 )
 
 DEFAULT_RTOL = 1e-8
 _MAX_POLAR_NODES = 16384
-
-
-@dataclass(frozen=True)
-class Hyperplane:
-    """Hyperplane {x : <u, x> = t} with unit normal u."""
-
-    u: np.ndarray
-    t: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "u", np.array(_check_unit(self.u)))
-        object.__setattr__(self, "t", float(self.t))
 
 
 @dataclass(frozen=True)
@@ -45,7 +34,7 @@ class SectionStats:
     measure: float
     centroid: np.ndarray
     err_estimate: float
-    n_evals: int
+    n_evals: int  # points at which the defining function was evaluated
 
     def csv_row(self):
         return (
@@ -64,6 +53,14 @@ def csv_header(dim: int):
         + [f"c{a}" for a in axes]
         + ["err", "n_evals"]
     )
+
+
+def _plane(u, t):
+    """Validated (unit normal, level) of a section hyperplane."""
+    t = float(t)
+    if math.isnan(t):
+        raise ValueError("section level must be a number")
+    return np.array(_check_unit(u)), t
 
 
 def section_bounded(body, u) -> bool:
@@ -151,28 +148,25 @@ def _line_interior_point(body, p0, w, scale):
     raise DegenerateSection("interior search failed to converge")
 
 
-def _chord_root(body, p0, w, s_inside, sgn, scale):
-    """Root of F(p0 + s*w) along sgn direction, starting inside at s_inside."""
-    step = max(scale, abs(s_inside))
-    s_out = s_inside + sgn * step
-    n = 0
-    for _ in range(200):
-        if not bool(body.contains(p0 + s_out * w)):
-            break
-        step *= 2.0
-        s_out = s_inside + sgn * step
-        n += 1
-    else:  # pragma: no cover
-        raise GeometryError("chord bracketing failed")
-    lo, hi = s_inside, s_out
-    while abs(hi - lo) > 1e-13 * max(1.0, abs(hi), scale):
-        mid = 0.5 * (lo + hi)
-        if bool(body.contains(p0 + mid * w)):
-            lo = mid
-        else:
-            hi = mid
-        n += 1
-    return 0.5 * (lo + hi), n
+def _chord(body, p0, w, s_in):
+    """Chord of the line p0 + s*w through the interior point at s_in.
+
+    Returns the chord's two end parameters and the oracle points spent.
+    """
+    r, n = ray_hits_batch(body, p0 + s_in * w, np.stack([w, -w]), return_evals=True)
+    return s_in - r[1], s_in + r[0], n
+
+
+def _section_chord(body, u, t):
+    """2D section {<u,x> = t} as the chord p0 + s*w, s in [s_lo, s_hi].
+
+    Returns (p0, w, s_lo, s_hi, oracle points spent).
+    """
+    w = _plane_basis(u)[0]
+    p0 = t * u
+    s_in, n0 = _line_interior_point(body, p0, w, body.scale)
+    s_lo, s_hi, n1 = _chord(body, p0, w, s_in)
+    return p0, w, s_lo, s_hi, n0 + n1
 
 
 def _section_anchor_3d(body, u, t):
@@ -184,12 +178,13 @@ def _section_anchor_3d(body, u, t):
     Points on it are interior by convexity and hit every level once.
     """
     cone = body.recession_cone()
+    if isinstance(body, ConeDescriptor) or body.kind == "circular-cone":
+        # the axis from the apex meets every level inside the cone
+        zdir = cone.interior_direction()
+        apex = np.zeros(3) if isinstance(body, ConeDescriptor) else body.translation
+        return apex + zdir * ((t - float(u @ apex)) / float(u @ zdir))
     z0 = body.interior_point()
     s0 = float(u @ z0)
-    if isinstance(body, ConeDescriptor):
-        # apex at the origin reaches every level along the interior direction
-        zdir = body.interior_direction()
-        return zdir * (t / float(u @ zdir))
     p_bot = body.inverse_gauss(-np.asarray(u))
     s_bot = float(u @ p_bot)
     if t <= s0:
@@ -204,57 +199,95 @@ def _section_anchor_3d(body, u, t):
     return z0 + (t - s0) / float(u @ zdir) * zdir
 
 
-def _center_anchor(body, anchor, basis, scale):
-    """Recenter the anchor as successive chord midpoints (better conditioning)."""
-    n = 0
+def _center_anchor(body, anchor, basis):
+    """Recenter the anchor as successive chord midpoints (better conditioning).
+
+    Returns the anchor, the chords' half-lengths and the oracle points spent.
+    An anchor that is not strictly inside means the level grazes the body.
+    """
+    n, half = 0, []
     for w in basis:
-        sin, k = 0.0, 0
-        s_hi, k1 = _chord_root(body, anchor, w, sin, +1.0, scale)
-        s_lo, k2 = _chord_root(body, anchor, w, sin, -1.0, scale)
+        try:
+            s_lo, s_hi, k = _chord(body, anchor, w, 0.0)
+        except NotInterior as e:
+            raise DegenerateSection("section anchor is not inside the body") from e
         anchor = anchor + 0.5 * (s_lo + s_hi) * w
-        n += k1 + k2 + k
-    return anchor, n
+        half.append(0.5 * (s_hi - s_lo))
+        n += k
+    return anchor, half, n
 
 
-def _polar_radii(body, anchor, e1, e2, n_nodes):
-    theta = 2.0 * math.pi * np.arange(n_nodes) / n_nodes
+def _polar_radii(body, anchor, e1, e2, n_nodes, guess, nodes=None):
+    """Radii along the polar nodes 2*pi*k/n_nodes, k in nodes (default all)."""
+    k = np.arange(n_nodes) if nodes is None else nodes
+    theta = 2.0 * math.pi * k / n_nodes
     dirs = np.outer(np.cos(theta), e1) + np.outer(np.sin(theta), e2)
-    r = ray_hits_batch(body, anchor, dirs)
-    return theta, r
+    return ray_hits_batch(body, anchor, dirs, guess=guess, return_evals=True)
+
+
+def _ellipse_radii(half, n_nodes):
+    """Radii at the polar nodes of the ellipse with semi-axes half along e1, e2."""
+    theta = 2.0 * math.pi * np.arange(n_nodes) / n_nodes
+    return 1.0 / np.hypot(np.cos(theta) / half[0], np.sin(theta) / half[1])
+
+
+def _refine_radii(r):
+    """Guesses for the radii at the midpoints between n polar nodes.
+
+    Trigonometric interpolation: the radial function of a smooth section is
+    analytic in the angle, so this is far better than a linear one.
+    """
+    g = (2.0 * np.fft.irfft(np.fft.rfft(r), 2 * len(r)))[1::2]
+    return np.where(g > 0.0, g, 0.5 * (r + np.roll(r, -1)))
+
+
+def _polar_rule(r, want_moments):
+    """Measure and first moments of the periodic trapezoid rule on radii r."""
+    n = len(r)
+    measure = float(np.sum(r ** 2)) * math.pi / n
+    if not want_moments:
+        return measure, 0.0, 0.0
+    theta = 2.0 * math.pi * np.arange(n) / n
+    m1 = float(np.sum(r ** 3 * np.cos(theta))) * (2.0 * math.pi / n) / 3.0
+    m2 = float(np.sum(r ** 3 * np.sin(theta))) * (2.0 * math.pi / n) / 3.0
+    return measure, m1, m2
 
 
 def _polar_section(body, u, t, anchor, rtol, want_moments):
-    """Polar-coordinate section integrals with node-doubling refinement."""
+    """Polar-coordinate section integrals with node-doubling refinement.
+
+    The rules are nested: the first batch of 64 rays is compared with its
+    32-node subrule, and each doubling casts only the new midpoint rays,
+    started from guesses interpolated from the radii so far (the first
+    batch from the ellipse through the centring chords).
+    """
     e1, e2 = _plane_basis(u)
-    anchor, n_evals = _center_anchor(body, anchor, (e1, e2), body.scale)
-    prev = None
-    n = 32
+    anchor, half, n_evals = _center_anchor(body, anchor, (e1, e2))
+    n = 64
+    r, k = _polar_radii(body, anchor, e1, e2, n, _ellipse_radii(half, n))
+    n_evals += k
+    prev = _polar_rule(r[::2], want_moments)
     while True:
-        theta, r = _polar_radii(body, anchor, e1, e2, n)
-        n_evals += n
-        measure = float(np.sum(r ** 2)) * math.pi / n
-        if want_moments:
-            m1 = float(np.sum(r ** 3 * np.cos(theta))) * (2.0 * math.pi / n) / 3.0
-            m2 = float(np.sum(r ** 3 * np.sin(theta))) * (2.0 * math.pi / n) / 3.0
-        else:
-            m1 = m2 = 0.0
-        if prev is not None:
-            err = abs(measure - prev[0])
-            moment_err = math.hypot(m1 - prev[1], m2 - prev[2])
-            tol = rtol * max(measure, 1e-300)
-            if (err <= tol and moment_err <= rtol * max(abs(m1) + abs(m2), measure)) or (
-                n >= _MAX_POLAR_NODES
-            ):
-                centroid = anchor + (m1 * e1 + m2 * e2) / measure
-                return measure, centroid, err + moment_err / max(measure, 1e-300), n_evals
+        measure, m1, m2 = _polar_rule(r, want_moments)
+        err = abs(measure - prev[0])
+        moment_err = math.hypot(m1 - prev[1], m2 - prev[2])
+        tol = rtol * max(measure, 1e-300)
+        if (err <= tol and moment_err <= rtol * max(abs(m1) + abs(m2), measure)) or (
+            n >= _MAX_POLAR_NODES
+        ):
+            centroid = anchor + (m1 * e1 + m2 * e2) / measure
+            return measure, centroid, err + moment_err / max(measure, 1e-300), n_evals
         prev = (measure, m1, m2)
+        mid, k = _polar_radii(body, anchor, e1, e2, 2 * n, _refine_radii(r),
+                              np.arange(1, 2 * n, 2))
+        n_evals += k
+        r = np.stack([r, mid], axis=1).reshape(-1)
         n *= 2
 
 
 def section_stats(body, u, t, rtol=DEFAULT_RTOL) -> SectionStats:
     """Measure and centroid of the section {<u,x> = t} of a convex body."""
-    u = np.array(_check_unit(u))
-    t = float(t)
+    u, t = _plane(u, t)
     scale = body.scale
     lo, hi = admissible_levels(body, u)
     buf = 1e-9 * scale
@@ -270,16 +303,12 @@ def section_stats(body, u, t, rtol=DEFAULT_RTOL) -> SectionStats:
                             inner.err_estimate, inner.n_evals)
 
     if dim == 2:
-        w = _plane_basis(u)[0]
-        p0 = t * u
-        s_in, n0 = _line_interior_point(body, p0, w, scale)
-        s_hi, n1 = _chord_root(body, p0, w, s_in, +1.0, scale)
-        s_lo, n2 = _chord_root(body, p0, w, s_in, -1.0, scale)
+        p0, w, s_lo, s_hi, n_evals = _section_chord(body, u, t)
         measure = s_hi - s_lo
         if measure < 1e-12 * scale:
             raise DegenerateSection("section measure below threshold")
         centroid = p0 + 0.5 * (s_lo + s_hi) * w
-        return SectionStats(u, t, measure, centroid, 1e-12 * measure, n0 + n1 + n2)
+        return SectionStats(u, t, measure, centroid, 1e-12 * measure, n_evals)
 
     anchor = _section_anchor_3d(body, u, t)
     measure, centroid, err, n_evals = _polar_section(body, u, t, anchor, rtol, True)
@@ -290,18 +319,13 @@ def section_stats(body, u, t, rtol=DEFAULT_RTOL) -> SectionStats:
 
 def section_measure(body, u, t, rtol=DEFAULT_RTOL) -> float:
     """Measure only (cheaper inner loop for volume slicing)."""
-    u = np.array(_check_unit(u))
-    t = float(t)
+    u, t = _plane(u, t)
     dim = body.ambient_dim
     cone = body.recession_cone()
     if dim == 3 and cone.dim > 0 and not cone.positive_on(u):
         return section_measure(body, -u, -t, rtol=rtol)
     if dim == 2:
-        w = _plane_basis(u)[0]
-        p0 = t * u
-        s_in, _ = _line_interior_point(body, p0, w, body.scale)
-        s_hi, _ = _chord_root(body, p0, w, s_in, +1.0, body.scale)
-        s_lo, _ = _chord_root(body, p0, w, s_in, -1.0, body.scale)
+        _, _, s_lo, s_hi, _ = _section_chord(body, u, t)
         return s_hi - s_lo
     anchor = _section_anchor_3d(body, u, t)
     measure, _, _, _ = _polar_section(body, u, t, anchor, rtol, False)
@@ -310,8 +334,7 @@ def section_measure(body, u, t, rtol=DEFAULT_RTOL) -> float:
 
 def section_diameter(body, u, t, n_nodes=128) -> float:
     """Diameter estimate of the section (max of opposite-radius sums)."""
-    u = np.array(_check_unit(u))
-    t = float(t)
+    u, t = _plane(u, t)
     dim = body.ambient_dim
     cone = body.recession_cone()
     if dim == 3 and cone.dim > 0 and not cone.positive_on(u):
@@ -320,7 +343,7 @@ def section_diameter(body, u, t, n_nodes=128) -> float:
         return section_measure(body, u, t)
     anchor = _section_anchor_3d(body, u, t)
     e1, e2 = _plane_basis(u)
-    anchor, _ = _center_anchor(body, anchor, (e1, e2), body.scale)
-    _, r = _polar_radii(body, anchor, e1, e2, n_nodes)
+    anchor, half, _ = _center_anchor(body, anchor, (e1, e2))
+    r, _ = _polar_radii(body, anchor, e1, e2, n_nodes, _ellipse_radii(half, n_nodes))
     half = n_nodes // 2
     return float(np.max(r[:half] + r[half:]))

@@ -202,3 +202,29 @@ def test_defining_gradient_matches_fd():
                 e[j] = h
                 fd[j] = (b.defining(x + e) - b.defining(x - e)) / (2 * h)
             assert np.allclose(g, fd, atol=1e-5 * max(1.0, np.linalg.norm(g)))
+
+
+def test_validation_rejects_non_finite_specs():
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            ellipsoid([1.0, bad])
+        with pytest.raises(ValueError):
+            ellipsoid([1.0, 1.0], center=[0.0, bad])
+        with pytest.raises(ValueError):
+            hyperboloid_sheet([bad, 1.0])
+        with pytest.raises(ValueError):
+            circular_cone(2.0, dim=3, shift=[bad, 0.0, 0.0])
+
+
+def test_unit_direction_check_rejects_nan():
+    with pytest.raises(ValueError):
+        unit_sphere().support_attained([math.nan, 0.0, 1.0])
+    with pytest.raises(ValueError):
+        unit_disk().boundary_hit([0.0, 0.0], [math.nan, 1.0])
+
+
+def test_gauge_is_norm_over_boundary_hit():
+    e = ellipsoid([2.0, 1.0, 0.5], center=[0.1, 0.0, -0.1])
+    x = np.array([0.3, -1.7, 0.4])
+    # the boundary point along x lies at x / gauge(x)
+    assert e.defining(x / e.gauge(x)) == pytest.approx(0.0, abs=1e-13)

@@ -155,3 +155,17 @@ def test_tol_override_is_echoed(tmp_path, capsys):
     assert code == EXIT_OK
     rep = json.loads((out_dir / "report.json").read_text())
     assert rep["config"]["tol"] == 1e-6
+
+
+def test_geometry_error_maps_to_config_exit_code(tmp_path, capsys):
+    cfg = {
+        "body": {"kind": "ellipsoid", "params": [1.0, 1.0],
+                 "translation": [0.0, 0.0], "dim": 2},
+        "op": "parallel", "k": 1.0, "anchors": [[0.0]],
+    }
+    f = tmp_path / "cfg.json"
+    f.write_text(json.dumps(cfg))
+    code, out, err = run(capsys, "cutvol", "--config", str(f))
+    assert code == EXIT_BAD_CONFIG
+    assert err.startswith("error: ") and "graph-like" in err
+    assert out == ""

@@ -5,6 +5,7 @@ import pytest
 
 from ccgeom import (
     CutParam,
+    circular_cone,
     cut_gradient,
     cut_volume,
     ellipsoid,
@@ -178,3 +179,22 @@ def test_floating_constancy_scale_hyperbola():
     res = floating_constancy(h, "scale", 2.0, n_normals=6, seed=4)
     assert res["rel_spread"] <= 1e-5
     assert res["mean"] == pytest.approx(hyperbola_homothety_value(2.0), rel=1e-5)
+
+
+def test_cut_volume_rejects_non_finite_parameter():
+    for a in ([math.nan, 0.5], [math.inf, 0.5]):
+        with pytest.raises(ValueError):
+            cut_volume(unit_disk(), a)
+        with pytest.raises(ValueError):
+            CutParam(a)
+    with pytest.raises(ValueError):
+        halfspace_cut_volume(unit_disk(), [0.0, 1.0], math.nan)
+
+
+def test_circular_cone_3d_cap_volume():
+    # z <= h above the apex cuts a cone of radius h/slope and height h
+    slope, apex = 2.0, np.array([0.3, -0.2, 0.5])
+    cone = circular_cone(slope, dim=3, shift=apex)
+    for h in (0.5, 3.0):
+        v = cut_volume(cone, [0.0, 0.0, 1.0 / (apex[2] + h)])
+        assert v == pytest.approx(math.pi * (h / slope) ** 2 * h / 3.0, rel=1e-8)

@@ -1,0 +1,155 @@
+"""The batched boundary root-finder: accuracy, batch independence, hard rays."""
+import math
+
+import mpmath
+import numpy as np
+import pytest
+
+import ccgeom.asymptotics as asym
+from ccgeom import (
+    body_shell_points,
+    ellipsoid,
+    function_epigraph,
+    hyperboloid_sheet,
+    paraboloid_epigraph,
+)
+from ccgeom.bodies import _ray_hit, ray_hits_batch
+
+mpmath.mp.dps = 40
+
+
+def _directions(n, seed, dim=3):
+    w = np.random.default_rng(seed).normal(size=(n, dim))
+    return w / np.linalg.norm(w, axis=1, keepdims=True)
+
+
+def _exit_root(a, b, c, z0=None, wz=None):
+    """Smallest positive root of a s^2 + b s + c (with z0 + s wz > 0 if given)."""
+    a, b, c = (mpmath.mpf(float(v)) for v in (a, b, c))
+    disc = mpmath.sqrt(b * b - 4 * a * c)
+    roots = sorted(r for r in ((-b - disc) / (2 * a), (-b + disc) / (2 * a)) if r > 0)
+    if z0 is not None:
+        roots = [r for r in roots if z0 + r * wz > 0]
+    return roots[0]
+
+
+def _ellipsoid_hit(axes, center, o, w):
+    y = [mpmath.mpf(float(v)) for v in o - center]
+    w = [mpmath.mpf(float(v)) for v in w]
+    k = [1 / mpmath.mpf(float(v)) ** 2 for v in axes]
+    return _exit_root(sum(ki * wi * wi for ki, wi in zip(k, w)),
+                      sum(2 * ki * yi * wi for ki, yi, wi in zip(k, y, w)),
+                      sum(ki * yi * yi for ki, yi in zip(k, y)) - 1)
+
+
+def _paraboloid_hit(q, o, w):
+    o = [mpmath.mpf(float(v)) for v in o]
+    w = [mpmath.mpf(float(v)) for v in w]
+    q = [mpmath.mpf(float(v)) for v in q]
+    return _exit_root(sum(qi * wi * wi for qi, wi in zip(q, w[:-1])),
+                      sum(2 * qi * oi * wi for qi, oi, wi in zip(q, o, w)) - w[-1],
+                      sum(qi * oi * oi for qi, oi in zip(q, o)) - o[-1])
+
+
+def _hyperboloid_hit(axes, o, w):
+    # sqrt(1 + sum (x_i/a_i)^2) = z on the sheet, i.e. z^2 - sum(...) - 1 = 0, z > 0
+    o = [mpmath.mpf(float(v)) for v in o]
+    w = [mpmath.mpf(float(v)) for v in w]
+    k = [1 / mpmath.mpf(float(v)) ** 2 for v in axes]
+    a = w[-1] ** 2 - sum(ki * wi * wi for ki, wi in zip(k, w))
+    b = 2 * o[-1] * w[-1] - sum(2 * ki * oi * wi for ki, oi, wi in zip(k, o, w))
+    c = o[-1] ** 2 - sum(ki * oi * oi for ki, oi in zip(k, o)) - 1
+    return _exit_root(a, b, c, o[-1], w[-1])
+
+
+def _assert_rel(got, exact, rtol=1e-12):
+    for g, e in zip(got, exact):
+        assert abs(g - float(e)) <= rtol * float(e), (g, e)
+
+
+def test_ellipsoid_hits_match_closed_form():
+    axes, center = np.array([2.0, 0.7, 1.3]), np.array([0.5, -1.0, 3.0])
+    body = ellipsoid(axes, center=center)
+    o = center + np.array([0.4, 0.1, -0.5])
+    w = _directions(200, 1)
+    _assert_rel(ray_hits_batch(body, o, w), [_ellipsoid_hit(axes, center, o, d) for d in w])
+
+
+def test_paraboloid_hits_match_closed_form():
+    q = np.array([1.0, 0.4])
+    body = paraboloid_epigraph(q)
+    o = np.array([0.3, -0.2, 2.0])
+    w = _directions(200, 2)
+    w = w[~np.asarray(body.recession_cone().contains(w))]
+    _assert_rel(ray_hits_batch(body, o, w), [_paraboloid_hit(q, o, d) for d in w])
+
+
+def test_hyperboloid_sheet_hits_match_closed_form():
+    axes = np.array([1.0, 1.4])
+    body = hyperboloid_sheet(axes)
+    o = np.array([0.2, 0.1, 3.0])
+    w = _directions(300, 3)
+    # directions inside the recession cone never leave the body
+    w = w[w[:, 2] < 0.9 * np.linalg.norm(w[:, :2] / axes, axis=1)]
+    _assert_rel(ray_hits_batch(body, o, w), [_hyperboloid_hit(axes, o, d) for d in w])
+
+
+def test_root_does_not_depend_on_the_batch():
+    body = hyperboloid_sheet([1.0, 1.4])
+    o = np.array([0.0, 0.0, 2.0])
+    w = _directions(400, 4)
+    w = w[w[:, 2] < 0.5]
+    guess = np.linspace(0.5, 40.0, len(w))
+    batch = ray_hits_batch(body, o, w)
+    batch_guess = ray_hits_batch(body, o, w, guess=guess)
+    for i in range(0, len(w), 17):
+        assert ray_hits_batch(body, o, w[i:i + 1])[0] == batch[i]
+        assert ray_hits_batch(body, o, w[i:i + 1], guess=guess[i:i + 1])[0] == batch_guess[i]
+
+
+@pytest.mark.parametrize("body", [hyperboloid_sheet([1.0, 1.4]), paraboloid_epigraph([1.0, 0.5])])
+def test_block_scan_matches_one_batch(monkeypatch, body):
+    blocked = body_shell_points(body, 40.0, n_azimuth=48)
+    for block in (48, 5):
+        monkeypatch.setattr(asym, "_AZIMUTH_BLOCK", block)
+        assert np.array_equal(body_shell_points(body, 40.0, n_azimuth=48), blocked)
+
+
+def test_flat_quartic_chord():
+    # F = x^4 - y is nearly flat along the chord: a plain regula falsi stalls here
+    body = function_epigraph("quartic")
+    y0 = 1.1634e-5
+    hits = ray_hits_batch(body, np.array([0.0, y0]), np.array([[1.0, 0.0], [-1.0, 0.0]]))
+    _assert_rel(hits, [y0 ** 0.25] * 2)
+
+
+def test_exp_epigraph_rays_through_overflow():
+    body = function_epigraph("exp")
+    # bracketing from the body scale doubles past x = 709, where exp overflows
+    y0 = 1e300
+    hit = ray_hits_batch(body, np.array([0.0, y0]), np.array([[1.0, 0.0]]))
+    _assert_rel(hit, [math.log(y0)])
+    # a guess far out starts the bracket at F = inf
+    w = np.array([[1.0, 0.0], [0.6, -0.8]])
+    hits = ray_hits_batch(body, np.array([0.0, 2.0]), w, guess=[1e4, 2e3])
+    s = mpmath.findroot(lambda s: mpmath.exp(0.6 * s) - 2 + 0.8 * s, 0.5)
+    _assert_rel(hits, [math.log(2.0), s])
+
+
+def test_recession_directions_give_inf():
+    pb = paraboloid_epigraph([1.0, 1.0])
+    assert pb.boundary_hit(np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, 1.0])) == math.inf
+    assert _ray_hit(pb, np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, 1.0])) == math.inf
+    cone = hyperboloid_sheet([1.0, 2.0]).recession_cone()
+    o = np.array([0.0, 0.0, 2.0])
+    assert cone.boundary_hit(o, np.array([0.0, 0.0, 1.0])) == math.inf
+    # across the cone: |x| / 1 = 2 at the boundary
+    assert cone.boundary_hit(o, np.array([1.0, 0.0, 0.0])) == pytest.approx(2.0, rel=1e-12)
+
+
+def test_rejects_non_finite_rays():
+    body = ellipsoid([1.0, 1.0])
+    with pytest.raises(ValueError):
+        ray_hits_batch(body, np.array([np.nan, 0.0]), np.array([[1.0, 0.0]]))
+    with pytest.raises(ValueError):
+        ray_hits_batch(body, np.zeros(2), np.array([[np.inf, 0.0]]))

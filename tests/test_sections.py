@@ -5,6 +5,7 @@ import pytest
 
 from ccgeom import (
     admissible_levels,
+    circular_cone,
     ellipsoid,
     function_epigraph,
     hyperboloid_sheet,
@@ -141,3 +142,40 @@ def test_csv_row_shape():
     row = st.csv_row()
     assert len(row) == 2 + 1 + 2 + 3  # u, t, centroid, measure/err/nodes
     assert all(isinstance(v, (int, float)) for v in row)
+
+
+def test_circular_cone_3d_section_is_a_disk_on_the_axis():
+    slope, apex = 2.0, np.array([0.3, -0.2, 0.5])
+    cone = circular_cone(slope, dim=3, shift=apex)
+    e_z = np.array([0.0, 0.0, 1.0])
+    for h in (0.25, 2.0, 7.0):
+        st = section_stats(cone, e_z, apex[2] + h)
+        assert st.measure == pytest.approx(math.pi * (h / slope) ** 2, rel=1e-8)
+        assert np.allclose(st.centroid, apex + h * e_z, atol=1e-9 * max(1.0, h))
+    st = section_stats(circular_cone(1.0, dim=3), e_z, 2.0)
+    assert st.measure == pytest.approx(4.0 * math.pi, rel=1e-8)
+
+
+def test_n_evals_counts_oracle_points(monkeypatch):
+    from ccgeom.bodies import BodySpec
+
+    seen = []
+    defining = BodySpec.defining
+
+    def counted(self, x):
+        seen.append(np.asarray(x).size // self.ambient_dim)
+        return defining(self, x)
+
+    monkeypatch.setattr(BodySpec, "defining", counted)
+    for body, u, t in ((unit_disk(), [0.0, 1.0], 0.3),
+                       (unit_sphere(), [0.0, 0.0, 1.0], 0.3)):
+        seen.clear()
+        st = section_stats(body, u, t)
+        assert st.n_evals == sum(seen)
+
+
+def test_section_level_must_be_a_number():
+    with pytest.raises(ValueError):
+        section_measure(unit_sphere(), [0.0, 0.0, 1.0], math.nan)
+    with pytest.raises(ValueError):
+        section_stats(unit_disk(), [0.0, 1.0], math.nan)
