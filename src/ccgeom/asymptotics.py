@@ -24,7 +24,7 @@ _N_AZIMUTH = 720
 _N_SCAN_2D = 2048
 _N_SCAN_SLICE = 192
 _N_POLISH = 48
-_AZIMUTH_BLOCK = 16  # azimuths per 3D scan block (16 x 192 rays)
+_AZIMUTH_BLOCK = 16  # azimuths per 3D scan call: 16 x 192 rays bound its memory
 
 
 @dataclass(frozen=True)

@@ -552,17 +552,20 @@ def ray_hits_batch(setlike, origin, directions, rtol=1e-12, guess=None,
 
     This is the one boundary root-finder of the package. F is the convex
     defining function of ``setlike``, and the origin must satisfy F < 0.
+
     A ray is bracketed from ``guess`` (two probes just below and above it)
-    or, without one, from a probe at the body scale, stepping outward while
-    the probes stay inside. Then each step evaluates two points in one
-    ``defining`` call. F is convex along a ray, so the chord through the
-    inside and outside ends lands inside, and the secant through the last
-    two outside points (or the last two inside points) lands outside; each
-    point updates whichever end its sign says. A step that does not halve
-    the bracket (in log scale) is followed by a bisection. Every ray stops
-    on its own bracket width, ``rtol`` relative to its hit distance, or
-    when F at an end is down to rounding noise, so its root does not
-    depend on the other rays of the batch.
+    or, without one, from a probe at the body scale, stepping outward (at
+    most doubling) while the probes stay inside. Then each step evaluates
+    two points in one ``defining`` call. F is convex along a ray, so the
+    chord through the inside and outside ends lands inside, and the secant
+    through two outside points, or through two inside points, lands
+    outside: the root lies between the chord root and the nearer secant
+    root. Each point updates whichever end its sign says. A step that does
+    not halve the bracket (in log scale) is followed by a geometric
+    bisection. Every ray stops on its own bracket, once the chord and
+    secant roots agree to ``rtol`` relative to the hit distance or F at its
+    inside end is down to rounding noise, so its root does not depend on
+    the other rays of the batch.
 
     All directions must be non-recessive (guaranteed for bounded sections).
     With ``return_evals`` the result is ``(hits, oracle points evaluated)``.
@@ -645,11 +648,11 @@ def _solve(F, origin, W, S, f0, rtol, hits):
     """
     rays = np.arange(S.shape[2])
     cols = rays
-    last_sqrt_ratio = np.full(rays.size, INF)
+    last_sqrt_ratio = np.full(rays.size, INF)  # sqrt(h / l) before the last step
     noisy = np.zeros(rays.size, dtype=bool)
-    # F(origin) is made of terms at least this large, so a value of F this
-    # close to 0 is rounding noise
-    noise = -4.0 * np.finfo(float).eps * -f0
+    # F(origin) < 0 is made of terms at least |F(origin)| large, so an inside
+    # end with F above this is on the boundary up to rounding
+    noise = 4.0 * np.finfo(float).eps * f0
     n_evals = 0
     for _ in range(_SOLVE_STEPS):
         X, Fx = S[0], S[1]
@@ -665,6 +668,7 @@ def _solve(F, origin, W, S, f0, rtol, hits):
         # last step did not halve the bracket's log-width
         b = np.fmin(np.where(z[0] > a, z[0], np.nan), z[2])
         ok = (b > a) & (b < h)
+        # the midpoint of [a, b] is then within rtol/8 of the root
         close = ok & (b <= (1.0 + 0.25 * rtol) * a)
         done = close | (l >= (1.0 - rtol) * h) | (Fx[_L] >= noise) | noisy
         ratio = h / l
