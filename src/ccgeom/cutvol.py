@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .bodies import INF, _check_unit
+from .bodies import INF
 from .errors import (
     DegenerateCut,
     DegenerateSection,
@@ -24,6 +24,7 @@ from .errors import (
 )
 from .sections import (
     DEFAULT_RTOL,
+    _plane,
     section_diameter,
     section_measure,
     section_stats,
@@ -92,10 +93,7 @@ def halfspace_cut_volume(body, u, t, rtol=DEFAULT_RTOL) -> float:
     +inf when the cut contains a recession direction; 0 when the halfspace
     misses the interior.
     """
-    u = np.array(_check_unit(u))
-    t = float(t)
-    if math.isnan(t):
-        raise ValueError("cut level must be a number")
+    u, t = _plane(u, t)
     cone = body.recession_cone()
     if not cone.positive_on(u):
         # some recession direction stays in the halfspace: infinite volume

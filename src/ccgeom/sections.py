@@ -56,10 +56,10 @@ def csv_header(dim: int):
 
 
 def _plane(u, t):
-    """Validated (unit normal, level) of a section hyperplane."""
+    """Validated (unit normal, level) of a hyperplane {<u,x> = t}."""
     t = float(t)
     if math.isnan(t):
-        raise ValueError("section level must be a number")
+        raise ValueError("hyperplane level must be a number")
     return np.array(_check_unit(u)), t
 
 
