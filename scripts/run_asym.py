@@ -10,15 +10,13 @@ to run one configuration:
 """
 import sys
 
-from ccgeom.cli import main
-
-PRESETS = ("fig1", "hyperboloid", "parabola-ray")
+from ccgeom.cli import PRESETS, main
 
 if __name__ == "__main__":
     if len(sys.argv) > 1:
         raise SystemExit(main(["asym"] + sys.argv[1:]))
     rc = 0
-    for name in PRESETS:
+    for name in PRESETS["asym"]:
         print(f"== asym --preset {name}")
         rc = max(rc, main(["asym", "--preset", name]))
     raise SystemExit(rc)

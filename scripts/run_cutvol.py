@@ -9,22 +9,13 @@ Forward arguments to run a single configuration:
 """
 import sys
 
-from ccgeom.cli import main
-
-PRESETS = (
-    "parabola-parallel",
-    "paraboloid-parallel",
-    "hyperbola-homothety",
-    "quartic-control",
-    "cosh-control",
-    "sphere-gradient",
-)
+from ccgeom.cli import PRESETS, main
 
 if __name__ == "__main__":
     if len(sys.argv) > 1:
         raise SystemExit(main(["cutvol"] + sys.argv[1:]))
     rc = 0
-    for name in PRESETS:
+    for name in PRESETS["cutvol"]:
         print(f"== cutvol --preset {name}")
         rc = max(rc, main(["cutvol", "--preset", name]))
     raise SystemExit(rc)

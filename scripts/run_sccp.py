@@ -8,15 +8,13 @@ each verdict. Forward any extra arguments to a single preset instead:
 """
 import sys
 
-from ccgeom.cli import main
-
-PRESETS = ("ellipsoid", "paraboloid", "hyperboloid", "controls")
+from ccgeom.cli import PRESETS, main
 
 if __name__ == "__main__":
     if len(sys.argv) > 1:
         raise SystemExit(main(["sccp"] + sys.argv[1:]))
     rc = 0
-    for name in PRESETS:
+    for name in PRESETS["sccp"]:
         print(f"== sccp --preset {name}")
         rc = max(rc, main(["sccp", "--preset", name]))
     raise SystemExit(rc)

@@ -181,29 +181,23 @@ def cut_gradient(body, a, rtol=DEFAULT_RTOL) -> CutVolumeResult:
 
 
 def _graph_gradient(body, abscissa):
-    """Boundary point and graph gradient at an abscissa of a graph-like body."""
+    """Boundary point and graph gradient at an abscissa of a graph-like body.
+
+    Every graph kind has F(x', y) = height(x') - y in its own frame, so the
+    height is F at (x', 0) and the graph gradient is the x' part of grad F.
+    """
     x0 = np.atleast_1d(np.asarray(abscissa, dtype=float))
     n = body.ambient_dim - 1
     if x0.shape != (n,):
         raise ValueError(f"anchor abscissa must have {n} component(s)")
-    if body.kind == "elliptic-paraboloid-epigraph":
-        q = np.asarray(body.params)
-        height = float(np.sum(q * x0 ** 2))
-        grad = 2.0 * q * x0
-    elif body.kind == "function-epigraph":
-        from .bodies import _f_eval, _f_prime
-
-        height = float(_f_eval(body.tag, x0[0]))
-        grad = np.array([float(_f_prime(body.tag, x0[0]))])
-    elif body.kind == "hyperboloid-upper-sheet":
-        p = np.asarray(body.params)
-        w = math.sqrt(1.0 + float(np.sum((x0 / p) ** 2)))
-        height = w
-        grad = x0 / (p ** 2 * w)
-    else:
+    if body.kind not in (
+        "elliptic-paraboloid-epigraph", "function-epigraph", "hyperboloid-upper-sheet"
+    ):
         raise NotGraphLike(f"kind {body.kind!r} is not a global graph")
-    point = np.concatenate([x0, [height]]) + body.translation
-    normal = np.concatenate([-grad, [1.0]])
+    height = float(body.defining(np.append(x0, 0.0) + body.translation))
+    point = np.append(x0, height) + body.translation
+    grad = body.defining_gradient(point)[:-1]
+    normal = np.append(-grad, 1.0)
     normal /= np.linalg.norm(normal)
     return point, grad, normal
 

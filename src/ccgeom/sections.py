@@ -1,10 +1,14 @@
 """Hyperplane sections: boundedness, admissible levels, measure and centroid.
 
-2D sections are chords: both ends come from one two-ray call of the
-boundary root-finder.  3D sections are integrated in polar coordinates
-around an interior anchor with a fixed node-doubling refinement schedule,
-so results are deterministic for a given tolerance.  ``n_evals`` counts the
-points at which the body's defining function was evaluated, in 2D and 3D.
+Every section, in 2D and 3D, starts from one anchor: the point where the
+level meets the body's interior 'spine', moved to the midpoints of
+chords along the plane's basis vectors, each chord from one two-ray call
+of the boundary root-finder.  In 2D the plane is a line and its chord is
+the section, with the centred anchor as centroid.  3D sections are
+integrated in polar coordinates around the centred anchor with a fixed
+node-doubling refinement schedule, so results are deterministic for a
+given tolerance.  ``n_evals`` counts the points at which the body's
+defining function was evaluated, in 2D and 3D.
 """
 from __future__ import annotations
 
@@ -23,6 +27,7 @@ from .errors import (
 
 DEFAULT_RTOL = 1e-8
 _MAX_POLAR_NODES = 16384
+_DIAMETER_NODES = 128
 
 
 @dataclass(frozen=True)
@@ -93,83 +98,7 @@ def _plane_basis(u):
     return (e1, e2)
 
 
-def _line_interior_point(body, p0, w, scale):
-    """A point p0 + s*w strictly inside the body, by 1D convex descent on F."""
-
-    def phi(s):
-        return float(body.defining(p0 + s * w))
-
-    n_evals = 1
-    v0 = phi(0.0)
-    if v0 < 0.0:
-        return 0.0, n_evals
-    # walk downhill with doubling steps, then golden-section shrink
-    step = scale
-    a, b, c = -step, 0.0, step
-    fa, fb, fc = phi(a), v0, phi(c)
-    n_evals += 2
-    for _ in range(300):
-        if fb < 0.0:
-            return b, n_evals
-        if fb <= fa and fb <= fc:
-            break
-        if fa < fc:
-            a, b, c = a - 2.0 * (b - a), a, b
-            fb, fc = fa, fb
-            fa = phi(a)
-        else:
-            a, b, c = b, c, c + 2.0 * (c - b)
-            fa, fb = fb, fc
-            fc = phi(c)
-        n_evals += 1
-    # golden shrink on the bracketed convex minimum
-    inv = 0.5 * (3.0 - math.sqrt(5.0))
-    for _ in range(300):
-        if fb < 0.0:
-            return b, n_evals
-        if c - a < 1e-13 * max(1.0, scale):
-            raise DegenerateSection("hyperplane misses the interior of the body")
-        if c - b > b - a:
-            x = b + inv * (c - b)
-            fx = phi(x)
-            n_evals += 1
-            if fx < fb:
-                a, b, fb = b, x, fx
-            else:
-                c, fc = x, fx
-        else:
-            x = b - inv * (b - a)
-            fx = phi(x)
-            n_evals += 1
-            if fx < fb:
-                c, b, fb = b, x, fx
-            else:
-                a, fa = x, fx
-    raise DegenerateSection("interior search failed to converge")
-
-
-def _chord(body, p0, w, s_in):
-    """Chord of the line p0 + s*w through the interior point at s_in.
-
-    Returns the chord's two end parameters and the oracle points spent.
-    """
-    r, n = ray_hits_batch(body, p0 + s_in * w, np.stack([w, -w]), return_evals=True)
-    return s_in - r[1], s_in + r[0], n
-
-
-def _section_chord(body, u, t):
-    """2D section {<u,x> = t} as the chord p0 + s*w, s in [s_lo, s_hi].
-
-    Returns (p0, w, s_lo, s_hi, oracle points spent).
-    """
-    w = _plane_basis(u)[0]
-    p0 = t * u
-    s_in, n0 = _line_interior_point(body, p0, w, body.scale)
-    s_lo, s_hi, n1 = _chord(body, p0, w, s_in)
-    return p0, w, s_lo, s_hi, n0 + n1
-
-
-def _section_anchor_3d(body, u, t):
+def _section_anchor(body, u, t):
     """Interior point of the section plane via the interior 'spine' of the body.
 
     The spine runs from the boundary point attaining the minimum level,
@@ -181,7 +110,7 @@ def _section_anchor_3d(body, u, t):
     if isinstance(body, ConeDescriptor) or body.kind == "circular-cone":
         # the axis from the apex meets every level inside the cone
         zdir = cone.interior_direction()
-        apex = np.zeros(3) if isinstance(body, ConeDescriptor) else body.translation
+        apex = np.zeros(len(u)) if isinstance(body, ConeDescriptor) else body.translation
         return apex + zdir * ((t - float(u @ apex)) / float(u @ zdir))
     z0 = body.interior_point()
     s0 = float(u @ z0)
@@ -197,24 +126,6 @@ def _section_anchor_3d(body, u, t):
         return z0 + lam * (p_top - z0)
     zdir = cone.interior_direction()
     return z0 + (t - s0) / float(u @ zdir) * zdir
-
-
-def _center_anchor(body, anchor, basis):
-    """Recenter the anchor as successive chord midpoints (better conditioning).
-
-    Returns the anchor, the chords' half-lengths and the oracle points spent.
-    An anchor that is not strictly inside means the level grazes the body.
-    """
-    n, half = 0, []
-    for w in basis:
-        try:
-            s_lo, s_hi, k = _chord(body, anchor, w, 0.0)
-        except NotInterior as e:
-            raise DegenerateSection("section anchor is not inside the body") from e
-        anchor = anchor + 0.5 * (s_lo + s_hi) * w
-        half.append(0.5 * (s_hi - s_lo))
-        n += k
-    return anchor, half, n
 
 
 def _polar_radii(body, anchor, e1, e2, n_nodes, guess, nodes=None):
@@ -253,19 +164,50 @@ def _polar_rule(r, want_moments):
     return measure, m1, m2
 
 
-def _polar_section(body, u, t, anchor, rtol, want_moments):
-    """Polar-coordinate section integrals with node-doubling refinement.
+def _centred_section(body, u, t):
+    """Anchor the section {<u,x> = t} on the spine and centre it by chords.
 
-    The rules are nested: the first batch of 64 rays is compared with its
-    32-node subrule, and each doubling casts only the new midpoint rays,
-    started from guesses interpolated from the radii so far (the first
-    batch from the ellipse through the centring chords).
+    The plane is first oriented so that the unbounded side of the level
+    axis is +u, the way round the spine is built.  The anchor then moves to
+    the midpoint of its chord along each basis vector in turn (better
+    conditioning).  Returns the centred anchor, the plane basis, the
+    chords' half-lengths and the oracle points spent.  An anchor that is
+    not strictly inside means the level grazes the body.
     """
-    e1, e2 = _plane_basis(u)
-    anchor, half, n_evals = _center_anchor(body, anchor, (e1, e2))
+    cone = body.recession_cone()
+    if cone.dim > 0 and not cone.positive_on(u):
+        u, t = -u, -t
+    basis = _plane_basis(u)
+    anchor = _section_anchor(body, u, t)
+    n_evals, half = 0, []
+    for w in basis:
+        try:
+            r, k = ray_hits_batch(body, anchor, np.stack([w, -w]), return_evals=True)
+        except NotInterior as e:
+            raise DegenerateSection("section anchor is not inside the body") from e
+        anchor = anchor + 0.5 * (r[0] - r[1]) * w
+        half.append(0.5 * (r[0] + r[1]))
+        n_evals += k
+    return anchor, basis, half, n_evals
+
+
+def _polar_section(body, anchor, basis, half, rtol, want_moments):
+    """Section integrals around a centred anchor, with node-doubling refinement.
+
+    Returns the measure, centroid, error estimate and the oracle points
+    spent beyond the centring chords.  A 2D section is its centring chord:
+    the anchor is its midpoint and centroid.  In 3D the polar rules are
+    nested: the first batch of 64 rays is compared with its 32-node
+    subrule, and each doubling casts only the new midpoint rays, started
+    from guesses interpolated from the radii so far (the first batch from
+    the ellipse through the centring chords).
+    """
+    if len(basis) == 1:
+        measure = 2.0 * half[0]
+        return measure, anchor, 1e-12 * measure, 0
+    e1, e2 = basis
     n = 64
-    r, k = _polar_radii(body, anchor, e1, e2, n, _ellipse_radii(half, n))
-    n_evals += k
+    r, n_evals = _polar_radii(body, anchor, e1, e2, n, _ellipse_radii(half, n))
     prev = _polar_rule(r[::2], want_moments)
     while True:
         measure, m1, m2 = _polar_rule(r, want_moments)
@@ -293,57 +235,26 @@ def section_stats(body, u, t, rtol=DEFAULT_RTOL) -> SectionStats:
     buf = 1e-9 * scale
     if not (lo + buf <= t <= hi - buf):
         raise LevelOutOfRange(f"level {t} outside admissible interval ({lo}, {hi})")
-
-    dim = body.ambient_dim
-    cone = body.recession_cone()
-    if dim == 3 and cone.dim > 0 and not cone.positive_on(u):
-        # canonical orientation: the unbounded side of the level axis is +u
-        inner = section_stats(body, -u, -t, rtol=rtol)
-        return SectionStats(u, t, inner.measure, inner.centroid,
-                            inner.err_estimate, inner.n_evals)
-
-    if dim == 2:
-        p0, w, s_lo, s_hi, n_evals = _section_chord(body, u, t)
-        measure = s_hi - s_lo
-        if measure < 1e-12 * scale:
-            raise DegenerateSection("section measure below threshold")
-        centroid = p0 + 0.5 * (s_lo + s_hi) * w
-        return SectionStats(u, t, measure, centroid, 1e-12 * measure, n_evals)
-
-    anchor = _section_anchor_3d(body, u, t)
-    measure, centroid, err, n_evals = _polar_section(body, u, t, anchor, rtol, True)
-    if measure < 1e-12 * scale ** 2:
+    anchor, basis, half, n_evals = _centred_section(body, u, t)
+    measure, centroid, err, k = _polar_section(body, anchor, basis, half, rtol, True)
+    if measure < 1e-12 * scale ** len(basis):
         raise DegenerateSection("section measure below threshold")
-    return SectionStats(u, t, measure, centroid, err, n_evals)
+    return SectionStats(u, t, measure, centroid, err, n_evals + k)
 
 
 def section_measure(body, u, t, rtol=DEFAULT_RTOL) -> float:
     """Measure only (cheaper inner loop for volume slicing)."""
     u, t = _plane(u, t)
-    dim = body.ambient_dim
-    cone = body.recession_cone()
-    if dim == 3 and cone.dim > 0 and not cone.positive_on(u):
-        return section_measure(body, -u, -t, rtol=rtol)
-    if dim == 2:
-        _, _, s_lo, s_hi, _ = _section_chord(body, u, t)
-        return s_hi - s_lo
-    anchor = _section_anchor_3d(body, u, t)
-    measure, _, _, _ = _polar_section(body, u, t, anchor, rtol, False)
-    return measure
+    anchor, basis, half, _ = _centred_section(body, u, t)
+    return _polar_section(body, anchor, basis, half, rtol, False)[0]
 
 
-def section_diameter(body, u, t, n_nodes=128) -> float:
+def section_diameter(body, u, t) -> float:
     """Diameter estimate of the section (max of opposite-radius sums)."""
     u, t = _plane(u, t)
-    dim = body.ambient_dim
-    cone = body.recession_cone()
-    if dim == 3 and cone.dim > 0 and not cone.positive_on(u):
-        return section_diameter(body, -u, -t, n_nodes=n_nodes)
-    if dim == 2:
-        return section_measure(body, u, t)
-    anchor = _section_anchor_3d(body, u, t)
-    e1, e2 = _plane_basis(u)
-    anchor, half, _ = _center_anchor(body, anchor, (e1, e2))
-    r, _ = _polar_radii(body, anchor, e1, e2, n_nodes, _ellipse_radii(half, n_nodes))
-    half = n_nodes // 2
-    return float(np.max(r[:half] + r[half:]))
+    anchor, basis, half, _ = _centred_section(body, u, t)
+    if len(basis) == 1:
+        return 2.0 * half[0]
+    n = _DIAMETER_NODES
+    r, _ = _polar_radii(body, anchor, *basis, n, _ellipse_radii(half, n))
+    return float(np.max(r[: n // 2] + r[n // 2:]))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ccgeom import (
+    ConeDescriptor,
     admissible_levels,
     circular_cone,
     ellipsoid,
@@ -97,10 +98,20 @@ def test_downward_normal_equivalent_to_upward():
 
 
 def test_chord_against_brute_force():
+    hyperbola_u = np.array([0.4, 1.0]) / math.hypot(0.4, 1.0)
     bodies_dirs = [
         (superellipsoid(4.0), np.array([1.0, 2.0]), 0.3),
+        (superellipsoid(2.5), np.array([1.0, 2.0]), -0.5),
         (function_epigraph("cosh"), np.array([0.2, 1.0]), 2.0),
+        (function_epigraph("square"), np.array([0.3, 1.0]), 1.5),
+        (function_epigraph("quartic"), np.array([0.5, 1.0]), 1.0),
+        (function_epigraph("exp"), np.array([-0.5, 1.0]), 1.5),
         (ellipsoid([1.5, 0.7], center=[0.2, -0.1]), np.array([3.0, 1.0]), 0.4),
+        (unit_disk(center=[0.7, -1.2]), np.array([1.0, 1.0]), 0.2),
+        (hyperboloid_sheet([1.0]), hyperbola_u, 2.5),
+        # the opposite normal describes the same line; sections flip it back
+        (hyperboloid_sheet([1.0]), -hyperbola_u, -2.5),
+        (circular_cone(1.5, dim=2), np.array([0.2, 1.0]), 1.0),
     ]
     for body, u, t in bodies_dirs:
         u = u / np.linalg.norm(u)
@@ -109,6 +120,33 @@ def test_chord_against_brute_force():
             chord_length_brute(body, u, t, span=12.0), rel=1e-6)
         mid = chord_midpoint_brute(body, u, t, span=12.0)
         assert np.allclose(st.centroid, mid, atol=1e-6)
+
+
+def test_2d_cone_sections_against_closed_form():
+    # quadrant {x <= 0, y >= 0}: the level t along its axis cuts a chord of
+    # length 2t centred on the axis
+    quadrant = ConeDescriptor("quadrant", 2)
+    axis = np.array([-1.0, 1.0]) / math.sqrt(2.0)
+    for u, t in ((axis, 1.0), (axis, 3.0), (-axis, -1.0)):
+        st = section_stats(quadrant, u, t)
+        assert st.measure == pytest.approx(2.0 * abs(t), rel=1e-12)
+        assert np.allclose(st.centroid, abs(t) * axis, atol=1e-12)
+    # elliptic {y >= |x| / 0.5}: the level y = t cuts |x| <= t / 2
+    wedge = ConeDescriptor("elliptic", 2, (0.5,))
+    for t in (2.0, 5.0):
+        st = section_stats(wedge, [0.0, 1.0], t)
+        assert st.measure == pytest.approx(t, rel=1e-12)
+        assert np.allclose(st.centroid, [0.0, t], atol=1e-12)
+    assert section_measure(wedge, [0.0, 1.0], 2.0) == pytest.approx(2.0, rel=1e-12)
+
+
+def test_2d_section_measure_degenerate_at_grazing_or_outside_levels():
+    # halfspace_cut_volume counts these levels as measure 0
+    for t in (1.0, 1.001):
+        with pytest.raises(DegenerateSection):
+            section_measure(unit_disk(), [0.0, 1.0], t)
+    with pytest.raises(DegenerateSection):
+        section_measure(function_epigraph("square"), [0.0, 1.0], -0.01)
 
 
 def test_paraboloid_section_centroid_lies_on_axis_family():
