@@ -6,6 +6,13 @@ is a root of F along rays, solved by one batched bracketing root-finder,
 ``ray_hits_batch``, so downstream quadrature error is attributable to the
 integration scheme, not the oracles.
 
+Each body kind lives in one class of the table ``_BODY_KINDS``: parameter
+check, F, grad F, interior point, attained normals, inverse Gauss map and
+recession cone, in the body's own frame. The four unbounded kinds are
+epigraphs y >= height(x') and share F and the inverse Gauss map. The
+support function is read off the Gauss map, h(u) = <u, x(u)> with x(u) the
+boundary point of outer normal u; elsewhere h is a limit, 0 or +inf.
+
 Membership and defining-value evaluation are vectorized over trailing
 point batches (shape (..., dim)); all other oracles are scalar.
 """
@@ -17,7 +24,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import (
     GeometryError,
@@ -29,19 +35,9 @@ from .errors import (
 
 INF = math.inf
 
-KINDS = (
-    "ellipsoid",
-    "elliptic-paraboloid-epigraph",
-    "hyperboloid-upper-sheet",
-    "circular-cone",
-    "function-epigraph",
-    "superellipsoid",
-)
-
-FUNCTION_TAGS = ("square", "quartic", "exp", "cosh")
-
 _UNIT_TOL = 1e-12
-_DIVERGENCE_CAP = 1e12
+# epigraph normals this close to the edge of the attained set get h's limit
+_EDGE_TOL = 1e-15
 # ray root-finder: relative offset of the two probes around a guess, caps on
 # bracket steps and on solver steps
 _GUESS_SPREAD = 2.0 ** -20
@@ -62,32 +58,6 @@ def _check_unit(u):
     if not abs(np.linalg.norm(u) - 1.0) <= _UNIT_TOL:
         raise ValueError("direction must be a finite unit vector (within 1e-12)")
     return u
-
-
-def _f_eval(tag, x):
-    with np.errstate(over="ignore"):
-        if tag == "square":
-            return x * x
-        if tag == "quartic":
-            return x ** 4
-        if tag == "exp":
-            return np.exp(x)
-        if tag == "cosh":
-            return np.cosh(x)
-    raise ValueError(f"unknown function tag {tag!r}")
-
-
-def _f_prime(tag, x):
-    with np.errstate(over="ignore"):
-        if tag == "square":
-            return 2.0 * x
-        if tag == "quartic":
-            return 4.0 * x ** 3
-        if tag == "exp":
-            return np.exp(x)
-        if tag == "cosh":
-            return np.sinh(x)
-    raise ValueError(f"unknown function tag {tag!r}")
 
 
 @dataclass(frozen=True)
@@ -213,6 +183,243 @@ class ConeDescriptor:
         return _ray_hit(self, origin, direction)
 
 
+# -- the body kinds, each in the body's own frame ------------------------------
+
+
+class _Kind:
+    """Shared defaults: a bounded body whose every unit normal is attained.
+
+    A subclass says in ``valid`` whether its parameters fit the kind and in
+    ``needs`` what they must be. u is an attained normal where h(u) is read
+    off the Gauss map, that is where ``limit_support`` gives None.
+    """
+
+    def __init__(self, spec):
+        self.params, self.dim, self.p = spec.params, spec.ambient_dim, np.asarray(spec.params)
+        self.check(spec)
+
+    def check(self, spec):
+        if spec.tag is not None:
+            raise ValueError(f"a {spec.kind} body takes no function tag")
+        if not self.valid():
+            raise ValueError(self.needs)
+
+    def interior(self):
+        return np.zeros(self.dim)
+
+    def attained(self, u):
+        return self.limit_support(u) is None
+
+    def limit_support(self, u):
+        """h(u) where it is not read off the Gauss map (0 or +inf), else None."""
+        return None
+
+    def cone(self):
+        return ConeDescriptor("zero", self.dim)
+
+
+class _Ellipsoid(_Kind):
+    needs = "ellipsoid needs dim positive semi-axes"
+
+    def valid(self):
+        return len(self.params) == self.dim and min(self.params) > 0
+
+    def F(self, y):
+        return np.sum((y / self.p) ** 2, axis=-1) - 1.0
+
+    def grad(self, y):
+        return 2.0 * y / self.p ** 2
+
+    def inverse_gauss(self, u):
+        return self.p ** 2 * u / np.linalg.norm(self.p * u)
+
+
+class _Superellipsoid(_Kind):
+    needs = "superellipsoid needs one exponent p >= 2"
+
+    def valid(self):
+        return len(self.params) == 1 and self.params[0] >= 2
+
+    def F(self, y):
+        return np.sum(np.abs(y) ** self.p[0], axis=-1) - 1.0
+
+    def grad(self, y):
+        pw = self.p[0]
+        return pw * np.sign(y) * np.abs(y) ** (pw - 1.0)
+
+    def inverse_gauss(self, u):
+        pw = self.p[0]
+        q = pw / (pw - 1.0)
+        nq = float(np.sum(np.abs(u) ** q))
+        return np.sign(u) * np.abs(u) ** (q / pw) / nq ** (1.0 / pw)
+
+
+class _Graph(_Kind):
+    """Epigraph {y >= height(x')} of a convex height over x' in R^(dim-1).
+
+    Subclasses give height, its gradient height_grad and the inverse of the
+    gradient, slope_inverse, each over x' (or slopes m) in the last axis.
+    """
+
+    def valid(self):  # n positive coefficients or semi-axes, unless overridden
+        return len(self.params) == self.dim - 1 and min(self.params) > 0
+
+    def F(self, y):
+        return self.height(y[..., :-1]) - y[..., -1]
+
+    def grad(self, y):
+        return np.append(self.height_grad(y[:-1]), -1.0)
+
+    def interior(self):
+        y = np.zeros(self.dim)
+        y[-1] = self.height(y[:-1]) + 1.0
+        return y
+
+    def limit_support(self, u):
+        return None if u[-1] < 0.0 else INF
+
+    def inverse_gauss(self, u):
+        # the outer normal (grad height, -1) is parallel to u
+        x = self.slope_inverse(u[:-1] / -u[-1])
+        return np.append(x, self.height(x))
+
+    def cone(self):
+        return ConeDescriptor("ray", self.dim, (0.0,) * (self.dim - 1) + (1.0,))
+
+
+class _Paraboloid(_Graph):
+    needs = "paraboloid needs n positive quadratic coefficients"
+
+    def height(self, x):
+        return np.sum(self.p * x ** 2, axis=-1)
+
+    def height_grad(self, x):
+        return 2.0 * self.p * x
+
+    def slope_inverse(self, m):
+        return m / (2.0 * self.p)
+
+
+class _Hyperboloid(_Graph):
+    needs = "hyperboloid sheet needs n positive semi-axes"
+
+    def height(self, x):
+        return np.sqrt(1.0 + np.sum((x / self.p) ** 2, axis=-1))
+
+    def height_grad(self, x):
+        return x / (self.p ** 2 * self.height(x))
+
+    def slope_inverse(self, m):
+        pm = self.p * m
+        return self.p * pm / math.sqrt(1.0 - float(pm @ pm))
+
+    def limit_support(self, u):
+        s, r = -u[-1], float(np.linalg.norm(self.p * u[:-1]))
+        if s > r:
+            return None
+        # on the asymptotic cone's normals the supremum is 0, not attained
+        return 0.0 if s == r else INF
+
+    def cone(self):
+        return ConeDescriptor("elliptic", self.dim, self.params)
+
+
+class _CircularCone(_Graph):
+    needs = "circular cone needs one positive slope"
+
+    def valid(self):
+        return len(self.params) == 1 and self.params[0] > 0
+
+    def height(self, x):
+        return self.p[0] * np.linalg.norm(x, axis=-1)
+
+    def height_grad(self, x):
+        r = float(np.linalg.norm(x))
+        if r < 1e-300:
+            raise NotOnBoundary("cone apex has no unique normal")
+        return self.p[0] * x / r
+
+    def interior(self):
+        y = np.zeros(self.dim)
+        y[-1] = max(1.0, self.params[0])
+        return y
+
+    def limit_support(self, u):
+        # never None: not strictly convex, so the Gauss map is not invertible;
+        # 0 at the apex for normals of the polar cone
+        return 0.0 if self.p[0] * -u[-1] >= np.linalg.norm(u[:-1]) else INF
+
+    def cone(self):
+        return ConeDescriptor("elliptic", self.dim, (1.0 / self.params[0],) * (self.dim - 1))
+
+
+# Generating functions of the planar epigraphs: f, f', the inverse of f'
+# and the infimum of f' over R (each f' is increasing onto (inf f', inf)).
+_FUNCTIONS = {
+    "square": (lambda x: x * x, lambda x: 2.0 * x, lambda m: m / 2.0, -INF),
+    "quartic": (lambda x: x ** 4, lambda x: 4.0 * x ** 3,
+                lambda m: math.copysign(abs(m / 4.0) ** (1.0 / 3.0), m), -INF),
+    "exp": (np.exp, np.exp, math.log, 0.0),
+    "cosh": (np.cosh, np.sinh, math.asinh, -INF),
+}
+
+FUNCTION_TAGS = tuple(_FUNCTIONS)
+
+
+class _FunctionEpigraph(_Graph):
+    def __init__(self, spec):
+        super().__init__(spec)
+        self.f, self.df, self.df_inverse, self.slope_inf = _FUNCTIONS[spec.tag]
+
+    def check(self, spec):
+        if self.dim != 2:
+            raise ValueError("function epigraphs are 2D only")
+        if spec.tag not in FUNCTION_TAGS:
+            raise ValueError(f"function tag must be one of {FUNCTION_TAGS}")
+        if self.params:
+            raise ValueError("function epigraphs take no params")
+
+    def height(self, x):
+        with np.errstate(over="ignore"):
+            return self.f(x[..., 0])
+
+    def height_grad(self, x):
+        with np.errstate(over="ignore"):
+            return self.df(x)
+
+    def slope_inverse(self, m):
+        return np.array([self.df_inverse(float(m[0]))])
+
+    def attained(self, u):
+        return u[1] < 0.0 and u[0] > self.slope_inf * -u[1]
+
+    def limit_support(self, u):
+        s = -u[1]
+        if s <= _EDGE_TOL:
+            return INF
+        edge = u[0] - self.slope_inf * s
+        if edge < -_EDGE_TOL:
+            return INF
+        # a finite inf f' is exp's 0, where h is the limit of -s*f = 0 as x -> -inf
+        return 0.0 if edge <= _EDGE_TOL else None
+
+    def cone(self):
+        # f grows both ways, or (exp) tends to 0 as x -> -inf
+        return super().cone() if self.slope_inf == -INF else ConeDescriptor("quadrant", 2)
+
+
+_BODY_KINDS = {
+    "ellipsoid": _Ellipsoid,
+    "elliptic-paraboloid-epigraph": _Paraboloid,
+    "hyperboloid-upper-sheet": _Hyperboloid,
+    "circular-cone": _CircularCone,
+    "function-epigraph": _FunctionEpigraph,
+    "superellipsoid": _Superellipsoid,
+}
+
+KINDS = tuple(_BODY_KINDS)
+
+
 @dataclass(frozen=True, eq=False)
 class BodySpec:
     """Immutable parametric description of a closed convex body."""
@@ -243,31 +450,7 @@ class BodySpec:
             raise ValueError("translation must be finite")
         tr.flags.writeable = False
         object.__setattr__(self, "translation", tr)
-        self._validate()
-
-    def _validate(self):
-        d, n = self.ambient_dim, self.ambient_dim - 1
-        k, p = self.kind, self.params
-        if k == "ellipsoid":
-            if len(p) != d or min(p) <= 0:
-                raise ValueError("ellipsoid needs dim positive semi-axes")
-        elif k == "elliptic-paraboloid-epigraph":
-            if len(p) != n or min(p) <= 0:
-                raise ValueError("paraboloid needs n positive quadratic coefficients")
-        elif k == "hyperboloid-upper-sheet":
-            if len(p) != n or min(p) <= 0:
-                raise ValueError("hyperboloid sheet needs n positive semi-axes")
-        elif k == "circular-cone":
-            if len(p) != 1 or p[0] <= 0:
-                raise ValueError("circular cone needs one positive slope")
-        elif k == "function-epigraph":
-            if self.ambient_dim != 2:
-                raise ValueError("function epigraphs are 2D only")
-            if self.tag not in FUNCTION_TAGS:
-                raise ValueError(f"function tag must be one of {FUNCTION_TAGS}")
-        elif k == "superellipsoid":
-            if len(p) != 1 or p[0] < 2:
-                raise ValueError("superellipsoid needs one exponent p >= 2")
+        object.__setattr__(self, "_impl", _BODY_KINDS[self.kind](self))
 
     # -- basic geometry -------------------------------------------------
 
@@ -283,173 +466,50 @@ class BodySpec:
 
     def defining(self, x):
         """Convex defining function F; the body is {F <= 0}. Vectorized."""
-        y = self._local(x)
-        k, p = self.kind, np.asarray(self.params)
-        if k == "ellipsoid":
-            return np.sum((y / p) ** 2, axis=-1) - 1.0
-        if k == "elliptic-paraboloid-epigraph":
-            return np.sum(p * y[..., :-1] ** 2, axis=-1) - y[..., -1]
-        if k == "hyperboloid-upper-sheet":
-            q = np.sum((y[..., :-1] / p) ** 2, axis=-1)
-            return np.sqrt(1.0 + q) - y[..., -1]
-        if k == "circular-cone":
-            return p[0] * np.linalg.norm(y[..., :-1], axis=-1) - y[..., -1]
-        if k == "function-epigraph":
-            return _f_eval(self.tag, y[..., 0]) - y[..., 1]
-        if k == "superellipsoid":
-            return np.sum(np.abs(y) ** p[0], axis=-1) - 1.0
-        raise ValueError(k)
+        return self._impl.F(self._local(x))
 
     def defining_gradient(self, x):
         """Gradient of the defining function (scalar points)."""
-        y = self._local(x)
-        k, p = self.kind, np.asarray(self.params)
-        g = np.empty(self.ambient_dim)
-        if k == "ellipsoid":
-            return 2.0 * y / p ** 2
-        if k == "elliptic-paraboloid-epigraph":
-            g[:-1] = 2.0 * p * y[:-1]
-            g[-1] = -1.0
-            return g
-        if k == "hyperboloid-upper-sheet":
-            w = math.sqrt(1.0 + float(np.sum((y[:-1] / p) ** 2)))
-            g[:-1] = y[:-1] / (p ** 2 * w)
-            g[-1] = -1.0
-            return g
-        if k == "circular-cone":
-            r = float(np.linalg.norm(y[:-1]))
-            if r < 1e-300:
-                raise NotOnBoundary("cone apex has no unique normal")
-            g[:-1] = p[0] * y[:-1] / r
-            g[-1] = -1.0
-            return g
-        if k == "function-epigraph":
-            return np.array([float(_f_prime(self.tag, y[0])), -1.0])
-        if k == "superellipsoid":
-            pw = p[0]
-            return pw * np.sign(y) * np.abs(y) ** (pw - 1.0)
-        raise ValueError(k)
+        return self._impl.grad(self._local(x))
 
     def contains(self, x):
         """Membership oracle, vectorized over point batches."""
         return self.defining(x) <= 1e-12 * self.scale
 
     def interior_point(self):
-        k = self.kind
-        if k in ("ellipsoid", "superellipsoid"):
-            return self.translation.copy()
-        p = np.zeros(self.ambient_dim)
-        if k == "elliptic-paraboloid-epigraph":
-            p[-1] = 1.0
-        elif k == "hyperboloid-upper-sheet":
-            p[-1] = 2.0
-        elif k == "circular-cone":
-            p[-1] = max(1.0, self.params[0])
-        elif k == "function-epigraph":
-            p[1] = float(_f_eval(self.tag, 0.0)) + 1.0
-        return p + self.translation
+        return self._impl.interior() + self.translation
 
     # -- support function / Gauss map ------------------------------------
 
     def support(self, u) -> float:
         """h(u) = sup over the body of <u, x>; +inf in recession-positive directions.
 
-        Positively homogeneous: any nonzero u is accepted and rescaled.
+        Read off the Gauss map: h(u) = <u, inverse_gauss(u)> where u is an
+        attained normal. Positively homogeneous: any finite nonzero u is
+        accepted and rescaled.
         """
         u = np.asarray(u, dtype=float)
         nrm = float(np.linalg.norm(u))
-        if nrm == 0.0:
-            raise ValueError("direction must be nonzero")
+        if nrm == 0.0 or not np.all(np.isfinite(u)):
+            raise ValueError("direction must be finite and nonzero")
         u = u / nrm
-        base = self._support_base(u)
-        if base == INF:
+        h = self._impl.limit_support(u)
+        if h is None:
+            h = float(u @ self._impl.inverse_gauss(u))
+        if h == INF:
             return INF
-        return nrm * (base + float(u @ self.translation))
-
-    def _support_base(self, u) -> float:
-        k, p = self.kind, np.asarray(self.params)
-        if k == "ellipsoid":
-            return float(np.linalg.norm(p * u))
-        if k == "superellipsoid":
-            pw = p[0]
-            q = pw / (pw - 1.0)
-            return float(np.sum(np.abs(u) ** q) ** (1.0 / q))
-        if k == "elliptic-paraboloid-epigraph":
-            s = -u[-1]
-            if s <= 0.0:
-                return 0.0 if np.linalg.norm(u[:-1]) == 0.0 and s == 0.0 else INF
-            return float(np.sum(u[:-1] ** 2 / (4.0 * p * s)))
-        if k == "hyperboloid-upper-sheet":
-            s = -u[-1]
-            r = float(np.linalg.norm(p * u[:-1]))
-            if s < r:
-                return INF
-            return -math.sqrt(max(s * s - r * r, 0.0))
-        if k == "circular-cone":
-            s = -u[-1]
-            return 0.0 if p[0] * s >= np.linalg.norm(u[:-1]) else INF
-        if k == "function-epigraph":
-            return _epigraph_support(self.tag, u)
-        raise ValueError(k)
+        return nrm * (h + float(u @ self.translation))
 
     def support_attained(self, u) -> bool:
         """Whether u lies in the Gauss-map image N(boundary)."""
-        u = _check_unit(u)
-        k, p = self.kind, np.asarray(self.params)
-        if k in ("ellipsoid", "superellipsoid"):
-            return True
-        if k == "elliptic-paraboloid-epigraph":
-            return u[-1] < 0.0
-        if k == "hyperboloid-upper-sheet":
-            return -u[-1] > float(np.linalg.norm(p * u[:-1]))
-        if k == "circular-cone":
-            return False  # not strictly convex; Gauss map not invertible
-        if k == "function-epigraph":
-            if u[1] >= 0.0:
-                return False
-            return u[0] > 0.0 if self.tag == "exp" else True
-        raise ValueError(k)
+        return self._impl.attained(_check_unit(u))
 
     def inverse_gauss(self, u):
         """The unique boundary point whose outer unit normal is u."""
         u = _check_unit(u)
-        if not self.support_attained(u):
+        if not self._impl.attained(u):
             raise InadmissibleNormal(f"{u} is not an attained normal of this body")
-        k, p = self.kind, np.asarray(self.params)
-        d = self.ambient_dim
-        x = np.empty(d)
-        if k == "ellipsoid":
-            x = p ** 2 * u / np.linalg.norm(p * u)
-        elif k == "superellipsoid":
-            pw = p[0]
-            q = pw / (pw - 1.0)
-            nq = float(np.sum(np.abs(u) ** q))
-            x = np.sign(u) * np.abs(u) ** (q / pw) / nq ** (1.0 / pw)
-        elif k == "elliptic-paraboloid-epigraph":
-            s = -u[-1]
-            x[:-1] = u[:-1] / (2.0 * p * s)
-            x[-1] = float(np.sum(p * x[:-1] ** 2))
-        elif k == "hyperboloid-upper-sheet":
-            s = -u[-1]
-            r = float(np.linalg.norm(p * u[:-1]))
-            w = s / math.sqrt(s * s - r * r)
-            x[:-1] = u[:-1] * p ** 2 * w / s
-            x[-1] = w
-        elif k == "function-epigraph":
-            s = -u[1]
-            slope = u[0] / s
-            if self.tag == "square":
-                t = slope / 2.0
-            elif self.tag == "quartic":
-                t = math.copysign(abs(slope / 4.0) ** (1.0 / 3.0), slope)
-            elif self.tag == "exp":
-                t = math.log(slope)
-            else:  # cosh
-                t = math.asinh(slope)
-            x = np.array([t, float(_f_eval(self.tag, t))])
-        else:
-            raise InadmissibleNormal("cone Gauss map is not invertible")
-        return x + self.translation
+        return self._impl.inverse_gauss(u) + self.translation
 
     def outer_normal(self, x):
         """Outward unit normal at a boundary point."""
@@ -494,22 +554,7 @@ class BodySpec:
         return _ray_hit(self, origin, direction)
 
     def recession_cone(self) -> ConeDescriptor:
-        d = self.ambient_dim
-        k, p = self.kind, self.params
-        if k in ("ellipsoid", "superellipsoid"):
-            return ConeDescriptor("zero", d)
-        ray = tuple(1.0 if i == d - 1 else 0.0 for i in range(d))
-        if k == "elliptic-paraboloid-epigraph":
-            return ConeDescriptor("ray", d, ray)
-        if k == "hyperboloid-upper-sheet":
-            return ConeDescriptor("elliptic", d, p)
-        if k == "circular-cone":
-            return ConeDescriptor("elliptic", d, tuple(1.0 / p[0] for _ in range(d - 1)))
-        if k == "function-epigraph":
-            if self.tag == "exp":
-                return ConeDescriptor("quadrant", 2)
-            return ConeDescriptor("ray", 2, ray)
-        raise ValueError(k)
+        return self._impl.cone()
 
     # -- serialization -----------------------------------------------------
 
@@ -694,53 +739,6 @@ def _solve(F, origin, W, S, f0, rtol, hits):
     (l, h), (fl, fh) = S[:, _L:_H + 1]
     hits[rays] = l - fl * ((h - l) / (fh - fl))
     return n_evals
-
-
-def _epigraph_support(tag, u) -> float:
-    """sup of u_x*x + u_y*f(x) by 1D concave ascent with divergence detection."""
-    ux, uy = float(u[0]), float(u[1])
-    if uy > 1e-15:
-        return INF
-    if abs(uy) <= 1e-15:
-        return INF if abs(ux) > 1e-15 else 0.0
-    if tag == "exp":
-        # f is not coercive as x -> -inf: the supremum there is a limit, not a max
-        if ux < -1e-15:
-            return INF
-        if ux <= 1e-15:
-            return 0.0
-
-    def g(x):
-        return ux * x + uy * float(_f_eval(tag, x))
-
-    # march both ways from 0 until g turns over or the running max diverges
-    best_x, best = 0.0, g(0.0)
-    for sgn in (1.0, -1.0):
-        step = 1.0
-        prev = best
-        while step < 2.0 ** 80:
-            val = g(sgn * step)
-            if val > _DIVERGENCE_CAP:
-                return INF
-            if val > best:
-                best_x, best = sgn * step, val
-            if val < prev:
-                break
-            prev = val
-            step *= 2.0
-    # expand to a certified downhill bracket around the sampled maximizer
-    span = max(1.0, abs(best_x))
-    for _ in range(200):
-        if g(best_x - span) < best and g(best_x + span) < best:
-            break
-        span *= 2.0
-    res = minimize_scalar(
-        lambda x: -g(x),
-        bracket=(best_x - span, best_x, best_x + span),
-        method="brent",
-        options={"xtol": 1e-12},
-    )
-    return float(-res.fun)
 
 
 # -- convenience constructors used throughout the tests and CLI ------------

@@ -28,7 +28,13 @@ from .cutvol import (
     parallel_cut_scan,
 )
 from .errors import GeometryError
-from .sections import csv_header, section_stats
+from .sections import (
+    admissible_levels,
+    csv_header,
+    section_bounded,
+    section_diameter,
+    section_stats,
+)
 
 EXIT_OK = 0
 EXIT_BAD_CONFIG = 2
@@ -70,8 +76,6 @@ def _body(cfg) -> BodySpec:
 def _sample_directions(body, n, seed, admissible="bounded"):
     """Deterministic admissible direction sampling (documented generator:
     numpy default_rng seeded from the config)."""
-    from .sections import section_bounded
-
     rng = np.random.default_rng(seed)
     out = []
     tries = 0
@@ -328,8 +332,6 @@ def cmd_cutvol(cfg):
 
 def _random_cuts(body, n, seed):
     """Admissible cut parameters a with 0 < V(a) < inf, deterministically."""
-    from .sections import admissible_levels, section_bounded
-
     rng = np.random.default_rng(seed)
     cone = body.recession_cone()
     cuts = []
@@ -357,8 +359,6 @@ def _random_cuts(body, n, seed):
             continue
         # near-asymptotic normals give huge, ill-conditioned sections where
         # a finite-difference step changes the cut volume disproportionately
-        from .sections import section_diameter
-
         if section_diameter(body, u, s) > 20.0 * body.scale:
             continue
         cuts.append(u / s)

@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,9 +16,34 @@ from ccgeom import (
     unit_disk,
     unit_sphere,
 )
+from ccgeom.cli import PRESETS
 from ccgeom.errors import NotOnBoundary, OriginNotInterior
 
 INF = math.inf
+
+SCHEMA = Path(__file__).resolve().parents[1] / "docs" / "bodyspec.schema.json"
+
+# one body of each kind and dimension, translated, and each epigraph tag
+CATALOG = [
+    ellipsoid([2.0, 0.7], center=[0.4, -1.1]),
+    ellipsoid([1.0, 2.0, 0.5], center=[0.3, -0.4, 1.1]),
+    superellipsoid(4.0, shift=[1.0, 0.5]),
+    superellipsoid(3.0, dim=3, shift=[-0.2, 0.0, 0.7]),
+    paraboloid_epigraph([1.5], shift=[0.5, -1.0]),
+    paraboloid_epigraph([1.0, 0.3], shift=[0.0, 1.0, -2.0]),
+    hyperboloid_sheet([0.8], shift=[-0.3, 0.2]),
+    hyperboloid_sheet([1.0, 2.0], shift=[0.5, 0.0, 1.0]),
+    circular_cone(1.7, shift=[0.2, -0.6]),
+    circular_cone(0.6, dim=3, shift=[0.0, 0.4, 0.3]),
+] + [function_epigraph(tag, shift=[0.7, -0.2]) for tag in ("square", "quartic", "exp", "cosh")]
+
+# well-formed except that a tag rides on a non-epigraph, or params on an epigraph
+BAD_SPECS = [
+    {"kind": "ellipsoid", "params": [1.0, 1.0], "translation": [0.0, 0.0], "dim": 2,
+     "tag": "square"},
+    {"kind": "function-epigraph", "params": [1.0], "translation": [0.0, 0.0], "dim": 2,
+     "tag": "cosh"},
+]
 
 
 def test_ellipsoid_membership_and_defining():
@@ -69,11 +96,14 @@ def test_inverse_gauss_round_trip_quadrics():
         ellipsoid([2.0, 0.8, 1.3], center=[0.5, 0.0, -1.0]),
         paraboloid_epigraph([1.0, 0.5]),
         hyperboloid_sheet([1.0, 2.0]),
-    ]
+        superellipsoid(4.0, shift=[0.5, -0.3]),
+        superellipsoid(3.0, dim=3, shift=[0.0, 1.0, -0.5]),
+    ] + [function_epigraph(tag, shift=[-0.4, 1.2])
+         for tag in ("square", "quartic", "exp", "cosh")]
     rng = np.random.default_rng(7)
     for body in bodies:
         for _ in range(20):
-            u = rng.normal(size=3)
+            u = rng.normal(size=body.ambient_dim)
             u /= np.linalg.norm(u)
             if not body.support_attained(u):
                 continue
@@ -84,14 +114,23 @@ def test_inverse_gauss_round_trip_quadrics():
             assert u @ x == pytest.approx(body.support(u), abs=1e-10)
 
 
-def test_epigraph_support_numeric_vs_closed_form():
-    p = function_epigraph("square")
-    for sx in (0.5, -1.2, 2.0):
-        u = np.array([sx, -1.0])
-        u = u / np.linalg.norm(u)
-        # sup of sx*x - x^2 is sx^2/4, scaled back by the normalization
-        expect = (sx ** 2 / 4.0) / math.hypot(sx, 1.0)
-        assert p.support(u) == pytest.approx(expect, rel=1e-9, abs=1e-12)
+def test_epigraph_support_closed_form():
+    # h(u) / (-u_y) = sup over x of m*x - f(x), with m = u_x / (-u_y)
+    conjugates = {
+        "square": lambda m: m ** 2 / 4.0,
+        "quartic": lambda m: 3.0 * abs(m) ** (4.0 / 3.0) / 4.0 ** (4.0 / 3.0),
+        "exp": lambda m: m * math.log(m) - m,
+        "cosh": lambda m: m * math.asinh(m) - math.sqrt(1.0 + m * m),
+    }
+    for tag, conj in conjugates.items():
+        p = function_epigraph(tag)
+        for m in (0.5, -1.2, 2.0, 7.5):
+            if tag == "exp" and m <= 0.0:
+                continue
+            u = np.array([m, -1.0])
+            u = u / np.linalg.norm(u)
+            expect = conj(m) / math.hypot(m, 1.0)
+            assert p.support(u) == pytest.approx(expect, rel=1e-12, abs=1e-14)
 
 
 def test_exp_epigraph_support_edge_cases():
@@ -181,6 +220,29 @@ def test_validation_rejects_bad_specs():
         function_epigraph("cubic")
     with pytest.raises(ValueError):
         BodySpec("ellipsoid", (1.0, 1.0, 1.0, 1.0), None, ambient_dim=4)
+    for bad in BAD_SPECS:
+        with pytest.raises(ValueError):
+            BodySpec.from_json(bad)
+
+
+def test_schema_matches_the_spec_checks():
+    jsonschema = pytest.importorskip("jsonschema")
+    validator = jsonschema.Draft202012Validator(json.loads(SCHEMA.read_text()))
+    specs = [cfg["body"] for presets in PRESETS.values() for cfg in presets.values()]
+    for spec in specs + [b.to_json() for b in CATALOG]:
+        validator.validate(spec)
+    for bad in BAD_SPECS:
+        assert not validator.is_valid(bad)
+
+
+def test_support_rejects_non_finite_directions():
+    for body in CATALOG:
+        for bad in (math.nan, math.inf, -math.inf):
+            for i in range(body.ambient_dim):
+                u = np.full(body.ambient_dim, -0.5)
+                u[i] = bad
+                with pytest.raises(ValueError):
+                    body.support(u)
 
 
 def test_defining_gradient_matches_fd():
