@@ -5,7 +5,8 @@ anchor: a coarse angular scan brackets the crossings of ||hit|| = R, and all
 brackets are then polished simultaneously by direction bisection, each step
 starting the root-finder from the previous step's hit distances.  In 3D the
 scan runs over blocks of azimuths, a few thousand rays per root-finder call.
-The cone/sphere intersection comes from the cone's closed-form generators.  The
+The cone/sphere intersection is R times the cone's closed-form unit boundary
+rays.  The
 symmetric Hausdorff distance between the two sample sets is the reported
 shell distance (one-sided values are exposed for verbose output).
 """
@@ -135,23 +136,10 @@ def body_shell_points(body, R, center=None, n_azimuth=_N_AZIMUTH):
 
 
 def cone_shell_points(cone: ConeDescriptor, R, n_azimuth=_N_AZIMUTH):
-    """Closed-form samples of (boundary of cone) ∩ S_R."""
-    if cone.kind == "zero":
+    """Closed-form samples of (boundary of cone) ∩ S_R: R times its boundary rays."""
+    if cone.dim == 0:
         raise EmptyShellIntersection("trivial cone has no shell points")
-    if cone.kind == "ray":
-        return R * np.asarray(cone.params, dtype=float)[None, :]
-    if cone.kind == "quadrant":
-        return np.array([[-R, 0.0], [0.0, R]])
-    alpha = np.asarray(cone.params, dtype=float)
-    if cone.ambient_dim == 2:
-        vs = np.array([[alpha[0], 1.0], [-alpha[0], 1.0]])
-    else:
-        phi = 2.0 * math.pi * np.arange(n_azimuth) / n_azimuth
-        vs = np.column_stack(
-            [alpha[0] * np.cos(phi), alpha[1] * np.sin(phi), np.ones(n_azimuth)]
-        )
-    vs /= np.linalg.norm(vs, axis=-1, keepdims=True)
-    return R * vs
+    return R * cone.boundary_rays(n_azimuth)
 
 
 def _hausdorff(A, B):

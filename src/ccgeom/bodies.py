@@ -7,11 +7,18 @@ is a root of F along rays, solved by one batched bracketing root-finder,
 integration scheme, not the oracles.
 
 Each body kind lives in one class of the table ``_BODY_KINDS``: parameter
-check, F, grad F, interior point, attained normals, inverse Gauss map and
-recession cone, in the body's own frame. The four unbounded kinds are
-epigraphs y >= height(x') and share F and the inverse Gauss map. The
-support function is read off the Gauss map, h(u) = <u, x(u)> with x(u) the
-boundary point of outer normal u; elsewhere h is a limit, 0 or +inf.
+check, F, grad F, interior point, support limit, inverse Gauss map and
+recession cone (built once per body), in the body's own frame. The four
+unbounded kinds are epigraphs y >= height(x') and share F and the inverse
+Gauss map. The support function is read off the Gauss map, h(u) = <u, x(u)>
+with x(u) the boundary point of outer normal u, exactly on the attained
+normals; elsewhere h is its limit, 0 or +inf.
+
+Each recession cone kind ({0}, ray, quadrant, elliptic) is one class of the
+table ``_CONE_KINDS``, and every cone predicate is one comparison of its
+margin m(a): m(a) > 0 exactly when <a, v> > 0 on the cone minus 0, and
+m(a) >= 0 exactly when <a, v> >= 0 on the cone. No other module tests a
+body or cone kind.
 
 Membership and defining-value evaluation are vectorized over trailing
 point batches (shape (..., dim)); all other oracles are scalar.
@@ -36,6 +43,8 @@ from .errors import (
 INF = math.inf
 
 _UNIT_TOL = 1e-12
+# cone margins within this of 0 count as 0 in support and meets_hyperplane
+_MARGIN_TOL = 1e-14
 # epigraph normals this close to the edge of the attained set get h's limit
 _EDGE_TOL = 1e-15
 # ray root-finder: relative offset of the two probes around a guess, caps on
@@ -60,6 +69,105 @@ def _check_unit(u):
     return u
 
 
+# -- the cone kinds -------------------------------------------------------------
+
+
+class _Cone:
+    """Shared shape of a cone kind: rank ``dim``, F, the margin m, a unit
+    ``direction`` inside the cone and its unit boundary ``rays``."""
+
+    def __init__(self, ambient_dim, params):
+        self.n, self.p = ambient_dim, np.array(params, dtype=float)
+        if not self.valid():
+            raise ValueError(self.needs)
+        self.p.flags.writeable = False
+
+
+class _ZeroCone(_Cone):
+    needs = "the zero cone takes no params"
+    dim = 0
+
+    def valid(self):
+        return self.p.size == 0
+
+    def F(self, x):
+        return np.linalg.norm(x, axis=-1)
+
+    def margin(self, a):
+        return INF
+
+    def rays(self, n_azimuth):
+        return np.empty((0, self.n))
+
+
+class _RayCone(_Cone):
+    needs = "a ray needs a finite unit direction in the ambient space"
+    dim = 1
+    direction = property(lambda self: self.p)
+
+    def valid(self):
+        return self.p.shape == (self.n,) and abs(np.linalg.norm(self.p) - 1.0) <= _UNIT_TOL
+
+    def F(self, x):
+        proj = x @ self.p
+        perp = x - proj[..., None] * self.p
+        return np.maximum(np.linalg.norm(perp, axis=-1), -proj)
+
+    def margin(self, a):
+        return float(a @ self.p)
+
+    def rays(self, n_azimuth):
+        return self.p[None, :]
+
+
+class _Quadrant(_Cone):
+    needs = "the quadrant lives in R^2 and takes no params"
+    dim = 2
+    direction = np.array([-1.0, 1.0]) / math.sqrt(2.0)
+
+    def valid(self):
+        return self.n == 2 and self.p.size == 0
+
+    def F(self, x):
+        return np.maximum(x[..., 0], -x[..., 1])
+
+    def margin(self, a):
+        return float(min(-a[0], a[1]))
+
+    def rays(self, n_azimuth):
+        return np.array([[-1.0, 0.0], [0.0, 1.0]])
+
+
+class _EllipticCone(_Cone):
+    needs = "an elliptic cone needs ambient_dim - 1 positive finite semi-axes"
+    dim = property(lambda self: self.n)
+    direction = property(lambda self: np.eye(self.n)[-1])
+
+    def valid(self):
+        p = self.p
+        return p.shape == (self.n - 1,) and bool(np.all(np.isfinite(p) & (p > 0)))
+
+    def F(self, x):
+        return np.sqrt(np.sum((x[..., :-1] / self.p) ** 2, axis=-1)) - x[..., -1]
+
+    def margin(self, a):
+        return float(a[-1] - np.linalg.norm(self.p * a[:-1]))
+
+    def rays(self, n_azimuth):
+        if self.n == 2:
+            vs = np.array([[self.p[0], 1.0], [-self.p[0], 1.0]])
+        else:
+            phi = 2.0 * math.pi * np.arange(n_azimuth) / n_azimuth
+            vs = np.column_stack(
+                [self.p[0] * np.cos(phi), self.p[1] * np.sin(phi), np.ones(n_azimuth)]
+            )
+        return vs / np.linalg.norm(vs, axis=-1, keepdims=True)
+
+
+_CONE_KINDS = {"zero": _ZeroCone, "ray": _RayCone, "quadrant": _Quadrant,
+               "elliptic": _EllipticCone}
+
+
 @dataclass(frozen=True)
 class ConeDescriptor:
     """Closed convex cone with apex at the origin, given in closed form.
@@ -75,13 +183,18 @@ class ConeDescriptor:
     ambient_dim: int
     params: tuple = ()
 
+    def __post_init__(self):
+        if self.kind not in _CONE_KINDS:
+            raise ValueError(f"unknown cone kind {self.kind!r}")
+        if self.ambient_dim not in (2, 3):
+            raise ValueError("ambient_dim must be 2 or 3")
+        impl = _CONE_KINDS[self.kind](self.ambient_dim, self.params)
+        object.__setattr__(self, "params", tuple(impl.p.tolist()))
+        object.__setattr__(self, "_impl", impl)
+
     @property
     def dim(self) -> int:
-        if self.kind == "zero":
-            return 0
-        if self.kind == "ray":
-            return 1
-        return self.ambient_dim
+        return self._impl.dim
 
     @property
     def scale(self) -> float:
@@ -89,92 +202,43 @@ class ConeDescriptor:
 
     def defining(self, x):
         """Convex defining function; membership is defining(x) <= 0."""
-        x = _as_point(x, self.ambient_dim)
-        if self.kind == "zero":
-            return np.linalg.norm(x, axis=-1)
-        if self.kind == "ray":
-            d = np.asarray(self.params)
-            proj = x @ d
-            perp = x - proj[..., None] * d
-            return np.maximum(np.linalg.norm(perp, axis=-1), -proj)
-        if self.kind == "quadrant":
-            return np.maximum(x[..., 0], -x[..., 1])
-        if self.kind == "elliptic":
-            alpha = np.asarray(self.params)
-            q = np.sqrt(np.sum((x[..., :-1] / alpha) ** 2, axis=-1))
-            return q - x[..., -1]
-        raise ValueError(self.kind)
+        return self._impl.F(_as_point(x, self.ambient_dim))
 
     def contains(self, x):
         return self.defining(x) <= 1e-12
 
     def support(self, u) -> float:
         """0 exactly when <u, v> <= 0 on the whole cone, +inf otherwise."""
-        u = _check_unit(u)
-        return 0.0 if self._polar_contains(u) else INF
+        return 0.0 if self._impl.margin(-_check_unit(u)) >= -_MARGIN_TOL else INF
 
-    def _polar_contains(self, u) -> bool:
-        u = np.asarray(u, dtype=float)
-        if self.kind == "zero":
-            return True
-        if self.kind == "ray":
-            return float(u @ np.asarray(self.params)) <= 1e-14
-        if self.kind == "quadrant":
-            return u[0] >= -1e-14 and u[1] <= 1e-14
-        if self.kind == "elliptic":
-            alpha = np.asarray(self.params)
-            return -u[-1] >= np.linalg.norm(alpha * u[:-1]) - 1e-14
-        raise ValueError(self.kind)
+    def support_attained(self, u) -> bool:
+        """Never: at the apex h = 0 is attained by a whole set of normals."""
+        return False
 
     def positive_on(self, a) -> bool:
         """True iff <a, v> > 0 for every nonzero v in the cone."""
-        a = np.asarray(a, dtype=float)
-        if self.kind == "zero":
-            return True
-        if self.kind == "ray":
-            return float(a @ np.asarray(self.params)) > 0.0
-        if self.kind == "quadrant":
-            return a[0] < 0.0 and a[1] > 0.0
-        if self.kind == "elliptic":
-            alpha = np.asarray(self.params)
-            return a[-1] > np.linalg.norm(alpha * a[:-1])
-        raise ValueError(self.kind)
+        return self._impl.margin(np.asarray(a, dtype=float)) > 0.0
 
     def meets_hyperplane(self, u) -> bool:
         """True iff the cone meets u-perp in more than the origin."""
         u = np.asarray(u, dtype=float)
-        if self.kind == "zero":
-            return False
-        if self.kind == "ray":
-            return abs(float(u @ np.asarray(self.params))) <= 1e-14
-        if self.kind == "quadrant":
-            return u[0] * u[1] >= 0.0
-        if self.kind == "elliptic":
-            alpha = np.asarray(self.params)
-            return u[-1] ** 2 <= np.sum((alpha * u[:-1]) ** 2)
-        raise ValueError(self.kind)
+        return max(self._impl.margin(u), self._impl.margin(-u)) <= _MARGIN_TOL
 
     def interior_point(self):
         """A point in the interior (full-dimensional cones only)."""
-        if self.kind == "quadrant":
-            return np.array([-1.0, 1.0])
-        if self.kind == "elliptic":
-            p = np.zeros(self.ambient_dim)
-            p[-1] = 2.0 * max(1.0, *self.params)
-            return p
-        raise GeometryError(f"cone of kind {self.kind!r} has empty interior")
+        if self.dim < self.ambient_dim:
+            raise GeometryError(f"cone of kind {self.kind!r} has empty interior")
+        return self.interior_direction()
 
     def interior_direction(self):
         """A unit direction strictly inside the cone (dim >= 1)."""
-        if self.kind == "ray":
-            return np.asarray(self.params, dtype=float)
-        if self.kind == "quadrant":
-            return np.array([-1.0, 1.0]) / math.sqrt(2.0)
-        if self.kind == "elliptic":
-            d = np.zeros(self.ambient_dim)
-            d[-1] = 1.0
-            return d
-        raise GeometryError("zero cone has no nonzero direction")
+        if self.dim == 0:
+            raise GeometryError("zero cone has no nonzero direction")
+        return np.array(self._impl.direction)
+
+    def boundary_rays(self, n_azimuth):
+        """Unit vectors along the boundary rays (n_azimuth of them in 3D)."""
+        return self._impl.rays(n_azimuth)
 
     def recession_cone(self) -> "ConeDescriptor":
         return self
@@ -206,9 +270,6 @@ class _Kind:
 
     def interior(self):
         return np.zeros(self.dim)
-
-    def attained(self, u):
-        return self.limit_support(u) is None
 
     def limit_support(self, u):
         """h(u) where it is not read off the Gauss map (0 or +inf), else None."""
@@ -390,9 +451,6 @@ class _FunctionEpigraph(_Graph):
     def slope_inverse(self, m):
         return np.array([self.df_inverse(float(m[0]))])
 
-    def attained(self, u):
-        return u[1] < 0.0 and u[0] > self.slope_inf * -u[1]
-
     def limit_support(self, u):
         s = -u[1]
         if s <= _EDGE_TOL:
@@ -450,7 +508,9 @@ class BodySpec:
             raise ValueError("translation must be finite")
         tr.flags.writeable = False
         object.__setattr__(self, "translation", tr)
-        object.__setattr__(self, "_impl", _BODY_KINDS[self.kind](self))
+        impl = _BODY_KINDS[self.kind](self)
+        object.__setattr__(self, "_impl", impl)
+        object.__setattr__(self, "_cone", impl.cone())
 
     # -- basic geometry -------------------------------------------------
 
@@ -502,12 +562,12 @@ class BodySpec:
 
     def support_attained(self, u) -> bool:
         """Whether u lies in the Gauss-map image N(boundary)."""
-        return self._impl.attained(_check_unit(u))
+        return self._impl.limit_support(_check_unit(u)) is None
 
     def inverse_gauss(self, u):
         """The unique boundary point whose outer unit normal is u."""
         u = _check_unit(u)
-        if not self._impl.attained(u):
+        if not self.support_attained(u):
             raise InadmissibleNormal(f"{u} is not an attained normal of this body")
         return self._impl.inverse_gauss(u) + self.translation
 
@@ -554,7 +614,7 @@ class BodySpec:
         return _ray_hit(self, origin, direction)
 
     def recession_cone(self) -> ConeDescriptor:
-        return self._impl.cone()
+        return self._cone
 
     # -- serialization -----------------------------------------------------
 

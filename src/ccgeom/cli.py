@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import sys
@@ -73,9 +74,9 @@ def _body(cfg) -> BodySpec:
         raise ConfigError(f"invalid body spec: {e}") from e
 
 
-def _sample_directions(body, n, seed, admissible="bounded"):
-    """Deterministic admissible direction sampling (documented generator:
-    numpy default_rng seeded from the config)."""
+def _sample_directions(body, n, seed):
+    """Deterministic sampling of directions with bounded sections (documented
+    generator: numpy default_rng seeded from the config)."""
     rng = np.random.default_rng(seed)
     out = []
     tries = 0
@@ -86,9 +87,7 @@ def _sample_directions(body, n, seed, admissible="bounded"):
         if nu < 1e-12:
             continue
         u /= nu
-        if admissible == "bounded" and not section_bounded(body, u):
-            continue
-        if admissible == "attained" and not body.support_attained(u):
+        if not section_bounded(body, u):
             continue
         out.append(u)
     if len(out) < n:
@@ -285,8 +284,7 @@ def cmd_cutvol(cfg):
             # move the body up until the origin is strictly outside
             shift[-1] = 3.0 * (body.scale
                                + float(np.linalg.norm(body.translation)) + 1.0)
-            body = BodySpec(body.kind, body.params, body.translation + shift,
-                            body.ambient_dim, body.tag)
+            body = dataclasses.replace(body, translation=body.translation + shift)
         if "cuts" in cfg:
             cuts = [np.asarray(a, dtype=float) for a in cfg["cuts"]]
         else:
@@ -342,7 +340,7 @@ def _random_cuts(body, n, seed):
         u /= np.linalg.norm(u)
         if not section_bounded(body, u):
             continue
-        if cone.dim > 0 and not cone.positive_on(u):
+        if not cone.positive_on(u):
             if not cone.positive_on(-u):
                 continue
             u = -u

@@ -30,8 +30,6 @@ from .sections import (
     section_stats,
 )
 
-_GRAPH_KINDS = ("elliptic-paraboloid-epigraph",)
-_GRAPH_TAGS = ("square", "quartic", "cosh")
 _HOMOTHETY_TAGS = ("cosh",)
 
 
@@ -190,10 +188,6 @@ def _graph_gradient(body, abscissa):
     n = body.ambient_dim - 1
     if x0.shape != (n,):
         raise ValueError(f"anchor abscissa must have {n} component(s)")
-    if body.kind not in (
-        "elliptic-paraboloid-epigraph", "function-epigraph", "hyperboloid-upper-sheet"
-    ):
-        raise NotGraphLike(f"kind {body.kind!r} is not a global graph")
     height = float(body.defining(np.append(x0, 0.0) + body.translation))
     point = np.append(x0, height) + body.translation
     grad = body.defining_gradient(point)[:-1]
@@ -205,14 +199,12 @@ def _graph_gradient(body, abscissa):
 def parallel_cut_scan(body, k, anchors, rtol=DEFAULT_RTOL):
     """Volumes between vertically shifted tangent planes and the surface.
 
-    Constant across anchors exactly for elliptic paraboloids.
+    Constant across anchors exactly for elliptic paraboloids.  A body is
+    graph-like here when its recession cone is a ray.
     """
     if k <= 0:
         raise ValueError("shift k must be positive")
-    graph_ok = body.kind in _GRAPH_KINDS or (
-        body.kind == "function-epigraph" and body.tag in _GRAPH_TAGS
-    )
-    if not graph_ok:
+    if body.recession_cone().dim != 1:
         raise NotGraphLike(f"parallel cuts need a graph-like body, got {body.kind!r}")
     out = []
     for anchor in anchors:

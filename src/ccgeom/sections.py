@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies import ConeDescriptor, _check_unit, ray_hits_batch
+from .bodies import _check_unit, ray_hits_batch
 from .errors import (
     DegenerateSection,
     LevelOutOfRange,
@@ -104,19 +104,16 @@ def _section_anchor(body, u, t):
     The spine runs from the boundary point attaining the minimum level,
     through a deep interior point, and onward to either the maximum-level
     boundary point (bounded bodies) or along an interior recession direction.
-    Points on it are interior by convexity and hit every level once.
+    Points on it are interior by convexity and hit every level once.  When
+    the minimum level is not attained (a cone's apex), the spine is the
+    line through the interior point along the recession direction.
     """
     cone = body.recession_cone()
-    if isinstance(body, ConeDescriptor) or body.kind == "circular-cone":
-        # the axis from the apex meets every level inside the cone
-        zdir = cone.interior_direction()
-        apex = np.zeros(len(u)) if isinstance(body, ConeDescriptor) else body.translation
-        return apex + zdir * ((t - float(u @ apex)) / float(u @ zdir))
     z0 = body.interior_point()
     s0 = float(u @ z0)
-    p_bot = body.inverse_gauss(-np.asarray(u))
-    s_bot = float(u @ p_bot)
-    if t <= s0:
+    if t <= s0 and body.support_attained(-u):
+        p_bot = body.inverse_gauss(-u)
+        s_bot = float(u @ p_bot)
         lam = (t - s_bot) / (s0 - s_bot)
         return p_bot + lam * (z0 - p_bot)
     if cone.dim == 0:
@@ -174,8 +171,7 @@ def _centred_section(body, u, t):
     chords' half-lengths and the oracle points spent.  An anchor that is
     not strictly inside means the level grazes the body.
     """
-    cone = body.recession_cone()
-    if cone.dim > 0 and not cone.positive_on(u):
+    if not body.recession_cone().positive_on(u):
         u, t = -u, -t
     basis = _plane_basis(u)
     anchor = _section_anchor(body, u, t)

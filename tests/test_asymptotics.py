@@ -43,6 +43,17 @@ def test_cone_shell_points_elliptic_2d():
     assert np.allclose(np.abs(pts), 10.0 / math.sqrt(2.0), atol=1e-9)
 
 
+def test_cone_shell_points_lie_on_cone_boundary_and_sphere():
+    R = 10.0
+    for c, count in ((function_epigraph("exp").recession_cone(), 2),
+                     (hyperboloid_sheet([1.0, 2.5]).recession_cone(), 96),
+                     (circular_cone(0.7, dim=3).recession_cone(), 96)):
+        pts = cone_shell_points(c, R, n_azimuth=96)
+        assert len(pts) == count
+        assert np.allclose(np.linalg.norm(pts, axis=1), R, rtol=1e-12)
+        assert np.all(np.abs(c.defining(pts)) <= 1e-12 * R)
+
+
 def test_cone_shell_points_zero_cone_raises():
     c = unit_disk().recession_cone()
     with pytest.raises(EmptyShellIntersection):

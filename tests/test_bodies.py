@@ -17,7 +17,7 @@ from ccgeom import (
     unit_sphere,
 )
 from ccgeom.cli import PRESETS
-from ccgeom.errors import NotOnBoundary, OriginNotInterior
+from ccgeom.errors import InadmissibleNormal, NotOnBoundary, OriginNotInterior
 
 INF = math.inf
 
@@ -166,6 +166,19 @@ def test_boundary_hit_and_outer_normal():
     assert np.allclose(n, [0.0, 0.0, 1.0], atol=1e-9)
     with pytest.raises(NotOnBoundary):
         s.outer_normal([1.0, 0.0, 0.5])
+
+
+def test_epigraph_normals_at_the_edge_are_not_attained():
+    # within 1e-15 of the edge of the attained normals, support gives the
+    # limit, so the Gauss map must not claim a contact point there
+    cases = [(tag, [sx, -1e-16], INF) for tag in ("square", "quartic", "cosh")
+             for sx in (1.0, -1.0)] + [("exp", [1e-16, -1.0], 0.0)]
+    for tag, u, h in cases:
+        body = function_epigraph(tag)
+        assert not body.support_attained(u)
+        with pytest.raises(InadmissibleNormal):
+            body.inverse_gauss(u)
+        assert body.support(u) == h
 
 
 def test_recession_cones():
