@@ -1,14 +1,18 @@
 """Blow-down and asymptotic-cone diagnostics on spheres of radius R.
 
-The boundary/sphere intersection is sampled by ray casting from an interior
-anchor: a coarse angular scan brackets the crossings of ||hit|| = R, and all
-brackets are then polished simultaneously by direction bisection, each step
-starting the root-finder from the previous step's hit distances.  In 3D the
-scan runs over blocks of azimuths, a few thousand rays per root-finder call.
+A point of (boundary ∩ S_R) is a zero of the defining function F on S_R,
+so the body's shell points are found on the sphere itself, with no ray
+cast. F is sampled on great-circle arcs of S_R about the center c: the
+whole circle in 2D, and in 3D one meridian from pole to pole per azimuth,
+in the vertical half-plane through c at that azimuth; the whole scan is one
+``defining`` call. Each sign change of F <= 0 between neighbouring samples
+brackets one crossing. All brackets are bisected together, one
+``defining`` call per step, in the angle from the bracket's inside sample
+along the arc, so the crossing is resolved to rounding relative to the
+bracket rather than to the arc's absolute angle.
 The cone/sphere intersection is R times the cone's closed-form unit boundary
-rays.  The
-symmetric Hausdorff distance between the two sample sets is the reported
-shell distance (one-sided values are exposed for verbose output).
+rays. The symmetric Hausdorff distance between the two sample sets is the
+reported shell distance (one-sided values are exposed for verbose output).
 """
 from __future__ import annotations
 
@@ -18,14 +22,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .bodies import ConeDescriptor, ray_hits_batch
+from .bodies import ConeDescriptor
+from .bodies import ray_hits_batch  # noqa: F401  (perfbench/tracer.py wraps it by name)
 from .errors import EmptyShellIntersection
 
 _N_AZIMUTH = 720
-_N_SCAN_2D = 2048
-_N_SCAN_SLICE = 192
-_N_POLISH = 48
-_AZIMUTH_BLOCK = 16  # azimuths per 3D scan call: 16 x 192 rays bound its memory
+_N_SCAN_2D = 2048  # samples on the circle
+_N_SCAN_MERIDIAN = 192  # samples on each meridian, both poles included
+_N_POLISH = 56  # bisection steps: a pi/191 bracket halved down to rounding
 
 
 @dataclass(frozen=True)
@@ -43,96 +47,56 @@ class ShellDistance:
         return [self.R, self.d_asym, self.d_blowdown, self.err]
 
 
-def _radius_gap(body, cone, anchor, center, R, dirs, guess=None):
-    """||boundary hit - center|| - R per direction, and the hit distances.
+def _arcs(dim, n_azimuth):
+    """Unit samples u, unit tangents t = du/da and the sample step on great circles.
 
-    Both are +inf along recessive rays.
+    u = cos(a) e1 + sin(a) e2 on an even grid of a, in arrays of shape
+    (arcs, samples, dim). The 2D arc is the whole circle and ends on its
+    first sample; the 3D arcs are the meridians at azimuth 2 pi k / n_azimuth,
+    from a = -pi/2 to pi/2.
     """
-    g = np.full(len(dirs), np.inf)
-    t = np.full(len(dirs), np.inf)
-    free = ~np.asarray(cone.contains(dirs))
-    if free.any():
-        t[free] = ray_hits_batch(body, anchor, dirs[free],
-                                 guess=None if guess is None else guess[free])
-        hits = anchor + t[free, None] * dirs[free]
-        g[free] = np.linalg.norm(hits - center, axis=-1) - R
-    return g, t
-
-
-def _collect_brackets(dirs, g, t, wrap):
-    """Adjacent directions along the scan axis where the sign of g flips.
-
-    dirs has shape (..., n, dim) and g, t shape (..., n); inf counts as
-    positive. Returns the (negative, positive) direction pairs and the hit
-    distances of the negative ones, in row-major order.
-    """
-    finite = np.isfinite(g)
-    sign = np.where(finite, g > 0, True)
-    flip = (sign != np.roll(sign, -1, axis=-1)) & (finite | np.roll(finite, -1, axis=-1))
-    if not wrap:
-        flip[..., -1] = False
-    *rows, j = np.nonzero(flip)
-    a = (*rows, j)
-    b = (*rows, (j + 1) % g.shape[-1])
-    a_pos = sign[a]
-    neg = np.where(a_pos[:, None], dirs[b], dirs[a])
-    pos = np.where(a_pos[:, None], dirs[a], dirs[b])
-    return neg, pos, np.where(a_pos, t[b], t[a])
-
-
-def _polish_brackets(body, cone, anchor, center, R, neg, pos, t_neg):
-    """Bisect each (negative, positive) direction bracket down to the shell.
-
-    Each step starts the root-finder at the previous step's hit distances.
-    """
-    guess = t_neg
-    for _ in range(_N_POLISH):
-        mid = neg + pos
-        mid /= np.linalg.norm(mid, axis=-1, keepdims=True)
-        g, t = _radius_gap(body, cone, anchor, center, R, mid,
-                           np.where(np.isfinite(guess), guess, t_neg))
-        take_pos = np.where(np.isfinite(g), g > 0, True)
-        pos = np.where(take_pos[:, None], mid, pos)
-        neg = np.where(take_pos[:, None], neg, mid)
-        t_neg = np.where(take_pos, t_neg, t)
-        guess = t
-    return anchor + t_neg[:, None] * neg
-
-
-def _scan_3d(body, cone, anchor, center, R, n_azimuth):
-    """Brackets of the shell crossing in each azimuth plane, scanned in blocks."""
-    psi = math.pi * ((np.arange(_N_SCAN_SLICE) + 0.5) / _N_SCAN_SLICE - 0.5)
-    phi = 2.0 * math.pi * np.arange(n_azimuth) / n_azimuth
-    # (azimuth, slice, xyz) directions: cos(psi) * (cos phi, sin phi, 0) + sin(psi) * e3
-    w = np.stack([np.cos(phi), np.sin(phi), np.zeros(n_azimuth)], axis=-1)
-    e3 = np.array([0.0, 0.0, 1.0])
-    cos_psi, sin_psi = np.cos(psi)[:, None], np.sin(psi)[:, None] * e3
-    found = []
-    for k in range(0, n_azimuth, _AZIMUTH_BLOCK):
-        dirs = cos_psi * w[k:k + _AZIMUTH_BLOCK, None, :] + sin_psi
-        flat = dirs.reshape(-1, 3)
-        g, t = _radius_gap(body, cone, anchor, center, R, flat)
-        found.append(_collect_brackets(dirs, g.reshape(dirs.shape[:2]),
-                                       t.reshape(dirs.shape[:2]), wrap=False))
-    return tuple(np.concatenate(parts) for parts in zip(*found))
+    if dim == 2:
+        step = 2.0 * math.pi / _N_SCAN_2D
+        a = step * np.arange(_N_SCAN_2D + 1)
+        a[-1] = 0.0  # closed on itself
+        e1, e2 = np.eye(2)[:, None, None, :]
+    else:
+        step = math.pi / (_N_SCAN_MERIDIAN - 1)
+        a = step * np.arange(_N_SCAN_MERIDIAN) - 0.5 * math.pi
+        phi = 2.0 * math.pi * np.arange(n_azimuth) / n_azimuth
+        e1 = np.stack([np.cos(phi), np.sin(phi), np.zeros(n_azimuth)], axis=-1)[:, None, :]
+        e2 = np.array([0.0, 0.0, 1.0])
+    c, s = np.cos(a)[:, None], np.sin(a)[:, None]
+    return c * e1 + s * e2, c * e2 - s * e1, step
 
 
 def body_shell_points(body, R, center=None, n_azimuth=_N_AZIMUTH):
     """Sample the boundary points at distance R from center (default origin)."""
+    R = float(R)
+    if not (math.isfinite(R) and R > 0.0):
+        raise ValueError(f"sphere radius must be finite and positive, got {R}")
     dim = body.ambient_dim
     center = np.zeros(dim) if center is None else np.asarray(center, dtype=float)
-    anchor = body.interior_point()
-    cone = body.recession_cone()
-    if dim == 2:
-        theta = 2.0 * math.pi * np.arange(_N_SCAN_2D) / _N_SCAN_2D
-        dirs = np.column_stack([np.cos(theta), np.sin(theta)])
-        g, t = _radius_gap(body, cone, anchor, center, R, dirs)
-        neg, pos, t_neg = _collect_brackets(dirs, g, t, wrap=True)
-    else:
-        neg, pos, t_neg = _scan_3d(body, cone, anchor, center, R, n_azimuth)
-    if len(neg) == 0:
+    U, T, step = _arcs(dim, n_azimuth)
+    inside = body.defining(center + R * U) <= 0.0
+    arc, j = np.nonzero(inside[:, :-1] != inside[:, 1:])
+    if len(j) == 0:
         raise EmptyShellIntersection(f"boundary does not meet the sphere of radius {R}")
-    return _polish_brackets(body, cone, anchor, center, R, neg, pos, t_neg)
+    # each bracket runs from its inside sample u0 along the tangent t0
+    # towards its outside neighbour: p(d) = c + R (cos(d) u0 + sin(d) t0)
+    first_in = inside[arc, j][:, None]
+    u0 = np.where(first_in, U[arc, j], U[arc, j + 1])
+    t0 = np.where(first_in, T[arc, j], -T[arc, j + 1])
+
+    def on_sphere(d):
+        return center + R * (np.cos(d)[:, None] * u0 + np.sin(d)[:, None] * t0)
+
+    lo, hi = np.zeros(len(j)), np.full(len(j), step)
+    for _ in range(_N_POLISH):
+        mid = 0.5 * (lo + hi)
+        mid_in = body.defining(on_sphere(mid)) <= 0.0
+        lo, hi = np.where(mid_in, mid, lo), np.where(mid_in, hi, mid)
+    return on_sphere(lo)
 
 
 def cone_shell_points(cone: ConeDescriptor, R, n_azimuth=_N_AZIMUTH):

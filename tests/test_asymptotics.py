@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -20,13 +21,18 @@ from ccgeom.errors import EmptyShellIntersection
 
 
 def test_body_shell_points_on_hyperbola():
-    h = hyperboloid_sheet([1.0])
     R = 50.0
-    pts = body_shell_points(h, R)
-    assert len(pts) >= 2
-    # all points on the sphere and on the boundary
-    assert np.allclose(np.linalg.norm(pts, axis=1), R, rtol=1e-9)
-    assert np.all(np.abs(h.defining(pts)) < 1e-6 * R * R)
+    shifted = hyperboloid_sheet([1.0, 2.0], shift=[1.0, -2.0, 0.5])
+    for h, c, count in ((hyperboloid_sheet([1.0]), np.zeros(2), 2),
+                        (hyperboloid_sheet([1.0, 1.0]), np.zeros(3), 48),
+                        (hyperboloid_sheet([1.0, 2.0]), np.zeros(3), 48),
+                        (shifted, shifted.interior_point(), 48)):
+        pts = body_shell_points(h, R, center=c, n_azimuth=48)
+        # one crossing per meridian in 3D, both branches in 2D
+        assert len(pts) == count
+        # all points on the sphere and on the boundary
+        assert np.all(np.abs(np.linalg.norm(pts - c, axis=1) - R) <= 1e-13 * R)
+        assert np.all(np.abs(h.defining(pts)) <= 1e-12 * R)
 
 
 def test_cone_shell_points_ray():
@@ -60,13 +66,25 @@ def test_cone_shell_points_zero_cone_raises():
         cone_shell_points(c, 5.0)
 
 
+def _unit_sheet_shell(R):
+    """Exact shell distance of y >= sqrt(1 + |x|^2) (2D, or 3D sampled at the
+    cone's own azimuths): the crossing at r^2 = (R^2 - 1)/2, z^2 = (R^2 + 1)/2
+    against the asymptote point R (1, 1)/sqrt(2)."""
+    R = mpmath.mpf(R)
+    a = R / mpmath.sqrt(2)
+    return float(mpmath.hypot(mpmath.sqrt((R * R - 1) / 2) - a,
+                              mpmath.sqrt((R * R + 1) / 2) - a))
+
+
 def test_hyperbola_shell_distance_decays_like_half_over_r():
-    h = hyperboloid_sheet([1.0])
-    cone = h.recession_cone()
-    for R in (10.0, 100.0):
-        sd = shell_distance(h, cone, R)
-        # boundary-to-asymptote gap at radius R is a^2/(2R) + O(R^-3)
-        assert sd.d_asym == pytest.approx(0.5 / R, rel=1e-3)
+    for h, kw in ((hyperboloid_sheet([1.0]), {}),
+                  (hyperboloid_sheet([1.0, 1.0]), {"n_azimuth": 96})):
+        cone = h.recession_cone()
+        for R in (10.0, 1e2, 1e3, 1e4):
+            sd = shell_distance(h, cone, R, **kw)
+            # boundary-to-asymptote gap at radius R is a^2/(2R) + O(R^-3)
+            assert sd.d_asym == pytest.approx(0.5 / R, rel=1e-3)
+            assert abs(sd.d_asym - _unit_sheet_shell(R)) <= 1e-13 * R
 
 
 def test_exp_epigraph_distance_grows_like_log():
@@ -123,3 +141,27 @@ def test_paraboloid_3d_not_asymptotic_to_its_ray():
     assert d[0] < d[1] < d[2]
     # sqrt growth of the shell gap
     assert d[2] == pytest.approx(math.sqrt(10000.0), rel=0.05)
+
+
+def test_paraboloid_3d_crossing_near_the_pole():
+    # at R >= 3e4 the crossing of z = |x|^2 lies within pi/384 of the pole
+    pb = paraboloid_epigraph([1.0, 1.0])
+    cone = pb.recession_cone()
+    for R in (3e4, 1e5, 1e6):
+        d = shell_distance(pb, cone, R, n_azimuth=24).d_asym
+        # the circle z = (sqrt(1 + 4R^2) - 1)/2, r^2 = z against the ray point (0, 0, R)
+        z = (mpmath.sqrt(1 + 4 * mpmath.mpf(R) ** 2) - 1) / 2
+        assert abs(d - float(mpmath.sqrt(z + (R - z) ** 2))) <= 1e-13 * R
+
+
+@pytest.mark.parametrize("R", [math.nan, math.inf, -math.inf, 0.0, -100.0])
+@pytest.mark.parametrize("h", [hyperboloid_sheet([1.0]), hyperboloid_sheet([1.0, 1.0])],
+                         ids=["2d", "3d"])
+def test_sphere_radius_must_be_finite_and_positive(h, R):
+    radii = [1e2, 1e3, 1e4, R] if R > 0.0 else [R, 1e2, 1e3, 1e4]
+    for call in (lambda: body_shell_points(h, R, n_azimuth=24),
+                 lambda: shell_distance(h, h.recession_cone(), R, n_azimuth=24),
+                 lambda: blowdown_check(h, R, n_azimuth=24),
+                 lambda: asymptotic_diagnostic(h, radii, n_azimuth=24)):
+        with pytest.raises(ValueError):
+            call()

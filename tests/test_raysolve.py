@@ -5,9 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
-import ccgeom.asymptotics as asym
 from ccgeom import (
-    body_shell_points,
     ellipsoid,
     function_epigraph,
     hyperboloid_sheet,
@@ -105,14 +103,6 @@ def test_root_does_not_depend_on_the_batch():
     for i in range(0, len(w), 17):
         assert ray_hits_batch(body, o, w[i:i + 1])[0] == batch[i]
         assert ray_hits_batch(body, o, w[i:i + 1], guess=guess[i:i + 1])[0] == batch_guess[i]
-
-
-@pytest.mark.parametrize("body", [hyperboloid_sheet([1.0, 1.4]), paraboloid_epigraph([1.0, 0.5])])
-def test_block_scan_matches_one_batch(monkeypatch, body):
-    blocked = body_shell_points(body, 40.0, n_azimuth=48)
-    for block in (48, 5):
-        monkeypatch.setattr(asym, "_AZIMUTH_BLOCK", block)
-        assert np.array_equal(body_shell_points(body, 40.0, n_azimuth=48), blocked)
 
 
 def test_flat_quartic_chord():
