@@ -26,7 +26,6 @@ from .centroids import (
     sccp_residual,
 )
 from .cutvol import (
-    CutParam,
     CutVolumeResult,
     cut_gradient,
     cut_volume,
@@ -63,9 +62,8 @@ __all__ = [
     "section_stats", "section_measure", "section_diameter",
     "LineFit", "LineFamilyVerdict", "sample_levels", "centroid_curve",
     "fit_line", "sccp_residual", "classify_lines", "cone_direction_check",
-    "CutParam", "CutVolumeResult", "halfspace_cut_volume", "cut_volume",
-    "cut_gradient", "parallel_cut_scan", "homothety_cut_scan",
-    "floating_constancy",
+    "CutVolumeResult", "halfspace_cut_volume", "cut_volume", "cut_gradient",
+    "parallel_cut_scan", "homothety_cut_scan", "floating_constancy",
     "ShellDistance", "body_shell_points", "cone_shell_points",
     "shell_distance", "blowdown_check", "trend_verdict",
     "asymptotic_diagnostic",

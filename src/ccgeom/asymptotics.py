@@ -70,8 +70,14 @@ def _arcs(dim, n_azimuth):
     return c * e1 + s * e2, c * e2 - s * e1, step
 
 
+def _check_azimuths(n_azimuth):
+    if not (isinstance(n_azimuth, (int, np.integer)) and n_azimuth >= 1):
+        raise ValueError(f"n_azimuth must be an integer >= 1, got {n_azimuth!r}")
+
+
 def body_shell_points(body, R, center=None, n_azimuth=_N_AZIMUTH):
     """Sample the boundary points at distance R from center (default origin)."""
+    _check_azimuths(n_azimuth)
     R = float(R)
     if not (math.isfinite(R) and R > 0.0):
         raise ValueError(f"sphere radius must be finite and positive, got {R}")
@@ -101,6 +107,7 @@ def body_shell_points(body, R, center=None, n_azimuth=_N_AZIMUTH):
 
 def cone_shell_points(cone: ConeDescriptor, R, n_azimuth=_N_AZIMUTH):
     """Closed-form samples of (boundary of cone) ∩ S_R: R times its boundary rays."""
+    _check_azimuths(n_azimuth)
     if cone.dim == 0:
         raise EmptyShellIntersection("trivial cone has no shell points")
     return R * cone.boundary_rays(n_azimuth)

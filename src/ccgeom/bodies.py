@@ -25,7 +25,6 @@ point batches (shape (..., dim)); all other oracles are scalar.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -47,9 +46,10 @@ _UNIT_TOL = 1e-12
 _MARGIN_TOL = 1e-14
 # epigraph normals this close to the edge of the attained set get h's limit
 _EDGE_TOL = 1e-15
-# ray root-finder: relative offset of the two probes around a guess, caps on
-# bracket steps and on solver steps
+# ray root-finder: relative offset of the two probes around a guess, the
+# relative tolerance on each hit, caps on bracket steps and on solver steps
 _GUESS_SPREAD = 2.0 ** -20
+_HIT_RTOL = 1e-12
 _BRACKET_STEPS = 200
 _SOLVE_STEPS = 100
 
@@ -631,8 +631,6 @@ class BodySpec:
 
     @classmethod
     def from_json(cls, obj) -> "BodySpec":
-        if isinstance(obj, str):
-            obj = json.loads(obj)
         return cls(
             kind=obj["kind"],
             params=tuple(obj.get("params", ())),
@@ -651,8 +649,7 @@ def _ray_hit(setlike, origin, direction) -> float:
     return float(ray_hits_batch(setlike, origin, direction[None, :])[0])
 
 
-def ray_hits_batch(setlike, origin, directions, rtol=1e-12, guess=None,
-                   return_evals=False):
+def ray_hits_batch(setlike, origin, directions, guess=None, return_evals=False):
     """Distances s > 0 with F(origin + s*w) = 0, one per unit direction w.
 
     This is the one boundary root-finder of the package. F is the convex
@@ -668,9 +665,9 @@ def ray_hits_batch(setlike, origin, directions, rtol=1e-12, guess=None,
     root. Each point updates whichever end its sign says. A step that does
     not halve the bracket (in log scale) is followed by a geometric
     bisection. Every ray stops on its own bracket, once the chord and
-    secant roots agree to ``rtol`` relative to the hit distance or F at its
-    inside end is down to rounding noise, so its root does not depend on
-    the other rays of the batch.
+    secant roots agree to ``_HIT_RTOL`` relative to the hit distance or F
+    at its inside end is down to rounding noise, so its root does not
+    depend on the other rays of the batch.
 
     All directions must be non-recessive (guaranteed for bounded sections).
     With ``return_evals`` the result is ``(hits, oracle points evaluated)``.
@@ -692,7 +689,7 @@ def ray_hits_batch(setlike, origin, directions, rtol=1e-12, guess=None,
     if m:
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
             state, f0, n_evals = _bracket(setlike.defining, origin, W, probes)
-            n_evals += _solve(setlike.defining, origin, W, state, f0, rtol, hits)
+            n_evals += _solve(setlike.defining, origin, W, state, f0, _HIT_RTOL, hits)
     return (hits, n_evals) if return_evals else hits
 
 

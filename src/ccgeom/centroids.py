@@ -26,9 +26,6 @@ class LineFit:
     residual_norm: float
     n_points: int
 
-    def point_at(self, s: float):
-        return self.base + s * self.dir
-
     def distance_to(self, p):
         d = np.asarray(p) - self.base
         return float(np.linalg.norm(d - (d @ self.dir) * self.dir))
@@ -76,16 +73,9 @@ def sample_levels(body, u, n_levels=None):
         return np.sort(mid + half * nodes)
     n = n_levels or N_LEVELS_UNBOUNDED
     k = np.arange(n)
-    if math.isfinite(lo):
-        delta = 0.5 * max(1.0, abs(lo))
-        return lo + delta * GEOMETRIC_RATIO ** k
-    if math.isfinite(hi):
-        delta = 0.5 * max(1.0, abs(hi))
-        return np.sort(hi - delta * GEOMETRIC_RATIO ** k)
-    delta = 0.5
-    half = (n + 1) // 2
-    grid = delta * GEOMETRIC_RATIO ** np.arange(half)
-    return np.sort(np.concatenate([-grid, grid]))[:n]
+    # (-inf, inf) cannot occur: then the cone meets u-perp and admissible_levels raises
+    end, side = (lo, 1.0) if math.isfinite(lo) else (hi, -1.0)
+    return np.sort(end + side * 0.5 * max(1.0, abs(end)) * GEOMETRIC_RATIO ** k)
 
 
 def centroid_curve(body, u, levels, rtol=DEFAULT_RTOL):
@@ -180,8 +170,8 @@ def classify_lines(lines, tol=1e-5) -> LineFamilyVerdict:
 def cone_direction_check(body, u, rtol=DEFAULT_RTOL) -> float:
     """Angle between the body's centroid line and its recession cone's.
 
-    Cone section centroids scale linearly with the level, so two levels
-    determine the cone line.
+    The cone's apex is 0 and its section centroids scale linearly with the
+    level, so the centroid at level 1 gives the cone line's direction.
     """
     u = np.array(_check_unit(u))
     cone = body.recession_cone()
@@ -194,8 +184,5 @@ def cone_direction_check(body, u, rtol=DEFAULT_RTOL) -> float:
     fit = sccp_residual(body, u, rtol=rtol)
     u_cone = u if cone.positive_on(u) else -u
     c1 = section_stats(cone, u_cone, 1.0, rtol=rtol).centroid
-    c2 = section_stats(cone, u_cone, 2.0, rtol=rtol).centroid
-    w = c2 - c1
-    w /= np.linalg.norm(w)
-    cosang = abs(float(fit.dir @ w))
+    cosang = abs(float(fit.dir @ c1)) / float(np.linalg.norm(c1))
     return float(np.arccos(np.clip(cosang, -1.0, 1.0)))

@@ -40,6 +40,7 @@ from .sections import (
 EXIT_OK = 0
 EXIT_BAD_CONFIG = 2
 EXIT_ALL_FAILED = 3
+NO_ROWS = "config selects no rows"
 
 
 def _fmt(x) -> str:
@@ -65,6 +66,28 @@ def _require(cfg, key):
     if key not in cfg:
         raise ConfigError(f"config is missing required key {key!r}")
     return cfg[key]
+
+
+def _is_number(x):
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _number(cfg, key, default=None, integer=False):
+    """A number-valued key (integral with ``integer``); required without a default."""
+    x = _require(cfg, key) if default is None else cfg.get(key, default)
+    if not _is_number(x) or (integer and isinstance(x, float) and not x.is_integer()):
+        raise ConfigError(f"config key {key!r} must be {'an integer' if integer else 'a number'}")
+    return int(x) if integer else float(x)
+
+
+def _list(cfg, key, vectors=False):
+    """A required list of numbers, or with ``vectors`` of number lists; as given."""
+    xs = _require(cfg, key)
+    vecs = xs if vectors and isinstance(xs, list) else [xs]
+    if not all(isinstance(v, list) and all(map(_is_number, v)) for v in vecs):
+        what = "number lists" if vectors else "numbers"
+        raise ConfigError(f"config key {key!r} must be a list of {what}")
+    return xs
 
 
 def _body(cfg) -> BodySpec:
@@ -194,9 +217,9 @@ PRESETS = {
 
 def cmd_section(cfg):
     body = _body(cfg)
-    dirs = [np.asarray(u, dtype=float) for u in _require(cfg, "directions")]
-    levels = [float(t) for t in _require(cfg, "levels")]
-    rtol = float(cfg.get("tol", 1e-8))
+    dirs = [np.asarray(u, dtype=float) for u in _list(cfg, "directions", vectors=True)]
+    levels = [float(t) for t in _list(cfg, "levels")]
+    rtol = _number(cfg, "tol", 1e-8)
     header = csv_header(body.ambient_dim) + ["error"]
     rows, n_failed = [], 0
     for u in dirs:
@@ -215,14 +238,14 @@ def cmd_section(cfg):
 
 def cmd_sccp(cfg):
     body = _body(cfg)
-    rtol = float(cfg.get("tol", 1e-8))
-    seed = int(cfg.get("seed", 0))
+    rtol = _number(cfg, "tol", 1e-8)
+    seed = _number(cfg, "seed", 0, integer=True)
     if "directions" in cfg:
-        dirs = [np.asarray(u, dtype=float) for u in cfg["directions"]]
+        dirs = [np.asarray(u, dtype=float) for u in _list(cfg, "directions", vectors=True)]
         dirs = [u / np.linalg.norm(u) for u in dirs]
     else:
-        dirs = _sample_directions(body, int(_require(cfg, "n_directions")), seed)
-    n_levels = cfg.get("n_levels")
+        dirs = _sample_directions(body, _number(cfg, "n_directions", integer=True), seed)
+    n_levels = None if cfg.get("n_levels") is None else _number(cfg, "n_levels", integer=True)
     axes = ["x", "y", "z"][: body.ambient_dim]
     header = ([f"u{a}" for a in axes] + ["residual_norm", "residual_rms"]
               + [f"base_{a}" for a in axes] + [f"dir_{a}" for a in axes] + ["error"])
@@ -239,7 +262,7 @@ def cmd_sccp(cfg):
                         + [type(e).__name__])
     summary = {"n_rows": len(rows), "n_failed": n_failed}
     if len(fits) >= 3:
-        verdict = classify_lines(fits, tol=float(cfg.get("classify_tol", 1e-5)))
+        verdict = classify_lines(fits, tol=_number(cfg, "classify_tol", 1e-5))
         summary["verdict"] = verdict.to_json()
         summary["max_residual_norm"] = max(f.residual_norm for f in fits)
     return header, rows, summary, n_failed == len(rows)
@@ -247,29 +270,32 @@ def cmd_sccp(cfg):
 
 def cmd_cutvol(cfg):
     body = _body(cfg)
-    rtol = float(cfg.get("tol", 1e-8))
+    rtol = _number(cfg, "tol", 1e-8)
     op = cfg.get("op", "volume")
     rows, n_failed = [], 0
     summary = {}
     if op in ("parallel", "homothety"):
-        k = float(_require(cfg, "k"))
-        anchors = _require(cfg, "anchors")
+        k = _number(cfg, "k")
+        anchors = _list(cfg, "anchors", vectors=True)
         scan = parallel_cut_scan if op == "parallel" else homothety_cut_scan
         values = scan(body, k, anchors, rtol=rtol)
         header = ["anchor", "value", "err"]
         for anchor, v in zip(anchors, values):
             rows.append([json.dumps(anchor), v, rtol * v])
-        arr = np.array(values)
-        summary = {
-            "min": float(arr.min()), "max": float(arr.max()),
-            "mean": float(arr.mean()),
-            "rel_spread": float((arr.max() - arr.min()) / arr.mean()),
-        }
+        if values:
+            arr = np.array(values)
+            summary = {
+                "min": float(arr.min()), "max": float(arr.max()),
+                "mean": float(arr.mean()),
+                "rel_spread": float((arr.max() - arr.min()) / arr.mean()),
+            }
     elif op == "floating":
+        n_normals = _number(cfg, "n_normals", 12, integer=True)
+        if n_normals < 1:
+            raise ConfigError(NO_ROWS)
         res = floating_constancy(
-            body, _require(cfg, "mode"), float(_require(cfg, "lam")),
-            n_normals=int(cfg.get("n_normals", 12)),
-            seed=int(cfg.get("seed", 0)), rtol=rtol,
+            body, _require(cfg, "mode"), _number(cfg, "lam"), n_normals=n_normals,
+            seed=_number(cfg, "seed", 0, integer=True), rtol=rtol,
         )
         header = ["index", "value", "err"]
         rows = [[i, v, rtol * v] for i, v in enumerate(res["values"])]
@@ -286,10 +312,10 @@ def cmd_cutvol(cfg):
                                + float(np.linalg.norm(body.translation)) + 1.0)
             body = dataclasses.replace(body, translation=body.translation + shift)
         if "cuts" in cfg:
-            cuts = [np.asarray(a, dtype=float) for a in cfg["cuts"]]
+            cuts = [np.asarray(a, dtype=float) for a in _list(cfg, "cuts", vectors=True)]
         else:
-            cuts = _random_cuts(body, int(cfg.get("n_cuts", 5)),
-                                int(cfg.get("seed", 0)))
+            cuts = _random_cuts(body, _number(cfg, "n_cuts", 5, integer=True),
+                                _number(cfg, "seed", 0, integer=True))
         header = ["a", "V", "identity_residual", "moment_residual",
                   "section_diameter", "err", "error"]
         residuals = []
@@ -310,7 +336,7 @@ def cmd_cutvol(cfg):
         if residuals:
             summary["max_scaled_identity_residual"] = max(residuals)
     elif op == "volume":
-        cuts = [np.asarray(a, dtype=float) for a in _require(cfg, "cuts")]
+        cuts = [np.asarray(a, dtype=float) for a in _list(cfg, "cuts", vectors=True)]
         header = ["a", "V", "err"]
         vals = []
         for a in cuts:
@@ -325,7 +351,7 @@ def cmd_cutvol(cfg):
                            mean=float(np.mean(finite)))
     else:
         raise ConfigError(f"unknown cutvol op {op!r}")
-    return header, rows, summary, bool(rows) and n_failed == len(rows)
+    return header, rows, summary, n_failed == len(rows)
 
 
 def _random_cuts(body, n, seed):
@@ -367,8 +393,8 @@ def _random_cuts(body, n, seed):
 
 def cmd_asym(cfg):
     body = _body(cfg)
-    radii = [float(r) for r in _require(cfg, "radii")]
-    n_az = int(cfg.get("n_azimuth", 720))
+    radii = [float(r) for r in _list(cfg, "radii")]
+    n_az = _number(cfg, "n_azimuth", 720, integer=True)
     cone = body.recession_cone()
     header = ["R", "d_asym", "d_blowdown", "err", "error"]
     rows, dvals, n_failed = [], [], 0
@@ -453,6 +479,8 @@ def main(argv=None) -> int:
     t0 = time.perf_counter()
     try:
         header, rows, summary, all_failed = COMMANDS[args.command](cfg)
+        if not rows:
+            raise ConfigError(NO_ROWS)
     except (ConfigError, ValueError, GeometryError) as e:
         # a geometry error outside the per-row handlers means the config asks
         # for an operation the body does not support

@@ -34,28 +34,6 @@ _HOMOTHETY_TAGS = ("cosh",)
 
 
 @dataclass(frozen=True)
-class CutParam:
-    """Parameter a of the cut hyperplane H(a) = {<a,x> = 1}."""
-
-    a: np.ndarray
-
-    def __post_init__(self):
-        a = np.array(self.a, dtype=float)
-        if not 0.0 < np.linalg.norm(a) < INF:
-            raise ValueError("cut parameter must be finite and nonzero")
-        a.flags.writeable = False
-        object.__setattr__(self, "a", a)
-
-    @property
-    def unit_normal(self):
-        return self.a / np.linalg.norm(self.a)
-
-    @property
-    def level(self) -> float:
-        return 1.0 / float(np.linalg.norm(self.a))
-
-
-@dataclass(frozen=True)
 class CutVolumeResult:
     """V(a), finite-difference gradient, and the centroid-identity residuals."""
 
@@ -69,20 +47,6 @@ class CutVolumeResult:
     section_measure: float
     section_centroid: np.ndarray
     section_diameter: float
-
-    def to_json(self):
-        return {
-            "a": self.a.tolist(),
-            "V": self.V,
-            "grad": self.grad.tolist(),
-            "lambda": self.lam,
-            "identity_residual": self.identity_residual,
-            "moment_residual": self.moment_residual,
-            "err_estimate": self.err_estimate,
-            "section_measure": self.section_measure,
-            "section_centroid": self.section_centroid.tolist(),
-            "section_diameter": self.section_diameter,
-        }
 
 
 def halfspace_cut_volume(body, u, t, rtol=DEFAULT_RTOL) -> float:
@@ -125,7 +89,7 @@ def halfspace_cut_volume(body, u, t, rtol=DEFAULT_RTOL) -> float:
 
 def cut_volume(body, a, rtol=DEFAULT_RTOL) -> float:
     """V(a) = volume of body on the <= side of {<a,x> = 1}."""
-    a = a.a if isinstance(a, CutParam) else np.asarray(a, dtype=float)
+    a = np.asarray(a, dtype=float)
     nrm = float(np.linalg.norm(a))
     if not (0.0 < nrm < INF):
         raise ValueError("cut parameter must be finite and nonzero")
@@ -134,7 +98,7 @@ def cut_volume(body, a, rtol=DEFAULT_RTOL) -> float:
 
 def cut_gradient(body, a, rtol=DEFAULT_RTOL) -> CutVolumeResult:
     """Central-difference gradient of V plus the centroid-identity residuals."""
-    a = a.a if isinstance(a, CutParam) else np.asarray(a, dtype=float)
+    a = np.asarray(a, dtype=float)
     if bool(body.contains(np.zeros(body.ambient_dim))):
         raise OriginInsideBody("translate the body so that 0 is outside first")
     V0 = cut_volume(body, a, rtol=rtol)

@@ -165,3 +165,15 @@ def test_sphere_radius_must_be_finite_and_positive(h, R):
                  lambda: asymptotic_diagnostic(h, radii, n_azimuth=24)):
         with pytest.raises(ValueError):
             call()
+
+
+@pytest.mark.parametrize("n_azimuth", [0, -3, 2.5])
+def test_n_azimuth_must_be_a_positive_integer(n_azimuth):
+    h = hyperboloid_sheet([1.0, 1.0])
+    R = 100.0
+    for call in (lambda: body_shell_points(h, R, n_azimuth=n_azimuth),
+                 lambda: cone_shell_points(h.recession_cone(), R, n_azimuth=n_azimuth),
+                 lambda: shell_distance(h, h.recession_cone(), R, n_azimuth=n_azimuth),
+                 lambda: blowdown_check(h, R, n_azimuth=n_azimuth)):
+        with pytest.raises(ValueError, match="n_azimuth"):
+            call()

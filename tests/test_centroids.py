@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ccgeom import (
+    admissible_levels,
     centroid_curve,
     classify_lines,
     cone_direction_check,
@@ -17,6 +18,7 @@ from ccgeom import (
     superellipsoid,
     unit_disk,
 )
+from ccgeom.centroids import GEOMETRIC_RATIO
 from ccgeom.errors import ConeSectionUnbounded, DegeneratePointSet, UnboundedSection
 
 from oracles import parabola_chord_midpoint
@@ -40,6 +42,19 @@ def test_sample_levels_half_infinite():
     assert len(ts) >= 8
     assert all(t > 0.0 for t in ts)
     assert list(ts) == sorted(ts)
+
+
+def test_sample_levels_below_a_finite_top():
+    # the upper hyperbola seen from below: levels <u, x> = -y fill (-inf, -1]
+    h = hyperboloid_sheet([1.0])
+    u = np.array([0.0, -1.0])
+    lo, hi = admissible_levels(h, u)
+    assert lo == -math.inf and hi == pytest.approx(-1.0)
+    ts = sample_levels(h, u)
+    assert len(ts) >= 8
+    assert np.all(np.diff(ts) > 0.0) and np.all(ts < hi)
+    gaps = (hi - ts)[::-1]
+    assert np.allclose(gaps[1:] / gaps[:-1], GEOMETRIC_RATIO, rtol=1e-12)
 
 
 def test_sample_levels_unbounded_direction_raises():

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -169,3 +170,72 @@ def test_geometry_error_maps_to_config_exit_code(tmp_path, capsys):
     assert code == EXIT_BAD_CONFIG
     assert err.startswith("error: ") and "graph-like" in err
     assert out == ""
+
+
+DISK = {"kind": "ellipsoid", "params": [1.0, 1.0], "translation": [0.0, 0.0], "dim": 2}
+PARABOLA = {"kind": "function-epigraph", "params": [], "tag": "square",
+            "translation": [0.0, 0.0], "dim": 2}
+HYPERBOLA = {"kind": "hyperboloid-upper-sheet", "params": [1.0],
+             "translation": [0.0, 0.0], "dim": 2}
+
+
+def run_config(tmp_path, capsys, command, cfg):
+    f = tmp_path / "cfg.json"
+    f.write_text(json.dumps(cfg))
+    return run(capsys, command, "--config", str(f))
+
+
+@pytest.mark.parametrize("command, cfg, key", [
+    ("section", {"body": DISK, "directions": 5, "levels": [0.0]}, "directions"),
+    ("section", {"body": DISK, "directions": [[1.0, 0.0]], "levels": [[0.0]]}, "levels"),
+    ("cutvol", {"body": PARABOLA, "op": "parallel", "k": 1.0, "anchors": 5}, "anchors"),
+    ("cutvol", {"body": PARABOLA, "op": "parallel", "k": [1.0], "anchors": [[0.0]]}, "k"),
+    ("sccp", {"body": DISK, "n_directions": 4, "n_levels": "x"}, "n_levels"),
+    ("sccp", {"body": DISK, "n_directions": 2.5}, "n_directions"),
+    ("asym", {"body": HYPERBOLA, "radii": [10.0, 100.0], "n_azimuth": [1]}, "n_azimuth"),
+])
+def test_wrong_json_type_is_config_error(tmp_path, capsys, command, cfg, key):
+    code, out, err = run_config(tmp_path, capsys, command, cfg)
+    assert code == EXIT_BAD_CONFIG
+    assert err.startswith("error: ") and repr(key) in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("section", {"body": DISK, "directions": [], "levels": [0.0]}),
+    ("sccp", {"body": DISK, "n_directions": 0}),
+    ("sccp", {"body": DISK, "n_directions": -2}),
+    ("asym", {"body": HYPERBOLA, "radii": []}),
+    ("cutvol", {"body": DISK, "op": "gradient", "n_cuts": 0}),
+    ("cutvol", {"body": DISK, "op": "volume", "cuts": []}),
+    ("cutvol", {"body": PARABOLA, "op": "parallel", "k": 1.0, "anchors": []}),
+    ("cutvol", {"body": PARABOLA, "op": "floating", "mode": "translate", "lam": 1.0,
+                "n_normals": 0}),
+])
+def test_config_selecting_no_rows_is_config_error(tmp_path, capsys, command, cfg):
+    code, out, err = run_config(tmp_path, capsys, command, cfg)
+    assert code == EXIT_BAD_CONFIG
+    assert err == "error: config selects no rows\n"
+    assert out == ""
+
+
+def test_cutvol_volume_op(tmp_path, capsys):
+    # {<a,x> <= 1} with a = (0, 1/3) is the halfplane y <= 3: half the disk
+    body = dict(DISK, translation=[0.0, 3.0])
+    code, out, _ = run_config(tmp_path, capsys, "cutvol",
+                              {"body": body, "op": "volume", "cuts": [[0.0, 1.0 / 3.0]]})
+    assert code == EXIT_OK
+    summary = json.loads(out)["summary"]
+    assert summary["n_rows"] == 1 and summary["n_infinite"] == 0
+    assert summary["mean"] == pytest.approx(math.pi / 2.0, rel=1e-7)
+
+
+def test_cutvol_floating_op(tmp_path, capsys):
+    # a parabola cap cut by the support line of the copy raised by 1 has area 4/3
+    code, out, _ = run_config(tmp_path, capsys, "cutvol",
+                              {"body": PARABOLA, "op": "floating", "mode": "translate",
+                               "lam": 1.0})
+    assert code == EXIT_OK
+    summary = json.loads(out)["summary"]
+    assert summary["min"] == pytest.approx(4.0 / 3.0, abs=1e-6)
+    assert summary["max"] == pytest.approx(4.0 / 3.0, abs=1e-6)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from ccgeom import (
-    CutParam,
     circular_cone,
     cut_gradient,
     cut_volume,
@@ -87,11 +86,6 @@ def test_cut_volume_sides_and_infinity():
 def test_cut_volume_via_cut_param():
     d = unit_disk(center=[0.0, 3.0])
     # {<a,x> <= 1} with a = (0, 1/3) is the halfplane y <= 3
-    cp = CutParam(np.array([0.0, 1.0 / 3.0]))
-    assert cp.level == pytest.approx(3.0)
-    assert np.allclose(cp.unit_normal, [0.0, 1.0])
-    assert cut_volume(d, cp) == pytest.approx(
-        cut_volume(d, [0.0, 1.0 / 3.0]), rel=1e-9)
     assert cut_volume(d, [0.0, 1.0 / 3.0]) == pytest.approx(math.pi / 2.0, rel=1e-7)
 
 
@@ -185,8 +179,6 @@ def test_cut_volume_rejects_non_finite_parameter():
     for a in ([math.nan, 0.5], [math.inf, 0.5]):
         with pytest.raises(ValueError):
             cut_volume(unit_disk(), a)
-        with pytest.raises(ValueError):
-            CutParam(a)
     with pytest.raises(ValueError):
         halfspace_cut_volume(unit_disk(), [0.0, 1.0], math.nan)
 

@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ccgeom import (
-    CutParam,
     cone_shell_points,
     ellipsoid,
     function_epigraph,
@@ -206,15 +205,6 @@ def test_epigraph_membership_matches_graph(x, y):
     if abs(y - x * x) <= 1e-9:  # membership has a boundary tolerance band
         return
     assert bool(p.contains([x, y])) == (y > x * x)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.floats(min_value=0.05, max_value=20.0),
-       st.floats(min_value=0.05, max_value=20.0))
-def test_cut_param_level_is_inverse_norm(ax, ay):
-    cp = CutParam(np.array([ax, ay]))
-    assert cp.level == pytest.approx(1.0 / math.hypot(ax, ay), rel=1e-12)
-    assert np.linalg.norm(cp.unit_normal) == pytest.approx(1.0, rel=1e-12)
 
 
 @settings(max_examples=100, deadline=None)
