@@ -1,20 +1,23 @@
 #!/usr/bin/env python3
 """Run every preset of one ccgeom command in PRESETS order, each with the extra flags:
 
-    python scripts/run_presets.py cutvol --format csv
+    python scripts/run_presets.py cutvol --format csv --out results/
 
+With ``--out DIR`` each preset writes its rows.csv and report.json to DIR/NAME/.
 The exit code is the worst run's. One preset alone is ``ccgeom COMMAND --preset NAME``.
 """
-import sys
+import argparse
 
 from ccgeom.cli import PRESETS, main
 
 if __name__ == "__main__":
-    if len(sys.argv) < 2 or sys.argv[1] not in PRESETS:
-        raise SystemExit(f"usage: run_presets.py {{{','.join(PRESETS)}}} [flags]")
-    command, flags = sys.argv[1], sys.argv[2:]
+    ap = argparse.ArgumentParser(usage="run_presets.py COMMAND [--out DIR] [flags]")
+    ap.add_argument("command", choices=PRESETS)
+    ap.add_argument("--out", help="directory that gets one subdirectory per preset")
+    args, flags = ap.parse_known_args()
     rc = 0
-    for name in PRESETS[command]:
-        print(f"== {command} --preset {name}")
-        rc = max(rc, main([command, "--preset", name] + flags))
+    for name in PRESETS[args.command]:
+        print(f"== {args.command} --preset {name}")
+        out = [] if args.out is None else ["--out", f"{args.out}/{name}"]
+        rc = max(rc, main([args.command, "--preset", name] + flags + out))
     raise SystemExit(rc)

@@ -43,9 +43,6 @@ class ShellDistance:
     d_body_to_cone: float
     d_cone_to_body: float
 
-    def csv_row(self):
-        return [self.R, self.d_asym, self.d_blowdown, self.err]
-
 
 def _arcs(dim, n_azimuth):
     """Unit samples u, unit tangents t = du/da and the sample step on great circles.

@@ -30,15 +30,6 @@ class LineFit:
         d = np.asarray(p) - self.base
         return float(np.linalg.norm(d - (d @ self.dir) * self.dir))
 
-    def to_json(self):
-        return {
-            "base": self.base.tolist(),
-            "dir": self.dir.tolist(),
-            "residual_rms": self.residual_rms,
-            "residual_norm": self.residual_norm,
-            "n_points": self.n_points,
-        }
-
 
 @dataclass(frozen=True)
 class LineFamilyVerdict:
@@ -48,14 +39,6 @@ class LineFamilyVerdict:
     witness: np.ndarray  # common point if concurrent, direction if parallel
     score: float
     tie: bool = False
-
-    def to_json(self):
-        return {
-            "tag": self.tag,
-            "witness": self.witness.tolist(),
-            "score": self.score,
-            "tie": self.tie,
-        }
 
 
 def sample_levels(body, u, n_levels=None):

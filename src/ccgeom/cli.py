@@ -2,14 +2,17 @@
 
 Subcommands: section, sccp, cutvol, asym.  Every run emits a JSON report
 (config echo, rows, summary, wall time, version) and a CSV payload whose
-bytes are a deterministic function of the config.
+bytes are a deterministic function of the config.  This module owns every
+CSV and JSON layout; the library's result types hold values only.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import io
+import itertools
 import json
 import sys
 import time
@@ -18,10 +21,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .asymptotics import blowdown_check, shell_distance, trend_verdict
+from .asymptotics import _N_AZIMUTH, blowdown_check, shell_distance, trend_verdict
 from .bodies import BodySpec
 from .centroids import classify_lines, sccp_residual
 from .cutvol import (
+    _spread,
     cut_gradient,
     cut_volume,
     floating_constancy,
@@ -30,8 +34,8 @@ from .cutvol import (
 )
 from .errors import GeometryError
 from .sections import (
+    DEFAULT_RTOL,
     admissible_levels,
-    csv_header,
     section_bounded,
     section_diameter,
     section_stats,
@@ -41,6 +45,7 @@ EXIT_OK = 0
 EXIT_BAD_CONFIG = 2
 EXIT_ALL_FAILED = 3
 NO_ROWS = "config selects no rows"
+_AXES = "xyz"
 
 
 def _fmt(x) -> str:
@@ -80,14 +85,23 @@ def _number(cfg, key, default=None, integer=False):
     return int(x) if integer else float(x)
 
 
-def _list(cfg, key, vectors=False):
-    """A required list of numbers, or with ``vectors`` of number lists; as given."""
+def _list(cfg, key, length=None):
+    """A required list of numbers, or with ``length`` of number lists that long; as given."""
     xs = _require(cfg, key)
-    vecs = xs if vectors and isinstance(xs, list) else [xs]
-    if not all(isinstance(v, list) and all(map(_is_number, v)) for v in vecs):
-        what = "number lists" if vectors else "numbers"
+    vecs = xs if length is not None and isinstance(xs, list) else [xs]
+    if not all(isinstance(v, list) and all(map(_is_number, v))
+               and (length is None or len(v) == length) for v in vecs):
+        what = "numbers" if length is None else f"number lists of length {length}"
         raise ConfigError(f"config key {key!r} must be a list of {what}")
     return xs
+
+
+def _directions(cfg, dim):
+    """The config's ``directions``, each scaled to a unit vector."""
+    dirs = [np.asarray(u, dtype=float) for u in _list(cfg, "directions", dim)]
+    if not all(0.0 < np.linalg.norm(u) < np.inf for u in dirs):
+        raise ConfigError("config key 'directions' must hold finite nonzero vectors")
+    return [u / np.linalg.norm(u) for u in dirs]
 
 
 def _body(cfg) -> BodySpec:
@@ -97,25 +111,41 @@ def _body(cfg) -> BodySpec:
         raise ConfigError(f"invalid body spec: {e}") from e
 
 
-def _sample_directions(body, n, seed):
-    """Deterministic sampling of directions with bounded sections (documented
-    generator: numpy default_rng seeded from the config)."""
-    rng = np.random.default_rng(seed)
-    out = []
-    tries = 0
-    while len(out) < n and tries < 1000 * n:
-        tries += 1
+def _bounded_normals(body, n, rng):
+    """Random unit normals with bounded sections, from at most 1000 n draws of rng."""
+    for _ in range(1000 * n):
         u = rng.normal(size=body.ambient_dim)
         nu = np.linalg.norm(u)
         if nu < 1e-12:
             continue
         u /= nu
-        if not section_bounded(body, u):
-            continue
-        out.append(u)
+        if section_bounded(body, u):
+            yield u
+
+
+def _sample_directions(body, n, seed):
+    """n unit normals with bounded sections, deterministic in seed (numpy default_rng)."""
+    normals = _bounded_normals(body, n, np.random.default_rng(seed))
+    out = list(itertools.islice(normals, max(n, 0)))
     if len(out) < n:
         raise ConfigError("could not sample enough admissible directions")
     return out
+
+
+def _rows(header, keys, solve, columns):
+    """Rows of the header's width, one per (key columns, argument) in keys: the
+    key's columns, then ``columns(solve(argument))`` and an empty error, or on a
+    GeometryError blanks and the error's type name.  Also the results solved."""
+    rows, results = [], []
+    for cols, arg in keys:
+        try:
+            result = solve(arg)
+        except GeometryError as e:
+            rows.append(cols + [""] * (len(header) - len(cols) - 1) + [type(e).__name__])
+            continue
+        results.append(result)
+        rows.append(cols + columns(result) + [""])
+    return rows, results
 
 
 # ----------------------------------------------------------------- presets
@@ -217,141 +247,114 @@ PRESETS = {
 
 def cmd_section(cfg):
     body = _body(cfg)
-    dirs = [np.asarray(u, dtype=float) for u in _list(cfg, "directions", vectors=True)]
+    dirs = _directions(cfg, body.ambient_dim)
     levels = [float(t) for t in _list(cfg, "levels")]
-    rtol = _number(cfg, "tol", 1e-8)
-    header = csv_header(body.ambient_dim) + ["error"]
-    rows, n_failed = [], 0
-    for u in dirs:
-        u = u / np.linalg.norm(u)
-        for t in levels:
-            try:
-                s = section_stats(body, u, t, rtol=rtol)
-                rows.append(s.csv_row() + [""])
-            except GeometryError as e:
-                n_failed += 1
-                rows.append(list(u) + [t] + [""] * (body.ambient_dim + 3)
-                            + [type(e).__name__])
-    summary = {"n_rows": len(rows), "n_failed": n_failed}
-    return header, rows, summary, n_failed == len(rows)
+    rtol = _number(cfg, "tol", DEFAULT_RTOL)
+    axes = _AXES[: body.ambient_dim]
+    header = ([f"u{a}" for a in axes] + ["t", "measure"] + [f"c{a}" for a in axes]
+              + ["err", "n_evals", "error"])
+    rows, stats = _rows(header, [([*u, t], (u, t)) for u in dirs for t in levels],
+                        lambda ut: section_stats(body, *ut, rtol=rtol),
+                        lambda s: [s.measure, *s.centroid, s.err_estimate, s.n_evals])
+    summary = {"n_rows": len(rows), "n_failed": len(rows) - len(stats)}
+    return header, rows, summary, not stats
 
 
 def cmd_sccp(cfg):
     body = _body(cfg)
-    rtol = _number(cfg, "tol", 1e-8)
+    rtol = _number(cfg, "tol", DEFAULT_RTOL)
     seed = _number(cfg, "seed", 0, integer=True)
     if "directions" in cfg:
-        dirs = [np.asarray(u, dtype=float) for u in _list(cfg, "directions", vectors=True)]
-        dirs = [u / np.linalg.norm(u) for u in dirs]
+        dirs = _directions(cfg, body.ambient_dim)
     else:
         dirs = _sample_directions(body, _number(cfg, "n_directions", integer=True), seed)
     n_levels = None if cfg.get("n_levels") is None else _number(cfg, "n_levels", integer=True)
-    axes = ["x", "y", "z"][: body.ambient_dim]
+    axes = _AXES[: body.ambient_dim]
     header = ([f"u{a}" for a in axes] + ["residual_norm", "residual_rms"]
               + [f"base_{a}" for a in axes] + [f"dir_{a}" for a in axes] + ["error"])
-    rows, fits, n_failed = [], [], 0
-    for u in dirs:
-        try:
-            fit = sccp_residual(body, u, n_levels=n_levels, rtol=rtol)
-            fits.append(fit)
-            rows.append(list(u) + [fit.residual_norm, fit.residual_rms]
-                        + list(fit.base) + list(fit.dir) + [""])
-        except GeometryError as e:
-            n_failed += 1
-            rows.append(list(u) + [""] * (2 + 2 * body.ambient_dim)
-                        + [type(e).__name__])
-    summary = {"n_rows": len(rows), "n_failed": n_failed}
+    rows, fits = _rows(header, [(list(u), u) for u in dirs],
+                       lambda u: sccp_residual(body, u, n_levels=n_levels, rtol=rtol),
+                       lambda f: [f.residual_norm, f.residual_rms, *f.base, *f.dir])
+    summary = {"n_rows": len(rows), "n_failed": len(rows) - len(fits)}
     if len(fits) >= 3:
-        verdict = classify_lines(fits, tol=_number(cfg, "classify_tol", 1e-5))
-        summary["verdict"] = verdict.to_json()
+        v = classify_lines(fits, tol=_number(cfg, "classify_tol", 1e-5))
+        summary["verdict"] = {"tag": v.tag, "witness": v.witness.tolist(),
+                              "score": v.score, "tie": v.tie}
         summary["max_residual_norm"] = max(f.residual_norm for f in fits)
-    return header, rows, summary, n_failed == len(rows)
+    return header, rows, summary, not fits
 
 
 def cmd_cutvol(cfg):
     body = _body(cfg)
-    rtol = _number(cfg, "tol", 1e-8)
     op = cfg.get("op", "volume")
-    rows, n_failed = [], 0
-    summary = {}
+    if op == "gradient":
+        return _cutvol_gradient(body, cfg)
+    rtol = _number(cfg, "tol", DEFAULT_RTOL)
     if op in ("parallel", "homothety"):
         k = _number(cfg, "k")
-        anchors = _list(cfg, "anchors", vectors=True)
+        anchors = _list(cfg, "anchors", body.ambient_dim - 1)
         scan = parallel_cut_scan if op == "parallel" else homothety_cut_scan
         values = scan(body, k, anchors, rtol=rtol)
+        labels = [json.dumps(anchor) for anchor in anchors]
         header = ["anchor", "value", "err"]
-        for anchor, v in zip(anchors, values):
-            rows.append([json.dumps(anchor), v, rtol * v])
-        if values:
-            arr = np.array(values)
-            summary = {
-                "min": float(arr.min()), "max": float(arr.max()),
-                "mean": float(arr.mean()),
-                "rel_spread": float((arr.max() - arr.min()) / arr.mean()),
-            }
     elif op == "floating":
         n_normals = _number(cfg, "n_normals", 12, integer=True)
         if n_normals < 1:
             raise ConfigError(NO_ROWS)
-        res = floating_constancy(
+        values = floating_constancy(
             body, _require(cfg, "mode"), _number(cfg, "lam"), n_normals=n_normals,
             seed=_number(cfg, "seed", 0, integer=True), rtol=rtol,
-        )
+        )["values"]
+        labels = range(len(values))
         header = ["index", "value", "err"]
-        rows = [[i, v, rtol * v] for i, v in enumerate(res["values"])]
-        summary = {k: res[k] for k in ("min", "max", "mean", "rel_spread")}
-    elif op == "gradient":
-        shift = np.zeros(body.ambient_dim)
-        if bool(body.contains(np.zeros(body.ambient_dim))):
-            if "cuts" in cfg:
-                raise ConfigError(
-                    "body contains the origin; explicit cuts are ambiguous "
-                    "after auto-translation, move the body yourself")
-            # move the body up until the origin is strictly outside
-            shift[-1] = 3.0 * (body.scale
-                               + float(np.linalg.norm(body.translation)) + 1.0)
-            body = dataclasses.replace(body, translation=body.translation + shift)
-        if "cuts" in cfg:
-            cuts = [np.asarray(a, dtype=float) for a in _list(cfg, "cuts", vectors=True)]
-        else:
-            cuts = _random_cuts(body, _number(cfg, "n_cuts", 5, integer=True),
-                                _number(cfg, "seed", 0, integer=True))
-        header = ["a", "V", "identity_residual", "moment_residual",
-                  "section_diameter", "err", "error"]
-        residuals = []
-        for a in cuts:
-            try:
-                r = cut_gradient(body, a, rtol=rtol)
-                rows.append([json.dumps(list(a)), r.V, r.identity_residual,
-                             r.moment_residual, r.section_diameter,
-                             r.err_estimate, ""])
-                residuals.append(r.identity_residual / r.section_diameter)
-            except GeometryError as e:
-                n_failed += 1
-                rows.append([json.dumps(list(a)), "", "", "", "", "",
-                             type(e).__name__])
-        summary = {"n_failed": n_failed}
-        if float(np.linalg.norm(shift)) > 0.0:
-            summary["origin_shift"] = shift.tolist()
-        if residuals:
-            summary["max_scaled_identity_residual"] = max(residuals)
     elif op == "volume":
-        cuts = [np.asarray(a, dtype=float) for a in _list(cfg, "cuts", vectors=True)]
+        cuts = [np.asarray(a, dtype=float) for a in _list(cfg, "cuts", body.ambient_dim)]
+        values = [cut_volume(body, a, rtol=rtol) for a in cuts]
+        labels = [json.dumps(list(a)) for a in cuts]
         header = ["a", "V", "err"]
-        vals = []
-        for a in cuts:
-            v = cut_volume(body, a, rtol=rtol)
-            rows.append([json.dumps(list(a)), v, rtol * v])
-            vals.append(v)
-        finite = [v for v in vals if np.isfinite(v)]
-        summary = {"n_rows": len(rows),
-                   "n_infinite": sum(1 for v in vals if not np.isfinite(v))}
-        if finite:
-            summary.update(min=min(finite), max=max(finite),
-                           mean=float(np.mean(finite)))
     else:
         raise ConfigError(f"unknown cutvol op {op!r}")
-    return header, rows, summary, n_failed == len(rows)
+    rows = [[label, v, rtol * v] for label, v in zip(labels, values)]
+    if op != "volume":
+        return header, rows, _spread(values) if values else {}, False
+    finite = [v for v in values if np.isfinite(v)]
+    summary = {"n_rows": len(rows), "n_infinite": len(values) - len(finite)}
+    if finite:
+        summary.update(min=min(finite), max=max(finite), mean=float(np.mean(finite)))
+    return header, rows, summary, False
+
+
+def _cutvol_gradient(body, cfg):
+    """cutvol's ``gradient`` op: one cut_gradient audit per cut."""
+    rtol = _number(cfg, "tol", DEFAULT_RTOL)
+    shift = np.zeros(body.ambient_dim)
+    if bool(body.contains(np.zeros(body.ambient_dim))):
+        if "cuts" in cfg:
+            raise ConfigError(
+                "body contains the origin; explicit cuts are ambiguous "
+                "after auto-translation, move the body yourself")
+        # move the body up until the origin is strictly outside
+        shift[-1] = 3.0 * (body.scale
+                           + float(np.linalg.norm(body.translation)) + 1.0)
+        body = dataclasses.replace(body, translation=body.translation + shift)
+    if "cuts" in cfg:
+        cuts = [np.asarray(a, dtype=float) for a in _list(cfg, "cuts", body.ambient_dim)]
+    else:
+        cuts = _random_cuts(body, _number(cfg, "n_cuts", 5, integer=True),
+                            _number(cfg, "seed", 0, integer=True))
+    header = ["a", "V", "identity_residual", "moment_residual",
+              "section_diameter", "err", "error"]
+    rows, results = _rows(header, [([json.dumps(list(a))], a) for a in cuts],
+                          lambda a: cut_gradient(body, a, rtol=rtol),
+                          lambda r: [r.V, r.identity_residual, r.moment_residual,
+                                     r.section_diameter, r.err_estimate])
+    summary = {"n_failed": len(rows) - len(results)}
+    if float(np.linalg.norm(shift)) > 0.0:
+        summary["origin_shift"] = shift.tolist()
+    if results:
+        summary["max_scaled_identity_residual"] = max(
+            r.identity_residual / r.section_diameter for r in results)
+    return header, rows, summary, not results
 
 
 def _random_cuts(body, n, seed):
@@ -359,13 +362,7 @@ def _random_cuts(body, n, seed):
     rng = np.random.default_rng(seed)
     cone = body.recession_cone()
     cuts = []
-    tries = 0
-    while len(cuts) < n and tries < 1000 * n:
-        tries += 1
-        u = rng.normal(size=body.ambient_dim)
-        u /= np.linalg.norm(u)
-        if not section_bounded(body, u):
-            continue
+    for u in _bounded_normals(body, n, rng):
         if not cone.positive_on(u):
             if not cone.positive_on(-u):
                 continue
@@ -386,6 +383,8 @@ def _random_cuts(body, n, seed):
         if section_diameter(body, u, s) > 20.0 * body.scale:
             continue
         cuts.append(u / s)
+        if len(cuts) == n:
+            break
     if len(cuts) < n:
         raise ConfigError("could not sample enough admissible cuts")
     return cuts
@@ -394,28 +393,19 @@ def _random_cuts(body, n, seed):
 def cmd_asym(cfg):
     body = _body(cfg)
     radii = [float(r) for r in _list(cfg, "radii")]
-    n_az = _number(cfg, "n_azimuth", 720, integer=True)
+    n_az = _number(cfg, "n_azimuth", _N_AZIMUTH, integer=True)
     cone = body.recession_cone()
     header = ["R", "d_asym", "d_blowdown", "err", "error"]
-    rows, dvals, n_failed = [], [], 0
-    for R in radii:
-        try:
-            sd = shell_distance(body, cone, R, n_azimuth=n_az)
-            rows.append(sd.csv_row() + [""])
-            dvals.append(sd.d_asym)
-        except GeometryError as e:
-            n_failed += 1
-            rows.append([R, "", "", "", type(e).__name__])
-    summary = {"n_rows": len(rows), "n_failed": n_failed}
-    if len(dvals) >= 4:
-        summary["verdict"] = trend_verdict(dvals)
-    if dvals:
-        try:
-            summary["d_blowdown_final"] = blowdown_check(
-                body, radii[-1], n_azimuth=n_az)
-        except GeometryError:
-            pass
-    return header, rows, summary, n_failed == len(rows)
+    rows, shells = _rows(header, [([R], R) for R in radii],
+                         lambda R: shell_distance(body, cone, R, n_azimuth=n_az),
+                         lambda sd: [sd.d_asym, sd.d_blowdown, sd.err])
+    summary = {"n_rows": len(rows), "n_failed": len(rows) - len(shells)}
+    if len(shells) >= 4:
+        summary["verdict"] = trend_verdict([sd.d_asym for sd in shells])
+    if shells:
+        with contextlib.suppress(GeometryError):
+            summary["d_blowdown_final"] = blowdown_check(body, radii[-1], n_azimuth=n_az)
+    return header, rows, summary, not shells
 
 
 COMMANDS = {

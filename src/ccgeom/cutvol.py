@@ -213,6 +213,8 @@ def floating_constancy(body, mode, lam, n_normals=12, seed=0, rtol=DEFAULT_RTOL)
     mode "translate": copy is body + lam * e_last (lam > 0).
     mode "scale":     copy is lam * body (lam > 1).
     """
+    if n_normals < 1:
+        raise ValueError(f"n_normals must be at least 1, got {n_normals}")
     dim = body.ambient_dim
     e_last = np.zeros(dim)
     e_last[-1] = 1.0
@@ -247,12 +249,12 @@ def floating_constancy(body, mode, lam, n_normals=12, seed=0, rtol=DEFAULT_RTOL)
         values.append(v)
     if len(values) < n_normals:
         raise DegenerateCut("could not sample enough admissible normals")
-    values = np.array(values)
-    mean = float(values.mean())
-    return {
-        "min": float(values.min()),
-        "max": float(values.max()),
-        "mean": mean,
-        "rel_spread": float((values.max() - values.min()) / mean),
-        "values": values.tolist(),
-    }
+    return dict(_spread(values), values=values)
+
+
+def _spread(values):
+    """min, max, mean and rel_spread = (max - min) / mean of nonempty cut volumes."""
+    v = np.array(values)
+    mean = float(v.mean())
+    return {"min": float(v.min()), "max": float(v.max()), "mean": mean,
+            "rel_spread": float((v.max() - v.min()) / mean)}

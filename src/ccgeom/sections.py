@@ -41,24 +41,6 @@ class SectionStats:
     err_estimate: float
     n_evals: int  # points at which the defining function was evaluated
 
-    def csv_row(self):
-        return (
-            [float(c) for c in self.u]
-            + [self.t, self.measure]
-            + [float(c) for c in self.centroid]
-            + [self.err_estimate, self.n_evals]
-        )
-
-
-def csv_header(dim: int):
-    axes = ["x", "y", "z"][:dim]
-    return (
-        [f"u{a}" for a in axes]
-        + ["t", "measure"]
-        + [f"c{a}" for a in axes]
-        + ["err", "n_evals"]
-    )
-
 
 def _plane(u, t):
     """Validated (unit normal, level) of a hyperplane {<u,x> = t}."""

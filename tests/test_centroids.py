@@ -143,10 +143,3 @@ def test_cone_direction_check_rejects_bounded_body():
     d = unit_disk()
     with pytest.raises(ConeSectionUnbounded):
         cone_direction_check(d, np.array([0.0, 1.0]))
-
-
-def test_line_fit_json():
-    e = ellipsoid([1.0, 1.0])
-    fit = sccp_residual(e, _unit([1.0, 0.2]))
-    j = fit.to_json()
-    assert set(j) >= {"base", "dir", "residual_norm", "residual_rms", "n_points"}

@@ -1,5 +1,9 @@
+import csv
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -116,8 +120,11 @@ def test_all_rows_failed_exit_code(tmp_path, capsys):
     }
     f = tmp_path / "cfg.json"
     f.write_text(json.dumps(cfg))
-    code, _, _ = run(capsys, "section", "--config", str(f))
+    code, out, _ = run(capsys, "section", "--config", str(f), "--format", "csv")
     assert code == EXIT_ALL_FAILED
+    header, *rows = csv.reader(out.splitlines())
+    assert len(rows) == 2
+    assert all(len(row) == len(header) and row[-1] == "UnboundedSection" for row in rows)
 
 
 def test_cutvol_gradient_auto_translates_origin(tmp_path, capsys):
@@ -239,3 +246,53 @@ def test_cutvol_floating_op(tmp_path, capsys):
     summary = json.loads(out)["summary"]
     assert summary["min"] == pytest.approx(4.0 / 3.0, abs=1e-6)
     assert summary["max"] == pytest.approx(4.0 / 3.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("command, cfg, key, expected", [
+    ("section", {"body": DISK, "directions": [[1, 0, 0]], "levels": [0.0]},
+     "directions", "length 2"),
+    ("sccp", {"body": DISK, "directions": [[1, 0, 0]]}, "directions", "length 2"),
+    ("cutvol", {"body": DISK, "op": "volume", "cuts": [[0.0, 0.3, 1.0]]}, "cuts", "length 2"),
+    ("cutvol", {"body": dict(DISK, translation=[0.0, 3.0]), "op": "gradient",
+                "cuts": [[0.0, 0.3, 1.0]]}, "cuts", "length 2"),
+    ("cutvol", {"body": PARABOLA, "op": "parallel", "k": 1.0, "anchors": [[0.0, 1.0]]},
+     "anchors", "length 1"),
+    ("section", {"body": DISK, "directions": [[0, 0]], "levels": [0.0]},
+     "directions", "nonzero"),
+])
+def test_wrong_vector_is_config_error_naming_the_key(tmp_path, capsys, command, cfg, key,
+                                                      expected):
+    code, out, err = run_config(tmp_path, capsys, command, cfg)
+    assert code == EXIT_BAD_CONFIG
+    assert err.startswith("error: ") and repr(key) in err and expected in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("command, name", [(c, n) for c in PRESETS for n in PRESETS[c]])
+def test_every_preset_runs(tmp_path, capsys, command, name):
+    code, _, _ = run(capsys, command, "--preset", name, "--out", str(tmp_path))
+    assert code == EXIT_OK
+    with open(tmp_path / "rows.csv", newline="") as f:
+        header, *rows = csv.reader(f)
+    assert rows and all(len(row) == len(header) for row in rows)
+    if header[-1] == "error":
+        assert all(row[-1] == "" for row in rows)
+    if command == "section":
+        assert header == "ux,uy,t,measure,cx,cy,err,n_evals,error".split(",")
+    if command == "sccp":
+        summary = json.loads((tmp_path / "report.json").read_text())["summary"]
+        assert list(summary["verdict"]) == ["tag", "witness", "score", "tie"]
+
+
+def test_run_presets_writes_each_preset_to_its_own_directory(tmp_path):
+    root = Path(__file__).resolve().parent.parent
+    done = subprocess.run(
+        [sys.executable, str(root / "scripts" / "run_presets.py"), "asym",
+         "--out", str(tmp_path), "--format", "csv"],
+        capture_output=True, text=True, cwd=str(root))
+    assert done.returncode == EXIT_OK, done.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(PRESETS["asym"])
+    for name, preset in PRESETS["asym"].items():
+        assert (tmp_path / name / "rows.csv").read_text().startswith("R,d_asym,")
+        report = json.loads((tmp_path / name / "report.json").read_text())
+        assert report["config"] == preset

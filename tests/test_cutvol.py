@@ -175,6 +175,11 @@ def test_floating_constancy_scale_hyperbola():
     assert res["mean"] == pytest.approx(hyperbola_homothety_value(2.0), rel=1e-5)
 
 
+def test_floating_constancy_rejects_no_normals():
+    with pytest.raises(ValueError, match="n_normals"):
+        floating_constancy(function_epigraph("square"), "translate", 1.0, n_normals=0)
+
+
 def test_cut_volume_rejects_non_finite_parameter():
     for a in ([math.nan, 0.5], [math.inf, 0.5]):
         with pytest.raises(ValueError):

@@ -174,14 +174,6 @@ def test_section_diameter_of_disk_chord():
         2.0, rel=1e-6)
 
 
-def test_csv_row_shape():
-    d = unit_disk()
-    st = section_stats(d, [0.0, 1.0], 0.0)
-    row = st.csv_row()
-    assert len(row) == 2 + 1 + 2 + 3  # u, t, centroid, measure/err/nodes
-    assert all(isinstance(v, (int, float)) for v in row)
-
-
 def test_circular_cone_3d_section_is_a_disk_on_the_axis():
     slope, apex = 2.0, np.array([0.3, -0.2, 0.5])
     cone = circular_cone(slope, dim=3, shift=apex)
