@@ -4,7 +4,7 @@ Every body is described by a global convex defining function F with
 membership F(x) <= 0. Every boundary query (ray hits, chords, the gauge)
 is a root of F along rays, solved by one batched bracketing root-finder,
 ``ray_hits_batch``, so downstream quadrature error is attributable to the
-integration scheme, not the oracles.
+integration scheme, not the oracles. Only bodies go through it.
 
 Each body kind lives in one class of the table ``_BODY_KINDS``: parameter
 check, F, grad F, interior point, support limit, inverse Gauss map and
@@ -17,7 +17,9 @@ normals; elsewhere h is its limit, 0 or +inf.
 Each recession cone kind ({0}, ray, quadrant, elliptic) is one class of the
 table ``_CONE_KINDS``, and every cone predicate is one comparison of its
 margin m(a): m(a) > 0 exactly when <a, v> > 0 on the cone minus 0, and
-m(a) >= 0 exactly when <a, v> >= 0 on the cone. No other module tests a
+m(a) >= 0 exactly when <a, v> >= 0 on the cone. A cone answers cone
+questions only; a full-dimensional one, {x^T Q x <= 0}, also gives the
+direction Q^-1 u of its sections' centroid line. No other module tests a
 body or cone kind.
 
 Membership and defining-value evaluation are vectorized over trailing
@@ -74,7 +76,7 @@ def _check_unit(u):
 
 class _Cone:
     """Shared shape of a cone kind: rank ``dim``, F, the margin m, a unit
-    ``direction`` inside the cone and its unit boundary ``rays``."""
+    ``direction`` inside, unit boundary ``rays`` and (full rank) ``conjugate``."""
 
     def __init__(self, ambient_dim, params):
         self.n, self.p = ambient_dim, np.array(params, dtype=float)
@@ -134,6 +136,9 @@ class _Quadrant(_Cone):
     def margin(self, a):
         return float(min(-a[0], a[1]))
 
+    def conjugate(self, u):  # the form is xy
+        return np.array([u[1], u[0]])
+
     def rays(self, n_azimuth):
         return np.array([[-1.0, 0.0], [0.0, 1.0]])
 
@@ -152,6 +157,9 @@ class _EllipticCone(_Cone):
 
     def margin(self, a):
         return float(a[-1] - np.linalg.norm(self.p * a[:-1]))
+
+    def conjugate(self, u):  # the form is sum (x_i/alpha_i)^2 - x_d^2
+        return np.append(self.p ** 2 * u[:-1], -u[-1])
 
     def rays(self, n_azimuth):
         if self.n == 2:
@@ -196,10 +204,6 @@ class ConeDescriptor:
     def dim(self) -> int:
         return self._impl.dim
 
-    @property
-    def scale(self) -> float:
-        return 1.0
-
     def defining(self, x):
         """Convex defining function; membership is defining(x) <= 0."""
         return self._impl.F(_as_point(x, self.ambient_dim))
@@ -211,10 +215,6 @@ class ConeDescriptor:
         """0 exactly when <u, v> <= 0 on the whole cone, +inf otherwise."""
         return 0.0 if self._impl.margin(-_check_unit(u)) >= -_MARGIN_TOL else INF
 
-    def support_attained(self, u) -> bool:
-        """Never: at the apex h = 0 is attained by a whole set of normals."""
-        return False
-
     def positive_on(self, a) -> bool:
         """True iff <a, v> > 0 for every nonzero v in the cone."""
         return self._impl.margin(np.asarray(a, dtype=float)) > 0.0
@@ -223,12 +223,6 @@ class ConeDescriptor:
         """True iff the cone meets u-perp in more than the origin."""
         u = np.asarray(u, dtype=float)
         return max(self._impl.margin(u), self._impl.margin(-u)) <= _MARGIN_TOL
-
-    def interior_point(self):
-        """A point in the interior (full-dimensional cones only)."""
-        if self.dim < self.ambient_dim:
-            raise GeometryError(f"cone of kind {self.kind!r} has empty interior")
-        return self.interior_direction()
 
     def interior_direction(self):
         """A unit direction strictly inside the cone (dim >= 1)."""
@@ -240,11 +234,12 @@ class ConeDescriptor:
         """Unit vectors along the boundary rays (n_azimuth of them in 3D)."""
         return self._impl.rays(n_azimuth)
 
-    def recession_cone(self) -> "ConeDescriptor":
-        return self
-
-    def boundary_hit(self, origin, direction) -> float:
-        return _ray_hit(self, origin, direction)
+    def conjugate_direction(self, u):
+        """Q^-1 u for a full-dimensional cone {x^T Q x <= 0}: the direction of
+        the diameter conjugate to u, which holds the centroids of its sections."""
+        if self.dim < self.ambient_dim:
+            raise GeometryError(f"cone of kind {self.kind!r} has empty interior")
+        return self._impl.conjugate(_check_unit(u))
 
 
 # -- the body kinds, each in the body's own frame ------------------------------
@@ -582,12 +577,13 @@ class BodySpec:
         # F is convex with the body as its 0-sublevel set, so grad F points outward.
         return n
 
-    # -- gauge and ray casting -------------------------------------------
+    # -- gauge -------------------------------------------------------------
 
     def gauge(self, x) -> float:
         """Minkowski functional inf{lam > 0 : x in lam*K}; requires 0 in int K.
 
-        Computed as |x| over the boundary hit from 0 along x/|x|.
+        Computed as |x| over the boundary hit from 0 along x/|x|, and 0 along
+        recession directions, where the ray never leaves the body.
         """
         x = _as_point(x, self.ambient_dim)
         if not np.all(np.isfinite(x)):
@@ -597,21 +593,10 @@ class BodySpec:
         if not bool(np.all(self.contains(probes))):
             raise OriginNotInterior("0 is not interior to the body")
         nx = float(np.linalg.norm(x))
-        if nx == 0.0:
+        if nx == 0.0 or self._cone.contains(x / nx):
             return 0.0
-        return nx / _ray_hit(self, np.zeros(self.ambient_dim), x / nx)
-
-    def boundary_hit(self, origin, direction) -> float:
-        """Distance along a unit ray from a strictly interior origin to the boundary."""
-        origin = _as_point(origin, self.ambient_dim)
-        direction = _check_unit(direction)
-        m = 1e-6 * self.scale
-        probes = origin + np.vstack(
-            [np.eye(self.ambient_dim) * m, -np.eye(self.ambient_dim) * m]
-        )
-        if not (bool(self.contains(origin)) and bool(np.all(self.contains(probes)))):
-            raise NotInterior("ray origin fails the interiority margin test")
-        return _ray_hit(self, origin, direction)
+        hits, _ = ray_hits_batch(self, np.zeros(self.ambient_dim), x[None, :] / nx)
+        return nx / float(hits[0])
 
     def recession_cone(self) -> ConeDescriptor:
         return self._cone
@@ -640,20 +625,12 @@ class BodySpec:
         )
 
 
-def _ray_hit(setlike, origin, direction) -> float:
-    """Distance along one unit ray to the boundary; +inf along recession directions."""
-    origin = np.asarray(origin, dtype=float)
-    direction = np.asarray(direction, dtype=float)
-    if setlike.recession_cone().contains(direction):
-        return INF
-    return float(ray_hits_batch(setlike, origin, direction[None, :])[0])
-
-
-def ray_hits_batch(setlike, origin, directions, guess=None, return_evals=False):
-    """Distances s > 0 with F(origin + s*w) = 0, one per unit direction w.
+def ray_hits_batch(body, origin, directions, guess=None):
+    """Distances s > 0 with F(origin + s*w) = 0, one per unit direction w, and
+    the oracle points evaluated: ``(hits, n_evals)``.
 
     This is the one boundary root-finder of the package. F is the convex
-    defining function of ``setlike``, and the origin must satisfy F < 0.
+    defining function of ``body``, and the origin must satisfy F < 0.
 
     A ray is bracketed from ``guess`` (two probes just below and above it)
     or, without one, from a probe at the body scale, stepping outward (at
@@ -670,7 +647,6 @@ def ray_hits_batch(setlike, origin, directions, guess=None, return_evals=False):
     depend on the other rays of the batch.
 
     All directions must be non-recessive (guaranteed for bounded sections).
-    With ``return_evals`` the result is ``(hits, oracle points evaluated)``.
     """
     origin = np.asarray(origin, dtype=float)
     W = np.asarray(directions, dtype=float)
@@ -678,7 +654,7 @@ def ray_hits_batch(setlike, origin, directions, guess=None, return_evals=False):
     if not (np.all(np.isfinite(origin)) and np.all(np.isfinite(W))):
         raise ValueError("ray origin and directions must be finite")
     if guess is None:
-        probes = np.full((1, m), float(setlike.scale))
+        probes = np.full((1, m), float(body.scale))
     else:
         g = np.array(guess, dtype=float).reshape(m)
         if not np.all((g > 0.0) & np.isfinite(g)):
@@ -688,9 +664,9 @@ def ray_hits_batch(setlike, origin, directions, guess=None, return_evals=False):
     n_evals = 0
     if m:
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-            state, f0, n_evals = _bracket(setlike.defining, origin, W, probes)
-            n_evals += _solve(setlike.defining, origin, W, state, f0, _HIT_RTOL, hits)
-    return (hits, n_evals) if return_evals else hits
+            state, f0, n_evals = _bracket(body.defining, origin, W, probes)
+            n_evals += _solve(body.defining, origin, W, state, f0, _HIT_RTOL, hits)
+    return hits, n_evals
 
 
 # Solver state: an array of shape (2, 6, rays) holding (position, F) in the

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies import INF, _check_unit
+from .bodies import _check_unit
 from .errors import ConeSectionUnbounded, DegeneratePointSet, UnboundedSection
 from .sections import DEFAULT_RTOL, admissible_levels, section_bounded, section_stats
 
@@ -153,19 +153,16 @@ def classify_lines(lines, tol=1e-5) -> LineFamilyVerdict:
 def cone_direction_check(body, u, rtol=DEFAULT_RTOL) -> float:
     """Angle between the body's centroid line and its recession cone's.
 
-    The cone's apex is 0 and its section centroids scale linearly with the
-    level, so the centroid at level 1 gives the cone line's direction.
+    The cone's centroid line is the diameter conjugate to u, the line
+    through its apex along ``cone.conjugate_direction(u)``.
     """
     u = np.array(_check_unit(u))
     cone = body.recession_cone()
-    if cone.dim < 1:
-        raise ConeSectionUnbounded("recession cone is trivial")
     if cone.dim < body.ambient_dim:
         raise ConeSectionUnbounded("cone sections have measure zero")
     if cone.meets_hyperplane(u):
         raise ConeSectionUnbounded("cone sections normal to u are unbounded")
     fit = sccp_residual(body, u, rtol=rtol)
-    u_cone = u if cone.positive_on(u) else -u
-    c1 = section_stats(cone, u_cone, 1.0, rtol=rtol).centroid
-    cosang = abs(float(fit.dir @ c1)) / float(np.linalg.norm(c1))
+    c = cone.conjugate_direction(u)
+    cosang = abs(float(fit.dir @ c)) / float(np.linalg.norm(c))
     return float(np.arccos(np.clip(cosang, -1.0, 1.0)))

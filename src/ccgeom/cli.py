@@ -74,15 +74,25 @@ def _require(cfg, key):
 
 
 def _is_number(x):
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+    """A finite int or float; json reads NaN and Infinity, and bools are ints."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
 
 
 def _number(cfg, key, default=None, integer=False):
     """A number-valued key (integral with ``integer``); required without a default."""
     x = _require(cfg, key) if default is None else cfg.get(key, default)
     if not _is_number(x) or (integer and isinstance(x, float) and not x.is_integer()):
-        raise ConfigError(f"config key {key!r} must be {'an integer' if integer else 'a number'}")
+        raise ConfigError(
+            f"config key {key!r} must be {'an integer' if integer else 'a finite number'}")
     return int(x) if integer else float(x)
+
+
+def _rtol(cfg):
+    """The config's ``tol``, a relative tolerance in (0, 1)."""
+    tol = _number(cfg, "tol", DEFAULT_RTOL)
+    if not 0.0 < tol < 1.0:
+        raise ConfigError("config key 'tol' must lie in (0, 1)")
+    return tol
 
 
 def _list(cfg, key, length=None):
@@ -92,16 +102,16 @@ def _list(cfg, key, length=None):
     if not all(isinstance(v, list) and all(map(_is_number, v))
                and (length is None or len(v) == length) for v in vecs):
         what = "numbers" if length is None else f"number lists of length {length}"
-        raise ConfigError(f"config key {key!r} must be a list of {what}")
+        raise ConfigError(f"config key {key!r} must be a list of finite {what}")
     return xs
 
 
-def _directions(cfg, dim):
-    """The config's ``directions``, each scaled to a unit vector."""
-    dirs = [np.asarray(u, dtype=float) for u in _list(cfg, "directions", dim)]
-    if not all(0.0 < np.linalg.norm(u) < np.inf for u in dirs):
-        raise ConfigError("config key 'directions' must hold finite nonzero vectors")
-    return [u / np.linalg.norm(u) for u in dirs]
+def _vectors(cfg, key, dim):
+    """The config's list ``key`` of finite nonzero vectors in R^dim, as arrays."""
+    vecs = [np.asarray(v, dtype=float) for v in _list(cfg, key, dim)]
+    if not all(0.0 < np.linalg.norm(v) < np.inf for v in vecs):
+        raise ConfigError(f"config key {key!r} must hold finite nonzero vectors")
+    return vecs
 
 
 def _body(cfg) -> BodySpec:
@@ -247,9 +257,9 @@ PRESETS = {
 
 def cmd_section(cfg):
     body = _body(cfg)
-    dirs = _directions(cfg, body.ambient_dim)
+    dirs = [u / np.linalg.norm(u) for u in _vectors(cfg, "directions", body.ambient_dim)]
     levels = [float(t) for t in _list(cfg, "levels")]
-    rtol = _number(cfg, "tol", DEFAULT_RTOL)
+    rtol = _rtol(cfg)
     axes = _AXES[: body.ambient_dim]
     header = ([f"u{a}" for a in axes] + ["t", "measure"] + [f"c{a}" for a in axes]
               + ["err", "n_evals", "error"])
@@ -262,10 +272,13 @@ def cmd_section(cfg):
 
 def cmd_sccp(cfg):
     body = _body(cfg)
-    rtol = _number(cfg, "tol", DEFAULT_RTOL)
+    rtol = _rtol(cfg)
+    classify_tol = _number(cfg, "classify_tol", 1e-5)
+    if not classify_tol > 0.0:
+        raise ConfigError("config key 'classify_tol' must be > 0")
     seed = _number(cfg, "seed", 0, integer=True)
     if "directions" in cfg:
-        dirs = _directions(cfg, body.ambient_dim)
+        dirs = [u / np.linalg.norm(u) for u in _vectors(cfg, "directions", body.ambient_dim)]
     else:
         dirs = _sample_directions(body, _number(cfg, "n_directions", integer=True), seed)
     n_levels = None if cfg.get("n_levels") is None else _number(cfg, "n_levels", integer=True)
@@ -277,7 +290,7 @@ def cmd_sccp(cfg):
                        lambda f: [f.residual_norm, f.residual_rms, *f.base, *f.dir])
     summary = {"n_rows": len(rows), "n_failed": len(rows) - len(fits)}
     if len(fits) >= 3:
-        v = classify_lines(fits, tol=_number(cfg, "classify_tol", 1e-5))
+        v = classify_lines(fits, tol=classify_tol)
         summary["verdict"] = {"tag": v.tag, "witness": v.witness.tolist(),
                               "score": v.score, "tie": v.tie}
         summary["max_residual_norm"] = max(f.residual_norm for f in fits)
@@ -289,7 +302,7 @@ def cmd_cutvol(cfg):
     op = cfg.get("op", "volume")
     if op == "gradient":
         return _cutvol_gradient(body, cfg)
-    rtol = _number(cfg, "tol", DEFAULT_RTOL)
+    rtol = _rtol(cfg)
     if op in ("parallel", "homothety"):
         k = _number(cfg, "k")
         anchors = _list(cfg, "anchors", body.ambient_dim - 1)
@@ -308,7 +321,7 @@ def cmd_cutvol(cfg):
         labels = range(len(values))
         header = ["index", "value", "err"]
     elif op == "volume":
-        cuts = [np.asarray(a, dtype=float) for a in _list(cfg, "cuts", body.ambient_dim)]
+        cuts = _vectors(cfg, "cuts", body.ambient_dim)
         values = [cut_volume(body, a, rtol=rtol) for a in cuts]
         labels = [json.dumps(list(a)) for a in cuts]
         header = ["a", "V", "err"]
@@ -326,7 +339,7 @@ def cmd_cutvol(cfg):
 
 def _cutvol_gradient(body, cfg):
     """cutvol's ``gradient`` op: one cut_gradient audit per cut."""
-    rtol = _number(cfg, "tol", DEFAULT_RTOL)
+    rtol = _rtol(cfg)
     shift = np.zeros(body.ambient_dim)
     if bool(body.contains(np.zeros(body.ambient_dim))):
         if "cuts" in cfg:
@@ -338,7 +351,7 @@ def _cutvol_gradient(body, cfg):
                            + float(np.linalg.norm(body.translation)) + 1.0)
         body = dataclasses.replace(body, translation=body.translation + shift)
     if "cuts" in cfg:
-        cuts = [np.asarray(a, dtype=float) for a in _list(cfg, "cuts", body.ambient_dim)]
+        cuts = _vectors(cfg, "cuts", body.ambient_dim)
     else:
         cuts = _random_cuts(body, _number(cfg, "n_cuts", 5, integer=True),
                             _number(cfg, "seed", 0, integer=True))

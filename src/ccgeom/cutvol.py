@@ -17,7 +17,6 @@ from .bodies import INF
 from .errors import (
     DegenerateCut,
     DegenerateSection,
-    LevelOutOfRange,
     NotApexCentered,
     NotGraphLike,
     OriginInsideBody,

@@ -112,7 +112,7 @@ def _polar_radii(body, anchor, e1, e2, n_nodes, guess, nodes=None):
     k = np.arange(n_nodes) if nodes is None else nodes
     theta = 2.0 * math.pi * k / n_nodes
     dirs = np.outer(np.cos(theta), e1) + np.outer(np.sin(theta), e2)
-    return ray_hits_batch(body, anchor, dirs, guess=guess, return_evals=True)
+    return ray_hits_batch(body, anchor, dirs, guess=guess)
 
 
 def _ellipse_radii(half, n_nodes):
@@ -160,7 +160,7 @@ def _centred_section(body, u, t):
     n_evals, half = 0, []
     for w in basis:
         try:
-            r, k = ray_hits_batch(body, anchor, np.stack([w, -w]), return_evals=True)
+            r, k = ray_hits_batch(body, anchor, np.stack([w, -w]))
         except NotInterior as e:
             raise DegenerateSection("section anchor is not inside the body") from e
         anchor = anchor + 0.5 * (r[0] - r[1]) * w

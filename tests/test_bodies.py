@@ -16,6 +16,7 @@ from ccgeom import (
     unit_disk,
     unit_sphere,
 )
+from ccgeom.bodies import ray_hits_batch
 from ccgeom.cli import PRESETS
 from ccgeom.errors import InadmissibleNormal, NotOnBoundary, OriginNotInterior
 
@@ -159,7 +160,8 @@ def test_gauge_zero_on_recession_direction():
 
 def test_boundary_hit_and_outer_normal():
     s = unit_sphere(center=[1.0, 0.0, 0.0])
-    dist = s.boundary_hit(np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0]))
+    hits, _ = ray_hits_batch(s, np.array([1.0, 0.0, 0.0]), np.array([[0.0, 0.0, 1.0]]))
+    dist = float(hits[0])
     assert dist == pytest.approx(1.0, abs=1e-9)
     x = np.array([1.0, 0.0, dist])
     n = s.outer_normal(x)
@@ -295,7 +297,7 @@ def test_unit_direction_check_rejects_nan():
     with pytest.raises(ValueError):
         unit_sphere().support_attained([math.nan, 0.0, 1.0])
     with pytest.raises(ValueError):
-        unit_disk().boundary_hit([0.0, 0.0], [math.nan, 1.0])
+        unit_disk().inverse_gauss([math.nan, 1.0])
 
 
 def test_gauge_is_norm_over_boundary_hit():

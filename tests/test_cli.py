@@ -259,12 +259,47 @@ def test_cutvol_floating_op(tmp_path, capsys):
      "anchors", "length 1"),
     ("section", {"body": DISK, "directions": [[0, 0]], "levels": [0.0]},
      "directions", "nonzero"),
+    ("cutvol", {"body": DISK, "op": "volume", "cuts": [[0, 0]]}, "cuts", "nonzero"),
+    ("cutvol", {"body": dict(DISK, translation=[0.0, 3.0]), "op": "gradient",
+                "cuts": [[0.0, 0.0]]}, "cuts", "nonzero"),
 ])
 def test_wrong_vector_is_config_error_naming_the_key(tmp_path, capsys, command, cfg, key,
                                                       expected):
     code, out, err = run_config(tmp_path, capsys, command, cfg)
     assert code == EXIT_BAD_CONFIG
     assert err.startswith("error: ") and repr(key) in err and expected in err
+    assert out == ""
+
+
+ELLIPSOID = PRESETS["sccp"]["ellipsoid"]["body"]
+PARALLEL = PRESETS["cutvol"]["parabola-parallel"]
+
+
+@pytest.mark.parametrize("command, cfg, key", [
+    ("sccp", {"body": ELLIPSOID, "n_directions": 4, "classify_tol": math.nan}, "classify_tol"),
+    ("sccp", {"body": ELLIPSOID, "n_directions": 4, "classify_tol": -1.0}, "classify_tol"),
+    ("sccp", {"body": DISK, "n_directions": 4, "classify_tol": 0}, "classify_tol"),
+    ("cutvol", dict(PARALLEL, tol=math.nan), "tol"),
+    ("cutvol", dict(PARALLEL, tol=-1.0), "tol"),
+    ("cutvol", dict(PARALLEL, tol=0.0), "tol"),
+    ("section", {"body": DISK, "directions": [[0.0, 1.0]], "levels": [0.2], "tol": -1},
+     "tol"),
+    ("section", {"body": DISK, "directions": [[0.0, 1.0]], "levels": [0.2], "tol": 1.0},
+     "tol"),
+    ("section", {"body": DISK, "directions": [[0.0, 1.0]], "levels": [0.2], "tol": math.inf},
+     "tol"),
+    ("cutvol", dict(PARALLEL, k=math.nan), "k"),
+    ("section", {"body": DISK, "directions": [[0.0, 1.0]], "levels": [math.nan]}, "levels"),
+    ("section", {"body": DISK, "directions": [[0.0, 1.0]], "levels": [-math.inf]}, "levels"),
+    ("section", {"body": DISK, "directions": [[0.0, math.inf]], "levels": [0.0]},
+     "directions"),
+])
+def test_non_finite_or_out_of_range_number_is_config_error(tmp_path, capsys, command, cfg,
+                                                           key):
+    # json reads NaN and Infinity, which json.dumps writes for these floats
+    code, out, err = run_config(tmp_path, capsys, command, cfg)
+    assert code == EXIT_BAD_CONFIG
+    assert err.startswith("error: ") and repr(key) in err
     assert out == ""
 
 

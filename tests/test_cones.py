@@ -4,7 +4,9 @@ The oracle reads each predicate off min and max of <u, g> over densely
 sampled unit boundary rays g of the cone, parametrised here and not taken
 from the library: the cone is the conic hull of those rays, so <u, v> > 0 on
 the cone minus 0 iff the min is > 0, <u, v> <= 0 on the cone iff the max is
-<= 0, and u-perp meets the cone in more than 0 iff min <= 0 <= max.
+<= 0, and u-perp meets the cone in more than 0 iff min <= 0 <= max. The
+conjugate direction is checked against the centroid of the section through
+the same rays.
 """
 import math
 
@@ -12,6 +14,7 @@ import numpy as np
 import pytest
 
 from ccgeom import ConeDescriptor
+from ccgeom.errors import GeometryError
 
 INF = math.inf
 
@@ -66,6 +69,40 @@ def test_predicates_match_the_boundary_ray_oracle(cone, rays, sampling):
         assert cone.support(u) == (0.0 if b <= 0.0 else INF)
         assert cone.meets_hyperplane(u) == (a <= 0.0 <= b)
     assert checked >= 1900
+
+
+def _section_centroid(v):
+    """Centroid of the section through the points v on consecutive boundary
+    rays: the chord's midpoint for two points, else the area centroid of the
+    planar polygon v, summed over the triangles of a fan from its mean."""
+    c = v.mean(axis=0)
+    if len(v) == 2:
+        return c
+    nxt = np.roll(v, -1, axis=0)
+    area = np.linalg.norm(np.cross(v - c, nxt - c), axis=-1)
+    return ((v + nxt + c) / 3.0 * area[:, None]).sum(axis=0) / area.sum()
+
+
+@pytest.mark.parametrize("cone, rays, sampling", CONES,
+                         ids=[f"{c.kind}-{c.ambient_dim}d" for c, _, _ in CONES])
+def test_conjugate_direction_points_at_the_section_centroids(cone, rays, sampling):
+    if cone.dim < cone.ambient_dim:
+        with pytest.raises(GeometryError):
+            cone.conjugate_direction(_unit(np.ones(cone.ambient_dim)))
+        return
+    rng = np.random.default_rng(12)
+    U = _unit(rng.normal(size=(100, cone.ambient_dim)))
+    dots = U @ rays.T
+    # keep the normals whose sections are bounded with margin 0.05: <u, g> has
+    # one sign on every ray g. The section {<u, x> = sign} meets g at g/|<u, g>|,
+    # and g/<u, g> is that point times the sign, which leaves the line unchanged
+    bounded = (dots.min(axis=1) >= 0.05) | (dots.max(axis=1) <= -0.05)
+    assert np.count_nonzero(bounded) >= 10
+    for u, d in zip(U[bounded], dots[bounded]):
+        c = _unit(_section_centroid(rays / d[:, None]))
+        w = _unit(cone.conjugate_direction(u))
+        # the sine of the angle between the two lines
+        assert np.linalg.norm(w - (w @ c) * c) <= sampling + 1e-12
 
 
 def test_meets_hyperplane_counts_margins_within_1e_14_as_zero():

@@ -11,7 +11,7 @@ from ccgeom import (
     hyperboloid_sheet,
     paraboloid_epigraph,
 )
-from ccgeom.bodies import _ray_hit, ray_hits_batch
+from ccgeom.bodies import ray_hits_batch
 
 mpmath.mp.dps = 40
 
@@ -70,7 +70,7 @@ def test_ellipsoid_hits_match_closed_form():
     body = ellipsoid(axes, center=center)
     o = center + np.array([0.4, 0.1, -0.5])
     w = _directions(200, 1)
-    _assert_rel(ray_hits_batch(body, o, w), [_ellipsoid_hit(axes, center, o, d) for d in w])
+    _assert_rel(ray_hits_batch(body, o, w)[0], [_ellipsoid_hit(axes, center, o, d) for d in w])
 
 
 def test_paraboloid_hits_match_closed_form():
@@ -79,7 +79,7 @@ def test_paraboloid_hits_match_closed_form():
     o = np.array([0.3, -0.2, 2.0])
     w = _directions(200, 2)
     w = w[~np.asarray(body.recession_cone().contains(w))]
-    _assert_rel(ray_hits_batch(body, o, w), [_paraboloid_hit(q, o, d) for d in w])
+    _assert_rel(ray_hits_batch(body, o, w)[0], [_paraboloid_hit(q, o, d) for d in w])
 
 
 def test_hyperboloid_sheet_hits_match_closed_form():
@@ -89,7 +89,7 @@ def test_hyperboloid_sheet_hits_match_closed_form():
     w = _directions(300, 3)
     # directions inside the recession cone never leave the body
     w = w[w[:, 2] < 0.9 * np.linalg.norm(w[:, :2] / axes, axis=1)]
-    _assert_rel(ray_hits_batch(body, o, w), [_hyperboloid_hit(axes, o, d) for d in w])
+    _assert_rel(ray_hits_batch(body, o, w)[0], [_hyperboloid_hit(axes, o, d) for d in w])
 
 
 def test_root_does_not_depend_on_the_batch():
@@ -98,18 +98,18 @@ def test_root_does_not_depend_on_the_batch():
     w = _directions(400, 4)
     w = w[w[:, 2] < 0.5]
     guess = np.linspace(0.5, 40.0, len(w))
-    batch = ray_hits_batch(body, o, w)
-    batch_guess = ray_hits_batch(body, o, w, guess=guess)
+    batch = ray_hits_batch(body, o, w)[0]
+    batch_guess = ray_hits_batch(body, o, w, guess=guess)[0]
     for i in range(0, len(w), 17):
-        assert ray_hits_batch(body, o, w[i:i + 1])[0] == batch[i]
-        assert ray_hits_batch(body, o, w[i:i + 1], guess=guess[i:i + 1])[0] == batch_guess[i]
+        assert ray_hits_batch(body, o, w[i:i + 1])[0][0] == batch[i]
+        assert ray_hits_batch(body, o, w[i:i + 1], guess=guess[i:i + 1])[0][0] == batch_guess[i]
 
 
 def test_flat_quartic_chord():
     # F = x^4 - y is nearly flat along the chord: a plain regula falsi stalls here
     body = function_epigraph("quartic")
     y0 = 1.1634e-5
-    hits = ray_hits_batch(body, np.array([0.0, y0]), np.array([[1.0, 0.0], [-1.0, 0.0]]))
+    hits, _ = ray_hits_batch(body, np.array([0.0, y0]), np.array([[1.0, 0.0], [-1.0, 0.0]]))
     _assert_rel(hits, [y0 ** 0.25] * 2)
 
 
@@ -117,24 +117,21 @@ def test_exp_epigraph_rays_through_overflow():
     body = function_epigraph("exp")
     # bracketing from the body scale doubles past x = 709, where exp overflows
     y0 = 1e300
-    hit = ray_hits_batch(body, np.array([0.0, y0]), np.array([[1.0, 0.0]]))
+    hit, _ = ray_hits_batch(body, np.array([0.0, y0]), np.array([[1.0, 0.0]]))
     _assert_rel(hit, [math.log(y0)])
     # a guess far out starts the bracket at F = inf
     w = np.array([[1.0, 0.0], [0.6, -0.8]])
-    hits = ray_hits_batch(body, np.array([0.0, 2.0]), w, guess=[1e4, 2e3])
+    hits, _ = ray_hits_batch(body, np.array([0.0, 2.0]), w, guess=[1e4, 2e3])
     s = mpmath.findroot(lambda s: mpmath.exp(0.6 * s) - 2 + 0.8 * s, 0.5)
     _assert_rel(hits, [math.log(2.0), s])
 
 
-def test_recession_directions_give_inf():
-    pb = paraboloid_epigraph([1.0, 1.0])
-    assert pb.boundary_hit(np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, 1.0])) == math.inf
-    assert _ray_hit(pb, np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, 1.0])) == math.inf
-    cone = hyperboloid_sheet([1.0, 2.0]).recession_cone()
-    o = np.array([0.0, 0.0, 2.0])
-    assert cone.boundary_hit(o, np.array([0.0, 0.0, 1.0])) == math.inf
-    # across the cone: |x| / 1 = 2 at the boundary
-    assert cone.boundary_hit(o, np.array([1.0, 0.0, 0.0])) == pytest.approx(2.0, rel=1e-12)
+def test_gauge_is_zero_along_recession_directions():
+    # shifted down by 1 so that 0 is interior; the vertical ray never leaves it
+    pb = paraboloid_epigraph([1.0, 1.0], shift=[0.0, 0.0, -1.0])
+    assert pb.gauge([0.0, 0.0, 5.0]) == 0.0
+    # across the axis the boundary is at x^2 = 1
+    assert pb.gauge([3.0, 0.0, 0.0]) == pytest.approx(3.0, rel=1e-12)
 
 
 def test_rejects_non_finite_rays():

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from ccgeom import (
-    ConeDescriptor,
     admissible_levels,
     circular_cone,
     ellipsoid,
@@ -120,24 +119,6 @@ def test_chord_against_brute_force():
             chord_length_brute(body, u, t, span=12.0), rel=1e-6)
         mid = chord_midpoint_brute(body, u, t, span=12.0)
         assert np.allclose(st.centroid, mid, atol=1e-6)
-
-
-def test_2d_cone_sections_against_closed_form():
-    # quadrant {x <= 0, y >= 0}: the level t along its axis cuts a chord of
-    # length 2t centred on the axis
-    quadrant = ConeDescriptor("quadrant", 2)
-    axis = np.array([-1.0, 1.0]) / math.sqrt(2.0)
-    for u, t in ((axis, 1.0), (axis, 3.0), (-axis, -1.0)):
-        st = section_stats(quadrant, u, t)
-        assert st.measure == pytest.approx(2.0 * abs(t), rel=1e-12)
-        assert np.allclose(st.centroid, abs(t) * axis, atol=1e-12)
-    # elliptic {y >= |x| / 0.5}: the level y = t cuts |x| <= t / 2
-    wedge = ConeDescriptor("elliptic", 2, (0.5,))
-    for t in (2.0, 5.0):
-        st = section_stats(wedge, [0.0, 1.0], t)
-        assert st.measure == pytest.approx(t, rel=1e-12)
-        assert np.allclose(st.centroid, [0.0, t], atol=1e-12)
-    assert section_measure(wedge, [0.0, 1.0], 2.0) == pytest.approx(2.0, rel=1e-12)
 
 
 def test_2d_section_measure_degenerate_at_grazing_or_outside_levels():
