@@ -665,7 +665,7 @@ def ray_hits_batch(body, origin, directions, guess=None):
     if m:
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
             state, f0, n_evals = _bracket(body.defining, origin, W, probes)
-            n_evals += _solve(body.defining, origin, W, state, f0, _HIT_RTOL, hits)
+            n_evals += _solve(body.defining, origin, W, state, f0, hits)
     return hits, n_evals
 
 
@@ -719,7 +719,7 @@ def _bracket(F, origin, W, probes):
     raise GeometryError("boundary bracketing failed; direction nearly recessive")
 
 
-def _solve(F, origin, W, S, f0, rtol, hits):
+def _solve(F, origin, W, S, f0, hits):
     """Shrink each ray's bracket [l, h] to F = 0; writes hits.
 
     Only unfinished rays stay in the state. Returns the points evaluated.
@@ -739,16 +739,16 @@ def _solve(F, origin, W, S, f0, rtol, hits):
         # from its first point, so that F = inf at h or p gives l or NaN
         x1, f1 = X[_LP:_H + 1], Fx[_LP:_H + 1]
         z = x1 - f1 * ((X[_L:] - x1) / (Fx[_L:] - f1))
-        # a: the chord root, kept rtol/2 inside h so that an accurate h ends it
-        a = np.fmin(z[1], (1.0 - 0.5 * rtol) * h, out=X[0])
+        # a: the chord root, kept _HIT_RTOL/2 inside h so that an accurate h ends it
+        a = np.fmin(z[1], (1.0 - 0.5 * _HIT_RTOL) * h, out=X[0])
         # b: the nearer secant root from outside; by convexity the root lies
         # in [a, b]. A geometric bisection instead when there is none or the
         # last step did not halve the bracket's log-width
         b = np.fmin(np.where(z[0] > a, z[0], np.nan), z[2])
         ok = (b > a) & (b < h)
-        # the midpoint of [a, b] is then within rtol/8 of the root
-        close = ok & (b <= (1.0 + 0.25 * rtol) * a)
-        done = close | (l >= (1.0 - rtol) * h) | (Fx[_L] >= noise) | noisy
+        # the midpoint of [a, b] is then within _HIT_RTOL/8 of the root
+        close = ok & (b <= (1.0 + 0.25 * _HIT_RTOL) * a)
+        done = close | (l >= (1.0 - _HIT_RTOL) * h) | (Fx[_L] >= noise) | noisy
         ratio = h / l
         X[1] = np.where(ok & (ratio <= last_sqrt_ratio), b,
                         np.sqrt(np.fmax(a, 2.0 ** -20 * h) * h))

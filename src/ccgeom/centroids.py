@@ -14,6 +14,7 @@ from .sections import DEFAULT_RTOL, admissible_levels, section_bounded, section_
 GEOMETRIC_RATIO = 1.7
 N_LEVELS_BOUNDED = 16
 N_LEVELS_UNBOUNDED = 12
+MIN_LEVELS = 8  # fewest levels a collinearity residual accepts
 
 
 @dataclass(frozen=True)
@@ -102,8 +103,8 @@ def sccp_residual(body, u, n_levels=None, rtol=DEFAULT_RTOL) -> LineFit:
     u = np.array(_check_unit(u))
     if not section_bounded(body, u):
         raise UnboundedSection(f"sections normal to {u} are unbounded")
-    if n_levels is not None and n_levels < 8:
-        raise ValueError("need at least 8 levels")
+    if n_levels is not None and n_levels < MIN_LEVELS:
+        raise ValueError(f"need at least {MIN_LEVELS} levels")
     levels = sample_levels(body, u, n_levels)
     return fit_line(centroid_curve(body, u, levels, rtol=rtol))
 
@@ -131,10 +132,10 @@ def classify_lines(lines, tol=1e-5) -> LineFamilyVerdict:
     for b, d in zip(bases, dirs):
         rhs += b - (b @ d) * d
     eigvals = np.linalg.eigvalsh(A)
+    w = dirs.mean(axis=0)
+    w /= np.linalg.norm(w)
     if eigvals[0] < 1e-10 * len(lines):
         # common-point system is singular: family is parallel (or nearly so)
-        w = dirs.mean(axis=0)
-        w /= np.linalg.norm(w)
         tag = "parallel" if max_angle <= tol else "neither"
         return LineFamilyVerdict(tag, w, max_angle)
     p = np.linalg.solve(A, rhs)
@@ -144,8 +145,6 @@ def classify_lines(lines, tol=1e-5) -> LineFamilyVerdict:
     if concurrent:
         return LineFamilyVerdict("concurrent", p, dmax / scale, tie=parallel)
     if parallel:
-        w = dirs.mean(axis=0)
-        w /= np.linalg.norm(w)
         return LineFamilyVerdict("parallel", w, max_angle)
     return LineFamilyVerdict("neither", p, min(dmax / scale, max_angle))
 

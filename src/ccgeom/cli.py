@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .asymptotics import _N_AZIMUTH, blowdown_check, shell_distance, trend_verdict
 from .bodies import BodySpec
-from .centroids import classify_lines, sccp_residual
+from .centroids import MIN_LEVELS, classify_lines, sccp_residual
 from .cutvol import (
     _spread,
     cut_gradient,
@@ -93,6 +93,14 @@ def _rtol(cfg):
     if not 0.0 < tol < 1.0:
         raise ConfigError("config key 'tol' must lie in (0, 1)")
     return tol
+
+
+def _seed(cfg):
+    """The config's ``seed``, a non-negative integer (default 0)."""
+    seed = _number(cfg, "seed", 0, integer=True)
+    if seed < 0:
+        raise ConfigError("config key 'seed' must be >= 0")
+    return seed
 
 
 def _list(cfg, key, length=None):
@@ -276,12 +284,14 @@ def cmd_sccp(cfg):
     classify_tol = _number(cfg, "classify_tol", 1e-5)
     if not classify_tol > 0.0:
         raise ConfigError("config key 'classify_tol' must be > 0")
-    seed = _number(cfg, "seed", 0, integer=True)
+    seed = _seed(cfg)
     if "directions" in cfg:
         dirs = [u / np.linalg.norm(u) for u in _vectors(cfg, "directions", body.ambient_dim)]
     else:
         dirs = _sample_directions(body, _number(cfg, "n_directions", integer=True), seed)
     n_levels = None if cfg.get("n_levels") is None else _number(cfg, "n_levels", integer=True)
+    if n_levels is not None and n_levels < MIN_LEVELS:
+        raise ConfigError(f"config key 'n_levels' must be >= {MIN_LEVELS}")
     axes = _AXES[: body.ambient_dim]
     header = ([f"u{a}" for a in axes] + ["residual_norm", "residual_rms"]
               + [f"base_{a}" for a in axes] + [f"dir_{a}" for a in axes] + ["error"])
@@ -316,7 +326,7 @@ def cmd_cutvol(cfg):
             raise ConfigError(NO_ROWS)
         values = floating_constancy(
             body, _require(cfg, "mode"), _number(cfg, "lam"), n_normals=n_normals,
-            seed=_number(cfg, "seed", 0, integer=True), rtol=rtol,
+            seed=_seed(cfg), rtol=rtol,
         )["values"]
         labels = range(len(values))
         header = ["index", "value", "err"]
@@ -353,8 +363,7 @@ def _cutvol_gradient(body, cfg):
     if "cuts" in cfg:
         cuts = _vectors(cfg, "cuts", body.ambient_dim)
     else:
-        cuts = _random_cuts(body, _number(cfg, "n_cuts", 5, integer=True),
-                            _number(cfg, "seed", 0, integer=True))
+        cuts = _random_cuts(body, _number(cfg, "n_cuts", 5, integer=True), _seed(cfg))
     header = ["a", "V", "identity_residual", "moment_residual",
               "section_diameter", "err", "error"]
     rows, results = _rows(header, [([json.dumps(list(a))], a) for a in cuts],
@@ -377,8 +386,6 @@ def _random_cuts(body, n, seed):
     cuts = []
     for u in _bounded_normals(body, n, rng):
         if not cone.positive_on(u):
-            if not cone.positive_on(-u):
-                continue
             u = -u
         if abs(u[-1]) < 0.3:  # keep finite-difference steps well-conditioned
             continue
@@ -406,6 +413,8 @@ def _random_cuts(body, n, seed):
 def cmd_asym(cfg):
     body = _body(cfg)
     radii = [float(r) for r in _list(cfg, "radii")]
+    if any(b <= a for a, b in zip(radii, radii[1:])):
+        raise ConfigError("config key 'radii' must increase")
     n_az = _number(cfg, "n_azimuth", _N_AZIMUTH, integer=True)
     cone = body.recession_cone()
     header = ["R", "d_asym", "d_blowdown", "err", "error"]

@@ -4,6 +4,8 @@ constancy scans for the parallel-cut / homothety-cut characterizations.
 V(a) is the volume of the body on the <= side of the hyperplane {<a,x> = 1},
 computed by Fubini slicing perpendicular to a.  Unboundedness of a cut is
 decided analytically from the recession cone, never by runaway integration.
+Floating cuts are the parallel and homothety cuts (a tangent plane shifted
+by k e_d or scaled by k about 0), sampled by normal instead of by abscissa.
 """
 from __future__ import annotations
 
@@ -55,14 +57,10 @@ def halfspace_cut_volume(body, u, t, rtol=DEFAULT_RTOL) -> float:
     misses the interior.
     """
     u, t = _plane(u, t)
-    cone = body.recession_cone()
-    if not cone.positive_on(u):
-        # some recession direction stays in the halfspace: infinite volume
-        h_back = body.support(-u)
-        if math.isfinite(h_back) and t <= -h_back:
-            return 0.0
-        return INF
     s_lo = -body.support(-u)
+    if not body.recession_cone().positive_on(u):
+        # some recession direction stays in the halfspace: infinite volume
+        return 0.0 if t <= s_lo else INF
     s_hi = min(t, body.support(u))
     scale = body.scale
     if s_hi <= s_lo + 1e-12 * scale:
@@ -141,8 +139,8 @@ def cut_gradient(body, a, rtol=DEFAULT_RTOL) -> CutVolumeResult:
     )
 
 
-def _graph_gradient(body, abscissa):
-    """Boundary point and graph gradient at an abscissa of a graph-like body.
+def _graph_contact(body, abscissa):
+    """Boundary point and inner unit normal at an abscissa of a graph-like body.
 
     Every graph kind has F(x', y) = height(x') - y in its own frame, so the
     height is F at (x', 0) and the graph gradient is the x' part of grad F.
@@ -153,10 +151,18 @@ def _graph_gradient(body, abscissa):
         raise ValueError(f"anchor abscissa must have {n} component(s)")
     height = float(body.defining(np.append(x0, 0.0) + body.translation))
     point = np.append(x0, height) + body.translation
-    grad = body.defining_gradient(point)[:-1]
-    normal = np.append(-grad, 1.0)
-    normal /= np.linalg.norm(normal)
-    return point, grad, normal
+    normal = np.append(-body.defining_gradient(point)[:-1], 1.0)
+    return point, normal / np.linalg.norm(normal)
+
+
+def _moved_tangent_cut(body, point, normal, mode, k, rtol):
+    """Volume of body ∩ {<n,x> <= t} for the tangent plane {<n,x> = <n,p>} at p,
+    n the inner unit normal, moved by k: t = <n,p> + k n_d for mode
+    "translate" (shift by k e_d), t = k <n,p> for "scale" (about the origin).
+    """
+    s = float(normal @ point)
+    t = s + k * normal[-1] if mode == "translate" else k * s
+    return halfspace_cut_volume(body, normal, t, rtol=rtol)
 
 
 def parallel_cut_scan(body, k, anchors, rtol=DEFAULT_RTOL):
@@ -169,12 +175,8 @@ def parallel_cut_scan(body, k, anchors, rtol=DEFAULT_RTOL):
         raise ValueError("shift k must be positive")
     if body.recession_cone().dim != 1:
         raise NotGraphLike(f"parallel cuts need a graph-like body, got {body.kind!r}")
-    out = []
-    for anchor in anchors:
-        point, _, normal = _graph_gradient(body, anchor)
-        t = float(normal @ point) + k * normal[-1]
-        out.append(halfspace_cut_volume(body, normal, t, rtol=rtol))
-    return out
+    return [_moved_tangent_cut(body, *_graph_contact(body, anchor), "translate", k, rtol)
+            for anchor in anchors]
 
 
 def homothety_cut_scan(body, k, anchors, rtol=DEFAULT_RTOL):
@@ -195,14 +197,12 @@ def homothety_cut_scan(body, k, anchors, rtol=DEFAULT_RTOL):
         raise NotApexCentered("body must keep its asymptotic-cone apex at 0")
     out = []
     for anchor in anchors:
-        point, _, normal = _graph_gradient(body, anchor)
-        u = -normal  # outer normal of the epigraph-form body
-        h0 = float(u @ point)
-        if h0 >= -1e-12 * body.scale:
+        point, normal = _graph_contact(body, anchor)
+        if float(normal @ point) <= 1e-12 * body.scale:
             raise DegenerateCut(
                 "tangent plane does not separate the apex from the surface"
             )
-        out.append(halfspace_cut_volume(body, -u, -k * h0, rtol=rtol))
+        out.append(_moved_tangent_cut(body, point, normal, "scale", k, rtol))
     return out
 
 
@@ -214,9 +214,6 @@ def floating_constancy(body, mode, lam, n_normals=12, seed=0, rtol=DEFAULT_RTOL)
     """
     if n_normals < 1:
         raise ValueError(f"n_normals must be at least 1, got {n_normals}")
-    dim = body.ambient_dim
-    e_last = np.zeros(dim)
-    e_last[-1] = 1.0
     if mode == "translate":
         if lam <= 0:
             raise ValueError("translate mode needs lam > 0")
@@ -230,19 +227,13 @@ def floating_constancy(body, mode, lam, n_normals=12, seed=0, rtol=DEFAULT_RTOL)
     attempts = 0
     while len(values) < n_normals and attempts < 100 * n_normals:
         attempts += 1
-        u = rng.normal(size=dim)
+        u = rng.normal(size=body.ambient_dim)
         u[-1] = -abs(u[-1]) - 0.3 * np.linalg.norm(u[:-1])  # bias downward
         u /= np.linalg.norm(u)
         if not body.support_attained(u):
             continue
-        contact = body.inverse_gauss(u)
-        if mode == "translate":
-            contact = contact + lam * e_last
-        else:
-            contact = lam * contact
-        level = float(u @ contact)
         # cap beyond the support hyperplane of the copy
-        v = halfspace_cut_volume(body, -u, -level, rtol=rtol)
+        v = _moved_tangent_cut(body, body.inverse_gauss(u), -u, mode, lam, rtol)
         if not (0.0 < v < INF):
             continue
         values.append(v)

@@ -150,10 +150,14 @@ def _centred_section(body, u, t):
     axis is +u, the way round the spine is built.  The anchor then moves to
     the midpoint of its chord along each basis vector in turn (better
     conditioning).  Returns the centred anchor, the plane basis, the
-    chords' half-lengths and the oracle points spent.  An anchor that is
-    not strictly inside means the level grazes the body.
+    chords' half-lengths and the oracle points spent.  A cone positive on
+    neither side means unbounded sections; an anchor that is not strictly
+    inside means the level grazes the body.
     """
-    if not body.recession_cone().positive_on(u):
+    cone = body.recession_cone()
+    if not cone.positive_on(u):
+        if not cone.positive_on(-u):
+            raise UnboundedSection(f"sections normal to {u} are unbounded")
         u, t = -u, -t
     basis = _plane_basis(u)
     anchor = _section_anchor(body, u, t)

@@ -273,6 +273,7 @@ def test_wrong_vector_is_config_error_naming_the_key(tmp_path, capsys, command, 
 
 ELLIPSOID = PRESETS["sccp"]["ellipsoid"]["body"]
 PARALLEL = PRESETS["cutvol"]["parabola-parallel"]
+ASYM = PRESETS["asym"]["hyperboloid"]
 
 
 @pytest.mark.parametrize("command, cfg, key", [
@@ -293,6 +294,13 @@ PARALLEL = PRESETS["cutvol"]["parabola-parallel"]
     ("section", {"body": DISK, "directions": [[0.0, 1.0]], "levels": [-math.inf]}, "levels"),
     ("section", {"body": DISK, "directions": [[0.0, math.inf]], "levels": [0.0]},
      "directions"),
+    ("asym", dict(ASYM, radii=[1e5, 1e4, 1e3, 1e2]), "radii"),
+    ("asym", dict(ASYM, radii=[10.0, 10.0, 10.0, 10.0]), "radii"),
+    ("sccp", {"body": DISK, "n_directions": 4, "seed": -1}, "seed"),
+    ("cutvol", {"body": PARABOLA, "op": "floating", "mode": "translate", "lam": 1.0,
+                "n_normals": 2, "seed": -1}, "seed"),
+    ("cutvol", {"body": DISK, "op": "gradient", "n_cuts": 1, "seed": -1}, "seed"),
+    ("sccp", {"body": DISK, "n_directions": 4, "n_levels": 3}, "n_levels"),
 ])
 def test_non_finite_or_out_of_range_number_is_config_error(tmp_path, capsys, command, cfg,
                                                            key):

@@ -83,6 +83,20 @@ def test_unbounded_direction_raises():
     p = paraboloid_epigraph([1.0, 1.0])
     with pytest.raises(UnboundedSection):
         section_stats(p, [1.0, 0.0, 0.0], 0.0)
+    # every section entry point refuses a normal whose sections are unbounded
+    r = 1.0 / math.sqrt(2.0)
+    cases = [
+        (p, [1.0, 0.0, 0.0]),
+        (function_epigraph("square"), [1.0, 0.0]),
+        (circular_cone(1.0), [1.0, 0.0]),
+        (hyperboloid_sheet([1.0, 1.0]), [r, 0.0, r]),
+        (hyperboloid_sheet([1.0]), [r, r]),
+        (function_epigraph("exp"), [0.0, 1.0]),
+    ]
+    for body, u in cases:
+        for entry in (section_measure, section_diameter):
+            with pytest.raises(UnboundedSection):
+                entry(body, u, 0.5)
 
 
 def test_downward_normal_equivalent_to_upward():
