@@ -630,7 +630,11 @@ def ray_hits_batch(body, origin, directions, guess=None):
     the oracle points evaluated: ``(hits, n_evals)``.
 
     This is the one boundary root-finder of the package. F is the convex
-    defining function of ``body``, and the origin must satisfy F < 0.
+    defining function of ``body``, and every origin must satisfy F < 0.
+    ``origin`` is one point of shape (d,), or one point per group of rays,
+    of shape (L, d): the m = L*k directions are then cast in groups of k,
+    rays j*k to (j+1)*k - 1 from origin j, and ``n_evals`` is an array of L
+    counts, one per origin.
 
     A ray is bracketed from ``guess`` (two probes just below and above it)
     or, without one, from a probe at the body scale, stepping outward (at
@@ -643,8 +647,10 @@ def ray_hits_batch(body, origin, directions, guess=None):
     not halve the bracket (in log scale) is followed by a geometric
     bisection. Every ray stops on its own bracket, once the chord and
     secant roots agree to ``_HIT_RTOL`` relative to the hit distance or F
-    at its inside end is down to rounding noise, so its root does not
-    depend on the other rays of the batch.
+    at its inside end is down to the rounding noise of F at its origin, so
+    its root does not depend on the other rays of the batch, nor on the
+    other origins: each hit is bitwise the one a call with its origin alone
+    returns.
 
     All directions must be non-recessive (guaranteed for bounded sections).
     """
@@ -653,6 +659,9 @@ def ray_hits_batch(body, origin, directions, guess=None):
     m = W.shape[0]
     if not (np.all(np.isfinite(origin)) and np.all(np.isfinite(W))):
         raise ValueError("ray origin and directions must be finite")
+    O = np.atleast_2d(origin)
+    if len(O) == 0 or m % len(O):
+        raise ValueError("directions must split into one equal group per origin")
     if guess is None:
         probes = np.full((1, m), float(body.scale))
     else:
@@ -661,12 +670,15 @@ def ray_hits_batch(body, origin, directions, guess=None):
             raise ValueError("initial guesses must be finite and positive")
         probes = np.stack([g * (1.0 - _GUESS_SPREAD), g * (1.0 + _GUESS_SPREAD)])
     hits = np.empty(m)
-    n_evals = 0
+    counts = np.zeros(len(O), dtype=int)
     if m:
+        P = np.repeat(O, m // len(O), axis=0)  # the origin of each ray
+        evals = np.zeros(m, dtype=int)  # points evaluated along each ray
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-            state, f0, n_evals = _bracket(body.defining, origin, W, probes)
-            n_evals += _solve(body.defining, origin, W, state, f0, hits)
-    return hits, n_evals
+            state, f0 = _bracket(body.defining, O, P, W, probes, evals)
+            _solve(body.defining, P, W, state, f0, hits, evals)
+        counts = evals.reshape(len(O), -1).sum(axis=1) + 1
+    return hits, (counts if origin.ndim == 2 else int(counts[0]))
 
 
 # Solver state: an array of shape (2, 6, rays) holding (position, F) in the
@@ -678,38 +690,40 @@ _LP, _L, _H = 2, 3, 4
 _NEXT = np.array([[0, 1, 2, 3, 0, 1], [0, 1, 3, 0, 1, 4], [0, 1, 0, 1, 4, 5]]).T
 
 
-def _bracket(F, origin, W, probes):
-    """Evaluate the probes (ascending along each ray), then step every ray
-    without an outside point outward until it has one.
+def _bracket(F, O, P, W, probes, evals):
+    """Evaluate the probes (ascending along each ray from its origin in P)
+    and the origins O, then step every ray without an outside point outward
+    until it has one.
 
-    Returns the solver state, F(origin) and the number of points evaluated.
+    Returns the solver state and F at the origin of each ray; adds the
+    points evaluated along each ray to ``evals``.
     """
     n, m = probes.shape
-    WW = W if n == 1 else np.concatenate([W, W])
-    f = F(np.concatenate([origin + probes.reshape(-1, 1) * WW, origin[None, :]]))
-    f0 = f[-1]
-    if not f0 < 0.0:
+    pts = (P + probes[:, :, None] * W).reshape(-1, O.shape[1])
+    f = F(np.concatenate([pts, O]))
+    if not np.all(f[n * m:] < 0.0):
         raise NotInterior("ray origin is not inside the body")
+    f0 = np.repeat(f[n * m:], m // len(O))
     # each ray's points in order: NaN, the origin, the probes, NaN, NaN; with
     # c probes inside, (Lp, l, h, p) are the points c to c + 3
     seq = np.full((2, n + 4, m), np.nan)
     seq[0, 1], seq[1, 1] = 0.0, f0
-    seq[0, 2:n + 2], seq[1, 2:n + 2] = probes, f[:-1].reshape(n, m)
+    seq[0, 2:n + 2], seq[1, 2:n + 2] = probes, f[:n * m].reshape(n, m)
     c = np.count_nonzero(seq[1, 2:n + 2] <= 0.0, axis=0)
     S = np.empty((2, 6, m))
     S[:, _LP:] = seq[:, c + np.arange(4)[:, None], np.arange(m)]
-    n_evals = probes.size + 1
+    evals += n
     # step to the zero of the line through the last two inside points, which
     # lies outside by convexity, but at most to twice the distance of l
     idx = np.flatnonzero(c == n)
     for _ in range(_BRACKET_STEPS):
         if idx.size == 0:
-            return S, f0, n_evals
+            return S, f0
         (xp, x), (fp, fx) = S[:, _LP:_H, idx]
         z = x - fx * ((x - xp) / (fx - fp))
         t = np.where(z > x, np.fmin(z, 2.0 * x), 2.0 * x)
-        ft = F(origin + t[:, None] * W[idx])
-        n_evals += idx.size
+        ft = F(P[idx] + t[:, None] * W[idx])
+        evals[idx] += 1
         i = ft <= 0.0
         j, o = idx[i], idx[~i]
         S[:, _LP, j] = S[:, _L, j]
@@ -719,10 +733,11 @@ def _bracket(F, origin, W, probes):
     raise GeometryError("boundary bracketing failed; direction nearly recessive")
 
 
-def _solve(F, origin, W, S, f0, hits):
+def _solve(F, P, W, S, f0, hits, evals):
     """Shrink each ray's bracket [l, h] to F = 0; writes hits.
 
-    Only unfinished rays stay in the state. Returns the points evaluated.
+    P holds each ray's origin and f0 F there. Only unfinished rays stay in
+    the state. Adds the points evaluated along each ray to ``evals``.
     """
     rays = np.arange(S.shape[2])
     cols = rays
@@ -731,7 +746,6 @@ def _solve(F, origin, W, S, f0, hits):
     # F(origin) < 0 is made of terms at least |F(origin)| large, so an inside
     # end with F above this is on the boundary up to rounding
     noise = 4.0 * np.finfo(float).eps * f0
-    n_evals = 0
     for _ in range(_SOLVE_STEPS):
         X, Fx = S[0], S[1]
         l, h = X[_L], X[_H]
@@ -756,14 +770,14 @@ def _solve(F, origin, W, S, f0, hits):
         if np.count_nonzero(done):
             hits[rays[done]] = np.where(close, 0.5 * (a + b), z[1])[done]
             keep = ~done
-            rays, S, W = rays[keep], S[:, :, keep], W[keep]
+            rays, S, P, W = rays[keep], S[:, :, keep], P[keep], W[keep]
             if rays.size == 0:
-                return n_evals
-            last_sqrt_ratio = last_sqrt_ratio[keep]
+                return
+            last_sqrt_ratio, noise = last_sqrt_ratio[keep], noise[keep]
             cols = np.arange(rays.size)
         k = rays.size
-        S[1, 0:2] = F(origin + (S[0, 0:2, :, None] * W).reshape(-1, origin.size)).reshape(2, k)
-        n_evals += 2 * k
+        S[1, 0:2] = F((P + S[0, 0:2, :, None] * W).reshape(-1, P.shape[1])).reshape(2, k)
+        evals[rays] += 2
         inside = S[1, 0:2] <= 0.0
         # the chord root is inside unless F is rounding noise there
         noisy = ~inside[0]
@@ -771,7 +785,6 @@ def _solve(F, origin, W, S, f0, hits):
     # step cap: the chord roots of the brackets still open
     (l, h), (fl, fh) = S[:, _L:_H + 1]
     hits[rays] = l - fl * ((h - l) / (fh - fl))
-    return n_evals
 
 
 # -- convenience constructors used throughout the tests and CLI ------------

@@ -2,6 +2,7 @@
 classification (concurrent / parallel / neither)."""
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -63,12 +64,13 @@ def sample_levels(body, u, n_levels=None):
 
 
 def centroid_curve(body, u, levels, rtol=DEFAULT_RTOL):
-    """Section centroids sampled at the given levels, order preserved."""
+    """Section centroids sampled at the given levels, order preserved, from
+    one batch of sections."""
     u = np.array(_check_unit(u))
-    levels = [float(t) for t in levels]
+    levels = np.array([float(t) for t in levels])
     if len(levels) < 3:
         raise ValueError("need at least 3 levels")
-    return [section_stats(body, u, t, rtol=rtol).centroid for t in levels]
+    return list(section_stats(body, u, levels, rtol=rtol).centroid)
 
 
 def fit_line(points) -> LineFit:
@@ -124,8 +126,7 @@ def classify_lines(lines, tol=1e-5) -> LineFamilyVerdict:
     scale = max(1.0, float(np.sqrt(np.mean(np.sum((bases - center) ** 2, axis=-1)))))
 
     # max pairwise angle (mod line orientation)
-    cosines = np.abs(dirs @ dirs.T)
-    max_angle = float(np.arccos(np.clip(cosines.min(), -1.0, 1.0)))
+    max_angle = float(_line_angles(dirs, dirs).max())
 
     A = len(lines) * np.eye(dim) - dirs.T @ dirs
     rhs = np.zeros(dim)
@@ -162,6 +163,19 @@ def cone_direction_check(body, u, rtol=DEFAULT_RTOL) -> float:
     if cone.meets_hyperplane(u):
         raise ConeSectionUnbounded("cone sections normal to u are unbounded")
     fit = sccp_residual(body, u, rtol=rtol)
-    c = cone.conjugate_direction(u)
-    cosang = abs(float(fit.dir @ c)) / float(np.linalg.norm(c))
-    return float(np.arccos(np.clip(cosang, -1.0, 1.0)))
+    return float(_line_angles(fit.dir[None], cone.conjugate_direction(u)[None])[0, 0])
+
+
+def _line_angles(a, b):
+    """Angles in [0, pi/2] between the lines along the rows of a and of b.
+
+    Taken as atan2(|a ^ b|, |a . b|), which is exact near 0, where the
+    arccos of the cosine cannot resolve angles below about sqrt(eps).
+    |a ^ b|^2 is the sum over i < j of (a_i b_j - a_j b_i)^2, built one
+    plane (i, j) at a time so that no work array outgrows len(a) x len(b).
+    """
+    dot = np.abs(a @ b.T)
+    wedge2 = np.zeros_like(dot)
+    for i, j in itertools.combinations(range(a.shape[1]), 2):
+        wedge2 += (np.outer(a[:, i], b[:, j]) - np.outer(a[:, j], b[:, i])) ** 2
+    return np.arctan2(np.sqrt(wedge2), dot)

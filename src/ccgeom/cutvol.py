@@ -2,8 +2,12 @@
 constancy scans for the parallel-cut / homothety-cut characterizations.
 
 V(a) is the volume of the body on the <= side of the hyperplane {<a,x> = 1},
-computed by Fubini slicing perpendicular to a.  Unboundedness of a cut is
-decided analytically from the recession cone, never by runaway integration.
+computed by Fubini slicing perpendicular to a: the section measure is
+integrated over the levels, cosine-substituted, by scipy's ``quad``.  The
+21 levels of its first pass, a Gauss-Kronrod rule, are sectioned in one
+batch before ``quad`` asks for them; the levels of any subdivision are
+sectioned one at a time.  Unboundedness of a cut is decided analytically
+from the recession cone, never by runaway integration.
 Floating cuts are the parallel and homothety cuts (a tangent plane shifted
 by k e_d or scaled by k about 0), sampled by normal instead of by abscissa.
 """
@@ -32,6 +36,20 @@ from .sections import (
 )
 
 _HOMOTHETY_TAGS = ("cosh",)
+
+
+def _first_pass_nodes():
+    """The 21 points of [0, pi] at which ``quad`` samples in its first pass.
+
+    A zero integrand meets any tolerance after that pass, so ``quad`` stops
+    there and the recorded points are its Gauss-Kronrod nodes, in its order.
+    """
+    nodes = []
+    quad(lambda phi: nodes.append(phi) or 0.0, 0.0, math.pi)
+    return tuple(nodes)
+
+
+_FIRST_PASS = _first_pass_nodes()
 
 
 @dataclass(frozen=True)
@@ -76,8 +94,22 @@ def halfspace_cut_volume(body, u, t, rtol=DEFAULT_RTOL) -> float:
     c = 0.5 * (s_lo + s_hi)
     h = 0.5 * (s_hi - s_lo)
 
+    known = None
+
     def g(phi):
-        return m(c - h * math.cos(phi)) * h * math.sin(phi)
+        # quad's first call opens its first pass: section all 21 of its
+        # levels in one batch, and section any later level on its own
+        nonlocal known
+        if known is None:
+            levels = np.array([c - h * math.cos(p) for p in _FIRST_PASS])
+            try:
+                known = dict(zip(_FIRST_PASS, section_measure(body, u, levels, rtol=rtol)))
+            except DegenerateSection:
+                known = {}
+        mi = known.get(phi)
+        if mi is None:
+            mi = m(c - h * math.cos(phi))
+        return mi * h * math.sin(phi)
 
     val, _ = quad(g, 0.0, math.pi, epsabs=1e-14 * scale ** body.ambient_dim,
                   epsrel=rtol, limit=200)

@@ -2,13 +2,19 @@
 
 Every section, in 2D and 3D, starts from one anchor: the point where the
 level meets the body's interior 'spine', moved to the midpoints of
-chords along the plane's basis vectors, each chord from one two-ray call
-of the boundary root-finder.  In 2D the plane is a line and its chord is
-the section, with the centred anchor as centroid.  3D sections are
+chords along the plane's basis vectors. In 2D the plane is a line and its
+chord is the section, with the centred anchor as centroid. 3D sections are
 integrated in polar coordinates around the centred anchor with a fixed
 node-doubling refinement schedule, so results are deterministic for a
-given tolerance.  ``n_evals`` counts the points at which the body's
+given tolerance. ``n_evals`` counts the points at which the body's
 defining function was evaluated, in 2D and 3D.
+
+One kernel does this for a whole array of levels of one normal at once:
+one ray batch per basis vector centres every level (two rays each), and
+each round of the polar rules is one batch over the levels still short of
+the tolerance. The root-finder solves every ray on its own, so each level
+comes out bitwise as it would alone; ``section_stats`` and
+``section_measure`` take a number or a 1-D array of levels.
 """
 from __future__ import annotations
 
@@ -32,7 +38,11 @@ _DIAMETER_NODES = 128
 
 @dataclass(frozen=True)
 class SectionStats:
-    """Measure and centroid of one bounded hyperplane section."""
+    """Measure and centroid of one bounded hyperplane section.
+
+    For a 1-D array of levels every field but ``u`` holds one entry per
+    level (``centroid`` one row).
+    """
 
     u: np.ndarray
     t: float
@@ -40,6 +50,7 @@ class SectionStats:
     centroid: np.ndarray
     err_estimate: float
     n_evals: int  # points at which the defining function was evaluated
+    converged: bool  # False when the polar rule stopped at its node cap short of rtol
 
 
 def _plane(u, t):
@@ -48,6 +59,16 @@ def _plane(u, t):
     if math.isnan(t):
         raise ValueError("hyperplane level must be a number")
     return np.array(_check_unit(u)), t
+
+
+def _planes(u, t):
+    """Validated unit normal, levels as a 1-D array, and whether t was a number."""
+    ts = np.asarray(t, dtype=float)
+    if ts.ndim > 1 or ts.size == 0:
+        raise ValueError("levels must be a number or a nonempty 1-D array")
+    if np.any(np.isnan(ts)):
+        raise ValueError("hyperplane level must be a number")
+    return np.array(_check_unit(u)), np.atleast_1d(ts), ts.ndim == 0
 
 
 def section_bounded(body, u) -> bool:
@@ -80,163 +101,209 @@ def _plane_basis(u):
     return (e1, e2)
 
 
-def _section_anchor(body, u, t):
-    """Interior point of the section plane via the interior 'spine' of the body.
+def _section_anchors(body, u, ts):
+    """Interior points of the section planes via the interior 'spine' of the body.
 
     The spine runs from the boundary point attaining the minimum level,
     through a deep interior point, and onward to either the maximum-level
     boundary point (bounded bodies) or along an interior recession direction.
     Points on it are interior by convexity and hit every level once.  When
     the minimum level is not attained (a cone's apex), the spine is the
-    line through the interior point along the recession direction.
+    line through the interior point along the recession direction.  One row
+    per level of the array ts.
     """
     cone = body.recession_cone()
     z0 = body.interior_point()
     s0 = float(u @ z0)
-    if t <= s0 and body.support_attained(-u):
+    out = np.empty((len(ts), len(u)))
+    low = ts <= s0
+    if low.any() and body.support_attained(-u):
         p_bot = body.inverse_gauss(-u)
         s_bot = float(u @ p_bot)
-        lam = (t - s_bot) / (s0 - s_bot)
-        return p_bot + lam * (z0 - p_bot)
+        lam = (ts[low] - s_bot) / (s0 - s_bot)
+        out[low] = p_bot + lam[:, None] * (z0 - p_bot)
+    else:
+        low[:] = False
+    high = ~low
+    if not high.any():
+        return out
     if cone.dim == 0:
         p_top = body.inverse_gauss(np.asarray(u))
         s_top = float(u @ p_top)
-        lam = (t - s0) / (s_top - s0)
-        return z0 + lam * (p_top - z0)
-    zdir = cone.interior_direction()
-    return z0 + (t - s0) / float(u @ zdir) * zdir
+        lam = (ts[high] - s0) / (s_top - s0)
+        out[high] = z0 + lam[:, None] * (p_top - z0)
+    else:
+        zdir = cone.interior_direction()
+        out[high] = z0 + ((ts[high] - s0) / float(u @ zdir))[:, None] * zdir
+    return out
 
 
-def _polar_radii(body, anchor, e1, e2, n_nodes, guess, nodes=None):
-    """Radii along the polar nodes 2*pi*k/n_nodes, k in nodes (default all)."""
+def _polar_radii(body, anchors, e1, e2, n_nodes, guess, nodes=None):
+    """Radii along the polar nodes 2*pi*k/n_nodes, k in nodes (default all),
+    around each anchor: one ray batch, radii and oracle points per anchor."""
     k = np.arange(n_nodes) if nodes is None else nodes
     theta = 2.0 * math.pi * k / n_nodes
     dirs = np.outer(np.cos(theta), e1) + np.outer(np.sin(theta), e2)
-    return ray_hits_batch(body, anchor, dirs, guess=guess)
+    r, n_evals = ray_hits_batch(body, anchors, np.tile(dirs, (len(anchors), 1)),
+                                guess=guess)
+    return r.reshape(len(anchors), -1), n_evals
 
 
 def _ellipse_radii(half, n_nodes):
-    """Radii at the polar nodes of the ellipse with semi-axes half along e1, e2."""
+    """Radii at the polar nodes of the ellipses with semi-axes half along e1, e2
+    (one row per entry of the half-length arrays)."""
     theta = 2.0 * math.pi * np.arange(n_nodes) / n_nodes
-    return 1.0 / np.hypot(np.cos(theta) / half[0], np.sin(theta) / half[1])
+    return 1.0 / np.hypot(np.cos(theta) / half[0][:, None], np.sin(theta) / half[1][:, None])
 
 
 def _refine_radii(r):
-    """Guesses for the radii at the midpoints between n polar nodes.
+    """Guesses for the radii at the midpoints between n polar nodes, per row.
 
     Trigonometric interpolation: the radial function of a smooth section is
     analytic in the angle, so this is far better than a linear one.
     """
-    g = (2.0 * np.fft.irfft(np.fft.rfft(r), 2 * len(r)))[1::2]
-    return np.where(g > 0.0, g, 0.5 * (r + np.roll(r, -1)))
+    g = (2.0 * np.fft.irfft(np.fft.rfft(r), 2 * r.shape[-1]))[:, 1::2]
+    return np.where(g > 0.0, g, 0.5 * (r + np.roll(r, -1, axis=-1)))
 
 
 def _polar_rule(r, want_moments):
-    """Measure and first moments of the periodic trapezoid rule on radii r."""
-    n = len(r)
-    measure = float(np.sum(r ** 2)) * math.pi / n
+    """Measure and first moments of the periodic trapezoid rule on the radii
+    of each row of r."""
+    n = r.shape[-1]
+    measure = np.sum(r ** 2, axis=-1) * math.pi / n
     if not want_moments:
-        return measure, 0.0, 0.0
+        return measure, np.zeros_like(measure), np.zeros_like(measure)
     theta = 2.0 * math.pi * np.arange(n) / n
-    m1 = float(np.sum(r ** 3 * np.cos(theta))) * (2.0 * math.pi / n) / 3.0
-    m2 = float(np.sum(r ** 3 * np.sin(theta))) * (2.0 * math.pi / n) / 3.0
+    m1 = np.sum(r ** 3 * np.cos(theta), axis=-1) * (2.0 * math.pi / n) / 3.0
+    m2 = np.sum(r ** 3 * np.sin(theta), axis=-1) * (2.0 * math.pi / n) / 3.0
     return measure, m1, m2
 
 
-def _centred_section(body, u, t):
-    """Anchor the section {<u,x> = t} on the spine and centre it by chords.
+def _centred_sections(body, u, ts):
+    """Anchor the sections {<u,x> = t}, t in ts, on the spine and centre them by chords.
 
     The plane is first oriented so that the unbounded side of the level
-    axis is +u, the way round the spine is built.  The anchor then moves to
-    the midpoint of its chord along each basis vector in turn (better
-    conditioning).  Returns the centred anchor, the plane basis, the
-    chords' half-lengths and the oracle points spent.  A cone positive on
-    neither side means unbounded sections; an anchor that is not strictly
-    inside means the level grazes the body.
+    axis is +u, the way round the spine is built.  Each anchor then moves
+    to the midpoint of its chord along each basis vector in turn (better
+    conditioning), one ray batch per basis vector for all levels.  Returns
+    the centred anchors, the plane basis, the chords' half-lengths (one
+    array per basis vector) and the oracle points spent per level.  A cone
+    positive on neither side means unbounded sections; an anchor that is not
+    strictly inside means a level grazes the body.
     """
     cone = body.recession_cone()
     if not cone.positive_on(u):
         if not cone.positive_on(-u):
             raise UnboundedSection(f"sections normal to {u} are unbounded")
-        u, t = -u, -t
+        u, ts = -u, -ts
     basis = _plane_basis(u)
-    anchor = _section_anchor(body, u, t)
+    anchors = _section_anchors(body, u, ts)
     n_evals, half = 0, []
     for w in basis:
         try:
-            r, k = ray_hits_batch(body, anchor, np.stack([w, -w]))
+            r, k = ray_hits_batch(body, anchors, np.tile(np.stack([w, -w]), (len(ts), 1)))
         except NotInterior as e:
             raise DegenerateSection("section anchor is not inside the body") from e
-        anchor = anchor + 0.5 * (r[0] - r[1]) * w
-        half.append(0.5 * (r[0] + r[1]))
-        n_evals += k
-    return anchor, basis, half, n_evals
+        anchors = anchors + (0.5 * (r[0::2] - r[1::2]))[:, None] * w
+        half.append(0.5 * (r[0::2] + r[1::2]))
+        n_evals = n_evals + k
+    return anchors, basis, half, n_evals
 
 
-def _polar_section(body, anchor, basis, half, rtol, want_moments):
-    """Section integrals around a centred anchor, with node-doubling refinement.
+def _polar_sections(body, anchors, basis, half, rtol, want_moments):
+    """Section integrals around centred anchors, with node-doubling refinement.
 
-    Returns the measure, centroid, error estimate and the oracle points
-    spent beyond the centring chords.  A 2D section is its centring chord:
-    the anchor is its midpoint and centroid.  In 3D the polar rules are
-    nested: the first batch of 64 rays is compared with its 32-node
-    subrule, and each doubling casts only the new midpoint rays, started
-    from guesses interpolated from the radii so far (the first batch from
-    the ellipse through the centring chords).
+    Returns per level the measure, centroid, error estimate, oracle points
+    spent beyond the centring chords, and whether the rule met rtol.  A 2D
+    section is its centring chord: the anchor is its midpoint and centroid.
+    In 3D the polar rules are nested: the first batch of 64 rays per level
+    is compared with its 32-node subrule, and each doubling casts only the
+    new midpoint rays of the levels still short of rtol, started from
+    guesses interpolated from the radii so far (the first batch from the
+    ellipse through the centring chords).  A level still short at
+    ``_MAX_POLAR_NODES`` stops there unconverged.
     """
     if len(basis) == 1:
         measure = 2.0 * half[0]
-        return measure, anchor, 1e-12 * measure, 0
+        return measure, anchors, 1e-12 * measure, 0, np.ones(len(anchors), dtype=bool)
     e1, e2 = basis
     n = 64
-    r, n_evals = _polar_radii(body, anchor, e1, e2, n, _ellipse_radii(half, n))
-    prev = _polar_rule(r[::2], want_moments)
+    r, n_evals = _polar_radii(body, anchors, e1, e2, n, _ellipse_radii(half, n))
+    measure, err = np.empty(len(anchors)), np.empty(len(anchors))
+    centroid, converged = np.empty_like(anchors), np.zeros(len(anchors), dtype=bool)
+    prev = _polar_rule(r[:, ::2], want_moments)
+    todo = np.arange(len(anchors))  # levels still refining
     while True:
-        measure, m1, m2 = _polar_rule(r, want_moments)
-        err = abs(measure - prev[0])
-        moment_err = math.hypot(m1 - prev[1], m2 - prev[2])
-        tol = rtol * max(measure, 1e-300)
-        if (err <= tol and moment_err <= rtol * max(abs(m1) + abs(m2), measure)) or (
-            n >= _MAX_POLAR_NODES
-        ):
-            centroid = anchor + (m1 * e1 + m2 * e2) / measure
-            return measure, centroid, err + moment_err / max(measure, 1e-300), n_evals
-        prev = (measure, m1, m2)
-        mid, k = _polar_radii(body, anchor, e1, e2, 2 * n, _refine_radii(r),
+        mu, m1, m2 = _polar_rule(r, want_moments)
+        gap = np.abs(mu - prev[0])
+        # math.hypot level by level: np.hypot can differ from it in the last
+        # bit, and the stopping test must not depend on the batch
+        moment_gap =np.array([math.hypot(a, b) for a, b in zip(m1 - prev[1], m2 - prev[2])])
+        met = (gap <= rtol * np.maximum(mu, 1e-300)) & (
+            moment_gap <= rtol * np.maximum(np.abs(m1) + np.abs(m2), mu))
+        stop = met | (n >= _MAX_POLAR_NODES)
+        if stop.any():
+            j = todo[stop]
+            measure[j], converged[j] = mu[stop], met[stop]
+            centroid[j] = anchors[j] + (m1[stop, None] * e1 + m2[stop, None] * e2) / mu[stop, None]
+            err[j] = gap[stop] + moment_gap[stop] / np.maximum(mu[stop], 1e-300)
+            keep = ~stop
+            if not keep.any():
+                return measure, centroid, err, n_evals, converged
+            todo, r, mu, m1, m2 = todo[keep], r[keep], mu[keep], m1[keep], m2[keep]
+        prev = (mu, m1, m2)
+        mid, k = _polar_radii(body, anchors[todo], e1, e2, 2 * n, _refine_radii(r),
                               np.arange(1, 2 * n, 2))
-        n_evals += k
-        r = np.stack([r, mid], axis=1).reshape(-1)
+        n_evals[todo] += k
+        r = np.stack([r, mid], axis=2).reshape(len(todo), -1)
         n *= 2
 
 
+def _sections(body, u, ts, rtol, want_moments):
+    """The section kernel: measure, centroid, error estimate, oracle points
+    and convergence of every section {<u,x> = t}, t in the 1-D array ts."""
+    anchors, basis, half, n_evals = _centred_sections(body, u, ts)
+    measure, centroid, err, k, converged = _polar_sections(
+        body, anchors, basis, half, rtol, want_moments)
+    return measure, centroid, err, n_evals + k, converged
+
+
 def section_stats(body, u, t, rtol=DEFAULT_RTOL) -> SectionStats:
-    """Measure and centroid of the section {<u,x> = t} of a convex body."""
-    u, t = _plane(u, t)
+    """Measure and centroid of the section {<u,x> = t} of a convex body.
+
+    For a 1-D array of levels t, the sections at all of them in one batch.
+    """
+    u, ts, scalar = _planes(u, t)
     scale = body.scale
     lo, hi = admissible_levels(body, u)
     buf = 1e-9 * scale
-    if not (lo + buf <= t <= hi - buf):
-        raise LevelOutOfRange(f"level {t} outside admissible interval ({lo}, {hi})")
-    anchor, basis, half, n_evals = _centred_section(body, u, t)
-    measure, centroid, err, k = _polar_section(body, anchor, basis, half, rtol, True)
-    if measure < 1e-12 * scale ** len(basis):
+    outside = ~((lo + buf <= ts) & (ts <= hi - buf))
+    if outside.any():
+        raise LevelOutOfRange(
+            f"level {float(ts[outside][0])} outside admissible interval ({lo}, {hi})")
+    measure, centroid, err, n_evals, converged = _sections(body, u, ts, rtol, True)
+    if np.any(measure < 1e-12 * scale ** (body.ambient_dim - 1)):
         raise DegenerateSection("section measure below threshold")
-    return SectionStats(u, t, measure, centroid, err, n_evals + k)
+    if scalar:
+        return SectionStats(u, float(ts[0]), float(measure[0]), centroid[0], float(err[0]),
+                            int(n_evals[0]), bool(converged[0]))
+    return SectionStats(u, ts, measure, centroid, err, n_evals, converged)
 
 
-def section_measure(body, u, t, rtol=DEFAULT_RTOL) -> float:
-    """Measure only (cheaper inner loop for volume slicing)."""
-    u, t = _plane(u, t)
-    anchor, basis, half, _ = _centred_section(body, u, t)
-    return _polar_section(body, anchor, basis, half, rtol, False)[0]
+def section_measure(body, u, t, rtol=DEFAULT_RTOL):
+    """Measure only (cheaper inner loop for volume slicing); an array of
+    measures for a 1-D array of levels."""
+    u, ts, scalar = _planes(u, t)
+    measure = _sections(body, u, ts, rtol, False)[0]
+    return float(measure[0]) if scalar else measure
 
 
 def section_diameter(body, u, t) -> float:
     """Diameter estimate of the section (max of opposite-radius sums)."""
     u, t = _plane(u, t)
-    anchor, basis, half, _ = _centred_section(body, u, t)
+    anchors, basis, half, _ = _centred_sections(body, u, np.array([t]))
     if len(basis) == 1:
-        return 2.0 * half[0]
+        return float(2.0 * half[0][0])
     n = _DIAMETER_NODES
-    r, _ = _polar_radii(body, anchor, *basis, n, _ellipse_radii(half, n))
+    r = _polar_radii(body, anchors, *basis, n, _ellipse_radii(half, n))[0][0]
     return float(np.max(r[: n // 2] + r[n // 2:]))

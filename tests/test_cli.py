@@ -73,6 +73,19 @@ def test_sccp_config_file(tmp_path, capsys):
     assert rep["summary"]["verdict"]["tag"] == "concurrent"
 
 
+def test_sccp_paraboloid_lines_parallel_at_tight_classify_tol(tmp_path, capsys):
+    # the 12 centroid lines are vertical to within 1e-14; an angle read as
+    # arccos(|cos|) bottoms out near sqrt(eps) = 1.5e-8 and reads "neither"
+    cfg = dict(PRESETS["sccp"]["paraboloid"], classify_tol=1e-12)
+    f = tmp_path / "cfg.json"
+    f.write_text(json.dumps(cfg))
+    code, out, _ = run(capsys, "sccp", "--config", str(f))
+    assert code == EXIT_OK
+    verdict = json.loads(out)["summary"]["verdict"]
+    assert verdict["tag"] == "parallel"
+    assert verdict["score"] < 1e-13
+
+
 def test_cutvol_parallel_preset(capsys):
     code, out, _ = run(capsys, "cutvol", "--preset", "parabola-parallel")
     assert code == EXIT_OK

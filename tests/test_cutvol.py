@@ -18,7 +18,8 @@ from ccgeom import (
     unit_disk,
     unit_sphere,
 )
-from ccgeom.errors import DegenerateCut, NotApexCentered, OriginInsideBody
+from ccgeom import cutvol, sections
+from ccgeom.errors import DegenerateCut, DegenerateSection, NotApexCentered, OriginInsideBody
 
 from oracles import (
     disk_segment_area,
@@ -195,3 +196,82 @@ def test_circular_cone_3d_cap_volume():
     for h in (0.5, 3.0):
         v = cut_volume(cone, [0.0, 0.0, 1.0 / (apex[2] + h)])
         assert v == pytest.approx(math.pi * (h / slope) ** 2 * h / 3.0, rel=1e-8)
+
+
+def _measure_calls(monkeypatch, batch_fails=False):
+    """Record how many levels each of cutvol's section_measure calls takes.
+
+    With batch_fails, a call on an array of levels raises DegenerateSection,
+    which leaves quad to section every level on its own.
+    """
+    calls = []
+    section_measure = cutvol.section_measure
+
+    def counted(body, u, t, **kwargs):
+        calls.append(np.size(t))
+        if batch_fails and np.ndim(t):
+            raise DegenerateSection("one section per level")
+        return section_measure(body, u, t, **kwargs)
+
+    monkeypatch.setattr(cutvol, "section_measure", counted)
+    return calls
+
+
+def test_batched_first_pass_is_quads_value(monkeypatch):
+    cases = [
+        (unit_sphere(center=[0.1, -0.2, 3.0]), [0.05, 0.1, 0.33]),
+        (unit_sphere(center=[0.1, -0.2, 3.0]), [-0.1, 0.0, 0.4]),
+        (paraboloid_epigraph([1.0, 0.7], shift=[0.0, 0.0, 1.5]), [0.1, -0.2, 0.4]),
+        (paraboloid_epigraph([1.0, 0.7], shift=[0.0, 0.0, 1.5]), [0.0, 0.3, 0.25]),
+        (hyperboloid_sheet([1.0, 1.4], shift=[0.0, 0.0, 1.0]), [0.1, 0.0, 0.3]),
+        (hyperboloid_sheet([1.0, 1.4], shift=[0.0, 0.0, 1.0]), [-0.05, 0.1, 0.25]),
+    ]
+    calls = _measure_calls(monkeypatch)
+    batched = [cut_volume(body, a) for body, a in cases]
+    assert calls == [21] * len(cases)  # every one of them stopped after the first pass
+    calls = _measure_calls(monkeypatch, batch_fails=True)
+    per_level = [cut_volume(body, a) for body, a in cases]
+    assert calls == ([21] + [1] * 21) * len(cases)
+    for v, w in zip(batched, per_level):
+        assert 0.0 < v < math.inf
+        assert v == w
+
+
+def test_quartic_anchor_cut_subdivides_from_the_batch(monkeypatch):
+    # the 21-level pass falls short of rtol on the flat quartic, so quad
+    # subdivides; it reuses the 21 batched levels and sections the rest singly
+    calls = _measure_calls(monkeypatch)
+    assert parallel_cut_scan(function_epigraph("quartic"), 1.0, [[0.0]]) == [1.5999999999939496]
+    assert calls == [21] + [1] * 210
+
+
+def test_degenerate_node_level_falls_back_to_single_sections(monkeypatch):
+    # a cut 1e-11 deep: the outermost node levels round onto the support
+    # level, so the batch raises DegenerateSection and quad scores them 0
+    calls = _measure_calls(monkeypatch)
+    v = halfspace_cut_volume(unit_disk(center=[0.0, 3.0]), [0.0, 1.0], 2.0 + 1e-11)
+    assert v == 5.962887473355462e-17
+    assert calls == [21] + [1] * 21
+
+
+def _ray_batches(monkeypatch):
+    calls = []
+    ray_hits_batch = sections.ray_hits_batch
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return ray_hits_batch(*args, **kwargs)
+
+    monkeypatch.setattr(sections, "ray_hits_batch", counted)
+    return calls
+
+
+def test_cut_volume_ray_batch_budget(monkeypatch):
+    calls = _ray_batches(monkeypatch)
+    # the plane z = 2.5 cuts a cap of height 0.5 from the unit sphere about z = 3
+    assert cut_volume(unit_sphere(center=[0.1, -0.2, 3.0]), [0.0, 0.0, 0.4]) == pytest.approx(
+        sphere_cap_volume(1.0, -0.5), rel=1e-7)
+    assert 0 < len(calls) <= 10
+    calls.clear()
+    cut_volume(unit_disk(center=[0.0, 3.0]), [0.1, 0.35])
+    assert 0 < len(calls) <= 2

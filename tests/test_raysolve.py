@@ -13,6 +13,8 @@ from ccgeom import (
 )
 from ccgeom.bodies import ray_hits_batch
 
+from test_bodies import CATALOG
+
 mpmath.mp.dps = 40
 
 
@@ -103,6 +105,37 @@ def test_root_does_not_depend_on_the_batch():
     for i in range(0, len(w), 17):
         assert ray_hits_batch(body, o, w[i:i + 1])[0][0] == batch[i]
         assert ray_hits_batch(body, o, w[i:i + 1], guess=guess[i:i + 1])[0][0] == batch_guess[i]
+
+
+@pytest.mark.parametrize("body", CATALOG, ids=lambda b: f"{b.tag or b.kind}-{b.ambient_dim}d")
+def test_grouped_origins_match_one_origin_calls(body):
+    # rays j*k .. (j+1)*k - 1 from origin j: bitwise the one-origin hits and counts
+    d, k = body.ambient_dim, 6
+    origins = body.interior_point() + 0.05 * np.random.default_rng(2).normal(size=(4, d))
+    assert bool(body.contains(origins).all())
+    w = _directions(4 * k, 5, d)
+    w[:, -1] = -np.abs(w[:, -1]) - 0.3  # downward: no body of the catalog recedes there
+    w /= np.linalg.norm(w, axis=1, keepdims=True)
+    for guess in (None, np.linspace(0.3, 3.0, len(w))):
+        hits, n_evals = ray_hits_batch(body, origins, w, guess=guess)
+        alone = [ray_hits_batch(body, o, w[j * k:(j + 1) * k],
+                                guess=None if guess is None else guess[j * k:(j + 1) * k])
+                 for j, o in enumerate(origins)]
+        assert np.array_equal(hits, np.concatenate([h for h, _ in alone]))
+        assert n_evals.tolist() == [n for _, n in alone]
+        assert int(n_evals.sum()) == sum(n for _, n in alone)
+
+
+def test_one_origin_keeps_its_shapes():
+    body = ellipsoid([1.0, 2.0])
+    w = np.array([[1.0, 0.0], [0.0, -1.0]])
+    hits, n = ray_hits_batch(body, np.zeros(2), w)
+    grouped, counts = ray_hits_batch(body, np.zeros((1, 2)), w)
+    assert isinstance(n, int) and counts.tolist() == [n]
+    assert np.array_equal(hits, grouped)
+    for origins in (np.zeros((2, 2)), np.zeros((0, 2))):
+        with pytest.raises(ValueError):
+            ray_hits_batch(body, origins, w[:1])
 
 
 def test_flat_quartic_chord():

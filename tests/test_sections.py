@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ccgeom import (
     admissible_levels,
@@ -18,6 +20,7 @@ from ccgeom import (
     unit_disk,
     unit_sphere,
 )
+from ccgeom import sections
 from ccgeom.errors import DegenerateSection, LevelOutOfRange, UnboundedSection
 
 from oracles import chord_length_brute, chord_midpoint_brute
@@ -77,6 +80,8 @@ def test_level_out_of_range():
         section_stats(d, [0.0, 1.0], 1.5)
     with pytest.raises((LevelOutOfRange, DegenerateSection)):
         section_stats(d, [0.0, 1.0], 1.0)  # tangent touch point
+    with pytest.raises(LevelOutOfRange):  # one level out of range fails the batch
+        section_stats(unit_sphere(), [0.0, 0.0, 1.0], np.array([0.0, 0.5, 1.5]))
 
 
 def test_unbounded_direction_raises():
@@ -197,6 +202,9 @@ def test_n_evals_counts_oracle_points(monkeypatch):
         seen.clear()
         st = section_stats(body, u, t)
         assert st.n_evals == sum(seen)
+        seen.clear()
+        st = section_stats(body, u, np.array([-t, t]))
+        assert int(st.n_evals.sum()) == sum(seen)
 
 
 def test_section_level_must_be_a_number():
@@ -204,3 +212,67 @@ def test_section_level_must_be_a_number():
         section_measure(unit_sphere(), [0.0, 0.0, 1.0], math.nan)
     with pytest.raises(ValueError):
         section_stats(unit_disk(), [0.0, 1.0], math.nan)
+    for levels in (np.array([0.0, math.nan]), np.array([]), np.zeros((2, 2))):
+        with pytest.raises(ValueError):
+            section_measure(unit_sphere(), [0.0, 0.0, 1.0], levels)
+
+
+# (body, unit normal) pairs with bounded sections, one per kind and dimension
+LEVEL_BATCHES = [
+    (ellipsoid([1.0, 2.0, 0.5], center=[0.1, 0.2, 0.3]), np.array([1.0, 1.0, 1.0]) / math.sqrt(3.0)),
+    (paraboloid_epigraph([1.0, 0.3], shift=[0.0, 1.0, -2.0]), np.array([0.3, -0.2, 1.0]) / math.sqrt(1.13)),
+    (hyperboloid_sheet([1.0, 2.0]), np.array([0.0, 0.28, 0.96])),
+    (superellipsoid(3.0, dim=3), np.array([0.0, 0.0, 1.0])),
+    (ellipsoid([2.0, 0.7], center=[0.4, -1.1]), np.array([0.6, 0.8])),
+    (function_epigraph("cosh"), np.array([-0.6, -0.8])),
+]
+
+
+def _finite_levels(body, u, fracs):
+    lo, hi = admissible_levels(body, u)
+    if not math.isfinite(hi):
+        hi = lo + 5.0
+    if not math.isfinite(lo):
+        lo = hi - 5.0
+    return lo + np.asarray(fracs) * (hi - lo)
+
+
+def _assert_batch_is_scalar_calls(body, u, levels):
+    batch = section_stats(body, u, levels)
+    measures = section_measure(body, u, levels)
+    assert batch.measure.shape == batch.n_evals.shape == batch.converged.shape == (len(levels),)
+    for i, t in enumerate(levels):
+        one = section_stats(body, u, t)
+        assert batch.t[i] == one.t
+        assert batch.measure[i] == one.measure
+        assert np.array_equal(batch.centroid[i], one.centroid)
+        assert batch.err_estimate[i] == one.err_estimate
+        assert batch.n_evals[i] == one.n_evals
+        assert batch.converged[i] == one.converged
+        assert measures[i] == section_measure(body, u, t)
+
+
+@pytest.mark.parametrize("body,u", LEVEL_BATCHES,
+                         ids=[f"{b.tag or b.kind}-{b.ambient_dim}d" for b, _ in LEVEL_BATCHES])
+def test_level_array_is_bitwise_the_scalar_calls(body, u):
+    _assert_batch_is_scalar_calls(body, u, _finite_levels(body, u, [0.02, 0.3, 0.5, 0.71, 0.97]))
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from(LEVEL_BATCHES),
+       st.lists(st.floats(0.01, 0.99), min_size=1, max_size=6))
+def test_random_level_sets_are_bitwise_the_scalar_calls(case, fracs):
+    body, u = case
+    _assert_batch_is_scalar_calls(body, u, _finite_levels(body, u, fracs))
+
+
+def test_node_cap_is_flagged(monkeypatch):
+    e = ellipsoid([1.0, 2.0, 0.5])
+    u = np.array([1.0, 1.0, 1.0]) / math.sqrt(3.0)
+    assert section_stats(e, u, 0.2).converged is True
+    # an oblate section and a tolerance the 64-node rule cannot meet
+    monkeypatch.setattr(sections, "_MAX_POLAR_NODES", 64)
+    st = section_stats(e, u, 0.2, rtol=1e-14)
+    assert st.converged is False
+    assert not section_stats(e, u, np.array([-0.2, 0.2]), rtol=1e-14).converged.any()
+    assert section_stats(unit_disk(), [0.0, 1.0], 0.3, rtol=1e-14).converged is True
