@@ -12,7 +12,9 @@ along the arc, so the crossing is resolved to rounding relative to the
 bracket rather than to the arc's absolute angle.
 The cone/sphere intersection is R times the cone's closed-form unit boundary
 rays. The symmetric Hausdorff distance between the two sample sets is the
-reported shell distance (one-sided values are exposed for verbose output).
+reported shell distance (one-sided values are exposed for verbose output),
+read off the matrix of their pairwise distances, which ``cdist`` builds in
+numpy one coordinate at a time.
 """
 from __future__ import annotations
 
@@ -20,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .bodies import ConeDescriptor
 from .bodies import ray_hits_batch  # noqa: F401  (perfbench/tracer.py wraps it by name)
@@ -108,6 +109,17 @@ def cone_shell_points(cone: ConeDescriptor, R, n_azimuth=_N_AZIMUTH):
     if cone.dim == 0:
         raise EmptyShellIntersection("trivial cone has no shell points")
     return R * cone.boundary_rays(n_azimuth)
+
+
+def cdist(A, B):
+    """Euclidean distances between the rows of A and the rows of B, one row per
+    point of A, each sum of squares taken coordinate by coordinate in order."""
+    d = np.zeros((len(A), len(B)))
+    for a, b in zip(np.transpose(A), np.transpose(B)):
+        diff = np.subtract.outer(a, b)
+        diff *= diff
+        d += diff
+    return np.sqrt(d, out=d)
 
 
 def _hausdorff(A, B):

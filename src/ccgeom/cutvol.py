@@ -3,21 +3,21 @@ constancy scans for the parallel-cut / homothety-cut characterizations.
 
 V(a) is the volume of the body on the <= side of the hyperplane {<a,x> = 1},
 computed by Fubini slicing perpendicular to a: the section measure is
-integrated over the levels, cosine-substituted, by scipy's ``quad``.  The
-21 levels of its first pass, a Gauss-Kronrod rule, are sectioned in one
-batch before ``quad`` asks for them; the levels of any subdivision are
-sectioned one at a time.  Unboundedness of a cut is decided analytically
-from the recession cone, never by runaway integration.
+integrated over the levels, cosine-substituted, by ``quad``, an adaptive
+form of QUADPACK's 21-point Gauss-Kronrod rule.  Each of its rounds
+sections the 21 levels of every open panel in one batch, so a volume that
+one panel meets costs one batch of 21 levels.  Unboundedness of a cut is
+decided analytically from the recession cone, never by runaway integration.
 Floating cuts are the parallel and homothety cuts (a tangent plane shifted
 by k e_d or scaled by k about 0), sampled by normal instead of by abscissa.
 """
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .bodies import INF
 from .errors import (
@@ -36,20 +36,75 @@ from .sections import (
 )
 
 _HOMOTHETY_TAGS = ("cosh",)
+_MAX_PANELS = 200  # open panels past which quad stops refining
+
+# QUADPACK's dqk21 table: the abscissae x_1 > ... > x_10 > x_11 = 0 of the
+# 21-point Kronrod rule on [-1, 1], with its weights and those of the 10-point
+# Gauss rule on x_2, x_4, ..., x_10. numpy's Gauss nodes are QUADPACK's bit for
+# bit; its Gauss weights are a few ulp off, so the weights are QUADPACK's own.
+_XGK = np.zeros(11)
+_XGK[0:10:2] = (0.995657163025808080735527280689003, 0.930157491355708226001207180059508,
+                0.780817726586416897063717578345042, 0.562757134668604683339000099272694,
+                0.294392862701460198131126603103866)
+_XGK[1:10:2] = -np.polynomial.legendre.leggauss(10)[0][:5]
+_WGK = np.array([0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+                 0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+                 0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+                 0.123491976262065851077208745524776, 0.134709217311473325928054001771707,
+                 0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+                 0.149445554002916905664936468389821])
+_WG = np.zeros(11)
+_WG[1:10:2] = (0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+               0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+               0.295524224714752870173892994651338)
 
 
-def _first_pass_nodes():
-    """The 21 points of [0, pi] at which ``quad`` samples in its first pass.
+def _mirror(v, sign=1.0):
+    """A table over the 21 nodes in increasing order from its 11 entries at x_1, ..., x_11."""
+    return np.concatenate((sign * v[:10], v[::-1]))
 
-    A zero integrand meets any tolerance after that pass, so ``quad`` stops
-    there and the recorded points are its Gauss-Kronrod nodes, in its order.
+
+_NODES, _KRONROD, _GAUSS = _mirror(_XGK, -1.0), _mirror(_WGK), _mirror(_WG)
+
+
+def quad(f, a, b, epsabs, epsrel):
+    """Integral of f over [a, b] by adaptive bisection with the 21-point rule.
+
+    f maps a 1-D array of points to its values there; each round evaluates
+    the nodes of every open panel in one call.  Each panel is scored with
+    QUADPACK's dqk21 error estimate (Piessens et al., QUADPACK, 1983).  The
+    rule stops once the scores of all panels sum to within
+    max(epsabs, epsrel |integral|), QUADPACK's own test; until then the
+    panels within their share of that bound by width close, and the others
+    are bisected.  Past ``_MAX_PANELS`` open panels the sum so far is
+    returned with a RuntimeWarning.
     """
-    nodes = []
-    quad(lambda phi: nodes.append(phi) or 0.0, 0.0, math.pi)
-    return tuple(nodes)
-
-
-_FIRST_PASS = _first_pass_nodes()
+    lo, hi = np.array([a], dtype=float), np.array([b], dtype=float)
+    total, total_err = 0.0, 0.0  # over the closed panels
+    while True:
+        centre, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        fx = f((centre[:, None] + half[:, None] * _NODES).ravel()).reshape(len(lo), -1)
+        kronrod = fx @ _KRONROD
+        result = kronrod * half
+        resabs = np.abs(fx) @ _KRONROD * half
+        resasc = np.abs(fx - 0.5 * kronrod[:, None]) @ _KRONROD * half
+        err = np.abs((kronrod - fx @ _GAUSS) * half)
+        ratio = 200.0 * err / np.where(resasc > 0.0, resasc, 1.0)
+        err = np.where(resasc > 0.0, resasc * np.minimum(1.0, ratio ** 1.5), err)
+        err = np.maximum(err, 50.0 * np.finfo(float).eps * resabs)
+        value = total + float(result.sum())
+        tol = max(epsabs, epsrel * abs(value))
+        short = err > tol * (hi - lo) / (b - a)
+        if total_err + float(err.sum()) <= tol or not short.any():
+            return value
+        if 2 * np.count_nonzero(short) > _MAX_PANELS:
+            warnings.warn(f"quad: more than {_MAX_PANELS} panels short of the tolerance; "
+                          "returning the sum so far", RuntimeWarning, stacklevel=2)
+            return value
+        total += float(result[~short].sum())
+        total_err += float(err[~short].sum())
+        lo, centre, hi = lo[short], centre[short], hi[short]
+        lo, hi = np.concatenate((lo, centre)), np.concatenate((centre, hi))
 
 
 @dataclass(frozen=True)
@@ -94,26 +149,16 @@ def halfspace_cut_volume(body, u, t, rtol=DEFAULT_RTOL) -> float:
     c = 0.5 * (s_lo + s_hi)
     h = 0.5 * (s_hi - s_lo)
 
-    known = None
-
     def g(phi):
-        # quad's first call opens its first pass: section all 21 of its
-        # levels in one batch, and section any later level on its own
-        nonlocal known
-        if known is None:
-            levels = np.array([c - h * math.cos(p) for p in _FIRST_PASS])
-            try:
-                known = dict(zip(_FIRST_PASS, section_measure(body, u, levels, rtol=rtol)))
-            except DegenerateSection:
-                known = {}
-        mi = known.get(phi)
-        if mi is None:
-            mi = m(c - h * math.cos(phi))
-        return mi * h * math.sin(phi)
+        levels = c - h * np.cos(phi)
+        try:
+            measures = section_measure(body, u, levels, rtol=rtol)
+        except DegenerateSection:
+            # a level grazes the body: section them one at a time, scoring those 0
+            measures = np.array([m(s) for s in levels])
+        return measures * h * np.sin(phi)
 
-    val, _ = quad(g, 0.0, math.pi, epsabs=1e-14 * scale ** body.ambient_dim,
-                  epsrel=rtol, limit=200)
-    return float(val)
+    return quad(g, 0.0, math.pi, epsabs=1e-14 * scale ** body.ambient_dim, epsrel=rtol)
 
 
 def cut_volume(body, a, rtol=DEFAULT_RTOL) -> float:

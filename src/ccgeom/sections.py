@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies import _check_unit, ray_hits_batch
+from .bodies import _HIT_RTOL, _check_unit, ray_hits_batch
 from .errors import (
     DegenerateSection,
     LevelOutOfRange,
@@ -246,7 +246,9 @@ def _polar_sections(body, anchors, basis, half, rtol, want_moments):
             j = todo[stop]
             measure[j], converged[j] = mu[stop], met[stop]
             centroid[j] = anchors[j] + (m1[stop, None] * e1 + m2[stop, None] * e2) / mu[stop, None]
-            err[j] = gap[stop] + moment_gap[stop] / np.maximum(mu[stop], 1e-300)
+            # each radius is within _HIT_RTOL and the measure is quadratic in them
+            err[j] = (gap[stop] + moment_gap[stop] / np.maximum(mu[stop], 1e-300)
+                      + 2.0 * _HIT_RTOL * mu[stop])
             keep = ~stop
             if not keep.any():
                 return measure, centroid, err, n_evals, converged

@@ -3,6 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from scipy.spatial import distance
 
 from ccgeom import (
     asymptotic_diagnostic,
@@ -17,6 +18,7 @@ from ccgeom import (
     trend_verdict,
     unit_disk,
 )
+from ccgeom import asymptotics
 from ccgeom.errors import EmptyShellIntersection
 
 
@@ -177,3 +179,13 @@ def test_n_azimuth_must_be_a_positive_integer(n_azimuth):
                  lambda: blowdown_check(h, R, n_azimuth=n_azimuth)):
         with pytest.raises(ValueError, match="n_azimuth"):
             call()
+
+
+@pytest.mark.parametrize("n_azimuth", [96, 720])
+def test_cdist_is_scipys_bit_for_bit(n_azimuth):
+    for body in (hyperboloid_sheet([1.0, 1.4]), paraboloid_epigraph([1.0, 0.7]),
+                 function_epigraph("exp")):
+        for R in (1e2, 1e4):
+            A = body_shell_points(body, R, n_azimuth=n_azimuth)
+            B = cone_shell_points(body.recession_cone(), R, n_azimuth=n_azimuth)
+            assert np.array_equal(asymptotics.cdist(A, B), distance.cdist(A, B))

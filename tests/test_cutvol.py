@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from ccgeom import (
     circular_cone,
@@ -202,7 +203,7 @@ def _measure_calls(monkeypatch, batch_fails=False):
     """Record how many levels each of cutvol's section_measure calls takes.
 
     With batch_fails, a call on an array of levels raises DegenerateSection,
-    which leaves quad to section every level on its own.
+    which leaves the rule to section every level of the round on its own.
     """
     calls = []
     section_measure = cutvol.section_measure
@@ -217,6 +218,20 @@ def _measure_calls(monkeypatch, batch_fails=False):
     return calls
 
 
+def _scipy_cut_volume(body, a, rtol=sections.DEFAULT_RTOL):
+    """V(a) by scipy's quad on the same cosine-substituted integrand, one level a call."""
+    a = np.asarray(a, dtype=float)
+    u, t = a / np.linalg.norm(a), 1.0 / np.linalg.norm(a)
+    s_lo, s_hi = -body.support(-u), min(t, body.support(u))
+    c, h = 0.5 * (s_lo + s_hi), 0.5 * (s_hi - s_lo)
+
+    def g(phi):
+        return sections.section_measure(body, u, c - h * math.cos(phi), rtol=rtol) * h * math.sin(phi)
+
+    return quad(g, 0.0, math.pi, epsabs=1e-14 * body.scale ** body.ambient_dim,
+                epsrel=rtol, limit=200)[0]
+
+
 def test_batched_first_pass_is_quads_value(monkeypatch):
     cases = [
         (unit_sphere(center=[0.1, -0.2, 3.0]), [0.05, 0.1, 0.33]),
@@ -228,7 +243,9 @@ def test_batched_first_pass_is_quads_value(monkeypatch):
     ]
     calls = _measure_calls(monkeypatch)
     batched = [cut_volume(body, a) for body, a in cases]
-    assert calls == [21] * len(cases)  # every one of them stopped after the first pass
+    assert calls == [21] * len(cases)  # every one of them met rtol on its first panel
+    for (body, a), v in zip(cases, batched):
+        assert v == pytest.approx(_scipy_cut_volume(body, a), rel=1e-15, abs=0.0)
     calls = _measure_calls(monkeypatch, batch_fails=True)
     per_level = [cut_volume(body, a) for body, a in cases]
     assert calls == ([21] + [1] * 21) * len(cases)
@@ -238,20 +255,29 @@ def test_batched_first_pass_is_quads_value(monkeypatch):
 
 
 def test_quartic_anchor_cut_subdivides_from_the_batch(monkeypatch):
-    # the 21-level pass falls short of rtol on the flat quartic, so quad
-    # subdivides; it reuses the 21 batched levels and sections the rest singly
+    # the first panel falls short of rtol on the flat quartic, so the rule
+    # bisects; each round sections the levels of all its open panels at once
     calls = _measure_calls(monkeypatch)
-    assert parallel_cut_scan(function_epigraph("quartic"), 1.0, [[0.0]]) == [1.5999999999939496]
-    assert calls == [21] + [1] * 210
+    [v] = parallel_cut_scan(function_epigraph("quartic"), 1.0, [[0.0]])
+    assert v == pytest.approx(1.6, rel=sections.DEFAULT_RTOL)  # 2 (1 - 1/5)
+    assert 1 < len(calls) <= 8
+    assert calls[0] == 21 and all(n % 21 == 0 for n in calls)
 
 
 def test_degenerate_node_level_falls_back_to_single_sections(monkeypatch):
     # a cut 1e-11 deep: the outermost node levels round onto the support
-    # level, so the batch raises DegenerateSection and quad scores them 0
+    # level, so the batch raises DegenerateSection and the rule scores them 0
     calls = _measure_calls(monkeypatch)
     v = halfspace_cut_volume(unit_disk(center=[0.0, 3.0]), [0.0, 1.0], 2.0 + 1e-11)
-    assert v == 5.962887473355462e-17
+    assert v == pytest.approx(5.962887473355462e-17, rel=1e-14, abs=0.0)
     assert calls == [21] + [1] * 21
+
+
+def test_quad_warns_at_the_panel_cap():
+    # a tolerance below the rounding floor closes no panel
+    with pytest.warns(RuntimeWarning, match="panels short of the tolerance"):
+        v = cutvol.quad(np.sin, 0.0, math.pi, epsabs=0.0, epsrel=1e-20)
+    assert v == pytest.approx(2.0, rel=1e-14)
 
 
 def _ray_batches(monkeypatch):

@@ -276,3 +276,21 @@ def test_node_cap_is_flagged(monkeypatch):
     assert st.converged is False
     assert not section_stats(e, u, np.array([-0.2, 0.2]), rtol=1e-14).converged.any()
     assert section_stats(unit_disk(), [0.0, 1.0], 0.3, rtol=1e-14).converged is True
+
+
+def test_3d_error_estimate_bounds_the_true_error():
+    # ellipsoid sections in closed form: with D = diag(a^2) and h^2 = u.Du,
+    # area pi a1 a2 a3 / h (1 - t^2 / h^2) and centroid t Du / h^2
+    a = np.array([1.0, 2.0, 1.5])
+    e = ellipsoid(a)
+    rng = np.random.default_rng(0)
+    for _ in range(100):
+        u = rng.normal(size=3)
+        u /= np.linalg.norm(u)
+        h2 = float(u @ (a ** 2 * u))
+        t = rng.uniform(-0.95, 0.95) * math.sqrt(h2)
+        st = section_stats(e, u, t)
+        area = math.pi * float(np.prod(a)) / math.sqrt(h2) * (1.0 - t * t / h2)
+        centroid = t * a ** 2 * u / h2
+        err = abs(st.measure - area) + float(np.linalg.norm(st.centroid - centroid))
+        assert err <= st.err_estimate

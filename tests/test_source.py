@@ -1,14 +1,21 @@
-"""Source hygiene: no module of the package imports a name it never reads.
+"""Source hygiene: no module of the package imports a name it never reads,
+and the package needs numpy alone at run time.
 
-No lint tool is a dependency, so this is an AST scan. ``__init__.py`` is
+No lint tool is a dependency, so the first is an AST scan. ``__init__.py`` is
 exempt, its imports are the package's re-exports, and so is an import on a
 line marked ``# noqa: F401``, kept because something outside the package
 looks the name up on the module.
 """
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "ccgeom"
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "ccgeom"
 
 
 def _unused_imports(path):
@@ -33,3 +40,19 @@ def test_no_module_imports_a_name_it_never_reads():
     assert len(modules) >= 7
     unused = {p.name: names for p in modules if (names := _unused_imports(p))}
     assert unused == {}
+
+
+def test_cli_import_loads_no_scipy():
+    code = "import sys, ccgeom.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), cwd=str(ROOT))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    assert [d.split(">")[0] for d in project["dependencies"]] == ["numpy"]
+    assert any(d.startswith("scipy") for d in project["optional-dependencies"]["test"])
