@@ -699,8 +699,7 @@ def _bracket(F, O, P, W, probes, evals):
     points evaluated along each ray to ``evals``.
     """
     n, m = probes.shape
-    pts = (P + probes[:, :, None] * W).reshape(-1, O.shape[1])
-    f = F(np.concatenate([pts, O]))
+    f = F(np.concatenate([(P + probes[:, :, None] * W).reshape(-1, O.shape[1]), O]))
     if not np.all(f[n * m:] < 0.0):
         raise NotInterior("ray origin is not inside the body")
     f0 = np.repeat(f[n * m:], m // len(O))
@@ -711,7 +710,7 @@ def _bracket(F, O, P, W, probes, evals):
     seq[0, 2:n + 2], seq[1, 2:n + 2] = probes, f[:n * m].reshape(n, m)
     c = np.count_nonzero(seq[1, 2:n + 2] <= 0.0, axis=0)
     S = np.empty((2, 6, m))
-    S[:, _LP:] = seq[:, c + np.arange(4)[:, None], np.arange(m)]
+    S[:, _LP:] = seq.reshape(2, -1).take((c + np.arange(4)[:, None]) * m + np.arange(m), axis=1)
     evals += n
     # step to the zero of the line through the last two inside points, which
     # lies outside by convexity, but at most to twice the distance of l
@@ -746,7 +745,7 @@ def _solve(F, P, W, S, f0, hits, evals):
     # F(origin) < 0 is made of terms at least |F(origin)| large, so an inside
     # end with F above this is on the boundary up to rounding
     noise = 4.0 * np.finfo(float).eps * f0
-    for _ in range(_SOLVE_STEPS):
+    for step in range(_SOLVE_STEPS):
         X, Fx = S[0], S[1]
         l, h = X[_L], X[_H]
         # zeros of the lines through (Lp, l), (l, h) and (h, p), each taken
@@ -769,22 +768,27 @@ def _solve(F, P, W, S, f0, hits, evals):
         last_sqrt_ratio = np.sqrt(ratio)
         if np.count_nonzero(done):
             hits[rays[done]] = np.where(close, 0.5 * (a + b), z[1])[done]
+            # two points in each earlier step
+            evals[rays[done]] += 2 * step
             keep = ~done
-            rays, S, P, W = rays[keep], S[:, :, keep], P[keep], W[keep]
+            # unlike S[:, :, keep], compress keeps S contiguous: the flat gather
+            # below then reshapes it without a copy
+            rays, S, P, W = rays[keep], S.compress(keep, axis=2), P[keep], W[keep]
             if rays.size == 0:
                 return
             last_sqrt_ratio, noise = last_sqrt_ratio[keep], noise[keep]
             cols = np.arange(rays.size)
         k = rays.size
         S[1, 0:2] = F((P + S[0, 0:2, :, None] * W).reshape(-1, P.shape[1])).reshape(2, k)
-        evals[rays] += 2
         inside = S[1, 0:2] <= 0.0
         # the chord root is inside unless F is rounding noise there
         noisy = ~inside[0]
-        S = S[:, _NEXT[:, inside[0] * (1 + inside[1])], cols]
+        # slot j of ray i is at j * k + i once S is flat
+        S = S.reshape(2, -1).take((_NEXT.T * k)[inside[0] * (1 + inside[1])].T + cols, axis=1)
     # step cap: the chord roots of the brackets still open
     (l, h), (fl, fh) = S[:, _L:_H + 1]
     hits[rays] = l - fl * ((h - l) / (fh - fl))
+    evals[rays] += 2 * _SOLVE_STEPS
 
 
 # -- convenience constructors used throughout the tests and CLI ------------

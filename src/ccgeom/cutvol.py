@@ -4,10 +4,12 @@ constancy scans for the parallel-cut / homothety-cut characterizations.
 V(a) is the volume of the body on the <= side of the hyperplane {<a,x> = 1},
 computed by Fubini slicing perpendicular to a: the section measure is
 integrated over the levels, cosine-substituted, by ``quad``, an adaptive
-form of QUADPACK's 21-point Gauss-Kronrod rule.  Each of its rounds
-sections the 21 levels of every open panel in one batch, so a volume that
-one panel meets costs one batch of 21 levels.  Unboundedness of a cut is
-decided analytically from the recession cone, never by runaway integration.
+form of QUADPACK's 21-point Gauss-Kronrod rule that runs several integrals
+in lockstep.  Each of its rounds sections the 21 levels of every open panel
+of every integral in one batch, so a volume that one panel meets costs one
+batch of 21 levels, and a gradient's 2d + 1 volumes share their rounds and
+batches.  Unboundedness of a cut is decided analytically from the recession
+cone, never by runaway integration.
 Floating cuts are the parallel and homothety cuts (a tangent plane shifted
 by k e_d or scaled by k about 0), sampled by normal instead of by abscissa.
 """
@@ -68,43 +70,59 @@ _NODES, _KRONROD, _GAUSS = _mirror(_XGK, -1.0), _mirror(_WGK), _mirror(_WG)
 
 
 def quad(f, a, b, epsabs, epsrel):
-    """Integral of f over [a, b] by adaptive bisection with the 21-point rule.
+    """Integrals of f over the intervals [a_k, b_k], k < K, by adaptive
+    bisection with the 21-point rule, all K in lockstep.
 
-    f maps a 1-D array of points to its values there; each round evaluates
-    the nodes of every open panel in one call.  Each panel is scored with
-    QUADPACK's dqk21 error estimate (Piessens et al., QUADPACK, 1983).  The
-    rule stops once the scores of all panels sum to within
-    max(epsabs, epsrel |integral|), QUADPACK's own test; until then the
-    panels within their share of that bound by width close, and the others
-    are bisected.  Past ``_MAX_PANELS`` open panels the sum so far is
-    returned with a RuntimeWarning.
+    a, b and epsrel are numbers or arrays of K; returns the K integrals.
+    f(x, k) maps a 1-D array of points x, point i in the interval of
+    integral k[i], to the integrands' values there; each round evaluates
+    the nodes of every open panel of every integral in one call.  Each panel
+    is scored with QUADPACK's dqk21 error estimate (Piessens et al.,
+    QUADPACK, 1983).  Each integral keeps its own panels and stops on its
+    own once their scores sum to within max(epsabs, epsrel_k |integral|),
+    QUADPACK's own test; until then its panels within their share of that
+    bound by width close, and the others are bisected.  Past ``_MAX_PANELS``
+    open panels of one integral its sum so far is taken with a
+    RuntimeWarning.
     """
-    lo, hi = np.array([a], dtype=float), np.array([b], dtype=float)
-    total, total_err = 0.0, 0.0  # over the closed panels
-    while True:
-        centre, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        fx = f((centre[:, None] + half[:, None] * _NODES).ravel()).reshape(len(lo), -1)
-        kronrod = fx @ _KRONROD
-        result = kronrod * half
-        resabs = np.abs(fx) @ _KRONROD * half
-        resasc = np.abs(fx - 0.5 * kronrod[:, None]) @ _KRONROD * half
-        err = np.abs((kronrod - fx @ _GAUSS) * half)
-        ratio = 200.0 * err / np.where(resasc > 0.0, resasc, 1.0)
-        err = np.where(resasc > 0.0, resasc * np.minimum(1.0, ratio ** 1.5), err)
-        err = np.maximum(err, 50.0 * np.finfo(float).eps * resabs)
-        value = total + float(result.sum())
-        tol = max(epsabs, epsrel * abs(value))
-        short = err > tol * (hi - lo) / (b - a)
-        if total_err + float(err.sum()) <= tol or not short.any():
-            return value
-        if 2 * np.count_nonzero(short) > _MAX_PANELS:
-            warnings.warn(f"quad: more than {_MAX_PANELS} panels short of the tolerance; "
-                          "returning the sum so far", RuntimeWarning, stacklevel=2)
-            return value
-        total += float(result[~short].sum())
-        total_err += float(err[~short].sum())
-        lo, centre, hi = lo[short], centre[short], hi[short]
-        lo, hi = np.concatenate((lo, centre)), np.concatenate((centre, hi))
+    a, b = np.atleast_1d(np.asarray(a, dtype=float)), np.atleast_1d(np.asarray(b, dtype=float))
+    epsrel = np.broadcast_to(epsrel, a.shape)
+    out = np.empty(len(a))
+    # each open integral's panels [lo, hi] and the sum and error of its closed ones
+    panels = {k: (a[k:k + 1], b[k:k + 1], 0.0, 0.0) for k in range(len(a))}
+    while panels:
+        mids = {k: (0.5 * (lo + hi), 0.5 * (hi - lo)) for k, (lo, hi, _, _) in panels.items()}
+        x = [(centre[:, None] + half[:, None] * _NODES).ravel() for centre, half in mids.values()]
+        fxs = np.split(f(np.concatenate(x), np.repeat(list(mids), [len(v) for v in x])),
+                       np.cumsum([len(v) for v in x[:-1]]))
+        for (k, (centre, half)), fx in zip(mids.items(), fxs):
+            lo, hi, total, total_err = panels.pop(k)
+            # every row apart, as a lone integral would score it: a matrix
+            # product's rows depend in the last bit on how many there are
+            fx = fx.reshape(len(lo), -1)
+            kronrod = fx @ _KRONROD
+            result = kronrod * half
+            resabs = np.abs(fx) @ _KRONROD * half
+            resasc = np.abs(fx - 0.5 * kronrod[:, None]) @ _KRONROD * half
+            err = np.abs((kronrod - fx @ _GAUSS) * half)
+            ratio = 200.0 * err / np.where(resasc > 0.0, resasc, 1.0)
+            err = np.where(resasc > 0.0, resasc * np.minimum(1.0, ratio ** 1.5), err)
+            err = np.maximum(err, 50.0 * np.finfo(float).eps * resabs)
+            out[k] = total + float(result.sum())
+            tol = max(epsabs, epsrel[k] * abs(out[k]))
+            short = err > tol * (hi - lo) / (b[k] - a[k])
+            if total_err + float(err.sum()) <= tol or not short.any():
+                continue
+            if 2 * np.count_nonzero(short) > _MAX_PANELS:
+                warnings.warn(f"quad: more than {_MAX_PANELS} panels short of the tolerance; "
+                              "returning the sum so far", RuntimeWarning, stacklevel=2)
+                continue
+            total += float(result[~short].sum())
+            total_err += float(err[~short].sum())
+            lo, centre, hi = lo[short], centre[short], hi[short]
+            panels[k] = (np.concatenate((lo, centre)), np.concatenate((centre, hi)),
+                         total, total_err)
+    return out
 
 
 @dataclass(frozen=True)
@@ -123,6 +141,54 @@ class CutVolumeResult:
     section_diameter: float
 
 
+def _level_range(body, u, t):
+    """Levels (s_lo, s_hi) that body ∩ {<u,x> <= t} spans, u a unit normal,
+    or the volume itself where it needs no integral: +inf when the cut
+    contains a recession direction, 0 when the halfspace misses the interior.
+    """
+    s_lo = -body.support(-u)
+    if not body.recession_cone().positive_on(u):
+        # some recession direction stays in the halfspace: infinite volume
+        return 0.0 if t <= s_lo else INF
+    s_hi = min(t, body.support(u))
+    if s_hi <= s_lo + 1e-12 * body.scale:
+        return 0.0
+    return s_lo, s_hi
+
+
+def _cut_volumes(body, normals, ranges, rtols):
+    """Volumes of the cuts of body with unit normals normals[k] over the level
+    ranges ranges[k] (from ``_level_range``; a number is the volume itself),
+    each to its own rtols[k]: the integrals in one lockstep ``quad``, whose
+    every round sections the levels of all of them in one batch."""
+    volumes = np.array([math.nan if isinstance(r, tuple) else r for r in ranges])
+    todo = np.flatnonzero(np.isnan(volumes))
+    normals, rtols = np.asarray(normals)[todo], np.asarray(rtols, dtype=float)[todo]
+    s_lo, s_hi = np.array([ranges[k] for k in todo]).reshape(-1, 2).T
+    # cosine substitution removes the sqrt behaviour at the boundary levels
+    c = 0.5 * (s_lo + s_hi)
+    h = 0.5 * (s_hi - s_lo)
+
+    def m(u, s, rtol):
+        try:
+            return section_measure(body, u, s, rtol=rtol)
+        except DegenerateSection:
+            return 0.0
+
+    def g(phi, k):
+        levels = c[k] - h[k] * np.cos(phi)
+        try:
+            measures = section_measure(body, normals[k], levels, rtol=rtols[k])
+        except DegenerateSection:
+            # a level grazes the body: section them one at a time, scoring those 0
+            measures = np.array([m(normals[i], s, rtols[i]) for i, s in zip(k, levels)])
+        return measures * h[k] * np.sin(phi)
+
+    volumes[todo] = quad(g, np.zeros(len(todo)), np.full(len(todo), math.pi),
+                         epsabs=1e-14 * body.scale ** body.ambient_dim, epsrel=rtols)
+    return volumes
+
+
 def halfspace_cut_volume(body, u, t, rtol=DEFAULT_RTOL) -> float:
     """Volume of body ∩ {<u,x> <= t} for a unit normal u.
 
@@ -130,71 +196,58 @@ def halfspace_cut_volume(body, u, t, rtol=DEFAULT_RTOL) -> float:
     misses the interior.
     """
     u, t = _plane(u, t)
-    s_lo = -body.support(-u)
-    if not body.recession_cone().positive_on(u):
-        # some recession direction stays in the halfspace: infinite volume
-        return 0.0 if t <= s_lo else INF
-    s_hi = min(t, body.support(u))
-    scale = body.scale
-    if s_hi <= s_lo + 1e-12 * scale:
-        return 0.0
+    return float(_cut_volumes(body, [u], [_level_range(body, u, t)], [rtol])[0])
 
-    def m(s):
-        try:
-            return section_measure(body, u, s, rtol=rtol)
-        except DegenerateSection:
-            return 0.0
 
-    # cosine substitution removes the sqrt behaviour at the boundary levels
-    c = 0.5 * (s_lo + s_hi)
-    h = 0.5 * (s_hi - s_lo)
-
-    def g(phi):
-        levels = c - h * np.cos(phi)
-        try:
-            measures = section_measure(body, u, levels, rtol=rtol)
-        except DegenerateSection:
-            # a level grazes the body: section them one at a time, scoring those 0
-            measures = np.array([m(s) for s in levels])
-        return measures * h * np.sin(phi)
-
-    return quad(g, 0.0, math.pi, epsabs=1e-14 * scale ** body.ambient_dim, epsrel=rtol)
+def _cut_plane(a):
+    """Unit normal and level of the hyperplane {<a,x> = 1}."""
+    nrm = float(np.linalg.norm(a))
+    if not (0.0 < nrm < INF):
+        raise ValueError("cut parameter must be finite and nonzero")
+    return _plane(a / nrm, 1.0 / nrm)
 
 
 def cut_volume(body, a, rtol=DEFAULT_RTOL) -> float:
     """V(a) = volume of body on the <= side of {<a,x> = 1}."""
-    a = np.asarray(a, dtype=float)
-    nrm = float(np.linalg.norm(a))
-    if not (0.0 < nrm < INF):
-        raise ValueError("cut parameter must be finite and nonzero")
-    return halfspace_cut_volume(body, a / nrm, 1.0 / nrm, rtol=rtol)
+    return halfspace_cut_volume(body, *_cut_plane(np.asarray(a, dtype=float)), rtol=rtol)
 
 
 def cut_gradient(body, a, rtol=DEFAULT_RTOL) -> CutVolumeResult:
-    """Central-difference gradient of V plus the centroid-identity residuals."""
+    """Central-difference gradient of V plus the centroid-identity residuals.
+
+    V(a) and the 2d perturbed volumes V(a +- step e_j) are one lockstep
+    ``quad``: each of its rounds sections the levels of all of them in one
+    batch, and each volume comes out bitwise as ``cut_volume`` gives it.
+    Which cuts are empty or unbounded is read off the recession cone before
+    any integration.
+    """
     a = np.asarray(a, dtype=float)
     if bool(body.contains(np.zeros(body.ambient_dim))):
         raise OriginInsideBody("translate the body so that 0 is outside first")
-    V0 = cut_volume(body, a, rtol=rtol)
-    if not (0.0 < V0 < INF):
-        raise DegenerateCut(f"V(a) = {V0} is not finite positive")
+    planes = [_cut_plane(a)]
+    ranges = [_level_range(body, *planes[0])]
+    if not isinstance(ranges[0], tuple):
+        raise DegenerateCut(f"V(a) = {ranges[0]} is not finite positive")
     nrm = float(np.linalg.norm(a))
     # the difference quotient amplifies quadrature noise by 1/step, so the
     # perturbed volumes are computed tighter than the requested tolerance
     fd_rtol = min(rtol, 1e-10)
     step = max(1.0, nrm) * fd_rtol ** (1.0 / 3.0)
     dim = body.ambient_dim
-    grad = np.zeros(dim)
     for j in range(dim):
         e = np.zeros(dim)
         e[j] = step
-        vp = cut_volume(body, a + e, rtol=fd_rtol)
-        vm = cut_volume(body, a - e, rtol=fd_rtol)
-        if not (math.isfinite(vp) and math.isfinite(vm)):
+        for p in (a + e, a - e):
+            planes.append(_cut_plane(p))
+            ranges.append(_level_range(body, *planes[-1]))
+        if INF in ranges[-2:]:
             raise DegenerateCut("perturbed cut became unbounded; reduce the step")
-        grad[j] = (vp - vm) / (2.0 * step)
-    u = a / nrm
-    t = 1.0 / nrm
+    volumes = _cut_volumes(body, [u for u, _ in planes], ranges, [rtol] + [fd_rtol] * (2 * dim))
+    V0 = float(volumes[0])
+    if not V0 > 0.0:  # every level of the cut grazed the body
+        raise DegenerateCut(f"V(a) = {V0} is not finite positive")
+    grad = (volumes[1::2] - volumes[2::2]) / (2.0 * step)
+    u, t = planes[0]
     stats = section_stats(body, u, t, rtol=rtol)
     lam = float(a @ grad)
     identity_residual = float(np.linalg.norm(stats.centroid - grad / lam))

@@ -9,12 +9,15 @@ node-doubling refinement schedule, so results are deterministic for a
 given tolerance. ``n_evals`` counts the points at which the body's
 defining function was evaluated, in 2D and 3D.
 
-One kernel does this for a whole array of levels of one normal at once:
-one ray batch per basis vector centres every level (two rays each), and
-each round of the polar rules is one batch over the levels still short of
-the tolerance. The root-finder solves every ray on its own, so each level
-comes out bitwise as it would alone; ``section_stats`` and
-``section_measure`` take a number or a 1-D array of levels.
+One kernel does this for a whole array of levels at once, each with its
+own normal and tolerance: one ray batch per basis vector centres every
+level (two rays each), and each round of the polar rules is one batch over
+the levels still short of their tolerance. Anchors and plane bases are
+built once per distinct normal. The root-finder solves every ray on its
+own, so each level comes out bitwise as it would alone. ``section_stats``
+and ``section_measure`` take a number or a 1-D array of levels;
+``section_measure`` also takes one normal and one tolerance per level, so
+that the sections of several cuts share their batches.
 """
 from __future__ import annotations
 
@@ -62,13 +65,25 @@ def _plane(u, t):
 
 
 def _planes(u, t):
-    """Validated unit normal, levels as a 1-D array, and whether t was a number."""
+    """Validated distinct unit normals, the index of each level's normal among
+    them, the levels as a 1-D array, and whether t was a number.
+
+    u is one normal, or one normal per level as an (L, d) array.
+    """
     ts = np.asarray(t, dtype=float)
     if ts.ndim > 1 or ts.size == 0:
         raise ValueError("levels must be a number or a nonempty 1-D array")
     if np.any(np.isnan(ts)):
         raise ValueError("hyperplane level must be a number")
-    return np.array(_check_unit(u)), np.atleast_1d(ts), ts.ndim == 0
+    u = np.asarray(u, dtype=float)
+    if u.ndim == 2:
+        if ts.shape != (len(u),):
+            raise ValueError("an (L, d) array of normals needs a 1-D array of L levels")
+        normals, which = np.unique(u, axis=0, return_inverse=True)
+    else:
+        normals, which = u[None], np.zeros(ts.size, dtype=np.intp)
+    normals = np.array([_check_unit(n) for n in normals])
+    return normals, which.ravel(), np.atleast_1d(ts), ts.ndim == 0
 
 
 def section_bounded(body, u) -> bool:
@@ -140,11 +155,12 @@ def _section_anchors(body, u, ts):
 
 def _polar_radii(body, anchors, e1, e2, n_nodes, guess, nodes=None):
     """Radii along the polar nodes 2*pi*k/n_nodes, k in nodes (default all),
-    around each anchor: one ray batch, radii and oracle points per anchor."""
+    around each anchor in the plane of its basis rows e1, e2: one ray batch,
+    radii and oracle points per anchor."""
     k = np.arange(n_nodes) if nodes is None else nodes
     theta = 2.0 * math.pi * k / n_nodes
-    dirs = np.outer(np.cos(theta), e1) + np.outer(np.sin(theta), e2)
-    r, n_evals = ray_hits_batch(body, anchors, np.tile(dirs, (len(anchors), 1)),
+    dirs = np.cos(theta)[:, None] * e1[:, None] + np.sin(theta)[:, None] * e2[:, None]
+    r, n_evals = ray_hits_batch(body, anchors, dirs.reshape(-1, anchors.shape[1]),
                                 guess=guess)
     return r.reshape(len(anchors), -1), n_evals
 
@@ -179,29 +195,36 @@ def _polar_rule(r, want_moments):
     return measure, m1, m2
 
 
-def _centred_sections(body, u, ts):
-    """Anchor the sections {<u,x> = t}, t in ts, on the spine and centre them by chords.
+def _centred_sections(body, normals, which, ts):
+    """Anchor the sections {<u,x> = t}, t in ts and u = normals[which], on the
+    spine and centre them by chords.
 
-    The plane is first oriented so that the unbounded side of the level
+    Each plane is first oriented so that the unbounded side of the level
     axis is +u, the way round the spine is built.  Each anchor then moves
     to the midpoint of its chord along each basis vector in turn (better
     conditioning), one ray batch per basis vector for all levels.  Returns
-    the centred anchors, the plane basis, the chords' half-lengths (one
-    array per basis vector) and the oracle points spent per level.  A cone
-    positive on neither side means unbounded sections; an anchor that is not
-    strictly inside means a level grazes the body.
+    the centred anchors, the plane basis (one (L, d) array of rows per basis
+    vector), the chords' half-lengths (one array per basis vector) and the
+    oracle points spent per level.  A cone positive on neither side means
+    unbounded sections; an anchor that is not strictly inside means a level
+    grazes the body.
     """
     cone = body.recession_cone()
-    if not cone.positive_on(u):
-        if not cone.positive_on(-u):
-            raise UnboundedSection(f"sections normal to {u} are unbounded")
-        u, ts = -u, -ts
-    basis = _plane_basis(u)
-    anchors = _section_anchors(body, u, ts)
+    anchors, bases = np.empty((len(ts), normals.shape[1])), []
+    for i, u in enumerate(normals):
+        at = which == i
+        s = ts[at]
+        if not cone.positive_on(u):
+            if not cone.positive_on(-u):
+                raise UnboundedSection(f"sections normal to {u} are unbounded")
+            u, s = -u, -s
+        bases.append(_plane_basis(u))
+        anchors[at] = _section_anchors(body, u, s)
+    basis = np.stack(bases, axis=1)[:, which]
     n_evals, half = 0, []
     for w in basis:
         try:
-            r, k = ray_hits_batch(body, anchors, np.tile(np.stack([w, -w]), (len(ts), 1)))
+            r, k = ray_hits_batch(body, anchors, np.stack([w, -w], axis=1).reshape(-1, w.shape[1]))
         except NotInterior as e:
             raise DegenerateSection("section anchor is not inside the body") from e
         anchors = anchors + (0.5 * (r[0::2] - r[1::2]))[:, None] * w
@@ -214,7 +237,8 @@ def _polar_sections(body, anchors, basis, half, rtol, want_moments):
     """Section integrals around centred anchors, with node-doubling refinement.
 
     Returns per level the measure, centroid, error estimate, oracle points
-    spent beyond the centring chords, and whether the rule met rtol.  A 2D
+    spent beyond the centring chords, and whether the rule met its entry of
+    the per-level tolerances rtol.  A 2D
     section is its centring chord: the anchor is its midpoint and centroid.
     In 3D the polar rules are nested: the first batch of 64 rays per level
     is compared with its 32-node subrule, and each doubling casts only the
@@ -239,13 +263,14 @@ def _polar_sections(body, anchors, basis, half, rtol, want_moments):
         # math.hypot level by level: np.hypot can differ from it in the last
         # bit, and the stopping test must not depend on the batch
         moment_gap =np.array([math.hypot(a, b) for a, b in zip(m1 - prev[1], m2 - prev[2])])
-        met = (gap <= rtol * np.maximum(mu, 1e-300)) & (
-            moment_gap <= rtol * np.maximum(np.abs(m1) + np.abs(m2), mu))
+        tol = rtol[todo]
+        met = (gap <= tol * np.maximum(mu, 1e-300)) & (
+            moment_gap <= tol * np.maximum(np.abs(m1) + np.abs(m2), mu))
         stop = met | (n >= _MAX_POLAR_NODES)
         if stop.any():
             j = todo[stop]
             measure[j], converged[j] = mu[stop], met[stop]
-            centroid[j] = anchors[j] + (m1[stop, None] * e1 + m2[stop, None] * e2) / mu[stop, None]
+            centroid[j] = anchors[j] + (m1[stop, None] * e1[j] + m2[stop, None] * e2[j]) / mu[stop, None]
             # each radius is within _HIT_RTOL and the measure is quadratic in them
             err[j] = (gap[stop] + moment_gap[stop] / np.maximum(mu[stop], 1e-300)
                       + 2.0 * _HIT_RTOL * mu[stop])
@@ -254,19 +279,20 @@ def _polar_sections(body, anchors, basis, half, rtol, want_moments):
                 return measure, centroid, err, n_evals, converged
             todo, r, mu, m1, m2 = todo[keep], r[keep], mu[keep], m1[keep], m2[keep]
         prev = (mu, m1, m2)
-        mid, k = _polar_radii(body, anchors[todo], e1, e2, 2 * n, _refine_radii(r),
+        mid, k = _polar_radii(body, anchors[todo], e1[todo], e2[todo], 2 * n, _refine_radii(r),
                               np.arange(1, 2 * n, 2))
         n_evals[todo] += k
         r = np.stack([r, mid], axis=2).reshape(len(todo), -1)
         n *= 2
 
 
-def _sections(body, u, ts, rtol, want_moments):
+def _sections(body, normals, which, ts, rtol, want_moments):
     """The section kernel: measure, centroid, error estimate, oracle points
-    and convergence of every section {<u,x> = t}, t in the 1-D array ts."""
-    anchors, basis, half, n_evals = _centred_sections(body, u, ts)
+    and convergence of every section {<u,x> = t}, t in the 1-D array ts and
+    u = normals[which], to rtol, a number or one tolerance per level."""
+    anchors, basis, half, n_evals = _centred_sections(body, normals, which, ts)
     measure, centroid, err, k, converged = _polar_sections(
-        body, anchors, basis, half, rtol, want_moments)
+        body, anchors, basis, half, np.broadcast_to(rtol, ts.shape), want_moments)
     return measure, centroid, err, n_evals + k, converged
 
 
@@ -275,7 +301,10 @@ def section_stats(body, u, t, rtol=DEFAULT_RTOL) -> SectionStats:
 
     For a 1-D array of levels t, the sections at all of them in one batch.
     """
-    u, ts, scalar = _planes(u, t)
+    if np.ndim(u) != 1:
+        raise ValueError("section_stats takes one normal for all its levels")
+    normals, which, ts, scalar = _planes(u, t)
+    u = normals[0]
     scale = body.scale
     lo, hi = admissible_levels(body, u)
     buf = 1e-9 * scale
@@ -283,7 +312,7 @@ def section_stats(body, u, t, rtol=DEFAULT_RTOL) -> SectionStats:
     if outside.any():
         raise LevelOutOfRange(
             f"level {float(ts[outside][0])} outside admissible interval ({lo}, {hi})")
-    measure, centroid, err, n_evals, converged = _sections(body, u, ts, rtol, True)
+    measure, centroid, err, n_evals, converged = _sections(body, normals, which, ts, rtol, True)
     if np.any(measure < 1e-12 * scale ** (body.ambient_dim - 1)):
         raise DegenerateSection("section measure below threshold")
     if scalar:
@@ -294,16 +323,22 @@ def section_stats(body, u, t, rtol=DEFAULT_RTOL) -> SectionStats:
 
 def section_measure(body, u, t, rtol=DEFAULT_RTOL):
     """Measure only (cheaper inner loop for volume slicing); an array of
-    measures for a 1-D array of levels."""
-    u, ts, scalar = _planes(u, t)
-    measure = _sections(body, u, ts, rtol, False)[0]
+    measures for a 1-D array of levels.
+
+    u is one normal, or one normal per level as an (L, d) array, and rtol
+    a number or one tolerance per level: the levels of several cuts in one
+    batch.
+    """
+    normals, which, ts, scalar = _planes(u, t)
+    measure = _sections(body, normals, which, ts, rtol, False)[0]
     return float(measure[0]) if scalar else measure
 
 
 def section_diameter(body, u, t) -> float:
     """Diameter estimate of the section (max of opposite-radius sums)."""
     u, t = _plane(u, t)
-    anchors, basis, half, _ = _centred_sections(body, u, np.array([t]))
+    anchors, basis, half, _ = _centred_sections(body, u[None], np.zeros(1, dtype=np.intp),
+                                                np.array([t]))
     if len(basis) == 1:
         return float(2.0 * half[0][0])
     n = _DIAMETER_NODES

@@ -276,8 +276,47 @@ def test_degenerate_node_level_falls_back_to_single_sections(monkeypatch):
 def test_quad_warns_at_the_panel_cap():
     # a tolerance below the rounding floor closes no panel
     with pytest.warns(RuntimeWarning, match="panels short of the tolerance"):
-        v = cutvol.quad(np.sin, 0.0, math.pi, epsabs=0.0, epsrel=1e-20)
+        [v] = cutvol.quad(lambda x, k: np.sin(x), 0.0, math.pi, epsabs=0.0, epsrel=1e-20)
     assert v == pytest.approx(2.0, rel=1e-14)
+
+
+def _quartic_anchor_integrand(phi):
+    """The quartic's anchor-0 cut {y <= 1}, cosine-substituted: chord 2 y^(1/4)
+    at level y = (1 - cos phi) / 2, times dy/dphi."""
+    return 2.0 * (0.5 - 0.5 * np.cos(phi)) ** 0.25 * 0.5 * np.sin(phi)
+
+
+LOCKSTEP_INTEGRANDS = (_quartic_anchor_integrand, np.sin, lambda x: np.exp(-x) * x)
+
+
+def _lockstep(x, k):
+    out = np.empty_like(x)
+    for i, f in enumerate(LOCKSTEP_INTEGRANDS):
+        out[k == i] = f(x[k == i])
+    return out
+
+
+def test_lockstep_quad_is_each_lone_quad_bitwise():
+    rounds = []
+
+    def f(x, k):
+        rounds.append(np.bincount(k, minlength=3) // 21)
+        return _lockstep(x, k)
+
+    a, b, epsrel = np.array([0.0, 0.0, 0.5]), np.array([math.pi, math.pi, 2.0]), [1e-8, 1e-10, 1e-6]
+    together = cutvol.quad(f, a, b, epsabs=0.0, epsrel=epsrel)
+    # the quartic's panels subdivide while the other two close on their first
+    assert len(rounds) > 1 and rounds[0].tolist() == [1, 1, 1]
+    assert all(r[1] == r[2] == 0 and r[0] > 0 for r in rounds[1:])
+    assert together[0] == pytest.approx(1.6, rel=1e-8)  # 2 (1 - 1/5)
+    for i, g in enumerate(LOCKSTEP_INTEGRANDS):
+        [alone] = cutvol.quad(lambda x, k: g(x), a[i], b[i], epsabs=0.0, epsrel=epsrel[i])
+        assert together[i] == alone
+    # one integral at its panel cap warns and stops without holding up the others
+    with pytest.warns(RuntimeWarning, match="panels short of the tolerance"):
+        capped = cutvol.quad(_lockstep, a, b, epsabs=0.0, epsrel=[1e-8, 1e-20, 1e-6])
+    assert capped[0] == together[0] and capped[2] == together[2]
+    assert capped[1] == pytest.approx(2.0, rel=1e-14)
 
 
 def _ray_batches(monkeypatch):
@@ -301,3 +340,71 @@ def test_cut_volume_ray_batch_budget(monkeypatch):
     calls.clear()
     cut_volume(unit_disk(center=[0.0, 3.0]), [0.1, 0.35])
     assert 0 < len(calls) <= 2
+    # a gradient's 2d + 1 volumes share their batches: 3 in 3D (2 centring, 1
+    # polar), 1 in 2D, then section_stats and section_diameter
+    calls.clear()
+    cut_gradient(unit_sphere(center=[0.0, 0.0, 3.0]), [0.05, 0.1, 0.4])
+    assert 0 < len(calls) <= 9
+    calls.clear()
+    cut_gradient(unit_disk(center=[0.0, 3.0]), [0.1, 0.35])
+    assert 0 < len(calls) <= 3
+
+
+# (body, a) with a bounded, nonempty cut, one per kind the gradient is checked on
+GRADIENT_CASES = [
+    (unit_sphere(center=[0.0, 0.0, 3.0]), [0.05, 0.1, 0.4]),
+    (paraboloid_epigraph([1.0, 0.7], shift=[0.0, 0.0, 1.0]), [0.1, -0.2, 0.4]),
+    (hyperboloid_sheet([1.0, 1.4], shift=[0.0, 0.0, 1.0]), [-0.05, 0.1, 0.25]),
+    (unit_disk(center=[0.0, 3.0]), [0.1, 0.35]),
+    (function_epigraph("square", shift=[0.0, 1.0]), [-0.2, 0.5]),
+    (hyperboloid_sheet([1.0]), [0.3, 0.6]),
+]
+
+
+def _gradient_from_single_volumes(body, a, rtol):
+    """cut_gradient's fields from 2d + 1 cut_volume calls at its steps and rtols."""
+    a = np.asarray(a, dtype=float)
+    nrm = float(np.linalg.norm(a))
+    fd_rtol = min(rtol, 1e-10)
+    step = max(1.0, nrm) * fd_rtol ** (1.0 / 3.0)
+    V0 = cut_volume(body, a, rtol=rtol)
+    grad = np.zeros(len(a))
+    for j in range(len(a)):
+        e = np.zeros(len(a))
+        e[j] = step
+        grad[j] = (cut_volume(body, a + e, rtol=fd_rtol) - cut_volume(body, a - e, rtol=fd_rtol)) / (2.0 * step)
+    u, t = a / nrm, 1.0 / nrm
+    stats = sections.section_stats(body, u, t, rtol=rtol)
+    lam = float(a @ grad)
+    return dict(
+        a=a, V=V0, grad=grad, lam=lam,
+        identity_residual=float(np.linalg.norm(stats.centroid - grad / lam)),
+        moment_residual=float(np.linalg.norm(grad + stats.measure * stats.centroid / nrm)),
+        err_estimate=fd_rtol * V0 / step + step ** 2,
+        section_measure=stats.measure, section_centroid=stats.centroid,
+        section_diameter=sections.section_diameter(body, u, t),
+    )
+
+
+@pytest.mark.parametrize("body,a", GRADIENT_CASES,
+                         ids=[f"{b.tag or b.kind}-{b.ambient_dim}d" for b, _ in GRADIENT_CASES])
+@pytest.mark.parametrize("rtol", [sections.DEFAULT_RTOL, 1e-11])
+def test_cut_gradient_is_its_single_volumes_bitwise(body, a, rtol):
+    r = cut_gradient(body, a, rtol=rtol)
+    ref = _gradient_from_single_volumes(body, a, rtol)
+    assert set(ref) == set(r.__dataclass_fields__)
+    for field, value in ref.items():
+        assert np.array_equal(getattr(r, field), value), field
+
+
+def test_cut_gradient_rejects_non_finite_parameter():
+    for a in ([math.nan, 0.0, 0.4], [0.0, math.inf, 0.4]):
+        with pytest.raises(ValueError, match="finite"):
+            cut_gradient(unit_sphere(center=[0.0, 0.0, 3.0]), a)
+
+
+def test_cut_gradient_rejects_a_perturbed_cut_that_turns_unbounded():
+    # a_z = 1e-4 > 0 bounds the cut, but the step fd_rtol^(1/3) ~ 4.6e-4
+    # leaves a - step e_3 with a negative z: that cut keeps the recession ray
+    with pytest.raises(DegenerateCut, match="perturbed cut became unbounded"):
+        cut_gradient(paraboloid_epigraph([1.0, 1.0], shift=[0.0, 0.0, 1.0]), [0.0, 0.0, 1e-4])

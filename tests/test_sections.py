@@ -294,3 +294,36 @@ def test_3d_error_estimate_bounds_the_true_error():
         centroid = t * a ** 2 * u / h2
         err = abs(st.measure - area) + float(np.linalg.norm(st.centroid - centroid))
         assert err <= st.err_estimate
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from(LEVEL_BATCHES),
+       st.lists(st.tuples(st.lists(st.floats(-0.05, 0.05), min_size=3, max_size=3),
+                          st.floats(0.01, 0.99), st.sampled_from([1e-6, 1e-8, 1e-10])),
+                min_size=1, max_size=6))
+def test_normal_per_level_is_bitwise_the_single_normal_calls(case, planes):
+    # each level tilts the case's normal a little, keeping its sections bounded
+    body, u0 = case
+    normals, levels, rtols = [], [], []
+    for tilt, frac, rtol in planes:
+        u = u0 + np.array(tilt[:len(u0)])
+        u /= np.linalg.norm(u)
+        normals.append(u)
+        levels.append(float(_finite_levels(body, u, frac)))
+        rtols.append(rtol)
+    measures = section_measure(body, np.array(normals), np.array(levels), rtol=np.array(rtols))
+    assert measures.shape == (len(planes),)
+    for i, (u, t, rtol) in enumerate(zip(normals, levels, rtols)):
+        assert measures[i] == section_measure(body, u, t, rtol=rtol)
+
+
+def test_normals_per_level_are_checked():
+    up = np.array([[0.0, 0.0, 1.0]] * 2)
+    for levels in (0.1, np.array([0.1]), np.array([0.1, 0.2, 0.3])):
+        with pytest.raises(ValueError, match="one normal per level|1-D array of L levels"):
+            section_measure(unit_sphere(), up, levels)
+    with pytest.raises(ValueError, match="unit"):
+        section_measure(unit_sphere(), np.array([[0.0, 0.0, 1.0], [0.0, math.nan, 1.0]]),
+                        np.array([0.1, 0.2]))
+    with pytest.raises(ValueError, match="one normal"):
+        section_stats(unit_sphere(), up, np.array([0.1, 0.2]))
