@@ -5,8 +5,10 @@ so the body's shell points are found on the sphere itself, with no ray
 cast. F is sampled on great-circle arcs of S_R about the center c: the
 whole circle in 2D, and in 3D one meridian from pole to pole per azimuth,
 in the vertical half-plane through c at that azimuth; the whole scan is one
-``defining`` call. Each sign change of F <= 0 between neighbouring samples
-brackets one crossing. All brackets are bisected together, one
+``defining`` call on a batch held coordinate-major, one contiguous block
+per coordinate, where F's sums over coordinates run as whole-row adds.
+Each sign change of F <= 0 between neighbouring samples brackets one
+crossing. All brackets are bisected together, one
 ``defining`` call per step, in the angle from the bracket's inside sample
 along the arc, so the crossing is resolved to rounding relative to the
 bracket rather than to the arc's absolute angle.
@@ -49,23 +51,25 @@ def _arcs(dim, n_azimuth):
     """Unit samples u, unit tangents t = du/da and the sample step on great circles.
 
     u = cos(a) e1 + sin(a) e2 on an even grid of a, in arrays of shape
-    (arcs, samples, dim). The 2D arc is the whole circle and ends on its
-    first sample; the 3D arcs are the meridians at azimuth 2 pi k / n_azimuth,
-    from a = -pi/2 to pi/2.
+    (arcs, samples, dim), each a view of a coordinate-major (dim, arcs,
+    samples) array, so that the scan's points and its ``defining`` call
+    run one contiguous row per coordinate. The 2D arc is the whole circle
+    and ends on its first sample; the 3D arcs are the meridians at azimuth
+    2 pi k / n_azimuth, from a = -pi/2 to pi/2.
     """
     if dim == 2:
         step = 2.0 * math.pi / _N_SCAN_2D
         a = step * np.arange(_N_SCAN_2D + 1)
         a[-1] = 0.0  # closed on itself
-        e1, e2 = np.eye(2)[:, None, None, :]
+        e1, e2 = np.eye(2)[:, :, None, None]
     else:
         step = math.pi / (_N_SCAN_MERIDIAN - 1)
         a = step * np.arange(_N_SCAN_MERIDIAN) - 0.5 * math.pi
         phi = 2.0 * math.pi * np.arange(n_azimuth) / n_azimuth
-        e1 = np.stack([np.cos(phi), np.sin(phi), np.zeros(n_azimuth)], axis=-1)[:, None, :]
-        e2 = np.array([0.0, 0.0, 1.0])
-    c, s = np.cos(a)[:, None], np.sin(a)[:, None]
-    return c * e1 + s * e2, c * e2 - s * e1, step
+        e1 = np.stack([np.cos(phi), np.sin(phi), np.zeros(n_azimuth)])[:, :, None]
+        e2 = np.array([0.0, 0.0, 1.0])[:, None, None]
+    c, s = np.cos(a), np.sin(a)
+    return np.moveaxis(c * e1 + s * e2, 0, -1), np.moveaxis(c * e2 - s * e1, 0, -1), step
 
 
 def _check_azimuths(n_azimuth):

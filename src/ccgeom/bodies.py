@@ -23,7 +23,10 @@ direction Q^-1 u of its sections' centroid line. No other module tests a
 body or cone kind.
 
 Membership and defining-value evaluation are vectorized over trailing
-point batches (shape (..., dim)); all other oracles are scalar.
+point batches (shape (..., dim)); all other oracles are scalar. F's value
+at a point must not depend on the memory layout of its batch: the
+root-finder and the shell scan build their batches coordinate-major, one
+contiguous row per coordinate, and hand F the transposed view.
 """
 from __future__ import annotations
 
@@ -653,13 +656,20 @@ def ray_hits_batch(body, origin, directions, guess=None):
     returns.
 
     All directions must be non-recessive (guaranteed for bounded sections).
+    Origins, directions and every batch of points are held coordinate-major,
+    as (d, rays) arrays, and F gets their transposed (rays, d) views, so its
+    result must not depend on the layout of its batch. Directions passed as
+    the transposed view of a (d, rays) array are used without a copy.
     """
     origin = np.asarray(origin, dtype=float)
-    W = np.asarray(directions, dtype=float)
-    m = W.shape[0]
+    # coordinate-major, (d, rays): a transposed view passed in is not copied
+    W = np.ascontiguousarray(np.asarray(directions, dtype=float).T)
+    O = np.atleast_2d(origin)
+    if W.ndim != 2 or len(W) != O.shape[1]:
+        raise ValueError("directions must be an (m, d) array, d the origin's dimension")
+    m = W.shape[1]
     if not (np.all(np.isfinite(origin)) and np.all(np.isfinite(W))):
         raise ValueError("ray origin and directions must be finite")
-    O = np.atleast_2d(origin)
     if len(O) == 0 or m % len(O):
         raise ValueError("directions must split into one equal group per origin")
     if guess is None:
@@ -672,7 +682,7 @@ def ray_hits_batch(body, origin, directions, guess=None):
     hits = np.empty(m)
     counts = np.zeros(len(O), dtype=int)
     if m:
-        P = np.repeat(O, m // len(O), axis=0)  # the origin of each ray
+        P = np.repeat(O.T, m // len(O), axis=1)  # the origin of each ray
         evals = np.zeros(m, dtype=int)  # points evaluated along each ray
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
             state, f0 = _bracket(body.defining, O, P, W, probes, evals)
@@ -693,13 +703,15 @@ _NEXT = np.array([[0, 1, 2, 3, 0, 1], [0, 1, 3, 0, 1, 4], [0, 1, 0, 1, 4, 5]]).T
 def _bracket(F, O, P, W, probes, evals):
     """Evaluate the probes (ascending along each ray from its origin in P)
     and the origins O, then step every ray without an outside point outward
-    until it has one.
+    until it has one. P and W hold each ray's origin and direction as
+    (d, rays) arrays.
 
     Returns the solver state and F at the origin of each ray; adds the
     points evaluated along each ray to ``evals``.
     """
     n, m = probes.shape
-    f = F(np.concatenate([(P + probes[:, :, None] * W).reshape(-1, O.shape[1]), O]))
+    f = F(np.concatenate([(P[:, None] + probes * W[:, None]).reshape(len(P), -1), O.T],
+                         axis=1).T)
     if not np.all(f[n * m:] < 0.0):
         raise NotInterior("ray origin is not inside the body")
     f0 = np.repeat(f[n * m:], m // len(O))
@@ -721,7 +733,7 @@ def _bracket(F, O, P, W, probes, evals):
         (xp, x), (fp, fx) = S[:, _LP:_H, idx]
         z = x - fx * ((x - xp) / (fx - fp))
         t = np.where(z > x, np.fmin(z, 2.0 * x), 2.0 * x)
-        ft = F(P[idx] + t[:, None] * W[idx])
+        ft = F((P[:, idx] + t * W[:, idx]).T)
         evals[idx] += 1
         i = ft <= 0.0
         j, o = idx[i], idx[~i]
@@ -735,8 +747,9 @@ def _bracket(F, O, P, W, probes, evals):
 def _solve(F, P, W, S, f0, hits, evals):
     """Shrink each ray's bracket [l, h] to F = 0; writes hits.
 
-    P holds each ray's origin and f0 F there. Only unfinished rays stay in
-    the state. Adds the points evaluated along each ray to ``evals``.
+    P and W hold each ray's origin and direction as (d, rays) arrays, and f0
+    F at its origin. Only unfinished rays stay in the state and in P, W.
+    Adds the points evaluated along each ray to ``evals``.
     """
     rays = np.arange(S.shape[2])
     cols = rays
@@ -773,18 +786,20 @@ def _solve(F, P, W, S, f0, hits, evals):
             keep = ~done
             # unlike S[:, :, keep], compress keeps S contiguous: the flat gather
             # below then reshapes it without a copy
-            rays, S, P, W = rays[keep], S.compress(keep, axis=2), P[keep], W[keep]
+            rays, S = rays[keep], S.compress(keep, axis=2)
+            P, W = P.compress(keep, axis=1), W.compress(keep, axis=1)
             if rays.size == 0:
                 return
             last_sqrt_ratio, noise = last_sqrt_ratio[keep], noise[keep]
             cols = np.arange(rays.size)
         k = rays.size
-        S[1, 0:2] = F((P + S[0, 0:2, :, None] * W).reshape(-1, P.shape[1])).reshape(2, k)
+        S[1, 0:2] = F((P[:, None] + S[0, 0:2] * W[:, None]).reshape(len(P), -1).T).reshape(2, k)
         inside = S[1, 0:2] <= 0.0
         # the chord root is inside unless F is rounding noise there
         noisy = ~inside[0]
         # slot j of ray i is at j * k + i once S is flat
-        S = S.reshape(2, -1).take((_NEXT.T * k)[inside[0] * (1 + inside[1])].T + cols, axis=1)
+        S = S.reshape(2, -1).take((_NEXT * k).take(inside[0] * (1 + inside[1]), axis=1) + cols,
+                                  axis=1)
     # step cap: the chord roots of the brackets still open
     (l, h), (fl, fh) = S[:, _L:_H + 1]
     hits[rays] = l - fl * ((h - l) / (fh - fl))

@@ -32,6 +32,7 @@ from .errors import (
 from .sections import (
     DEFAULT_RTOL,
     _plane,
+    _rtols,
     section_diameter,
     section_measure,
     section_stats,
@@ -161,9 +162,10 @@ def _cut_volumes(body, normals, ranges, rtols):
     ranges ranges[k] (from ``_level_range``; a number is the volume itself),
     each to its own rtols[k]: the integrals in one lockstep ``quad``, whose
     every round sections the levels of all of them in one batch."""
+    rtols = _rtols(rtols, len(ranges))
     volumes = np.array([math.nan if isinstance(r, tuple) else r for r in ranges])
     todo = np.flatnonzero(np.isnan(volumes))
-    normals, rtols = np.asarray(normals)[todo], np.asarray(rtols, dtype=float)[todo]
+    normals, rtols = np.asarray(normals)[todo], rtols[todo]
     s_lo, s_hi = np.array([ranges[k] for k in todo]).reshape(-1, 2).T
     # cosine substitution removes the sqrt behaviour at the boundary levels
     c = 0.5 * (s_lo + s_hi)
@@ -222,6 +224,7 @@ def cut_gradient(body, a, rtol=DEFAULT_RTOL) -> CutVolumeResult:
     any integration.
     """
     a = np.asarray(a, dtype=float)
+    _rtols(rtol, 1)  # before the step, which it sets
     if bool(body.contains(np.zeros(body.ambient_dim))):
         raise OriginInsideBody("translate the body so that 0 is outside first")
     planes = [_cut_plane(a)]

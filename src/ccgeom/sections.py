@@ -17,7 +17,8 @@ built once per distinct normal. The root-finder solves every ray on its
 own, so each level comes out bitwise as it would alone. ``section_stats``
 and ``section_measure`` take a number or a 1-D array of levels;
 ``section_measure`` also takes one normal and one tolerance per level, so
-that the sections of several cuts share their batches.
+that the sections of several cuts share their batches. Every tolerance
+must lie in (0, 1).
 """
 from __future__ import annotations
 
@@ -156,12 +157,12 @@ def _section_anchors(body, u, ts):
 def _polar_radii(body, anchors, e1, e2, n_nodes, guess, nodes=None):
     """Radii along the polar nodes 2*pi*k/n_nodes, k in nodes (default all),
     around each anchor in the plane of its basis rows e1, e2: one ray batch,
-    radii and oracle points per anchor."""
+    radii and oracle points per anchor. The directions are built
+    coordinate-major, (d, anchors, nodes), and passed as a transposed view."""
     k = np.arange(n_nodes) if nodes is None else nodes
     theta = 2.0 * math.pi * k / n_nodes
-    dirs = np.cos(theta)[:, None] * e1[:, None] + np.sin(theta)[:, None] * e2[:, None]
-    r, n_evals = ray_hits_batch(body, anchors, dirs.reshape(-1, anchors.shape[1]),
-                                guess=guess)
+    dirs = np.cos(theta) * e1.T[:, :, None] + np.sin(theta) * e2.T[:, :, None]
+    r, n_evals = ray_hits_batch(body, anchors, dirs.reshape(len(dirs), -1).T, guess=guess)
     return r.reshape(len(anchors), -1), n_evals
 
 
@@ -286,13 +287,24 @@ def _polar_sections(body, anchors, basis, half, rtol, want_moments):
         n *= 2
 
 
+def _rtols(rtol, n):
+    """rtol, a number or n numbers, as an array of n relative tolerances,
+    each of which must lie in (0, 1)."""
+    rtol = np.broadcast_to(np.asarray(rtol, dtype=float), (n,))
+    # written so that a NaN fails the test too
+    if not np.all((rtol > 0.0) & (rtol < 1.0)):
+        raise ValueError("rtol must lie in (0, 1)")
+    return rtol
+
+
 def _sections(body, normals, which, ts, rtol, want_moments):
     """The section kernel: measure, centroid, error estimate, oracle points
     and convergence of every section {<u,x> = t}, t in the 1-D array ts and
     u = normals[which], to rtol, a number or one tolerance per level."""
+    rtol = _rtols(rtol, ts.size)
     anchors, basis, half, n_evals = _centred_sections(body, normals, which, ts)
     measure, centroid, err, k, converged = _polar_sections(
-        body, anchors, basis, half, np.broadcast_to(rtol, ts.shape), want_moments)
+        body, anchors, basis, half, rtol, want_moments)
     return measure, centroid, err, n_evals + k, converged
 
 

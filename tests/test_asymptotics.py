@@ -21,6 +21,8 @@ from ccgeom import (
 from ccgeom import asymptotics
 from ccgeom.errors import EmptyShellIntersection
 
+from test_raysolve import coordinate_major, record_defining
+
 
 def test_body_shell_points_on_hyperbola():
     R = 50.0
@@ -189,3 +191,37 @@ def test_cdist_is_scipys_bit_for_bit(n_azimuth):
             A = body_shell_points(body, R, n_azimuth=n_azimuth)
             B = cone_shell_points(body.recession_cone(), R, n_azimuth=n_azimuth)
             assert np.array_equal(asymptotics.cdist(A, B), distance.cdist(A, B))
+
+
+def _row_major_arcs(dim, n_azimuth):
+    """The arcs built point-major, (arcs, samples, dim) in C order."""
+    if dim == 2:
+        step = 2.0 * math.pi / asymptotics._N_SCAN_2D
+        a = step * np.arange(asymptotics._N_SCAN_2D + 1)
+        a[-1] = 0.0
+        e1, e2 = np.eye(2)[:, None, None, :]
+    else:
+        step = math.pi / (asymptotics._N_SCAN_MERIDIAN - 1)
+        a = step * np.arange(asymptotics._N_SCAN_MERIDIAN) - 0.5 * math.pi
+        phi = 2.0 * math.pi * np.arange(n_azimuth) / n_azimuth
+        e1 = np.stack([np.cos(phi), np.sin(phi), np.zeros(n_azimuth)], axis=-1)[:, None, :]
+        e2 = np.array([0.0, 0.0, 1.0])
+    c, s = np.cos(a)[:, None], np.sin(a)[:, None]
+    return c * e1 + s * e2, c * e2 - s * e1, step
+
+
+@pytest.mark.parametrize("n_azimuth", [1, 7, 96, 720])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_arcs_are_the_row_major_arcs_bit_for_bit(dim, n_azimuth):
+    U, T, step = asymptotics._arcs(dim, n_azimuth)
+    U0, T0, step0 = _row_major_arcs(dim, n_azimuth)
+    assert step == step0
+    assert U.shape == U0.shape and np.array_equal(U, U0)
+    assert T.shape == T0.shape and np.array_equal(T, T0)
+
+
+def test_shell_scan_hands_f_one_coordinate_major_batch(monkeypatch):
+    batches = record_defining(monkeypatch)
+    body_shell_points(hyperboloid_sheet([1.0, 1.4]), 100.0, n_azimuth=96)
+    assert batches[0].shape == (96, asymptotics._N_SCAN_MERIDIAN, 3)
+    assert coordinate_major(batches[0])

@@ -4,6 +4,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ccgeom import (
     BodySpec,
@@ -305,3 +308,17 @@ def test_gauge_is_norm_over_boundary_hit():
     x = np.array([0.3, -1.7, 0.4])
     # the boundary point along x lies at x / gauge(x)
     assert e.defining(x / e.gauge(x)) == pytest.approx(0.0, abs=1e-13)
+
+
+@pytest.mark.parametrize("body", CATALOG, ids=lambda b: f"{b.tag or b.kind}-{b.ambient_dim}d")
+@settings(max_examples=25, deadline=None)
+@given(arrays(np.float64, st.tuples(st.integers(1, 3), st.integers(1, 30), st.just(3)),
+              elements=st.floats(-3.0, 3.0) | st.floats(-1e3, 1e3) | st.floats(-1e300, 1e300)))
+def test_defining_does_not_depend_on_the_batch_layout(body, x):
+    # the root-finder and the shell scan hand F coordinate-major views; points
+    # run from inside the body to far outside, where exp, cosh and powers overflow
+    x = np.ascontiguousarray(x[..., :body.ambient_dim])
+    view = np.moveaxis(np.ascontiguousarray(np.moveaxis(x, -1, 0)), 0, -1)
+    with np.errstate(all="ignore"):
+        for batch, strided in ((x, view), (x[0], view[0])):
+            assert np.array_equal(body.defining(batch), body.defining(strided), equal_nan=True)

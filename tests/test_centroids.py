@@ -143,3 +143,9 @@ def test_cone_direction_check_rejects_bounded_body():
     d = unit_disk()
     with pytest.raises(ConeSectionUnbounded):
         cone_direction_check(d, np.array([0.0, 1.0]))
+
+
+@pytest.mark.parametrize("rtol", [math.nan, 0.0, -1.0, 1.0, math.inf])
+def test_sccp_residual_refuses_rtol_outside_the_unit_interval(rtol):
+    with pytest.raises(ValueError, match="rtol"):
+        sccp_residual(ellipsoid([1.0, 2.0, 1.5]), _unit([0.2, 0.3, 1.0]), rtol=rtol)

@@ -408,3 +408,15 @@ def test_cut_gradient_rejects_a_perturbed_cut_that_turns_unbounded():
     # leaves a - step e_3 with a negative z: that cut keeps the recession ray
     with pytest.raises(DegenerateCut, match="perturbed cut became unbounded"):
         cut_gradient(paraboloid_epigraph([1.0, 1.0], shift=[0.0, 0.0, 1.0]), [0.0, 0.0, 1e-4])
+
+
+@pytest.mark.parametrize("rtol", [math.nan, 0.0, -1.0, 1.0, math.inf])
+def test_rtol_outside_the_unit_interval_is_refused(rtol):
+    sphere = unit_sphere([0.0, 0.0, 3.0])
+    for call in (cut_volume, cut_gradient):
+        with pytest.raises(ValueError, match="rtol"):
+            call(sphere, np.array([0.0, 0.0, 0.4]), rtol=rtol)
+    # also where the cut misses the body and needs no integral
+    assert cut_volume(sphere, np.array([0.0, 0.0, 0.5])) == 0.0
+    with pytest.raises(ValueError, match="rtol"):
+        cut_volume(sphere, np.array([0.0, 0.0, 0.5]), rtol=rtol)

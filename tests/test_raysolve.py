@@ -6,10 +6,14 @@ import numpy as np
 import pytest
 
 from ccgeom import (
+    BodySpec,
+    cut_gradient,
     ellipsoid,
     function_epigraph,
     hyperboloid_sheet,
     paraboloid_epigraph,
+    section_stats,
+    unit_sphere,
 )
 from ccgeom.bodies import ray_hits_batch
 
@@ -126,6 +130,53 @@ def test_grouped_origins_match_one_origin_calls(body):
         assert int(n_evals.sum()) == sum(n for _, n in alone)
 
 
+@pytest.mark.parametrize("body", CATALOG, ids=lambda b: f"{b.tag or b.kind}-{b.ambient_dim}d")
+def test_transposed_views_give_the_same_hits(body):
+    # the polar rule passes its directions as the transposed view of a (d, rays) array
+    d, k = body.ambient_dim, 5
+    origins = body.interior_point() + 0.05 * np.random.default_rng(3).normal(size=(3, d))
+    w = _directions(3 * k, 6, d)
+    w[:, -1] = -np.abs(w[:, -1]) - 0.3
+    w /= np.linalg.norm(w, axis=1, keepdims=True)
+
+    def view(a):
+        return np.ascontiguousarray(a.T).T
+
+    for guess in (None, np.linspace(0.3, 3.0, len(w))):
+        hits, n_evals = ray_hits_batch(body, origins, w, guess=guess)
+        for o, v in ((view(origins), w), (origins, view(w)), (view(origins), view(w))):
+            h, n = ray_hits_batch(body, o, v, guess=guess)
+            assert np.array_equal(h, hits) and np.array_equal(n, n_evals)
+
+
+def coordinate_major(x):
+    """Whether each coordinate of the batch x is one contiguous block."""
+    return x.strides[-1] == x.itemsize * (x.size // x.shape[-1])
+
+
+def record_defining(monkeypatch):
+    """The list of batches that every later call of BodySpec.defining appends to."""
+    batches, defining = [], BodySpec.defining
+
+    def recorded(self, x):
+        batches.append(np.asarray(x))
+        return defining(self, x)
+
+    monkeypatch.setattr(BodySpec, "defining", recorded)
+    return batches
+
+
+@pytest.mark.parametrize("call", [
+    lambda: section_stats(unit_sphere(), np.array([0.0, 0.6, 0.8]), 0.3),
+    lambda: cut_gradient(unit_sphere([0.0, 0.0, 3.0]), np.array([0.1, 0.2, 0.25])),
+], ids=["sphere-section", "sphere-gradient"])
+def test_root_finder_hands_f_coordinate_major_batches(monkeypatch, call):
+    batches = record_defining(monkeypatch)
+    call()
+    assert max(x.size // x.shape[-1] for x in batches) >= 64
+    assert all(coordinate_major(x) for x in batches)
+
+
 def test_one_origin_keeps_its_shapes():
     body = ellipsoid([1.0, 2.0])
     w = np.array([[1.0, 0.0], [0.0, -1.0]])
@@ -165,6 +216,13 @@ def test_gauge_is_zero_along_recession_directions():
     assert pb.gauge([0.0, 0.0, 5.0]) == 0.0
     # across the axis the boundary is at x^2 = 1
     assert pb.gauge([3.0, 0.0, 0.0]) == pytest.approx(3.0, rel=1e-12)
+
+
+def test_rejects_directions_of_the_wrong_shape():
+    body = ellipsoid([1.0, 1.0, 1.0])
+    for w in (np.array([0.0, 0.0, 1.0]), np.array([[0.0, 1.0]]), np.zeros((1, 1, 3))):
+        with pytest.raises(ValueError, match="directions"):
+            ray_hits_batch(body, np.zeros(3), w)
 
 
 def test_rejects_non_finite_rays():

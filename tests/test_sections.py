@@ -327,3 +327,18 @@ def test_normals_per_level_are_checked():
                         np.array([0.1, 0.2]))
     with pytest.raises(ValueError, match="one normal"):
         section_stats(unit_sphere(), up, np.array([0.1, 0.2]))
+
+
+@pytest.mark.parametrize("rtol", [math.nan, 0.0, -1.0, 1.0, math.inf])
+def test_rtol_outside_the_unit_interval_is_refused(rtol):
+    # a NaN or non-positive rtol never stops the polar rule short of its node cap
+    u = np.array([0.0, 0.6, 0.8])
+    with pytest.raises(ValueError, match="rtol"):
+        section_stats(unit_sphere(), u, 0.3, rtol=rtol)
+    with pytest.raises(ValueError, match="rtol"):
+        section_stats(unit_disk(), [0.0, 1.0], np.array([0.1, 0.3]), rtol=rtol)
+    levels, rtols = np.array([-0.2, 0.1, 0.4]), np.array([1e-8, rtol, 1e-6])
+    with pytest.raises(ValueError, match="rtol"):
+        section_measure(unit_sphere(), u, levels, rtol=rtols)
+    with pytest.raises(ValueError, match="rtol"):
+        section_measure(unit_sphere(), np.array([u, u, [0.0, 0.0, 1.0]]), levels, rtol=rtols)
