@@ -4,7 +4,8 @@ A point of (boundary ∩ S_R) is a zero of the defining function F on S_R,
 so the body's shell points are found on the sphere itself, with no ray
 cast. F is sampled on great-circle arcs of S_R about the center c: the
 whole circle in 2D, and in 3D one meridian from pole to pole per azimuth,
-in the vertical half-plane through c at that azimuth; the whole scan is one
+in the vertical half-plane through c at that azimuth. The arcs are built
+once per dimension and azimuth count and cached; the whole scan is one
 ``defining`` call on a batch held coordinate-major, one contiguous block
 per coordinate, where F's sums over coordinates run as whole-row adds.
 Each sign change of F <= 0 between neighbouring samples brackets one
@@ -20,6 +21,7 @@ numpy one coordinate at a time.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -47,6 +49,7 @@ class ShellDistance:
     d_cone_to_body: float
 
 
+@functools.lru_cache(maxsize=2)  # a 2D and a 3D grid; 6.6 MB in 3D at 720 azimuths
 def _arcs(dim, n_azimuth):
     """Unit samples u, unit tangents t = du/da and the sample step on great circles.
 
@@ -55,7 +58,8 @@ def _arcs(dim, n_azimuth):
     samples) array, so that the scan's points and its ``defining`` call
     run one contiguous row per coordinate. The 2D arc is the whole circle
     and ends on its first sample; the 3D arcs are the meridians at azimuth
-    2 pi k / n_azimuth, from a = -pi/2 to pi/2.
+    2 pi k / n_azimuth, from a = -pi/2 to pi/2. The arrays depend on the
+    arguments alone, so they are cached, and read-only.
     """
     if dim == 2:
         step = 2.0 * math.pi / _N_SCAN_2D
@@ -69,7 +73,10 @@ def _arcs(dim, n_azimuth):
         e1 = np.stack([np.cos(phi), np.sin(phi), np.zeros(n_azimuth)])[:, :, None]
         e2 = np.array([0.0, 0.0, 1.0])[:, None, None]
     c, s = np.cos(a), np.sin(a)
-    return np.moveaxis(c * e1 + s * e2, 0, -1), np.moveaxis(c * e2 - s * e1, 0, -1), step
+    U, T = c * e1 + s * e2, c * e2 - s * e1
+    U.flags.writeable = False  # cached: no caller may write into them
+    T.flags.writeable = False
+    return np.moveaxis(U, 0, -1), np.moveaxis(T, 0, -1), step
 
 
 def _check_azimuths(n_azimuth):

@@ -7,9 +7,10 @@ integrated over the levels, cosine-substituted, by ``quad``, an adaptive
 form of QUADPACK's 21-point Gauss-Kronrod rule that runs several integrals
 in lockstep.  Each of its rounds sections the 21 levels of every open panel
 of every integral in one batch, so a volume that one panel meets costs one
-batch of 21 levels, and a gradient's 2d + 1 volumes share their rounds and
-batches.  Unboundedness of a cut is decided analytically from the recession
-cone, never by runaway integration.
+batch of 21 levels, and a gradient's 2d + 1 volumes, or a constancy scan's
+volumes at all its anchors, share their rounds and batches, each volume
+bitwise as ``halfspace_cut_volume`` gives it.  Unboundedness of a cut is
+decided analytically from the recession cone, never by runaway integration.
 Floating cuts are the parallel and homothety cuts (a tangent plane shifted
 by k e_d or scaled by k about 0), sampled by normal instead of by abscissa.
 """
@@ -282,20 +283,33 @@ def _graph_contact(body, abscissa):
     n = body.ambient_dim - 1
     if x0.shape != (n,):
         raise ValueError(f"anchor abscissa must have {n} component(s)")
+    if not np.all(np.isfinite(x0)):
+        raise ValueError(f"anchor abscissa must be finite, got {x0}")
     height = float(body.defining(np.append(x0, 0.0) + body.translation))
     point = np.append(x0, height) + body.translation
     normal = np.append(-body.defining_gradient(point)[:-1], 1.0)
     return point, normal / np.linalg.norm(normal)
 
 
-def _moved_tangent_cut(body, point, normal, mode, k, rtol):
-    """Volume of body ∩ {<n,x> <= t} for the tangent plane {<n,x> = <n,p>} at p,
-    n the inner unit normal, moved by k: t = <n,p> + k n_d for mode
-    "translate" (shift by k e_d), t = k <n,p> for "scale" (about the origin).
+def _check_finite(name, value):
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+
+
+def _moved_tangent_cuts(body, contacts, mode, k, rtol):
+    """Volumes of body ∩ {<n,x> <= t} for the tangent planes {<n,x> = <n,p>}
+    at the contacts (p, n), n the inner unit normal, each moved by k:
+    t = <n,p> + k n_d for mode "translate" (shift by k e_d), t = k <n,p> for
+    "scale" (about the origin).  One lockstep ``quad`` integrates them all,
+    each volume bitwise as ``halfspace_cut_volume`` gives it.
     """
-    s = float(normal @ point)
-    t = s + k * normal[-1] if mode == "translate" else k * s
-    return halfspace_cut_volume(body, normal, t, rtol=rtol)
+    planes = []
+    for point, normal in contacts:
+        s = float(normal @ point)
+        planes.append(_plane(normal, s + k * normal[-1] if mode == "translate" else k * s))
+    ranges = [_level_range(body, u, t) for u, t in planes]
+    volumes = _cut_volumes(body, [u for u, _ in planes], ranges, [rtol] * len(planes))
+    return [float(v) for v in volumes]
 
 
 def parallel_cut_scan(body, k, anchors, rtol=DEFAULT_RTOL):
@@ -304,12 +318,13 @@ def parallel_cut_scan(body, k, anchors, rtol=DEFAULT_RTOL):
     Constant across anchors exactly for elliptic paraboloids.  A body is
     graph-like here when its recession cone is a ray.
     """
+    _check_finite("shift k", k)
     if k <= 0:
         raise ValueError("shift k must be positive")
     if body.recession_cone().dim != 1:
         raise NotGraphLike(f"parallel cuts need a graph-like body, got {body.kind!r}")
-    return [_moved_tangent_cut(body, *_graph_contact(body, anchor), "translate", k, rtol)
-            for anchor in anchors]
+    contacts = [_graph_contact(body, anchor) for anchor in anchors]
+    return _moved_tangent_cuts(body, contacts, "translate", k, rtol)
 
 
 def homothety_cut_scan(body, k, anchors, rtol=DEFAULT_RTOL):
@@ -317,6 +332,7 @@ def homothety_cut_scan(body, k, anchors, rtol=DEFAULT_RTOL):
 
     Constant across anchors exactly for hyperboloid sheets (apex-centered).
     """
+    _check_finite("homothety factor k", k)
     if k <= 1.0:
         raise ValueError("homothety factor k must exceed 1")
     apex_ok = body.kind == "hyperboloid-upper-sheet" or (
@@ -328,15 +344,13 @@ def homothety_cut_scan(body, k, anchors, rtol=DEFAULT_RTOL):
         )
     if float(np.linalg.norm(body.translation)) > 0.0:
         raise NotApexCentered("body must keep its asymptotic-cone apex at 0")
-    out = []
-    for anchor in anchors:
-        point, normal = _graph_contact(body, anchor)
+    contacts = [_graph_contact(body, anchor) for anchor in anchors]
+    for point, normal in contacts:
         if float(normal @ point) <= 1e-12 * body.scale:
             raise DegenerateCut(
                 "tangent plane does not separate the apex from the surface"
             )
-        out.append(_moved_tangent_cut(body, point, normal, "scale", k, rtol))
-    return out
+    return _moved_tangent_cuts(body, contacts, "scale", k, rtol)
 
 
 def floating_constancy(body, mode, lam, n_normals=12, seed=0, rtol=DEFAULT_RTOL):
@@ -347,6 +361,7 @@ def floating_constancy(body, mode, lam, n_normals=12, seed=0, rtol=DEFAULT_RTOL)
     """
     if n_normals < 1:
         raise ValueError(f"n_normals must be at least 1, got {n_normals}")
+    _check_finite("lam", lam)
     if mode == "translate":
         if lam <= 0:
             raise ValueError("translate mode needs lam > 0")
@@ -366,7 +381,7 @@ def floating_constancy(body, mode, lam, n_normals=12, seed=0, rtol=DEFAULT_RTOL)
         if not body.support_attained(u):
             continue
         # cap beyond the support hyperplane of the copy
-        v = _moved_tangent_cut(body, body.inverse_gauss(u), -u, mode, lam, rtol)
+        [v] = _moved_tangent_cuts(body, [(body.inverse_gauss(u), -u)], mode, lam, rtol)
         if not (0.0 < v < INF):
             continue
         values.append(v)

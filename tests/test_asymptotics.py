@@ -220,6 +220,17 @@ def test_arcs_are_the_row_major_arcs_bit_for_bit(dim, n_azimuth):
     assert T.shape == T0.shape and np.array_equal(T, T0)
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_arcs_are_cached_read_only(dim):
+    U, T, step = asymptotics._arcs(dim, 7)
+    again = asymptotics._arcs(dim, 7)
+    assert again[0] is U and again[1] is T and again[2] == step
+    for arr in (U, T):
+        assert not arr.flags.writeable and not arr.base.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0, 0, 0] = 0.0
+
+
 def test_shell_scan_hands_f_one_coordinate_major_batch(monkeypatch):
     batches = record_defining(monkeypatch)
     body_shell_points(hyperboloid_sheet([1.0, 1.4]), 100.0, n_azimuth=96)

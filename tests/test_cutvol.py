@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -149,6 +150,53 @@ def test_homothety_scan_cosh_varies():
     vals = homothety_cut_scan(c, 2.0, [[0.0], [1.0]])
     spread = (max(vals) - min(vals)) / np.mean(vals)
     assert spread >= 0.05
+
+
+# (scan, body, k, anchors): the 5-anchor parabola, 3D paraboloid and hyperbola
+# scans, the quartic, whose anchor-0 cut subdivides, and cosh
+SCAN_CASES = [
+    ("parallel", function_epigraph("square"), 1.0, [[-2.0], [-1.0], [0.0], [1.0], [2.0]]),
+    ("parallel", paraboloid_epigraph([1.0, 1.0]), 1.0,
+     [[0.0, 0.0], [1.0, 0.0], [0.5, -0.5], [-1.0, 0.5], [0.3, 0.8]]),
+    ("parallel", function_epigraph("quartic"), 1.0, [[0.0], [1.0]]),
+    ("homothety", hyperboloid_sheet([1.0]), 2.0, [[-1.0], [-0.5], [0.0], [0.5], [1.0]]),
+    ("homothety", function_epigraph("cosh"), 2.0, [[0.0], [1.0]]),
+]
+
+
+@pytest.mark.parametrize("scan,body,k,anchors", SCAN_CASES,
+                         ids=[f"{s}-{b.tag or b.kind}-{b.ambient_dim}d" for s, b, _, _ in SCAN_CASES])
+def test_scan_is_its_lone_cut_volumes_bitwise(scan, body, k, anchors):
+    values = (parallel_cut_scan if scan == "parallel" else homothety_cut_scan)(body, k, anchors)
+    lone = []
+    for anchor in anchors:
+        point, normal = cutvol._graph_contact(body, anchor)
+        s = float(normal @ point)
+        t = s + k * normal[-1] if scan == "parallel" else k * s
+        lone.append(halfspace_cut_volume(body, normal, t))
+    assert values == lone
+
+
+def test_scan_of_no_anchors_is_empty():
+    assert parallel_cut_scan(function_epigraph("square"), 1.0, []) == []
+    assert homothety_cut_scan(hyperboloid_sheet([1.0]), 2.0, []) == []
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_scans_refuse_non_finite_inputs_up_front(bad):
+    square, hyper = function_epigraph("square"), hyperboloid_sheet([1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="shift k must be finite"):
+            parallel_cut_scan(square, bad, [[0.0]])
+        with pytest.raises(ValueError, match="homothety factor k must be finite"):
+            homothety_cut_scan(hyper, bad, [[0.0]])
+        for scan, body, k in ((parallel_cut_scan, square, 1.0), (homothety_cut_scan, hyper, 2.0)):
+            with pytest.raises(ValueError, match="anchor abscissa must be finite"):
+                scan(body, k, [[0.0], [bad]])
+        for mode in ("translate", "scale"):
+            with pytest.raises(ValueError, match="lam must be finite"):
+                floating_constancy(hyper, mode, bad)
 
 
 def test_homothety_scan_requires_apex_at_origin():
@@ -348,6 +396,11 @@ def test_cut_volume_ray_batch_budget(monkeypatch):
     calls.clear()
     cut_gradient(unit_disk(center=[0.0, 3.0]), [0.1, 0.35])
     assert 0 < len(calls) <= 3
+    # a scan's volumes at all its anchors share their batches too
+    for scan, body, k, anchors in [case for case in SCAN_CASES if len(case[3]) == 5]:
+        calls.clear()
+        (parallel_cut_scan if scan == "parallel" else homothety_cut_scan)(body, k, anchors)
+        assert 0 < len(calls) <= (1 if body.ambient_dim == 2 else 5)
 
 
 # (body, a) with a bounded, nonempty cut, one per kind the gradient is checked on
