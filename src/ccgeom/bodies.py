@@ -9,10 +9,12 @@ integration scheme, not the oracles. Only bodies go through it.
 Each body kind lives in one class of the table ``_BODY_KINDS``: parameter
 check, F, grad F, interior point, support limit, inverse Gauss map and
 recession cone (built once per body), in the body's own frame. The four
-unbounded kinds are epigraphs y >= height(x') and share F and the inverse
-Gauss map. The support function is read off the Gauss map, h(u) = <u, x(u)>
-with x(u) the boundary point of outer normal u, exactly on the attained
-normals; elsewhere h is its limit, 0 or +inf.
+unbounded kinds are epigraphs y >= height(x') and share F, the inverse
+Gauss map and ``_graph_contact``, the boundary point and normal over an
+abscissa, which the other kinds refuse. The support function is read off
+the Gauss map, h(u) = <u, x(u)> with x(u) the boundary point of outer
+normal u, exactly on the attained normals; elsewhere h is its limit, 0 or
++inf.
 
 Each recession cone kind ({0}, ray, quadrant, elliptic) is one class of the
 table ``_CONE_KINDS``, and every cone predicate is one comparison of its
@@ -39,6 +41,7 @@ import numpy as np
 from .errors import (
     GeometryError,
     InadmissibleNormal,
+    NotGraphLike,
     NotInterior,
     NotOnBoundary,
     OriginNotInterior,
@@ -626,6 +629,27 @@ class BodySpec:
             ambient_dim=int(obj["dim"]),
             tag=obj.get("tag"),
         )
+
+
+def _graph_contact(body, abscissa):
+    """Boundary point and inner unit normal at an abscissa of a graph body.
+
+    Every graph kind has F(x', y) = height(x') - y in its own frame, so the
+    height is F at (x', 0) and the graph gradient is the x' part of grad F.
+    A body that is not an epigraph raises ``NotGraphLike``.
+    """
+    if not isinstance(body._impl, _Graph):
+        raise NotGraphLike("a graph contact needs a graph-like body, an epigraph")
+    x0 = np.atleast_1d(np.asarray(abscissa, dtype=float))
+    n = body.ambient_dim - 1
+    if x0.shape != (n,):
+        raise ValueError(f"anchor abscissa must have {n} component(s)")
+    if not np.all(np.isfinite(x0)):
+        raise ValueError(f"anchor abscissa must be finite, got {x0}")
+    height = float(body.defining(np.append(x0, 0.0) + body.translation))
+    point = np.append(x0, height) + body.translation
+    normal = np.append(-body.defining_gradient(point)[:-1], 1.0)
+    return point, normal / np.linalg.norm(normal)
 
 
 def ray_hits_batch(body, origin, directions, guess=None):

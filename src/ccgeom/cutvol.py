@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies import INF
+from .bodies import INF, _graph_contact
 from .errors import (
     DegenerateCut,
     DegenerateSection,
@@ -39,7 +39,6 @@ from .sections import (
     section_stats,
 )
 
-_HOMOTHETY_TAGS = ("cosh",)
 _MAX_PANELS = 200  # open panels past which quad stops refining
 
 # QUADPACK's dqk21 table: the abscissae x_1 > ... > x_10 > x_11 = 0 of the
@@ -273,24 +272,6 @@ def cut_gradient(body, a, rtol=DEFAULT_RTOL) -> CutVolumeResult:
     )
 
 
-def _graph_contact(body, abscissa):
-    """Boundary point and inner unit normal at an abscissa of a graph-like body.
-
-    Every graph kind has F(x', y) = height(x') - y in its own frame, so the
-    height is F at (x', 0) and the graph gradient is the x' part of grad F.
-    """
-    x0 = np.atleast_1d(np.asarray(abscissa, dtype=float))
-    n = body.ambient_dim - 1
-    if x0.shape != (n,):
-        raise ValueError(f"anchor abscissa must have {n} component(s)")
-    if not np.all(np.isfinite(x0)):
-        raise ValueError(f"anchor abscissa must be finite, got {x0}")
-    height = float(body.defining(np.append(x0, 0.0) + body.translation))
-    point = np.append(x0, height) + body.translation
-    normal = np.append(-body.defining_gradient(point)[:-1], 1.0)
-    return point, normal / np.linalg.norm(normal)
-
-
 def _check_finite(name, value):
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value}")
@@ -322,7 +303,7 @@ def parallel_cut_scan(body, k, anchors, rtol=DEFAULT_RTOL):
     if k <= 0:
         raise ValueError("shift k must be positive")
     if body.recession_cone().dim != 1:
-        raise NotGraphLike(f"parallel cuts need a graph-like body, got {body.kind!r}")
+        raise NotGraphLike("parallel cuts need a graph-like body whose recession cone is a ray")
     contacts = [_graph_contact(body, anchor) for anchor in anchors]
     return _moved_tangent_cuts(body, contacts, "translate", k, rtol)
 
@@ -331,25 +312,19 @@ def homothety_cut_scan(body, k, anchors, rtol=DEFAULT_RTOL):
     """Volumes between homothetically scaled tangent planes and the surface.
 
     Constant across anchors exactly for hyperboloid sheets (apex-centered).
+    The body must be a graph (else ``NotGraphLike``) with translation 0
+    (else ``NotApexCentered``), and each tangent plane must separate 0 from
+    the surface (else ``DegenerateCut``).
     """
     _check_finite("homothety factor k", k)
     if k <= 1.0:
         raise ValueError("homothety factor k must exceed 1")
-    apex_ok = body.kind == "hyperboloid-upper-sheet" or (
-        body.kind == "function-epigraph" and body.tag in _HOMOTHETY_TAGS
-    )
-    if not apex_ok:
-        raise NotApexCentered(
-            f"homothety cuts need apex-centered coordinates, got {body.kind!r}"
-        )
+    contacts = [_graph_contact(body, anchor) for anchor in anchors]
     if float(np.linalg.norm(body.translation)) > 0.0:
         raise NotApexCentered("body must keep its asymptotic-cone apex at 0")
-    contacts = [_graph_contact(body, anchor) for anchor in anchors]
     for point, normal in contacts:
         if float(normal @ point) <= 1e-12 * body.scale:
-            raise DegenerateCut(
-                "tangent plane does not separate the apex from the surface"
-            )
+            raise DegenerateCut("tangent plane does not separate the apex from the surface")
     return _moved_tangent_cuts(body, contacts, "scale", k, rtol)
 
 

@@ -17,11 +17,18 @@ from ccgeom import (
     hyperboloid_sheet,
     paraboloid_epigraph,
     parallel_cut_scan,
+    superellipsoid,
     unit_disk,
     unit_sphere,
 )
-from ccgeom import cutvol, sections
-from ccgeom.errors import DegenerateCut, DegenerateSection, NotApexCentered, OriginInsideBody
+from ccgeom import bodies, cutvol, sections
+from ccgeom.errors import (
+    DegenerateCut,
+    DegenerateSection,
+    NotApexCentered,
+    NotGraphLike,
+    OriginInsideBody,
+)
 
 from oracles import (
     disk_segment_area,
@@ -170,7 +177,7 @@ def test_scan_is_its_lone_cut_volumes_bitwise(scan, body, k, anchors):
     values = (parallel_cut_scan if scan == "parallel" else homothety_cut_scan)(body, k, anchors)
     lone = []
     for anchor in anchors:
-        point, normal = cutvol._graph_contact(body, anchor)
+        point, normal = bodies._graph_contact(body, anchor)
         s = float(normal @ point)
         t = s + k * normal[-1] if scan == "parallel" else k * s
         lone.append(halfspace_cut_volume(body, normal, t))
@@ -203,6 +210,36 @@ def test_homothety_scan_requires_apex_at_origin():
     h = hyperboloid_sheet([1.0], shift=[0.5, 0.0])
     with pytest.raises(NotApexCentered):
         homothety_cut_scan(h, 2.0, [[0.0]])
+
+
+@pytest.mark.parametrize("body", [ellipsoid([1.0, 2.0]), superellipsoid(4.0, dim=3)],
+                         ids=["ellipsoid-2d", "superellipsoid-3d"])
+def test_homothety_scan_refuses_a_body_that_is_no_graph(body):
+    with pytest.raises(NotGraphLike):
+        homothety_cut_scan(body, 2.0, [[0.0] * (body.ambient_dim - 1)])
+
+
+def test_parallel_cut_scan_refuses_a_body_that_is_no_graph():
+    with pytest.raises(NotGraphLike, match="graph-like"):
+        parallel_cut_scan(ellipsoid([1.0, 1.0, 1.0]), 1.0, [[0.0, 0.0]])
+
+
+@pytest.mark.parametrize("body, anchor", [
+    (function_epigraph("square"), [1.0]),
+    (paraboloid_epigraph([1.0, 1.0]), [1.0, 0.0]),
+    (circular_cone(1.0, dim=3), [1.0, 0.0]),
+], ids=["square-2d", "paraboloid-3d", "cone-3d"])
+def test_homothety_scan_needs_tangent_planes_that_separate_the_apex(body, anchor):
+    # 0 lies on these tangent planes or on the surface's side of them
+    with pytest.raises(DegenerateCut, match="does not separate"):
+        homothety_cut_scan(body, 2.0, [anchor])
+
+
+def test_homothety_scan_exp_varies():
+    # exp's tangent planes separate 0 from the graph at every anchor below 1
+    vals = homothety_cut_scan(function_epigraph("exp"), 2.0, [[-2.0], [-1.0], [0.0], [0.5]])
+    assert np.all(np.isfinite(vals))
+    assert cutvol._spread(vals)["rel_spread"] > 0.1
 
 
 def test_floating_constancy_translate_parabola():

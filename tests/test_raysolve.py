@@ -13,9 +13,12 @@ from ccgeom import (
     hyperboloid_sheet,
     paraboloid_epigraph,
     section_stats,
+    superellipsoid,
     unit_sphere,
 )
+from ccgeom import bodies
 from ccgeom.bodies import ray_hits_batch
+from ccgeom.errors import GeometryError, NotInterior
 
 from test_bodies import CATALOG
 
@@ -231,3 +234,30 @@ def test_rejects_non_finite_rays():
         ray_hits_batch(body, np.array([np.nan, 0.0]), np.array([[1.0, 0.0]]))
     with pytest.raises(ValueError):
         ray_hits_batch(body, np.zeros(2), np.array([[np.inf, 0.0]]))
+
+
+def test_recessive_ray_fails_bracketing():
+    # up the paraboloid's axis every one of the 200 bracket steps stays inside
+    body = paraboloid_epigraph([1.0, 1.0])
+    with pytest.raises(GeometryError, match="boundary bracketing failed"):
+        ray_hits_batch(body, np.array([0.0, 0.0, 1.0]), np.array([[0.0, 0.0, 1.0]]))
+
+
+def test_origin_outside_the_body_is_refused():
+    with pytest.raises(NotInterior):
+        ray_hits_batch(ellipsoid([1.0, 2.0]), np.array([3.0, 0.0]), np.array([[0.0, 1.0]]))
+
+
+def test_step_cap_takes_the_chord_root_of_the_open_bracket(monkeypatch):
+    # |x|^8 + |y|^8 <= 1 takes 11 solver steps on this ray
+    body, w = superellipsoid(8.0), np.array([[0.6, 0.8]])
+    [root], _ = ray_hits_batch(body, np.zeros(2), w)
+    counts = []
+    for cap in (4, 5, 6):
+        monkeypatch.setattr(bodies, "_SOLVE_STEPS", cap)
+        [hit], n = ray_hits_batch(body, np.zeros(2), w)
+        # F is convex along the ray, so the chord root of the bracket [l, h]
+        # lies inside the body, between l and the root
+        assert 0.0 < hit < root and body.defining(hit * w[0]) <= 0.0
+        counts.append(n)
+    assert np.diff(counts).tolist() == [2, 2]

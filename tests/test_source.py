@@ -1,5 +1,6 @@
 """Source hygiene: no module of the package imports a name it never reads,
-and the package needs numpy alone at run time.
+only ``bodies.py`` reads a body's or a cone's kind, and the package needs
+numpy alone at run time.
 
 No lint tool is a dependency, so the first is an AST scan. ``__init__.py`` is
 exempt, its imports are the package's re-exports, and so is an import on a
@@ -40,6 +41,21 @@ def test_no_module_imports_a_name_it_never_reads():
     assert len(modules) >= 7
     unused = {p.name: names for p in modules if (names := _unused_imports(p))}
     assert unused == {}
+
+
+# attributes that name a body's or a cone's kind, or hold its kind class
+_KIND_ATTRS = {"kind", "tag", "_impl"}
+# reads of those names that are not of a body or a cone: (module, receiver)
+_OTHER_KIND_READS = {("cli.py", "v")}  # the tag of a classify_lines verdict
+
+
+def test_only_bodies_reads_a_kind():
+    reads = [(p.name, ast.unparse(node.value), node.attr, node.lineno)
+             for p in sorted(SRC.glob("*.py")) if p.name != "bodies.py"
+             for node in ast.walk(ast.parse(p.read_text()))
+             if isinstance(node, ast.Attribute) and node.attr in _KIND_ATTRS]
+    assert any(name == "cli.py" for name, *_ in reads)  # the scan sees the verdict tag
+    assert [r for r in reads if r[:2] not in _OTHER_KIND_READS] == []
 
 
 def test_cli_import_loads_no_scipy():
