@@ -636,7 +636,8 @@ def _graph_contact(body, abscissa):
 
     Every graph kind has F(x', y) = height(x') - y in its own frame, so the
     height is F at (x', 0) and the graph gradient is the x' part of grad F.
-    A body that is not an epigraph raises ``NotGraphLike``.
+    A body that is not an epigraph raises ``NotGraphLike``; an abscissa
+    where the height has no gradient, ``NotOnBoundary`` naming it.
     """
     if not isinstance(body._impl, _Graph):
         raise NotGraphLike("a graph contact needs a graph-like body, an epigraph")
@@ -648,7 +649,11 @@ def _graph_contact(body, abscissa):
         raise ValueError(f"anchor abscissa must be finite, got {x0}")
     height = float(body.defining(np.append(x0, 0.0) + body.translation))
     point = np.append(x0, height) + body.translation
-    normal = np.append(-body.defining_gradient(point)[:-1], 1.0)
+    try:
+        grad = body.defining_gradient(point)
+    except NotOnBoundary as e:
+        raise NotOnBoundary(f"no graph contact at abscissa {x0.tolist()}: {e}") from e
+    normal = np.append(-grad[:-1], 1.0)
     return point, normal / np.linalg.norm(normal)
 
 
@@ -816,6 +821,8 @@ def _solve(F, P, W, S, f0, hits, evals):
                 return
             last_sqrt_ratio, noise = last_sqrt_ratio[keep], noise[keep]
             cols = np.arange(rays.size)
+        # this step's ray-sized temporaries, freed before F's batch
+        del z, a, b, ok, close, done, ratio
         k = rays.size
         S[1, 0:2] = F((P[:, None] + S[0, 0:2] * W[:, None]).reshape(len(P), -1).T).reshape(2, k)
         inside = S[1, 0:2] <= 0.0

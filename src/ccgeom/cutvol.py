@@ -9,8 +9,10 @@ in lockstep.  Each of its rounds sections the 21 levels of every open panel
 of every integral in one batch, so a volume that one panel meets costs one
 batch of 21 levels, and a gradient's 2d + 1 volumes, or a constancy scan's
 volumes at all its anchors, share their rounds and batches, each volume
-bitwise as ``halfspace_cut_volume`` gives it.  Unboundedness of a cut is
-decided analytically from the recession cone, never by runaway integration.
+bitwise as ``halfspace_cut_volume`` gives it; a gradient's first round also
+sections its cut plane, for its measure, centroid and diameter.
+Unboundedness of a cut is decided analytically from the recession cone,
+never by runaway integration.
 Floating cuts are the parallel and homothety cuts (a tangent plane shifted
 by k e_d or scaled by k about 0), sampled by normal instead of by abscissa.
 """
@@ -32,6 +34,7 @@ from .errors import (
 )
 from .sections import (
     DEFAULT_RTOL,
+    _measures_and_section,
     _plane,
     _rtols,
     section_diameter,
@@ -157,11 +160,16 @@ def _level_range(body, u, t):
     return s_lo, s_hi
 
 
-def _cut_volumes(body, normals, ranges, rtols):
+def _cut_volumes(body, normals, ranges, rtols, plane=None):
     """Volumes of the cuts of body with unit normals normals[k] over the level
     ranges ranges[k] (from ``_level_range``; a number is the volume itself),
     each to its own rtols[k]: the integrals in one lockstep ``quad``, whose
-    every round sections the levels of all of them in one batch."""
+    every round sections the levels of all of them in one batch.
+
+    Returns the volumes and, for plane = (u, t, rtol), the measure, centroid
+    and diameter of that section from the first round's batches (see
+    ``sections._measures_and_section``); None where it did not ride there.
+    """
     rtols = _rtols(rtols, len(ranges))
     volumes = np.array([math.nan if isinstance(r, tuple) else r for r in ranges])
     todo = np.flatnonzero(np.isnan(volumes))
@@ -170,6 +178,7 @@ def _cut_volumes(body, normals, ranges, rtols):
     # cosine substitution removes the sqrt behaviour at the boundary levels
     c = 0.5 * (s_lo + s_hi)
     h = 0.5 * (s_hi - s_lo)
+    section = None
 
     def m(u, s, rtol):
         try:
@@ -178,17 +187,23 @@ def _cut_volumes(body, normals, ranges, rtols):
             return 0.0
 
     def g(phi, k):
+        nonlocal plane, section
         levels = c[k] - h[k] * np.cos(phi)
-        try:
-            measures = section_measure(body, normals[k], levels, rtol=rtols[k])
-        except DegenerateSection:
-            # a level grazes the body: section them one at a time, scoring those 0
-            measures = np.array([m(normals[i], s, rtols[i]) for i, s in zip(k, levels)])
+        measures = None
+        if plane is not None:
+            measures, section = _measures_and_section(body, normals, k, levels, rtols[k], plane)
+            plane = None
+        if measures is None:
+            try:
+                measures = section_measure(body, normals[k], levels, rtol=rtols[k])
+            except DegenerateSection:
+                # a level grazes the body: section them one at a time, scoring those 0
+                measures = np.array([m(normals[i], s, rtols[i]) for i, s in zip(k, levels)])
         return measures * h[k] * np.sin(phi)
 
     volumes[todo] = quad(g, np.zeros(len(todo)), np.full(len(todo), math.pi),
                          epsabs=1e-14 * body.scale ** body.ambient_dim, epsrel=rtols)
-    return volumes
+    return volumes, section
 
 
 def halfspace_cut_volume(body, u, t, rtol=DEFAULT_RTOL) -> float:
@@ -198,7 +213,7 @@ def halfspace_cut_volume(body, u, t, rtol=DEFAULT_RTOL) -> float:
     misses the interior.
     """
     u, t = _plane(u, t)
-    return float(_cut_volumes(body, [u], [_level_range(body, u, t)], [rtol])[0])
+    return float(_cut_volumes(body, [u], [_level_range(body, u, t)], [rtol])[0][0])
 
 
 def _cut_plane(a):
@@ -220,6 +235,9 @@ def cut_gradient(body, a, rtol=DEFAULT_RTOL) -> CutVolumeResult:
     V(a) and the 2d perturbed volumes V(a +- step e_j) are one lockstep
     ``quad``: each of its rounds sections the levels of all of them in one
     batch, and each volume comes out bitwise as ``cut_volume`` gives it.
+    Its first round also sections the cut plane, with its centroid and
+    diameter, bitwise as ``section_stats`` and ``section_diameter`` give
+    them; where that plane cannot ride there, those two section it after.
     Which cuts are empty or unbounded is read off the recession cone before
     any integration.
     """
@@ -245,18 +263,21 @@ def cut_gradient(body, a, rtol=DEFAULT_RTOL) -> CutVolumeResult:
             ranges.append(_level_range(body, *planes[-1]))
         if INF in ranges[-2:]:
             raise DegenerateCut("perturbed cut became unbounded; reduce the step")
-    volumes = _cut_volumes(body, [u for u, _ in planes], ranges, [rtol] + [fd_rtol] * (2 * dim))
+    u, t = planes[0]
+    volumes, section = _cut_volumes(body, [u for u, _ in planes], ranges,
+                                    [rtol] + [fd_rtol] * (2 * dim), plane=(u, t, rtol))
     V0 = float(volumes[0])
     if not V0 > 0.0:  # every level of the cut grazed the body
         raise DegenerateCut(f"V(a) = {V0} is not finite positive")
     grad = (volumes[1::2] - volumes[2::2]) / (2.0 * step)
-    u, t = planes[0]
-    stats = section_stats(body, u, t, rtol=rtol)
+    if section is None:  # the cut plane did not ride in the first round
+        stats = section_stats(body, u, t, rtol=rtol)
+        section = stats.measure, stats.centroid, section_diameter(body, u, t)
+    measure, centroid, diam = section
     lam = float(a @ grad)
-    identity_residual = float(np.linalg.norm(stats.centroid - grad / lam))
+    identity_residual = float(np.linalg.norm(centroid - grad / lam))
     # growing a shrinks the cut, so the gradient points against the moment
-    moment_residual = float(np.linalg.norm(grad + stats.measure * stats.centroid / nrm))
-    diam = section_diameter(body, u, t)
+    moment_residual = float(np.linalg.norm(grad + measure * centroid / nrm))
     err = fd_rtol * V0 / step + step ** 2
     return CutVolumeResult(
         a=a,
@@ -266,8 +287,8 @@ def cut_gradient(body, a, rtol=DEFAULT_RTOL) -> CutVolumeResult:
         identity_residual=identity_residual,
         moment_residual=moment_residual,
         err_estimate=err,
-        section_measure=stats.measure,
-        section_centroid=stats.centroid,
+        section_measure=measure,
+        section_centroid=centroid,
         section_diameter=diam,
     )
 
@@ -277,19 +298,26 @@ def _check_finite(name, value):
         raise ValueError(f"{name} must be finite, got {value}")
 
 
-def _moved_tangent_cuts(body, contacts, mode, k, rtol):
-    """Volumes of body ∩ {<n,x> <= t} for the tangent planes {<n,x> = <n,p>}
-    at the contacts (p, n), n the inner unit normal, each moved by k:
+def _moved_tangent_planes(contacts, mode, k):
+    """Planes {<n,x> = t} from the tangent planes {<n,x> = <n,p>} at the
+    contacts (p, n), n the inner unit normal, each moved by k:
     t = <n,p> + k n_d for mode "translate" (shift by k e_d), t = k <n,p> for
-    "scale" (about the origin).  One lockstep ``quad`` integrates them all,
-    each volume bitwise as ``halfspace_cut_volume`` gives it.
-    """
+    "scale" (about the origin)."""
     planes = []
     for point, normal in contacts:
         s = float(normal @ point)
         planes.append(_plane(normal, s + k * normal[-1] if mode == "translate" else k * s))
+    return planes
+
+
+def _moved_tangent_cuts(body, contacts, mode, k, rtol):
+    """Volumes of body ∩ {<n,x> <= t} for the moved tangent planes of
+    ``_moved_tangent_planes``.  One lockstep ``quad`` integrates them all,
+    each volume bitwise as ``halfspace_cut_volume`` gives it.
+    """
+    planes = _moved_tangent_planes(contacts, mode, k)
     ranges = [_level_range(body, u, t) for u, t in planes]
-    volumes = _cut_volumes(body, [u for u, _ in planes], ranges, [rtol] * len(planes))
+    volumes = _cut_volumes(body, [u for u, _ in planes], ranges, [rtol] * len(planes))[0]
     return [float(v) for v in volumes]
 
 
@@ -333,6 +361,11 @@ def floating_constancy(body, mode, lam, n_normals=12, seed=0, rtol=DEFAULT_RTOL)
 
     mode "translate": copy is body + lam * e_last (lam > 0).
     mode "scale":     copy is lam * body (lam > 1).
+
+    The first n_normals sampled normals whose cap is finite and positive
+    give the values, in sampling order; the caps still needed are
+    integrated in one lockstep ``quad``, each bitwise as
+    ``halfspace_cut_volume`` gives it.
     """
     if n_normals < 1:
         raise ValueError(f"n_normals must be at least 1, got {n_normals}")
@@ -349,17 +382,26 @@ def floating_constancy(body, mode, lam, n_normals=12, seed=0, rtol=DEFAULT_RTOL)
     values = []
     attempts = 0
     while len(values) < n_normals and attempts < 100 * n_normals:
-        attempts += 1
-        u = rng.normal(size=body.ambient_dim)
-        u[-1] = -abs(u[-1]) - 0.3 * np.linalg.norm(u[:-1])  # bias downward
-        u /= np.linalg.norm(u)
-        if not body.support_attained(u):
-            continue
-        # cap beyond the support hyperplane of the copy
-        [v] = _moved_tangent_cuts(body, [(body.inverse_gauss(u), -u)], mode, lam, rtol)
-        if not (0.0 < v < INF):
-            continue
-        values.append(v)
+        # draw, in order, as many normals with a nonempty bounded cap as
+        # values are missing, and integrate their caps in one lockstep quad
+        planes, ranges = [], []
+        while len(planes) < n_normals - len(values) and attempts < 100 * n_normals:
+            attempts += 1
+            u = rng.normal(size=body.ambient_dim)
+            u[-1] = -abs(u[-1]) - 0.3 * np.linalg.norm(u[:-1])  # bias downward
+            u /= np.linalg.norm(u)
+            if not body.support_attained(u):
+                continue
+            # cap beyond the support hyperplane of the copy
+            [plane] = _moved_tangent_planes([(body.inverse_gauss(u), -u)], mode, lam)
+            r = _level_range(body, *plane)
+            if isinstance(r, tuple):  # else the cap is empty or unbounded
+                planes.append(plane)
+                ranges.append(r)
+        if planes:
+            volumes = _cut_volumes(body, [n for n, _ in planes], ranges, rtol)[0]
+            # a cap whose every level grazed the body comes out 0
+            values += [float(v) for v in volumes if 0.0 < v < INF]
     if len(values) < n_normals:
         raise DegenerateCut("could not sample enough admissible normals")
     return dict(_spread(values), values=values)

@@ -14,11 +14,13 @@ own normal and tolerance: one ray batch per basis vector centres every
 level (two rays each), and each round of the polar rules is one batch over
 the levels still short of their tolerance. Anchors and plane bases are
 built once per distinct normal. The root-finder solves every ray on its
-own, so each level comes out bitwise as it would alone. ``section_stats``
-and ``section_measure`` take a number or a 1-D array of levels;
-``section_measure`` also takes one normal and one tolerance per level, so
-that the sections of several cuts share their batches. Every tolerance
-must lie in (0, 1).
+own, so each level comes out bitwise as it would alone. Each level asks
+for its first moments (the centroid) and its diameter apart, so sections
+that need them ride in the batches of sections that do not.
+``section_stats`` and ``section_measure`` take a number or a 1-D array of
+levels; ``section_measure`` also takes one normal and one tolerance per
+level, so that the sections of several cuts share their batches. Every
+tolerance must lie in (0, 1).
 """
 from __future__ import annotations
 
@@ -30,6 +32,7 @@ import numpy as np
 from .bodies import _HIT_RTOL, _check_unit, ray_hits_batch
 from .errors import (
     DegenerateSection,
+    GeometryError,
     LevelOutOfRange,
     NotInterior,
     UnboundedSection,
@@ -37,7 +40,8 @@ from .errors import (
 
 DEFAULT_RTOL = 1e-8
 _MAX_POLAR_NODES = 16384
-_DIAMETER_NODES = 128
+_FIRST_NODES = 64  # the first polar batch, per level
+_DIAMETER_NODES = 2 * _FIRST_NODES  # its even nodes are those of the first batch
 
 
 @dataclass(frozen=True)
@@ -154,14 +158,19 @@ def _section_anchors(body, u, ts):
     return out
 
 
-def _polar_radii(body, anchors, e1, e2, n_nodes, guess, nodes=None):
-    """Radii along the polar nodes 2*pi*k/n_nodes, k in nodes (default all),
-    around each anchor in the plane of its basis rows e1, e2: one ray batch,
-    radii and oracle points per anchor. The directions are built
-    coordinate-major, (d, anchors, nodes), and passed as a transposed view."""
+def _polar_dirs(e1, e2, n_nodes, nodes=None):
+    """Directions to the polar nodes 2*pi*k/n_nodes, k in nodes (default all),
+    in the plane of each pair of basis rows e1, e2, built coordinate-major:
+    (d, planes, nodes)."""
     k = np.arange(n_nodes) if nodes is None else nodes
     theta = 2.0 * math.pi * k / n_nodes
-    dirs = np.cos(theta) * e1.T[:, :, None] + np.sin(theta) * e2.T[:, :, None]
+    return np.cos(theta) * e1.T[:, :, None] + np.sin(theta) * e2.T[:, :, None]
+
+
+def _polar_radii(body, anchors, dirs, guess):
+    """Radii along the directions dirs, (d, anchors, nodes), around each
+    anchor: one ray batch, passed as a transposed view. Returns the radii
+    and the oracle points, one row and one count per anchor."""
     r, n_evals = ray_hits_batch(body, anchors, dirs.reshape(len(dirs), -1).T, guess=guess)
     return r.reshape(len(anchors), -1), n_evals
 
@@ -183,17 +192,32 @@ def _refine_radii(r):
     return np.where(g > 0.0, g, 0.5 * (r + np.roll(r, -1, axis=-1)))
 
 
-def _polar_rule(r, want_moments):
+def _polar_rule(r, moments):
     """Measure and first moments of the periodic trapezoid rule on the radii
-    of each row of r."""
+    of each row of r. moments is True (every row) or a mask of the rows
+    whose moments are wanted; the others get 0."""
     n = r.shape[-1]
     measure = np.sum(r ** 2, axis=-1) * math.pi / n
-    if not want_moments:
+    if moments is True:
+        rows = r
+    elif moments.any():
+        rows = r[moments]
+    else:
         return measure, np.zeros_like(measure), np.zeros_like(measure)
     theta = 2.0 * math.pi * np.arange(n) / n
-    m1 = np.sum(r ** 3 * np.cos(theta), axis=-1) * (2.0 * math.pi / n) / 3.0
-    m2 = np.sum(r ** 3 * np.sin(theta), axis=-1) * (2.0 * math.pi / n) / 3.0
-    return measure, m1, m2
+    m1 = np.sum(rows ** 3 * np.cos(theta), axis=-1) * (2.0 * math.pi / n) / 3.0
+    m2 = np.sum(rows ** 3 * np.sin(theta), axis=-1) * (2.0 * math.pi / n) / 3.0
+    if moments is True:
+        return measure, m1, m2
+    out = np.zeros((2, len(measure)))
+    out[:, moments] = m1, m2
+    return measure, out[0], out[1]
+
+
+def _widest(r):
+    """Diameter estimate per row of polar radii: the max of opposite-radius sums."""
+    n = r.shape[-1]
+    return np.max(r[:, : n // 2] + r[:, n // 2:], axis=-1)
 
 
 def _centred_sections(body, normals, which, ts):
@@ -234,36 +258,58 @@ def _centred_sections(body, normals, which, ts):
     return anchors, basis, half, n_evals
 
 
-def _polar_sections(body, anchors, basis, half, rtol, want_moments):
+def _polar_sections(body, anchors, basis, half, rtol, moments, wide):
     """Section integrals around centred anchors, with node-doubling refinement.
 
     Returns per level the measure, centroid, error estimate, oracle points
     spent beyond the centring chords, and whether the rule met its entry of
-    the per-level tolerances rtol.  A 2D
-    section is its centring chord: the anchor is its midpoint and centroid.
-    In 3D the polar rules are nested: the first batch of 64 rays per level
-    is compared with its 32-node subrule, and each doubling casts only the
-    new midpoint rays of the levels still short of rtol, started from
-    guesses interpolated from the radii so far (the first batch from the
-    ellipse through the centring chords).  A level still short at
-    ``_MAX_POLAR_NODES`` stops there unconverged.
+    the per-level tolerances rtol; then the diameters of the levels wide (an
+    index array). moments is True or a mask of the levels whose centroid is
+    wanted; the others keep the anchor as centroid and stop on the measure
+    alone.  A 2D section is its centring chord: the anchor is its midpoint
+    and centroid, and its length the measure and the diameter.  In 3D the
+    polar rules are nested: the first batch of ``_FIRST_NODES`` rays per
+    level is compared with its subrule at every other node, and each
+    doubling casts only the new midpoint rays of the levels still short of
+    rtol, started from guesses interpolated from the radii so far (the first
+    batch from the ellipse through the centring chords).  A level still
+    short at ``_MAX_POLAR_NODES`` stops there unconverged.  A level in wide
+    adds the odd nodes of its ``_DIAMETER_NODES`` grid to the first batch,
+    as one more group of rays from its anchor, and its diameter is taken on
+    all of that grid, bitwise as ``section_diameter`` takes it; those rays'
+    points are not counted in its oracle points.
     """
     if len(basis) == 1:
         measure = 2.0 * half[0]
-        return measure, anchors, 1e-12 * measure, 0, np.ones(len(anchors), dtype=bool)
+        converged = np.ones(len(anchors), dtype=bool)
+        return measure, anchors, 1e-12 * measure, 0, converged, measure[wide]
     e1, e2 = basis
-    n = 64
-    r, n_evals = _polar_radii(body, anchors, e1, e2, n, _ellipse_radii(half, n))
-    measure, err = np.empty(len(anchors)), np.empty(len(anchors))
-    centroid, converged = np.empty_like(anchors), np.zeros(len(anchors), dtype=bool)
-    prev = _polar_rule(r[:, ::2], want_moments)
-    todo = np.arange(len(anchors))  # levels still refining
+    n, n_levels = _FIRST_NODES, len(anchors)
+    dirs, guess, origins = _polar_dirs(e1, e2, n), _ellipse_radii(half, n), anchors
+    if len(wide):
+        odd = np.arange(1, _DIAMETER_NODES, 2)
+        dirs = np.concatenate((dirs, _polar_dirs(e1[wide], e2[wide], _DIAMETER_NODES, odd)), axis=1)
+        wide_guess = _ellipse_radii((half[0][wide], half[1][wide]), _DIAMETER_NODES)[:, odd]
+        guess = np.concatenate((guess, wide_guess))
+        origins = np.concatenate((anchors, anchors[wide]))
+    r, n_evals = _polar_radii(body, origins, dirs, guess)
+    diameter = np.zeros(0)
+    if len(wide):
+        diameter = _widest(np.stack([r[wide], r[n_levels:]], axis=2).reshape(len(wide), -1))
+    r, n_evals = r[:n_levels], n_evals[:n_levels]
+    measure, err = np.empty(n_levels), np.empty(n_levels)
+    centroid, converged = np.empty_like(anchors), np.zeros(n_levels, dtype=bool)
+    prev = _polar_rule(r[:, ::2], moments)
+    todo = np.arange(n_levels)  # levels still refining
     while True:
-        mu, m1, m2 = _polar_rule(r, want_moments)
+        mu, m1, m2 = _polar_rule(r, moments)
         gap = np.abs(mu - prev[0])
         # math.hypot level by level: np.hypot can differ from it in the last
         # bit, and the stopping test must not depend on the batch
-        moment_gap =np.array([math.hypot(a, b) for a, b in zip(m1 - prev[1], m2 - prev[2])])
+        rows = slice(None) if moments is True else moments
+        moment_gap = np.zeros(len(todo))
+        moment_gap[rows] = [math.hypot(a, b) for a, b in zip((m1 - prev[1])[rows],
+                                                              (m2 - prev[2])[rows])]
         tol = rtol[todo]
         met = (gap <= tol * np.maximum(mu, 1e-300)) & (
             moment_gap <= tol * np.maximum(np.abs(m1) + np.abs(m2), mu))
@@ -277,11 +323,14 @@ def _polar_sections(body, anchors, basis, half, rtol, want_moments):
                       + 2.0 * _HIT_RTOL * mu[stop])
             keep = ~stop
             if not keep.any():
-                return measure, centroid, err, n_evals, converged
+                return measure, centroid, err, n_evals, converged, diameter
             todo, r, mu, m1, m2 = todo[keep], r[keep], mu[keep], m1[keep], m2[keep]
+            if moments is not True:
+                moments = moments[keep]
         prev = (mu, m1, m2)
-        mid, k = _polar_radii(body, anchors[todo], e1[todo], e2[todo], 2 * n, _refine_radii(r),
-                              np.arange(1, 2 * n, 2))
+        mid, k = _polar_radii(body, anchors[todo],
+                              _polar_dirs(e1[todo], e2[todo], 2 * n, np.arange(1, 2 * n, 2)),
+                              _refine_radii(r))
         n_evals[todo] += k
         r = np.stack([r, mid], axis=2).reshape(len(todo), -1)
         n *= 2
@@ -297,15 +346,42 @@ def _rtols(rtol, n):
     return rtol
 
 
-def _sections(body, normals, which, ts, rtol, want_moments):
+def _sections(body, normals, which, ts, rtol, moments, diameter=None):
     """The section kernel: measure, centroid, error estimate, oracle points
     and convergence of every section {<u,x> = t}, t in the 1-D array ts and
-    u = normals[which], to rtol, a number or one tolerance per level."""
+    u = normals[which], to rtol, a number or one tolerance per level; then
+    the diameters of the levels in the mask diameter (None: no level).
+
+    moments is True (every level) or a mask of the levels whose centroid is
+    wanted; the centroid of any other level is its centred anchor, and its
+    rule stops on the measure alone.
+    """
     rtol = _rtols(rtol, ts.size)
+    if moments is not True:
+        moments = np.broadcast_to(np.asarray(moments, dtype=bool), ts.shape)
+    wide = np.flatnonzero(diameter) if diameter is not None else np.zeros(0, dtype=np.intp)
     anchors, basis, half, n_evals = _centred_sections(body, normals, which, ts)
-    measure, centroid, err, k, converged = _polar_sections(
-        body, anchors, basis, half, rtol, want_moments)
-    return measure, centroid, err, n_evals + k, converged
+    measure, centroid, err, k, converged, diam = _polar_sections(
+        body, anchors, basis, half, rtol, moments, wide)
+    return measure, centroid, err, n_evals + k, converged, diam
+
+
+def _check_levels(body, u, ts):
+    """Raise unless every level of ts lies inside the admissible interval of
+    the normal u by 1e-9 scale: ``LevelOutOfRange``, or ``UnboundedSection``
+    where the sections are unbounded."""
+    lo, hi = admissible_levels(body, u)
+    buf = 1e-9 * body.scale
+    outside = ~((lo + buf <= ts) & (ts <= hi - buf))
+    if outside.any():
+        raise LevelOutOfRange(
+            f"level {float(ts[outside][0])} outside admissible interval ({lo}, {hi})")
+
+
+def _check_measures(body, measure):
+    """Raise ``DegenerateSection`` if any measure is below the threshold."""
+    if np.any(measure < 1e-12 * body.scale ** (body.ambient_dim - 1)):
+        raise DegenerateSection("section measure below threshold")
 
 
 def section_stats(body, u, t, rtol=DEFAULT_RTOL) -> SectionStats:
@@ -317,16 +393,9 @@ def section_stats(body, u, t, rtol=DEFAULT_RTOL) -> SectionStats:
         raise ValueError("section_stats takes one normal for all its levels")
     normals, which, ts, scalar = _planes(u, t)
     u = normals[0]
-    scale = body.scale
-    lo, hi = admissible_levels(body, u)
-    buf = 1e-9 * scale
-    outside = ~((lo + buf <= ts) & (ts <= hi - buf))
-    if outside.any():
-        raise LevelOutOfRange(
-            f"level {float(ts[outside][0])} outside admissible interval ({lo}, {hi})")
-    measure, centroid, err, n_evals, converged = _sections(body, normals, which, ts, rtol, True)
-    if np.any(measure < 1e-12 * scale ** (body.ambient_dim - 1)):
-        raise DegenerateSection("section measure below threshold")
+    _check_levels(body, u, ts)
+    measure, centroid, err, n_evals, converged, _ = _sections(body, normals, which, ts, rtol, True)
+    _check_measures(body, measure)
     if scalar:
         return SectionStats(u, float(ts[0]), float(measure[0]), centroid[0], float(err[0]),
                             int(n_evals[0]), bool(converged[0]))
@@ -346,6 +415,37 @@ def section_measure(body, u, t, rtol=DEFAULT_RTOL):
     return float(measure[0]) if scalar else measure
 
 
+def _measures_and_section(body, normals, which, ts, rtol, plane):
+    """``section_measure``'s measures of the levels ts, normals[which] and
+    rtol per level (the normals validated), and in the same ray batches the
+    measure, centroid and diameter of the section plane = (u, t, rtol) as
+    ``section_stats`` and ``section_diameter`` give them.
+
+    Returns (None, None) where those batches raise or ``section_stats``
+    would refuse the plane's level, so that the caller sections each part
+    on its own, with its own errors; the section is None where its measure
+    is below the threshold.
+    """
+    u, t, rtol_u = plane
+    ts = np.append(ts, t)
+    extra = np.zeros(ts.size, dtype=bool)
+    extra[-1] = True
+    try:
+        _check_levels(body, u, ts[-1:])
+        measure, centroid, _, _, _, diam = _sections(
+            body, np.vstack((normals, u)), np.append(which, len(normals)), ts,
+            np.append(rtol, rtol_u), extra, extra)
+    except GeometryError:
+        # any of them: the root-finder's bracketing failure is a bare
+        # GeometryError, and sectioned apart each part raises its own again
+        return None, None
+    try:
+        _check_measures(body, measure[-1:])
+    except DegenerateSection:
+        return measure[:-1], None
+    return measure[:-1], (float(measure[-1]), centroid[-1], float(diam[0]))
+
+
 def section_diameter(body, u, t) -> float:
     """Diameter estimate of the section (max of opposite-radius sums)."""
     u, t = _plane(u, t)
@@ -354,5 +454,5 @@ def section_diameter(body, u, t) -> float:
     if len(basis) == 1:
         return float(2.0 * half[0][0])
     n = _DIAMETER_NODES
-    r = _polar_radii(body, anchors, *basis, n, _ellipse_radii(half, n))[0][0]
-    return float(np.max(r[: n // 2] + r[n // 2:]))
+    r = _polar_radii(body, anchors, _polar_dirs(*basis, n), _ellipse_radii(half, n))[0]
+    return float(_widest(r)[0])

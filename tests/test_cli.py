@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from ccgeom import circular_cone
 from ccgeom.cli import EXIT_ALL_FAILED, EXIT_BAD_CONFIG, EXIT_OK, PRESETS, main
 
 
@@ -189,6 +190,17 @@ def test_geometry_error_maps_to_config_exit_code(tmp_path, capsys):
     code, out, err = run(capsys, "cutvol", "--config", str(f))
     assert code == EXIT_BAD_CONFIG
     assert err.startswith("error: ") and "graph-like" in err
+    assert out == ""
+
+
+def test_graph_contact_error_names_the_anchor(tmp_path, capsys):
+    cfg = {"body": circular_cone(1.0).to_json(), "op": "homothety", "k": 2.0,
+           "anchors": [[0.5], [0.0]]}
+    f = tmp_path / "cfg.json"
+    f.write_text(json.dumps(cfg))
+    code, out, err = run(capsys, "cutvol", "--config", str(f))
+    assert code == EXIT_BAD_CONFIG
+    assert err.startswith("error: ") and "abscissa [0.0]" in err
     assert out == ""
 
 

@@ -25,8 +25,10 @@ from ccgeom import bodies, cutvol, sections
 from ccgeom.errors import (
     DegenerateCut,
     DegenerateSection,
+    LevelOutOfRange,
     NotApexCentered,
     NotGraphLike,
+    NotOnBoundary,
     OriginInsideBody,
 )
 
@@ -235,6 +237,12 @@ def test_homothety_scan_needs_tangent_planes_that_separate_the_apex(body, anchor
         homothety_cut_scan(body, 2.0, [anchor])
 
 
+def test_graph_contact_names_the_anchor_without_a_normal():
+    # the cone's tangent plane at 0.5 is fine; its apex, at 0, has no normal
+    with pytest.raises(NotOnBoundary, match=r"abscissa \[0\.0\]: cone apex has no unique normal"):
+        homothety_cut_scan(circular_cone(1.0), 2.0, [[0.5], [0.0]])
+
+
 def test_homothety_scan_exp_varies():
     # exp's tangent planes separate 0 from the graph at every anchor below 1
     vals = homothety_cut_scan(function_epigraph("exp"), 2.0, [[-2.0], [-1.0], [0.0], [0.5]])
@@ -260,6 +268,41 @@ def test_floating_constancy_scale_hyperbola():
     res = floating_constancy(h, "scale", 2.0, n_normals=6, seed=4)
     assert res["rel_spread"] <= 1e-5
     assert res["mean"] == pytest.approx(hyperbola_homothety_value(2.0), rel=1e-5)
+
+
+def _floating_from_single_caps(body, mode, lam, n_normals, seed):
+    """floating_constancy's values from one halfspace_cut_volume per normal,
+    drawn in its order and kept while 0 < v < inf."""
+    rng = np.random.default_rng(seed)
+    values, attempts = [], 0
+    while len(values) < n_normals and attempts < 100 * n_normals:
+        attempts += 1
+        u = rng.normal(size=body.ambient_dim)
+        u[-1] = -abs(u[-1]) - 0.3 * np.linalg.norm(u[:-1])
+        u /= np.linalg.norm(u)
+        if not body.support_attained(u):
+            continue
+        n = -u
+        s = float(n @ body.inverse_gauss(u))
+        v = halfspace_cut_volume(body, n, s + lam * n[-1] if mode == "translate" else lam * s)
+        if 0.0 < v < math.inf:
+            values.append(v)
+    return values
+
+
+FLOATING_CASES = [
+    (function_epigraph("square"), "translate", 1.0),
+    (function_epigraph("quartic"), "translate", 1.0),
+    (hyperboloid_sheet([1.0]), "scale", 2.0),
+    (paraboloid_epigraph([1.0, 0.7]), "translate", 0.5),
+]
+
+
+@pytest.mark.parametrize("body,mode,lam", FLOATING_CASES,
+                         ids=[f"{b.tag or b.kind}-{b.ambient_dim}d" for b, _, _ in FLOATING_CASES])
+def test_floating_constancy_is_its_single_caps_bitwise(body, mode, lam):
+    res = floating_constancy(body, mode, lam, n_normals=12, seed=4)
+    assert res["values"] == _floating_from_single_caps(body, mode, lam, 12, 4)
 
 
 def test_floating_constancy_rejects_no_normals():
@@ -425,18 +468,24 @@ def test_cut_volume_ray_batch_budget(monkeypatch):
     calls.clear()
     cut_volume(unit_disk(center=[0.0, 3.0]), [0.1, 0.35])
     assert 0 < len(calls) <= 2
-    # a gradient's 2d + 1 volumes share their batches: 3 in 3D (2 centring, 1
-    # polar), 1 in 2D, then section_stats and section_diameter
+    # a gradient's 2d + 1 volumes and its cut plane's stats and diameter
+    # share their batches: 3 in 3D (2 centring, 1 polar), 1 in 2D
     calls.clear()
     cut_gradient(unit_sphere(center=[0.0, 0.0, 3.0]), [0.05, 0.1, 0.4])
-    assert 0 < len(calls) <= 9
+    assert 0 < len(calls) <= 3
     calls.clear()
     cut_gradient(unit_disk(center=[0.0, 3.0]), [0.1, 0.35])
-    assert 0 < len(calls) <= 3
+    assert len(calls) == 1
     # a scan's volumes at all its anchors share their batches too
     for scan, body, k, anchors in [case for case in SCAN_CASES if len(case[3]) == 5]:
         calls.clear()
         (parallel_cut_scan if scan == "parallel" else homothety_cut_scan)(body, k, anchors)
+        assert 0 < len(calls) <= (1 if body.ambient_dim == 2 else 5)
+    # and so do a floating scan's caps at all its normals (the flat quartic's
+    # caps subdivide, so it takes more rounds)
+    for body, mode, lam in [case for case in FLOATING_CASES if case[0].tag != "quartic"]:
+        calls.clear()
+        floating_constancy(body, mode, lam, n_normals=12, seed=4)
         assert 0 < len(calls) <= (1 if body.ambient_dim == 2 else 5)
 
 
@@ -485,6 +534,40 @@ def test_cut_gradient_is_its_single_volumes_bitwise(body, a, rtol):
     assert set(ref) == set(r.__dataclass_fields__)
     for field, value in ref.items():
         assert np.array_equal(getattr(r, field), value), field
+
+
+def test_cut_gradient_sections_its_plane_alone_when_the_riding_round_raises(monkeypatch):
+    # the first round's batch, which sections the cut plane beside the
+    # volumes' levels, raises: the volumes are then sectioned as before, and
+    # section_stats and section_diameter section the plane on their own
+    kernel = sections._sections
+
+    def riding_fails(body, normals, which, ts, rtol, moments, diameter=None):
+        if diameter is not None:
+            raise DegenerateSection("the riding round")
+        return kernel(body, normals, which, ts, rtol, moments, diameter)
+
+    monkeypatch.setattr(sections, "_sections", riding_fails)
+    called = []
+    for name in ("section_stats", "section_diameter"):
+        def spy(*args, _f=getattr(cutvol, name), _name=name, **kwargs):
+            called.append(_name)
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(cutvol, name, spy)
+    for body, a in GRADIENT_CASES:
+        called.clear()
+        r = cut_gradient(body, a)
+        assert called == ["section_stats", "section_diameter"]
+        for field, value in _gradient_from_single_volumes(body, a, sections.DEFAULT_RTOL).items():
+            assert np.array_equal(getattr(r, field), value), field
+
+
+def test_cut_gradient_refuses_a_cut_plane_at_the_support_as_section_stats_does():
+    # 1e-10 above the support level 2 the cut is nonempty, but its plane lies
+    # within 1e-9 scale of the boundary, where section_stats refuses it
+    with pytest.raises(LevelOutOfRange,
+                       match=r"level 2\.0000000001 outside admissible interval \(2\.0, 4\.0\)"):
+        cut_gradient(unit_disk(center=[0.0, 3.0]), [0.0, 1.0 / (2.0 + 1e-10)])
 
 
 def test_cut_gradient_rejects_non_finite_parameter():

@@ -342,3 +342,42 @@ def test_rtol_outside_the_unit_interval_is_refused(rtol):
         section_measure(unit_sphere(), u, levels, rtol=rtols)
     with pytest.raises(ValueError, match="rtol"):
         section_measure(unit_sphere(), np.array([u, u, [0.0, 0.0, 1.0]]), levels, rtol=rtols)
+
+
+# (body, the normal of the stats level, a second normal for volume levels)
+MIXED_BATCHES = [
+    (unit_sphere(center=[0.0, 0.0, 3.0]), np.array([0.05, 0.1, 0.4]) / math.sqrt(0.1725),
+     np.array([0.0, 0.0, 1.0])),
+    (paraboloid_epigraph([1.0, 0.7], shift=[0.0, 0.0, 1.0]),
+     np.array([0.1, -0.2, 0.4]) / math.sqrt(0.21), np.array([0.0, 0.28, 0.96])),
+    (unit_disk(center=[0.0, 3.0]), np.array([0.1, 0.35]) / math.sqrt(0.1325), np.array([0.6, 0.8])),
+    # not a quadric: its levels refine for different numbers of rounds
+    (superellipsoid(4.0, dim=3), np.array([0.1, 0.2, 0.9]) / math.sqrt(0.86),
+     np.array([0.0, 0.0, 1.0])),
+]
+
+
+@pytest.mark.parametrize("body,u,w", MIXED_BATCHES,
+                         ids=[f"{b.kind}-{b.ambient_dim}d" for b, _, _ in MIXED_BATCHES])
+def test_mixed_kernel_batch_is_each_section_alone_bitwise(body, u, w):
+    # volume levels on two normals at three tolerances, one level with its
+    # moments alone, and one with its moments and diameter, in one batch
+    fracs = [0.03, 0.4, 0.8, 0.55, 0.25, 0.97]
+    levels = np.concatenate([_finite_levels(body, w, fracs[:3]),
+                             _finite_levels(body, u, fracs[3:])])
+    normals, which = np.array([w, u]), np.array([0, 0, 0, 1, 1, 1])
+    rtols = np.array([1e-6, 1e-12, 1e-9, 1e-6, 1e-12, 1e-9])
+    moments = np.array([False, False, False, False, True, True])
+    diameter = np.array([False, False, False, False, False, True])
+    measure, centroid, err, n_evals, converged, diam = sections._sections(
+        body, normals, which, levels, rtols, moments, diameter)
+    for i in np.flatnonzero(~moments):
+        assert measure[i] == section_measure(body, normals[which[i]], levels[i], rtol=rtols[i])
+    for i in np.flatnonzero(moments):
+        one = section_stats(body, u, levels[i], rtol=rtols[i])
+        assert measure[i] == one.measure
+        assert np.array_equal(centroid[i], one.centroid)
+        assert err[i] == one.err_estimate
+        assert n_evals[i] == one.n_evals
+        assert converged[i] == one.converged
+    assert diam.shape == (1,) and diam[0] == section_diameter(body, u, levels[-1])
