@@ -378,6 +378,7 @@ def floating_constancy(body, mode, lam, n_normals=12, seed=0, rtol=DEFAULT_RTOL)
             raise ValueError("scale mode needs lam > 1")
     else:
         raise ValueError("mode must be 'translate' or 'scale'")
+    _rtols(rtol, 1)  # before the draws, some of which may integrate nothing
     rng = np.random.default_rng(seed)
     values = []
     attempts = 0

@@ -194,24 +194,16 @@ def _refine_radii(r):
 
 def _polar_rule(r, moments):
     """Measure and first moments of the periodic trapezoid rule on the radii
-    of each row of r. moments is True (every row) or a mask of the rows
-    whose moments are wanted; the others get 0."""
+    of each row of r; the moments of the rows in the mask moments, 0 for
+    the others."""
     n = r.shape[-1]
     measure = np.sum(r ** 2, axis=-1) * math.pi / n
-    if moments is True:
-        rows = r
-    elif moments.any():
-        rows = r[moments]
-    else:
-        return measure, np.zeros_like(measure), np.zeros_like(measure)
     theta = 2.0 * math.pi * np.arange(n) / n
-    m1 = np.sum(rows ** 3 * np.cos(theta), axis=-1) * (2.0 * math.pi / n) / 3.0
-    m2 = np.sum(rows ** 3 * np.sin(theta), axis=-1) * (2.0 * math.pi / n) / 3.0
-    if moments is True:
-        return measure, m1, m2
-    out = np.zeros((2, len(measure)))
-    out[:, moments] = m1, m2
-    return measure, out[0], out[1]
+    rows = r[moments]
+    m = np.zeros((2, len(measure)))
+    m[0, moments] = np.sum(rows ** 3 * np.cos(theta), axis=-1) * (2.0 * math.pi / n) / 3.0
+    m[1, moments] = np.sum(rows ** 3 * np.sin(theta), axis=-1) * (2.0 * math.pi / n) / 3.0
+    return measure, m[0], m[1]
 
 
 def _widest(r):
@@ -264,7 +256,7 @@ def _polar_sections(body, anchors, basis, half, rtol, moments, wide):
     Returns per level the measure, centroid, error estimate, oracle points
     spent beyond the centring chords, and whether the rule met its entry of
     the per-level tolerances rtol; then the diameters of the levels wide (an
-    index array). moments is True or a mask of the levels whose centroid is
+    index array). moments is a mask of the levels whose centroid is
     wanted; the others keep the anchor as centroid and stop on the measure
     alone.  A 2D section is its centring chord: the anchor is its midpoint
     and centroid, and its length the measure and the diameter.  In 3D the
@@ -306,10 +298,9 @@ def _polar_sections(body, anchors, basis, half, rtol, moments, wide):
         gap = np.abs(mu - prev[0])
         # math.hypot level by level: np.hypot can differ from it in the last
         # bit, and the stopping test must not depend on the batch
-        rows = slice(None) if moments is True else moments
         moment_gap = np.zeros(len(todo))
-        moment_gap[rows] = [math.hypot(a, b) for a, b in zip((m1 - prev[1])[rows],
-                                                              (m2 - prev[2])[rows])]
+        moment_gap[moments] = [math.hypot(a, b) for a, b in zip((m1 - prev[1])[moments],
+                                                                 (m2 - prev[2])[moments])]
         tol = rtol[todo]
         met = (gap <= tol * np.maximum(mu, 1e-300)) & (
             moment_gap <= tol * np.maximum(np.abs(m1) + np.abs(m2), mu))
@@ -325,8 +316,7 @@ def _polar_sections(body, anchors, basis, half, rtol, moments, wide):
             if not keep.any():
                 return measure, centroid, err, n_evals, converged, diameter
             todo, r, mu, m1, m2 = todo[keep], r[keep], mu[keep], m1[keep], m2[keep]
-            if moments is not True:
-                moments = moments[keep]
+            moments = moments[keep]
         prev = (mu, m1, m2)
         mid, k = _polar_radii(body, anchors[todo],
                               _polar_dirs(e1[todo], e2[todo], 2 * n, np.arange(1, 2 * n, 2)),
@@ -346,20 +336,19 @@ def _rtols(rtol, n):
     return rtol
 
 
-def _sections(body, normals, which, ts, rtol, moments, diameter=None):
+def _sections(body, normals, which, ts, rtol, moments, diameter=False):
     """The section kernel: measure, centroid, error estimate, oracle points
     and convergence of every section {<u,x> = t}, t in the 1-D array ts and
     u = normals[which], to rtol, a number or one tolerance per level; then
-    the diameters of the levels in the mask diameter (None: no level).
+    the diameters of the levels in the mask diameter.
 
-    moments is True (every level) or a mask of the levels whose centroid is
-    wanted; the centroid of any other level is its centred anchor, and its
-    rule stops on the measure alone.
+    moments is the mask of the levels whose centroid is wanted; the centroid
+    of any other level is its centred anchor, and its rule stops on the
+    measure alone. Either mask may be one bool for every level.
     """
     rtol = _rtols(rtol, ts.size)
-    if moments is not True:
-        moments = np.broadcast_to(np.asarray(moments, dtype=bool), ts.shape)
-    wide = np.flatnonzero(diameter) if diameter is not None else np.zeros(0, dtype=np.intp)
+    moments = np.broadcast_to(np.asarray(moments, dtype=bool), ts.shape)
+    wide = np.flatnonzero(np.broadcast_to(diameter, ts.shape))
     anchors, basis, half, n_evals = _centred_sections(body, normals, which, ts)
     measure, centroid, err, k, converged, diam = _polar_sections(
         body, anchors, basis, half, rtol, moments, wide)
