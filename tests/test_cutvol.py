@@ -593,6 +593,8 @@ def test_rtol_outside_the_unit_interval_is_refused(rtol):
     assert cut_volume(sphere, np.array([0.0, 0.0, 0.5])) == 0.0
     with pytest.raises(ValueError, match="rtol"):
         cut_volume(sphere, np.array([0.0, 0.0, 0.5]), rtol=rtol)
-    # before floating_constancy draws a normal
-    with pytest.raises(ValueError, match="rtol"):
-        floating_constancy(sphere, "translate", 0.5, n_normals=1, rtol=rtol)
+    # before floating_constancy draws a normal, also where every cap is
+    # empty (scaling a sphere about its centre) and none is integrated
+    for body, mode, lam in ((sphere, "translate", 0.5), (unit_sphere(), "scale", 2.0)):
+        with pytest.raises(ValueError, match="rtol"):
+            floating_constancy(body, mode, lam, n_normals=1, rtol=rtol)
