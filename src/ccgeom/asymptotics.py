@@ -9,10 +9,21 @@ once per dimension and azimuth count and cached; the whole scan is one
 ``defining`` call on a batch held coordinate-major, one contiguous block
 per coordinate, where F's sums over coordinates run as whole-row adds.
 Each sign change of F <= 0 between neighbouring samples brackets one
-crossing. All brackets are bisected together, one
-``defining`` call per step, in the angle from the bracket's inside sample
-along the arc, so the crossing is resolved to rounding relative to the
-bracket rather than to the arc's absolute angle.
+crossing, and the scan's F values at both ends start its solve. All
+brackets are solved together by Chandrupatla's bracketed inverse-quadratic
+method (T. R. Chandrupatla, "A new hybrid quadratic/bisection algorithm for
+finding the zero of a nonlinear function without using derivatives", Adv.
+Eng. Software 28 (1997) 145-149), one ``defining`` call per round over the
+brackets still open, in the angle d from the bracket's inside sample along
+the arc, so the crossing is resolved to rounding relative to the bracket
+rather than to the arc's absolute angle. A round takes the
+inverse-quadratic step through the last three points where Chandrupatla's
+test allows it and bisects otherwise, and also whenever the last two
+rounds together did not halve the bracket, so any three rounds at least
+halve it. A bracket stops once it is a few ulps of d wide (about
+step * 2^-53) or F is exactly 0 at its new point, and gives its inside
+end, where F <= 0, as does a bracket still open at the cap of 112 rounds,
+twice the 56 steps of a bisection.
 The cone/sphere intersection is R times the cone's closed-form unit boundary
 rays. The symmetric Hausdorff distance between the two sample sets is the
 reported shell distance (one-sided values are exposed for verbose output),
@@ -34,7 +45,15 @@ from .errors import EmptyShellIntersection
 _N_AZIMUTH = 720
 _N_SCAN_2D = 2048  # samples on the circle
 _N_SCAN_MERIDIAN = 192  # samples on each meridian, both poles included
-_N_POLISH = 56  # bisection steps: a pi/191 bracket halved down to rounding
+# crossing solver (_crossings): a bracket of angle d is done once narrower
+# than _POLISH_ABS * step + _POLISH_REL * d; a cap on its rounds, twice the
+# 56 bisection steps that took a pi/191 bracket down to rounding
+_POLISH_ABS = 2.0 ** -53
+_POLISH_REL = 4.0 * np.finfo(float).eps
+_N_POLISH = 112
+# rows of the solver state: x1, F(x1), x2, F(x2), x3, F(x3), the next
+# point, the widths of the last two rounds, then u0 and t0 coordinate-major
+_X1, _F1, _X2, _F2, _X3, _F3, _XN, _W, _U = 0, 1, 2, 3, 4, 5, 6, 7, 9
 
 
 @dataclass(frozen=True)
@@ -91,27 +110,97 @@ def body_shell_points(body, R, center=None, n_azimuth=_N_AZIMUTH):
     if not (math.isfinite(R) and R > 0.0):
         raise ValueError(f"sphere radius must be finite and positive, got {R}")
     dim = body.ambient_dim
-    center = np.zeros(dim) if center is None else np.asarray(center, dtype=float)
+    if center is None:
+        center = np.zeros(dim)
+    else:
+        center = np.asarray(center, dtype=float)
+        if center.shape != (dim,) or not np.all(np.isfinite(center)):
+            raise ValueError(f"center must be a finite point of shape ({dim},), "
+                             f"got {center.tolist()!r}")
     U, T, step = _arcs(dim, n_azimuth)
-    inside = body.defining(center + R * U) <= 0.0
+    f = body.defining(center + R * U)
+    inside = f <= 0.0
     arc, j = np.nonzero(inside[:, :-1] != inside[:, 1:])
     if len(j) == 0:
         raise EmptyShellIntersection(f"boundary does not meet the sphere of radius {R}")
     # each bracket runs from its inside sample u0 along the tangent t0
     # towards its outside neighbour: p(d) = c + R (cos(d) u0 + sin(d) t0)
-    first_in = inside[arc, j][:, None]
-    u0 = np.where(first_in, U[arc, j], U[arc, j + 1])
-    t0 = np.where(first_in, T[arc, j], -T[arc, j + 1])
+    first_in = inside[arc, j]
+    i_in, i_out = np.where(first_in, j, j + 1), np.where(first_in, j + 1, j)
+    u0 = U[arc, i_in]
+    t0 = np.where(first_in[:, None], T[arc, j], -T[arc, j + 1])
+    d = _crossings(body.defining, center, R, u0, t0, f[arc, i_in], f[arc, i_out], step)
+    return center + R * (np.cos(d)[:, None] * u0 + np.sin(d)[:, None] * t0)
 
-    def on_sphere(d):
-        return center + R * (np.cos(d)[:, None] * u0 + np.sin(d)[:, None] * t0)
 
-    lo, hi = np.zeros(len(j)), np.full(len(j), step)
-    for _ in range(_N_POLISH):
-        mid = 0.5 * (lo + hi)
-        mid_in = body.defining(on_sphere(mid)) <= 0.0
-        lo, hi = np.where(mid_in, mid, lo), np.where(mid_in, hi, mid)
-    return on_sphere(lo)
+def _crossings(F, center, R, u0, t0, f_in, f_out, step):
+    """The angle d in [0, step] of each bracket's crossing, by Chandrupatla's
+    bracketed inverse-quadratic method, all brackets in lockstep.
+
+    Bracket i has F = f_in[i] <= 0 at d = 0 and f_out[i] > 0 (or NaN) at
+    d = step, on p(d) = center + R (cos(d) u0[i] + sin(d) t0[i]). Each round
+    makes one coordinate-major ``defining`` call over the open brackets.
+    Returns each final bracket's inside end, where F <= 0.
+    """
+    n, dim = u0.shape
+    S = np.empty((_U + 2 * dim, n))
+    S[_X1], S[_F1], S[_X2], S[_F2] = 0.0, f_in, step, f_out
+    S[_XN], S[_W:_W + 2] = 0.5 * step, step
+    S[_U:] = np.concatenate([u0.T, t0.T])
+    cen = center[:, None]
+    half_abs, half_rel = 0.5 * _POLISH_ABS * step, 0.5 * _POLISH_REL
+    d = np.zeros(n)
+    open_ = np.arange(n)
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        for k in range(_N_POLISH):
+            x = S[_XN]
+            p = np.cos(x) * S[_U:_U + dim]
+            p += np.sin(x) * S[_U + dim:]
+            p *= R
+            p += cen
+            fx = F(p.T)
+            inside = fx <= 0.0
+            # x becomes x1; the end on its side is dropped to x3 (x1 itself,
+            # or x2, which x1 then replaces)
+            flip = inside != (S[_F1] <= 0.0)
+            S[_X3:_X3 + 2] = np.where(flip, S[_X2:_X2 + 2], S[_X1:_X1 + 2])
+            np.copyto(S[_X2:_X2 + 2], S[_X1:_X1 + 2], where=flip)
+            S[_X1], S[_F1] = x, fx
+            # (x1 - x2, f1 - f2) and (x3 - x2, f3 - f2)
+            d12 = S[_X1:_X1 + 2] - S[_X2:_X2 + 2]
+            d32 = S[_X3:_X3 + 2] - S[_X2:_X2 + 2]
+            q = d12 / d32
+            xi, phi = q[0], q[1]
+            w = np.abs(d12[0])
+            # half the stopping width, as a fraction of the bracket
+            tl = (half_abs + half_rel * S[_X1]) / w
+            done = tl > 0.5
+            done |= fx == 0.0
+            # the inverse-quadratic step t = (x - x1) / (x2 - x1) through
+            # (x1, x2, x3), where Chandrupatla's test phi^2 < xi and
+            # (1 - phi)^2 < 1 - xi holds and the bracket halved over the last
+            # two rounds; a bisection otherwise, and where F is inf or NaN
+            # (the test then fails)
+            om = 1.0 - q
+            a = fx / d12[1]  # f1 / (f1 - f2)
+            b = S[_F3] / d32[1]  # f3 / (f3 - f2)
+            t = a * (b - (b - 1.0) * phi * om[0] / (xi * om[1]))
+            ok = phi * phi < xi
+            ok &= om[1] * om[1] < om[0]
+            ok &= w + w <= S[_W + k % 2]
+            S[_W + k % 2] = w
+            t = np.where(ok, t, 0.5)
+            # at least half the stopping width from either end
+            S[_XN] = S[_X1] - np.minimum(np.maximum(t, tl), 1.0 - tl) * d12[0]
+            if np.count_nonzero(done):
+                d[open_[done]] = np.where(inside, S[_X1], S[_X2])[done]
+                keep = ~done
+                open_, S = open_[keep], S.compress(keep, axis=1)
+                if open_.size == 0:
+                    return d
+        # the round cap: the inside end of each bracket still open
+        d[open_] = np.where(S[_F1] <= 0.0, S[_X1], S[_X2])
+    return d
 
 
 def cone_shell_points(cone: ConeDescriptor, R, n_azimuth=_N_AZIMUTH):

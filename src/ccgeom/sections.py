@@ -70,10 +70,11 @@ def _plane(u, t):
 
 
 def _planes(u, t):
-    """Validated distinct unit normals, the index of each level's normal among
-    them, the levels as a 1-D array, and whether t was a number.
+    """Validated unit normals, the index of each level's normal among them,
+    the levels as a 1-D array, and whether t was a number.
 
-    u is one normal, or one normal per level as an (L, d) array.
+    u is one normal, or one normal per level as an (L, d) array; each run of
+    equal rows then gives one normal (the levels of one cut come as a block).
     """
     ts = np.asarray(t, dtype=float)
     if ts.ndim > 1 or ts.size == 0:
@@ -84,11 +85,13 @@ def _planes(u, t):
     if u.ndim == 2:
         if ts.shape != (len(u),):
             raise ValueError("an (L, d) array of normals needs a 1-D array of L levels")
-        normals, which = np.unique(u, axis=0, return_inverse=True)
+        first = np.ones(len(u), dtype=bool)
+        first[1:] = (u[1:] != u[:-1]).any(axis=1)
+        normals, which = u[first], np.cumsum(first) - 1
     else:
         normals, which = u[None], np.zeros(ts.size, dtype=np.intp)
     normals = np.array([_check_unit(n) for n in normals])
-    return normals, which.ravel(), np.atleast_1d(ts), ts.ndim == 0
+    return normals, which, np.atleast_1d(ts), ts.ndim == 0
 
 
 def section_bounded(body, u) -> bool:

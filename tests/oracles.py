@@ -125,3 +125,94 @@ def sphere_cap_volume(radius, d):
         return 4.0 / 3.0 * math.pi * radius ** 3
     h = radius + d
     return math.pi * h * h * (3.0 * radius - h) / 3.0
+
+
+def shell_points_bisection(body, R, center=None, n_azimuth=720):
+    """Boundary points at distance R from center, by bisecting every sign
+    change of F <= 0 on the shell scan's arcs for 56 steps.
+
+    The same scan and bracket angle d as ``asymptotics.body_shell_points``,
+    p(d) = c + R (cos(d) u0 + sin(d) t0) from each bracket's inside sample
+    u0; each step halves every bracket with one ``defining`` call. Returns
+    the inside end of each final bracket.
+    """
+    from ccgeom.asymptotics import _arcs
+
+    R = float(R)
+    dim = body.ambient_dim
+    center = np.zeros(dim) if center is None else np.asarray(center, dtype=float)
+    U, T, step = _arcs(dim, n_azimuth)
+    inside = body.defining(center + R * U) <= 0.0
+    arc, j = np.nonzero(inside[:, :-1] != inside[:, 1:])
+    first_in = inside[arc, j][:, None]
+    u0 = np.where(first_in, U[arc, j], U[arc, j + 1])
+    t0 = np.where(first_in, T[arc, j], -T[arc, j + 1])
+
+    def on_sphere(d):
+        return center + R * (np.cos(d)[:, None] * u0 + np.sin(d)[:, None] * t0)
+
+    lo, hi = np.zeros(len(j)), np.full(len(j), step)
+    for _ in range(56):
+        mid = 0.5 * (lo + hi)
+        mid_in = body.defining(on_sphere(mid)) <= 0.0
+        lo, hi = np.where(mid_in, mid, lo), np.where(mid_in, hi, mid)
+    return on_sphere(lo)
+
+
+def superellipsoid_section_stats(p, u, t):
+    """Area and centroid of the section {<u,x> = t} of the 3D body
+    |x|^p + |y|^p + |z|^p <= 1, by adaptive quadrature in polar coordinates.
+
+    Each radius is a root of F along its ray from t*u (which must be inside),
+    found by ``brentq``; ``quad`` integrates r^2/2 and r^3 (cos, sin)/3 over
+    the arcs between the boundary points on the coordinate planes, where
+    |x_i|^p is not smooth. Accurate to about 1e-13 for p near 2.
+    """
+    from scipy.integrate import quad
+    from scipy.optimize import brentq, minimize_scalar
+
+    u = np.asarray(u, dtype=float) / np.linalg.norm(u)
+
+    def F(x):
+        return float(np.sum(np.abs(x) ** p)) - 1.0
+
+    e1 = np.zeros(3)
+    e1[(int(np.argmax(np.abs(u))) + 1) % 3] = 1.0
+    e1 -= u * (u @ e1)
+    e1 /= np.linalg.norm(e1)
+    e2 = np.cross(u, e1)
+    c0 = t * u
+    if F(c0) >= 0.0:
+        raise ValueError("t*u is not inside the body")
+
+    def radius(th):
+        w = math.cos(th) * e1 + math.sin(th) * e2
+        return brentq(lambda r: F(c0 + r * w), 0.0, 4.0, xtol=1e-16)
+
+    breaks = [0.0, 2.0 * math.pi]
+    for i in range(3):
+        w = np.eye(3)[i] - u * u[i]  # in the plane, along which x_i changes
+        d = np.cross(u, np.eye(3)[i])  # in the plane, along which x_i = const
+        if abs(w[i]) < 1e-12:
+            continue
+        q = c0 - c0[i] / w[i] * w  # the point of the plane's line x_i = 0 nearest c0
+        d /= np.linalg.norm(d)
+
+        def g(s):
+            return F(q + s * d)
+        m = minimize_scalar(g, bracket=(-1.0, 1.0)).x
+        if g(m) >= 0.0:
+            continue
+        for s in (brentq(g, m - 4.0, m, xtol=1e-16), brentq(g, m, m + 4.0, xtol=1e-16)):
+            v = q + s * d - c0
+            breaks.append(math.atan2(v @ e2, v @ e1) % (2.0 * math.pi))
+    breaks.sort()
+
+    def integral(f):
+        return sum(quad(f, a, b, epsabs=1e-14, epsrel=1e-13, limit=200)[0]
+                   for a, b in zip(breaks, breaks[1:]) if b > a)
+
+    area = integral(lambda th: 0.5 * radius(th) ** 2)
+    m1 = integral(lambda th: radius(th) ** 3 * math.cos(th) / 3.0)
+    m2 = integral(lambda th: radius(th) ** 3 * math.sin(th) / 3.0)
+    return area, c0 + (m1 * e1 + m2 * e2) / area

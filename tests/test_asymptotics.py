@@ -21,7 +21,10 @@ from ccgeom import (
 from ccgeom import asymptotics
 from ccgeom.errors import EmptyShellIntersection
 
+from oracles import shell_points_bisection
 from test_raysolve import coordinate_major, record_defining
+
+EPS = np.finfo(float).eps
 
 
 def test_body_shell_points_on_hyperbola():
@@ -236,3 +239,112 @@ def test_shell_scan_hands_f_one_coordinate_major_batch(monkeypatch):
     body_shell_points(hyperboloid_sheet([1.0, 1.4]), 100.0, n_azimuth=96)
     assert batches[0].shape == (96, asymptotics._N_SCAN_MERIDIAN, 3)
     assert coordinate_major(batches[0])
+
+
+# the shell tests' bodies and the benchmark pools' bodies, with radii of both
+_SHELL_CASES = [
+    (hyperboloid_sheet([1.0]), (10.0, 1e2, 1e3, 1e4)),
+    (hyperboloid_sheet([1.0, 1.0]), (30.0, 1e2, 1e4)),
+    (hyperboloid_sheet([1.0, 1.4]), (30.0, 3e2, 1e4)),
+    (hyperboloid_sheet([1.0, 2.0], shift=[1.0, -2.0, 0.5]), (50.0, 1e3)),
+    (paraboloid_epigraph([1.0, 0.7]), (30.0, 3e2, 1e4)),
+    (paraboloid_epigraph([1.0, 1.0]), (1e2, 3e4, 1e6)),
+    (function_epigraph("exp"), (1e2, 1e3, 1e4)),
+    (circular_cone(2.0, dim=2), (1e2,)),
+    (circular_cone(0.7, dim=3), (1e2,)),
+]
+
+
+@pytest.mark.parametrize("body, radii", _SHELL_CASES,
+                         ids=[f"{b.kind}-{b.ambient_dim}d-{i}"
+                              for i, (b, _) in enumerate(_SHELL_CASES)])
+def test_shell_points_match_the_bisection_reference(body, radii):
+    # the solver may end anywhere in F's rounding band at the crossing, so
+    # within 2 eps R of the 56-step bisection, not bitwise
+    for R in radii:
+        for c in (None, body.interior_point()):
+            pts = body_shell_points(body, R, center=c, n_azimuth=96)
+            ref = shell_points_bisection(body, R, center=c, n_azimuth=96)
+            assert pts.shape == ref.shape
+            assert np.max(np.abs(pts - ref)) <= 2.0 * EPS * R
+            assert np.all(body.defining(pts) <= 0.0)
+
+
+def _sheet_crossing_ulps(points, R, b):
+    """Distances, in ulps of R, of 3D shell points of y >= sqrt(1 + x1^2 +
+    (x2/b)^2) from the exact crossing in each point's meridian, where
+    r^2 (1 + q) = R^2 - 1 with q = cos^2 + sin^2 / b^2 of its azimuth."""
+    R_ = mpmath.mpf(R)
+    out = []
+    for p in points:
+        rho = mpmath.hypot(p[0], p[1])
+        c, s = p[0] / rho, p[1] / rho
+        r = mpmath.sqrt((R_ * R_ - 1) / (1 + c * c + s * s / mpmath.mpf(b) ** 2))
+        exact = (r * c, r * s, mpmath.sqrt(R_ * R_ - r * r))
+        out.append(float(mpmath.sqrt(sum((mpmath.mpf(a) - e) ** 2 for a, e in zip(p, exact)))))
+    return np.array(out) / math.ulp(R)
+
+
+@pytest.mark.parametrize("b", [1.0, 1.4])
+def test_shell_points_against_mpmath(b):
+    h = hyperboloid_sheet([1.0, b])
+    new, ref = [], []
+    with mpmath.workdps(40):
+        for R in np.geomspace(30.0, 1e5, 10):
+            new.append(_sheet_crossing_ulps(body_shell_points(h, R, n_azimuth=96), R, b))
+            ref.append(_sheet_crossing_ulps(shell_points_bisection(h, R, n_azimuth=96), R, b))
+    new, ref = np.concatenate(new), np.concatenate(ref)
+    # as accurate as the 56-step bisection: about 2.3 ulp(R) at worst for both
+    assert new.max() <= max(ref.max(), 2.5)
+    assert new.mean() <= ref.mean() + 0.05
+
+
+@pytest.mark.parametrize("body, R", [(hyperboloid_sheet([1.0, 1.4]), 100.0),
+                                     (hyperboloid_sheet([1.0, 1.0]), 30.0),
+                                     (paraboloid_epigraph([1.0, 0.7]), 300.0),
+                                     (paraboloid_epigraph([1.0, 1.0]), 1e5)],
+                         ids=["sheet-1.4", "unit-sheet", "paraboloid", "paraboloid-pole"])
+def test_shell_solver_budget(monkeypatch, body, R):
+    # the scan, then at most 16 solver rounds (56 bisection steps before)
+    batches = record_defining(monkeypatch)
+    body_shell_points(body, R, n_azimuth=96)
+    assert 2 <= len(batches) <= 1 + 16
+    assert all(coordinate_major(x) for x in batches)
+    # brackets leave the batch once done
+    assert batches[-1].shape[0] < batches[1].shape[0]
+
+
+def test_shell_solver_meets_infinite_f():
+    # exp(x) overflows at the outside ends of the 2D scan at R = 1e4
+    e = function_epigraph("exp")
+    R = 1e4
+    U, _, _ = asymptotics._arcs(2, asymptotics._N_AZIMUTH)
+    assert np.isinf(e.defining(R * U)).any()
+    pts = body_shell_points(e, R)
+    ref = shell_points_bisection(e, R)
+    assert np.max(np.abs(pts - ref)) <= 2.0 * EPS * R
+    assert np.all(e.defining(pts) <= 0.0)
+
+
+@pytest.mark.parametrize("body, R", [(hyperboloid_sheet([1.0, 1.4]), 100.0),
+                                     (function_epigraph("exp"), 1e4)], ids=["3d", "exp"])
+def test_shell_solver_round_cap_returns_inside_ends(monkeypatch, body, R):
+    monkeypatch.setattr(asymptotics, "_N_POLISH", 2)
+    batches = record_defining(monkeypatch)
+    pts = body_shell_points(body, R, n_azimuth=96)
+    assert len(batches) == 1 + 2
+    # on the sphere, inside, and within the bracket's arc of the crossing
+    _, _, step = asymptotics._arcs(body.ambient_dim, 96)
+    ref = shell_points_bisection(body, R, n_azimuth=96)
+    assert np.all(body.defining(pts) <= 0.0)
+    assert np.allclose(np.linalg.norm(pts, axis=1), R, rtol=1e-14)
+    assert np.all(np.linalg.norm(pts - ref, axis=1) <= R * step)
+
+
+@pytest.mark.parametrize("center", [[math.nan, 0.0, 0.0], [0.0, math.inf, 0.0],
+                                    [[0.0, 0.0, 0.0]], [0.0, 0.0]],
+                         ids=["nan", "inf", "2d-array", "short"])
+def test_shell_center_must_be_a_finite_point(center):
+    h = hyperboloid_sheet([1.0, 1.0])
+    with pytest.raises(ValueError, match="center"):
+        body_shell_points(h, 100.0, center=center, n_azimuth=24)

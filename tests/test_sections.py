@@ -23,7 +23,7 @@ from ccgeom import (
 from ccgeom import sections
 from ccgeom.errors import DegenerateSection, LevelOutOfRange, UnboundedSection
 
-from oracles import chord_length_brute, chord_midpoint_brute
+from oracles import chord_length_brute, chord_midpoint_brute, superellipsoid_section_stats
 
 
 def test_disk_chord_measure_and_centroid():
@@ -381,3 +381,18 @@ def test_mixed_kernel_batch_is_each_section_alone_bitwise(body, u, w):
         assert n_evals[i] == one.n_evals
         assert converged[i] == one.converged
     assert diam.shape == (1,) and diam[0] == section_diameter(body, u, levels[-1])
+
+
+def test_centroid_stops_on_its_own_gap():
+    # on this tilted p = 2.01 section the nested polar rules agree on the
+    # measure at a few hundred nodes, long before they agree on the first
+    # moments: stopping on the measure alone misses rtol on the measure and
+    # reports an err below the centroid's real error
+    u = np.array([-0.965, -0.2564, 0.0547])
+    u /= np.linalg.norm(u)
+    t, rtol = -0.6764, 1e-7
+    area, centroid = superellipsoid_section_stats(2.01, u, t)
+    st = section_stats(superellipsoid(2.01, dim=3), u, t, rtol=rtol)
+    assert st.converged
+    assert st.measure == pytest.approx(area, rel=rtol)
+    assert np.linalg.norm(st.centroid - centroid) <= min(st.err_estimate, rtol)
