@@ -1,17 +1,22 @@
 """Hyperplane sections: boundedness, admissible levels, measure and centroid.
 
 Every section, in 2D and 3D, starts from one anchor: the point where the
-level meets the body's interior 'spine', moved to the midpoints of
-chords along the plane's basis vectors. In 2D the plane is a line and its
-chord is the section, with the centred anchor as centroid. 3D sections are
-integrated in polar coordinates around the centred anchor with a fixed
-node-doubling refinement schedule, so results are deterministic for a
-given tolerance. ``n_evals`` counts the points at which the body's
-defining function was evaluated, in 2D and 3D.
+level meets the body's interior 'spine', then centred by one batch of
+chords. In 2D the plane is a line and its chord is the section, with the
+chord's midpoint as centroid. In 3D the anchor casts four chords, along
+the plane's basis vectors and their diagonals. The bodies of the paper are
+quadrics, whose bounded plane sections are ellipses: where the conic
+through the eight hits is one, the anchor moves to its centre (the
+section's centroid) and the first polar radii are guessed from it, to
+rounding; elsewhere the anchor moves to the chords' mean midpoint. 3D
+sections are integrated in polar coordinates around the centred anchor
+with a fixed node-doubling refinement schedule, so results are
+deterministic for a given tolerance. ``n_evals`` counts the points at
+which the body's defining function was evaluated, in 2D and 3D.
 
 One kernel does this for a whole array of levels at once, each with its
-own normal and tolerance: one ray batch per basis vector centres every
-level (two rays each), and each round of the polar rules is one batch over
+own normal and tolerance: one ray batch centres every level (two rays
+each in 2D, eight in 3D), and each round of the polar rules is one batch over
 the levels still short of their tolerance. Anchors and plane bases are
 built once per distinct normal. The root-finder solves every ray on its
 own, so each level comes out bitwise as it would alone. Each level asks
@@ -42,6 +47,13 @@ DEFAULT_RTOL = 1e-8
 _MAX_POLAR_NODES = 16384
 _FIRST_NODES = 64  # the first polar batch, per level
 _DIAMETER_NODES = 2 * _FIRST_NODES  # its even nodes are those of the first batch
+_SQRT_HALF = math.sqrt(0.5)
+# the centring rays of a 3D section, (cos, sin) of the angles k pi/4 in its
+# plane, k = 0..7: rays k and k + 4 are opposite
+_OCTAGON = np.array([[1.0, _SQRT_HALF, 0.0, -_SQRT_HALF, -1.0, -_SQRT_HALF, 0.0, _SQRT_HALF],
+                     [0.0, _SQRT_HALF, 1.0, _SQRT_HALF, 0.0, -_SQRT_HALF, -1.0, -_SQRT_HALF]])
+_NEXT = np.arange(1, 9) % 8  # the next ray counterclockwise
+_CONIC_RTOL = 1e-8  # residuals and margin within which centring hits fix a conic
 
 
 @dataclass(frozen=True)
@@ -178,11 +190,14 @@ def _polar_radii(body, anchors, dirs, guess):
     return r.reshape(len(anchors), -1), n_evals
 
 
-def _ellipse_radii(half, n_nodes):
-    """Radii at the polar nodes of the ellipses with semi-axes half along e1, e2
-    (one row per entry of the half-length arrays)."""
+def _ellipse_radii(form, n_nodes):
+    """Radii at the polar nodes 2*pi*k/n_nodes of the ellipses
+    a x^2 + b x y + c y^2 = 1 in the (e1, e2) coordinates of their planes,
+    form = (a, b, c) of arrays (one row per entry)."""
     theta = 2.0 * math.pi * np.arange(n_nodes) / n_nodes
-    return 1.0 / np.hypot(np.cos(theta) / half[0][:, None], np.sin(theta) / half[1][:, None])
+    cos, sin = np.cos(theta), np.sin(theta)
+    a, b, c = (f[:, None] for f in form)
+    return 1.0 / np.sqrt(a * (cos * cos) + b * (cos * sin) + c * (sin * sin))
 
 
 def _refine_radii(r):
@@ -215,17 +230,61 @@ def _widest(r):
     return np.max(r[:, : n // 2] + r[:, n // 2:], axis=-1)
 
 
+def _section_conics(r):
+    """The conics Q(y) + L(y) = 1 through the centring hits r (one row of 8
+    per level, at the angles of ``_OCTAGON`` around the anchor y = 0), and
+    where each is its section's ellipse.
+
+    An opposite pair (r+, r-) along a unit v gives Q(v) = 1/(r+ r-) and
+    L(v) = (r- - r+)/(r+ r-). The pairs along e1 and e2 give Q's diagonal
+    and L, the diagonal pairs Q's cross term and three residuals, which are
+    at rounding level exactly where the section is a conic. Returns the
+    centre (its e1 and e2 coordinates), the form (a, b, c) of the ellipse
+    about it, and the mask of the levels where the conic is an ellipse, its
+    residuals are within ``_CONIC_RTOL`` and its centre lies inside the
+    octagon of the hits, which a convex section contains, by that margin.
+    """
+    rp, rm = r[:, :4].T, r[:, 4:].T
+    q = 1.0 / (rp * rm)
+    l = (rm - rp) * q
+    a, c, d, e = q[0], q[2], l[0], l[2]
+    b = q[1] - q[3]
+    size = a + c  # an inverse squared length
+    res = np.maximum(np.abs(q[1] + q[3] - size),
+                     np.maximum(np.abs(l[1] - _SQRT_HALF * (d + e)),
+                                np.abs(l[3] - _SQRT_HALF * (e - d))) * np.sqrt(size))
+    det = 4.0 * a * c - b * b
+    ok = (res <= _CONIC_RTOL * size) & (det > 0.0)
+    det[~ok] = 1.0  # no centre: the caller replaces these levels
+    x, y = (b * e - 2.0 * c * d) / det, (b * d - 2.0 * a * e) / det
+    k = 1.0 - 0.5 * (d * x + e * y)  # the form's value on the conic, about its centre
+    k[~ok] = 1.0
+    # in the triangle (anchor, hit j, hit j + 1) the centre's weight on the
+    # anchor is 1 + (w_j+1 - w_j) / (s r_j r_j+1), s = sin(pi/4): the centre
+    # is inside the octagon where every such weight is positive
+    # (here: above _CONIC_RTOL)
+    w = (y[:, None] * _OCTAGON[0] - x[:, None] * _OCTAGON[1]) * r
+    ok &= ((w[:, _NEXT] - w) > (_CONIC_RTOL - 1.0) * _SQRT_HALF * (r * r[:, _NEXT])).all(axis=1)
+    return (x, y), (a / k, b / k, c / k), ok
+
+
 def _centred_sections(body, normals, which, ts):
     """Anchor the sections {<u,x> = t}, t in ts and u = normals[which], on the
-    spine and centre them by chords.
+    spine and centre them in one ray batch.
 
     Each plane is first oriented so that the unbounded side of the level
-    axis is +u, the way round the spine is built.  Each anchor then moves
-    to the midpoint of its chord along each basis vector in turn (better
-    conditioning), one ray batch per basis vector for all levels.  Returns
-    the centred anchors, the plane basis (one (L, d) array of rows per basis
-    vector), the chords' half-lengths (one array per basis vector) and the
-    oracle points spent per level.  A cone positive on neither side means
+    axis is +u, the way round the spine is built. A 2D anchor then moves to
+    the midpoint of its chord along the plane's basis vector. A 3D anchor
+    casts 8 rays, along +-e1, +-e2 and +-(e1 +- e2)/sqrt(2): where the conic
+    through their hits is the section's ellipse (every bounded plane section
+    of a quadric is one), the anchor moves to its centre, which is the
+    section's centroid; elsewhere to the mean of the four chords' midpoints,
+    and the guide ellipse has the e1 and e2 chords' half-lengths as
+    semi-axes. Returns the centred anchors, the plane basis (one (L, d)
+    array of rows per basis vector), the guide (in 2D the chords'
+    half-lengths, in 3D the form (a, b, c) of the ellipse about each anchor
+    that guesses its first polar radii, see ``_ellipse_radii``) and the
+    oracle points spent per level. A cone positive on neither side means
     unbounded sections; an anchor that is not strictly inside means a level
     grazes the body.
     """
@@ -241,19 +300,31 @@ def _centred_sections(body, normals, which, ts):
         bases.append(_plane_basis(u))
         anchors[at] = _section_anchors(body, u, s)
     basis = np.stack(bases, axis=1)[:, which]
-    n_evals, half = 0, []
-    for w in basis:
-        try:
-            r, k = ray_hits_batch(body, anchors, np.stack([w, -w], axis=1).reshape(-1, w.shape[1]))
-        except NotInterior as e:
-            raise DegenerateSection("section anchor is not inside the body") from e
-        anchors = anchors + (0.5 * (r[0::2] - r[1::2]))[:, None] * w
-        half.append(0.5 * (r[0::2] + r[1::2]))
-        n_evals = n_evals + k
-    return anchors, basis, half, n_evals
+    # each ray's coefficients on the basis vectors: (cos, sin) in 3D, +-1 in 2D
+    star = _OCTAGON if len(basis) == 2 else np.array([[1.0, -1.0]])
+    dirs = sum(c * w.T[:, :, None] for c, w in zip(star, basis))
+    try:
+        r, n_evals = _polar_radii(body, anchors, dirs, None)
+    except NotInterior as e:
+        raise DegenerateSection("section anchor is not inside the body") from e
+    if len(basis) == 1:
+        half = 0.5 * (r[:, 0] + r[:, 1])
+        return anchors + (0.5 * (r[:, 0] - r[:, 1]))[:, None] * basis[0], basis, half, n_evals
+    (x, y), form, ok = _section_conics(r)
+    if not ok.all():
+        # the mean of the chords' midpoints, and the ellipse on the e1 and e2 chords
+        no = ~ok
+        mid = 0.5 * (r[no, :4] - r[no, 4:])
+        x[no] = 0.25 * (mid[:, 0] + _SQRT_HALF * (mid[:, 1] - mid[:, 3]))
+        y[no] = 0.25 * (mid[:, 2] + _SQRT_HALF * (mid[:, 1] + mid[:, 3]))
+        form[0][no] = 4.0 / (r[no, 0] + r[no, 4]) ** 2
+        form[1][no] = 0.0
+        form[2][no] = 4.0 / (r[no, 2] + r[no, 6]) ** 2
+    anchors = anchors + x[:, None] * basis[0] + y[:, None] * basis[1]
+    return anchors, basis, form, n_evals
 
 
-def _polar_sections(body, anchors, basis, half, rtol, moments, wide):
+def _polar_sections(body, anchors, basis, guide, rtol, moments, wide):
     """Section integrals around centred anchors, with node-doubling refinement.
 
     Returns per level the measure, centroid, error estimate, oracle points
@@ -267,7 +338,7 @@ def _polar_sections(body, anchors, basis, half, rtol, moments, wide):
     level is compared with its subrule at every other node, and each
     doubling casts only the new midpoint rays of the levels still short of
     rtol, started from guesses interpolated from the radii so far (the first
-    batch from the ellipse through the centring chords).  A level still
+    batch from the guide ellipse of ``_centred_sections``).  A level still
     short at ``_MAX_POLAR_NODES`` stops there unconverged.  A level in wide
     adds the odd nodes of its ``_DIAMETER_NODES`` grid to the first batch,
     as one more group of rays from its anchor, and its diameter is taken on
@@ -275,16 +346,16 @@ def _polar_sections(body, anchors, basis, half, rtol, moments, wide):
     points are not counted in its oracle points.
     """
     if len(basis) == 1:
-        measure = 2.0 * half[0]
+        measure = 2.0 * guide
         converged = np.ones(len(anchors), dtype=bool)
         return measure, anchors, 1e-12 * measure, 0, converged, measure[wide]
     e1, e2 = basis
     n, n_levels = _FIRST_NODES, len(anchors)
-    dirs, guess, origins = _polar_dirs(e1, e2, n), _ellipse_radii(half, n), anchors
+    dirs, guess, origins = _polar_dirs(e1, e2, n), _ellipse_radii(guide, n), anchors
     if len(wide):
         odd = np.arange(1, _DIAMETER_NODES, 2)
         dirs = np.concatenate((dirs, _polar_dirs(e1[wide], e2[wide], _DIAMETER_NODES, odd)), axis=1)
-        wide_guess = _ellipse_radii((half[0][wide], half[1][wide]), _DIAMETER_NODES)[:, odd]
+        wide_guess = _ellipse_radii([f[wide] for f in guide], _DIAMETER_NODES)[:, odd]
         guess = np.concatenate((guess, wide_guess))
         origins = np.concatenate((anchors, anchors[wide]))
     r, n_evals = _polar_radii(body, origins, dirs, guess)
@@ -305,15 +376,16 @@ def _polar_sections(body, anchors, basis, half, rtol, moments, wide):
         moment_gap[moments] = [math.hypot(a, b) for a, b in zip((m1 - prev[1])[moments],
                                                                  (m2 - prev[2])[moments])]
         tol = rtol[todo]
+        # the moments are lengths cubed: their floor is mu^(3/2), not mu
         met = (gap <= tol * np.maximum(mu, 1e-300)) & (
-            moment_gap <= tol * np.maximum(np.abs(m1) + np.abs(m2), mu))
+            moment_gap <= tol * np.maximum(np.abs(m1) + np.abs(m2), mu * np.sqrt(mu)))
         stop = met | (n >= _MAX_POLAR_NODES)
         if stop.any():
             j = todo[stop]
             measure[j], converged[j] = mu[stop], met[stop]
             centroid[j] = anchors[j] + (m1[stop, None] * e1[j] + m2[stop, None] * e2[j]) / mu[stop, None]
             # each radius is within _HIT_RTOL and the measure is quadratic in them
-            err[j] = (gap[stop] + moment_gap[stop] / np.maximum(mu[stop], 1e-300)
+            err[j] = (gap[stop] + moment_gap[stop] / np.sqrt(np.maximum(mu[stop], 1e-300))
                       + 2.0 * _HIT_RTOL * mu[stop])
             keep = ~stop
             if not keep.any():
@@ -352,9 +424,9 @@ def _sections(body, normals, which, ts, rtol, moments, diameter=False):
     rtol = _rtols(rtol, ts.size)
     moments = np.broadcast_to(np.asarray(moments, dtype=bool), ts.shape)
     wide = np.flatnonzero(np.broadcast_to(diameter, ts.shape))
-    anchors, basis, half, n_evals = _centred_sections(body, normals, which, ts)
+    anchors, basis, guide, n_evals = _centred_sections(body, normals, which, ts)
     measure, centroid, err, k, converged, diam = _polar_sections(
-        body, anchors, basis, half, rtol, moments, wide)
+        body, anchors, basis, guide, rtol, moments, wide)
     return measure, centroid, err, n_evals + k, converged, diam
 
 
@@ -441,10 +513,10 @@ def _measures_and_section(body, normals, which, ts, rtol, plane):
 def section_diameter(body, u, t) -> float:
     """Diameter estimate of the section (max of opposite-radius sums)."""
     u, t = _plane(u, t)
-    anchors, basis, half, _ = _centred_sections(body, u[None], np.zeros(1, dtype=np.intp),
-                                                np.array([t]))
+    anchors, basis, guide, _ = _centred_sections(body, u[None], np.zeros(1, dtype=np.intp),
+                                                 np.array([t]))
     if len(basis) == 1:
-        return float(2.0 * half[0][0])
+        return float(2.0 * guide[0])
     n = _DIAMETER_NODES
-    r = _polar_radii(body, anchors, _polar_dirs(*basis, n), _ellipse_radii(half, n))[0]
+    r = _polar_radii(body, anchors, _polar_dirs(*basis, n), _ellipse_radii(guide, n))[0]
     return float(_widest(r)[0])

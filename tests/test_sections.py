@@ -396,3 +396,129 @@ def test_centroid_stops_on_its_own_gap():
     assert st.converged
     assert st.measure == pytest.approx(area, rel=rtol)
     assert np.linalg.norm(st.centroid - centroid) <= min(st.err_estimate, rtol)
+
+
+def test_moment_test_scales_with_the_body():
+    # the moments are lengths cubed and the measure an area: scaling the body
+    # by a power of 2 must not change when the rule stops, nor err / lam^2
+    # (below lam = 1 the centring probes start at body.scale, which floors at
+    # 1, so the hits and n_evals differ there at rounding level)
+    u = np.array([1.0, 2.0, 2.0]) / 3.0
+    runs = {lam: section_stats(ellipsoid(np.array([1.0, 2.0, 3.0]) * lam), u, 0.3 * lam, rtol=1e-12)
+            for lam in (2.0 ** -14, 1.0, 2.0 ** 14)}
+    assert all(st.converged for st in runs.values())
+    one, big = runs[1.0], runs[2.0 ** 14]
+    assert big.n_evals == one.n_evals and big.err_estimate / 2.0 ** 28 == one.err_estimate
+    for lam, st in runs.items():
+        assert st.err_estimate / lam ** 2 == pytest.approx(one.err_estimate, rel=1e-2)
+        assert st.measure / lam ** 2 == pytest.approx(one.measure, rel=1e-12)
+        assert np.allclose(st.centroid / lam, one.centroid, rtol=0.0, atol=1e-12)
+
+
+def _quadric(body):
+    """(P, g, c) with body = {y : y.P y + g.y + c <= 0} about its translation,
+    on the side of the upper sheet for the hyperboloid and the cone."""
+    p = np.asarray(body.params, dtype=float)
+    if body.kind == "ellipsoid":
+        return np.diag(1.0 / p ** 2), np.zeros(3), -1.0
+    if body.kind == "elliptic-paraboloid-epigraph":
+        return np.diag([p[0], p[1], 0.0]), np.array([0.0, 0.0, -1.0]), 0.0
+    if body.kind == "hyperboloid-upper-sheet":
+        return np.diag([1.0 / p[0] ** 2, 1.0 / p[1] ** 2, -1.0]), np.zeros(3), 1.0
+    assert body.kind == "circular-cone"
+    return np.diag([p[0] ** 2, p[0] ** 2, -1.0]), np.zeros(3), 0.0
+
+
+def _plane_ellipse(body, u, t):
+    """Centre and semi-axes (a >= b) of the section {<u,x> = t} of a quadric body."""
+    P, g, c = _quadric(body)
+    e1, e2 = sections._plane_basis(u)
+    E = np.stack([e1, e2], axis=1)
+    y0 = t * u - np.asarray(body.translation)
+    M = E.T @ P @ E
+    h = E.T @ (2.0 * P @ y0 + g)
+    s = np.linalg.solve(2.0 * M, -h)
+    k = -(y0 @ P @ y0 + g @ y0 + c + 0.5 * h @ s)
+    lam = np.linalg.eigvalsh(M)
+    return t * u + E @ s, math.sqrt(k / lam[0]), math.sqrt(k / lam[1])
+
+
+# (quadric body, normals, levels) with bounded elliptic sections
+QUADRIC_SECTIONS = [
+    (ellipsoid([1.0, 2.0, 3.0], center=[0.1, 0.2, -0.3]), [[1.0, 2.0, 2.0], [0.3, -0.5, 0.8]],
+     [-1.0, 0.2, 1.5]),
+    (paraboloid_epigraph([1.0, 0.7], shift=[0.0, 0.0, 1.0]), [[0.1, -0.2, 0.4], [-0.2, 0.25, 0.3]],
+     [1.2, 2.0, 4.0]),
+    (hyperboloid_sheet([1.0, 1.4]), [[0.1, -0.2, 0.9], [0.2, 0.1, 1.0]], [1.5, 3.0, 6.0]),
+    (circular_cone(2.0, dim=3, shift=[0.3, -0.2, 0.5]), [[0.1, -0.2, 0.9], [-0.3, 0.1, 1.0]],
+     [1.0, 2.5, 6.0]),
+]
+
+
+@pytest.mark.parametrize("body,normals,levels", QUADRIC_SECTIONS,
+                         ids=[b.kind for b, _, _ in QUADRIC_SECTIONS])
+def test_quadric_sections_centre_on_their_ellipse(body, normals, levels):
+    # one centring batch: the anchor lands on the closed-form centre, and the
+    # ellipse through the 8 hits guesses the first polar radii to rounding
+    for u in normals:
+        u = np.asarray(u) / np.linalg.norm(u)
+        ts = np.array(levels)
+        anchors, basis, guide, _ = sections._centred_sections(
+            body, u[None], np.zeros(len(ts), dtype=np.intp), ts)
+        n = sections._FIRST_NODES
+        guess = sections._ellipse_radii(guide, n)
+        r, _ = sections._polar_radii(body, anchors, sections._polar_dirs(*basis, n), guess)
+        for i, t in enumerate(ts):
+            centre, _, _ = _plane_ellipse(body, u, t)
+            assert np.linalg.norm(anchors[i] - centre) <= 1e-12 * body.scale
+        assert np.max(np.abs(guess - r) / r) <= 1e-10
+
+
+def test_non_quadric_section_refuses_the_conic():
+    # the p = 4 superellipsoid's sections are no conics: the anchor falls back
+    # to the chords' midpoints, and the section is as exact as ever
+    body, u, t = superellipsoid(4.0, dim=3), np.array([0.3, -0.5, 0.8]), 0.25
+    u /= np.linalg.norm(u)
+    normals, which, ts, _ = sections._planes(u, t)
+    anchors = sections._section_anchors(body, u, ts)
+    e1, e2 = sections._plane_basis(u)
+    dirs = sections._OCTAGON[0] * e1[:, None, None] + sections._OCTAGON[1] * e2[:, None, None]
+    r, _ = sections._polar_radii(body, anchors, dirs, None)
+    assert not sections._section_conics(r)[2].any()
+    area, centroid = superellipsoid_section_stats(4.0, u, t)
+    st = section_stats(body, u, t, rtol=1e-9)
+    assert st.converged
+    assert st.measure == pytest.approx(area, rel=1e-9)
+    assert np.linalg.norm(st.centroid - centroid) <= 1e-9
+
+
+def test_section_diameter_against_the_plane_ellipse():
+    # from the ellipse's centre the widest of 128 opposite-radius sums is
+    # 2a cos-close to the major axis: at most half a node spacing off it
+    body = paraboloid_epigraph([1.0, 0.7], shift=[0.0, 0.0, 1.0])
+    for a in ([0.1, -0.2, 0.4], [0.3, 0.1, 0.4], [-0.2, 0.25, 0.3]):
+        u = np.array(a) / np.linalg.norm(a)
+        for t in (1.2, 2.0, 4.0):
+            _, major, minor = _plane_ellipse(body, u, t)
+            bound = ((major / minor) ** 2 - 1.0) * (math.pi / sections._DIAMETER_NODES) ** 2 / 2.0
+            d = section_diameter(body, u, t)
+            assert 2.0 * major * (1.0 - bound) <= d <= 2.0 * major * (1.0 + 1e-12)
+
+
+def test_3d_sections_cast_two_ray_batches(monkeypatch):
+    calls = []
+    ray_hits_batch = sections.ray_hits_batch
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return ray_hits_batch(*args, **kwargs)
+
+    monkeypatch.setattr(sections, "ray_hits_batch", counted)
+    # one centring batch, then one polar batch that meets rtol on its own
+    u = np.array([0.1, -0.2, 0.9]) / math.sqrt(0.86)
+    for body in [b for b, _, _ in QUADRIC_SECTIONS[1:]] + [unit_sphere()]:
+        t = float(_finite_levels(body, u, 0.5))
+        for entry in (section_stats, section_diameter):
+            calls.clear()
+            entry(body, u, t)
+            assert len(calls) == 2
