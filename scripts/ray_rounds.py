@@ -1,0 +1,130 @@
+#!/usr/bin/env python3
+"""Print how many F-rounds the ray batches of each benchmark workload take:
+
+    python scripts/ray_rounds.py --seed 1
+
+Each workload's pool (``perfbench/workloads.py``) is built for the seed and
+every op runs once, in pool order, with ``BodySpec.defining`` and
+``ray_hits_batch`` counted from outside the library, as ``op_digest.py``
+runs them. An F-round is one ``defining`` call made inside one
+``ray_hits_batch`` call. Each batch is of one of three kinds:
+
+- unguessed: a 3D section's centring rays, a 2D chord, a gauge ray;
+- first polar: the first guessed batch of a 3D section's polar rule, its
+  radii guessed from the section's conic;
+- refinement: the later guessed batches, guessed by interpolation.
+
+For each workload it prints the ``ray_hits_batch`` calls and rays, the
+F-rounds per call of each kind (mean and max, and its number of calls),
+and the ``defining`` calls and oracle points (points at which ``defining``
+was evaluated) of the whole pass.
+"""
+import argparse
+import sys
+from collections import defaultdict
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import run  # noqa: E402  (first: it pins the thread counts before numpy loads)
+import numpy as np  # noqa: E402
+
+KINDS = ("unguessed", "first polar", "refinement")
+
+
+class Counts:
+    """Oracle and ray-batch counts of one pass; ``rounds[kind]`` lists the
+    F-rounds of each ray batch of that kind."""
+
+    def __init__(self):
+        self.defining = 0
+        self.points = 0
+        self.rays = 0
+        self.rounds = defaultdict(list)
+        self.first = False  # the next guessed batch is a section's first
+
+
+def install(ccgeom, counts):
+    """Count every ``defining`` and ``ray_hits_batch`` call into counts;
+    returns a function that restores the library."""
+    bodies, sections = ccgeom.bodies, ccgeom.sections
+    undo = []
+
+    def patch(owner, name, wrapper):
+        orig = owner.__dict__[name]
+        undo.append((owner, name, orig))
+        setattr(owner, name, wrapper(orig))
+
+    def defining(orig):
+        def counted(self, x):
+            x = np.asarray(x)
+            counts.defining += 1
+            counts.points += x.size // x.shape[-1] if x.ndim else 1
+            return orig(self, x)
+        return counted
+
+    def ray_hits_batch(orig):
+        def counted(body, origin, directions, guess=None):
+            before = counts.defining
+            out = orig(body, origin, directions, guess=guess)
+            if guess is None:
+                kind = "unguessed"
+            else:
+                kind = "first polar" if counts.first else "refinement"
+                counts.first = False
+            counts.rounds[kind].append(counts.defining - before)
+            counts.rays += len(directions)
+            return out
+        return counted
+
+    def polar_sections(orig):
+        def counted(*args, **kwargs):
+            counts.first = True
+            return orig(*args, **kwargs)
+        return counted
+
+    patch(bodies.BodySpec, "defining", defining)
+    patch(bodies, "ray_hits_batch", ray_hits_batch)  # the gauge's
+    patch(sections, "ray_hits_batch", ray_hits_batch)
+    patch(sections, "_polar_sections", polar_sections)
+
+    def uninstall():
+        for owner, name, orig in reversed(undo):
+            setattr(owner, name, orig)
+    return uninstall
+
+
+def report(name, seed, n_ops, counts):
+    calls = sum(len(r) for r in counts.rounds.values())
+    lines = [f"{name} seed {seed}: {n_ops} ops, {calls} ray_hits_batch calls, "
+             f"{counts.rays:,} rays"]
+    for kind in KINDS:
+        r = counts.rounds.get(kind)
+        if r:
+            lines.append(f"  {kind:<12} F-rounds per call {np.mean(r):6.2f} (max {max(r)}) "
+                         f"over {len(r)} calls")
+    lines.append(f"  defining calls {counts.defining:,}, oracle points {counts.points:,}")
+    return "\n".join(lines)
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--seed", type=int, default=0)
+    args = ap.parse_args(argv)
+    ccgeom, _ = run.import_library()
+    import workloads
+
+    for name, workload in workloads.WORKLOADS.items():
+        pool = workload.build(args.seed)
+        counts = Counts()
+        uninstall = install(ccgeom, counts)
+        try:
+            for op in pool:
+                op.call()
+        finally:
+            uninstall()
+        print(report(name, args.seed, len(pool), counts), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

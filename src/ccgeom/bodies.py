@@ -54,11 +54,14 @@ _UNIT_TOL = 1e-12
 _MARGIN_TOL = 1e-14
 # epigraph normals this close to the edge of the attained set get h's limit
 _EDGE_TOL = 1e-15
-# ray root-finder: relative offset of the two probes around a guess, the
-# relative tolerance on each hit, caps on bracket steps and on solver steps
-_GUESS_SPREAD = 2.0 ** -20
+# ray root-finder: the probes around a guess, as factors of it (the inner
+# pair is within _HIT_RTOL, so it ends a ray guessed to rounding), the outward
+# ladder, as factors of the last inside point, the relative tolerance on each
+# hit, caps on ladder rounds (a reach of 2^204) and on solver steps
+_GUESS_PROBES = 1.0 + np.array([-2.0 ** -20, -2.0 ** -41, 2.0 ** -41, 2.0 ** -20])[:, None]
+_LADDER = 2.0 ** np.arange(1, 13)[:, None]
 _HIT_RTOL = 1e-12
-_BRACKET_STEPS = 200
+_BRACKET_ROUNDS = 17
 _SOLVE_STEPS = 100
 
 
@@ -668,21 +671,24 @@ def ray_hits_batch(body, origin, directions, guess=None):
     rays j*k to (j+1)*k - 1 from origin j, and ``n_evals`` is an array of L
     counts, one per origin.
 
-    A ray is bracketed from ``guess`` (two probes just below and above it)
-    or, without one, from a probe at the body scale, stepping outward (at
-    most doubling) while the probes stay inside. Then each step evaluates
-    two points in one ``defining`` call. F is convex along a ray, so the
-    chord through the inside and outside ends lands inside, and the secant
-    through two outside points, or through two inside points, lands
-    outside: the root lies between the chord root and the nearer secant
-    root. Each point updates whichever end its sign says. A step that does
-    not halve the bracket (in log scale) is followed by a geometric
-    bisection. Every ray stops on its own bracket, once the chord and
-    secant roots agree to ``_HIT_RTOL`` relative to the hit distance or F
-    at its inside end is down to the rounding noise of F at its origin, so
-    its root does not depend on the other rays of the batch, nor on the
-    other origins: each hit is bitwise the one a call with its origin alone
-    returns.
+    A ray is bracketed from ``guess`` (one distance per ray, m entries in
+    any shape) by four probes g (1 -+ 2^-20) and g (1 -+ 2^-41), or, without
+    one, by a probe at the body scale. The inner pair is within
+    ``_HIT_RTOL``, so a guess good to rounding ends its ray on its probes. A
+    ray whose probes are all inside steps out to 2^1 .. 2^12 times its last
+    inside point, one ``defining`` call a round, until one is outside. Then
+    each step evaluates two points in one ``defining`` call. F is convex
+    along a ray, so the chord through the inside and outside ends lands
+    inside, and the secant through two outside points, or through two
+    inside points, lands outside: the root lies between the chord root and
+    the nearer secant root. Each point updates whichever end its sign says.
+    A step that does not halve the bracket (in log scale) is followed by a
+    geometric bisection. Every ray stops on its own bracket, once the
+    bracket, or the chord and secant roots, are within ``_HIT_RTOL``
+    relative to the hit distance or F at its inside end is down to the
+    rounding noise of F at its origin, so its root does not depend on the
+    other rays of the batch, nor on the other origins: each hit is bitwise
+    the one a call with its origin alone returns.
 
     All directions must be non-recessive (guaranteed for bounded sections).
     Origins, directions and every batch of points are held coordinate-major,
@@ -704,10 +710,12 @@ def ray_hits_batch(body, origin, directions, guess=None):
     if guess is None:
         probes = np.full((1, m), float(body.scale))
     else:
-        g = np.array(guess, dtype=float).reshape(m)
+        g = np.array(guess, dtype=float).ravel()
+        if g.size != m:
+            raise ValueError(f"guess must hold one distance per ray: {m} expected, got {g.size}")
         if not np.all((g > 0.0) & np.isfinite(g)):
             raise ValueError("initial guesses must be finite and positive")
-        probes = np.stack([g * (1.0 - _GUESS_SPREAD), g * (1.0 + _GUESS_SPREAD)])
+        probes = g * _GUESS_PROBES
     hits = np.empty(m)
     counts = np.zeros(len(O), dtype=int)
     if m:
@@ -731,9 +739,9 @@ _NEXT = np.array([[0, 1, 2, 3, 0, 1], [0, 1, 3, 0, 1, 4], [0, 1, 0, 1, 4, 5]]).T
 
 def _bracket(F, O, P, W, probes, evals):
     """Evaluate the probes (ascending along each ray from its origin in P)
-    and the origins O, then step every ray without an outside point outward
-    until it has one. P and W hold each ray's origin and direction as
-    (d, rays) arrays.
+    and the origins O, then step every ray without an outside point out along
+    the ladder, one F call a round, until it has one. P and W hold each
+    ray's origin and direction as (d, rays) arrays.
 
     Returns the solver state and F at the origin of each ray; adds the
     points evaluated along each ray to ``evals``.
@@ -744,33 +752,34 @@ def _bracket(F, O, P, W, probes, evals):
     if not np.all(f[n * m:] < 0.0):
         raise NotInterior("ray origin is not inside the body")
     f0 = np.repeat(f[n * m:], m // len(O))
-    # each ray's points in order: NaN, the origin, the probes, NaN, NaN; with
-    # c probes inside, (Lp, l, h, p) are the points c to c + 3
-    seq = np.full((2, n + 4, m), np.nan)
-    seq[0, 1], seq[1, 1] = 0.0, f0
-    seq[0, 2:n + 2], seq[1, 2:n + 2] = probes, f[:n * m].reshape(n, m)
-    c = np.count_nonzero(seq[1, 2:n + 2] <= 0.0, axis=0)
     S = np.empty((2, 6, m))
-    S[:, _LP:] = seq.reshape(2, -1).take((c + np.arange(4)[:, None]) * m + np.arange(m), axis=1)
-    evals += n
-    # step to the zero of the line through the last two inside points, which
-    # lies outside by convexity, but at most to twice the distance of l
-    idx = np.flatnonzero(c == n)
-    for _ in range(_BRACKET_STEPS):
+    # each ray's points before its probes: NaN, then the origin
+    S[:, _LP], S[0, _L], S[1, _L] = np.nan, 0.0, f0
+    idx = np.flatnonzero(_extend(S, slice(None), probes, f[:n * m].reshape(n, m), evals))
+    for _ in range(_BRACKET_ROUNDS):
         if idx.size == 0:
             return S, f0
-        (xp, x), (fp, fx) = S[:, _LP:_H, idx]
-        z = x - fx * ((x - xp) / (fx - fp))
-        t = np.where(z > x, np.fmin(z, 2.0 * x), 2.0 * x)
-        ft = F((P[:, idx] + t * W[:, idx]).T)
-        evals[idx] += 1
-        i = ft <= 0.0
-        j, o = idx[i], idx[~i]
-        S[:, _LP, j] = S[:, _L, j]
-        S[0, _L, j], S[1, _L, j] = t[i], ft[i]
-        S[0, _H, o], S[1, _H, o] = t[~i], ft[~i]
-        idx = idx[i]
+        x = S[0, _L, idx] * _LADDER
+        fx = F((P[:, None, idx] + x * W[:, None, idx]).reshape(len(P), -1).T)
+        idx = idx[_extend(S, idx, x, fx.reshape(x.shape), evals)]
     raise GeometryError("boundary bracketing failed; direction nearly recessive")
+
+
+def _extend(S, idx, x, fx, evals):
+    """Follow the last two points (slots Lp, l) of the rays idx (an index
+    array or a slice) by the points x, (n, rays) ascending along each ray,
+    with F values fx: with c of them inside, slots Lp, l, h, p take the
+    points c to c + 3 of (Lp, l, x, NaN, NaN). Adds n to the rays' ``evals``
+    and returns the mask of those with all n inside."""
+    n, k = x.shape
+    seq = np.full((2, n + 4, k), np.nan)
+    seq[:, :2] = S[:, _LP:_H, idx]
+    seq[0, 2:n + 2], seq[1, 2:n + 2] = x, fx
+    c = np.count_nonzero(fx <= 0.0, axis=0)
+    S[:, _LP:, idx] = seq.reshape(2, -1).take((c + np.arange(4)[:, None]) * k + np.arange(k),
+                                              axis=1)
+    evals[idx] += n
+    return c == n
 
 
 def _solve(F, P, W, S, f0, hits, evals):

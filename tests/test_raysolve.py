@@ -7,6 +7,7 @@ import pytest
 
 from ccgeom import (
     BodySpec,
+    admissible_levels,
     cut_gradient,
     ellipsoid,
     function_epigraph,
@@ -16,7 +17,7 @@ from ccgeom import (
     superellipsoid,
     unit_sphere,
 )
-from ccgeom import bodies
+from ccgeom import bodies, sections
 from ccgeom.bodies import ray_hits_batch
 from ccgeom.errors import GeometryError, NotInterior
 
@@ -74,12 +75,25 @@ def _assert_rel(got, exact, rtol=1e-12):
         assert abs(g - float(e)) <= rtol * float(e), (g, e)
 
 
+# relative offsets of guesses from the root: within the inner probe pair,
+# between an inner and an outer probe, outside both pairs, and so far below
+# (-0.5) that every probe is inside and the ray climbs the ladder
+_GUESS_OFFSETS = np.array([0.0, 3e-13, -3e-13, 1e-9, -1e-9, 1e-6, -1e-6, 1e-3, -1e-3, 0.5, -0.5])
+
+
+def _assert_hits(body, o, w, exact):
+    """Unguessed hits, and hits guessed at every offset, match the roots exact."""
+    _assert_rel(ray_hits_batch(body, o, w)[0], exact)
+    guess = np.array([float(e) for e in exact]) * (1.0 + np.resize(_GUESS_OFFSETS, len(w)))
+    _assert_rel(ray_hits_batch(body, o, w, guess=guess)[0], exact)
+
+
 def test_ellipsoid_hits_match_closed_form():
     axes, center = np.array([2.0, 0.7, 1.3]), np.array([0.5, -1.0, 3.0])
     body = ellipsoid(axes, center=center)
     o = center + np.array([0.4, 0.1, -0.5])
     w = _directions(200, 1)
-    _assert_rel(ray_hits_batch(body, o, w)[0], [_ellipsoid_hit(axes, center, o, d) for d in w])
+    _assert_hits(body, o, w, [_ellipsoid_hit(axes, center, o, d) for d in w])
 
 
 def test_paraboloid_hits_match_closed_form():
@@ -88,7 +102,7 @@ def test_paraboloid_hits_match_closed_form():
     o = np.array([0.3, -0.2, 2.0])
     w = _directions(200, 2)
     w = w[~np.asarray(body.recession_cone().contains(w))]
-    _assert_rel(ray_hits_batch(body, o, w)[0], [_paraboloid_hit(q, o, d) for d in w])
+    _assert_hits(body, o, w, [_paraboloid_hit(q, o, d) for d in w])
 
 
 def test_hyperboloid_sheet_hits_match_closed_form():
@@ -98,7 +112,7 @@ def test_hyperboloid_sheet_hits_match_closed_form():
     w = _directions(300, 3)
     # directions inside the recession cone never leave the body
     w = w[w[:, 2] < 0.9 * np.linalg.norm(w[:, :2] / axes, axis=1)]
-    _assert_rel(ray_hits_batch(body, o, w)[0], [_hyperboloid_hit(axes, o, d) for d in w])
+    _assert_hits(body, o, w, [_hyperboloid_hit(axes, o, d) for d in w])
 
 
 def test_root_does_not_depend_on_the_batch():
@@ -180,6 +194,65 @@ def test_root_finder_hands_f_coordinate_major_batches(monkeypatch, call):
     assert all(coordinate_major(x) for x in batches)
 
 
+@pytest.mark.parametrize("body", [
+    ellipsoid([1.3, 0.8, 1.0], center=[0.2, -0.1, 0.4]),
+    paraboloid_epigraph([1.0, 0.7]),
+    hyperboloid_sheet([1.0, 1.4]),
+], ids=lambda b: b.kind)
+def test_conic_guessed_first_polar_batch_takes_one_round(monkeypatch, body):
+    # guessed from the section's conic to rounding, every ray of the first
+    # polar batch ends on its probes: one F call for the whole batch
+    batches, rounds = record_defining(monkeypatch), []
+
+    def counted(*args, guess=None):
+        before = len(batches)
+        out = ray_hits_batch(*args, guess=guess)
+        rounds.append((guess is not None, len(batches) - before))
+        return out
+
+    monkeypatch.setattr(sections, "ray_hits_batch", counted)
+    for u in ([0.3, -0.2, 0.93], [0.0, 0.0, 1.0]):
+        u = np.array(u) / np.linalg.norm(u)
+        lo, hi = admissible_levels(body, u)
+        for t in (lo + 0.3 * min(hi - lo, 10.0), lo + 0.7 * min(hi - lo, 10.0)):
+            rounds.clear()
+            section_stats(body, u, t)
+            # the unguessed centring batch, then the first polar batch
+            assert rounds[1] == (True, 1), (u, t, rounds)
+
+
+def test_unguessed_ray_brackets_a_far_root_in_two_rounds(monkeypatch):
+    # near the paraboloid's axis the root is 1.1e3 body scales out: the
+    # probe at the scale is inside and one ladder round brackets the root
+    body, o = paraboloid_epigraph([1.0, 0.7]), np.array([0.0, 0.0, 1.0])
+    w = np.array([[0.03, 0.0, math.sqrt(1.0 - 0.03 ** 2)]])
+    root = float(_paraboloid_hit([1.0, 0.7], o, w[0]))
+    assert root > 1e3 * body.scale
+    batches, states = record_defining(monkeypatch), []
+    monkeypatch.setattr(bodies, "_solve", lambda F, P, W, S, *rest: states.append(S.copy()))
+    ray_hits_batch(body, o, w)
+    assert len(batches) == 2
+    (l, h), (fl, fh) = states[0][:, bodies._L:bodies._H + 1, 0]
+    assert l < root < h and fl <= 0.0 < fh
+
+
+def test_ladder_reaches_a_root_1e40_out():
+    # 1e40 out along a ray 1e-20 off the paraboloid's axis: within the
+    # ladder's reach of 2^204 body scales
+    q, o = np.array([1.0, 1.0]), np.array([0.0, 0.0, 1.0])
+    w = np.array([[1e-20, 0.0, 1.0]])
+    exact = _paraboloid_hit(q, o, w[0])
+    assert float(exact) == pytest.approx(1e40)
+    _assert_rel(ray_hits_batch(paraboloid_epigraph(q), o, w)[0], [exact])
+
+
+def test_rejects_a_guess_of_the_wrong_length():
+    body, w = ellipsoid([1.0, 2.0]), np.array([[1.0, 0.0], [0.0, 1.0]])
+    for guess in ([1.0], [1.0, 1.0, 1.0]):
+        with pytest.raises(ValueError, match="guess must hold one distance per ray: 2 expected"):
+            ray_hits_batch(body, np.zeros(2), w, guess=guess)
+
+
 def test_one_origin_keeps_its_shapes():
     body = ellipsoid([1.0, 2.0])
     w = np.array([[1.0, 0.0], [0.0, -1.0]])
@@ -237,7 +310,7 @@ def test_rejects_non_finite_rays():
 
 
 def test_recessive_ray_fails_bracketing():
-    # up the paraboloid's axis every one of the 200 bracket steps stays inside
+    # up the paraboloid's axis every point of the 17 ladder rounds stays inside
     body = paraboloid_epigraph([1.0, 1.0])
     with pytest.raises(GeometryError, match="boundary bracketing failed"):
         ray_hits_batch(body, np.array([0.0, 0.0, 1.0]), np.array([[0.0, 0.0, 1.0]]))
