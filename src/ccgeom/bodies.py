@@ -768,14 +768,19 @@ def _bracket(F, O, P, W, probes, evals):
 def _extend(S, idx, x, fx, evals):
     """Follow the last two points (slots Lp, l) of the rays idx (an index
     array or a slice) by the points x, (n, rays) ascending along each ray,
-    with F values fx: with c of them inside, slots Lp, l, h, p take the
-    points c to c + 3 of (Lp, l, x, NaN, NaN). Adds n to the rays' ``evals``
-    and returns the mask of those with all n inside."""
+    with F values fx: with c of them inside before the first outside one,
+    slots Lp, l, h, p take the points c to c + 3 of (Lp, l, x, NaN, NaN).
+    Adds n to the rays' ``evals`` and returns the mask of those with all n
+    inside.
+
+    Near the root F's rounding can read a later point inside again; as in
+    ``_NEXT``, only the inside points before the first outside one count,
+    so slot l is inside and slot h outside."""
     n, k = x.shape
     seq = np.full((2, n + 4, k), np.nan)
     seq[:, :2] = S[:, _LP:_H, idx]
     seq[0, 2:n + 2], seq[1, 2:n + 2] = x, fx
-    c = np.count_nonzero(fx <= 0.0, axis=0)
+    c = np.count_nonzero(np.cumprod(fx <= 0.0, axis=0), axis=0)
     S[:, _LP:, idx] = seq.reshape(2, -1).take((c + np.arange(4)[:, None]) * k + np.arange(k),
                                               axis=1)
     evals[idx] += n

@@ -5,12 +5,13 @@ V(a) is the volume of the body on the <= side of the hyperplane {<a,x> = 1},
 computed by Fubini slicing perpendicular to a: the section measure is
 integrated over the levels, cosine-substituted, by ``quad``, an adaptive
 form of QUADPACK's 21-point Gauss-Kronrod rule that runs several integrals
-in lockstep.  Each of its rounds sections the 21 levels of every open panel
-of every integral in one batch, so a volume that one panel meets costs one
-batch of 21 levels, and a gradient's 2d + 1 volumes, or a constancy scan's
-volumes at all its anchors, share their rounds and batches, each volume
-bitwise as ``halfspace_cut_volume`` gives it; a gradient's first round also
-sections its cut plane, for its measure, centroid and diameter.
+in lockstep, the open panels of all of them in three flat arrays.  Each of
+its rounds sections the 21 levels of every open panel of every integral in
+one batch, so a volume that one panel meets costs one batch of 21 levels,
+and a gradient's 2d + 1 volumes, or a constancy scan's volumes at all its
+anchors, share their rounds and batches, each volume bitwise as
+``halfspace_cut_volume`` gives it; a gradient's first round also sections
+its cut plane, for its measure, centroid and diameter.
 Unboundedness of a cut is decided analytically from the recession cone,
 never by runaway integration.
 Floating cuts are the parallel and homothety cuts (a tangent plane shifted
@@ -79,54 +80,52 @@ def quad(f, a, b, epsabs, epsrel):
 
     a, b and epsrel are numbers or arrays of K; returns the K integrals.
     f(x, k) maps a 1-D array of points x, point i in the interval of
-    integral k[i], to the integrands' values there; each round evaluates
-    the nodes of every open panel of every integral in one call.  Each panel
-    is scored with QUADPACK's dqk21 error estimate (Piessens et al.,
-    QUADPACK, 1983).  Each integral keeps its own panels and stops on its
-    own once their scores sum to within max(epsabs, epsrel_k |integral|),
-    QUADPACK's own test; until then its panels within their share of that
-    bound by width close, and the others are bisected.  Past ``_MAX_PANELS``
-    open panels of one integral its sum so far is taken with a
-    RuntimeWarning.
+    integral k[i], to the integrands' values there.  The open panels of all
+    integrals are three flat arrays, lo, hi and their integral k, integral
+    k's panels one block in ascending k, and each round evaluates the nodes
+    of all of them in one call.  Each panel is scored with QUADPACK's dqk21
+    error estimate (Piessens et al., QUADPACK, 1983).  Each integral stops
+    on its own once its panels' scores sum to within max(epsabs, epsrel_k
+    |integral|), QUADPACK's own test; until then its panels within their
+    share of that bound by width close, and the others are bisected, left
+    halves before right halves.  Past ``_MAX_PANELS`` open panels of one
+    integral its sum so far is taken, with one RuntimeWarning a round.
     """
     a, b = np.atleast_1d(np.asarray(a, dtype=float)), np.atleast_1d(np.asarray(b, dtype=float))
-    epsrel = np.broadcast_to(epsrel, a.shape)
-    out = np.empty(len(a))
-    # each open integral's panels [lo, hi] and the sum and error of its closed ones
-    panels = {k: (a[k:k + 1], b[k:k + 1], 0.0, 0.0) for k in range(len(a))}
-    while panels:
-        mids = {k: (0.5 * (lo + hi), 0.5 * (hi - lo)) for k, (lo, hi, _, _) in panels.items()}
-        x = [(centre[:, None] + half[:, None] * _NODES).ravel() for centre, half in mids.values()]
-        fxs = np.split(f(np.concatenate(x), np.repeat(list(mids), [len(v) for v in x])),
-                       np.cumsum([len(v) for v in x[:-1]]))
-        for (k, (centre, half)), fx in zip(mids.items(), fxs):
-            lo, hi, total, total_err = panels.pop(k)
-            # every row apart, as a lone integral would score it: a matrix
-            # product's rows depend in the last bit on how many there are
-            fx = fx.reshape(len(lo), -1)
-            kronrod = fx @ _KRONROD
-            result = kronrod * half
-            resabs = np.abs(fx) @ _KRONROD * half
-            resasc = np.abs(fx - 0.5 * kronrod[:, None]) @ _KRONROD * half
-            err = np.abs((kronrod - fx @ _GAUSS) * half)
-            ratio = 200.0 * err / np.where(resasc > 0.0, resasc, 1.0)
-            err = np.where(resasc > 0.0, resasc * np.minimum(1.0, ratio ** 1.5), err)
-            err = np.maximum(err, 50.0 * np.finfo(float).eps * resabs)
-            out[k] = total + float(result.sum())
-            tol = max(epsabs, epsrel[k] * abs(out[k]))
-            short = err > tol * (hi - lo) / (b[k] - a[k])
-            if total_err + float(err.sum()) <= tol or not short.any():
-                continue
-            if 2 * np.count_nonzero(short) > _MAX_PANELS:
-                warnings.warn(f"quad: more than {_MAX_PANELS} panels short of the tolerance; "
-                              "returning the sum so far", RuntimeWarning, stacklevel=2)
-                continue
-            total += float(result[~short].sum())
-            total_err += float(err[~short].sum())
-            lo, centre, hi = lo[short], centre[short], hi[short]
-            panels[k] = (np.concatenate((lo, centre)), np.concatenate((centre, hi)),
-                         total, total_err)
-    return out
+    K = len(a)
+    lo, hi, k = a, b, np.arange(K)
+    # each integral's sum and error over its closed panels; its result once it stops
+    total, total_err = np.zeros(K), np.zeros(K)
+    while k.size:
+        centre, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        fx = f((centre[:, None] + half[:, None] * _NODES).ravel(), np.repeat(k, _NODES.size))
+        fx = fx.reshape(k.size, -1)
+        # einsum's row sums, unlike a matrix product's, do not depend on the row count
+        kronrod = np.einsum("ij,j->i", fx, _KRONROD)
+        result = kronrod * half
+        resabs = np.einsum("ij,j->i", np.abs(fx), _KRONROD) * half
+        resasc = np.einsum("ij,j->i", np.abs(fx - 0.5 * kronrod[:, None]), _KRONROD) * half
+        err = np.abs((kronrod - np.einsum("ij,j->i", fx, _GAUSS)) * half)
+        ratio = 200.0 * err / np.where(resasc > 0.0, resasc, 1.0)
+        err = np.where(resasc > 0.0, resasc * np.minimum(1.0, ratio ** 1.5), err)
+        err = np.maximum(err, 50.0 * np.finfo(float).eps * resabs)
+        out = total + np.bincount(k, result, K)
+        tol = np.fmax(epsabs, epsrel * np.abs(out))
+        short = err > tol[k] * (hi - lo) / (b - a)[k]
+        n_short = np.bincount(k, short, K)
+        done = (total_err + np.bincount(k, err, K) <= tol) | (n_short == 0)
+        if np.any(~done & (2 * n_short > _MAX_PANELS)):
+            warnings.warn(f"quad: more than {_MAX_PANELS} panels short of the tolerance; "
+                          "returning the sum so far", RuntimeWarning, stacklevel=2)
+            done |= 2 * n_short > _MAX_PANELS
+        total = np.where(done, out, total + np.bincount(k, np.where(short, 0.0, result), K))
+        total_err += np.bincount(k, np.where(short, 0.0, err), K)
+        split = short & ~done[k]
+        order = np.argsort(np.tile(k[split], 2), kind="stable")
+        lo = np.concatenate((lo[split], centre[split]))[order]
+        hi = np.concatenate((centre[split], hi[split]))[order]
+        k = np.tile(k[split], 2)[order]
+    return total
 
 
 @dataclass(frozen=True)

@@ -81,6 +81,15 @@ def _plane(u, t):
     return np.array(_check_unit(u)), t
 
 
+def _check_finite_levels(ts):
+    """Raise ``ValueError`` for a NaN level and ``LevelOutOfRange`` naming an
+    infinite one, before any arithmetic on it."""
+    if not np.all(np.isfinite(ts)):
+        if np.any(np.isnan(ts)):
+            raise ValueError("hyperplane level must be a number")
+        raise LevelOutOfRange(f"level {float(np.asarray(ts)[np.isinf(ts)][0])} is not finite")
+
+
 def _planes(u, t):
     """Validated unit normals, the index of each level's normal among them,
     the levels as a 1-D array, and whether t was a number.
@@ -91,8 +100,7 @@ def _planes(u, t):
     ts = np.asarray(t, dtype=float)
     if ts.ndim > 1 or ts.size == 0:
         raise ValueError("levels must be a number or a nonempty 1-D array")
-    if np.any(np.isnan(ts)):
-        raise ValueError("hyperplane level must be a number")
+    _check_finite_levels(ts)
     u = np.asarray(u, dtype=float)
     if u.ndim == 2:
         if ts.shape != (len(u),):
@@ -513,6 +521,7 @@ def _measures_and_section(body, normals, which, ts, rtol, plane):
 def section_diameter(body, u, t) -> float:
     """Diameter estimate of the section (max of opposite-radius sums)."""
     u, t = _plane(u, t)
+    _check_finite_levels(t)
     anchors, basis, guide, _ = _centred_sections(body, u[None], np.zeros(1, dtype=np.intp),
                                                  np.array([t]))
     if len(basis) == 1:

@@ -445,6 +445,25 @@ def test_lockstep_quad_is_each_lone_quad_bitwise():
         capped = cutvol.quad(_lockstep, a, b, epsabs=0.0, epsrel=[1e-8, 1e-20, 1e-6])
     assert capped[0] == together[0] and capped[2] == together[2]
     assert capped[1] == pytest.approx(2.0, rel=1e-14)
+    # the quartic over [0, pi] and over [0, 3] bisects in the same rounds, so
+    # the two integrals' halves share the flat panel arrays round after round
+    ks = []
+
+    def quartic(x, k):
+        ks.append(k.copy())
+        return _quartic_anchor_integrand(x)
+
+    a, b, epsrel = np.zeros(2), np.array([math.pi, 3.0]), [1e-10, 1e-10]
+    together = cutvol.quad(quartic, a, b, epsabs=0.0, epsrel=epsrel)
+    # rounds in which both integrals hold two open panels of 21 points each
+    assert sum(np.bincount(k, minlength=2).tolist() == [42, 42] for k in ks) > 2
+    for k in ks:
+        # each integral's points are one block, in ascending k
+        assert np.all(np.diff(k) >= 0)
+    for i in range(2):
+        [alone] = cutvol.quad(lambda x, k: _quartic_anchor_integrand(x), a[i], b[i],
+                              epsabs=0.0, epsrel=epsrel[i])
+        assert together[i] == alone
 
 
 def _ray_batches(monkeypatch):

@@ -1,5 +1,6 @@
 """The batched boundary root-finder: accuracy, batch independence, hard rays."""
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -11,6 +12,7 @@ from ccgeom import (
     cut_gradient,
     ellipsoid,
     function_epigraph,
+    halfspace_cut_volume,
     hyperboloid_sheet,
     paraboloid_epigraph,
     section_stats,
@@ -244,6 +246,36 @@ def test_ladder_reaches_a_root_1e40_out():
     exact = _paraboloid_hit(q, o, w[0])
     assert float(exact) == pytest.approx(1e40)
     _assert_rel(ray_hits_batch(paraboloid_epigraph(q), o, w)[0], [exact])
+
+
+def test_bracket_counts_only_the_inside_points_before_the_first_outside():
+    # near the root F's rounding can read a later probe inside again: the
+    # probes inside, outside, inside leave the first inside as l, the
+    # outside one as h
+    S = np.full((2, 6, 1), np.nan)
+    S[0, bodies._L], S[1, bodies._L] = 0.0, -1.0
+    evals = np.zeros(1, dtype=int)
+    x, fx = np.array([[1.0], [2.0], [3.0]]), np.array([[-1e-12], [1e-13], [-1e-14]])
+    assert not bodies._extend(S, slice(None), x, fx, evals)[0]
+    assert S[0, bodies._LP:, 0].tolist() == [0.0, 1.0, 2.0, 3.0]
+    assert evals.tolist() == [3]
+
+
+SHALLOW_SPHERE = unit_sphere(center=[0.0, 0.0, 3.0])
+SHALLOW_NORMAL = np.array([0.10284860274165833, -0.5251933749582453, 0.8447449815264111])
+
+
+@pytest.mark.parametrize("depth, rel", [(1e-9, 1e-5), (1e-11, 1e-4)])
+def test_shallow_cut_brackets_through_rounding_noise(depth, rel):
+    # the first polar batch of these tiny sections probes anchors where F is
+    # -8e-13 to -1.2e-10, and rounding can read a probe past the root inside
+    u = SHALLOW_NORMAL / np.linalg.norm(SHALLOW_NORMAL)
+    lo = -SHALLOW_SPHERE.support(-u)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v = halfspace_cut_volume(SHALLOW_SPHERE, u, lo + depth)
+    # the cap of height d of the unit sphere
+    assert v == pytest.approx(math.pi * depth ** 2 * (1.0 - depth / 3.0), rel=rel, abs=0.0)
 
 
 def test_rejects_a_guess_of_the_wrong_length():

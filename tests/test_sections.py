@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -215,6 +216,31 @@ def test_section_level_must_be_a_number():
     for levels in (np.array([0.0, math.nan]), np.array([]), np.zeros((2, 2))):
         with pytest.raises(ValueError):
             section_measure(unit_sphere(), [0.0, 0.0, 1.0], levels)
+
+
+# one body of each unbounded kind and the sphere, each with a normal whose
+# sections are bounded
+INFINITE_LEVEL_CASES = [
+    (unit_sphere(), [0.0, 0.0, 1.0]),
+    (paraboloid_epigraph([1.0, 0.7]), [0.0, 0.0, 1.0]),
+    (hyperboloid_sheet([1.0, 1.4]), [0.0, 0.0, 1.0]),
+    (hyperboloid_sheet([1.0]), [0.0, 1.0]),
+    (circular_cone(1.0, dim=3), [0.0, 0.0, 1.0]),
+    (function_epigraph("exp"), [-math.sqrt(0.5), math.sqrt(0.5)]),
+]
+
+
+@pytest.mark.parametrize("entry", [section_stats, section_measure, section_diameter])
+@pytest.mark.parametrize("body, u", INFINITE_LEVEL_CASES)
+def test_infinite_levels_are_out_of_range(entry, body, u):
+    for t in (math.inf, -math.inf):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(LevelOutOfRange, match=f"level {t} "):
+                entry(body, u, t)
+    if entry is not section_diameter:
+        with pytest.raises(LevelOutOfRange, match="level inf "):
+            entry(body, u, np.array([0.0, math.inf]))
 
 
 # (body, unit normal) pairs with bounded sections, one per kind and dimension
