@@ -11,7 +11,9 @@ one batch, so a volume that one panel meets costs one batch of 21 levels,
 and a gradient's 2d + 1 volumes, or a constancy scan's volumes at all its
 anchors, share their rounds and batches, each volume bitwise as
 ``halfspace_cut_volume`` gives it; a gradient's first round also sections
-its cut plane, for its measure, centroid and diameter.
+its cut plane, for its measure, centroid and diameter, as one more level of
+the same kernel call, or the plane raises its own error.  A level that
+grazes the body scores 0 in the section kernel.
 Unboundedness of a cut is decided analytically from the recession cone,
 never by runaway integration.
 Floating cuts are the parallel and homothety cuts (a tangent plane shifted
@@ -29,19 +31,21 @@ from .bodies import INF, _graph_contact
 from .errors import (
     DegenerateCut,
     DegenerateSection,
+    LevelOutOfRange,
     NotApexCentered,
     NotGraphLike,
     OriginInsideBody,
 )
 from .sections import (
     DEFAULT_RTOL,
-    _measures_and_section,
+    _check_levels,
+    _check_measures,
     _plane,
     _rtols,
-    section_diameter,
+    _sections,
     section_measure,
-    section_stats,
 )
+from .sections import section_diameter, section_stats  # noqa: F401  (perfbench/tracer.py wraps them by name)
 
 _MAX_PANELS = 200  # open panels past which quad stops refining
 
@@ -165,9 +169,9 @@ def _cut_volumes(body, normals, ranges, rtols, plane=None):
     each to its own rtols[k]: the integrals in one lockstep ``quad``, whose
     every round sections the levels of all of them in one batch.
 
-    Returns the volumes and, for plane = (u, t, rtol), the measure, centroid
-    and diameter of that section from the first round's batches (see
-    ``sections._measures_and_section``); None where it did not ride there.
+    Returns the volumes and, for plane = (u, t, rtol), that section's
+    measure, centroid, diameter and whether its anchor is inside the body,
+    from the first round's batch, in which it rides as one more level.
     """
     rtols = _rtols(rtols, len(ranges))
     volumes = np.array([math.nan if isinstance(r, tuple) else r for r in ranges])
@@ -179,25 +183,22 @@ def _cut_volumes(body, normals, ranges, rtols, plane=None):
     h = 0.5 * (s_hi - s_lo)
     section = None
 
-    def m(u, s, rtol):
-        try:
-            return section_measure(body, u, s, rtol=rtol)
-        except DegenerateSection:
-            return 0.0
-
     def g(phi, k):
         nonlocal plane, section
         levels = c[k] - h[k] * np.cos(phi)
-        measures = None
         if plane is not None:
-            measures, section = _measures_and_section(body, normals, k, levels, rtols[k], plane)
-            plane = None
-        if measures is None:
+            u, t, rtol = plane
+            extra = np.arange(k.size + 1) == k.size
+            measures, centroid, _, _, _, diam, inside = _sections(
+                body, np.vstack((normals, u)), np.append(k, len(normals)), np.append(levels, t),
+                np.append(rtols[k], rtol), extra, extra)
+            section, plane = (float(measures[-1]), centroid[-1], float(diam[0]), inside[-1]), None
+            measures = measures[:-1]
+        else:
             try:
                 measures = section_measure(body, normals[k], levels, rtol=rtols[k])
-            except DegenerateSection:
-                # a level grazes the body: section them one at a time, scoring those 0
-                measures = np.array([m(normals[i], s, rtols[i]) for i, s in zip(k, levels)])
+            except DegenerateSection:  # a level grazes the body: the kernel scores it 0
+                measures = _sections(body, normals, k, levels, rtols[k], False)[0]
         return measures * h[k] * np.sin(phi)
 
     volumes[todo] = quad(g, np.zeros(len(todo)), np.full(len(todo), math.pi),
@@ -236,9 +237,10 @@ def cut_gradient(body, a, rtol=DEFAULT_RTOL) -> CutVolumeResult:
     batch, and each volume comes out bitwise as ``cut_volume`` gives it.
     Its first round also sections the cut plane, with its centroid and
     diameter, bitwise as ``section_stats`` and ``section_diameter`` give
-    them; where that plane cannot ride there, those two section it after.
-    Which cuts are empty or unbounded is read off the recession cone before
-    any integration.
+    them, and the plane raises their errors after V(a)'s own: a level
+    outside ``admissible_levels`` (which does not ride), then a level that
+    grazes the body or a measure below the threshold. Which cuts are empty
+    or unbounded is read off the recession cone before any integration.
     """
     a = np.asarray(a, dtype=float)
     _rtols(rtol, 1)  # before the step, which it sets
@@ -263,16 +265,22 @@ def cut_gradient(body, a, rtol=DEFAULT_RTOL) -> CutVolumeResult:
         if INF in ranges[-2:]:
             raise DegenerateCut("perturbed cut became unbounded; reduce the step")
     u, t = planes[0]
+    refused = None
+    try:
+        _check_levels(body, u, np.array([t]))
+    except LevelOutOfRange as e:
+        refused = e
     volumes, section = _cut_volumes(body, [u for u, _ in planes], ranges,
-                                    [rtol] + [fd_rtol] * (2 * dim), plane=(u, t, rtol))
+                                    [rtol] + [fd_rtol] * (2 * dim),
+                                    plane=None if refused else (u, t, rtol))
     V0 = float(volumes[0])
     if not V0 > 0.0:  # every level of the cut grazed the body
         raise DegenerateCut(f"V(a) = {V0} is not finite positive")
+    if refused is not None:
+        raise refused
+    measure, centroid, diam, inside = section
+    _check_measures(body, measure, inside)
     grad = (volumes[1::2] - volumes[2::2]) / (2.0 * step)
-    if section is None:  # the cut plane did not ride in the first round
-        stats = section_stats(body, u, t, rtol=rtol)
-        section = stats.measure, stats.centroid, section_diameter(body, u, t)
-    measure, centroid, diam = section
     lam = float(a @ grad)
     identity_residual = float(np.linalg.norm(centroid - grad / lam))
     # growing a shrinks the cut, so the gradient points against the moment
@@ -297,26 +305,20 @@ def _check_finite(name, value):
         raise ValueError(f"{name} must be finite, got {value}")
 
 
-def _moved_tangent_planes(contacts, mode, k):
-    """Planes {<n,x> = t} from the tangent planes {<n,x> = <n,p>} at the
-    contacts (p, n), n the inner unit normal, each moved by k:
+def _moved_tangent_cuts(body, contacts, mode, k, rtol):
+    """Volumes of body ∩ {<n,x> <= t} for the tangent planes {<n,x> = <n,p>}
+    at the contacts (p, n), n the inner unit normal, each moved by k:
     t = <n,p> + k n_d for mode "translate" (shift by k e_d), t = k <n,p> for
-    "scale" (about the origin)."""
+    "scale" (about the origin).  One lockstep ``quad`` integrates them all,
+    each volume bitwise as ``halfspace_cut_volume`` gives it; an empty cut
+    is 0 and an unbounded one inf.
+    """
     planes = []
     for point, normal in contacts:
         s = float(normal @ point)
         planes.append(_plane(normal, s + k * normal[-1] if mode == "translate" else k * s))
-    return planes
-
-
-def _moved_tangent_cuts(body, contacts, mode, k, rtol):
-    """Volumes of body ∩ {<n,x> <= t} for the moved tangent planes of
-    ``_moved_tangent_planes``.  One lockstep ``quad`` integrates them all,
-    each volume bitwise as ``halfspace_cut_volume`` gives it.
-    """
-    planes = _moved_tangent_planes(contacts, mode, k)
     ranges = [_level_range(body, u, t) for u, t in planes]
-    volumes = _cut_volumes(body, [u for u, _ in planes], ranges, [rtol] * len(planes))[0]
+    volumes = _cut_volumes(body, [u for u, _ in planes], ranges, rtol)[0]
     return [float(v) for v in volumes]
 
 
@@ -362,8 +364,8 @@ def floating_constancy(body, mode, lam, n_normals=12, seed=0, rtol=DEFAULT_RTOL)
     mode "scale":     copy is lam * body (lam > 1).
 
     The first n_normals sampled normals whose cap is finite and positive
-    give the values, in sampling order; the caps still needed are
-    integrated in one lockstep ``quad``, each bitwise as
+    give the values, in sampling order; as many caps as values are missing
+    are integrated in one lockstep ``quad``, each bitwise as
     ``halfspace_cut_volume`` gives it.
     """
     if n_normals < 1:
@@ -382,26 +384,18 @@ def floating_constancy(body, mode, lam, n_normals=12, seed=0, rtol=DEFAULT_RTOL)
     values = []
     attempts = 0
     while len(values) < n_normals and attempts < 100 * n_normals:
-        # draw, in order, as many normals with a nonempty bounded cap as
-        # values are missing, and integrate their caps in one lockstep quad
-        planes, ranges = [], []
-        while len(planes) < n_normals - len(values) and attempts < 100 * n_normals:
+        # draw, in order, as many contacts as values are missing, and
+        # integrate the caps beyond the copy's support hyperplanes there
+        contacts = []
+        while len(contacts) < n_normals - len(values) and attempts < 100 * n_normals:
             attempts += 1
             u = rng.normal(size=body.ambient_dim)
             u[-1] = -abs(u[-1]) - 0.3 * np.linalg.norm(u[:-1])  # bias downward
             u /= np.linalg.norm(u)
-            if not body.support_attained(u):
-                continue
-            # cap beyond the support hyperplane of the copy
-            [plane] = _moved_tangent_planes([(body.inverse_gauss(u), -u)], mode, lam)
-            r = _level_range(body, *plane)
-            if isinstance(r, tuple):  # else the cap is empty or unbounded
-                planes.append(plane)
-                ranges.append(r)
-        if planes:
-            volumes = _cut_volumes(body, [n for n, _ in planes], ranges, rtol)[0]
-            # a cap whose every level grazed the body comes out 0
-            values += [float(v) for v in volumes if 0.0 < v < INF]
+            if body.support_attained(u):
+                contacts.append((body.inverse_gauss(u), -u))
+        # an empty or unbounded cap, or one whose every level grazed the body, gives no value
+        values += [v for v in _moved_tangent_cuts(body, contacts, mode, lam, rtol) if 0.0 < v < INF]
     if len(values) < n_normals:
         raise DegenerateCut("could not sample enough admissible normals")
     return dict(_spread(values), values=values)

@@ -22,6 +22,10 @@ built once per distinct normal. The root-finder solves every ray on its
 own, so each level comes out bitwise as it would alone. Each level asks
 for its first moments (the centroid) and its diameter apart, so sections
 that need them ride in the batches of sections that do not.
+The kernel alone decides grazing: a level whose anchor is not strictly
+inside the body scores measure 0 and False in its ``inside`` mask, and the
+other levels of its batch come out as they would alone; ``section_stats``
+and ``section_measure`` raise ``DegenerateSection`` from that mask.
 ``section_stats`` and ``section_measure`` take a number or a 1-D array of
 levels; ``section_measure`` also takes one normal and one tolerance per
 level, so that the sections of several cuts share their batches. Every
@@ -37,7 +41,6 @@ import numpy as np
 from .bodies import _HIT_RTOL, _check_unit, ray_hits_batch
 from .errors import (
     DegenerateSection,
-    GeometryError,
     LevelOutOfRange,
     NotInterior,
     UnboundedSection,
@@ -81,26 +84,22 @@ def _plane(u, t):
     return np.array(_check_unit(u)), t
 
 
-def _check_finite_levels(ts):
-    """Raise ``ValueError`` for a NaN level and ``LevelOutOfRange`` naming an
-    infinite one, before any arithmetic on it."""
-    if not np.all(np.isfinite(ts)):
-        if np.any(np.isnan(ts)):
-            raise ValueError("hyperplane level must be a number")
-        raise LevelOutOfRange(f"level {float(np.asarray(ts)[np.isinf(ts)][0])} is not finite")
-
-
 def _planes(u, t):
     """Validated unit normals, the index of each level's normal among them,
     the levels as a 1-D array, and whether t was a number.
 
     u is one normal, or one normal per level as an (L, d) array; each run of
     equal rows then gives one normal (the levels of one cut come as a block).
+    A NaN level is a ``ValueError`` and an infinite one ``LevelOutOfRange``
+    naming it, before any arithmetic on it.
     """
     ts = np.asarray(t, dtype=float)
     if ts.ndim > 1 or ts.size == 0:
         raise ValueError("levels must be a number or a nonempty 1-D array")
-    _check_finite_levels(ts)
+    if not np.all(np.isfinite(ts)):
+        if np.any(np.isnan(ts)):
+            raise ValueError("hyperplane level must be a number")
+        raise LevelOutOfRange(f"level {float(ts[np.isinf(ts)][0])} is not finite")
     u = np.asarray(u, dtype=float)
     if u.ndim == 2:
         if ts.shape != (len(u),):
@@ -423,19 +422,33 @@ def _sections(body, normals, which, ts, rtol, moments, diameter=False):
     """The section kernel: measure, centroid, error estimate, oracle points
     and convergence of every section {<u,x> = t}, t in the 1-D array ts and
     u = normals[which], to rtol, a number or one tolerance per level; then
-    the diameters of the levels in the mask diameter.
+    the diameters of the levels in the mask diameter, and the mask of the
+    levels whose anchor lies inside the body.
 
     moments is the mask of the levels whose centroid is wanted; the centroid
     of any other level is its centred anchor, and its rule stops on the
     measure alone. Either mask may be one bool for every level.
+
+    This is the one place that decides grazing: a level whose anchor is not
+    strictly inside the body has measure 0, False in the inside mask and 0
+    in every other entry. Where one does, each level is sectioned alone, and
+    every other level comes out as its lone section, bitwise.
     """
     rtol = _rtols(rtol, ts.size)
     moments = np.broadcast_to(np.asarray(moments, dtype=bool), ts.shape)
-    wide = np.flatnonzero(np.broadcast_to(diameter, ts.shape))
-    anchors, basis, guide, n_evals = _centred_sections(body, normals, which, ts)
+    diameter = np.broadcast_to(diameter, ts.shape)
+    try:
+        anchors, basis, guide, n_evals = _centred_sections(body, normals, which, ts)
+    except DegenerateSection:
+        if ts.size == 1:
+            return (np.zeros(1), np.zeros((1, normals.shape[1])), np.zeros(1), np.zeros(1, dtype=int),
+                    np.zeros(1, dtype=bool), np.zeros(np.count_nonzero(diameter)), np.zeros(1, dtype=bool))
+        alone = [_sections(body, normals, which[i:i + 1], ts[i:i + 1], rtol[i:i + 1],
+                           moments[i:i + 1], diameter[i:i + 1]) for i in range(ts.size)]
+        return tuple(np.concatenate(part) for part in zip(*alone))
     measure, centroid, err, k, converged, diam = _polar_sections(
-        body, anchors, basis, guide, rtol, moments, wide)
-    return measure, centroid, err, n_evals + k, converged, diam
+        body, anchors, basis, guide, rtol, moments, np.flatnonzero(diameter))
+    return measure, centroid, err, n_evals + k, converged, diam, np.ones(ts.size, dtype=bool)
 
 
 def _check_levels(body, u, ts):
@@ -450,8 +463,16 @@ def _check_levels(body, u, ts):
             f"level {float(ts[outside][0])} outside admissible interval ({lo}, {hi})")
 
 
-def _check_measures(body, measure):
-    """Raise ``DegenerateSection`` if any measure is below the threshold."""
+def _check_inside(inside):
+    """Raise ``DegenerateSection`` if any level grazes the body (see ``_sections``)."""
+    if not np.all(inside):
+        raise DegenerateSection("section anchor is not inside the body")
+
+
+def _check_measures(body, measure, inside):
+    """Raise ``DegenerateSection`` if any level grazes the body or its
+    measure is below the threshold."""
+    _check_inside(inside)
     if np.any(measure < 1e-12 * body.scale ** (body.ambient_dim - 1)):
         raise DegenerateSection("section measure below threshold")
 
@@ -466,8 +487,9 @@ def section_stats(body, u, t, rtol=DEFAULT_RTOL) -> SectionStats:
     normals, which, ts, scalar = _planes(u, t)
     u = normals[0]
     _check_levels(body, u, ts)
-    measure, centroid, err, n_evals, converged, _ = _sections(body, normals, which, ts, rtol, True)
-    _check_measures(body, measure)
+    measure, centroid, err, n_evals, converged, _, inside = _sections(
+        body, normals, which, ts, rtol, True)
+    _check_measures(body, measure, inside)
     if scalar:
         return SectionStats(u, float(ts[0]), float(measure[0]), centroid[0], float(err[0]),
                             int(n_evals[0]), bool(converged[0]))
@@ -480,50 +502,25 @@ def section_measure(body, u, t, rtol=DEFAULT_RTOL):
 
     u is one normal, or one normal per level as an (L, d) array, and rtol
     a number or one tolerance per level: the levels of several cuts in one
-    batch.
+    batch. Unlike ``section_stats`` it does not check its levels against
+    ``admissible_levels``: cut volumes integrate it up to the support
+    levels, where a level that grazes the body raises ``DegenerateSection``.
     """
     normals, which, ts, scalar = _planes(u, t)
-    measure = _sections(body, normals, which, ts, rtol, False)[0]
+    measure, *_, inside = _sections(body, normals, which, ts, rtol, False)
+    _check_inside(inside)
     return float(measure[0]) if scalar else measure
 
 
-def _measures_and_section(body, normals, which, ts, rtol, plane):
-    """``section_measure``'s measures of the levels ts, normals[which] and
-    rtol per level (the normals validated), and in the same ray batches the
-    measure, centroid and diameter of the section plane = (u, t, rtol) as
-    ``section_stats`` and ``section_diameter`` give them.
-
-    Returns (None, None) where those batches raise or ``section_stats``
-    would refuse the plane's level, so that the caller sections each part
-    on its own, with its own errors; the section is None where its measure
-    is below the threshold.
-    """
-    u, t, rtol_u = plane
-    ts = np.append(ts, t)
-    extra = np.zeros(ts.size, dtype=bool)
-    extra[-1] = True
-    try:
-        _check_levels(body, u, ts[-1:])
-        measure, centroid, _, _, _, diam = _sections(
-            body, np.vstack((normals, u)), np.append(which, len(normals)), ts,
-            np.append(rtol, rtol_u), extra, extra)
-    except GeometryError:
-        # any of them: the root-finder's bracketing failure is a bare
-        # GeometryError, and sectioned apart each part raises its own again
-        return None, None
-    try:
-        _check_measures(body, measure[-1:])
-    except DegenerateSection:
-        return measure[:-1], None
-    return measure[:-1], (float(measure[-1]), centroid[-1], float(diam[0]))
-
-
 def section_diameter(body, u, t) -> float:
-    """Diameter estimate of the section (max of opposite-radius sums)."""
-    u, t = _plane(u, t)
-    _check_finite_levels(t)
-    anchors, basis, guide, _ = _centred_sections(body, u[None], np.zeros(1, dtype=np.intp),
-                                                 np.array([t]))
+    """Diameter estimate of the section (max of opposite-radius sums) at
+    one level, which must lie inside ``admissible_levels`` as for
+    ``section_stats``."""
+    normals, which, ts, scalar = _planes(u, t)
+    if not scalar:
+        raise ValueError("section_diameter takes one level")
+    _check_levels(body, normals[0], ts)
+    anchors, basis, guide, _ = _centred_sections(body, normals, which, ts)
     if len(basis) == 1:
         return float(2.0 * guide[0])
     n = _DIAMETER_NODES

@@ -331,7 +331,7 @@ def _measure_calls(monkeypatch, batch_fails=False):
     """Record how many levels each of cutvol's section_measure calls takes.
 
     With batch_fails, a call on an array of levels raises DegenerateSection,
-    which leaves the rule to section every level of the round on its own.
+    which leaves the round's levels to one call of the section kernel.
     """
     calls = []
     section_measure = cutvol.section_measure
@@ -376,7 +376,7 @@ def test_batched_first_pass_is_quads_value(monkeypatch):
         assert v == pytest.approx(_scipy_cut_volume(body, a), rel=1e-15, abs=0.0)
     calls = _measure_calls(monkeypatch, batch_fails=True)
     per_level = [cut_volume(body, a) for body, a in cases]
-    assert calls == ([21] + [1] * 21) * len(cases)
+    assert calls == [21] * len(cases)
     for v, w in zip(batched, per_level):
         assert 0.0 < v < math.inf
         assert v == w
@@ -394,11 +394,12 @@ def test_quartic_anchor_cut_subdivides_from_the_batch(monkeypatch):
 
 def test_degenerate_node_level_falls_back_to_single_sections(monkeypatch):
     # a cut 1e-11 deep: the outermost node levels round onto the support
-    # level, so the batch raises DegenerateSection and the rule scores them 0
+    # level, so section_measure raises DegenerateSection, and one call of
+    # the section kernel scores those levels 0
     calls = _measure_calls(monkeypatch)
     v = halfspace_cut_volume(unit_disk(center=[0.0, 3.0]), [0.0, 1.0], 2.0 + 1e-11)
     assert v == pytest.approx(5.962887473355462e-17, rel=1e-14, abs=0.0)
-    assert calls == [21] + [1] * 21
+    assert calls == [21]
 
 
 def test_quad_warns_at_the_panel_cap():
@@ -555,30 +556,21 @@ def test_cut_gradient_is_its_single_volumes_bitwise(body, a, rtol):
         assert np.array_equal(getattr(r, field), value), field
 
 
-def test_cut_gradient_sections_its_plane_alone_when_the_riding_round_raises(monkeypatch):
-    # the first round's batch, which sections the cut plane beside the
-    # volumes' levels, raises: the volumes are then sectioned as before, and
-    # section_stats and section_diameter section the plane on their own
-    kernel = sections._sections
-
-    def riding_fails(body, normals, which, ts, rtol, moments, diameter=None):
-        if diameter is not None:
-            raise DegenerateSection("the riding round")
-        return kernel(body, normals, which, ts, rtol, moments, diameter)
-
-    monkeypatch.setattr(sections, "_sections", riding_fails)
+def test_cut_gradient_plane_rides_a_round_with_grazing_levels(monkeypatch):
+    # the +step cut is 1e-11 deep, so levels of the first round graze the
+    # body: the section kernel scores them 0 in the same call that sections
+    # the cut plane, and section_stats and section_diameter are not called
     called = []
     for name in ("section_stats", "section_diameter"):
         def spy(*args, _f=getattr(cutvol, name), _name=name, **kwargs):
             called.append(_name)
             return _f(*args, **kwargs)
         monkeypatch.setattr(cutvol, name, spy)
-    for body, a in GRADIENT_CASES:
-        called.clear()
-        r = cut_gradient(body, a)
-        assert called == ["section_stats", "section_diameter"]
-        for field, value in _gradient_from_single_volumes(body, a, sections.DEFAULT_RTOL).items():
-            assert np.array_equal(getattr(r, field), value), field
+    body, a = unit_disk(center=[0.0, 3.0]), [0.0, 1.0 / (2.0 + 1e-11) - 1e-10 ** (1.0 / 3.0)]
+    r = cut_gradient(body, a)
+    assert called == []
+    for field, value in _gradient_from_single_volumes(body, a, sections.DEFAULT_RTOL).items():
+        assert np.array_equal(getattr(r, field), value), field
 
 
 def test_cut_gradient_refuses_a_cut_plane_at_the_support_as_section_stats_does():

@@ -22,7 +22,7 @@ from ccgeom import (
     unit_sphere,
 )
 from ccgeom import sections
-from ccgeom.errors import DegenerateSection, LevelOutOfRange, UnboundedSection
+from ccgeom.errors import DegenerateSection, GeometryError, LevelOutOfRange, UnboundedSection
 
 from oracles import chord_length_brute, chord_midpoint_brute, superellipsoid_section_stats
 
@@ -243,6 +243,87 @@ def test_infinite_levels_are_out_of_range(entry, body, u):
             entry(body, u, np.array([0.0, math.inf]))
 
 
+# (body, unit normal, a finite level at an end of the admissible interval or
+# beyond it), where section_diameter answered a value or DegenerateSection
+FINITE_OUT_OF_RANGE_CASES = [
+    (unit_sphere(center=[0.0, 0.0, 3.0]),
+     np.array([0.10284860274165833, -0.5251933749582453, 0.8447449815264111]), 3.534234944579233),
+    (unit_sphere(), [0.0, 0.0, 1.0], 2.0),
+    (paraboloid_epigraph([1.0, 0.7]), [0.0, 0.0, 1.0], -1.0),
+    (unit_disk(), [0.0, 1.0], 3.0),
+    (hyperboloid_sheet([1.0, 1.4]), [0.0, 0.0, 1.0], 0.5),
+]
+
+
+@pytest.mark.parametrize("entry", [section_stats, section_diameter])
+@pytest.mark.parametrize("body, u, t", FINITE_OUT_OF_RANGE_CASES)
+def test_finite_levels_outside_the_interval_are_out_of_range(entry, body, u, t):
+    with pytest.raises(LevelOutOfRange, match=f"level {t} outside admissible interval"):
+        entry(body, u, t)
+
+
+# the six kinds; the bodies and normals on which an entry once answered NaN
+# or a root-finder message at a support level (on the sphere at (0, 0, 3)
+# the first normal, on the shifted paraboloid the second); the disk of the
+# cut-gradient tests; and a p = 3 superellipsoid in 3D
+EDGE_BODIES = [
+    ellipsoid([1.0, 2.0, 0.5]),
+    paraboloid_epigraph([1.0, 0.7]),
+    hyperboloid_sheet([1.0, 1.4]),
+    circular_cone(1.0, dim=3),
+    function_epigraph("exp"),
+    superellipsoid(4.0),
+    unit_sphere(center=[0.0, 0.0, 3.0]),
+    paraboloid_epigraph([1.0, 0.7], shift=[0.0, 0.0, 1.0]),
+    unit_disk(center=[0.0, 3.0]),
+    superellipsoid(3.0, dim=3),
+]
+EDGE_NORMALS = [np.array([0.10284860274165833, -0.5251933749582453, 0.8447449815264111]),
+                np.array([0.5188843876181449, 0.007707603887199183, 0.8548096777227436])]
+
+
+def _edge_cases(n_drawn=3, seed=13):
+    """(body, u, t): per body n_drawn random normals with bounded sections
+    and the EDGE_NORMALS of its dimension that have them; per normal each
+    end of admissible_levels, one ulp inside each finite end, +-inf and NaN."""
+    rng = np.random.default_rng(seed)
+    for body in EDGE_BODIES:
+        normals = [u for u in EDGE_NORMALS if len(u) == body.ambient_dim and section_bounded(body, u)]
+        while len(normals) < len(EDGE_NORMALS) + n_drawn:
+            u = rng.normal(size=body.ambient_dim)
+            if section_bounded(body, u / np.linalg.norm(u)):
+                normals.append(u / np.linalg.norm(u))
+        for u in normals:
+            lo, hi = admissible_levels(body, u)
+            ulp_in = [math.nextafter(lo, hi) if math.isfinite(lo) else lo,
+                      math.nextafter(hi, lo) if math.isfinite(hi) else hi]
+            for t in [lo, hi] + ulp_in + [math.inf, -math.inf, math.nan]:
+                yield body, u, t
+
+
+def test_every_section_entry_answers_at_the_edges_of_its_levels():
+    # a finite value, a typed error, or a ValueError that names the level;
+    # never NaN, a warning or a message from inside the root-finder
+    wrong = []
+    for body, u, t in _edge_cases():
+        for entry in (section_stats, section_measure, section_diameter):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    out = entry(body, u, t)
+                except GeometryError:
+                    continue
+                except (ValueError, RuntimeWarning) as e:
+                    if not (isinstance(e, ValueError) and "level" in str(e)):
+                        wrong.append((entry.__name__, body.kind, u, t, repr(e)))
+                    continue
+            if isinstance(out, sections.SectionStats):
+                out = [out.measure, out.err_estimate, *out.centroid]
+            if not np.all(np.isfinite(out)):
+                wrong.append((entry.__name__, body.kind, u, t, out))
+    assert wrong == []
+
+
 # (body, unit normal) pairs with bounded sections, one per kind and dimension
 LEVEL_BATCHES = [
     (ellipsoid([1.0, 2.0, 0.5], center=[0.1, 0.2, 0.3]), np.array([1.0, 1.0, 1.0]) / math.sqrt(3.0)),
@@ -395,8 +476,9 @@ def test_mixed_kernel_batch_is_each_section_alone_bitwise(body, u, w):
     rtols = np.array([1e-6, 1e-12, 1e-9, 1e-6, 1e-12, 1e-9])
     moments = np.array([False, False, False, False, True, True])
     diameter = np.array([False, False, False, False, False, True])
-    measure, centroid, err, n_evals, converged, diam = sections._sections(
-        body, normals, which, levels, rtols, moments, diameter)
+    batch = sections._sections(body, normals, which, levels, rtols, moments, diameter)
+    measure, centroid, err, n_evals, converged, diam, inside = batch
+    assert inside.all()
     for i in np.flatnonzero(~moments):
         assert measure[i] == section_measure(body, normals[which[i]], levels[i], rtol=rtols[i])
     for i in np.flatnonzero(moments):
@@ -407,6 +489,16 @@ def test_mixed_kernel_batch_is_each_section_alone_bitwise(body, u, w):
         assert n_evals[i] == one.n_evals
         assert converged[i] == one.converged
     assert diam.shape == (1,) and diam[0] == section_diameter(body, u, levels[-1])
+    # one more level, just below the body, whose anchor is not inside it:
+    # the kernel scores it 0 and every other level comes out as before
+    g = 1
+    *grazed, grazed_diam, grazed_inside = sections._sections(
+        body, normals, np.insert(which, g, 0), np.insert(levels, g, _finite_levels(body, w, -0.01)),
+        np.insert(rtols, g, 1e-6), np.insert(moments, g, False), np.insert(diameter, g, False))
+    assert grazed[0][g] == 0.0 and np.array_equal(grazed_inside, np.arange(len(levels) + 1) != g)
+    for name, before, after in zip(("measure", "centroid", "err", "n_evals", "converged"), batch, grazed):
+        assert np.array_equal(np.delete(after, g, axis=0), before), name
+    assert np.array_equal(grazed_diam, diam)
 
 
 def test_centroid_stops_on_its_own_gap():
