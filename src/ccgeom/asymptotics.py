@@ -28,7 +28,9 @@ The cone/sphere intersection is R times the cone's closed-form unit boundary
 rays. The symmetric Hausdorff distance between the two sample sets is the
 reported shell distance (one-sided values are exposed for verbose output),
 read off the matrix of their pairwise distances, which ``cdist`` builds in
-numpy one coordinate at a time.
+numpy one coordinate at a time. A radius at which the scan or the distances
+would overflow (from about 1e154, where coordinates are squared) is a
+ValueError naming it.
 """
 from __future__ import annotations
 
@@ -98,6 +100,17 @@ def _arcs(dim, n_azimuth):
     return np.moveaxis(U, 0, -1), np.moveaxis(T, 0, -1), step
 
 
+def _on_sphere(R, f, *args):
+    """f(*args), a step of the scan on S_R, with a float overflow (in F or
+    in the distances) raised as a ValueError naming R; an overflow that F
+    itself expects, as exp's, stays inf."""
+    try:
+        with np.errstate(over="raise"):
+            return f(*args)
+    except FloatingPointError:
+        raise ValueError(f"sphere radius {R} overflows the shell scan") from None
+
+
 def _check_azimuths(n_azimuth):
     if not (isinstance(n_azimuth, (int, np.integer)) and n_azimuth >= 1):
         raise ValueError(f"n_azimuth must be an integer >= 1, got {n_azimuth!r}")
@@ -118,7 +131,7 @@ def body_shell_points(body, R, center=None, n_azimuth=_N_AZIMUTH):
             raise ValueError(f"center must be a finite point of shape ({dim},), "
                              f"got {center.tolist()!r}")
     U, T, step = _arcs(dim, n_azimuth)
-    f = body.defining(center + R * U)
+    f = _on_sphere(R, body.defining, center + R * U)
     inside = f <= 0.0
     arc, j = np.nonzero(inside[:, :-1] != inside[:, 1:])
     if len(j) == 0:
@@ -236,7 +249,7 @@ def shell_distance(body, cone, R, n_azimuth=_N_AZIMUTH) -> ShellDistance:
         raise ValueError("R must be at least 10*(translation magnitude + 1)")
     A = body_shell_points(body, R, n_azimuth=n_azimuth)
     B = cone_shell_points(cone, R, n_azimuth=n_azimuth)
-    d, d_ab, d_ba = _hausdorff(A, B)
+    d, d_ab, d_ba = _on_sphere(R, _hausdorff, A, B)
     if body.ambient_dim == 2:
         err = 1e-9 * R
     else:
@@ -251,7 +264,7 @@ def blowdown_check(body, R, n_azimuth=_N_AZIMUTH) -> float:
     cone = body.recession_cone()
     A = body_shell_points(body, R, center=x0, n_azimuth=n_azimuth)
     B = cone_shell_points(cone, R, n_azimuth=n_azimuth)
-    d, _, _ = _hausdorff(A - x0, B)
+    d, _, _ = _on_sphere(R, _hausdorff, A - x0, B)
     return d / R
 
 

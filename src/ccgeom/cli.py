@@ -318,6 +318,8 @@ def cmd_cutvol(cfg):
         anchors = _list(cfg, "anchors", body.ambient_dim - 1)
         scan = parallel_cut_scan if op == "parallel" else homothety_cut_scan
         values = scan(body, k, anchors, rtol=rtol)
+        if 0.0 in values:  # the spread of volumes that round to 0 is 0/0
+            raise ConfigError(f"config key 'k' = {k} gives a cut volume of 0")
         labels = [json.dumps(anchor) for anchor in anchors]
         header = ["anchor", "value", "err"]
     elif op == "floating":

@@ -12,8 +12,9 @@ and a gradient's 2d + 1 volumes, or a constancy scan's volumes at all its
 anchors, share their rounds and batches, each volume bitwise as
 ``halfspace_cut_volume`` gives it; a gradient's first round also sections
 its cut plane, for its measure, centroid and diameter, as one more level of
-the same kernel call, or the plane raises its own error.  A level that
-grazes the body scores 0 in the section kernel.
+the same kernel call.  ``section_measure`` is defined at every finite level,
+0 where the plane misses or grazes the body, so the integrand catches no
+section error.
 Unboundedness of a cut is decided analytically from the recession cone,
 never by runaway integration.
 Floating cuts are the parallel and homothety cuts (a tangent plane shifted
@@ -28,14 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bodies import INF, _graph_contact
-from .errors import (
-    DegenerateCut,
-    DegenerateSection,
-    LevelOutOfRange,
-    NotApexCentered,
-    NotGraphLike,
-    OriginInsideBody,
-)
+from .errors import DegenerateCut, NotApexCentered, NotGraphLike, OriginInsideBody
 from .sections import (
     DEFAULT_RTOL,
     _check_levels,
@@ -195,10 +189,7 @@ def _cut_volumes(body, normals, ranges, rtols, plane=None):
             section, plane = (float(measures[-1]), centroid[-1], float(diam[0]), inside[-1]), None
             measures = measures[:-1]
         else:
-            try:
-                measures = section_measure(body, normals[k], levels, rtol=rtols[k])
-            except DegenerateSection:  # a level grazes the body: the kernel scores it 0
-                measures = _sections(body, normals, k, levels, rtols[k], False)[0]
+            measures = section_measure(body, normals[k], levels, rtol=rtols[k])
         return measures * h[k] * np.sin(phi)
 
     volumes[todo] = quad(g, np.zeros(len(todo)), np.full(len(todo), math.pi),
@@ -237,10 +228,10 @@ def cut_gradient(body, a, rtol=DEFAULT_RTOL) -> CutVolumeResult:
     batch, and each volume comes out bitwise as ``cut_volume`` gives it.
     Its first round also sections the cut plane, with its centroid and
     diameter, bitwise as ``section_stats`` and ``section_diameter`` give
-    them, and the plane raises their errors after V(a)'s own: a level
-    outside ``admissible_levels`` (which does not ride), then a level that
-    grazes the body or a measure below the threshold. Which cuts are empty
-    or unbounded is read off the recession cone before any integration.
+    them. Which cuts are empty or unbounded is read off the recession cone,
+    and a plane outside ``admissible_levels`` is refused (``LevelOutOfRange``),
+    before any integration; a plane that grazes the body or whose measure is
+    below the threshold raises ``DegenerateSection`` after V(a)'s own error.
     """
     a = np.asarray(a, dtype=float)
     _rtols(rtol, 1)  # before the step, which it sets
@@ -265,19 +256,12 @@ def cut_gradient(body, a, rtol=DEFAULT_RTOL) -> CutVolumeResult:
         if INF in ranges[-2:]:
             raise DegenerateCut("perturbed cut became unbounded; reduce the step")
     u, t = planes[0]
-    refused = None
-    try:
-        _check_levels(body, u, np.array([t]))
-    except LevelOutOfRange as e:
-        refused = e
+    _check_levels(body, u, np.array([t]))
     volumes, section = _cut_volumes(body, [u for u, _ in planes], ranges,
-                                    [rtol] + [fd_rtol] * (2 * dim),
-                                    plane=None if refused else (u, t, rtol))
+                                    [rtol] + [fd_rtol] * (2 * dim), plane=(u, t, rtol))
     V0 = float(volumes[0])
     if not V0 > 0.0:  # every level of the cut grazed the body
         raise DegenerateCut(f"V(a) = {V0} is not finite positive")
-    if refused is not None:
-        raise refused
     measure, centroid, diam, inside = section
     _check_measures(body, measure, inside)
     grad = (volumes[1::2] - volumes[2::2]) / (2.0 * step)

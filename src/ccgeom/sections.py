@@ -24,8 +24,12 @@ for its first moments (the centroid) and its diameter apart, so sections
 that need them ride in the batches of sections that do not.
 The kernel alone decides grazing: a level whose anchor is not strictly
 inside the body scores measure 0 and False in its ``inside`` mask, and the
-other levels of its batch come out as they would alone; ``section_stats``
-and ``section_measure`` raise ``DegenerateSection`` from that mask.
+other levels of its batch come out as they would alone.
+``section_measure`` answers that 0, so it is defined at every finite level
+and cut volumes integrate it up to the support levels. ``section_stats``
+and ``section_diameter`` refuse a level outside ``admissible_levels``
+(``LevelOutOfRange``), as an empty section has no centroid or diameter, and
+``section_stats`` raises ``DegenerateSection`` from the mask.
 ``section_stats`` and ``section_measure`` take a number or a 1-D array of
 levels; ``section_measure`` also takes one normal and one tolerance per
 level, so that the sections of several cuts share their batches. Every
@@ -291,18 +295,18 @@ def _centred_sections(body, normals, which, ts):
     array of rows per basis vector), the guide (in 2D the chords'
     half-lengths, in 3D the form (a, b, c) of the ellipse about each anchor
     that guesses its first polar radii, see ``_ellipse_radii``) and the
-    oracle points spent per level. A cone positive on neither side means
-    unbounded sections; an anchor that is not strictly inside means a level
-    grazes the body.
+    oracle points spent per level. A cone that meets the plane (within
+    rounding, as ``section_bounded`` decides it) means unbounded sections;
+    an anchor that is not strictly inside means a level grazes the body.
     """
     cone = body.recession_cone()
     anchors, bases = np.empty((len(ts), normals.shape[1])), []
     for i, u in enumerate(normals):
         at = which == i
         s = ts[at]
+        if cone.meets_hyperplane(u):
+            raise UnboundedSection(f"sections normal to {u} are unbounded")
         if not cone.positive_on(u):
-            if not cone.positive_on(-u):
-                raise UnboundedSection(f"sections normal to {u} are unbounded")
             u, s = -u, -s
         bases.append(_plane_basis(u))
         anchors[at] = _section_anchors(body, u, s)
@@ -463,16 +467,11 @@ def _check_levels(body, u, ts):
             f"level {float(ts[outside][0])} outside admissible interval ({lo}, {hi})")
 
 
-def _check_inside(inside):
-    """Raise ``DegenerateSection`` if any level grazes the body (see ``_sections``)."""
-    if not np.all(inside):
-        raise DegenerateSection("section anchor is not inside the body")
-
-
 def _check_measures(body, measure, inside):
     """Raise ``DegenerateSection`` if any level grazes the body or its
     measure is below the threshold."""
-    _check_inside(inside)
+    if not np.all(inside):
+        raise DegenerateSection("section anchor is not inside the body")
     if np.any(measure < 1e-12 * body.scale ** (body.ambient_dim - 1)):
         raise DegenerateSection("section measure below threshold")
 
@@ -481,6 +480,10 @@ def section_stats(body, u, t, rtol=DEFAULT_RTOL) -> SectionStats:
     """Measure and centroid of the section {<u,x> = t} of a convex body.
 
     For a 1-D array of levels t, the sections at all of them in one batch.
+    Every level must lie inside ``admissible_levels`` by 1e-9 scale, else
+    ``LevelOutOfRange``: an empty section has no centroid. A level that
+    grazes the body, or whose measure is below 1e-12 scale^(d-1), raises
+    ``DegenerateSection``.
     """
     if np.ndim(u) != 1:
         raise ValueError("section_stats takes one normal for all its levels")
@@ -502,20 +505,25 @@ def section_measure(body, u, t, rtol=DEFAULT_RTOL):
 
     u is one normal, or one normal per level as an (L, d) array, and rtol
     a number or one tolerance per level: the levels of several cuts in one
-    batch. Unlike ``section_stats`` it does not check its levels against
-    ``admissible_levels``: cut volumes integrate it up to the support
-    levels, where a level that grazes the body raises ``DegenerateSection``.
+    batch. The measure is defined at every finite level: it is 0 where the
+    plane misses the body or grazes it so that its anchor is not strictly
+    inside, so cut volumes integrate it up to the support levels. Unlike
+    ``section_stats`` and ``section_diameter``, which refuse a level outside
+    ``admissible_levels`` because an empty section has no centroid or
+    diameter, it refuses only a NaN level (``ValueError``), an infinite one
+    (``LevelOutOfRange``) and a normal whose sections are unbounded
+    (``UnboundedSection``).
     """
     normals, which, ts, scalar = _planes(u, t)
-    measure, *_, inside = _sections(body, normals, which, ts, rtol, False)
-    _check_inside(inside)
+    measure = _sections(body, normals, which, ts, rtol, False)[0]
     return float(measure[0]) if scalar else measure
 
 
 def section_diameter(body, u, t) -> float:
     """Diameter estimate of the section (max of opposite-radius sums) at
     one level, which must lie inside ``admissible_levels`` as for
-    ``section_stats``."""
+    ``section_stats`` (else ``LevelOutOfRange``): an empty section has no
+    diameter, though ``section_measure`` gives it measure 0."""
     normals, which, ts, scalar = _planes(u, t)
     if not scalar:
         raise ValueError("section_diameter takes one level")

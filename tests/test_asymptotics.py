@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 
 import mpmath
 import numpy as np
@@ -139,6 +141,29 @@ def test_shell_distance_requires_large_radius():
     h = hyperboloid_sheet([1.0], shift=[50.0, 0.0])
     with pytest.raises(ValueError):
         shell_distance(h, h.recession_cone(), 60.0)
+
+
+@pytest.mark.parametrize("body", [hyperboloid_sheet([1.0, 1.4]), function_epigraph("exp"),
+                                  circular_cone(1.0, dim=3)], ids=["sheet", "exp", "cone"])
+def test_radii_that_overflow_the_scan_are_refused(body):
+    # from R ~ 1e154 the squared distances between shell points overflow,
+    # and from 1e155 the sheet's and the cone's F: each entry names R, where
+    # it warned and answered inf or EmptyShellIntersection
+    cone = body.recession_cone()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert math.isfinite(shell_distance(body, cone, 1e150, n_azimuth=8).d_asym)
+        for R in (1e154, 1e160, 1e200, 1e300):
+            named = re.escape(f"sphere radius {R} overflows")
+            with pytest.raises(ValueError, match=named):
+                shell_distance(body, cone, R, n_azimuth=8)
+            with pytest.raises(ValueError, match=named):
+                blowdown_check(body, R, n_azimuth=8)
+            if body.tag == "exp":  # exp's F takes its own overflow as inf
+                assert np.all(np.isfinite(body_shell_points(body, R, n_azimuth=8)))
+            elif R > 1e154:
+                with pytest.raises(ValueError, match=named):
+                    body_shell_points(body, R, n_azimuth=8)
 
 
 def test_paraboloid_3d_not_asymptotic_to_its_ray():

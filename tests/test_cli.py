@@ -326,6 +326,9 @@ ASYM = PRESETS["asym"]["hyperboloid"]
                 "n_normals": 2, "seed": -1}, "seed"),
     ("cutvol", {"body": DISK, "op": "gradient", "n_cuts": 1, "seed": -1}, "seed"),
     ("sccp", {"body": DISK, "n_directions": 4, "n_levels": 3}, "n_levels"),
+    # tangent planes moved by 1e-300 cut volumes that round to 0, whose
+    # relative spread would be 0/0
+    ("cutvol", dict(PRESETS["cutvol"]["paraboloid-parallel"], k=1e-300), "k"),
 ])
 def test_non_finite_or_out_of_range_number_is_config_error(tmp_path, capsys, command, cfg,
                                                            key):

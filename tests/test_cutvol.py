@@ -24,7 +24,6 @@ from ccgeom import (
 from ccgeom import bodies, cutvol, sections
 from ccgeom.errors import (
     DegenerateCut,
-    DegenerateSection,
     LevelOutOfRange,
     NotApexCentered,
     NotGraphLike,
@@ -243,6 +242,19 @@ def test_graph_contact_names_the_anchor_without_a_normal():
         homothety_cut_scan(circular_cone(1.0), 2.0, [[0.5], [0.0]])
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("x", [0.0, 1e-300, 5e-324])
+def test_graph_contacts_at_a_cone_apex_are_refused(dim, x):
+    # the apex has no normal, and a cone's recession cone is no ray
+    cone = circular_cone(1.0, dim=dim)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotOnBoundary, match="no graph contact at abscissa"):
+            homothety_cut_scan(cone, 2.0, [[x] * (dim - 1)])
+        with pytest.raises(NotGraphLike):
+            parallel_cut_scan(cone, 1.0, [[x] * (dim - 1)])
+
+
 def test_homothety_scan_exp_varies():
     # exp's tangent planes separate 0 from the graph at every anchor below 1
     vals = homothety_cut_scan(function_epigraph("exp"), 2.0, [[-2.0], [-1.0], [0.0], [0.5]])
@@ -327,19 +339,13 @@ def test_circular_cone_3d_cap_volume():
         assert v == pytest.approx(math.pi * (h / slope) ** 2 * h / 3.0, rel=1e-8)
 
 
-def _measure_calls(monkeypatch, batch_fails=False):
-    """Record how many levels each of cutvol's section_measure calls takes.
-
-    With batch_fails, a call on an array of levels raises DegenerateSection,
-    which leaves the round's levels to one call of the section kernel.
-    """
+def _measure_calls(monkeypatch):
+    """Record how many levels each of cutvol's section_measure calls takes."""
     calls = []
     section_measure = cutvol.section_measure
 
     def counted(body, u, t, **kwargs):
         calls.append(np.size(t))
-        if batch_fails and np.ndim(t):
-            raise DegenerateSection("one section per level")
         return section_measure(body, u, t, **kwargs)
 
     monkeypatch.setattr(cutvol, "section_measure", counted)
@@ -373,13 +379,8 @@ def test_batched_first_pass_is_quads_value(monkeypatch):
     batched = [cut_volume(body, a) for body, a in cases]
     assert calls == [21] * len(cases)  # every one of them met rtol on its first panel
     for (body, a), v in zip(cases, batched):
-        assert v == pytest.approx(_scipy_cut_volume(body, a), rel=1e-15, abs=0.0)
-    calls = _measure_calls(monkeypatch, batch_fails=True)
-    per_level = [cut_volume(body, a) for body, a in cases]
-    assert calls == [21] * len(cases)
-    for v, w in zip(batched, per_level):
         assert 0.0 < v < math.inf
-        assert v == w
+        assert v == pytest.approx(_scipy_cut_volume(body, a), rel=1e-15, abs=0.0)
 
 
 def test_quartic_anchor_cut_subdivides_from_the_batch(monkeypatch):
@@ -394,8 +395,8 @@ def test_quartic_anchor_cut_subdivides_from_the_batch(monkeypatch):
 
 def test_degenerate_node_level_falls_back_to_single_sections(monkeypatch):
     # a cut 1e-11 deep: the outermost node levels round onto the support
-    # level, so section_measure raises DegenerateSection, and one call of
-    # the section kernel scores those levels 0
+    # level, so the section kernel sections that round's levels alone and
+    # scores those levels 0, all in one section_measure call
     calls = _measure_calls(monkeypatch)
     v = halfspace_cut_volume(unit_disk(center=[0.0, 3.0]), [0.0, 1.0], 2.0 + 1e-11)
     assert v == pytest.approx(5.962887473355462e-17, rel=1e-14, abs=0.0)
@@ -477,6 +478,15 @@ def _ray_batches(monkeypatch):
 
     monkeypatch.setattr(sections, "ray_hits_batch", counted)
     return calls
+
+
+def test_grazing_cut_sections_each_level_alone_once(monkeypatch):
+    # the one batch of the 1e-11-deep cut's 21 levels meets a grazing level,
+    # so the section kernel sections each level alone: 1 + 21 ray batches,
+    # cast once and not again by the integrand
+    calls = _ray_batches(monkeypatch)
+    halfspace_cut_volume(unit_disk(center=[0.0, 3.0]), [0.0, 1.0], 2.0 + 1e-11)
+    assert len(calls) == 22
 
 
 def test_cut_volume_ray_batch_budget(monkeypatch):
@@ -579,6 +589,20 @@ def test_cut_gradient_refuses_a_cut_plane_at_the_support_as_section_stats_does()
     with pytest.raises(LevelOutOfRange,
                        match=r"level 2\.0000000001 outside admissible interval \(2\.0, 4\.0\)"):
         cut_gradient(unit_disk(center=[0.0, 3.0]), [0.0, 1.0 / (2.0 + 1e-10)])
+
+
+def test_cut_gradient_refuses_its_plane_before_integrating(monkeypatch):
+    # the plane 1e-10 above the support level is refused up front: no
+    # volume is integrated and no level sectioned
+    called = []
+    for name in ("section_measure", "_sections"):
+        def spy(*args, _f=getattr(cutvol, name), _name=name, **kwargs):
+            called.append(_name)
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(cutvol, name, spy)
+    with pytest.raises(LevelOutOfRange):
+        cut_gradient(unit_disk(center=[0.0, 3.0]), [0.0, 1.0 / (2.0 + 1e-10)])
+    assert called == []
 
 
 def test_cut_gradient_rejects_non_finite_parameter():

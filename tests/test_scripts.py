@@ -1,6 +1,6 @@
 """The diff scripts behind every stated tolerance, run as a user runs them,
-and the digest behind every "numbers unchanged" claim, on results made up
-here rather than a workload pool."""
+the digest behind every "numbers unchanged" claim and the F-round counter,
+on results and sections made up here rather than a workload pool."""
 import dataclasses
 import importlib.util
 import re
@@ -12,7 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ccgeom import SectionStats
+import ccgeom
+from ccgeom import SectionStats, bodies, ellipsoid, section_stats, sections
 from ccgeom.errors import DegenerateSection, LevelOutOfRange
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -68,17 +69,57 @@ def test_preset_diff(tmp_path):
     assert code == 1 and "different files" in out and "rows.csv" in out
 
 
-@pytest.fixture
-def op_digest(monkeypatch):
-    """scripts/op_digest.py as a module. perfbench/run.py, whose import pins
+def _script(monkeypatch, name):
+    """scripts/<name>.py as a module. perfbench/run.py, whose import pins
     the thread counts, is stood in for by an empty module, and the
     perfbench directory the script puts on sys.path is taken off again."""
     monkeypatch.setattr(sys, "path", list(sys.path))
     monkeypatch.setitem(sys.modules, "run", types.ModuleType("run"))
-    spec = importlib.util.spec_from_file_location("op_digest", SCRIPTS / "op_digest.py")
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture
+def op_digest(monkeypatch):
+    return _script(monkeypatch, "op_digest")
+
+
+@pytest.fixture
+def ray_rounds(monkeypatch):
+    return _script(monkeypatch, "ray_rounds")
+
+
+def test_ray_rounds_patches_the_names_it_counts_and_restores_them(ray_rounds):
+    # the library names the script wraps: renaming one must fail here
+    patched = [(bodies.BodySpec, "defining"), (bodies, "ray_hits_batch"),
+               (sections, "ray_hits_batch"), (sections, "_polar_sections")]
+    before = [owner.__dict__[name] for owner, name in patched]
+    uninstall = ray_rounds.install(ccgeom, ray_rounds.Counts())
+    try:
+        assert all(owner.__dict__[name] is not orig
+                   for (owner, name), orig in zip(patched, before))
+    finally:
+        uninstall()
+    assert all(owner.__dict__[name] is orig for (owner, name), orig in zip(patched, before))
+
+
+def test_ray_rounds_counts_a_first_polar_batch_guessed_to_rounding(ray_rounds):
+    # an sccp-3d section of its ellipsoid: the conic through the centring
+    # hits guesses the first polar radii to rounding, so that batch ends in
+    # its probe round, one F-round
+    counts = ray_rounds.Counts()
+    uninstall = ray_rounds.install(ccgeom, counts)
+    try:
+        u = np.array([0.3, -0.2, 0.93]) / np.linalg.norm([0.3, -0.2, 0.93])
+        section_stats(ellipsoid([1.3, 0.8, 1.0], center=[0.2, -0.1, 0.4]), u, 0.3)
+    finally:
+        uninstall()
+    assert counts.rounds["first polar"] == [1]
+    assert len(counts.rounds["unguessed"]) == 1  # the centring batch
+    # every defining call of a section is an F-round of one of its batches
+    assert counts.defining == sum(map(sum, counts.rounds.values()))
 
 
 def _op(name, result):

@@ -9,10 +9,16 @@ from hypothesis import strategies as st
 from ccgeom import (
     admissible_levels,
     circular_cone,
+    cone_direction_check,
+    cut_gradient,
+    cut_volume,
     ellipsoid,
     function_epigraph,
+    halfspace_cut_volume,
     hyperboloid_sheet,
     paraboloid_epigraph,
+    sample_levels,
+    sccp_residual,
     section_bounded,
     section_diameter,
     section_measure,
@@ -142,12 +148,10 @@ def test_chord_against_brute_force():
 
 
 def test_2d_section_measure_degenerate_at_grazing_or_outside_levels():
-    # halfspace_cut_volume counts these levels as measure 0
+    # the plane grazes or misses the body: the section is empty, of measure 0
     for t in (1.0, 1.001):
-        with pytest.raises(DegenerateSection):
-            section_measure(unit_disk(), [0.0, 1.0], t)
-    with pytest.raises(DegenerateSection):
-        section_measure(function_epigraph("square"), [0.0, 1.0], -0.01)
+        assert section_measure(unit_disk(), [0.0, 1.0], t) == 0.0
+    assert section_measure(function_epigraph("square"), [0.0, 1.0], -0.01) == 0.0
 
 
 def test_paraboloid_section_centroid_lies_on_axis_family():
@@ -262,6 +266,18 @@ def test_finite_levels_outside_the_interval_are_out_of_range(entry, body, u, t):
         entry(body, u, t)
 
 
+@pytest.mark.parametrize("body, u, t", FINITE_OUT_OF_RANGE_CASES)
+def test_section_measure_is_defined_outside_the_interval(body, u, t):
+    # beyond the interval the plane misses the body: measure 0; at a support
+    # level the section is a point, of a measure below section_stats' threshold
+    lo, hi = admissible_levels(body, u)
+    measure = section_measure(body, u, t)
+    if t in (lo, hi):
+        assert 0.0 <= measure < 1e-12 * body.scale ** (body.ambient_dim - 1)
+    else:
+        assert measure == 0.0
+
+
 # the six kinds; the bodies and normals on which an entry once answered NaN
 # or a root-finder message at a support level (on the sphere at (0, 0, 3)
 # the first normal, on the shifted paraboloid the second); the disk of the
@@ -322,6 +338,58 @@ def test_every_section_entry_answers_at_the_edges_of_its_levels():
             if not np.all(np.isfinite(out)):
                 wrong.append((entry.__name__, body.kind, u, t, out))
     assert wrong == []
+
+
+def _unit(v):
+    v = np.asarray(v, dtype=float)
+    return v / np.linalg.norm(v)
+
+
+# normals on the boundary of the recession cone's polar, where a recession
+# direction lies in the plane: first the [1, 1.4] sheet's m(u) = 0 normal
+# (1, 1, sqrt(2.96)) rounded to m(u) = 1.1e-16, as cut_volume renormalises
+# it, on which section_measure answered 1e13 and cut_volume ran for minutes;
+# then that sheet's m(u) = 0, the paraboloid's horizontal normals, the slope-1
+# cone's (+-1, 0, +-1)/sqrt(2), exp's (1, 0), (0, -1) and (-1, 0) and the
+# hyperbola's +-(1, 1)/sqrt(2)
+POLAR_EDGE_NORMALS = [
+    (hyperboloid_sheet([1.0, 1.4]), [[0.4490132550669373, 0.4490132550669373, 0.7725116138598741],
+                                     [1.0, 1.0, math.sqrt(2.96)], [1.0, 0.0, 1.0], [0.0, -1.0, 1.4]]),
+    (paraboloid_epigraph([1.0, 0.7]), [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, -1.0, 0.0]]),
+    (circular_cone(1.0, dim=3), [[1.0, 0.0, 1.0], [-1.0, 0.0, 1.0], [1.0, 0.0, -1.0], [-1.0, 0.0, -1.0]]),
+    (function_epigraph("exp"), [[1.0, 0.0], [0.0, -1.0], [-1.0, 0.0]]),
+    (hyperboloid_sheet([1.0]), [[1.0, 1.0], [-1.0, -1.0]]),
+]
+
+
+def _empty_infinite_or_unbounded(volume):
+    """Whether a cut volume call answers 0, inf or UnboundedSection."""
+    try:
+        return volume() in (0.0, math.inf)
+    except UnboundedSection:
+        return True
+
+
+@pytest.mark.parametrize("body, normals", POLAR_EDGE_NORMALS)
+def test_every_entry_answers_on_the_boundary_of_the_polar(body, normals):
+    # sections with such a normal are unbounded: every section entry says
+    # UnboundedSection at a finite level, and a cut volume is 0 or inf where
+    # the cone decides it, else its sections raise UnboundedSection
+    for u in map(_unit, normals):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not section_bounded(body, u)
+            for t in (-1.0, 0.0, 1.0, 3.0):
+                for entry in (section_measure, section_stats, section_diameter):
+                    with pytest.raises(UnboundedSection):
+                        entry(body, u, t)
+                assert _empty_infinite_or_unbounded(lambda: halfspace_cut_volume(body, u, t))
+                assert _empty_infinite_or_unbounded(lambda: cut_volume(body, u / t if t else u))
+            for entry in (admissible_levels, sample_levels, sccp_residual, cone_direction_check):
+                with pytest.raises(GeometryError):
+                    entry(body, u)
+            with pytest.raises(GeometryError):
+                cut_gradient(body, u)
 
 
 # (body, unit normal) pairs with bounded sections, one per kind and dimension
