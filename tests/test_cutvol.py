@@ -396,11 +396,13 @@ def test_quartic_anchor_cut_subdivides_from_the_batch(monkeypatch):
 def test_degenerate_node_level_falls_back_to_single_sections(monkeypatch):
     # a cut 1e-11 deep: the outermost node levels round onto the support
     # level, so the section kernel sections that round's levels alone and
-    # scores those levels 0, all in one section_measure call
-    calls = _measure_calls(monkeypatch)
+    # scores those levels 0, all in one section_measure call: the round's
+    # batch, then one batch per level, cast once
+    calls, batches = _measure_calls(monkeypatch), _ray_batches(monkeypatch)
     v = halfspace_cut_volume(unit_disk(center=[0.0, 3.0]), [0.0, 1.0], 2.0 + 1e-11)
     assert v == pytest.approx(5.962887473355462e-17, rel=1e-14, abs=0.0)
     assert calls == [21]
+    assert len(batches) == 1 + 21
 
 
 def test_quad_warns_at_the_panel_cap():
@@ -478,15 +480,6 @@ def _ray_batches(monkeypatch):
 
     monkeypatch.setattr(sections, "ray_hits_batch", counted)
     return calls
-
-
-def test_grazing_cut_sections_each_level_alone_once(monkeypatch):
-    # the one batch of the 1e-11-deep cut's 21 levels meets a grazing level,
-    # so the section kernel sections each level alone: 1 + 21 ray batches,
-    # cast once and not again by the integrand
-    calls = _ray_batches(monkeypatch)
-    halfspace_cut_volume(unit_disk(center=[0.0, 3.0]), [0.0, 1.0], 2.0 + 1e-11)
-    assert len(calls) == 22
 
 
 def test_cut_volume_ray_batch_budget(monkeypatch):
