@@ -16,8 +16,9 @@ runs them. An F-round is one ``defining`` call made inside one
 
 For each workload it prints the ``ray_hits_batch`` calls and rays, the
 F-rounds per call of each kind (mean and max, and its number of calls),
-and the ``defining`` calls and oracle points (points at which ``defining``
-was evaluated) of the whole pass.
+the unguessed F-rounds per call of each body (its kind or function tag,
+params and any translation), and the ``defining`` calls and oracle points
+(points at which ``defining`` was evaluated) of the whole pass.
 """
 import argparse
 import sys
@@ -33,14 +34,26 @@ KINDS = ("unguessed", "first polar", "refinement")
 
 class Counts:
     """Oracle and ray-batch counts of one pass; ``rounds[kind]`` lists the
-    F-rounds of each ray batch of that kind."""
+    F-rounds of each ray batch of that kind, ``unguessed[body]`` those of
+    each unguessed batch on the body of that label."""
 
     def __init__(self):
         self.defining = 0
         self.points = 0
         self.rays = 0
         self.rounds = defaultdict(list)
+        self.unguessed = defaultdict(list)
         self.first = False  # the next guessed batch is a section's first
+
+
+def label(body):
+    """A body's kind or function tag, its params and, if moved, its translation."""
+    name = body.tag or body.kind
+    if body.params:
+        name += f" {list(body.params)}"
+    if np.any(body.translation):
+        name += f" at {body.translation.tolist()}"
+    return name
 
 
 def install(ccgeom, counts):
@@ -66,12 +79,14 @@ def install(ccgeom, counts):
         def counted(body, origin, directions, guess=None):
             before = counts.defining
             out = orig(body, origin, directions, guess=guess)
+            rounds = counts.defining - before
             if guess is None:
                 kind = "unguessed"
+                counts.unguessed[label(body)].append(rounds)
             else:
                 kind = "first polar" if counts.first else "refinement"
                 counts.first = False
-            counts.rounds[kind].append(counts.defining - before)
+            counts.rounds[kind].append(rounds)
             counts.rays += len(directions)
             return out
         return counted
@@ -102,6 +117,9 @@ def report(name, seed, n_ops, counts):
         if r:
             lines.append(f"  {kind:<12} F-rounds per call {np.mean(r):6.2f} (max {max(r)}) "
                          f"over {len(r)} calls")
+    for body, r in counts.unguessed.items():
+        lines.append(f"    unguessed on {body}: {np.mean(r):.2f} (max {max(r)}) "
+                     f"over {len(r)} calls")
     lines.append(f"  defining calls {counts.defining:,}, oracle points {counts.points:,}")
     return "\n".join(lines)
 

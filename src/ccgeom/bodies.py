@@ -55,12 +55,15 @@ _MARGIN_TOL = 1e-14
 # epigraph normals this close to the edge of the attained set get h's limit
 _EDGE_TOL = 1e-15
 # ray root-finder: the probes around a guess, as factors of it (the inner
-# pair is within _HIT_RTOL, so it ends a ray guessed to rounding), the outward
-# ladder, as factors of the last inside point, the relative tolerance on each
-# hit, caps on ladder rounds (a reach of 2^204) and on solver steps
+# pair is within _HIT_RTOL, so it ends a ray guessed to rounding), the probes
+# of an unguessed ray, as factors of the body scale, the outward ladder, as
+# factors of the last inside point, the relative tolerance on each hit, caps
+# on ladder rounds (a reach of 2^204) and on solver steps
 _GUESS_PROBES = 1.0 + np.array([-2.0 ** -20, -2.0 ** -41, 2.0 ** -41, 2.0 ** -20])[:, None]
+_THIRDS = np.array([1.0, 2.0, 3.0])[:, None] / 3.0
 _LADDER = 2.0 ** np.arange(1, 13)[:, None]
 _HIT_RTOL = 1e-12
+_EPS = np.finfo(float).eps
 _BRACKET_ROUNDS = 17
 _SOLVE_STEPS = 100
 
@@ -275,6 +278,11 @@ class _Kind:
     def interior(self):
         return np.zeros(self.dim)
 
+    def terms(self, f, yd):
+        """T, the sum of the magnitudes of F's terms, from F = f at a point
+        whose last local coordinate is yd: F = sum - 1, so T = F + 2."""
+        return f + 2.0
+
     def limit_support(self, u):
         """h(u) where it is not read off the Gauss map (0 or +inf), else None."""
         return None
@@ -334,6 +342,10 @@ class _Graph(_Kind):
 
     def grad(self, y):
         return np.append(self.height_grad(y[:-1]), -1.0)
+
+    def terms(self, f, yd):
+        # F = height - y_d
+        return np.abs(f + yd) + np.abs(yd)
 
     def interior(self):
         y = np.zeros(self.dim)
@@ -672,9 +684,15 @@ def ray_hits_batch(body, origin, directions, guess=None):
     counts, one per origin.
 
     A ray is bracketed from ``guess`` (one distance per ray, m entries in
-    any shape) by four probes g (1 -+ 2^-20) and g (1 -+ 2^-41), or, without
-    one, by a probe at the body scale. The inner pair is within
-    ``_HIT_RTOL``, so a guess good to rounding ends its ray on its probes. A
+    any shape) by four probes g (1 -+ 2^-20) and g (1 -+ 2^-41). The inner
+    pair is within ``_HIT_RTOL``, so a guess good to rounding ends its ray
+    on its probes. A ray without a guess is probed at s/3, 2s/3 and s, s the
+    body scale. Where the quadratic through F at its origin, s/3 and 2s/3
+    predicts F(s) to within 64 eps times the sum of the four |F|, F is
+    quadratic along the ray to rounding (every ellipsoid and elliptic
+    paraboloid, the square epigraph), and the quadratic's positive root is
+    the ray's guess, probed as above in the next ``defining`` call;
+    elsewhere the ray goes on from its probe at s. A
     ray whose probes are all inside steps out to 2^1 .. 2^12 times its last
     inside point, one ``defining`` call a round, until one is outside. Then
     each step evaluates two points in one ``defining`` call. F is convex
@@ -685,10 +703,11 @@ def ray_hits_batch(body, origin, directions, guess=None):
     A step that does not halve the bracket (in log scale) is followed by a
     geometric bisection. Every ray stops on its own bracket, once the
     bracket, or the chord and secant roots, are within ``_HIT_RTOL``
-    relative to the hit distance or F at its inside end is down to the
-    rounding noise of F at its origin, so its root does not depend on the
-    other rays of the batch, nor on the other origins: each hit is bitwise
-    the one a call with its origin alone returns.
+    relative to the hit distance or F at its inside end is within 4 eps T
+    of 0, T the sum of the magnitudes of F's terms there (``terms`` of the
+    body kind), which bounds F's rounding. So its root does not depend on
+    the other rays of the batch, nor on the other origins: each hit is
+    bitwise the one a call with its origin alone returns.
 
     All directions must be non-recessive (guaranteed for bounded sections).
     Origins, directions and every batch of points are held coordinate-major,
@@ -708,7 +727,7 @@ def ray_hits_batch(body, origin, directions, guess=None):
     if len(O) == 0 or m % len(O):
         raise ValueError("directions must split into one equal group per origin")
     if guess is None:
-        probes = np.full((1, m), float(body.scale))
+        probes = float(body.scale) * _THIRDS * np.ones(m)
     else:
         g = np.array(guess, dtype=float).ravel()
         if g.size != m:
@@ -722,8 +741,8 @@ def ray_hits_batch(body, origin, directions, guess=None):
         P = np.repeat(O.T, m // len(O), axis=1)  # the origin of each ray
         evals = np.zeros(m, dtype=int)  # points evaluated along each ray
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-            state, f0 = _bracket(body.defining, O, P, W, probes, evals)
-            _solve(body.defining, P, W, state, f0, hits, evals)
+            S = _bracket(body.defining, O, P, W, probes, guess is None, evals)
+            _solve(body, P, W, S, hits, evals)
         counts = evals.reshape(len(O), -1).sum(axis=1) + 1
     return hits, (counts if origin.ndim == 2 else int(counts[0]))
 
@@ -737,32 +756,77 @@ _LP, _L, _H = 2, 3, 4
 _NEXT = np.array([[0, 1, 2, 3, 0, 1], [0, 1, 3, 0, 1, 4], [0, 1, 0, 1, 4, 5]]).T
 
 
-def _bracket(F, O, P, W, probes, evals):
-    """Evaluate the probes (ascending along each ray from its origin in P)
-    and the origins O, then step every ray without an outside point out along
-    the ladder, one F call a round, until it has one. P and W hold each
-    ray's origin and direction as (d, rays) arrays.
+def _points(P, W, x):
+    """The points P + x W, x of shape (n, rays), as one coordinate-major
+    (d, n * rays) batch: P and W must be C-contiguous, which an index array
+    into their rays keeps only through ``take``."""
+    return (P[:, None] + x * W[:, None]).reshape(len(P), -1)
 
-    Returns the solver state and F at the origin of each ray; adds the
-    points evaluated along each ray to ``evals``.
+
+def _bracket(F, O, P, W, probes, unguessed, evals):
+    """Evaluate the probes (ascending along each ray from its origin in P)
+    and the origins O, then step every ray without an outside point out
+    along the ladder, one F call a round, until it has one. P and W hold
+    each ray's origin and direction as (d, rays) arrays.
+
+    Unguessed rays bring the probes s ``_THIRDS``: a ray whose quadratic
+    gives a guess is probed around it in the next round, as a guessed ray
+    is in the first, and the others keep only their probe at s. Returns the
+    solver state; adds the points evaluated along each ray to ``evals``.
     """
     n, m = probes.shape
-    f = F(np.concatenate([(P[:, None] + probes * W[:, None]).reshape(len(P), -1), O.T],
-                         axis=1).T)
+    f = F(np.concatenate([_points(P, W, probes), O.T], axis=1).T)
     if not np.all(f[n * m:] < 0.0):
         raise NotInterior("ray origin is not inside the body")
-    f0 = np.repeat(f[n * m:], m // len(O))
     S = np.empty((2, 6, m))
     # each ray's points before its probes: NaN, then the origin
-    S[:, _LP], S[0, _L], S[1, _L] = np.nan, 0.0, f0
-    idx = np.flatnonzero(_extend(S, slice(None), probes, f[:n * m].reshape(n, m), evals))
+    S[:, _LP], S[0, _L], S[1, _L] = np.nan, 0.0, np.repeat(f[n * m:], m // len(O))
+    f = f[:n * m].reshape(n, m)
+    climb, rest, fresh = np.arange(m), slice(None), []
+    if unguessed:
+        g = _quadratic_guess(np.vstack((S[1, _L], f)), probes[0])
+        quadratic = g > 0.0
+        evals += n - 1
+        probes, f = probes[-1:], f[-1:]
+        if quadratic.any():
+            evals[quadratic] += 1
+            fresh = [(climb[quadratic], g[quadratic] * _GUESS_PROBES)]
+            climb = rest = climb[~quadratic]
+            probes, f = probes[:, rest], f[:, rest]
+    if climb.size:
+        climb = climb[_extend(S, rest, probes, f, evals)]
     for _ in range(_BRACKET_ROUNDS):
-        if idx.size == 0:
-            return S, f0
-        x = S[0, _L, idx] * _LADDER
-        fx = F((P[:, None, idx] + x * W[:, None, idx]).reshape(len(P), -1).T)
-        idx = idx[_extend(S, idx, x, fx.reshape(x.shape), evals)]
+        # one F call for the ladder's points and the quadratic guesses' probes
+        groups = [(idx, x) for idx, x in [(climb, S[0, _L, climb] * _LADDER), *fresh] if idx.size]
+        if not groups:
+            return S
+        fx = F(np.concatenate([_points(P.take(idx, axis=1), W.take(idx, axis=1), x)
+                               for idx, x in groups], axis=1).T)
+        climb, i = [], 0
+        for idx, x in groups:
+            climb.append(idx[_extend(S, idx, x, fx[i:i + x.size].reshape(x.shape), evals)])
+            i += x.size
+        climb, fresh = np.concatenate(climb), []
     raise GeometryError("boundary bracketing failed; direction nearly recessive")
+
+
+def _quadratic_guess(f, step):
+    """The positive root of the quadratic through F at 0, step and 2 step
+    along each ray (the first three rows of f), where it predicts F at
+    3 step (f's last row) to within 64 eps times the sum of the four |F|;
+    NaN elsewhere."""
+    f0, f1, f2, f3 = f
+    exact = np.abs(f3 - 3.0 * f2 + 3.0 * f1 - f0) <= 64.0 * _EPS * np.abs(f).sum(axis=0)
+    if not exact.any():
+        return np.full(f0.shape, np.nan)
+    # in units of step the quadratic is a k^2 + b k + f0
+    a = 0.5 * (f2 - 2.0 * f1 + f0)
+    b = f1 - f0 - a
+    # f0 < 0, so the roots have opposite signs: each form of the positive one
+    # is free of cancellation on its own side of b = 0
+    sq = np.sqrt(b * b - 4.0 * a * f0)
+    g = step * np.where(b >= 0.0, -2.0 * f0 / (b + sq), (sq - b) / (2.0 * a))
+    return np.where(exact & (g > 0.0) & np.isfinite(g * _GUESS_PROBES[-1]), g, np.nan)
 
 
 def _extend(S, idx, x, fx, evals):
@@ -787,20 +851,18 @@ def _extend(S, idx, x, fx, evals):
     return c == n
 
 
-def _solve(F, P, W, S, f0, hits, evals):
+def _solve(body, P, W, S, hits, evals):
     """Shrink each ray's bracket [l, h] to F = 0; writes hits.
 
-    P and W hold each ray's origin and direction as (d, rays) arrays, and f0
-    F at its origin. Only unfinished rays stay in the state and in P, W.
-    Adds the points evaluated along each ray to ``evals``.
+    P and W hold each ray's origin and direction as (d, rays) arrays. Only
+    unfinished rays stay in the state and in P, W. Adds the points
+    evaluated along each ray to ``evals``.
     """
+    F, terms = body.defining, body._impl.terms
     rays = np.arange(S.shape[2])
     cols = rays
     last_sqrt_ratio = np.full(rays.size, INF)  # sqrt(h / l) before the last step
     noisy = np.zeros(rays.size, dtype=bool)
-    # F(origin) < 0 is made of terms at least |F(origin)| large, so an inside
-    # end with F above this is on the boundary up to rounding
-    noise = 4.0 * np.finfo(float).eps * f0
     for step in range(_SOLVE_STEPS):
         X, Fx = S[0], S[1]
         l, h = X[_L], X[_H]
@@ -817,7 +879,11 @@ def _solve(F, P, W, S, f0, hits, evals):
         ok = (b > a) & (b < h)
         # the midpoint of [a, b] is then within _HIT_RTOL/8 of the root
         close = ok & (b <= (1.0 + 0.25 * _HIT_RTOL) * a)
-        done = close | (l >= (1.0 - _HIT_RTOL) * h) | (Fx[_L] >= noise) | noisy
+        # F at l rounds within a few eps T of its value, T the sum of the
+        # magnitudes of its terms: above -4 eps T, l is on the boundary up to
+        # rounding
+        flat = Fx[_L] >= -4.0 * _EPS * terms(Fx[_L], P[-1] + l * W[-1] - body.translation[-1])
+        done = close | (l >= (1.0 - _HIT_RTOL) * h) | flat | noisy
         ratio = h / l
         X[1] = np.where(ok & (ratio <= last_sqrt_ratio), b,
                         np.sqrt(np.fmax(a, 2.0 ** -20 * h) * h))
@@ -833,12 +899,12 @@ def _solve(F, P, W, S, f0, hits, evals):
             P, W = P.compress(keep, axis=1), W.compress(keep, axis=1)
             if rays.size == 0:
                 return
-            last_sqrt_ratio, noise = last_sqrt_ratio[keep], noise[keep]
+            last_sqrt_ratio = last_sqrt_ratio[keep]
             cols = np.arange(rays.size)
         # this step's ray-sized temporaries, freed before F's batch
         del z, a, b, ok, close, done, ratio
         k = rays.size
-        S[1, 0:2] = F((P[:, None] + S[0, 0:2] * W[:, None]).reshape(len(P), -1).T).reshape(2, k)
+        S[1, 0:2] = F(_points(P, W, S[0, 0:2]).T).reshape(2, k)
         inside = S[1, 0:2] <= 0.0
         # the chord root is inside unless F is rounding noise there
         noisy = ~inside[0]

@@ -16,6 +16,7 @@ the same kernel call.  ``section_measure`` is defined at every finite level,
 0 where the plane misses or grazes the body, so the integrand catches no
 section error.
 Unboundedness of a cut is decided analytically from the recession cone,
+with the margin by which the section kernel calls a section unbounded,
 never by runaway integration.
 Floating cuts are the parallel and homothety cuts (a tangent plane shifted
 by k e_d or scaled by k about 0), sampled by normal instead of by abscissa.
@@ -148,7 +149,10 @@ def _level_range(body, u, t):
     contains a recession direction, 0 when the halfspace misses the interior.
     """
     s_lo = -body.support(-u)
-    if not body.recession_cone().positive_on(u):
+    cone = body.recession_cone()
+    # as the section kernel decides it, a cone that meets the planes within
+    # rounding meets them
+    if cone.meets_hyperplane(u) or not cone.positive_on(u):
         # some recession direction stays in the halfspace: infinite volume
         return 0.0 if t <= s_lo else INF
     s_hi = min(t, body.support(u))

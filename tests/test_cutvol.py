@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -80,6 +81,16 @@ def test_parabola_oblique_cut_param_value():
     p = function_epigraph("square")
     v = cut_volume(p, [-0.8, 0.8])
     assert v == pytest.approx(math.sqrt(6.0), rel=1e-7)
+
+
+def test_cut_within_rounding_of_the_cone_is_read_off_it():
+    # exp's tangent at abscissa -33 leans 4.7e-15 off the quadrant's -x edge,
+    # within the 1e-14 by which the section kernel calls its sections
+    # unbounded: the cut is infinite, decided before any integration
+    p = function_epigraph("exp")
+    point, u = bodies._graph_contact(p, [-33.0])
+    assert 0.0 < -u[0] < 1e-14
+    assert halfspace_cut_volume(p, u, float(u @ point) + 1.0) == math.inf
 
 
 def test_cut_volume_sides_and_infinity():
@@ -399,8 +410,14 @@ def test_degenerate_node_level_falls_back_to_single_sections(monkeypatch):
     # scores those levels 0, all in one section_measure call: the round's
     # batch, then one batch per level, cast once
     calls, batches = _measure_calls(monkeypatch), _ray_batches(monkeypatch)
-    v = halfspace_cut_volume(unit_disk(center=[0.0, 3.0]), [0.0, 1.0], 2.0 + 1e-11)
-    assert v == pytest.approx(5.962887473355462e-17, rel=1e-14, abs=0.0)
+    t = 2.0 + 1e-11
+    v = halfspace_cut_volume(unit_disk(center=[0.0, 3.0]), [0.0, 1.0], t)
+    # the cap of the float level's depth d, acos(1 - d) - (1 - d) sqrt(2d - d^2),
+    # is 5.962848680042886e-17; the hits' rounding leaves the cut about 5e-6 off it
+    with mpmath.workdps(40):
+        d = mpmath.mpf(t) - 2
+        cap = mpmath.acos(1 - d) - (1 - d) * mpmath.sqrt(2 * d - d * d)
+    assert v == pytest.approx(float(cap), rel=6.5e-6, abs=0.0)
     assert calls == [21]
     assert len(batches) == 1 + 21
 

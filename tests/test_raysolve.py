@@ -15,6 +15,7 @@ from ccgeom import (
     halfspace_cut_volume,
     hyperboloid_sheet,
     paraboloid_epigraph,
+    section_measure,
     section_stats,
     superellipsoid,
     unit_sphere,
@@ -224,8 +225,9 @@ def test_conic_guessed_first_polar_batch_takes_one_round(monkeypatch, body):
 
 
 def test_unguessed_ray_brackets_a_far_root_in_two_rounds(monkeypatch):
-    # near the paraboloid's axis the root is 1.1e3 body scales out: the
-    # probe at the scale is inside and one ladder round brackets the root
+    # near the paraboloid's axis the root is 1.1e3 body scales out, far past
+    # the probes at s/3 .. s: the quadratic through them guesses it, and the
+    # guess's probes bracket the root in the second round
     body, o = paraboloid_epigraph([1.0, 0.7]), np.array([0.0, 0.0, 1.0])
     w = np.array([[0.03, 0.0, math.sqrt(1.0 - 0.03 ** 2)]])
     root = float(_paraboloid_hit([1.0, 0.7], o, w[0]))
@@ -236,6 +238,74 @@ def test_unguessed_ray_brackets_a_far_root_in_two_rounds(monkeypatch):
     assert len(batches) == 2
     (l, h), (fl, fh) = states[0][:, bodies._L:bodies._H + 1, 0]
     assert l < root < h and fl <= 0.0 < fh
+
+
+def _quadratic_f_rays():
+    """(body, origin, directions, mpmath roots) for bodies whose F is a
+    quadratic along every ray: the disk and the sphere at height 3, the
+    [1, 0.7] paraboloid and the square epigraph."""
+    cases = []
+    for dim in (2, 3):
+        center = np.append(np.zeros(dim - 1), 3.0)
+        o, w = center + np.array([0.3, -0.4, 0.2][:dim]), _directions(60, dim, dim)
+        cases.append((ellipsoid(np.ones(dim), center=center), o, w,
+                      [_ellipsoid_hit(np.ones(dim), center, o, d) for d in w]))
+    for q, o in (([1.0, 0.7], np.array([0.3, -0.2, 2.0])), ([1.0], np.array([0.3, 2.0]))):
+        w = _directions(80, 7, len(o))
+        w = w[w[:, -1] < 0.9]  # away from the axis, where the root runs off
+        body = paraboloid_epigraph(q) if len(q) == 2 else function_epigraph("square")
+        cases.append((body, o, w, [_paraboloid_hit(q, o, d) for d in w]))
+    return cases
+
+
+@pytest.mark.parametrize("body, o, w, exact", _quadratic_f_rays(),
+                         ids=["disk", "sphere", "paraboloid", "square"])
+def test_unguessed_rays_on_a_quadratic_f_end_in_two_calls(monkeypatch, body, o, w, exact):
+    # the quadratic through F at the origin, s/3 and 2s/3 predicts F(s), so
+    # its root is the guess, and the guess's inner probes end every ray
+    batches = record_defining(monkeypatch)
+    hits, _ = ray_hits_batch(body, o, w)
+    assert len(batches) == 2
+    _assert_rel(hits, exact)
+
+
+def test_tiny_sphere_sections_end_their_first_polar_batch_in_two_calls(monkeypatch):
+    # sections near the top of the sphere at height 3, squared radius 1e-5
+    # to 5e-5: F at the anchor is about -2e-5, and each ray ends once F at
+    # its inside end is within F's own rounding, 4 eps T, of 0
+    body = unit_sphere([0.0, 0.0, 3.0])
+    u = np.array([0.3, -0.2, 0.9]) / np.linalg.norm([0.3, -0.2, 0.9])
+    levels = float(u @ body.translation) + np.sqrt(1.0 - np.linspace(1e-5, 5e-5, 5))
+    batches, rounds = record_defining(monkeypatch), []
+
+    def counted(*args, guess=None):
+        before = len(batches)
+        out = ray_hits_batch(*args, guess=guess)
+        rounds.append(len(batches) - before)
+        return out
+
+    monkeypatch.setattr(sections, "ray_hits_batch", counted)
+    for t in [*levels, levels]:
+        rounds.clear()
+        section_measure(body, u, t)
+        # the centring batch, then the first polar batch
+        assert rounds[1] <= 2, (t, rounds)
+
+
+@pytest.mark.parametrize("body, u, calls", [
+    (hyperboloid_sheet([1.0]), [0.3, 1.0], 6),
+    (superellipsoid(4.0), [0.4, 0.9], 11),
+], ids=["hyperbola", "superellipse"])
+def test_chords_on_a_non_quadratic_f_take_no_more_calls(monkeypatch, body, u, calls):
+    # F is no quadratic along these chords, so each ray goes on from its
+    # probe at s, and the batch takes no more calls than a start from that
+    # probe alone
+    u = np.array(u) / np.linalg.norm(u)
+    lo, hi = admissible_levels(body, u)
+    levels = lo + (min(hi, lo + 10.0) - lo) * (np.arange(21) + 0.5) / 21
+    batches = record_defining(monkeypatch)
+    section_measure(body, u, levels)
+    assert len(batches) <= calls
 
 
 def test_ladder_reaches_a_root_1e40_out():

@@ -120,6 +120,19 @@ def test_ray_rounds_counts_a_first_polar_batch_guessed_to_rounding(ray_rounds):
     assert len(counts.rounds["unguessed"]) == 1  # the centring batch
     # every defining call of a section is an F-round of one of its batches
     assert counts.defining == sum(map(sum, counts.rounds.values()))
+    # F is quadratic along the centring rays: their quadratic's roots are
+    # guessed in the probe round and end the rays in the next
+    body = "ellipsoid [1.3, 0.8, 1.0] at [0.2, -0.1, 0.4]"
+    assert counts.unguessed == {body: [2]}
+    assert f"    unguessed on {body}: 2.00 (max 2) over 1 calls" in (
+        ray_rounds.report("sccp-3d", 1, 1, counts).splitlines())
+
+
+def test_ray_rounds_labels_a_body_by_what_sets_it_apart(ray_rounds):
+    assert ray_rounds.label(ccgeom.function_epigraph("square")) == "square"
+    assert ray_rounds.label(ccgeom.superellipsoid(4.0)) == "superellipsoid [4.0]"
+    assert (ray_rounds.label(ccgeom.unit_sphere([0.0, 0.0, 3.0]))
+            == "ellipsoid [1.0, 1.0, 1.0] at [0.0, 0.0, 3.0]")
 
 
 def _op(name, result):
