@@ -1,13 +1,15 @@
 #!/usr/bin/env python3
-"""Print how many F-rounds the ray batches of each benchmark workload take:
+"""Print how many F-rounds the ray batches of each benchmark workload take,
+and how many levels its cut volumes section:
 
     python scripts/ray_rounds.py --seed 1
 
 Each workload's pool (``perfbench/workloads.py``) is built for the seed and
-every op runs once, in pool order, with ``BodySpec.defining`` and
-``ray_hits_batch`` counted from outside the library, as ``op_digest.py``
-runs them. An F-round is one ``defining`` call made inside one
-``ray_hits_batch`` call. Each batch is of one of three kinds:
+every op runs once, in pool order, with ``BodySpec.defining``,
+``ray_hits_batch`` and the levels that ``cutvol`` sections counted from
+outside the library, as ``op_digest.py`` runs them. An F-round is one
+``defining`` call made inside one ``ray_hits_batch`` call. Each batch is of
+one of three kinds:
 
 - unguessed: a 3D section's centring rays, a 2D chord, a gauge ray;
 - first polar: the first guessed batch of a 3D section's polar rule, its
@@ -18,7 +20,11 @@ For each workload it prints the ``ray_hits_batch`` calls and rays, the
 F-rounds per call of each kind (mean and max, and its number of calls),
 the unguessed F-rounds per call of each body (its kind or function tag,
 params and any translation), and the ``defining`` calls and oracle points
-(points at which ``defining`` was evaluated) of the whole pass.
+(points at which ``defining`` was evaluated) of the whole pass.  For each op
+that integrates cut volumes it prints its calls, the volumes they integrate
+(one ``quad`` integral each), the section levels they take (each a node of
+a volume's quadrature rule, or a gradient's cut plane) and the levels per
+volume and per call.
 """
 import argparse
 import sys
@@ -35,9 +41,15 @@ KINDS = ("unguessed", "first polar", "refinement")
 class Counts:
     """Oracle and ray-batch counts of one pass; ``rounds[kind]`` lists the
     F-rounds of each ray batch of that kind, ``unguessed[body]`` those of
-    each unguessed batch on the body of that label."""
+    each unguessed batch on the body of that label; ``ops``, ``volumes`` and
+    ``levels`` count the calls, cut volumes and section levels of each op
+    name ``op``."""
 
     def __init__(self):
+        self.op = None  # the name of the op that runs
+        self.ops = defaultdict(int)
+        self.volumes = defaultdict(int)
+        self.levels = defaultdict(int)
         self.defining = 0
         self.points = 0
         self.rays = 0
@@ -57,9 +69,10 @@ def label(body):
 
 
 def install(ccgeom, counts):
-    """Count every ``defining`` and ``ray_hits_batch`` call into counts;
-    returns a function that restores the library."""
-    bodies, sections = ccgeom.bodies, ccgeom.sections
+    """Count every ``defining`` and ``ray_hits_batch`` call, and every cut
+    volume and section level of ``cutvol``, into counts; returns a function
+    that restores the library."""
+    bodies, sections, cutvol = ccgeom.bodies, ccgeom.sections, ccgeom.cutvol
     undo = []
 
     def patch(owner, name, wrapper):
@@ -97,10 +110,28 @@ def install(ccgeom, counts):
             return orig(*args, **kwargs)
         return counted
 
+    def quad(orig):
+        def counted(f, a, *args, **kwargs):
+            counts.volumes[counts.op] += np.size(a)
+            return orig(f, a, *args, **kwargs)
+        return counted
+
+    def levels(at):
+        """A wrapper counting the levels, argument at, of a section call."""
+        def wrapper(orig):
+            def counted(*args, **kwargs):
+                counts.levels[counts.op] += np.size(args[at])
+                return orig(*args, **kwargs)
+            return counted
+        return wrapper
+
     patch(bodies.BodySpec, "defining", defining)
     patch(bodies, "ray_hits_batch", ray_hits_batch)  # the gauge's
     patch(sections, "ray_hits_batch", ray_hits_batch)
     patch(sections, "_polar_sections", polar_sections)
+    patch(cutvol, "quad", quad)
+    patch(cutvol, "section_measure", levels(2))  # (body, u, t)
+    patch(cutvol, "_sections", levels(3))  # (body, normals, k, levels, ...), with the cut plane
 
     def uninstall():
         for owner, name, orig in reversed(undo):
@@ -121,6 +152,14 @@ def report(name, seed, n_ops, counts):
         lines.append(f"    unguessed on {body}: {np.mean(r):.2f} (max {max(r)}) "
                      f"over {len(r)} calls")
     lines.append(f"  defining calls {counts.defining:,}, oracle points {counts.points:,}")
+    volumes = {op: n for op, n in counts.volumes.items() if n}
+    if volumes:
+        lines.append(f"  section levels {sum(counts.levels.values()):,} over "
+                     f"{sum(volumes.values())} cut volumes")
+    for op, volumes in volumes.items():
+        levels, calls = counts.levels[op], counts.ops[op]
+        lines.append(f"    {op}: {calls} calls, {volumes} volumes, {levels:,} levels, "
+                     f"{levels / volumes:.2f} per volume, {levels / calls:.2f} per call")
     return "\n".join(lines)
 
 
@@ -137,6 +176,8 @@ def main(argv=None):
         uninstall = install(ccgeom, counts)
         try:
             for op in pool:
+                counts.op = op.name
+                counts.ops[op.name] += 1
                 op.call()
         finally:
             uninstall()

@@ -3,13 +3,15 @@ constancy scans for the parallel-cut / homothety-cut characterizations.
 
 V(a) is the volume of the body on the <= side of the hyperplane {<a,x> = 1},
 computed by Fubini slicing perpendicular to a: the section measure is
-integrated over the levels, cosine-substituted, by ``quad``, an adaptive
-form of QUADPACK's 21-point Gauss-Kronrod rule that runs several integrals
-in lockstep, the open panels of all of them in three flat arrays.  Each of
-its rounds sections the 21 levels of every open panel of every integral in
-one batch, so a volume that one panel meets costs one batch of 21 levels,
-and a gradient's 2d + 1 volumes, or a constancy scan's volumes at all its
-anchors, share their rounds and batches, each volume bitwise as
+integrated over the levels s = c + h x (3 - x^2) / 2, x in [-1, 1], by
+``quad``, an adaptive form of QUADPACK's Gauss-Kronrod rules that runs
+several integrals in lockstep, the open panels of all of them in three flat
+arrays.  The map keeps a measure polynomial in the level a polynomial, and
+3D bodies take the 15-point rule, 2D ones the 21-point rule.  Each round
+sections the levels of every open panel of every integral in one batch, so
+a volume that one panel meets costs one batch of 15 levels in 3D, 21 in
+2D, and a gradient's 2d + 1 volumes, or a constancy scan's volumes at all
+its anchors, share their rounds and batches, each volume bitwise as
 ``halfspace_cut_volume`` gives it; a gradient's first round also sections
 its cut plane, for its measure, centroid and diameter, as one more level of
 the same kernel call.  ``section_measure`` is defined at every finite level,
@@ -44,10 +46,11 @@ from .sections import section_diameter, section_stats  # noqa: F401  (perfbench/
 
 _MAX_PANELS = 200  # open panels past which quad stops refining
 
-# QUADPACK's dqk21 table: the abscissae x_1 > ... > x_10 > x_11 = 0 of the
-# 21-point Kronrod rule on [-1, 1], with its weights and those of the 10-point
-# Gauss rule on x_2, x_4, ..., x_10. numpy's Gauss nodes are QUADPACK's bit for
-# bit; its Gauss weights are a few ulp off, so the weights are QUADPACK's own.
+# QUADPACK's Gauss-Kronrod tables (Piessens et al., QUADPACK, 1983), each
+# given by its abscissae x_1 > ... > x_n = 0 on [-1, 1] with the weights there
+# of its Kronrod rule and of its Gauss rule on the even-numbered x_2, x_4, ...
+# dqk21: numpy's 10 Gauss nodes are QUADPACK's bit for bit; its Gauss weights
+# are a few ulp off, so the weights are QUADPACK's own.
 _XGK = np.zeros(11)
 _XGK[0:10:2] = (0.995657163025808080735527280689003, 0.930157491355708226001207180059508,
                 0.780817726586416897063717578345042, 0.562757134668604683339000099272694,
@@ -63,48 +66,66 @@ _WG = np.zeros(11)
 _WG[1:10:2] = (0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
                0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
                0.295524224714752870173892994651338)
+# dqk15: numpy's largest of the 7 Gauss nodes is an ulp above QUADPACK's, so
+# the whole table is QUADPACK's own.
+_XGK15 = np.array([0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+                   0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+                   0.586087235467691130294144838258730, 0.405845151377397166906606412076961,
+                   0.207784955007898467600689403773245, 0.0])
+_WGK15 = np.array([0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+                   0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+                   0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+                   0.204432940075298892414161999234649, 0.209482141084727828012999174891714])
+_WG15 = np.zeros(8)
+_WG15[1::2] = (0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+               0.381830050505118944950369775488975, 0.417959183673469387755102040816327)
 
 
 def _mirror(v, sign=1.0):
-    """A table over the 21 nodes in increasing order from its 11 entries at x_1, ..., x_11."""
-    return np.concatenate((sign * v[:10], v[::-1]))
+    """A table over all 2n - 1 nodes in increasing order from its n entries at x_1, ..., x_n."""
+    return np.concatenate((sign * v[:-1], v[::-1]))
 
 
-_NODES, _KRONROD, _GAUSS = _mirror(_XGK, -1.0), _mirror(_WGK), _mirror(_WG)
+# (nodes, Kronrod weights, Gauss weights) of each rule, as ``quad`` takes it
+DQK21 = _mirror(_XGK, -1.0), _mirror(_WGK), _mirror(_WG)
+DQK15 = _mirror(_XGK15, -1.0), _mirror(_WGK15), _mirror(_WG15)
 
 
-def quad(f, a, b, epsabs, epsrel):
+def quad(f, a, b, epsabs, epsrel, rule=DQK21):
     """Integrals of f over the intervals [a_k, b_k], k < K, by adaptive
-    bisection with the 21-point rule, all K in lockstep.
+    bisection with a Gauss-Kronrod rule, all K in lockstep.
 
     a, b and epsrel are numbers or arrays of K; returns the K integrals.
     f(x, k) maps a 1-D array of points x, point i in the interval of
     integral k[i], to the integrands' values there.  The open panels of all
     integrals are three flat arrays, lo, hi and their integral k, integral
     k's panels one block in ascending k, and each round evaluates the nodes
-    of all of them in one call.  Each panel is scored with QUADPACK's dqk21
-    error estimate (Piessens et al., QUADPACK, 1983).  Each integral stops
-    on its own once its panels' scores sum to within max(epsabs, epsrel_k
-    |integral|), QUADPACK's own test; until then its panels within their
-    share of that bound by width close, and the others are bisected, left
-    halves before right halves.  Past ``_MAX_PANELS`` open panels of one
-    integral its sum so far is taken, with one RuntimeWarning a round.
+    of all of them in one call.  rule is the table (nodes, Kronrod weights,
+    Gauss weights) on [-1, 1], ``DQK21`` or ``DQK15``, and each panel is
+    scored with QUADPACK's error estimate for it (Piessens et al.,
+    QUADPACK, 1983).  Each integral stops on its own once its panels'
+    scores sum to within max(epsabs, epsrel_k |integral|), QUADPACK's own
+    test; until then its panels within their share of that bound by width
+    close, and the others are bisected, left halves before right halves.
+    Past ``_MAX_PANELS`` open panels of one integral its sum so far is
+    taken, with one RuntimeWarning a round.
     """
     a, b = np.atleast_1d(np.asarray(a, dtype=float)), np.atleast_1d(np.asarray(b, dtype=float))
     K = len(a)
+    nodes, kronrod_w, gauss_w = rule
     lo, hi, k = a, b, np.arange(K)
     # each integral's sum and error over its closed panels; its result once it stops
     total, total_err = np.zeros(K), np.zeros(K)
     while k.size:
         centre, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        fx = f((centre[:, None] + half[:, None] * _NODES).ravel(), np.repeat(k, _NODES.size))
+        fx = f((centre[:, None] + half[:, None] * nodes).ravel(), np.repeat(k, nodes.size))
         fx = fx.reshape(k.size, -1)
         # einsum's row sums, unlike a matrix product's, do not depend on the row count
-        kronrod = np.einsum("ij,j->i", fx, _KRONROD)
+        kronrod = np.einsum("ij,j->i", fx, kronrod_w)
         result = kronrod * half
-        resabs = np.einsum("ij,j->i", np.abs(fx), _KRONROD) * half
-        resasc = np.einsum("ij,j->i", np.abs(fx - 0.5 * kronrod[:, None]), _KRONROD) * half
-        err = np.abs((kronrod - np.einsum("ij,j->i", fx, _GAUSS)) * half)
+        resabs = np.einsum("ij,j->i", np.abs(fx), kronrod_w) * half
+        resasc = np.einsum("ij,j->i", np.abs(fx - 0.5 * kronrod[:, None]), kronrod_w) * half
+        err = np.abs((kronrod - np.einsum("ij,j->i", fx, gauss_w)) * half)
         ratio = 200.0 * err / np.where(resasc > 0.0, resasc, 1.0)
         err = np.where(resasc > 0.0, resasc * np.minimum(1.0, ratio ** 1.5), err)
         err = np.maximum(err, 50.0 * np.finfo(float).eps * resabs)
@@ -176,14 +197,16 @@ def _cut_volumes(body, normals, ranges, rtols, plane=None):
     todo = np.flatnonzero(np.isnan(volumes))
     normals, rtols = np.asarray(normals)[todo], rtols[todo]
     s_lo, s_hi = np.array([ranges[k] for k in todo]).reshape(-1, 2).T
-    # cosine substitution removes the sqrt behaviour at the boundary levels
+    # levels s = c + h x (3 - x^2) / 2 over x in [-1, 1]: s - s_lo and s_hi - s
+    # go as (1 -+ x)^2 at the ends, which removes a 2D chord's square root
+    # there, and a measure polynomial in s stays a polynomial in x
     c = 0.5 * (s_lo + s_hi)
     h = 0.5 * (s_hi - s_lo)
     section = None
 
-    def g(phi, k):
+    def g(x, k):
         nonlocal plane, section
-        levels = c[k] - h[k] * np.cos(phi)
+        levels = c[k] + h[k] * (0.5 * x * (3.0 - x * x))
         if plane is not None:
             u, t, rtol = plane
             extra = np.arange(k.size + 1) == k.size
@@ -194,10 +217,15 @@ def _cut_volumes(body, normals, ranges, rtols, plane=None):
             measures = measures[:-1]
         else:
             measures = section_measure(body, normals[k], levels, rtol=rtols[k])
-        return measures * h[k] * np.sin(phi)
+        return measures * (1.5 * h[k] * (1.0 - x) * (1.0 + x))
 
-    volumes[todo] = quad(g, np.zeros(len(todo)), np.full(len(todo), math.pi),
-                         epsabs=1e-14 * body.scale ** body.ambient_dim, epsrel=rtols)
+    # a 3D measure goes to 0 linearly at a curved support level, where the
+    # 15-point rule meets it; a 2D chord goes as the square root, which the
+    # map removes only to branch points near the ends (sqrt(4 - x^2) on the
+    # disk), where the 15-point estimate falls short
+    volumes[todo] = quad(g, np.full(len(todo), -1.0), np.ones(len(todo)),
+                         epsabs=1e-14 * body.scale ** body.ambient_dim, epsrel=rtols,
+                         rule=DQK15 if body.ambient_dim == 3 else DQK21)
     return volumes, section
 
 

@@ -127,6 +127,27 @@ def sphere_cap_volume(radius, d):
     return math.pi * h * h * (3.0 * radius - h) / 3.0
 
 
+def paraboloid_cap_volume(coeffs, shift, a):
+    """Closed form: volume of {z >= sum q_i (x_i - b_i)^2 + b_z} on the <= side
+    of {<a,x> = 1}, a_z > 0: pi D^2 / (2 sqrt(prod q)) for D the plane's
+    greatest height above the surface."""
+    q, b, a = (np.asarray(v, dtype=float) for v in (coeffs, shift, a))
+    m = a[:-1] / a[-1]
+    D = (1.0 - a[:-1] @ b[:-1]) / a[-1] - b[-1] + float(np.sum(m * m / (4.0 * q)))
+    return math.pi * D * D / (2.0 * math.sqrt(float(np.prod(q)))) if D > 0.0 else 0.0
+
+
+def cone_cap_volume(slope, apex, a):
+    """Closed form: volume of {z - p_z >= slope |x' - p'|} on the <= side of
+    {<a,x> = 1}, 0 <= |a'| < slope a_z: the plane z - p_z = c - <a', x' - p'> / a_z
+    over it bounds a cone of volume (c / 3) pi (c / slope)^2 / (1 - e^2)^(3/2),
+    e = |a'| / (slope a_z) the eccentricity of its section's shadow."""
+    p, a = np.asarray(apex, dtype=float), np.asarray(a, dtype=float)
+    c = (1.0 - a @ p) / a[-1]
+    e = float(np.linalg.norm(a[:-1])) / (slope * a[-1])
+    return c / 3.0 * math.pi * (c / slope) ** 2 / (1.0 - e * e) ** 1.5 if c > 0.0 else 0.0
+
+
 def shell_points_bisection(body, R, center=None, n_azimuth=720):
     """Boundary points at distance R from center, by bisecting every sign
     change of F <= 0 on the shell scan's arcs for 56 steps.

@@ -75,6 +75,7 @@ def test_cone_shell_points_zero_cone_raises():
         cone_shell_points(c, 5.0)
 
 
+@mpmath.workdps(40)
 def _unit_sheet_shell(R):
     """Exact shell distance of y >= sqrt(1 + |x|^2) (2D, or 3D sampled at the
     cone's own azimuths): the crossing at r^2 = (R^2 - 1)/2, z^2 = (R^2 + 1)/2
@@ -182,8 +183,10 @@ def test_paraboloid_3d_crossing_near_the_pole():
     for R in (3e4, 1e5, 1e6):
         d = shell_distance(pb, cone, R, n_azimuth=24).d_asym
         # the circle z = (sqrt(1 + 4R^2) - 1)/2, r^2 = z against the ray point (0, 0, R)
-        z = (mpmath.sqrt(1 + 4 * mpmath.mpf(R) ** 2) - 1) / 2
-        assert abs(d - float(mpmath.sqrt(z + (R - z) ** 2))) <= 1e-13 * R
+        with mpmath.workdps(40):
+            z = (mpmath.sqrt(1 + 4 * mpmath.mpf(R) ** 2) - 1) / 2
+            exact = float(mpmath.sqrt(z + (R - z) ** 2))
+        assert abs(d - exact) <= 1e-13 * R
 
 
 @pytest.mark.parametrize("R", [math.nan, math.inf, -math.inf, 0.0, -100.0])

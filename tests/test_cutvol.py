@@ -33,10 +33,12 @@ from ccgeom.errors import (
 )
 
 from oracles import (
+    cone_cap_volume,
     disk_segment_area,
     halfspace_area_brute,
     hyperbola_homothety_value,
     parabola_chord_area,
+    paraboloid_cap_volume,
     sphere_cap_volume,
 )
 
@@ -363,35 +365,70 @@ def _measure_calls(monkeypatch):
     return calls
 
 
-def _scipy_cut_volume(body, a, rtol=sections.DEFAULT_RTOL):
-    """V(a) by scipy's quad on the same cosine-substituted integrand, one level a call."""
+def _scipy_cut_volume(body, a, rtol):
+    """V(a) by scipy's quad on the level integrand, one level a call: the
+    section measure, smooth in the level in 3D, over the cut's levels."""
     a = np.asarray(a, dtype=float)
     u, t = a / np.linalg.norm(a), 1.0 / np.linalg.norm(a)
     s_lo, s_hi = -body.support(-u), min(t, body.support(u))
-    c, h = 0.5 * (s_lo + s_hi), 0.5 * (s_hi - s_lo)
+    return quad(lambda s: sections.section_measure(body, u, s, rtol=rtol), s_lo, s_hi,
+                epsabs=0.0, epsrel=1e-13, limit=200)[0]
 
-    def g(phi):
-        return sections.section_measure(body, u, c - h * math.cos(phi), rtol=rtol) * h * math.sin(phi)
 
-    return quad(g, 0.0, math.pi, epsabs=1e-14 * body.scale ** body.ambient_dim,
-                epsrel=rtol, limit=200)[0]
+def _cap_volume(body, a):
+    """The closed form of a sphere, disk, paraboloid or cone cut."""
+    a = np.asarray(a, dtype=float)
+    u, t = a / np.linalg.norm(a), 1.0 / np.linalg.norm(a)
+    d = t - u @ body.translation
+    if body.kind == "ellipsoid":
+        return (sphere_cap_volume if body.ambient_dim == 3 else disk_segment_area)(1.0, d)
+    if body.kind == "circular-cone":
+        return cone_cap_volume(body.params[0], body.translation, a)
+    return paraboloid_cap_volume(body.params, body.translation, a)
 
 
 def test_batched_first_pass_is_quads_value(monkeypatch):
+    sphere = unit_sphere(center=[0.1, -0.2, 3.0])
+    paraboloid = paraboloid_epigraph([1.0, 0.7], shift=[0.0, 0.0, 1.5])
+    sheet = hyperboloid_sheet([1.0, 1.4], shift=[0.0, 0.0, 1.0])
     cases = [
-        (unit_sphere(center=[0.1, -0.2, 3.0]), [0.05, 0.1, 0.33]),
-        (unit_sphere(center=[0.1, -0.2, 3.0]), [-0.1, 0.0, 0.4]),
-        (paraboloid_epigraph([1.0, 0.7], shift=[0.0, 0.0, 1.5]), [0.1, -0.2, 0.4]),
-        (paraboloid_epigraph([1.0, 0.7], shift=[0.0, 0.0, 1.5]), [0.0, 0.3, 0.25]),
-        (hyperboloid_sheet([1.0, 1.4], shift=[0.0, 0.0, 1.0]), [0.1, 0.0, 0.3]),
-        (hyperboloid_sheet([1.0, 1.4], shift=[0.0, 0.0, 1.0]), [-0.05, 0.1, 0.25]),
+        (sphere, [0.05, 0.1, 0.33]),
+        (sphere, [-0.1, 0.0, 0.4]),
+        (paraboloid, [0.1, -0.2, 0.4]),
+        (paraboloid, [0.0, 0.3, 0.25]),
+        (sheet, [0.1, 0.0, 0.3]),
+        (sheet, [-0.05, 0.1, 0.25]),
+        (circular_cone(2.0, dim=3, shift=[0.3, -0.2, 0.5]), [0.3, 0.1, 0.2]),
+        (unit_disk(center=[0.0, 3.0]), [0.1, 0.35]),
     ]
     calls = _measure_calls(monkeypatch)
-    batched = [cut_volume(body, a) for body, a in cases]
-    assert calls == [21] * len(cases)  # every one of them met rtol on its first panel
-    for (body, a), v in zip(cases, batched):
-        assert 0.0 < v < math.inf
-        assert v == pytest.approx(_scipy_cut_volume(body, a), rel=1e-15, abs=0.0)
+    for rtol in (1e-8, 1e-10):
+        calls.clear()
+        batched = [cut_volume(body, a, rtol=rtol) for body, a in cases]
+        # every one of them met rtol on its first panel: 15 levels in 3D, 21 in 2D
+        assert calls == [15] * 7 + [21]
+        for (body, a), v in zip(cases, batched):
+            exact = _scipy_cut_volume(body, a, rtol) if body is sheet else _cap_volume(body, a)
+            assert v == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("rule, kronrod_degree, gauss_degree",
+                         [(cutvol.DQK15, 22, 13), (cutvol.DQK21, 31, 19)], ids=["dqk15", "dqk21"])
+def test_gauss_kronrod_tables_integrate_their_degrees(rule, kronrod_degree, gauss_degree):
+    nodes, kronrod, gauss = rule
+    n = (len(nodes) - 1) // 2  # Gauss points
+    # the Gauss nodes are numpy's within an ulp, and the Kronrod nodes interlace them
+    assert np.all(gauss[0::2] == 0.0) and np.all(gauss[1::2] > 0.0)
+    assert np.allclose(nodes[1::2], np.polynomial.legendre.leggauss(n)[0], rtol=0.0, atol=2.3e-16)
+    eps = np.finfo(float).eps
+    for weights, degree in ((kronrod, kronrod_degree), (gauss, gauss_degree)):
+        for k in range(degree + 3):
+            exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+            miss = abs(weights @ nodes ** k - exact)
+            if k <= degree:
+                assert miss <= 2.0 * eps, (k, miss)
+            elif k % 2 == 0:  # past its degree, an even power is missed
+                assert miss > 1e3 * eps, (k, miss)
 
 
 def test_quartic_anchor_cut_subdivides_from_the_batch(monkeypatch):

@@ -26,14 +26,13 @@ from ccgeom.errors import GeometryError, NotInterior
 
 from test_bodies import CATALOG
 
-mpmath.mp.dps = 40
-
 
 def _directions(n, seed, dim=3):
     w = np.random.default_rng(seed).normal(size=(n, dim))
     return w / np.linalg.norm(w, axis=1, keepdims=True)
 
 
+@mpmath.workdps(40)
 def _exit_root(a, b, c, z0=None, wz=None):
     """Smallest positive root of a s^2 + b s + c (with z0 + s wz > 0 if given)."""
     a, b, c = (mpmath.mpf(float(v)) for v in (a, b, c))
@@ -44,6 +43,7 @@ def _exit_root(a, b, c, z0=None, wz=None):
     return roots[0]
 
 
+@mpmath.workdps(40)
 def _ellipsoid_hit(axes, center, o, w):
     y = [mpmath.mpf(float(v)) for v in o - center]
     w = [mpmath.mpf(float(v)) for v in w]
@@ -53,6 +53,7 @@ def _ellipsoid_hit(axes, center, o, w):
                       sum(ki * yi * yi for ki, yi in zip(k, y)) - 1)
 
 
+@mpmath.workdps(40)
 def _paraboloid_hit(q, o, w):
     o = [mpmath.mpf(float(v)) for v in o]
     w = [mpmath.mpf(float(v)) for v in w]
@@ -62,6 +63,7 @@ def _paraboloid_hit(q, o, w):
                       sum(qi * oi * oi for qi, oi in zip(q, o)) - o[-1])
 
 
+@mpmath.workdps(40)
 def _hyperboloid_hit(axes, o, w):
     # sqrt(1 + sum (x_i/a_i)^2) = z on the sheet, i.e. z^2 - sum(...) - 1 = 0, z > 0
     o = [mpmath.mpf(float(v)) for v in o]
@@ -71,6 +73,13 @@ def _hyperboloid_hit(axes, o, w):
     b = 2 * o[-1] * w[-1] - sum(2 * ki * oi * wi for ki, oi, wi in zip(k, o, w))
     c = o[-1] ** 2 - sum(ki * oi * oi for ki, oi in zip(k, o)) - 1
     return _exit_root(a, b, c, o[-1], w[-1])
+
+
+def test_references_leave_mpmath_at_its_default_precision():
+    # each reference raises the precision only while it computes, so mpmath
+    # elsewhere in the process keeps its 15 digits whichever test files ran
+    root = _ellipsoid_hit(np.ones(3), np.zeros(3), np.zeros(3), np.array([1.0, 0.0, 0.0]))
+    assert root == 1 and mpmath.mp.dps == 15
 
 
 def _assert_rel(got, exact, rtol=1e-12):
@@ -384,7 +393,8 @@ def test_exp_epigraph_rays_through_overflow():
     # a guess far out starts the bracket at F = inf
     w = np.array([[1.0, 0.0], [0.6, -0.8]])
     hits, _ = ray_hits_batch(body, np.array([0.0, 2.0]), w, guess=[1e4, 2e3])
-    s = mpmath.findroot(lambda s: mpmath.exp(0.6 * s) - 2 + 0.8 * s, 0.5)
+    with mpmath.workdps(40):
+        s = mpmath.findroot(lambda s: mpmath.exp(0.6 * s) - 2 + 0.8 * s, 0.5)
     _assert_rel(hits, [math.log(2.0), s])
 
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import ccgeom
-from ccgeom import SectionStats, bodies, ellipsoid, section_stats, sections
+from ccgeom import SectionStats, bodies, cutvol, ellipsoid, section_stats, sections
 from ccgeom.errors import DegenerateSection, LevelOutOfRange
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -94,7 +94,8 @@ def ray_rounds(monkeypatch):
 def test_ray_rounds_patches_the_names_it_counts_and_restores_them(ray_rounds):
     # the library names the script wraps: renaming one must fail here
     patched = [(bodies.BodySpec, "defining"), (bodies, "ray_hits_batch"),
-               (sections, "ray_hits_batch"), (sections, "_polar_sections")]
+               (sections, "ray_hits_batch"), (sections, "_polar_sections"),
+               (cutvol, "quad"), (cutvol, "section_measure"), (cutvol, "_sections")]
     before = [owner.__dict__[name] for owner, name in patched]
     uninstall = ray_rounds.install(ccgeom, ray_rounds.Counts())
     try:
@@ -126,6 +127,31 @@ def test_ray_rounds_counts_a_first_polar_batch_guessed_to_rounding(ray_rounds):
     assert counts.unguessed == {body: [2]}
     assert f"    unguessed on {body}: 2.00 (max 2) over 1 calls" in (
         ray_rounds.report("sccp-3d", 1, 1, counts).splitlines())
+
+
+def test_ray_rounds_counts_the_levels_of_each_cut_volume(ray_rounds):
+    # a 3D cut meets rtol on the 15 levels of its first panel, a 2D cut on 21;
+    # a gradient's 2d + 1 volumes take as many each, and its cut plane one more
+    counts = ray_rounds.Counts()
+    uninstall = ray_rounds.install(ccgeom, counts)
+    sphere = ccgeom.unit_sphere([0.0, 0.0, 3.0])
+    try:
+        for op, call in (("cut_volume", lambda: ccgeom.cut_volume(sphere, [0.0, 0.1, 0.4])),
+                         ("cut_gradient", lambda: ccgeom.cut_gradient(sphere, [0.05, 0.1, 0.4])),
+                         ("cut_gradient", lambda: ccgeom.cut_gradient(
+                             ccgeom.unit_disk([0.0, 3.0]), [0.1, 0.35]))):
+            counts.op = op
+            counts.ops[op] += 1
+            call()
+    finally:
+        uninstall()
+    assert counts.volumes == {"cut_volume": 1, "cut_gradient": 7 + 5}
+    assert counts.levels == {"cut_volume": 15, "cut_gradient": 7 * 15 + 1 + 5 * 21 + 1}
+    lines = ray_rounds.report("cutvol-3d", 1, 3, counts).splitlines()
+    assert lines[-3:] == [
+        "  section levels 227 over 13 cut volumes",
+        "    cut_volume: 1 calls, 1 volumes, 15 levels, 15.00 per volume, 15.00 per call",
+        "    cut_gradient: 2 calls, 12 volumes, 212 levels, 17.67 per volume, 106.00 per call"]
 
 
 def test_ray_rounds_labels_a_body_by_what_sets_it_apart(ray_rounds):
