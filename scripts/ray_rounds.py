@@ -20,13 +20,17 @@ For each workload it prints the ``ray_hits_batch`` calls and rays, the
 F-rounds per call of each kind (mean and max, and its number of calls),
 the unguessed F-rounds per call of each body (its kind or function tag,
 params and any translation), and the ``defining`` calls and oracle points
-(points at which ``defining`` was evaluated) of the whole pass.  For each op
-that integrates cut volumes it prints its calls, the volumes they integrate
-(one ``quad`` integral each), the section levels they take (each a node of
-a volume's quadrature rule, or a gradient's cut plane) and the levels per
+(points at which ``defining`` was evaluated) of the whole pass, and the
+minor page faults of the process per op (``getrusage`` around each op; the
+median, which the first op's one-off set-up, such as the shell scan's
+cached arcs, does not move, the mean and the max). For each op that
+integrates cut volumes it prints its calls, the volumes they integrate (one
+``quad`` integral each), the section levels they take (each a node of a
+volume's quadrature rule, or a gradient's cut plane) and the levels per
 volume and per call.
 """
 import argparse
+import resource
 import sys
 from collections import defaultdict
 from pathlib import Path
@@ -43,7 +47,7 @@ class Counts:
     F-rounds of each ray batch of that kind, ``unguessed[body]`` those of
     each unguessed batch on the body of that label; ``ops``, ``volumes`` and
     ``levels`` count the calls, cut volumes and section levels of each op
-    name ``op``."""
+    name ``op``; ``faults`` lists the minor page faults of each op."""
 
     def __init__(self):
         self.op = None  # the name of the op that runs
@@ -55,6 +59,7 @@ class Counts:
         self.rays = 0
         self.rounds = defaultdict(list)
         self.unguessed = defaultdict(list)
+        self.faults = []
         self.first = False  # the next guessed batch is a section's first
 
 
@@ -152,6 +157,10 @@ def report(name, seed, n_ops, counts):
         lines.append(f"    unguessed on {body}: {np.mean(r):.2f} (max {max(r)}) "
                      f"over {len(r)} calls")
     lines.append(f"  defining calls {counts.defining:,}, oracle points {counts.points:,}")
+    if counts.faults:
+        f = counts.faults
+        lines.append(f"  minor page faults per op: median {np.median(f):g}, "
+                     f"mean {np.mean(f):.1f} (max {max(f)}) over {len(f)} ops")
     volumes = {op: n for op, n in counts.volumes.items() if n}
     if volumes:
         lines.append(f"  section levels {sum(counts.levels.values()):,} over "
@@ -161,6 +170,17 @@ def report(name, seed, n_ops, counts):
         lines.append(f"    {op}: {calls} calls, {volumes} volumes, {levels:,} levels, "
                      f"{levels / volumes:.2f} per volume, {levels / calls:.2f} per call")
     return "\n".join(lines)
+
+
+def run_pool(pool, counts):
+    """Run every op of pool once, in order, counting its calls and the minor
+    page faults of the process around it into counts."""
+    for op in pool:
+        counts.op = op.name
+        counts.ops[op.name] += 1
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        op.call()
+        counts.faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 
 
 def main(argv=None):
@@ -175,10 +195,7 @@ def main(argv=None):
         counts = Counts()
         uninstall = install(ccgeom, counts)
         try:
-            for op in pool:
-                counts.op = op.name
-                counts.ops[op.name] += 1
-                op.call()
+            run_pool(pool, counts)
         finally:
             uninstall()
         print(report(name, args.seed, len(pool), counts), flush=True)

@@ -5,9 +5,13 @@ so the body's shell points are found on the sphere itself, with no ray
 cast. F is sampled on great-circle arcs of S_R about the center c: the
 whole circle in 2D, and in 3D one meridian from pole to pole per azimuth,
 in the vertical half-plane through c at that azimuth. The arcs are built
-once per dimension and azimuth count and cached; the whole scan is one
-``defining`` call on a batch held coordinate-major, one contiguous block
-per coordinate, where F's sums over coordinates run as whole-row adds.
+once per dimension and azimuth count and cached; the scan makes one
+``defining`` call per chunk of whole arcs, at most ``_SCAN_POINTS`` points
+(the whole 2D circle in one), each on a batch held coordinate-major, one
+contiguous block per coordinate, where F's sums over coordinates run as
+whole-row adds. F is pointwise, so the chunks change no value; they keep
+each temporary of the scan under glibc's 128 KB mmap threshold, so that it
+is served from the heap rather than mapped, and faulted in, anew each scan.
 Each sign change of F <= 0 between neighbouring samples brackets one
 crossing, and the scan's F values at both ends start its solve. All
 brackets are solved together by Chandrupatla's bracketed inverse-quadratic
@@ -47,6 +51,8 @@ from .errors import EmptyShellIntersection
 _N_AZIMUTH = 720
 _N_SCAN_2D = 2048  # samples on the circle
 _N_SCAN_MERIDIAN = 192  # samples on each meridian, both poles included
+# points per scan call: 21 meridians, 32 KB per coordinate row
+_SCAN_POINTS = 4096
 # crossing solver (_crossings): a bracket of angle d is done once narrower
 # than _POLISH_ABS * step + _POLISH_REL * d; a cap on its rounds, twice the
 # 56 bisection steps that took a pi/191 bracket down to rounding
@@ -74,7 +80,8 @@ class ShellDistance:
 def _arcs(dim, n_azimuth):
     """Unit samples u, unit tangents t = du/da and the sample step on great circles.
 
-    u = cos(a) e1 + sin(a) e2 on an even grid of a, in arrays of shape
+    u = cos(a) e1 + sin(a) e2 on an even grid of a, exactly e1 or e2 (up to
+    sign) at the multiples of pi/2, not 6.1e-17 off, in arrays of shape
     (arcs, samples, dim), each a view of a coordinate-major (dim, arcs,
     samples) array, so that the scan's points and its ``defining`` call
     run one contiguous row per coordinate. The 2D arc is the whole circle
@@ -94,6 +101,9 @@ def _arcs(dim, n_azimuth):
         e1 = np.stack([np.cos(phi), np.sin(phi), np.zeros(n_azimuth)])[:, :, None]
         e2 = np.array([0.0, 0.0, 1.0])[:, None, None]
     c, s = np.cos(a), np.sin(a)
+    # every other |cos| and |sin| of the grid is at least sin(step)
+    c[np.abs(c) < step / 4.0] = 0.0
+    s[np.abs(s) < step / 4.0] = 0.0
     U, T = c * e1 + s * e2, c * e2 - s * e1
     U.flags.writeable = False  # cached: no caller may write into them
     T.flags.writeable = False
@@ -131,7 +141,9 @@ def body_shell_points(body, R, center=None, n_azimuth=_N_AZIMUTH):
             raise ValueError(f"center must be a finite point of shape ({dim},), "
                              f"got {center.tolist()!r}")
     U, T, step = _arcs(dim, n_azimuth)
-    f = _on_sphere(R, body.defining, center + R * U)
+    k = max(1, _SCAN_POINTS // U.shape[1])  # arcs per scan call
+    f = np.concatenate([_on_sphere(R, body.defining, center + R * U[i:i + k])
+                        for i in range(0, len(U), k)])
     inside = f <= 0.0
     arc, j = np.nonzero(inside[:, :-1] != inside[:, 1:])
     if len(j) == 0:

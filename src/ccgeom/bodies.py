@@ -8,7 +8,12 @@ integration scheme, not the oracles. Only bodies go through it.
 
 Each body kind lives in one class of the table ``_BODY_KINDS``: parameter
 check, F, grad F, interior point, support limit, inverse Gauss map and
-recession cone (built once per body), in the body's own frame. The four
+recession cone (built once per body), in the body's own frame, and two
+hooks read off F and the point's last local coordinate y_d for the
+root-finder: ``terms``, the size of F's rounding, and ``quadric``, a
+function with F's sign that is a quadratic along every ray where one
+exists (F itself; F (F + 2 y_d) = height^2 - y_d^2 on the hyperboloid
+sheet and the circular cone). The four
 unbounded kinds are epigraphs y >= height(x') and share F, the inverse
 Gauss map and ``_graph_contact``, the boundary point and normal over an
 abscissa, which the other kinds refuse. The support function is read off
@@ -283,6 +288,11 @@ class _Kind:
         whose last local coordinate is yd: F = sum - 1, so T = F + 2."""
         return f + 2.0
 
+    def quadric(self, f, yd):
+        """A function of F = f and yd, negative exactly inside, that is a
+        quadratic along every ray where F is: F itself unless overridden."""
+        return f
+
     def limit_support(self, u):
         """h(u) where it is not read off the Gauss map (0 or +inf), else None."""
         return None
@@ -377,7 +387,16 @@ class _Paraboloid(_Graph):
         return m / (2.0 * self.p)
 
 
-class _Hyperboloid(_Graph):
+class _QuadricGraph(_Graph):
+    """An epigraph whose squared height is a quadratic form: along every ray
+    F (F + 2 y_d) = height^2 - y_d^2 is a quadratic, negative inside, where
+    height > -y_d."""
+
+    def quadric(self, f, yd):
+        return f * (f + 2.0 * yd)
+
+
+class _Hyperboloid(_QuadricGraph):
     needs = "hyperboloid sheet needs n positive semi-axes"
 
     def height(self, x):
@@ -401,7 +420,7 @@ class _Hyperboloid(_Graph):
         return ConeDescriptor("elliptic", self.dim, self.params)
 
 
-class _CircularCone(_Graph):
+class _CircularCone(_QuadricGraph):
     needs = "circular cone needs one positive slope"
 
     def valid(self):
@@ -687,27 +706,32 @@ def ray_hits_batch(body, origin, directions, guess=None):
     any shape) by four probes g (1 -+ 2^-20) and g (1 -+ 2^-41). The inner
     pair is within ``_HIT_RTOL``, so a guess good to rounding ends its ray
     on its probes. A ray without a guess is probed at s/3, 2s/3 and s, s the
-    body scale. Where the quadratic through F at its origin, s/3 and 2s/3
-    predicts F(s) to within 64 eps times the sum of the four |F|, F is
-    quadratic along the ray to rounding (every ellipsoid and elliptic
-    paraboloid, the square epigraph), and the quadratic's positive root is
-    the ray's guess, probed as above in the next ``defining`` call;
-    elsewhere the ray goes on from its probe at s. A
-    ray whose probes are all inside steps out to 2^1 .. 2^12 times its last
-    inside point, one ``defining`` call a round, until one is outside. Then
-    each step evaluates two points in one ``defining`` call. F is convex
-    along a ray, so the chord through the inside and outside ends lands
-    inside, and the secant through two outside points, or through two
-    inside points, lands outside: the root lies between the chord root and
-    the nearer secant root. Each point updates whichever end its sign says.
+    body scale. F is read through the body kind's ``quadric``, Q: F itself,
+    or F (F + 2 y_d) on the hyperboloid sheet and the circular cone, with
+    y_d the point's last local coordinate. Where the quadratic through Q at
+    its origin, s/3 and 2s/3 predicts Q(s) to within 64 eps times the sum of
+    the four |Q|, Q is quadratic along the ray to rounding (every ellipsoid,
+    elliptic paraboloid, hyperboloid sheet and circular cone, the square
+    epigraph), and the quadratic's smallest positive root is the ray's
+    guess, probed as above in the next ``defining`` call; elsewhere the ray
+    goes on from its probe at s. A ray whose probes are all inside steps out
+    to 2^1 .. 2^12 times its last inside point, one ``defining`` call a
+    round, until one is outside. Then each step evaluates two points in one
+    ``defining`` call. F is convex along a ray, so the chord through the
+    inside and outside ends lands inside, and the secant through two
+    outside points, or through two inside points, lands outside: the root
+    lies between the chord root and the nearer secant root. Each point
+    updates whichever end its sign says.
     A step that does not halve the bracket (in log scale) is followed by a
     geometric bisection. Every ray stops on its own bracket, once the
     bracket, or the chord and secant roots, are within ``_HIT_RTOL``
-    relative to the hit distance or F at its inside end is within 4 eps T
-    of 0, T the sum of the magnitudes of F's terms there (``terms`` of the
-    body kind), which bounds F's rounding. So its root does not depend on
-    the other rays of the batch, nor on the other origins: each hit is
-    bitwise the one a call with its origin alone returns.
+    relative to the hit distance or F at either end of the bracket is finite
+    and within 4 eps T of 0, T the sum of the magnitudes of F's terms there
+    (``terms`` of the body kind), which bounds F's rounding. At the outside
+    end h that puts the root within 4 eps T / |F'| of h, and the hit, the
+    chord root through the two ends, in [l, root]. So its root does not
+    depend on the other rays of the batch, nor on the other origins: each
+    hit is bitwise the one a call with its origin alone returns.
 
     All directions must be non-recessive (guaranteed for bounded sections).
     Origins, directions and every batch of points are held coordinate-major,
@@ -741,7 +765,7 @@ def ray_hits_batch(body, origin, directions, guess=None):
         P = np.repeat(O.T, m // len(O), axis=1)  # the origin of each ray
         evals = np.zeros(m, dtype=int)  # points evaluated along each ray
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-            S = _bracket(body.defining, O, P, W, probes, guess is None, evals)
+            S = _bracket(body, O, P, W, probes, guess is None, evals)
             _solve(body, P, W, S, hits, evals)
         counts = evals.reshape(len(O), -1).sum(axis=1) + 1
     return hits, (counts if origin.ndim == 2 else int(counts[0]))
@@ -763,17 +787,19 @@ def _points(P, W, x):
     return (P[:, None] + x * W[:, None]).reshape(len(P), -1)
 
 
-def _bracket(F, O, P, W, probes, unguessed, evals):
+def _bracket(body, O, P, W, probes, unguessed, evals):
     """Evaluate the probes (ascending along each ray from its origin in P)
     and the origins O, then step every ray without an outside point out
     along the ladder, one F call a round, until it has one. P and W hold
     each ray's origin and direction as (d, rays) arrays.
 
     Unguessed rays bring the probes s ``_THIRDS``: a ray whose quadratic
-    gives a guess is probed around it in the next round, as a guessed ray
-    is in the first, and the others keep only their probe at s. Returns the
-    solver state; adds the points evaluated along each ray to ``evals``.
+    (fitted to the kind's ``quadric`` of F) gives a guess is probed around
+    it in the next round, as a guessed ray is in the first, and the others
+    keep only their probe at s. Returns the solver state; adds the points
+    evaluated along each ray to ``evals``.
     """
+    F = body.defining
     n, m = probes.shape
     f = F(np.concatenate([_points(P, W, probes), O.T], axis=1).T)
     if not np.all(f[n * m:] < 0.0):
@@ -784,7 +810,9 @@ def _bracket(F, O, P, W, probes, unguessed, evals):
     f = f[:n * m].reshape(n, m)
     climb, rest, fresh = np.arange(m), slice(None), []
     if unguessed:
-        g = _quadratic_guess(np.vstack((S[1, _L], f)), probes[0])
+        # the last local coordinate at the origin and at each probe
+        yd = P[-1] - body.translation[-1] + np.vstack((np.zeros(m), probes)) * W[-1]
+        g = _quadratic_guess(body._impl.quadric(np.vstack((S[1, _L], f)), yd), probes[0])
         quadratic = g > 0.0
         evals += n - 1
         probes, f = probes[-1:], f[-1:]
@@ -811,10 +839,10 @@ def _bracket(F, O, P, W, probes, unguessed, evals):
 
 
 def _quadratic_guess(f, step):
-    """The positive root of the quadratic through F at 0, step and 2 step
-    along each ray (the first three rows of f), where it predicts F at
-    3 step (f's last row) to within 64 eps times the sum of the four |F|;
-    NaN elsewhere."""
+    """The smallest positive root of the quadratic through f at 0, step and
+    2 step along each ray (the first three rows of f, f < 0 at 0), where it
+    predicts f at 3 step (f's last row) to within 64 eps times the sum of
+    the four |f|; NaN elsewhere."""
     f0, f1, f2, f3 = f
     exact = np.abs(f3 - 3.0 * f2 + 3.0 * f1 - f0) <= 64.0 * _EPS * np.abs(f).sum(axis=0)
     if not exact.any():
@@ -822,8 +850,9 @@ def _quadratic_guess(f, step):
     # in units of step the quadratic is a k^2 + b k + f0
     a = 0.5 * (f2 - 2.0 * f1 + f0)
     b = f1 - f0 - a
-    # f0 < 0, so the roots have opposite signs: each form of the positive one
-    # is free of cancellation on its own side of b = 0
+    # f0 < 0, so for a > 0 the roots have opposite signs, and for a < 0 both
+    # are positive (b > 0) or neither is: each form of the smallest positive
+    # one is free of cancellation on its own side of b = 0
     sq = np.sqrt(b * b - 4.0 * a * f0)
     g = step * np.where(b >= 0.0, -2.0 * f0 / (b + sq), (sq - b) / (2.0 * a))
     return np.where(exact & (g > 0.0) & np.isfinite(g * _GUESS_PROBES[-1]), g, np.nan)
@@ -879,10 +908,13 @@ def _solve(body, P, W, S, hits, evals):
         ok = (b > a) & (b < h)
         # the midpoint of [a, b] is then within _HIT_RTOL/8 of the root
         close = ok & (b <= (1.0 + 0.25 * _HIT_RTOL) * a)
-        # F at l rounds within a few eps T of its value, T the sum of the
-        # magnitudes of its terms: above -4 eps T, l is on the boundary up to
-        # rounding
-        flat = Fx[_L] >= -4.0 * _EPS * terms(Fx[_L], P[-1] + l * W[-1] - body.translation[-1])
+        # F at l and h rounds within a few eps T of its value, T the sum of
+        # the magnitudes of its terms: within 4 eps T of 0, and finite (exp's
+        # overflow reads T = inf), the end is on the boundary up to rounding
+        fe = Fx[_L:_H + 1]
+        T = terms(fe, P[-1] + X[_L:_H + 1] * W[-1] - body.translation[-1])
+        rounding = (np.abs(fe) <= 4.0 * _EPS * T) & np.isfinite(fe)
+        flat = rounding[0] | rounding[1]
         done = close | (l >= (1.0 - _HIT_RTOL) * h) | flat | noisy
         ratio = h / l
         X[1] = np.where(ok & (ratio <= last_sqrt_ratio), b,
@@ -902,7 +934,7 @@ def _solve(body, P, W, S, hits, evals):
             last_sqrt_ratio = last_sqrt_ratio[keep]
             cols = np.arange(rays.size)
         # this step's ray-sized temporaries, freed before F's batch
-        del z, a, b, ok, close, done, ratio
+        del z, a, b, ok, close, done, ratio, T, rounding, flat
         k = rays.size
         S[1, 0:2] = F(_points(P, W, S[0, 0:2]).T).reshape(2, k)
         inside = S[1, 0:2] <= 0.0

@@ -189,6 +189,45 @@ def test_paraboloid_3d_crossing_near_the_pole():
         assert abs(d - exact) <= 1e-13 * R
 
 
+@mpmath.workdps(60)
+def _parabola_shell(q, R, n_azimuth):
+    """Exact shell distance of y >= sum q_i x_i^2 on the scan's azimuths (2D:
+    both branches of y >= q x^2) against the ray point (0, .., R): each
+    crossing is at distance sqrt(2 R (R - z)) from it, with q_phi r^2 = z and
+    r^2 + z^2 = R^2, q_phi the form on the unit horizontal of azimuth phi."""
+    R = mpmath.mpf(R)
+    if len(q) == 1:
+        forms = [mpmath.mpf(q[0])]
+    else:
+        phi = [2 * mpmath.pi * k / n_azimuth for k in range(n_azimuth)]
+        forms = [q[0] * mpmath.cos(p) ** 2 + q[1] * mpmath.sin(p) ** 2 for p in phi]
+    gaps = []
+    for qf in forms:
+        z = (mpmath.sqrt(1 / qf ** 2 + 4 * R * R) - 1 / qf) / 2
+        gaps.append(mpmath.sqrt(2 * R * (R - z)))
+    # the cone's one point: the body's farthest crossing, and its nearest
+    return float(max(max(gaps), min(gaps)))
+
+
+@pytest.mark.parametrize("body", [paraboloid_epigraph([1.0, 0.7]), function_epigraph("square")],
+                         ids=["paraboloid", "parabola"])
+def test_parabolas_answer_at_radii_past_the_axis_samples_rounding(body):
+    # from R ~ 1e33 the crossing is nearer the axis than cos(pi/2) R = 6e-17 R:
+    # the scan's axis samples must be exact for F to change sign on each arc
+    q = [1.0, 0.7] if body.ambient_dim == 3 else [1.0]
+    cone = body.recession_cone()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for R in (1e33, 1e100, 1e150):
+            res = shell_distance(body, cone, R, n_azimuth=8)
+            assert abs(res.d_asym - _parabola_shell(q, R, 8)) <= res.err
+            assert res.d_blowdown == res.d_asym / R
+            assert 0.0 <= blowdown_check(body, R, n_azimuth=8) <= res.err / R
+            pts = body_shell_points(body, R, n_azimuth=8)
+            assert len(pts) == (2 if body.ambient_dim == 2 else 8)
+            assert np.all(body.defining(pts) <= 0.0)
+
+
 @pytest.mark.parametrize("R", [math.nan, math.inf, -math.inf, 0.0, -100.0])
 @pytest.mark.parametrize("h", [hyperboloid_sheet([1.0]), hyperboloid_sheet([1.0, 1.0])],
                          ids=["2d", "3d"])
@@ -237,7 +276,11 @@ def _row_major_arcs(dim, n_azimuth):
         phi = 2.0 * math.pi * np.arange(n_azimuth) / n_azimuth
         e1 = np.stack([np.cos(phi), np.sin(phi), np.zeros(n_azimuth)], axis=-1)[:, None, :]
         e2 = np.array([0.0, 0.0, 1.0])
-    c, s = np.cos(a)[:, None], np.sin(a)[:, None]
+    c, s = np.cos(a), np.sin(a)
+    # the samples at multiples of pi/2 are exact axis points
+    c[np.abs(c) < 1e-15] = 0.0
+    s[np.abs(s) < 1e-15] = 0.0
+    c, s = c[:, None], s[:, None]
     return c * e1 + s * e2, c * e2 - s * e1, step
 
 
@@ -262,11 +305,28 @@ def test_arcs_are_cached_read_only(dim):
             arr[0, 0, 0] = 0.0
 
 
-def test_shell_scan_hands_f_one_coordinate_major_batch(monkeypatch):
+def _scan_and_rounds(batches):
+    """The scan's batches, (arcs, samples, dim), and the solver's, (points,
+    dim), of one body_shell_points call; the scan's must all come first."""
+    scan = [x for x in batches if x.ndim == 3]
+    assert all(x.ndim == 3 for x in batches[:len(scan)])
+    return scan, batches[len(scan):]
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_shell_scan_hands_f_coordinate_major_batches_that_cover_the_grid(monkeypatch, dim):
+    # whole arcs per call, each batch coordinate-major and under glibc's
+    # 128 KB mmap threshold, and together the whole grid in order
+    body = hyperboloid_sheet(np.ones(dim - 1) + 0.4 * np.arange(dim - 1))
     batches = record_defining(monkeypatch)
-    body_shell_points(hyperboloid_sheet([1.0, 1.4]), 100.0, n_azimuth=96)
-    assert batches[0].shape == (96, asymptotics._N_SCAN_MERIDIAN, 3)
-    assert coordinate_major(batches[0])
+    body_shell_points(body, 100.0, n_azimuth=96)
+    scan, _ = _scan_and_rounds(batches)
+    U, _, _ = asymptotics._arcs(dim, 96)
+    assert all(coordinate_major(x) and x.nbytes < 128 * 1024 for x in scan)
+    assert all(x.shape[1:] == U.shape[1:] for x in scan)
+    assert np.array_equal(np.concatenate(scan), 100.0 * U)
+    # the 2D circle is one call; 96 meridians of 192 samples take five
+    assert len(scan) == (1 if dim == 2 else 5)
 
 
 # the shell tests' bodies and the benchmark pools' bodies, with radii of both
@@ -336,10 +396,11 @@ def test_shell_solver_budget(monkeypatch, body, R):
     # the scan, then at most 16 solver rounds (56 bisection steps before)
     batches = record_defining(monkeypatch)
     body_shell_points(body, R, n_azimuth=96)
-    assert 2 <= len(batches) <= 1 + 16
+    _, rounds = _scan_and_rounds(batches)
+    assert 1 <= len(rounds) <= 16
     assert all(coordinate_major(x) for x in batches)
     # brackets leave the batch once done
-    assert batches[-1].shape[0] < batches[1].shape[0]
+    assert rounds[-1].shape[0] < rounds[0].shape[0]
 
 
 def test_shell_solver_meets_infinite_f():
@@ -360,7 +421,8 @@ def test_shell_solver_round_cap_returns_inside_ends(monkeypatch, body, R):
     monkeypatch.setattr(asymptotics, "_N_POLISH", 2)
     batches = record_defining(monkeypatch)
     pts = body_shell_points(body, R, n_azimuth=96)
-    assert len(batches) == 1 + 2
+    _, rounds = _scan_and_rounds(batches)
+    assert len(rounds) == 2
     # on the sphere, inside, and within the bracket's arc of the crossing
     _, _, step = asymptotics._arcs(body.ambient_dim, 96)
     ref = shell_points_bisection(body, R, n_azimuth=96)

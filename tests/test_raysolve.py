@@ -9,6 +9,7 @@ import pytest
 from ccgeom import (
     BodySpec,
     admissible_levels,
+    circular_cone,
     cut_gradient,
     ellipsoid,
     function_epigraph,
@@ -25,6 +26,8 @@ from ccgeom.bodies import ray_hits_batch
 from ccgeom.errors import GeometryError, NotInterior
 
 from test_bodies import CATALOG
+
+EPS = np.finfo(float).eps
 
 
 def _directions(n, seed, dim=3):
@@ -72,6 +75,18 @@ def _hyperboloid_hit(axes, o, w):
     a = w[-1] ** 2 - sum(ki * wi * wi for ki, wi in zip(k, w))
     b = 2 * o[-1] * w[-1] - sum(2 * ki * oi * wi for ki, oi, wi in zip(k, o, w))
     c = o[-1] ** 2 - sum(ki * oi * oi for ki, oi in zip(k, o)) - 1
+    return _exit_root(a, b, c, o[-1], w[-1])
+
+
+@mpmath.workdps(40)
+def _cone_hit(k, o, w):
+    # k |x'| = z on the cone, i.e. k^2 |x'|^2 - z^2 = 0, z > 0
+    o = [mpmath.mpf(float(v)) for v in o]
+    w = [mpmath.mpf(float(v)) for v in w]
+    k2 = mpmath.mpf(float(k)) ** 2
+    a = k2 * sum(wi * wi for wi in w[:-1]) - w[-1] ** 2
+    b = 2 * k2 * sum(oi * wi for oi, wi in zip(o, w[:-1])) - 2 * o[-1] * w[-1]
+    c = k2 * sum(oi * oi for oi in o[:-1]) - o[-1] ** 2
     return _exit_root(a, b, c, o[-1], w[-1])
 
 
@@ -125,6 +140,65 @@ def test_hyperboloid_sheet_hits_match_closed_form():
     # directions inside the recession cone never leave the body
     w = w[w[:, 2] < 0.9 * np.linalg.norm(w[:, :2] / axes, axis=1)]
     _assert_hits(body, o, w, [_hyperboloid_hit(axes, o, d) for d in w])
+
+
+def _sheet_and_cone_rays():
+    """(body, origin, directions, mpmath roots) on hyperboloid sheets and
+    circular cones in 2D and 3D. The directions avoid the recession cone by
+    a margin; 20 or more point steeply down, inside the lower nappe of
+    the asymptotic cone, where G = F (F + 2 y_d) has two positive roots
+    along the ray: it leaves the upper sheet, then meets the lower one."""
+    cases = []
+    for body, o in ((hyperboloid_sheet([1.0]), np.array([0.3, 2.0])),
+                    (hyperboloid_sheet([1.0, 1.4]), np.array([0.2, 0.1, 3.0])),
+                    (circular_cone(0.7), np.array([0.1, 2.0])),
+                    (circular_cone(1.3, dim=3), np.array([0.1, -0.2, 2.0]))):
+        dim = body.ambient_dim
+        if body.kind == "circular-cone":
+            axes, hit = np.full(dim - 1, 1.0 / body.params[0]), _cone_hit
+            args = (body.params[0],)
+        else:
+            axes, hit, args = np.array(body.params), _hyperboloid_hit, (body.params,)
+        w = _directions(300, 11, dim)
+        slope = w[:, -1] / np.linalg.norm(w[:, :-1] / axes, axis=1)
+        w = w[slope < 0.9]
+        cases.append((body, o, w, [hit(*args, o, d) for d in w], slope[slope < 0.9] < -1.0))
+    return cases
+
+
+@pytest.mark.parametrize("body, o, w, exact, steep", _sheet_and_cone_rays(),
+                         ids=["hyperbola", "sheet", "cone-2d", "cone-3d"])
+def test_sheet_and_cone_hits_match_closed_form_in_two_calls(monkeypatch, body, o, w, exact,
+                                                              steep):
+    # G is a quadratic along every ray, so its smallest positive root guesses
+    # each unguessed ray in the probe round, also where G opens downward, and
+    # the guess's probes end it in the next
+    assert steep.sum() >= 20 and not steep.all()
+    batches = record_defining(monkeypatch)
+    hits, _ = ray_hits_batch(body, o, w)
+    assert len(batches) == 2
+    _assert_rel(hits, exact)
+    _assert_hits(body, o, w, exact)
+
+
+def test_guess_good_to_rounding_ends_with_both_inner_probes_outside(monkeypatch):
+    # a chord of the disk at (0, 3), 0.006 long: the quadratic's guess is
+    # within F's rounding of the root, but both inner probes read F >= 0, so
+    # the ray ends on its outside end, inner probe g (1 - 2^-41), whose F is
+    # within 4 eps T of 0: the probe round and the guess's, two calls
+    body = ellipsoid([1.0, 1.0], center=[0.0, 3.0])
+    o = np.array([-0.1104771985567295, 2.0061405279327884])
+    w = np.array([[0.9938784247051028, -0.11047930532775527]])
+    batches = record_defining(monkeypatch)
+    [hit], _ = ray_hits_batch(body, o, w)
+    assert len(batches) == 2
+    f = body.defining(batches[1][:4])
+    assert f[0] < 0.0 <= f[1] and f[2] >= 0.0
+    root = float(_ellipsoid_hit(np.ones(2), body.translation, o, w[0]))
+    p = o + root * w[0]
+    T = float(body.defining(p)) + 2.0
+    slope = abs(body.defining_gradient(p) @ w[0])
+    assert abs(hit - root) <= 4.0 * EPS * T / slope
 
 
 def test_root_does_not_depend_on_the_batch():

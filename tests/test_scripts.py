@@ -3,6 +3,7 @@ the digest behind every "numbers unchanged" claim and the F-round counter,
 on results and sections made up here rather than a workload pool."""
 import dataclasses
 import importlib.util
+import mmap
 import re
 import subprocess
 import sys
@@ -152,6 +153,26 @@ def test_ray_rounds_counts_the_levels_of_each_cut_volume(ray_rounds):
         "  section levels 227 over 13 cut volumes",
         "    cut_volume: 1 calls, 1 volumes, 15 levels, 15.00 per volume, 15.00 per call",
         "    cut_gradient: 2 calls, 12 volumes, 212 levels, 17.67 per volume, 106.00 per call"]
+
+
+def test_ray_rounds_counts_the_page_faults_of_each_op(ray_rounds):
+    # an op that writes to each page of a fresh 1 MB anonymous map faults
+    # them in; an op that allocates nothing faults none of them in
+    def touch():
+        with mmap.mmap(-1, 1 << 20) as pages:
+            for i in range(0, len(pages), mmap.PAGESIZE):
+                pages[i] = 1
+
+    counts = ray_rounds.Counts()
+    pool = [_op("touch", None), _op("idle", None)]
+    pool[0].call = touch
+    ray_rounds.run_pool(pool, counts)
+    assert counts.ops == {"touch": 1, "idle": 1}
+    assert len(counts.faults) == 2 and counts.faults[0] >= 1
+    assert counts.faults[1] < counts.faults[0]
+    counts.faults = [0, 3, 5]
+    assert "  minor page faults per op: median 3, mean 2.7 (max 5) over 3 ops" in (
+        ray_rounds.report("shell-3d", 1, 3, counts).splitlines())
 
 
 def test_ray_rounds_labels_a_body_by_what_sets_it_apart(ray_rounds):
