@@ -12,9 +12,10 @@ outside the library, as ``op_digest.py`` runs them. An F-round is one
 one of three kinds:
 
 - unguessed: a 3D section's centring rays, a 2D chord, a gauge ray;
-- first polar: the first guessed batch of a 3D section's polar rule, its
-  radii guessed from the section's conic;
-- refinement: the later guessed batches, guessed by interpolation.
+- first polar: the first guessed batch of a 3D section's polar rule, cast
+  in its guide ellipse's angle with every radius guessed at 1;
+- refinement: the later guessed batches, guessed by interpolation, and
+  the 128-ray grid of a ``section_diameter`` call, cast outside any rule.
 
 For each workload it prints the ``ray_hits_batch`` calls and rays, the
 F-rounds per call of each kind (mean and max, and its number of calls),
@@ -27,7 +28,10 @@ cached arcs, does not move, the mean and the max). For each op that
 integrates cut volumes it prints its calls, the volumes they integrate (one
 ``quad`` integral each), the section levels they take (each a node of a
 volume's quadrature rule, or a gradient's cut plane) and the levels per
-volume and per call.
+volume and per call. For the 3D section levels of the polar rule it
+prints the rays per level of the first polar batch (the rule's first
+nodes), the polar rays per level over all its guessed batches (diameter
+grids included), and how many levels were refined past the first batch.
 """
 import argparse
 import resource
@@ -47,7 +51,11 @@ class Counts:
     F-rounds of each ray batch of that kind, ``unguessed[body]`` those of
     each unguessed batch on the body of that label; ``ops``, ``volumes`` and
     ``levels`` count the calls, cut volumes and section levels of each op
-    name ``op``; ``faults`` lists the minor page faults of each op."""
+    name ``op``; ``faults`` lists the minor page faults of each op;
+    ``polar_levels``, ``polar_rays`` and ``refined`` count the 3D levels of
+    the polar rule, the rays of its guessed batches and the levels refined
+    past its first batch, and ``first_nodes`` lists the rays per level of
+    each first polar batch."""
 
     def __init__(self):
         self.op = None  # the name of the op that runs
@@ -60,7 +68,11 @@ class Counts:
         self.rounds = defaultdict(list)
         self.unguessed = defaultdict(list)
         self.faults = []
-        self.first = False  # the next guessed batch is a section's first
+        self.polar_levels = 0
+        self.polar_rays = 0
+        self.refined = 0
+        self.first_nodes = []
+        self.guessed = None  # guessed batches of the running polar rule so far
 
 
 def label(body):
@@ -102,17 +114,29 @@ def install(ccgeom, counts):
                 kind = "unguessed"
                 counts.unguessed[label(body)].append(rounds)
             else:
-                kind = "first polar" if counts.first else "refinement"
-                counts.first = False
+                kind = "first polar" if counts.guessed == 0 else "refinement"
+                if counts.guessed == 0:
+                    # the levels' diameter grids come as more groups of as many rays
+                    counts.first_nodes.append(len(directions) // len(origin))
+                elif counts.guessed == 1:
+                    counts.refined += len(origin)
+                if counts.guessed is not None:
+                    counts.guessed += 1
+                    counts.polar_rays += len(directions)
             counts.rounds[kind].append(rounds)
             counts.rays += len(directions)
             return out
         return counted
 
     def polar_sections(orig):
-        def counted(*args, **kwargs):
-            counts.first = True
-            return orig(*args, **kwargs)
+        def counted(body, anchors, *args, **kwargs):
+            counts.guessed = 0
+            if anchors.shape[1] == 3:
+                counts.polar_levels += len(anchors)
+            try:
+                return orig(body, anchors, *args, **kwargs)
+            finally:
+                counts.guessed = None
         return counted
 
     def quad(orig):
@@ -161,6 +185,12 @@ def report(name, seed, n_ops, counts):
         f = counts.faults
         lines.append(f"  minor page faults per op: median {np.median(f):g}, "
                      f"mean {np.mean(f):.1f} (max {max(f)}) over {len(f)} ops")
+    if counts.polar_levels:
+        nodes = sorted(set(counts.first_nodes))
+        lines.append(f"  polar rays per 3D section level: {'/'.join(map(str, nodes))} in the "
+                     f"first batch, {counts.polar_rays / counts.polar_levels:.2f} in all over "
+                     f"{counts.polar_levels:,} levels; {counts.refined} levels refined "
+                     f"past the first batch")
     volumes = {op: n for op, n in counts.volumes.items() if n}
     if volumes:
         lines.append(f"  section levels {sum(counts.levels.values()):,} over "

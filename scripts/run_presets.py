@@ -7,8 +7,11 @@ With ``--out DIR`` each preset writes its rows.csv and report.json to DIR/NAME/.
 The exit code is the worst run's. One preset alone is ``ccgeom COMMAND --preset NAME``.
 """
 import argparse
+import sys
+from pathlib import Path
 
-from ccgeom.cli import PRESETS, main
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+from ccgeom.cli import PRESETS, main  # noqa: E402  (this checkout's, installed or not)
 
 if __name__ == "__main__":
     ap = argparse.ArgumentParser(usage="run_presets.py COMMAND [--out DIR] [flags]")

@@ -7,12 +7,13 @@ chord's midpoint as centroid. In 3D the anchor casts four chords, along
 the plane's basis vectors and their diagonals. The bodies of the paper are
 quadrics, whose bounded plane sections are ellipses: where the conic
 through the eight hits is one, the anchor moves to its centre (the
-section's centroid) and the first polar radii are guessed from it, to
-rounding; elsewhere the anchor moves to the chords' mean midpoint. 3D
-sections are integrated in polar coordinates around the centred anchor
-with a fixed node-doubling refinement schedule, so results are
-deterministic for a given tolerance. ``n_evals`` counts the points at
-which the body's defining function was evaluated, in 2D and 3D.
+section's centroid) and the conic guides the polar rule; elsewhere the
+anchor moves to the chords' mean midpoint. 3D sections are integrated in
+polar coordinates around the centred anchor, in the guide ellipse's own
+angle, where a quadric's radii are all 1 to rounding, with a fixed
+node-doubling refinement schedule, so results are deterministic for a
+given tolerance. ``n_evals`` counts the points at which the body's
+defining function was evaluated, in 2D and 3D.
 
 One kernel does this for a whole array of levels at once, each with its
 own normal and tolerance: one ray batch centres every level (two rays
@@ -21,16 +22,11 @@ the levels still short of their tolerance. Anchors and plane bases are
 built once per distinct normal. The root-finder solves every ray on its
 own, so each level comes out bitwise as it would alone. Each level asks
 for its first moments (the centroid) and its diameter apart, so sections
-that need them ride in the batches of sections that do not.
-The kernel alone decides grazing: a level whose anchor is not strictly
-inside the body scores measure 0 and False in its ``inside`` mask, and the
-other levels of its batch come out as they would alone.
-``section_measure`` answers that 0, so it is defined at every finite level
-and cut volumes integrate it up to the support levels. ``section_stats``
-and ``section_diameter`` refuse a level outside ``admissible_levels``
-(``LevelOutOfRange``), as an empty section has no centroid or diameter, and
-``section_stats`` raises ``DegenerateSection`` from the mask.
-``section_stats`` and ``section_measure`` take a number or a 1-D array of
+that need them ride in the batches of sections that do not. The kernel
+alone decides grazing (see ``_sections``): ``section_measure`` answers 0
+at a grazing or empty level, so cut volumes integrate it up to the
+support levels, while ``section_stats`` and ``section_diameter`` refuse
+it. ``section_stats`` and ``section_measure`` take a number or a 1-D array of
 levels; ``section_measure`` also takes one normal and one tolerance per
 level, so that the sections of several cuts share their batches. Every
 tolerance must lie in (0, 1).
@@ -52,8 +48,8 @@ from .errors import (
 
 DEFAULT_RTOL = 1e-8
 _MAX_POLAR_NODES = 16384
-_FIRST_NODES = 64  # the first polar batch, per level
-_DIAMETER_NODES = 2 * _FIRST_NODES  # its even nodes are those of the first batch
+_FIRST_NODES = 16  # the first polar batch, per level
+_DIAMETER_NODES = 128  # every 8th node is one of the first batch's
 _SQRT_HALF = math.sqrt(0.5)
 # the centring rays of a 3D section, (cos, sin) of the angles k pi/4 in its
 # plane, k = 0..7: rays k and k + 4 are opposite
@@ -201,16 +197,6 @@ def _polar_radii(body, anchors, dirs, guess):
     return r.reshape(len(anchors), -1), n_evals
 
 
-def _ellipse_radii(form, n_nodes):
-    """Radii at the polar nodes 2*pi*k/n_nodes of the ellipses
-    a x^2 + b x y + c y^2 = 1 in the (e1, e2) coordinates of their planes,
-    form = (a, b, c) of arrays (one row per entry)."""
-    theta = 2.0 * math.pi * np.arange(n_nodes) / n_nodes
-    cos, sin = np.cos(theta), np.sin(theta)
-    a, b, c = (f[:, None] for f in form)
-    return 1.0 / np.sqrt(a * (cos * cos) + b * (cos * sin) + c * (sin * sin))
-
-
 def _refine_radii(r):
     """Guesses for the radii at the midpoints between n polar nodes, per row.
 
@@ -221,24 +207,28 @@ def _refine_radii(r):
     return np.where(g > 0.0, g, 0.5 * (r + np.roll(r, -1, axis=-1)))
 
 
-def _polar_rule(r, moments):
+def _polar_rule(r, moments, jac, axes):
     """Measure and first moments of the periodic trapezoid rule on the radii
-    of each row of r; the moments of the rows in the mask moments, 0 for
-    the others."""
+    of each row of r, cast along cos t g1 + sin t g2: axes holds g1 and g2
+    per row in (e1, e2) coordinates, (rows, 2, 2), and jac is |g1 x g2|.
+    The moments, in (e1, e2), of the rows in the mask moments, 0 for the
+    others."""
     n = r.shape[-1]
-    measure = np.sum(r ** 2, axis=-1) * math.pi / n
+    measure = jac * np.sum(r ** 2, axis=-1) * math.pi / n
     theta = 2.0 * math.pi * np.arange(n) / n
     rows = r[moments]
+    c = np.sum(rows ** 3 * np.cos(theta), axis=-1) * (2.0 * math.pi / n) / 3.0
+    s = np.sum(rows ** 3 * np.sin(theta), axis=-1) * (2.0 * math.pi / n) / 3.0
     m = np.zeros((2, len(measure)))
-    m[0, moments] = np.sum(rows ** 3 * np.cos(theta), axis=-1) * (2.0 * math.pi / n) / 3.0
-    m[1, moments] = np.sum(rows ** 3 * np.sin(theta), axis=-1) * (2.0 * math.pi / n) / 3.0
+    m[:, moments] = jac[moments] * (c * axes[moments, 0].T + s * axes[moments, 1].T)
     return measure, m[0], m[1]
 
 
-def _widest(r):
-    """Diameter estimate per row of polar radii: the max of opposite-radius sums."""
-    n = r.shape[-1]
-    return np.max(r[:, : n // 2] + r[:, n // 2:], axis=-1)
+def _widest(r, dirs):
+    """Diameter estimate per row of radii r along dirs, (d, rows, nodes):
+    the longest chord through opposite nodes."""
+    h = r.shape[-1] // 2
+    return np.max((r[:, :h] + r[:, h:]) * np.linalg.norm(dirs[:, :, :h], axis=0), axis=-1)
 
 
 def _section_conics(r):
@@ -293,8 +283,9 @@ def _centred_sections(body, normals, which, ts):
     and the guide ellipse has the e1 and e2 chords' half-lengths as
     semi-axes. Returns the centred anchors, the plane basis (one (L, d)
     array of rows per basis vector), the guide (in 2D the chords'
-    half-lengths, in 3D the form (a, b, c) of the ellipse about each anchor
-    that guesses its first polar radii, see ``_ellipse_radii``) and the
+    half-lengths, in 3D the rows g1 = e1/sqrt(a), g2 = (e2 - (b/2a) e1) /
+    sqrt(c - b^2/4a) of the Cholesky factor of its ellipse a x^2 + b x y +
+    c y^2 = 1 about the anchor, which map the unit circle onto it) and the
     oracle points spent per level. A cone that meets the plane (within
     rounding, as ``section_bounded`` decides it) means unbounded sections;
     an anchor that is not strictly inside means a level grazes the body.
@@ -332,7 +323,10 @@ def _centred_sections(body, normals, which, ts):
         form[1][no] = 0.0
         form[2][no] = 4.0 / (r[no, 2] + r[no, 6]) ** 2
     anchors = anchors + x[:, None] * basis[0] + y[:, None] * basis[1]
-    return anchors, basis, form, n_evals
+    a, b, c = form
+    g1 = basis[0] / np.sqrt(a)[:, None]
+    g2 = (basis[1] - (0.5 * b / a)[:, None] * basis[0]) / np.sqrt(c - 0.25 * b * b / a)[:, None]
+    return anchors, basis, (g1, g2), n_evals
 
 
 def _polar_sections(body, anchors, basis, guide, rtol, moments, wide):
@@ -344,42 +338,47 @@ def _polar_sections(body, anchors, basis, guide, rtol, moments, wide):
     index array). moments is a mask of the levels whose centroid is
     wanted; the others keep the anchor as centroid and stop on the measure
     alone.  A 2D section is its centring chord: the anchor is its midpoint
-    and centroid, and its length the measure and the diameter.  In 3D the
-    polar rules are nested: the first batch of ``_FIRST_NODES`` rays per
-    level is compared with its subrule at every other node, and each
-    doubling casts only the new midpoint rays of the levels still short of
-    rtol, started from guesses interpolated from the radii so far (the first
-    batch from the guide ellipse of ``_centred_sections``).  A level still
-    short at ``_MAX_POLAR_NODES`` stops there unconverged.  A level in wide
-    adds the odd nodes of its ``_DIAMETER_NODES`` grid to the first batch,
-    as one more group of rays from its anchor, and its diameter is taken on
-    all of that grid, bitwise as ``section_diameter`` takes it; those rays'
-    points are not counted in its oracle points.
+    and centroid, and its length the measure and the diameter.  In 3D node
+    t casts its ray along cos t g1 + sin t g2 (the guide of
+    ``_centred_sections``) with guess 1, a quadric's hits to rounding; the
+    sums are scaled by |g1 x g2| and the moments mapped back to (e1, e2)
+    before their gap is tested. The rules are nested: the first batch of
+    ``_FIRST_NODES`` rays per level is compared with its subrule at every
+    other node, and each doubling casts only the new midpoint rays of the
+    levels still short of rtol, guessed by interpolating the radii so far.
+    A level still short at ``_MAX_POLAR_NODES`` stops there unconverged.
+    A level in wide adds the other nodes of its ``_DIAMETER_NODES`` grid
+    (the first batch holds every 8th) as more groups of rays from its
+    anchor, whose points are not counted, and its diameter is taken on that
+    grid, bitwise as ``section_diameter`` takes it.
     """
     if len(basis) == 1:
         measure = 2.0 * guide
         converged = np.ones(len(anchors), dtype=bool)
         return measure, anchors, 1e-12 * measure, 0, converged, measure[wide]
-    e1, e2 = basis
+    (e1, e2), (g1, g2) = basis, guide
+    axes = np.stack([np.stack([np.sum(g * e, axis=1) for e in basis], axis=1) for g in guide], axis=1)
+    jac = np.abs(axes[:, 0, 0] * axes[:, 1, 1] - axes[:, 0, 1] * axes[:, 1, 0])
     n, n_levels = _FIRST_NODES, len(anchors)
-    dirs, guess, origins = _polar_dirs(e1, e2, n), _ellipse_radii(guide, n), anchors
-    if len(wide):
-        odd = np.arange(1, _DIAMETER_NODES, 2)
-        dirs = np.concatenate((dirs, _polar_dirs(e1[wide], e2[wide], _DIAMETER_NODES, odd)), axis=1)
-        wide_guess = _ellipse_radii([f[wide] for f in guide], _DIAMETER_NODES)[:, odd]
-        guess = np.concatenate((guess, wide_guess))
-        origins = np.concatenate((anchors, anchors[wide]))
-    r, n_evals = _polar_radii(body, origins, dirs, guess)
-    diameter = np.zeros(0)
-    if len(wide):
-        diameter = _widest(np.stack([r[wide], r[n_levels:]], axis=2).reshape(len(wide), -1))
+    # the first batch holds every step-th node of the diameter grid, and the
+    # levels in wide cast its other nodes in step - 1 more groups of rays
+    step = _DIAMETER_NODES // n
+    grid = _polar_dirs(g1[wide], g2[wide], _DIAMETER_NODES)
+    rest = np.flatnonzero(np.arange(_DIAMETER_NODES) % step)
+    dirs = np.concatenate((_polar_dirs(g1, g2, n),
+                           grid[:, :, rest].reshape(len(grid), len(wide) * (step - 1), n)), axis=1)
+    origins = np.concatenate((anchors, np.repeat(anchors[wide], step - 1, axis=0)))
+    r, n_evals = _polar_radii(body, origins, dirs, np.ones(dirs[0].size))
+    full = np.empty((len(wide), _DIAMETER_NODES))
+    full[:, ::step], full[:, rest] = r[wide], r[n_levels:].reshape(len(wide), len(rest))
+    diameter = _widest(full, grid)
     r, n_evals = r[:n_levels], n_evals[:n_levels]
     measure, err = np.empty(n_levels), np.empty(n_levels)
     centroid, converged = np.empty_like(anchors), np.zeros(n_levels, dtype=bool)
-    prev = _polar_rule(r[:, ::2], moments)
+    prev = _polar_rule(r[:, ::2], moments, jac, axes)
     todo = np.arange(n_levels)  # levels still refining
     while True:
-        mu, m1, m2 = _polar_rule(r, moments)
+        mu, m1, m2 = _polar_rule(r, moments, jac[todo], axes[todo])
         gap = np.abs(mu - prev[0])
         # math.hypot level by level: np.hypot can differ from it in the last
         # bit, and the stopping test must not depend on the batch
@@ -405,7 +404,7 @@ def _polar_sections(body, anchors, basis, guide, rtol, moments, wide):
             moments = moments[keep]
         prev = (mu, m1, m2)
         mid, k = _polar_radii(body, anchors[todo],
-                              _polar_dirs(e1[todo], e2[todo], 2 * n, np.arange(1, 2 * n, 2)),
+                              _polar_dirs(g1[todo], g2[todo], 2 * n, np.arange(1, 2 * n, 2)),
                               _refine_radii(r))
         n_evals[todo] += k
         r = np.stack([r, mid], axis=2).reshape(len(todo), -1)
@@ -520,10 +519,11 @@ def section_measure(body, u, t, rtol=DEFAULT_RTOL):
 
 
 def section_diameter(body, u, t) -> float:
-    """Diameter estimate of the section (max of opposite-radius sums) at
-    one level, which must lie inside ``admissible_levels`` as for
-    ``section_stats`` (else ``LevelOutOfRange``): an empty section has no
-    diameter, though ``section_measure`` gives it measure 0."""
+    """Diameter estimate of the section at one level (inside
+    ``admissible_levels`` as for ``section_stats``, else ``LevelOutOfRange``):
+    the longest chord through its anchor on a 128-node grid in the guide's
+    angle. A quadric's chords are then diameters of its ellipse, at most
+    (1 - (b/a)^2) (pi/128)^2 / 2 short of the major axis 2a, relative."""
     normals, which, ts, scalar = _planes(u, t)
     if not scalar:
         raise ValueError("section_diameter takes one level")
@@ -531,6 +531,6 @@ def section_diameter(body, u, t) -> float:
     anchors, basis, guide, _ = _centred_sections(body, normals, which, ts)
     if len(basis) == 1:
         return float(2.0 * guide[0])
-    n = _DIAMETER_NODES
-    r = _polar_radii(body, anchors, _polar_dirs(*basis, n), _ellipse_radii(guide, n))[0]
-    return float(_widest(r)[0])
+    dirs = _polar_dirs(*guide, _DIAMETER_NODES)
+    r = _polar_radii(body, anchors, dirs, np.ones(_DIAMETER_NODES))[0]
+    return float(_widest(r, dirs)[0])

@@ -228,6 +228,38 @@ def test_parabolas_answer_at_radii_past_the_axis_samples_rounding(body):
             assert np.all(body.defining(pts) <= 0.0)
 
 
+LOW_RADII_BODIES = [hyperboloid_sheet([1.0], shift=[50.0, 0.0]), hyperboloid_sheet([1.0, 1.4]),
+                    function_epigraph("exp"), paraboloid_epigraph([1.0, 0.7], shift=[0.0, 0.0, 1.0])]
+
+
+@pytest.mark.parametrize("body", LOW_RADII_BODIES, ids=["sheet-2d", "sheet-3d", "exp", "paraboloid"])
+def test_every_shell_entry_answers_at_low_radii(body):
+    # shell_distance's threshold 10 (|translation| + 1), one ulp either side of
+    # it, and radii that underflow the scan: each entry gives a finite value,
+    # EmptyShellIntersection or a ValueError naming R, and never warns
+    low = 10.0 * (float(np.linalg.norm(body.translation)) + 1.0)
+    cone = body.recession_cone()
+    entries = {"shell_distance": lambda R: shell_distance(body, cone, R, n_azimuth=8).d_asym,
+               "blowdown_check": lambda R: blowdown_check(body, R, n_azimuth=8),
+               "body_shell_points": lambda R: body_shell_points(body, R, n_azimuth=8)}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for R in (low, math.nextafter(low, 0.0), math.nextafter(low, math.inf), 1e-300, 5e-324):
+            for name, call in entries.items():
+                try:
+                    value = call(R)
+                except EmptyShellIntersection:
+                    continue
+                except ValueError as e:
+                    assert re.search(rf"\bR\b|radius {re.escape(repr(R))}", str(e)), (name, R, e)
+                    continue
+                assert np.size(value) and np.all(np.isfinite(value)), (name, R)
+        # the threshold itself is the first radius shell_distance takes
+        assert math.isfinite(entries["shell_distance"](low))
+        with pytest.raises(ValueError, match="R must be at least"):
+            entries["shell_distance"](math.nextafter(low, 0.0))
+
+
 @pytest.mark.parametrize("R", [math.nan, math.inf, -math.inf, 0.0, -100.0])
 @pytest.mark.parametrize("h", [hyperboloid_sheet([1.0]), hyperboloid_sheet([1.0, 1.0])],
                          ids=["2d", "3d"])

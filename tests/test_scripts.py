@@ -155,6 +155,39 @@ def test_ray_rounds_counts_the_levels_of_each_cut_volume(ray_rounds):
         "    cut_gradient: 2 calls, 12 volumes, 212 levels, 17.67 per volume, 106.00 per call"]
 
 
+def test_ray_rounds_counts_the_polar_rays_of_each_3d_level(ray_rounds):
+    # two quadric levels meet rtol on the 16 rays of their first batch; a
+    # p = 4 superellipsoid level is refined past it; a gradient's cut plane
+    # adds the other 112 nodes of its diameter grid as 7 more groups of 16
+    counts = ray_rounds.Counts()
+    uninstall = ray_rounds.install(ccgeom, counts)
+    u = np.array([0.3, -0.2, 0.93]) / np.linalg.norm([0.3, -0.2, 0.93])
+    try:
+        section_stats(ellipsoid([1.3, 0.8, 1.0], center=[0.2, -0.1, 0.4]), u, np.array([0.2, 0.3]))
+        assert (counts.polar_levels, counts.polar_rays, counts.refined) == (2, 32, 0)
+        section_stats(ccgeom.superellipsoid(4.0, dim=3), u, 0.25)
+        assert (counts.polar_levels, counts.refined) == (3, 1)
+        assert counts.polar_rays > 48 + 16
+        # a section_diameter grid is cast outside any polar rule
+        before = counts.polar_rays
+        sections.section_diameter(ccgeom.unit_sphere(), u, 0.3)
+        assert (counts.polar_levels, counts.polar_rays, counts.refined) == (3, before, 1)
+        counts.op = "cut_gradient"
+        counts.ops["cut_gradient"] += 1
+        ccgeom.cut_gradient(ccgeom.unit_sphere([0.0, 0.0, 3.0]), [0.05, 0.1, 0.4])
+    finally:
+        uninstall()
+    # 7 volumes of 15 levels and the cut plane, each 16 rays, and 112 more
+    assert counts.polar_levels == 3 + 7 * 15 + 1
+    assert counts.polar_rays - before == (7 * 15 + 1) * 16 + 112
+    assert counts.first_nodes == [16] * 3 and counts.refined == 1
+    lines = ray_rounds.report("sccp-3d", 1, 3, counts).splitlines()
+    line = next(x for x in lines if "polar rays" in x)
+    assert line == (f"  polar rays per 3D section level: 16 in the first batch, "
+                    f"{counts.polar_rays / 109:.2f} in all over 109 levels; "
+                    f"1 levels refined past the first batch")
+
+
 def test_ray_rounds_counts_the_page_faults_of_each_op(ray_rounds):
     # an op that writes to each page of a fresh 1 MB anonymous map faults
     # them in; an op that allocates nothing faults none of them in

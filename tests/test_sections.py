@@ -442,14 +442,19 @@ def test_random_level_sets_are_bitwise_the_scalar_calls(case, fracs):
 
 
 def test_node_cap_is_flagged(monkeypatch):
-    e = ellipsoid([1.0, 2.0, 0.5])
-    u = np.array([1.0, 1.0, 1.0]) / math.sqrt(3.0)
-    assert section_stats(e, u, 0.2).converged is True
-    # an oblate section and a tolerance the 64-node rule cannot meet
+    # the p = 2.01 superellipsoid is only C^2 across the coordinate planes, so
+    # its polar rule converges algebraically: 64 nodes cannot meet 1e-10
+    body = superellipsoid(2.01, dim=3)
+    u = np.array([0.3, -0.5, 0.8]) / math.sqrt(0.98)
+    assert section_stats(body, u, 0.25, rtol=1e-10).converged is True
     monkeypatch.setattr(sections, "_MAX_POLAR_NODES", 64)
-    st = section_stats(e, u, 0.2, rtol=1e-14)
+    st = section_stats(body, u, 0.25, rtol=1e-10)
     assert st.converged is False
-    assert not section_stats(e, u, np.array([-0.2, 0.2]), rtol=1e-14).converged.any()
+    assert not section_stats(body, u, np.array([-0.25, 0.25]), rtol=1e-10).converged.any()
+    # an oblate quadric section meets 1e-14 with the first batch alone
+    monkeypatch.setattr(sections, "_MAX_POLAR_NODES", sections._FIRST_NODES)
+    e = ellipsoid([1.0, 2.0, 0.5])
+    assert section_stats(e, np.ones(3) / math.sqrt(3.0), 0.2, rtol=1e-14).converged is True
     assert section_stats(unit_disk(), [0.0, 1.0], 0.3, rtol=1e-14).converged is True
 
 
@@ -645,19 +650,22 @@ QUADRIC_SECTIONS = [
                          ids=[b.kind for b, _, _ in QUADRIC_SECTIONS])
 def test_quadric_sections_centre_on_their_ellipse(body, normals, levels):
     # one centring batch: the anchor lands on the closed-form centre, and the
-    # ellipse through the 8 hits guesses the first polar radii to rounding
+    # guide's axes g1, g2 map the unit circle onto the section's ellipse, so
+    # every radius in the guided angle is 1 to rounding
     for u in normals:
         u = np.asarray(u) / np.linalg.norm(u)
         ts = np.array(levels)
-        anchors, basis, guide, _ = sections._centred_sections(
+        anchors, basis, (g1, g2), _ = sections._centred_sections(
             body, u[None], np.zeros(len(ts), dtype=np.intp), ts)
         n = sections._FIRST_NODES
-        guess = sections._ellipse_radii(guide, n)
-        r, _ = sections._polar_radii(body, anchors, sections._polar_dirs(*basis, n), guess)
+        dirs = sections._polar_dirs(g1, g2, n)
+        r, _ = sections._polar_radii(body, anchors, dirs, np.ones(len(ts) * n))
         for i, t in enumerate(ts):
-            centre, _, _ = _plane_ellipse(body, u, t)
+            centre, major, minor = _plane_ellipse(body, u, t)
             assert np.linalg.norm(anchors[i] - centre) <= 1e-12 * body.scale
-        assert np.max(np.abs(guess - r) / r) <= 1e-10
+            # conjugate semi-diameters span the area of the axes' rectangle
+            assert np.linalg.norm(np.cross(g1[i], g2[i])) == pytest.approx(major * minor, rel=1e-10)
+        assert np.max(np.abs(r - 1.0)) <= 1e-10
 
 
 def test_non_quadric_section_refuses_the_conic():
@@ -679,14 +687,16 @@ def test_non_quadric_section_refuses_the_conic():
 
 
 def test_section_diameter_against_the_plane_ellipse():
-    # from the ellipse's centre the widest of 128 opposite-radius sums is
-    # 2a cos-close to the major axis: at most half a node spacing off it
+    # from the ellipse's centre the chords on a grid of 128 nodes in the
+    # guided angle are diameters at eccentric anomalies at most half a node
+    # spacing d = pi/128 off the major axis: a^2 cos^2 d + b^2 sin^2 d short
+    # of a^2, that is at most (1 - (b/a)^2) d^2 / 2 relative
     body = paraboloid_epigraph([1.0, 0.7], shift=[0.0, 0.0, 1.0])
     for a in ([0.1, -0.2, 0.4], [0.3, 0.1, 0.4], [-0.2, 0.25, 0.3]):
         u = np.array(a) / np.linalg.norm(a)
         for t in (1.2, 2.0, 4.0):
             _, major, minor = _plane_ellipse(body, u, t)
-            bound = ((major / minor) ** 2 - 1.0) * (math.pi / sections._DIAMETER_NODES) ** 2 / 2.0
+            bound = (1.0 - (minor / major) ** 2) * (math.pi / sections._DIAMETER_NODES) ** 2 / 2.0
             d = section_diameter(body, u, t)
             assert 2.0 * major * (1.0 - bound) <= d <= 2.0 * major * (1.0 + 1e-12)
 
@@ -708,3 +718,40 @@ def test_3d_sections_cast_two_ray_batches(monkeypatch):
             calls.clear()
             entry(body, u, t)
             assert len(calls) == 2
+
+
+@pytest.mark.parametrize("body,normals,levels", QUADRIC_SECTIONS[:3],
+                         ids=[b.kind for b, _, _ in QUADRIC_SECTIONS[:3]])
+def test_quadric_sections_converge_in_the_first_batch(monkeypatch, body, normals, levels):
+    # in the guided angle a quadric's radii are all 1, so the nested rules
+    # meet rtol on the first batch: a rule capped there spends the same
+    # points, and the measure and centroid are within err of the closed forms
+    for rtol in (1e-8, 1e-12):
+        for u in normals:
+            u = np.asarray(u) / np.linalg.norm(u)
+            st = section_stats(body, u, np.array(levels), rtol=rtol)
+            with monkeypatch.context() as m:
+                m.setattr(sections, "_MAX_POLAR_NODES", sections._FIRST_NODES)
+                first = section_stats(body, u, np.array(levels), rtol=rtol)
+            assert first.converged.all() and np.array_equal(first.n_evals, st.n_evals)
+            for i, t in enumerate(levels):
+                centre, major, minor = _plane_ellipse(body, u, t)
+                assert abs(st.measure[i] - math.pi * major * minor) <= st.err_estimate[i]
+                assert np.linalg.norm(st.centroid[i] - centre) <= st.err_estimate[i]
+
+
+def test_superellipsoid_sections_are_within_their_err():
+    # the p = 4 sections are no conics: their rule refines from the chords'
+    # guide ellipse, and still stops within err of the oracle
+    body = superellipsoid(4.0, dim=3)
+    rng = np.random.default_rng(11)
+    for _ in range(8):
+        u = rng.normal(size=3)
+        u /= np.linalg.norm(u)
+        lo, hi = admissible_levels(body, u)
+        t = lo + rng.uniform(0.05, 0.95) * (hi - lo)
+        area, centroid = superellipsoid_section_stats(4.0, u, t)
+        st = section_stats(body, u, t, rtol=1e-9)
+        assert st.converged
+        assert abs(st.measure - area) <= st.err_estimate
+        assert np.linalg.norm(st.centroid - centroid) <= st.err_estimate
