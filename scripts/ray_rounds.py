@@ -115,12 +115,12 @@ def install(ccgeom, counts):
                 counts.unguessed[label(body)].append(rounds)
             else:
                 kind = "first polar" if counts.guessed == 0 else "refinement"
-                if counts.guessed == 0:
-                    # the levels' diameter grids come as more groups of as many rays
-                    counts.first_nodes.append(len(directions) // len(origin))
-                elif counts.guessed == 1:
-                    counts.refined += len(origin)
-                if counts.guessed is not None:
+                if counts.guessed is not None:  # a batch of the running polar rule
+                    if counts.guessed == 0:
+                        # the levels' diameter grids come as more groups of as many rays
+                        counts.first_nodes.append(len(directions) // len(origin))
+                    elif counts.guessed == 1:
+                        counts.refined += len(origin)
                     counts.guessed += 1
                     counts.polar_rays += len(directions)
             counts.rounds[kind].append(rounds)
