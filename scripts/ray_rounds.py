@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Print how many F-rounds the ray batches of each benchmark workload take,
-and how many levels its cut volumes section:
+how many levels its cut volumes section and how many solver rounds its
+shell scans take:
 
     python scripts/ray_rounds.py --seed 1
 
@@ -21,8 +22,9 @@ For each workload it prints the ``ray_hits_batch`` calls and rays, the
 F-rounds per call of each kind (mean and max, and its number of calls),
 the unguessed F-rounds per call of each body (its kind or function tag,
 params and any translation), and the ``defining`` calls and oracle points
-(points at which ``defining`` was evaluated) of the whole pass, and the
-minor page faults of the process per op (``getrusage`` around each op; the
+(points at which ``defining`` was evaluated) of the whole pass, the
+solver rounds per shell scan (mean and max, and the number of scans), and
+the minor page faults of the process per op (``getrusage`` around each op; the
 median, which the first op's one-off set-up, such as the shell scan's
 cached arcs, does not move, the mean and the max). For each op that
 integrates cut volumes it prints its calls, the volumes they integrate (one
@@ -32,6 +34,12 @@ volume and per call. For the 3D section levels of the polar rule it
 prints the rays per level of the first polar batch (the rule's first
 nodes), the polar rays per level over all its guessed batches (diameter
 grids included), and how many levels were refined past the first batch.
+
+A shell scan (``asymptotics.body_shell_points``) hands ``defining`` its
+chunks of whole arcs as (arcs, samples, dim) batches and then one (points,
+dim) batch per round of its crossing solver; the solver rounds of a scan
+are the ``defining`` calls of its op after its chunks, told apart by that
+shape, up to the next scan's first chunk.
 """
 import argparse
 import resource
@@ -55,7 +63,9 @@ class Counts:
     ``polar_levels``, ``polar_rays`` and ``refined`` count the 3D levels of
     the polar rule, the rays of its guessed batches and the levels refined
     past its first batch, and ``first_nodes`` lists the rays per level of
-    each first polar batch."""
+    each first polar batch; ``scans`` lists the solver rounds of each shell
+    scan, and ``shell`` is None, "scan" or "solve": where the running op's
+    latest shell scan is."""
 
     def __init__(self):
         self.op = None  # the name of the op that runs
@@ -73,6 +83,8 @@ class Counts:
         self.refined = 0
         self.first_nodes = []
         self.guessed = None  # guessed batches of the running polar rule so far
+        self.scans = []
+        self.shell = None
 
 
 def label(body):
@@ -102,6 +114,13 @@ def install(ccgeom, counts):
             x = np.asarray(x)
             counts.defining += 1
             counts.points += x.size // x.shape[-1] if x.ndim else 1
+            if x.ndim == 3:  # a chunk of a shell scan's arcs
+                if counts.shell != "scan":
+                    counts.scans.append(0)
+                counts.shell = "scan"
+            elif counts.shell is not None:  # a round of its crossing solver
+                counts.shell = "solve"
+                counts.scans[-1] += 1
             return orig(self, x)
         return counted
 
@@ -181,6 +200,10 @@ def report(name, seed, n_ops, counts):
         lines.append(f"    unguessed on {body}: {np.mean(r):.2f} (max {max(r)}) "
                      f"over {len(r)} calls")
     lines.append(f"  defining calls {counts.defining:,}, oracle points {counts.points:,}")
+    if counts.scans:
+        s = counts.scans
+        lines.append(f"  solver rounds per shell scan {np.mean(s):.2f} (max {max(s)}) "
+                     f"over {len(s)} scans")
     if counts.faults:
         f = counts.faults
         lines.append(f"  minor page faults per op: median {np.median(f):g}, "
@@ -208,6 +231,7 @@ def run_pool(pool, counts):
     for op in pool:
         counts.op = op.name
         counts.ops[op.name] += 1
+        counts.shell = None
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         op.call()
         counts.faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)

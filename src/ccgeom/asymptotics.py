@@ -24,10 +24,12 @@ rather than to the arc's absolute angle. A round takes the
 inverse-quadratic step through the last three points where Chandrupatla's
 test allows it and bisects otherwise, and also whenever the last two
 rounds together did not halve the bracket, so any three rounds at least
-halve it. A bracket stops once it is a few ulps of d wide (about
-step * 2^-53) or F is exactly 0 at its new point, and gives its inside
-end, where F <= 0, as does a bracket still open at the cap of 112 rounds,
-twice the 56 steps of a bisection.
+halve it. A bracket stops once it is narrower than 2^-55 + 4 eps d
+radians, or F is exactly 0 at its new point: R times that width is under
+0.4 ulp(R), below the rounding of forming the point c + R (cos d u0 +
+sin d t0) itself, so a narrower bracket would not move the point. It gives
+its inside end, where F <= 0, as does a bracket still open at the cap of
+112 rounds, twice the 56 steps of a bisection.
 The cone/sphere intersection is R times the cone's closed-form unit boundary
 rays. The symmetric Hausdorff distance between the two sample sets is the
 reported shell distance (one-sided values are exposed for verbose output),
@@ -54,9 +56,10 @@ _N_SCAN_MERIDIAN = 192  # samples on each meridian, both poles included
 # points per scan call: 21 meridians, 32 KB per coordinate row
 _SCAN_POINTS = 4096
 # crossing solver (_crossings): a bracket of angle d is done once narrower
-# than _POLISH_ABS * step + _POLISH_REL * d; a cap on its rounds, twice the
-# 56 bisection steps that took a pi/191 bracket down to rounding
-_POLISH_ABS = 2.0 ** -53
+# than _POLISH_ABS + _POLISH_REL * d radians (R times that is under 0.4
+# ulp(R)); a cap on its rounds, twice the 56 steps of the bisection this
+# solver replaced, where 49 take a pi/191 bracket down to the stop
+_POLISH_ABS = 2.0 ** -55
 _POLISH_REL = 4.0 * np.finfo(float).eps
 _N_POLISH = 112
 # rows of the solver state: x1, F(x1), x2, F(x2), x3, F(x3), the next
@@ -165,7 +168,9 @@ def _crossings(F, center, R, u0, t0, f_in, f_out, step):
     Bracket i has F = f_in[i] <= 0 at d = 0 and f_out[i] > 0 (or NaN) at
     d = step, on p(d) = center + R (cos(d) u0[i] + sin(d) t0[i]). Each round
     makes one coordinate-major ``defining`` call over the open brackets.
-    Returns each final bracket's inside end, where F <= 0.
+    A bracket stops once narrower than 2^-55 + 4 eps d radians, where R
+    times its width is under 0.4 ulp(R), the most that forming p(d) can
+    resolve. Returns each final bracket's inside end, where F <= 0.
     """
     n, dim = u0.shape
     S = np.empty((_U + 2 * dim, n))
@@ -173,7 +178,7 @@ def _crossings(F, center, R, u0, t0, f_in, f_out, step):
     S[_XN], S[_W:_W + 2] = 0.5 * step, step
     S[_U:] = np.concatenate([u0.T, t0.T])
     cen = center[:, None]
-    half_abs, half_rel = 0.5 * _POLISH_ABS * step, 0.5 * _POLISH_REL
+    half_abs, half_rel = 0.5 * _POLISH_ABS, 0.5 * _POLISH_REL
     d = np.zeros(n)
     open_ = np.arange(n)
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
@@ -256,9 +261,14 @@ def _hausdorff(A, B):
 
 def shell_distance(body, cone, R, n_azimuth=_N_AZIMUTH) -> ShellDistance:
     """Hausdorff distance between boundary and cone samples on S_R."""
+    if cone.ambient_dim != body.ambient_dim:
+        raise ValueError(f"a cone in {cone.ambient_dim} dimensions cannot be compared "
+                         f"with a body in {body.ambient_dim}")
     R = float(R)
-    if R < 10.0 * (float(np.linalg.norm(body.translation)) + 1.0):
-        raise ValueError("R must be at least 10*(translation magnitude + 1)")
+    least = 10.0 * (float(np.linalg.norm(body.translation)) + 1.0)
+    if R < least:
+        raise ValueError(f"R must be at least 10*(translation magnitude + 1) = {least}, "
+                         f"got {R}")
     A = body_shell_points(body, R, n_azimuth=n_azimuth)
     B = cone_shell_points(cone, R, n_azimuth=n_azimuth)
     d, d_ab, d_ba = _on_sphere(R, _hausdorff, A, B)

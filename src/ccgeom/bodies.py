@@ -692,8 +692,10 @@ def _graph_contact(body, abscissa):
 
 
 def ray_hits_batch(body, origin, directions, guess=None):
-    """Distances s > 0 with F(origin + s*w) = 0, one per unit direction w, and
-    the oracle points evaluated: ``(hits, n_evals)``.
+    """Distances s > 0 with F(origin + s*w) = 0, one per direction w, and the
+    oracle points evaluated: ``(hits, n_evals)``. A hit is in units of its
+    direction's length, so directions need not be unit (the polar rule casts
+    its rays along guided, non-unit directions).
 
     This is the one boundary root-finder of the package. F is the convex
     defining function of ``body``, and every origin must satisfy F < 0.
@@ -706,9 +708,11 @@ def ray_hits_batch(body, origin, directions, guess=None):
     any shape) by four probes g (1 -+ 2^-20) and g (1 -+ 2^-41). The inner
     pair is within ``_HIT_RTOL``, so a guess good to rounding ends its ray
     on its probes. A ray without a guess is probed at s/3, 2s/3 and s, s the
-    body scale. F is read through the body kind's ``quadric``, Q: F itself,
-    or F (F + 2 y_d) on the hyperboloid sheet and the circular cone, with
-    y_d the point's last local coordinate. Where the quadratic through Q at
+    body scale, in units of its direction's length like its hit, so at
+    multiples of the scale itself only along a unit direction. F is read
+    through the body kind's ``quadric``, Q: F itself, or F (F + 2 y_d) on
+    the hyperboloid sheet and the circular cone, with y_d the point's last
+    local coordinate. Where the quadratic through Q at
     its origin, s/3 and 2s/3 predicts Q(s) to within 64 eps times the sum of
     the four |Q|, Q is quadratic along the ray to rounding (every ellipsoid,
     elliptic paraboloid, hyperboloid sheet and circular cone, the square

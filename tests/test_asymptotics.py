@@ -140,8 +140,34 @@ def test_asymptotic_diagnostic_validates_radii():
 
 def test_shell_distance_requires_large_radius():
     h = hyperboloid_sheet([1.0], shift=[50.0, 0.0])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"R must be at least .* = 510\.0, got 60\.0"):
         shell_distance(h, h.recession_cone(), 60.0)
+
+
+@pytest.mark.parametrize("body, other", [(hyperboloid_sheet([1.0, 1.0]), hyperboloid_sheet([1.0])),
+                                         (hyperboloid_sheet([1.0]), hyperboloid_sheet([1.0, 1.0]))],
+                         ids=["2d-cone", "3d-cone"])
+def test_shell_distance_refuses_a_cone_of_another_dimension(body, other):
+    # cdist zips coordinates, so the pair would be compared on x and y alone
+    cone = other.recession_cone()
+    with pytest.raises(ValueError, match=f"cone in {cone.ambient_dim} dimensions .* "
+                                         f"body in {body.ambient_dim}"):
+        shell_distance(body, cone, 100.0, n_azimuth=16)
+
+
+@pytest.mark.parametrize("h, radii, kw", [
+    (hyperboloid_sheet([1.0]), np.geomspace(1e2, 1e3, 40), {}),
+    (hyperboloid_sheet([1.0, 1.0]), np.geomspace(30.0, 300.0, 12), {"n_azimuth": 96})],
+    ids=["2d", "3d"])
+def test_shell_distances_that_cancel_against_the_closed_form(h, radii, kw):
+    # d_asym ~ 0.5/R is a difference of points of size R, which each round
+    # at about eps R, so its relative error grows like eps R^2: at worst
+    # 6.6e-11 (2D) and 2.7e-11 (3D) with crossings stopped at 2^-53 of the
+    # scan step, 6.1e-11 and 2.7e-11 at 2^-55 rad, 1.7e-10 and 3.0e-11 at 2^-54 rad
+    cone = h.recession_cone()
+    rel = [abs(shell_distance(h, cone, R, **kw).d_asym / _unit_sheet_shell(R) - 1)
+           for R in radii]
+    assert max(rel) <= 1e-10
 
 
 @pytest.mark.parametrize("body", [hyperboloid_sheet([1.0, 1.4]), function_epigraph("exp"),
@@ -425,11 +451,11 @@ def test_shell_points_against_mpmath(b):
                                      (paraboloid_epigraph([1.0, 1.0]), 1e5)],
                          ids=["sheet-1.4", "unit-sheet", "paraboloid", "paraboloid-pole"])
 def test_shell_solver_budget(monkeypatch, body, R):
-    # the scan, then at most 16 solver rounds (56 bisection steps before)
+    # the scan, then at most 12 solver rounds (56 bisection steps before)
     batches = record_defining(monkeypatch)
     body_shell_points(body, R, n_azimuth=96)
     _, rounds = _scan_and_rounds(batches)
-    assert 1 <= len(rounds) <= 16
+    assert 1 <= len(rounds) <= 12
     assert all(coordinate_major(x) for x in batches)
     # brackets leave the batch once done
     assert rounds[-1].shape[0] < rounds[0].shape[0]

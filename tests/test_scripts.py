@@ -188,6 +188,31 @@ def test_ray_rounds_counts_the_polar_rays_of_each_3d_level(ray_rounds):
                     f"1 levels refined past the first batch")
 
 
+def test_ray_rounds_counts_the_solver_rounds_of_each_shell_scan(ray_rounds):
+    # a shell op's defining calls after its scan chunks, batches of shape
+    # (arcs, samples, dim), are its solver rounds, batches of (points, dim);
+    # two scans in one op count apart, and an op without a scan counts none
+    sheet, hyperbola = ccgeom.hyperboloid_sheet([1.0, 1.4]), ccgeom.hyperboloid_sheet([1.0])
+    u = np.array([0.3, -0.2, 0.93]) / np.linalg.norm([0.3, -0.2, 0.93])
+    pool = [_op("shell", None), _op("section", None)]
+    pool[0].call = lambda: (ccgeom.body_shell_points(sheet, 100.0, n_azimuth=96),
+                            ccgeom.body_shell_points(hyperbola, 100.0))
+    pool[1].call = lambda: section_stats(ellipsoid([1.3, 0.8, 1.0]), u, 0.3)
+    counts = ray_rounds.Counts()
+    uninstall = ray_rounds.install(ccgeom, counts)
+    try:
+        ray_rounds.run_pool(pool, counts)
+    finally:
+        uninstall()
+    assert len(counts.scans) == 2 and min(counts.scans) >= 1
+    # 96 meridians of 192 samples take five chunks, the 2D circle one; every
+    # defining call of the section is an F-round of one of its ray batches
+    assert sum(counts.scans) == counts.defining - 6 - sum(map(sum, counts.rounds.values()))
+    s = counts.scans
+    assert (f"  solver rounds per shell scan {np.mean(s):.2f} (max {max(s)}) over 2 scans"
+            in ray_rounds.report("shell-3d", 1, 2, counts).splitlines())
+
+
 def test_ray_rounds_counts_the_page_faults_of_each_op(ray_rounds):
     # an op that writes to each page of a fresh 1 MB anonymous map faults
     # them in; an op that allocates nothing faults none of them in
