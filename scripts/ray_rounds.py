@@ -23,10 +23,12 @@ F-rounds per call of each kind (mean and max, and its number of calls),
 the unguessed F-rounds per call of each body (its kind or function tag,
 params and any translation), and the ``defining`` calls and oracle points
 (points at which ``defining`` was evaluated) of the whole pass, the
-solver rounds per shell scan (mean and max, and the number of scans), and
-the minor page faults of the process per op (``getrusage`` around each op; the
-median, which the first op's one-off set-up, such as the shell scan's
-cached arcs, does not move, the mean and the max). For each op that
+solver rounds per shell scan (mean and max, and the number of scans) and
+the brackets still open in each solver round (the mean over the scans, a
+scan that has stopped counting 0), and the minor page faults of the
+process per op (``getrusage`` around each op; the median, which the first
+op's one-off set-up, such as the shell scan's cached arcs, does not move,
+the mean and the max). For each op that
 integrates cut volumes it prints its calls, the volumes they integrate (one
 ``quad`` integral each), the section levels they take (each a node of a
 volume's quadrature rule, or a gradient's cut plane) and the levels per
@@ -37,9 +39,10 @@ grids included), and how many levels were refined past the first batch.
 
 A shell scan (``asymptotics.body_shell_points``) hands ``defining`` its
 chunks of whole arcs as (arcs, samples, dim) batches and then one (points,
-dim) batch per round of its crossing solver; the solver rounds of a scan
-are the ``defining`` calls of its op after its chunks, told apart by that
-shape, up to the next scan's first chunk.
+dim) batch per round of its crossing solver, one point per bracket still
+open; the solver rounds of a scan are the ``defining`` calls of its op
+after its chunks, told apart by that shape, up to the next scan's first
+chunk.
 """
 import argparse
 import resource
@@ -63,9 +66,9 @@ class Counts:
     ``polar_levels``, ``polar_rays`` and ``refined`` count the 3D levels of
     the polar rule, the rays of its guessed batches and the levels refined
     past its first batch, and ``first_nodes`` lists the rays per level of
-    each first polar batch; ``scans`` lists the solver rounds of each shell
-    scan, and ``shell`` is None, "scan" or "solve": where the running op's
-    latest shell scan is."""
+    each first polar batch; ``scans`` lists, for each shell scan, the
+    brackets open in each of its solver rounds, and ``shell`` is None,
+    "scan" or "solve": where the running op's latest shell scan is."""
 
     def __init__(self):
         self.op = None  # the name of the op that runs
@@ -116,11 +119,11 @@ def install(ccgeom, counts):
             counts.points += x.size // x.shape[-1] if x.ndim else 1
             if x.ndim == 3:  # a chunk of a shell scan's arcs
                 if counts.shell != "scan":
-                    counts.scans.append(0)
+                    counts.scans.append([])
                 counts.shell = "scan"
             elif counts.shell is not None:  # a round of its crossing solver
                 counts.shell = "solve"
-                counts.scans[-1] += 1
+                counts.scans[-1].append(len(x))
             return orig(self, x)
         return counted
 
@@ -201,9 +204,14 @@ def report(name, seed, n_ops, counts):
                      f"over {len(r)} calls")
     lines.append(f"  defining calls {counts.defining:,}, oracle points {counts.points:,}")
     if counts.scans:
-        s = counts.scans
+        s = [len(brackets) for brackets in counts.scans]
         lines.append(f"  solver rounds per shell scan {np.mean(s):.2f} (max {max(s)}) "
                      f"over {len(s)} scans")
+        table = np.zeros((len(s), max(s)))  # a stopped scan has 0 open
+        for row, brackets in zip(table, counts.scans):
+            row[:len(brackets)] = brackets
+        lines.append("  open brackets per solver round, mean over the scans: "
+                     + "/".join(f"{m:.1f}" for m in table.mean(axis=0)))
     if counts.faults:
         f = counts.faults
         lines.append(f"  minor page faults per op: median {np.median(f):g}, "

@@ -5,19 +5,24 @@ so the body's shell points are found on the sphere itself, with no ray
 cast. F is sampled on great-circle arcs of S_R about the center c: the
 whole circle in 2D, and in 3D one meridian from pole to pole per azimuth,
 in the vertical half-plane through c at that azimuth. The arcs are built
-once per dimension and azimuth count and cached; the scan makes one
+once (in 3D once per azimuth count) and cached; the scan makes one
 ``defining`` call per chunk of whole arcs, at most ``_SCAN_POINTS`` points
 (the whole 2D circle in one), each on a batch held coordinate-major, one
 contiguous block per coordinate, where F's sums over coordinates run as
 whole-row adds. F is pointwise, so the chunks change no value; they keep
 each temporary of the scan under glibc's 128 KB mmap threshold, so that it
 is served from the heap rather than mapped, and faulted in, anew each scan.
-Each sign change of F <= 0 between neighbouring samples brackets one
-crossing, and the scan's F values at both ends start its solve. All
-brackets are solved together by Chandrupatla's bracketed inverse-quadratic
-method (T. R. Chandrupatla, "A new hybrid quadratic/bisection algorithm for
-finding the zero of a nonlinear function without using derivatives", Adv.
-Eng. Software 28 (1997) 145-149), one ``defining`` call per round over the
+A scan about the origin (``center=None``, as ``shell_distance`` scans)
+adds no centre to its samples R u, its solver's points or its crossings;
+an explicit centre (``blowdown_check``'s) is added to each. Each sign change
+of F <= 0 between neighbouring samples brackets one crossing; the changes
+are read off one flat index of the (arcs, samples - 1) mask, divided by
+samples - 1 into (arc, sample), in np.nonzero's order. The scan's F values
+at both ends of a bracket start its solve. All brackets are solved
+together by Chandrupatla's bracketed inverse-quadratic method (T. R.
+Chandrupatla, "A new hybrid quadratic/bisection algorithm for finding the
+zero of a nonlinear function without using derivatives", Adv. Eng.
+Software 28 (1997) 145-149), one ``defining`` call per round over the
 brackets still open, in the angle d from the bracket's inside sample along
 the arc, so the crossing is resolved to rounding relative to the bracket
 rather than to the arc's absolute angle. A round takes the
@@ -79,8 +84,14 @@ class ShellDistance:
     d_cone_to_body: float
 
 
-@functools.lru_cache(maxsize=2)  # a 2D and a 3D grid; 6.6 MB in 3D at 720 azimuths
 def _arcs(dim, n_azimuth):
+    """``_grid``, keyed on the dimension alone in 2D, where the one circle
+    does not depend on n_azimuth."""
+    return _grid(dim, n_azimuth if dim == 3 else None)
+
+
+@functools.lru_cache(maxsize=2)  # a 2D and a 3D grid; 6.6 MB in 3D at 720 azimuths
+def _grid(dim, n_azimuth):
     """Unit samples u, unit tangents t = du/da and the sample step on great circles.
 
     u = cos(a) e1 + sin(a) e2 on an even grid of a, exactly e1 or e2 (up to
@@ -136,19 +147,15 @@ def body_shell_points(body, R, center=None, n_azimuth=_N_AZIMUTH):
     if not (math.isfinite(R) and R > 0.0):
         raise ValueError(f"sphere radius must be finite and positive, got {R}")
     dim = body.ambient_dim
-    if center is None:
-        center = np.zeros(dim)
-    else:
+    if center is not None:
         center = np.asarray(center, dtype=float)
         if center.shape != (dim,) or not np.all(np.isfinite(center)):
             raise ValueError(f"center must be a finite point of shape ({dim},), "
                              f"got {center.tolist()!r}")
     U, T, step = _arcs(dim, n_azimuth)
-    k = max(1, _SCAN_POINTS // U.shape[1])  # arcs per scan call
-    f = np.concatenate([_on_sphere(R, body.defining, center + R * U[i:i + k])
-                        for i in range(0, len(U), k)])
+    f = _on_sphere(R, _scan, body.defining, center, R, U)
     inside = f <= 0.0
-    arc, j = np.nonzero(inside[:, :-1] != inside[:, 1:])
+    arc, j = _sign_changes(inside)
     if len(j) == 0:
         raise EmptyShellIntersection(f"boundary does not meet the sphere of radius {R}")
     # each bracket runs from its inside sample u0 along the tangent t0
@@ -158,7 +165,25 @@ def body_shell_points(body, R, center=None, n_azimuth=_N_AZIMUTH):
     u0 = U[arc, i_in]
     t0 = np.where(first_in[:, None], T[arc, j], -T[arc, j + 1])
     d = _crossings(body.defining, center, R, u0, t0, f[arc, i_in], f[arc, i_out], step)
-    return center + R * (np.cos(d)[:, None] * u0 + np.sin(d)[:, None] * t0)
+    p = R * (np.cos(d)[:, None] * u0 + np.sin(d)[:, None] * t0)
+    return p if center is None else center + p
+
+
+def _scan(F, center, R, U):
+    """F at the samples R U of the arcs about center (None: the origin), one
+    call per chunk of whole arcs, at most ``_SCAN_POINTS`` points each."""
+    k = max(1, _SCAN_POINTS // U.shape[1])  # arcs per scan call
+    chunks = (R * U[i:i + k] for i in range(0, len(U), k))
+    if center is not None:
+        chunks = (center + p for p in chunks)
+    return np.concatenate([F(p) for p in chunks])
+
+
+def _sign_changes(inside):
+    """(arc, j) of each sign change, between samples j and j + 1 of an arc,
+    in np.nonzero's order, read off one flat index of the changes."""
+    flat = np.flatnonzero(inside[:, :-1] != inside[:, 1:])
+    return np.divmod(flat, inside.shape[1] - 1)
 
 
 def _crossings(F, center, R, u0, t0, f_in, f_out, step):
@@ -166,7 +191,8 @@ def _crossings(F, center, R, u0, t0, f_in, f_out, step):
     bracketed inverse-quadratic method, all brackets in lockstep.
 
     Bracket i has F = f_in[i] <= 0 at d = 0 and f_out[i] > 0 (or NaN) at
-    d = step, on p(d) = center + R (cos(d) u0[i] + sin(d) t0[i]). Each round
+    d = step, on p(d) = center + R (cos(d) u0[i] + sin(d) t0[i]); a center
+    of None is the origin, and no centre is added to p(d). Each round
     makes one coordinate-major ``defining`` call over the open brackets.
     A bracket stops once narrower than 2^-55 + 4 eps d radians, where R
     times its width is under 0.4 ulp(R), the most that forming p(d) can
@@ -177,7 +203,7 @@ def _crossings(F, center, R, u0, t0, f_in, f_out, step):
     S[_X1], S[_F1], S[_X2], S[_F2] = 0.0, f_in, step, f_out
     S[_XN], S[_W:_W + 2] = 0.5 * step, step
     S[_U:] = np.concatenate([u0.T, t0.T])
-    cen = center[:, None]
+    cen = None if center is None else center[:, None]
     half_abs, half_rel = 0.5 * _POLISH_ABS, 0.5 * _POLISH_REL
     d = np.zeros(n)
     open_ = np.arange(n)
@@ -187,7 +213,8 @@ def _crossings(F, center, R, u0, t0, f_in, f_out, step):
             p = np.cos(x) * S[_U:_U + dim]
             p += np.sin(x) * S[_U + dim:]
             p *= R
-            p += cen
+            if cen is not None:
+                p += cen
             fx = F(p.T)
             inside = fx <= 0.0
             # x becomes x1; the end on its side is dropped to x3 (x1 itself,

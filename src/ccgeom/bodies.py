@@ -543,6 +543,10 @@ class BodySpec:
             raise ValueError("translation must be finite")
         tr.flags.writeable = False
         object.__setattr__(self, "translation", tr)
+        # x - 0.0 == x for every float, -0.0 included, so a body unmoved (all
+        # +0.0) hands F its points as they come; a -0.0 is a move, as
+        # x - (-0.0) turns -0.0 into +0.0
+        object.__setattr__(self, "_moved", bool(np.any(tr) or np.any(np.signbit(tr))))
         impl = _BODY_KINDS[self.kind](self)
         object.__setattr__(self, "_impl", impl)
         object.__setattr__(self, "_cone", impl.cone())
@@ -557,10 +561,15 @@ class BodySpec:
         return s
 
     def _local(self, x):
-        return _as_point(x, self.ambient_dim) - self.translation
+        x = _as_point(x, self.ambient_dim)
+        return x - self.translation if self._moved else x
 
     def defining(self, x):
-        """Convex defining function F; the body is {F <= 0}. Vectorized."""
+        """Convex defining function F; the body is {F <= 0}. Vectorized.
+
+        F reads the batch x and writes nothing into it: an unmoved body hands
+        it x itself, uncopied, so x may be read-only or a caller's own array.
+        """
         return self._impl.F(self._local(x))
 
     def defining_gradient(self, x):

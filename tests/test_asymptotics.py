@@ -363,6 +363,17 @@ def test_arcs_are_cached_read_only(dim):
             arr[0, 0, 0] = 0.0
 
 
+def test_arcs_key_the_2d_circle_on_the_dimension_alone():
+    # n_azimuth does not enter the 2D circle: one cached circle for every
+    # count, so 2D calls at two counts leave a cached 3D grid in place
+    grid = asymptotics._arcs(3, 96)
+    circle = asymptotics._arcs(2, 7)
+    again = asymptotics._arcs(2, 720)
+    assert again[0] is circle[0] and again[1] is circle[1] and again[2] == circle[2]
+    kept = asymptotics._arcs(3, 96)
+    assert kept[0] is grid[0] and kept[1] is grid[1]
+
+
 def _scan_and_rounds(batches):
     """The scan's batches, (arcs, samples, dim), and the solver's, (points,
     dim), of one body_shell_points call; the scan's must all come first."""
@@ -414,6 +425,25 @@ def test_shell_points_match_the_bisection_reference(body, radii):
             assert pts.shape == ref.shape
             assert np.max(np.abs(pts - ref)) <= 2.0 * EPS * R
             assert np.all(body.defining(pts) <= 0.0)
+
+
+@pytest.mark.parametrize("body, radii", _SHELL_CASES,
+                         ids=[f"{b.kind}-{b.ambient_dim}d-{i}"
+                              for i, (b, _) in enumerate(_SHELL_CASES)])
+def test_shell_points_about_the_origin_add_no_centre(body, radii):
+    # center=None scans R u with no zero centre added, and reads the sign
+    # changes off a flat index: the same points as an explicit zero centre,
+    # bit for bit, and the same brackets as np.nonzero, order included
+    U, _, _ = asymptotics._arcs(body.ambient_dim, 96)
+    for R in radii:
+        pts = body_shell_points(body, R, n_azimuth=96)
+        ref = body_shell_points(body, R, center=np.zeros(body.ambient_dim), n_azimuth=96)
+        assert pts.shape == ref.shape and pts.tobytes() == ref.tobytes()
+        with np.errstate(over="ignore"):
+            inside = body.defining(R * U) <= 0.0
+        arc, j = asymptotics._sign_changes(inside)
+        arc0, j0 = np.nonzero(inside[:, :-1] != inside[:, 1:])
+        assert np.array_equal(arc, arc0) and np.array_equal(j, j0) and len(j) == len(pts)
 
 
 def _sheet_crossing_ulps(points, R, b):

@@ -322,3 +322,54 @@ def test_defining_does_not_depend_on_the_batch_layout(body, x):
     with np.errstate(all="ignore"):
         for batch, strided in ((x, view), (x[0], view[0])):
             assert np.array_equal(body.defining(batch), body.defining(strided), equal_nan=True)
+
+
+# each kind and dimension of CATALOG, unmoved, and one body moved by -0.0
+UNMOVED = [BodySpec(b.kind, b.params, ambient_dim=b.ambient_dim, tag=b.tag) for b in CATALOG]
+ZERO_SHIFTS = UNMOVED + [ellipsoid([2.0, 0.7], center=[-0.0, 0.0])]
+
+
+def _signed_zero_batch(dim):
+    """A (4, 6, dim) batch of inside, boundary and far points, +0.0 and -0.0
+    among its coordinates, and its coordinate-major view."""
+    values = np.array([0.0, -0.0, 0.3, -0.7, 1.0, -2.5, 40.0, -1e3, 1e300])
+    x = np.random.default_rng(7).choice(values, size=(4, 6, dim))
+    x[0, :2] = [[0.0] * dim, [-0.0] * dim]
+    view = np.moveaxis(np.ascontiguousarray(np.moveaxis(x, -1, 0)), 0, -1)
+    return x, view
+
+
+@pytest.mark.parametrize("body", ZERO_SHIFTS, ids=lambda b: f"{b.tag or b.kind}-{b.ambient_dim}d"
+                         f"{'-minus-zero' if np.any(np.signbit(b.translation)) else ''}")
+def test_defining_on_a_zero_translation_is_f_of_the_local_point(body):
+    # an unmoved body skips the subtraction of its translation, which
+    # changes no bit: F(x) is F(x - translation), and grad F likewise, at
+    # +0.0 and -0.0 alike (a -0.0 translation turns -0.0 into +0.0)
+    x, view = _signed_zero_batch(body.ambient_dim)
+    with np.errstate(all="ignore"):
+        for batch in (x, view, x[1], view[1]):
+            got = body.defining(batch)
+            ref = body._impl.F(batch - body.translation)
+            assert got.tobytes() == ref.tobytes()
+        for point in x[0]:
+            try:
+                ref = body._impl.grad(point - body.translation)
+            except NotOnBoundary:  # the cone's apex
+                continue
+            assert body.defining_gradient(point).tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("body", UNMOVED + CATALOG, ids=lambda b: f"{b.tag or b.kind}-"
+                         f"{b.ambient_dim}d{'-moved' if np.any(b.translation) else ''}")
+def test_defining_reads_a_read_only_batch(body):
+    # an unmoved body hands F the caller's array uncopied: no kind may write into it
+    x, _ = _signed_zero_batch(body.ambient_dim)
+    point = x[1, 2] + 0.25  # off the cone's apex
+    keep = x.copy(), point.copy()
+    for arr in (x, point):
+        arr.flags.writeable = False
+    with np.errstate(all="ignore"):
+        body.defining(x)
+        body.defining(x[1])
+        body.defining_gradient(point)
+    assert np.array_equal(x, keep[0]) and np.array_equal(point, keep[1])

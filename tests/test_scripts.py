@@ -204,13 +204,36 @@ def test_ray_rounds_counts_the_solver_rounds_of_each_shell_scan(ray_rounds):
         ray_rounds.run_pool(pool, counts)
     finally:
         uninstall()
-    assert len(counts.scans) == 2 and min(counts.scans) >= 1
+    s = [len(brackets) for brackets in counts.scans]
+    assert len(s) == 2 and min(s) >= 1
     # 96 meridians of 192 samples take five chunks, the 2D circle one; every
     # defining call of the section is an F-round of one of its ray batches
-    assert sum(counts.scans) == counts.defining - 6 - sum(map(sum, counts.rounds.values()))
-    s = counts.scans
+    assert sum(s) == counts.defining - 6 - sum(map(sum, counts.rounds.values()))
     assert (f"  solver rounds per shell scan {np.mean(s):.2f} (max {max(s)}) over 2 scans"
             in ray_rounds.report("shell-3d", 1, 2, counts).splitlines())
+
+
+def test_ray_rounds_counts_the_open_brackets_of_each_solver_round(ray_rounds):
+    # every meridian of the sheet crosses it once and the hyperbola crosses
+    # the circle twice: 96 and 2 brackets open in the first round, then
+    # fewer as they stop, and the last round still has one open
+    sheet, hyperbola = ccgeom.hyperboloid_sheet([1.0, 1.4]), ccgeom.hyperboloid_sheet([1.0])
+    pool = [_op("shell", None)]
+    pool[0].call = lambda: (ccgeom.body_shell_points(sheet, 100.0, n_azimuth=96),
+                            ccgeom.body_shell_points(hyperbola, 100.0))
+    counts = ray_rounds.Counts()
+    uninstall = ray_rounds.install(ccgeom, counts)
+    try:
+        ray_rounds.run_pool(pool, counts)
+    finally:
+        uninstall()
+    assert [brackets[0] for brackets in counts.scans] == [96, 2]
+    for brackets in counts.scans:
+        assert all(a >= b >= 1 for a, b in zip(brackets, brackets[1:]))
+    # the mean over the scans, a scan that has stopped counting 0
+    counts.scans = [[4, 3, 1], [2]]
+    assert "  open brackets per solver round, mean over the scans: 3.0/1.5/0.5" in (
+        ray_rounds.report("shell-3d", 1, 1, counts).splitlines())
 
 
 def test_ray_rounds_counts_the_page_faults_of_each_op(ray_rounds):
