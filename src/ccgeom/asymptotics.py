@@ -2,9 +2,10 @@
 
 A point of (boundary ∩ S_R) is a zero of the defining function F on S_R,
 so the body's shell points are found on the sphere itself, with no ray
-cast. F is sampled on great-circle arcs of S_R about the center c: the
-whole circle in 2D, and in 3D one meridian from pole to pole per azimuth,
-in the vertical half-plane through c at that azimuth. The arcs are built
+cast. Every scan is about the origin: ``blowdown_check`` moves the body
+by -x0 rather than the sphere by x0. F is sampled on great-circle arcs of
+S_R: the whole circle in 2D, and in 3D one meridian from pole to pole per
+azimuth, in the vertical half-plane at that azimuth. The arcs are built
 once (in 3D once per azimuth count) and cached; the scan makes one
 ``defining`` call per chunk of whole arcs, at most ``_SCAN_POINTS`` points
 (the whole 2D circle in one), each on a batch held coordinate-major, one
@@ -12,28 +13,25 @@ contiguous block per coordinate, where F's sums over coordinates run as
 whole-row adds. F is pointwise, so the chunks change no value; they keep
 each temporary of the scan under glibc's 128 KB mmap threshold, so that it
 is served from the heap rather than mapped, and faulted in, anew each scan.
-A scan about the origin (``center=None``, as ``shell_distance`` scans)
-adds no centre to its samples R u, its solver's points or its crossings;
-an explicit centre (``blowdown_check``'s) is added to each. Each sign change
-of F <= 0 between neighbouring samples brackets one crossing; the changes
-are read off one flat index of the (arcs, samples - 1) mask, divided by
-samples - 1 into (arc, sample), in np.nonzero's order. The scan's F values
-at both ends of a bracket start its solve. All brackets are solved
-together by Chandrupatla's bracketed inverse-quadratic method (T. R.
-Chandrupatla, "A new hybrid quadratic/bisection algorithm for finding the
-zero of a nonlinear function without using derivatives", Adv. Eng.
-Software 28 (1997) 145-149), one ``defining`` call per round over the
-brackets still open, in the angle d from the bracket's inside sample along
-the arc, so the crossing is resolved to rounding relative to the bracket
-rather than to the arc's absolute angle. A round takes the
+Each sign change of F <= 0 between neighbouring samples brackets one
+crossing; the changes are read off one flat index of the (arcs, samples -
+1) mask, divided by samples - 1 into (arc, sample), in np.nonzero's order.
+The scan's F values at both ends of a bracket start its solve. All
+brackets are solved together by Chandrupatla's bracketed inverse-quadratic
+method (T. R. Chandrupatla, "A new hybrid quadratic/bisection algorithm
+for finding the zero of a nonlinear function without using derivatives",
+Adv. Eng. Software 28 (1997) 145-149), one ``defining`` call per round
+over the brackets still open, in the angle d from the bracket's inside
+sample along the arc, so the crossing is resolved to rounding relative to
+the bracket rather than to the arc's absolute angle. A round takes the
 inverse-quadratic step through the last three points where Chandrupatla's
 test allows it and bisects otherwise, and also whenever the last two
 rounds together did not halve the bracket, so any three rounds at least
 halve it. A bracket stops once it is narrower than 2^-55 + 4 eps d
 radians, or F is exactly 0 at its new point: R times that width is under
-0.4 ulp(R), below the rounding of forming the point c + R (cos d u0 +
-sin d t0) itself, so a narrower bracket would not move the point. It gives
-its inside end, where F <= 0, as does a bracket still open at the cap of
+0.4 ulp(R), below the rounding of forming the point R (cos d u0 + sin d
+t0) itself, so a narrower bracket would not move the point. It gives its
+inside end, where F <= 0, as does a bracket still open at the cap of
 112 rounds, twice the 56 steps of a bisection.
 The cone/sphere intersection is R times the cone's closed-form unit boundary
 rays. The symmetric Hausdorff distance between the two sample sets is the
@@ -47,7 +45,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -140,43 +138,33 @@ def _check_azimuths(n_azimuth):
         raise ValueError(f"n_azimuth must be an integer >= 1, got {n_azimuth!r}")
 
 
-def body_shell_points(body, R, center=None, n_azimuth=_N_AZIMUTH):
-    """Sample the boundary points at distance R from center (default origin)."""
+def body_shell_points(body, R, n_azimuth=_N_AZIMUTH):
+    """Sample the boundary points at distance R from the origin."""
     _check_azimuths(n_azimuth)
     R = float(R)
     if not (math.isfinite(R) and R > 0.0):
         raise ValueError(f"sphere radius must be finite and positive, got {R}")
-    dim = body.ambient_dim
-    if center is not None:
-        center = np.asarray(center, dtype=float)
-        if center.shape != (dim,) or not np.all(np.isfinite(center)):
-            raise ValueError(f"center must be a finite point of shape ({dim},), "
-                             f"got {center.tolist()!r}")
-    U, T, step = _arcs(dim, n_azimuth)
-    f = _on_sphere(R, _scan, body.defining, center, R, U)
+    U, T, step = _arcs(body.ambient_dim, n_azimuth)
+    f = _on_sphere(R, _scan, body.defining, R, U)
     inside = f <= 0.0
     arc, j = _sign_changes(inside)
     if len(j) == 0:
         raise EmptyShellIntersection(f"boundary does not meet the sphere of radius {R}")
     # each bracket runs from its inside sample u0 along the tangent t0
-    # towards its outside neighbour: p(d) = c + R (cos(d) u0 + sin(d) t0)
+    # towards its outside neighbour: p(d) = R (cos(d) u0 + sin(d) t0)
     first_in = inside[arc, j]
     i_in, i_out = np.where(first_in, j, j + 1), np.where(first_in, j + 1, j)
     u0 = U[arc, i_in]
     t0 = np.where(first_in[:, None], T[arc, j], -T[arc, j + 1])
-    d = _crossings(body.defining, center, R, u0, t0, f[arc, i_in], f[arc, i_out], step)
-    p = R * (np.cos(d)[:, None] * u0 + np.sin(d)[:, None] * t0)
-    return p if center is None else center + p
+    d = _crossings(body.defining, R, u0, t0, f[arc, i_in], f[arc, i_out], step)
+    return R * (np.cos(d)[:, None] * u0 + np.sin(d)[:, None] * t0)
 
 
-def _scan(F, center, R, U):
-    """F at the samples R U of the arcs about center (None: the origin), one
-    call per chunk of whole arcs, at most ``_SCAN_POINTS`` points each."""
+def _scan(F, R, U):
+    """F at the samples R U of the arcs, one call per chunk of whole arcs, at
+    most ``_SCAN_POINTS`` points each."""
     k = max(1, _SCAN_POINTS // U.shape[1])  # arcs per scan call
-    chunks = (R * U[i:i + k] for i in range(0, len(U), k))
-    if center is not None:
-        chunks = (center + p for p in chunks)
-    return np.concatenate([F(p) for p in chunks])
+    return np.concatenate([F(R * U[i:i + k]) for i in range(0, len(U), k)])
 
 
 def _sign_changes(inside):
@@ -186,14 +174,13 @@ def _sign_changes(inside):
     return np.divmod(flat, inside.shape[1] - 1)
 
 
-def _crossings(F, center, R, u0, t0, f_in, f_out, step):
+def _crossings(F, R, u0, t0, f_in, f_out, step):
     """The angle d in [0, step] of each bracket's crossing, by Chandrupatla's
     bracketed inverse-quadratic method, all brackets in lockstep.
 
     Bracket i has F = f_in[i] <= 0 at d = 0 and f_out[i] > 0 (or NaN) at
-    d = step, on p(d) = center + R (cos(d) u0[i] + sin(d) t0[i]); a center
-    of None is the origin, and no centre is added to p(d). Each round
-    makes one coordinate-major ``defining`` call over the open brackets.
+    d = step, on p(d) = R (cos(d) u0[i] + sin(d) t0[i]). Each round makes
+    one coordinate-major ``defining`` call over the open brackets.
     A bracket stops once narrower than 2^-55 + 4 eps d radians, where R
     times its width is under 0.4 ulp(R), the most that forming p(d) can
     resolve. Returns each final bracket's inside end, where F <= 0.
@@ -203,7 +190,6 @@ def _crossings(F, center, R, u0, t0, f_in, f_out, step):
     S[_X1], S[_F1], S[_X2], S[_F2] = 0.0, f_in, step, f_out
     S[_XN], S[_W:_W + 2] = 0.5 * step, step
     S[_U:] = np.concatenate([u0.T, t0.T])
-    cen = None if center is None else center[:, None]
     half_abs, half_rel = 0.5 * _POLISH_ABS, 0.5 * _POLISH_REL
     d = np.zeros(n)
     open_ = np.arange(n)
@@ -213,8 +199,6 @@ def _crossings(F, center, R, u0, t0, f_in, f_out, step):
             p = np.cos(x) * S[_U:_U + dim]
             p += np.sin(x) * S[_U + dim:]
             p *= R
-            if cen is not None:
-                p += cen
             fx = F(p.T)
             inside = fx <= 0.0
             # x becomes x1; the end on its side is dropped to x3 (x1 itself,
@@ -307,13 +291,13 @@ def shell_distance(body, cone, R, n_azimuth=_N_AZIMUTH) -> ShellDistance:
 
 
 def blowdown_check(body, R, n_azimuth=_N_AZIMUTH) -> float:
-    """Hausdorff distance of (1/R)(boundary - x0) to the recession cone at S_1."""
+    """Hausdorff distance of (1/R)(boundary - x0) to the recession cone at S_1,
+    scanned about the origin on the body moved by -x0 (x0 its interior point)."""
     R = float(R)
-    x0 = body.interior_point()
-    cone = body.recession_cone()
-    A = body_shell_points(body, R, center=x0, n_azimuth=n_azimuth)
-    B = cone_shell_points(cone, R, n_azimuth=n_azimuth)
-    d, _, _ = _on_sphere(R, _hausdorff, A - x0, B)
+    moved = replace(body, translation=body.translation - body.interior_point())
+    A = body_shell_points(moved, R, n_azimuth=n_azimuth)
+    B = cone_shell_points(body.recession_cone(), R, n_azimuth=n_azimuth)
+    d, _, _ = _on_sphere(R, _hausdorff, A, B)
     return d / R
 
 

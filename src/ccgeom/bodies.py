@@ -618,6 +618,8 @@ class BodySpec:
     def outer_normal(self, x):
         """Outward unit normal at a boundary point."""
         x = _as_point(x, self.ambient_dim)
+        if not np.all(np.isfinite(x)):
+            raise ValueError("point must be finite")
         f = float(self.defining(x))
         if abs(f) > 1e-8 * self.scale:
             raise NotOnBoundary(f"|F(x)| = {abs(f):.3g} exceeds boundary tolerance")
@@ -680,7 +682,8 @@ def _graph_contact(body, abscissa):
     Every graph kind has F(x', y) = height(x') - y in its own frame, so the
     height is F at (x', 0) and the graph gradient is the x' part of grad F.
     A body that is not an epigraph raises ``NotGraphLike``; an abscissa
-    where the height has no gradient, ``NotOnBoundary`` naming it.
+    where the height has no gradient, ``NotOnBoundary`` naming it; one where
+    the height or the normal overflows, a ValueError naming it.
     """
     if not isinstance(body._impl, _Graph):
         raise NotGraphLike("a graph contact needs a graph-like body, an epigraph")
@@ -690,14 +693,20 @@ def _graph_contact(body, abscissa):
         raise ValueError(f"anchor abscissa must have {n} component(s)")
     if not np.all(np.isfinite(x0)):
         raise ValueError(f"anchor abscissa must be finite, got {x0}")
-    height = float(body.defining(np.append(x0, 0.0) + body.translation))
-    point = np.append(x0, height) + body.translation
-    try:
-        grad = body.defining_gradient(point)
-    except NotOnBoundary as e:
-        raise NotOnBoundary(f"no graph contact at abscissa {x0.tolist()}: {e}") from e
-    normal = np.append(-grad[:-1], 1.0)
-    return point, normal / np.linalg.norm(normal)
+    with np.errstate(over="ignore", invalid="ignore"):
+        height = float(body.defining(np.append(x0, 0.0) + body.translation))
+        point = np.append(x0, height) + body.translation
+        if not np.all(np.isfinite(point)):
+            raise ValueError(f"graph height at abscissa {x0.tolist()} is not finite: {height}")
+        try:
+            grad = body.defining_gradient(point)
+        except NotOnBoundary as e:
+            raise NotOnBoundary(f"no graph contact at abscissa {x0.tolist()}: {e}") from e
+        normal = np.append(-grad[:-1], 1.0)
+        length = float(np.linalg.norm(normal))
+    if not math.isfinite(length):
+        raise ValueError(f"graph slope at abscissa {x0.tolist()} is not finite")
+    return point, normal / length
 
 
 def ray_hits_batch(body, origin, directions, guess=None):

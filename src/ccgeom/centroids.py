@@ -48,15 +48,18 @@ def sample_levels(body, u, n_levels=None):
 
     Bounded intervals get interior Chebyshev nodes; half-infinite intervals
     get a geometric grid t0 + delta * r^k probing the asymptotic regime.
+    ``n_levels`` is a whole number >= 1, or None for the interval's default.
     """
+    if n_levels is not None and not (n_levels >= 1 and float(n_levels).is_integer()):
+        raise ValueError(f"n_levels must be a whole number >= 1, got {n_levels!r}")
     lo, hi = admissible_levels(body, u)
     if math.isfinite(lo) and math.isfinite(hi):
-        n = n_levels or N_LEVELS_BOUNDED
+        n = N_LEVELS_BOUNDED if n_levels is None else int(n_levels)
         j = np.arange(n)
         nodes = np.cos(math.pi * (2.0 * j + 1.0) / (2.0 * n))
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
         return np.sort(mid + half * nodes)
-    n = n_levels or N_LEVELS_UNBOUNDED
+    n = N_LEVELS_UNBOUNDED if n_levels is None else int(n_levels)
     k = np.arange(n)
     # (-inf, inf) cannot occur: then the cone meets u-perp and admissible_levels raises
     end, side = (lo, 1.0) if math.isfinite(lo) else (hi, -1.0)
@@ -78,6 +81,8 @@ def fit_line(points) -> LineFit:
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] < 3:
         raise DegeneratePointSet("need at least 3 points")
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("points must be finite")
     base = pts.mean(axis=0)
     centered = pts - base
     spread = float(np.sqrt(np.mean(np.sum(centered ** 2, axis=-1))))

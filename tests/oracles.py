@@ -148,12 +148,12 @@ def cone_cap_volume(slope, apex, a):
     return c / 3.0 * math.pi * (c / slope) ** 2 / (1.0 - e * e) ** 1.5 if c > 0.0 else 0.0
 
 
-def shell_points_bisection(body, R, center=None, n_azimuth=720):
-    """Boundary points at distance R from center, by bisecting every sign
+def shell_points_bisection(body, R, n_azimuth=720):
+    """Boundary points at distance R from the origin, by bisecting every sign
     change of F <= 0 on the shell scan's arcs for 56 steps.
 
     The same scan and bracket angle d as ``asymptotics.body_shell_points``,
-    p(d) = c + R (cos(d) u0 + sin(d) t0) from each bracket's inside sample
+    p(d) = R (cos(d) u0 + sin(d) t0) from each bracket's inside sample
     u0; each step halves every bracket with one ``defining`` call. Returns
     the inside end of each final bracket.
     """
@@ -161,16 +161,15 @@ def shell_points_bisection(body, R, center=None, n_azimuth=720):
 
     R = float(R)
     dim = body.ambient_dim
-    center = np.zeros(dim) if center is None else np.asarray(center, dtype=float)
     U, T, step = _arcs(dim, n_azimuth)
-    inside = body.defining(center + R * U) <= 0.0
+    inside = body.defining(R * U) <= 0.0
     arc, j = np.nonzero(inside[:, :-1] != inside[:, 1:])
     first_in = inside[arc, j][:, None]
     u0 = np.where(first_in, U[arc, j], U[arc, j + 1])
     t0 = np.where(first_in, T[arc, j], -T[arc, j + 1])
 
     def on_sphere(d):
-        return center + R * (np.cos(d)[:, None] * u0 + np.sin(d)[:, None] * t0)
+        return R * (np.cos(d)[:, None] * u0 + np.sin(d)[:, None] * t0)
 
     lo, hi = np.zeros(len(j)), np.full(len(j), step)
     for _ in range(56):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import warnings
@@ -32,15 +33,15 @@ EPS = np.finfo(float).eps
 def test_body_shell_points_on_hyperbola():
     R = 50.0
     shifted = hyperboloid_sheet([1.0, 2.0], shift=[1.0, -2.0, 0.5])
-    for h, c, count in ((hyperboloid_sheet([1.0]), np.zeros(2), 2),
-                        (hyperboloid_sheet([1.0, 1.0]), np.zeros(3), 48),
-                        (hyperboloid_sheet([1.0, 2.0]), np.zeros(3), 48),
-                        (shifted, shifted.interior_point(), 48)):
-        pts = body_shell_points(h, R, center=c, n_azimuth=48)
+    for h, count in ((hyperboloid_sheet([1.0]), 2),
+                     (hyperboloid_sheet([1.0, 1.0]), 48),
+                     (hyperboloid_sheet([1.0, 2.0]), 48),
+                     (shifted, 48)):
+        pts = body_shell_points(h, R, n_azimuth=48)
         # one crossing per meridian in 3D, both branches in 2D
         assert len(pts) == count
         # all points on the sphere and on the boundary
-        assert np.all(np.abs(np.linalg.norm(pts - c, axis=1) - R) <= 1e-13 * R)
+        assert np.all(np.abs(np.linalg.norm(pts, axis=1) - R) <= 1e-13 * R)
         assert np.all(np.abs(h.defining(pts)) <= 1e-12 * R)
 
 
@@ -108,6 +109,25 @@ def test_exp_epigraph_distance_grows_like_log():
 def test_blowdown_check_recentres():
     e = function_epigraph("exp")
     assert blowdown_check(e, 1.0e4) <= 1e-3
+
+
+@pytest.mark.parametrize("body", [hyperboloid_sheet([1.0]), function_epigraph("exp"),
+                                  hyperboloid_sheet([1.0, 1.4]), paraboloid_epigraph([1.0, 0.7])],
+                         ids=["hyperbola", "exp", "sheet-1.4", "paraboloid"])
+def test_blowdown_check_is_translation_invariant(body):
+    # the scan is about the body's interior point x0, wherever the body sits
+    b = np.array([0.1, -0.2, 0.3])[:body.ambient_dim]
+    moved = dataclasses.replace(body, translation=body.translation + b)
+    for R in (1e2, 1e3):
+        assert blowdown_check(moved, R) == pytest.approx(blowdown_check(body, R), rel=1e-12)
+    # (1/R) times the Hausdorff distance of the bisected shell of boundary - x0
+    # to the cone's, by scipy
+    R = 1e2
+    recentred = dataclasses.replace(body, translation=body.translation - body.interior_point())
+    d = distance.cdist(shell_points_bisection(recentred, R, n_azimuth=96),
+                       cone_shell_points(body.recession_cone(), R, n_azimuth=96))
+    ref = max(d.min(axis=0).max(), d.min(axis=1).max()) / R
+    assert blowdown_check(body, R, n_azimuth=96) == pytest.approx(ref, rel=1e-12)
 
 
 def test_circular_cone_is_its_own_shadow():
@@ -418,27 +438,26 @@ _SHELL_CASES = [
 def test_shell_points_match_the_bisection_reference(body, radii):
     # the solver may end anywhere in F's rounding band at the crossing, so
     # within 2 eps R of the 56-step bisection, not bitwise
+    # on the body and on the body moved by -x0, as blowdown_check scans it
+    recentred = dataclasses.replace(body, translation=body.translation - body.interior_point())
     for R in radii:
-        for c in (None, body.interior_point()):
-            pts = body_shell_points(body, R, center=c, n_azimuth=96)
-            ref = shell_points_bisection(body, R, center=c, n_azimuth=96)
+        for b in (body, recentred):
+            pts = body_shell_points(b, R, n_azimuth=96)
+            ref = shell_points_bisection(b, R, n_azimuth=96)
             assert pts.shape == ref.shape
             assert np.max(np.abs(pts - ref)) <= 2.0 * EPS * R
-            assert np.all(body.defining(pts) <= 0.0)
+            assert np.all(b.defining(pts) <= 0.0)
 
 
 @pytest.mark.parametrize("body, radii", _SHELL_CASES,
                          ids=[f"{b.kind}-{b.ambient_dim}d-{i}"
                               for i, (b, _) in enumerate(_SHELL_CASES)])
 def test_shell_points_about_the_origin_add_no_centre(body, radii):
-    # center=None scans R u with no zero centre added, and reads the sign
-    # changes off a flat index: the same points as an explicit zero centre,
-    # bit for bit, and the same brackets as np.nonzero, order included
+    # the scan of R u reads its sign changes off a flat index: the same
+    # brackets as np.nonzero, order included, one per shell point
     U, _, _ = asymptotics._arcs(body.ambient_dim, 96)
     for R in radii:
         pts = body_shell_points(body, R, n_azimuth=96)
-        ref = body_shell_points(body, R, center=np.zeros(body.ambient_dim), n_azimuth=96)
-        assert pts.shape == ref.shape and pts.tobytes() == ref.tobytes()
         with np.errstate(over="ignore"):
             inside = body.defining(R * U) <= 0.0
         arc, j = asymptotics._sign_changes(inside)
@@ -517,12 +536,3 @@ def test_shell_solver_round_cap_returns_inside_ends(monkeypatch, body, R):
     assert np.all(body.defining(pts) <= 0.0)
     assert np.allclose(np.linalg.norm(pts, axis=1), R, rtol=1e-14)
     assert np.all(np.linalg.norm(pts - ref, axis=1) <= R * step)
-
-
-@pytest.mark.parametrize("center", [[math.nan, 0.0, 0.0], [0.0, math.inf, 0.0],
-                                    [[0.0, 0.0, 0.0]], [0.0, 0.0]],
-                         ids=["nan", "inf", "2d-array", "short"])
-def test_shell_center_must_be_a_finite_point(center):
-    h = hyperboloid_sheet([1.0, 1.0])
-    with pytest.raises(ValueError, match="center"):
-        body_shell_points(h, 100.0, center=center, n_azimuth=24)

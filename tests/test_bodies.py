@@ -173,6 +173,14 @@ def test_boundary_hit_and_outer_normal():
         s.outer_normal([1.0, 0.0, 0.5])
 
 
+@pytest.mark.parametrize("x", [[math.nan, 0.0, 1.0], [0.0, math.inf, 1.0], [0.0, 0.0, -math.inf]],
+                         ids=["nan", "inf", "-inf"])
+def test_outer_normal_refuses_a_point_that_is_not_finite(x):
+    # abs(F) > tol is False for a NaN F, which would pass a NaN normal on
+    with pytest.raises(ValueError, match="finite"):
+        unit_sphere().outer_normal(x)
+
+
 def test_epigraph_normals_at_the_edge_are_not_attained():
     # within 1e-15 of the edge of the attained normals, support gives the
     # limit, so the Gauss map must not claim a contact point there

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -63,11 +64,40 @@ def test_sample_levels_unbounded_direction_raises():
         sample_levels(p, np.array([1.0, 0.0, 0.0]))
 
 
+@pytest.mark.parametrize("n_levels", [0, -3, 8.5, math.nan, math.inf])
+def test_sample_levels_refuses_a_count_that_is_not_a_whole_number(n_levels):
+    # 0 once read as the default, -3 gave no level, and 8.5 nine Chebyshev
+    # nodes, the last on the support level
+    with pytest.raises(ValueError, match="n_levels"):
+        sample_levels(unit_disk(), np.array([0.0, 1.0]), n_levels)
+    with pytest.raises(ValueError, match="n_levels"):
+        sample_levels(paraboloid_epigraph([1.0, 1.0]), np.array([0.0, 0.0, 1.0]), n_levels)
+
+
+def test_sample_levels_takes_a_whole_count():
+    u = np.array([0.0, 0.0, 1.0])
+    assert len(sample_levels(ellipsoid([1.0, 1.0, 1.0]), u, 9)) == 9
+    assert len(sample_levels(ellipsoid([1.0, 1.0, 1.0]), u, 9.0)) == 9
+    assert len(sample_levels(paraboloid_epigraph([1.0, 1.0]), u, np.int64(10))) == 10
+    fit = sccp_residual(ellipsoid([1.0, 1.0, 1.0]), u, n_levels=9.0)
+    assert fit.n_points == 9
+
+
 def test_fit_line_exact_points():
     pts = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
     fit = fit_line(pts)
     assert fit.residual_norm < 1e-14
     assert abs(fit.dir @ _unit([1.0, 1.0])) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_fit_line_refuses_points_that_are_not_finite(bad):
+    pts = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
+    pts[2, 1] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite"):
+            fit_line(pts)
 
 
 def test_fit_line_rejects_degenerate():

@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -293,6 +294,17 @@ def test_wrong_vector_is_config_error_naming_the_key(tmp_path, capsys, command, 
     code, out, err = run_config(tmp_path, capsys, command, cfg)
     assert code == EXIT_BAD_CONFIG
     assert err.startswith("error: ") and repr(key) in err and expected in err
+    assert out == ""
+
+
+def test_anchor_whose_height_overflows_is_config_error_naming_it(tmp_path, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_config(tmp_path, capsys, "cutvol",
+                                    {"body": PARABOLA, "op": "parallel", "k": 1.0,
+                                     "anchors": [[1e300]]})
+    assert code == EXIT_BAD_CONFIG
+    assert err.startswith("error: ") and "abscissa [1e+300]" in err
     assert out == ""
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import mpmath
@@ -266,6 +267,21 @@ def test_graph_contacts_at_a_cone_apex_are_refused(dim, x):
             homothety_cut_scan(cone, 2.0, [[x] * (dim - 1)])
         with pytest.raises(NotGraphLike):
             parallel_cut_scan(cone, 1.0, [[x] * (dim - 1)])
+
+
+@pytest.mark.parametrize("scan, body, k, anchor", [
+    (parallel_cut_scan, function_epigraph("square"), 1.0, [1e160]),
+    (parallel_cut_scan, paraboloid_epigraph([1.0, 1.0]), 1.0, [1e160, 0.0]),
+    (homothety_cut_scan, hyperboloid_sheet([1.0]), 2.0, [1e200]),
+    (parallel_cut_scan, function_epigraph("square"), 1.0, [1e154]),
+], ids=["parabola", "paraboloid", "hyperbola", "parabola-slope"])
+def test_graph_contacts_that_overflow_name_the_abscissa(scan, body, k, anchor):
+    # the height (or at 1e154 the normal's length) overflows: one ValueError
+    # that names the abscissa, with no numpy warning before it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(f"abscissa {anchor}")):
+            scan(body, k, [anchor])
 
 
 def test_homothety_scan_exp_varies():
