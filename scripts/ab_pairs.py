@@ -1,0 +1,155 @@
+#!/usr/bin/env python3
+"""Run one benchmark workload in rotated rounds over two or three source
+checkouts and compare their end-to-end metrics pair by pair:
+
+    python scripts/ab_pairs.py --workload shell-3d --seed 1 --rounds 10 \\
+        PARENT CHANGE [CONTROL]
+
+PARENT, CHANGE and CONTROL are directories holding a checkout each (made
+with ``git clone`` or ``git archive``, say). The control is the parent plus
+one comment line in a source file: trees that differ only in that line can
+run a workload several percent apart, so a change must beat the control as
+well as the parent. Each round runs ``perfbench/run.py`` once from the root
+of each checkout, its own copy, for ``--seconds``; round r starts with
+checkout r mod the number of checkouts, so that none always runs first. A
+pair is one round's runs of the change and of the parent (or the control).
+
+For each end-to-end metric that BENCHMARK.json lists, it prints each
+checkout's median and interquartile range, and the pairs the change wins
+against the parent and against the control; a tie wins for neither side.
+The change gains on a metric when it wins at least nine tenths of the pairs
+against each, its median lies beyond the control's interquartile range on
+the better side, and it is better than the parent's median by more than the
+parent's interquartile range; it loses when the same holds the other way.
+The exit code is 1 when a run fails or reports a failed op, else 0.
+"""
+import argparse
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+LABELS = ("parent", "change", "control")
+WIN_SHARE = 0.9
+
+
+def run_once(checkout, workload, seed, seconds):
+    """The result object that ``perfbench/run.py`` prints last, or None if
+    the run gave none."""
+    done = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
+                           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+                          cwd=checkout, capture_output=True, text=True)
+    lines = done.stdout.strip().splitlines()
+    try:
+        return json.loads(lines[-1])
+    except (IndexError, ValueError):
+        sys.stderr.write(done.stderr)
+        return None
+
+
+def _wins(a, b, better):
+    """Pairs in which a is better than b, and in which b is better than a."""
+    a, b = np.asarray(a), np.asarray(b)
+    if better == "lower":
+        a, b = -a, -b
+    return int(np.sum(a > b)), int(np.sum(b > a))
+
+
+def _verdict(change, baselines, better, won, lost):
+    """'gain', 'loss' or '-' (see the module docstring)."""
+    sign = 1.0 if better == "higher" else -1.0
+    c = sign * np.median(change)
+    for verdict, way, counts in (("gain", 1.0, won), ("loss", -1.0, lost)):
+        if any(n < WIN_SHARE * len(change) for n in counts):
+            continue
+        ok = True
+        for label, runs in baselines.items():
+            q1, med, q3 = np.percentile(sign * np.asarray(runs), [25, 50, 75])
+            if label == "control":
+                ok &= bool(c > q3) if way > 0 else bool(c < q1)
+            else:
+                ok &= bool(way * (c - med) > q3 - q1)
+        if ok:
+            return verdict
+    return "-"
+
+
+def summarize(runs, better):
+    """One row per metric of ``better`` (name -> "higher" or "lower"), from
+    ``runs`` (label -> one dict of metric values per round, label among
+    LABELS, parent and change given): each label's median and quartiles,
+    the change's pair wins and losses against each other label, and the
+    verdict."""
+    rows = []
+    for name, way in better.items():
+        values = {label: [r[name] for r in rounds] for label, rounds in runs.items()}
+        row = {"metric": name, "better": way}
+        for label, v in values.items():
+            q1, q3 = np.percentile(v, [25, 75])
+            row[label] = (float(np.median(v)), float(q1), float(q3))
+        baselines = {label: v for label, v in values.items() if label != "change"}
+        won, lost = [], []
+        for label, v in baselines.items():
+            w, l_ = _wins(values["change"], v, way)
+            row[f"wins vs {label}"] = (w, l_)
+            won.append(w)
+            lost.append(l_)
+        row["verdict"] = _verdict(values["change"], baselines, way, won, lost)
+        rows.append(row)
+    return rows
+
+
+def format_rows(rows, labels, units):
+    """The table of ``summarize``'s rows, one line per metric."""
+    head = f"{'metric':12s} {'unit':6s}" + "".join(f" {label + ' median [q1, q3]':>32s}"
+                                                    for label in labels)
+    head += "".join(f" {'wins vs ' + label:>16s}" for label in labels if label != "change")
+    lines = [head + "  verdict"]
+    for row in rows:
+        line = f"{row['metric']:12s} {units[row['metric']]:6s}"
+        for label in labels:
+            m, q1, q3 = row[label]
+            line += f" {f'{m:.4g} [{q1:.4g}, {q3:.4g}]':>32s}"
+        for label in labels:
+            if label != "change":
+                w, l_ = row[f"wins vs {label}"]
+                line += f" {f'{w}-{l_}':>16s}"
+        lines.append(line + f"  {row['verdict']}")
+    return "\n".join(lines)
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--rounds", type=int, default=10)
+    ap.add_argument("--seconds", type=float, default=20.0)
+    ap.add_argument("checkouts", nargs="+", type=Path, help="parent, change and optional control")
+    args = ap.parse_args(argv)
+    if len(args.checkouts) not in (2, 3):
+        ap.error("give two or three checkouts: parent, change and optional control")
+    if args.rounds < 1:
+        ap.error("--rounds must be at least 1")
+    labels = LABELS[:len(args.checkouts)]
+    manifest = json.loads((args.checkouts[0] / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in manifest["end_to_end"]}
+    units = {m["name"]: m["unit"] for m in manifest["end_to_end"]}
+    runs = {label: [] for label in labels}
+    for r in range(args.rounds):
+        for i in [(r + j) % len(labels) for j in range(len(labels))]:
+            result = run_once(args.checkouts[i], args.workload, args.seed, args.seconds)
+            if result is None or result["failed"]:
+                print(f"round {r + 1}: the {labels[i]} run failed", flush=True)
+                return 1
+            runs[labels[i]].append({k: v["value"] for k, v in result["metrics"].items()})
+        print(f"round {r + 1}/{args.rounds} done", flush=True)
+    print(f"{args.workload} seed {args.seed}: {args.rounds} rounds of {args.seconds:g} s; "
+          + ", ".join(f"{label} {path}" for label, path in zip(labels, args.checkouts)))
+    print(format_rows(summarize(runs, better), labels, units))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -23,12 +23,13 @@ F-rounds per call of each kind (mean and max, and its number of calls),
 the unguessed F-rounds per call of each body (its kind or function tag,
 params and any translation), and the ``defining`` calls and oracle points
 (points at which ``defining`` was evaluated) of the whole pass, the
-solver rounds per shell scan (mean and max, and the number of scans) and
-the brackets still open in each solver round (the mean over the scans, a
-scan that has stopped counting 0), and the minor page faults of the
-process per op (``getrusage`` around each op; the median, which the first
-op's one-off set-up, such as the shell scan's cached arcs, does not move,
-the mean and the max). For each op that
+solver rounds per shell scan (mean and max, and the number of scans), the
+brackets still open in each solver round (the mean over the scans, a
+scan that has stopped counting 0), the solver's mean time per round
+outside F (from this one pass, so it moves from run to run), and the minor
+page faults of the process per op (``getrusage`` around each op; the
+median, which the first op's one-off set-up, such as the shell scan's
+cached arcs, does not move, the mean and the max). For each op that
 integrates cut volumes it prints its calls, the volumes they integrate (one
 ``quad`` integral each), the section levels they take (each a node of a
 volume's quadrature rule, or a gradient's cut plane) and the levels per
@@ -37,18 +38,17 @@ prints the rays per level of the first polar batch (the rule's first
 nodes), the polar rays per level over all its guessed batches (diameter
 grids included), and how many levels were refined past the first batch.
 
-A shell scan (``asymptotics.body_shell_points``) hands ``defining`` its
-chunks of whole arcs as (arcs, samples, dim) batches and then one (points,
-dim) batch per round of its crossing solver, one point per bracket still
-open; the solver rounds of a scan are the ``defining`` calls of its op
-after its chunks, told apart by that shape, up to the next scan's first
-chunk.
+A shell scan's solver rounds are the ``defining`` calls made inside its
+call of ``asymptotics._crossings``, which the script wraps by name: one
+call per round, one point per bracket still open. The solver's time
+outside F is the time inside ``_crossings`` less the time of those calls.
 """
 import argparse
 import resource
 import sys
 from collections import defaultdict
 from pathlib import Path
+from time import perf_counter
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import run  # noqa: E402  (first: it pins the thread counts before numpy loads)
@@ -67,8 +67,9 @@ class Counts:
     the polar rule, the rays of its guessed batches and the levels refined
     past its first batch, and ``first_nodes`` lists the rays per level of
     each first polar batch; ``scans`` lists, for each shell scan, the
-    brackets open in each of its solver rounds, and ``shell`` is None,
-    "scan" or "solve": where the running op's latest shell scan is."""
+    brackets open in each of its solver rounds, ``solve`` is the list of the
+    scan whose solver runs (or None), and ``solve_s`` and ``solve_f_s`` are
+    the seconds inside the solver and inside its ``defining`` calls."""
 
     def __init__(self):
         self.op = None  # the name of the op that runs
@@ -87,7 +88,9 @@ class Counts:
         self.first_nodes = []
         self.guessed = None  # guessed batches of the running polar rule so far
         self.scans = []
-        self.shell = None
+        self.solve = None
+        self.solve_s = 0.0
+        self.solve_f_s = 0.0
 
 
 def label(body):
@@ -101,10 +104,11 @@ def label(body):
 
 
 def install(ccgeom, counts):
-    """Count every ``defining`` and ``ray_hits_batch`` call, and every cut
-    volume and section level of ``cutvol``, into counts; returns a function
-    that restores the library."""
+    """Count every ``defining``, ``ray_hits_batch`` and shell solver call,
+    and every cut volume and section level of ``cutvol``, into counts;
+    returns a function that restores the library."""
     bodies, sections, cutvol = ccgeom.bodies, ccgeom.sections, ccgeom.cutvol
+    asymptotics = ccgeom.asymptotics
     undo = []
 
     def patch(owner, name, wrapper):
@@ -114,17 +118,29 @@ def install(ccgeom, counts):
 
     def defining(orig):
         def counted(self, x):
+            t0 = perf_counter()
             x = np.asarray(x)
             counts.defining += 1
             counts.points += x.size // x.shape[-1] if x.ndim else 1
-            if x.ndim == 3:  # a chunk of a shell scan's arcs
-                if counts.shell != "scan":
-                    counts.scans.append([])
-                counts.shell = "scan"
-            elif counts.shell is not None:  # a round of its crossing solver
-                counts.shell = "solve"
-                counts.scans[-1].append(len(x))
-            return orig(self, x)
+            solve = counts.solve
+            if solve is not None:  # a round of a shell scan's solver
+                solve.append(len(x))
+            out = orig(self, x)
+            if solve is not None:
+                counts.solve_f_s += perf_counter() - t0
+            return out
+        return counted
+
+    def crossings(orig):
+        def counted(*args):
+            counts.scans.append([])
+            counts.solve = counts.scans[-1]
+            t0 = perf_counter()
+            try:
+                return orig(*args)
+            finally:
+                counts.solve_s += perf_counter() - t0
+                counts.solve = None
         return counted
 
     def ray_hits_batch(orig):
@@ -183,6 +199,7 @@ def install(ccgeom, counts):
     patch(cutvol, "quad", quad)
     patch(cutvol, "section_measure", levels(2))  # (body, u, t)
     patch(cutvol, "_sections", levels(3))  # (body, normals, k, levels, ...), with the cut plane
+    patch(asymptotics, "_crossings", crossings)
 
     def uninstall():
         for owner, name, orig in reversed(undo):
@@ -212,6 +229,8 @@ def report(name, seed, n_ops, counts):
             row[:len(brackets)] = brackets
         lines.append("  open brackets per solver round, mean over the scans: "
                      + "/".join(f"{m:.1f}" for m in table.mean(axis=0)))
+        outside = 1e6 * (counts.solve_s - counts.solve_f_s) / sum(s)
+        lines.append(f"  solver time per round outside F {outside:.1f} us over {sum(s)} rounds")
     if counts.faults:
         f = counts.faults
         lines.append(f"  minor page faults per op: median {np.median(f):g}, "
@@ -239,7 +258,6 @@ def run_pool(pool, counts):
     for op in pool:
         counts.op = op.name
         counts.ops[op.name] += 1
-        counts.shell = None
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         op.call()
         counts.faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)

@@ -522,6 +522,30 @@ def test_shell_solver_meets_infinite_f():
     assert np.all(e.defining(pts) <= 0.0)
 
 
+@pytest.mark.parametrize("body, R", [(hyperboloid_sheet([1.0, 1.4]), 137.0),
+                                     (paraboloid_epigraph([1.0, 0.7]), 55.5),
+                                     (hyperboloid_sheet([1.0]), 300.0),
+                                     (function_epigraph("exp"), 1e3)],
+                         ids=["sheet-1.4", "paraboloid", "hyperbola", "exp"])
+def test_crossing_does_not_depend_on_the_batch(monkeypatch, body, R):
+    # a bracket solved alone ends bitwise where it ends among the rest of its
+    # scan, where the others close around it, masked and then compacted away
+    solves, crossings = [], asymptotics._crossings
+
+    def recorded(*args):
+        solves.append((args, crossings(*args)))
+        return solves[-1][1]
+
+    monkeypatch.setattr(asymptotics, "_crossings", recorded)
+    body_shell_points(body, R, n_azimuth=96)
+    (F, R_, u0, t0, f_in, f_out, step), d = solves[0]
+    assert len(d) == (96 if body.ambient_dim == 3 else 2)
+    for i in range(len(d)):
+        one = slice(i, i + 1)
+        alone = crossings(F, R_, u0[one], t0[one], f_in[one], f_out[one], step)
+        assert alone.tobytes() == d[one].tobytes()
+
+
 @pytest.mark.parametrize("body, R", [(hyperboloid_sheet([1.0, 1.4]), 100.0),
                                      (function_epigraph("exp"), 1e4)], ids=["3d", "exp"])
 def test_shell_solver_round_cap_returns_inside_ends(monkeypatch, body, R):

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import ccgeom
-from ccgeom import SectionStats, bodies, cutvol, ellipsoid, section_stats, sections
+from ccgeom import SectionStats, asymptotics, bodies, cutvol, ellipsoid, section_stats, sections
 from ccgeom.errors import DegenerateSection, LevelOutOfRange
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -92,11 +92,45 @@ def ray_rounds(monkeypatch):
     return _script(monkeypatch, "ray_rounds")
 
 
+@pytest.fixture
+def ab_pairs(monkeypatch):
+    return _script(monkeypatch, "ab_pairs")
+
+
+def test_ab_pairs_counts_pair_wins_and_tells_a_gain(ab_pairs):
+    # ten rounds: ops_per_s 20% up on the parent in every pair and on the
+    # control in nine; op_p50_s as noisy as the trees' own spread
+    parent = [100.0, 102.0, 98.0, 101.0, 99.0, 103.0, 97.0, 100.0, 101.0, 99.0]
+    control = [p + 1.0 for p in parent]
+    change = [1.2 * p for p in parent]
+    change[3] = control[3] - 0.5
+    p50 = {"parent": [1.0, 1.1, 0.9, 1.0, 1.05, 0.95, 1.0, 1.02, 0.98, 1.0]}
+    p50["control"] = p50["parent"][::-1]
+    p50["change"] = p50["parent"][1:] + p50["parent"][:1]
+    runs = {label: [{"ops_per_s": o, "op_p50_s": t} for o, t in zip(ops, p50[label])]
+            for label, ops in (("parent", parent), ("change", change), ("control", control))}
+    better = {"ops_per_s": "higher", "op_p50_s": "lower"}
+    ops, p50_row = ab_pairs.summarize(runs, better)
+    assert ops["wins vs parent"] == (10, 0) and ops["wins vs control"] == (9, 1)
+    assert ops["verdict"] == "gain"
+    assert ops["parent"] == (100.0, 99.0, 101.0) and ops["change"][0] == np.median(change)
+    assert p50_row["verdict"] == "-"
+    # eight wins in ten is no gain, and the mirror image is a loss
+    runs["change"][4]["ops_per_s"] = 50.0
+    assert ab_pairs.summarize(runs, better)[0]["verdict"] == "-"
+    swapped = {"parent": runs["change"], "change": runs["parent"]}
+    swapped["change"][4] = {"ops_per_s": 99.0, "op_p50_s": 1.05}
+    assert ab_pairs.summarize(swapped, better)[0]["verdict"] == "loss"
+    table = ab_pairs.format_rows([ops], ("parent", "change", "control"), {"ops_per_s": "1/s"})
+    assert table.splitlines()[1].split()[-3:] == ["10-0", "9-1", "gain"]
+
+
 def test_ray_rounds_patches_the_names_it_counts_and_restores_them(ray_rounds):
     # the library names the script wraps: renaming one must fail here
     patched = [(bodies.BodySpec, "defining"), (bodies, "ray_hits_batch"),
                (sections, "ray_hits_batch"), (sections, "_polar_sections"),
-               (cutvol, "quad"), (cutvol, "section_measure"), (cutvol, "_sections")]
+               (cutvol, "quad"), (cutvol, "section_measure"), (cutvol, "_sections"),
+               (asymptotics, "_crossings")]
     before = [owner.__dict__[name] for owner, name in patched]
     uninstall = ray_rounds.install(ccgeom, ray_rounds.Counts())
     try:
@@ -189,9 +223,9 @@ def test_ray_rounds_counts_the_polar_rays_of_each_3d_level(ray_rounds):
 
 
 def test_ray_rounds_counts_the_solver_rounds_of_each_shell_scan(ray_rounds):
-    # a shell op's defining calls after its scan chunks, batches of shape
-    # (arcs, samples, dim), are its solver rounds, batches of (points, dim);
-    # two scans in one op count apart, and an op without a scan counts none
+    # the defining calls made inside a shell scan's solver are its rounds,
+    # and the scan's chunks are not; two scans in one op count apart, and an
+    # op without a scan counts none
     sheet, hyperbola = ccgeom.hyperboloid_sheet([1.0, 1.4]), ccgeom.hyperboloid_sheet([1.0])
     u = np.array([0.3, -0.2, 0.93]) / np.linalg.norm([0.3, -0.2, 0.93])
     pool = [_op("shell", None), _op("section", None)]
@@ -233,6 +267,23 @@ def test_ray_rounds_counts_the_open_brackets_of_each_solver_round(ray_rounds):
     # the mean over the scans, a scan that has stopped counting 0
     counts.scans = [[4, 3, 1], [2]]
     assert "  open brackets per solver round, mean over the scans: 3.0/1.5/0.5" in (
+        ray_rounds.report("shell-3d", 1, 1, counts).splitlines())
+
+
+def test_ray_rounds_times_the_solver_outside_f(ray_rounds):
+    # the solver's seconds less its defining calls' seconds, per round
+    sheet = ccgeom.hyperboloid_sheet([1.0, 1.4])
+    pool = [_op("shell", None)]
+    pool[0].call = lambda: ccgeom.body_shell_points(sheet, 100.0, n_azimuth=96)
+    counts = ray_rounds.Counts()
+    uninstall = ray_rounds.install(ccgeom, counts)
+    try:
+        ray_rounds.run_pool(pool, counts)
+    finally:
+        uninstall()
+    assert 0.0 < counts.solve_f_s < counts.solve_s and counts.solve is None
+    counts.scans, counts.solve_s, counts.solve_f_s = [[4, 3, 1], [2]], 0.003, 0.001
+    assert "  solver time per round outside F 500.0 us over 4 rounds" in (
         ray_rounds.report("shell-3d", 1, 1, counts).splitlines())
 
 
