@@ -4,15 +4,20 @@ checkouts and compare their end-to-end metrics pair by pair:
 
     python scripts/ab_pairs.py --workload shell-3d --seed 1 --rounds 10 \\
         PARENT CHANGE [CONTROL]
+    python scripts/ab_pairs.py --workload cutvol-3d HEAD~1 HEAD
 
-PARENT, CHANGE and CONTROL are directories holding a checkout each (made
-with ``git clone`` or ``git archive``, say). The control is the parent plus
-one comment line in a source file: trees that differ only in that line can
-run a workload several percent apart, so a change must beat the control as
-well as the parent. Each round runs ``perfbench/run.py`` once from the root
-of each checkout, its own copy, for ``--seconds``; round r starts with
-checkout r mod the number of checkouts, so that none always runs first. A
-pair is one round's runs of the change and of the parent (or the control).
+PARENT, CHANGE and CONTROL are each a directory holding a checkout (made
+with ``git clone`` or ``git archive``, say) or a git revision of the
+repository around the working directory, which is exported with ``git
+archive`` into a temporary directory removed at exit. The control is the
+parent plus one comment line in a source file: trees that differ only in
+that line can run a workload several percent apart, so a change must beat
+the control as well as the parent. Without CONTROL the script builds it
+from PARENT, a copy with ``CONTROL_LINE`` appended to
+``src/ccgeom/sections.py``. Each round runs ``perfbench/run.py`` once from
+the root of each checkout, its own copy, for ``--seconds``; round r starts
+with checkout r mod 3, so that none always runs first. A pair is one
+round's runs of the change and of the parent (or the control).
 
 For each end-to-end metric that BENCHMARK.json lists, it prints each
 checkout's median and interquartile range, and the pairs the change wins
@@ -24,15 +29,47 @@ parent's interquartile range; it loses when the same holds the other way.
 The exit code is 1 when a run fails or reports a failed op, else 0.
 """
 import argparse
+import io
 import json
+import shutil
 import subprocess
 import sys
+import tarfile
+import tempfile
 from pathlib import Path
 
 import numpy as np
 
 LABELS = ("parent", "change", "control")
 WIN_SHARE = 0.9
+CONTROL_FILE = Path("src") / "ccgeom" / "sections.py"
+CONTROL_LINE = "# control tree: this comment is its one difference from the parent\n"
+
+
+def checkout(spec, scratch, label):
+    """The directory of a checkout given as a directory or as a git
+    revision of the repository around the working directory, exported into
+    scratch/label; None if it is neither."""
+    path = Path(spec)
+    if path.is_dir():
+        return path
+    done = subprocess.run(["git", "archive", "--format=tar", spec, "--"], capture_output=True)
+    if done.returncode:
+        return None
+    dest = Path(scratch) / label
+    with tarfile.open(fileobj=io.BytesIO(done.stdout)) as tar:
+        tar.extractall(dest, filter="data")
+    return dest
+
+
+def make_control(parent, scratch):
+    """A copy of the checkout parent with CONTROL_LINE appended to
+    CONTROL_FILE, in scratch/control."""
+    dest = Path(scratch) / "control"
+    shutil.copytree(parent, dest, ignore=shutil.ignore_patterns(".git", "__pycache__", "out"))
+    with open(dest / CONTROL_FILE, "a") as f:
+        f.write(CONTROL_LINE)
+    return dest
 
 
 def run_once(checkout, workload, seed, seconds):
@@ -126,27 +163,41 @@ def main(argv=None):
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--rounds", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=20.0)
-    ap.add_argument("checkouts", nargs="+", type=Path, help="parent, change and optional control")
+    ap.add_argument("checkouts", nargs="+",
+                    help="parent, change and optional control: directories or git revisions")
     args = ap.parse_args(argv)
     if len(args.checkouts) not in (2, 3):
         ap.error("give two or three checkouts: parent, change and optional control")
     if args.rounds < 1:
         ap.error("--rounds must be at least 1")
-    labels = LABELS[:len(args.checkouts)]
-    manifest = json.loads((args.checkouts[0] / "BENCHMARK.json").read_text())
+    with tempfile.TemporaryDirectory(prefix="ab_pairs-") as scratch:
+        checkouts = [checkout(spec, scratch, label) for spec, label in zip(args.checkouts, LABELS)]
+        for spec, path in zip(args.checkouts, checkouts):
+            if path is None:
+                ap.error(f"{spec} is neither a directory nor a git revision")
+        if len(checkouts) == 2:
+            checkouts.append(make_control(checkouts[0], scratch))
+        return compare(args, checkouts)
+
+
+def compare(args, checkouts):
+    """Run the rounds over the checkouts (parent, change and control) and
+    print the table; the exit code of ``main``."""
+    labels = LABELS
+    manifest = json.loads((checkouts[0] / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in manifest["end_to_end"]}
     units = {m["name"]: m["unit"] for m in manifest["end_to_end"]}
     runs = {label: [] for label in labels}
     for r in range(args.rounds):
         for i in [(r + j) % len(labels) for j in range(len(labels))]:
-            result = run_once(args.checkouts[i], args.workload, args.seed, args.seconds)
+            result = run_once(checkouts[i], args.workload, args.seed, args.seconds)
             if result is None or result["failed"]:
                 print(f"round {r + 1}: the {labels[i]} run failed", flush=True)
                 return 1
             runs[labels[i]].append({k: v["value"] for k, v in result["metrics"].items()})
         print(f"round {r + 1}/{args.rounds} done", flush=True)
     print(f"{args.workload} seed {args.seed}: {args.rounds} rounds of {args.seconds:g} s; "
-          + ", ".join(f"{label} {path}" for label, path in zip(labels, args.checkouts)))
+          + ", ".join(f"{label} {path}" for label, path in zip(labels, checkouts)))
     print(format_rows(summarize(runs, better), labels, units))
     return 0
 

@@ -21,12 +21,12 @@ one of three kinds:
 For each workload it prints the ``ray_hits_batch`` calls and rays, the
 F-rounds per call of each kind (mean and max, and its number of calls),
 the unguessed F-rounds per call of each body (its kind or function tag,
-params and any translation), and the ``defining`` calls and oracle points
-(points at which ``defining`` was evaluated) of the whole pass, the
-solver rounds per shell scan (mean and max, and the number of scans), the
-brackets still open in each solver round (the mean over the scans, a
-scan that has stopped counting 0), the solver's mean time per round
-outside F (from this one pass, so it moves from run to run), and the minor
+params and any translation), the root-finder's time per call outside F,
+and the ``defining`` calls and oracle points (points at which
+``defining`` was evaluated) of the whole pass, the solver rounds per shell
+scan (mean and max, and the number of scans), the brackets still open in
+each solver round (the mean over the scans, a scan that has stopped
+counting 0), the solver's mean time per round outside F, and the minor
 page faults of the process per op (``getrusage`` around each op; the
 median, which the first op's one-off set-up, such as the shell scan's
 cached arcs, does not move, the mean and the max). For each op that
@@ -42,6 +42,11 @@ A shell scan's solver rounds are the ``defining`` calls made inside its
 call of ``asymptotics._crossings``, which the script wraps by name: one
 call per round, one point per bracket still open. The solver's time
 outside F is the time inside ``_crossings`` less the time of those calls.
+Likewise the ray root-finder's time per call outside F, for all its calls
+and for each batch kind, is the time inside ``ray_hits_batch`` less that of
+its ``defining`` calls. Both times are the median over PASSES passes of
+the pool (one pass spreads too widely to compare two trees by); every
+count comes from the first pass.
 """
 import argparse
 import resource
@@ -55,6 +60,7 @@ import run  # noqa: E402  (first: it pins the thread counts before numpy loads)
 import numpy as np  # noqa: E402
 
 KINDS = ("unguessed", "first polar", "refinement")
+PASSES = 5
 
 
 class Counts:
@@ -69,7 +75,10 @@ class Counts:
     each first polar batch; ``scans`` lists, for each shell scan, the
     brackets open in each of its solver rounds, ``solve`` is the list of the
     scan whose solver runs (or None), and ``solve_s`` and ``solve_f_s`` are
-    the seconds inside the solver and inside its ``defining`` calls."""
+    the seconds inside the solver and inside its ``defining`` calls; ``ray``
+    is the kind of the running ``ray_hits_batch`` call (or None), and
+    ``ray_s[kind]`` and ``ray_f_s[kind]`` are the seconds inside the calls
+    of that kind and inside their ``defining`` calls."""
 
     def __init__(self):
         self.op = None  # the name of the op that runs
@@ -91,6 +100,9 @@ class Counts:
         self.solve = None
         self.solve_s = 0.0
         self.solve_f_s = 0.0
+        self.ray = None
+        self.ray_s = defaultdict(float)
+        self.ray_f_s = defaultdict(float)
 
 
 def label(body):
@@ -128,6 +140,8 @@ def install(ccgeom, counts):
             out = orig(self, x)
             if solve is not None:
                 counts.solve_f_s += perf_counter() - t0
+            if counts.ray is not None:  # an F-round of a ray batch
+                counts.ray_f_s[counts.ray] += perf_counter() - t0
             return out
         return counted
 
@@ -145,14 +159,22 @@ def install(ccgeom, counts):
 
     def ray_hits_batch(orig):
         def counted(body, origin, directions, guess=None):
-            before = counts.defining
-            out = orig(body, origin, directions, guess=guess)
-            rounds = counts.defining - before
             if guess is None:
                 kind = "unguessed"
-                counts.unguessed[label(body)].append(rounds)
             else:
                 kind = "first polar" if counts.guessed == 0 else "refinement"
+            before = counts.defining
+            counts.ray = kind
+            t0 = perf_counter()
+            try:
+                out = orig(body, origin, directions, guess=guess)
+            finally:
+                counts.ray_s[kind] += perf_counter() - t0
+                counts.ray = None
+            rounds = counts.defining - before
+            if guess is None:
+                counts.unguessed[label(body)].append(rounds)
+            else:
                 if counts.guessed is not None:  # a batch of the running polar rule
                     if counts.guessed == 0:
                         # the levels' diameter grids come as more groups of as many rays
@@ -207,7 +229,10 @@ def install(ccgeom, counts):
     return uninstall
 
 
-def report(name, seed, n_ops, counts):
+def report(name, seed, n_ops, counts, passes=None):
+    """The report of one workload's counts (its first pass), with the
+    times of the passes (the counts of each pass; default, the first)."""
+    passes = passes or [counts]
     calls = sum(len(r) for r in counts.rounds.values())
     lines = [f"{name} seed {seed}: {n_ops} ops, {calls} ray_hits_batch calls, "
              f"{counts.rays:,} rays"]
@@ -219,6 +244,12 @@ def report(name, seed, n_ops, counts):
     for body, r in counts.unguessed.items():
         lines.append(f"    unguessed on {body}: {np.mean(r):.2f} (max {max(r)}) "
                      f"over {len(r)} calls")
+    if calls:
+        times = [f"all {_median_us(passes, KINDS, calls):.1f} us"]
+        times += [f"{kind} {_median_us(passes, [kind], len(counts.rounds[kind])):.1f} us"
+                  for kind in KINDS if counts.rounds.get(kind)]
+        lines.append(f"  ray_hits_batch time per call outside F, median of {len(passes)} "
+                     f"passes: " + ", ".join(times))
     lines.append(f"  defining calls {counts.defining:,}, oracle points {counts.points:,}")
     if counts.scans:
         s = [len(brackets) for brackets in counts.scans]
@@ -229,8 +260,9 @@ def report(name, seed, n_ops, counts):
             row[:len(brackets)] = brackets
         lines.append("  open brackets per solver round, mean over the scans: "
                      + "/".join(f"{m:.1f}" for m in table.mean(axis=0)))
-        outside = 1e6 * (counts.solve_s - counts.solve_f_s) / sum(s)
-        lines.append(f"  solver time per round outside F {outside:.1f} us over {sum(s)} rounds")
+        outside = 1e6 * np.median([c.solve_s - c.solve_f_s for c in passes]) / sum(s)
+        lines.append(f"  solver time per round outside F {outside:.1f} us over {sum(s)} rounds"
+                     f" (median of {len(passes)} passes)")
     if counts.faults:
         f = counts.faults
         lines.append(f"  minor page faults per op: median {np.median(f):g}, "
@@ -250,6 +282,13 @@ def report(name, seed, n_ops, counts):
         lines.append(f"    {op}: {calls} calls, {volumes} volumes, {levels:,} levels, "
                      f"{levels / volumes:.2f} per volume, {levels / calls:.2f} per call")
     return "\n".join(lines)
+
+
+def _median_us(passes, kinds, calls):
+    """The median over passes of the microseconds per call outside F of
+    the ray batches of kinds, calls of them a pass."""
+    return 1e6 * np.median([sum(c.ray_s[k] - c.ray_f_s[k] for k in kinds)
+                            for c in passes]) / calls
 
 
 def run_pool(pool, counts):
@@ -272,13 +311,15 @@ def main(argv=None):
 
     for name, workload in workloads.WORKLOADS.items():
         pool = workload.build(args.seed)
-        counts = Counts()
-        uninstall = install(ccgeom, counts)
-        try:
-            run_pool(pool, counts)
-        finally:
-            uninstall()
-        print(report(name, args.seed, len(pool), counts), flush=True)
+        passes = []
+        for _ in range(PASSES):
+            passes.append(Counts())
+            uninstall = install(ccgeom, passes[-1])
+            try:
+                run_pool(pool, passes[-1])
+            finally:
+                uninstall()
+        print(report(name, args.seed, len(pool), passes[0], passes), flush=True)
     return 0
 
 

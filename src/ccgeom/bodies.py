@@ -9,7 +9,8 @@ integration scheme, not the oracles. Only bodies go through it.
 Each body kind lives in one class of the table ``_BODY_KINDS``: parameter
 check, F, grad F, interior point, support limit, inverse Gauss map and
 recession cone (built once per body), in the body's own frame, and two
-hooks read off F and the point's last local coordinate y_d for the
+hooks read off F and the point's last local coordinate y_d (a function
+that computes it, called only by the kinds that read it) for the
 root-finder: ``terms``, the size of F's rounding, and ``quadric``, a
 function with F's sign that is a quadratic along every ray where one
 exists (F itself; F (F + 2 y_d) = height^2 - y_d^2 on the hyperboloid
@@ -67,8 +68,10 @@ _EDGE_TOL = 1e-15
 _GUESS_PROBES = 1.0 + np.array([-2.0 ** -20, -2.0 ** -41, 2.0 ** -41, 2.0 ** -20])[:, None]
 _THIRDS = np.array([1.0, 2.0, 3.0])[:, None] / 3.0
 _LADDER = 2.0 ** np.arange(1, 13)[:, None]
+_ORIGIN_THIRDS = np.vstack([[0.0], _THIRDS])
 _HIT_RTOL = 1e-12
 _EPS = np.finfo(float).eps
+_MAX = np.finfo(float).max
 _BRACKET_ROUNDS = 17
 _SOLVE_STEPS = 100
 
@@ -284,12 +287,12 @@ class _Kind:
         return np.zeros(self.dim)
 
     def terms(self, f, yd):
-        """T, the sum of the magnitudes of F's terms, from F = f at a point
-        whose last local coordinate is yd: F = sum - 1, so T = F + 2."""
+        """T, the sum of the magnitudes of F's terms, from F = f at points
+        whose last local coordinates are yd(): F = sum - 1, so T = F + 2."""
         return f + 2.0
 
     def quadric(self, f, yd):
-        """A function of F = f and yd, negative exactly inside, that is a
+        """A function of F = f and yd(), negative exactly inside, that is a
         quadratic along every ray where F is: F itself unless overridden."""
         return f
 
@@ -355,6 +358,7 @@ class _Graph(_Kind):
 
     def terms(self, f, yd):
         # F = height - y_d
+        yd = yd()
         return np.abs(f + yd) + np.abs(yd)
 
     def interior(self):
@@ -393,7 +397,7 @@ class _QuadricGraph(_Graph):
     height > -y_d."""
 
     def quadric(self, f, yd):
-        return f * (f + 2.0 * yd)
+        return f * (f + 2.0 * yd())
 
 
 class _Hyperboloid(_QuadricGraph):
@@ -755,120 +759,213 @@ def ray_hits_batch(body, origin, directions, guess=None):
     depend on the other rays of the batch, nor on the other origins: each
     hit is bitwise the one a call with its origin alone returns.
 
+    All rays share one state array of named rows, one column per ray (laid
+    out after this function): each bracket slot's position with F and F's
+    rounding band 4 eps T there, T computed once per point, the ray's
+    points evaluated and its last bracket ratio. A round is a fixed
+    sequence of numpy calls on the state's rows. A probe or ladder round
+    reads each ray's ends off its first outside point; each solver step
+    runs over every column under the mask of the open rays, hands F only
+    their points, and compacts the state (with the rays' origins and
+    directions) to them once fewer than a quarter of its columns are open.
+    A ray's arithmetic is the same expressions in the same order whatever
+    its column.
+
     All directions must be non-recessive (guaranteed for bounded sections).
     Origins, directions and every batch of points are held coordinate-major,
     as (d, rays) arrays, and F gets their transposed (rays, d) views, so its
-    result must not depend on the layout of its batch. Directions passed as
-    the transposed view of a (d, rays) array are used without a copy.
+    result must not depend on the layout of its batch.
     """
     origin = np.asarray(origin, dtype=float)
-    # coordinate-major, (d, rays): a transposed view passed in is not copied
-    W = np.ascontiguousarray(np.asarray(directions, dtype=float).T)
-    O = np.atleast_2d(origin)
-    if W.ndim != 2 or len(W) != O.shape[1]:
+    O = origin.reshape(1, -1) if origin.ndim < 2 else origin
+    D = np.asarray(directions, dtype=float)
+    if D.ndim != 2 or D.shape[1] != O.shape[1]:
         raise ValueError("directions must be an (m, d) array, d the origin's dimension")
-    m = W.shape[1]
-    if not (np.all(np.isfinite(origin)) and np.all(np.isfinite(W))):
+    m, d = D.shape
+    if not (np.isfinite(origin).all() and np.isfinite(D).all()):
         raise ValueError("ray origin and directions must be finite")
     if len(O) == 0 or m % len(O):
         raise ValueError("directions must split into one equal group per origin")
-    if guess is None:
-        probes = float(body.scale) * _THIRDS * np.ones(m)
-    else:
+    g = None
+    if guess is not None:
         g = np.array(guess, dtype=float).ravel()
         if g.size != m:
             raise ValueError(f"guess must hold one distance per ray: {m} expected, got {g.size}")
-        if not np.all((g > 0.0) & np.isfinite(g)):
+        # written so that a NaN fails the test too
+        if not (g.min(initial=INF) > 0.0 and g.max(initial=0.0) < INF):
             raise ValueError("initial guesses must be finite and positive")
-        probes = g * _GUESS_PROBES
     hits = np.empty(m)
     counts = np.zeros(len(O), dtype=int)
     if m:
-        P = np.repeat(O.T, m // len(O), axis=1)  # the origin of each ray
-        evals = np.zeros(m, dtype=int)  # points evaluated along each ray
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-            S = _bracket(body, O, P, W, probes, guess is None, evals)
-            _solve(body, P, W, S, hits, evals)
-        counts = evals.reshape(len(O), -1).sum(axis=1) + 1
+            evals = _narrow(body, *_reach(body, O, D, g), hits)
+        if origin.ndim < 2:
+            return hits, int(np.add.reduce(evals)) + 1
+        counts = np.add.reduce(evals.reshape(len(O), -1), axis=1).astype(int) + 1
     return hits, (counts if origin.ndim == 2 else int(counts[0]))
 
 
-# Solver state: an array of shape (2, 6, rays) holding (position, F) in the
-# slots a, b (this step's two points), Lp, l (the last two inside points) and
-# h, p (the first two outside points). Unknown slots hold NaN. Column n of
-# _NEXT lists, for n of the two points found inside, the slots that become
-# a, b, Lp, l, h, p (a and b are placeholders until the next step).
-_LP, _L, _H = 2, 3, 4
-_NEXT = np.array([[0, 1, 2, 3, 0, 1], [0, 1, 3, 0, 1, 4], [0, 1, 0, 1, 4, 5]]).T
+# Root-finder state: one array of named rows, one column per ray. Rows _A
+# to _P hold the positions along the ray of the slots a, b (a solver step's
+# two points), Lp, l (the last two inside points) and h, p (the first two
+# outside points), NaN where not yet known; F at each slot lies _F rows
+# further on, and F's rounding band 4 eps T there (T from ``terms``, capped
+# at the largest float) _BAND rows on, known at a, b, l and h only. Then
+# come the points evaluated along the ray and sqrt(h / l) before the
+# solver's last step. Each ray's origin and direction are the columns of
+# two (d, rays) arrays beside the state.
+_A, _B, _LP, _L, _H, _P = range(6)
+_F, _BAND = 6, 12
+_EVALS, _ROOT, _ROWS = 18, 19, 20
+# (1 - _HIT_RTOL/2, 1 - _HIT_RTOL, 2^-20) times h: a's cap, the bracket's
+# stop and the bisection's floor
+_H_FACTORS = np.array([1.0 - 0.5 * _HIT_RTOL, 1.0 - _HIT_RTOL, 2.0 ** -20])[:, None]
+# slots (l, a, b, h) become (Lp, l, h, p) in a step with a inside and b outside
+_SHIFT = [_L, _A, _B, _H]
 
 
-def _points(P, W, x):
-    """The points P + x W, x of shape (n, rays), as one coordinate-major
-    (d, n * rays) batch: P and W must be C-contiguous, which an index array
-    into their rays keeps only through ``take``."""
-    return (P[:, None] + x * W[:, None]).reshape(len(P), -1)
+def _ends_table(before, factors):
+    """The positions of slots Lp, l, h and p, as factors of a round's base,
+    by c: the round's points are base * factors, and c of them are inside
+    before the first outside one. ``before`` holds the factors of Lp and l
+    before the round (NaN where Lp is not one)."""
+    seq = np.concatenate([before, factors.ravel(), [np.nan, np.nan]])
+    n = factors.size
+    return np.array([seq[j:j + n + 1] for j in range(4)])
 
 
-def _bracket(body, O, P, W, probes, unguessed, evals):
-    """Evaluate the probes (ascending along each ray from its origin in P)
-    and the origins O, then step every ray without an outside point out
-    along the ladder, one F call a round, until it has one. P and W hold
-    each ray's origin and direction as (d, rays) arrays.
+# the rounds about a guess g and from the probe at the body scale s start
+# from the origin, at 0 g or 0 s; the ladder from its base, the last inside
+# point, whose Lp is kept where the first rung is outside
+_GUESS_ENDS = _ends_table([np.nan, 0.0], _GUESS_PROBES)
+_SCALE_ENDS = _ends_table([np.nan, 0.0], np.ones(1))
+_LADDER_ENDS = _ends_table([np.nan, 1.0], _LADDER)
+
+
+def _ends(S, f, base, table):
+    """Set slots Lp, l, h and p of every ray (column) of the state S after
+    a round at the points base * ``table``'s factors, F = f there ((n,
+    rays), ascending along each ray): with c of them inside before the
+    first outside one, the slots take the points c to c + 3 of (Lp, l, the
+    round's points), NaN past them. Returns c.
+
+    Near the root F's rounding can read a later point inside again: only
+    the inside points before the first outside one count, so slot l is
+    inside and slot h outside."""
+    n, w = f.shape
+    # F at Lp, l and the points, over a row that reads outside
+    seq = np.empty((n + 3, w))
+    seq[:2] = S[_F + _LP:_F + _H]
+    seq[2:-1] = f
+    seq[-1] = np.nan
+    c = (seq[2:] <= 0.0).argmin(axis=0)
+    if table is _LADDER_ENDS:
+        lp = S[_LP].copy()
+    np.multiply(table.take(c, axis=1), base, out=S[_LP:_P + 1])
+    if table is _LADDER_ENDS:
+        np.copyto(S[_LP], lp, where=c == 0)
+    # F at slot j is seq[c + j]; past seq's end the position is NaN
+    np.take(seq, c * w + np.arange(4 * w).reshape(4, w), mode="clip", out=S[_F + _LP:_F + _P + 1])
+    return c
+
+
+def _reach(body, O, D, g):
+    """The root-finder state of the rays D from the origins O, one per
+    group, with every root bracketed, and each ray's origin and direction as
+    (d, rays) arrays: evaluate the probes about the guesses g (or, g None,
+    at the thirds of the body scale) and the origins, then step every ray
+    without an outside point out along the ladder, one F call a round,
+    until it has one.
 
     Unguessed rays bring the probes s ``_THIRDS``: a ray whose quadratic
     (fitted to the kind's ``quadric`` of F) gives a guess is probed around
     it in the next round, as a guessed ray is in the first, and the others
-    keep only their probe at s. Returns the solver state; adds the points
-    evaluated along each ray to ``evals``.
+    keep only their probe at s.
     """
     F = body.defining
-    n, m = probes.shape
-    f = F(np.concatenate([_points(P, W, probes), O.T], axis=1).T)
-    if not np.all(f[n * m:] < 0.0):
+    (L, d), m = O.shape, len(D)
+    s = float(body.scale)
+    x = s * _THIRDS if g is None else _GUESS_PROBES * g
+    n = len(x)
+    # the probes P + x W, P each ray's origin, then the origins; the probes'
+    # first copy is freed before F's call
+    pts = x * D.T[:, None]
+    pts.reshape(d, n, L, -1)[...] += O.T[:, None, :, None]
+    batch = np.concatenate([pts.reshape(d, -1), O.T], axis=1)
+    del pts
+    f = F(batch.T)
+    del batch
+    if not f[n * m:].max() < 0.0:
         raise NotInterior("ray origin is not inside the body")
-    S = np.empty((2, 6, m))
-    # each ray's points before its probes: NaN, then the origin
-    S[:, _LP], S[0, _L], S[1, _L] = np.nan, 0.0, np.repeat(f[n * m:], m // len(O))
+    S = np.empty((_ROWS, m))
+    P, W = np.repeat(O.T, m // L, axis=1), np.ascontiguousarray(D.T)
+    # each ray's point before its probes is its origin, at 0 in the tables;
+    # every probe counts, the probe at s of a quadratic's ray too
+    S[_F + _L].reshape(L, -1)[...] = f[n * m:, None]
+    S[_EVALS] = n
     f = f[:n * m].reshape(n, m)
-    climb, rest, fresh = np.arange(m), slice(None), []
-    if unguessed:
+
+    def read(rays, f, base, table, new):
+        """``_ends`` on the rays (all if None), with new points evaluated
+        along each; the ladder round of those with every point inside, as
+        (rays, factors, ends table, base)."""
+        sub = S if rays is None else S.take(rays, axis=1)
+        c = _ends(sub, f, base, table)
+        sub[_EVALS] += new
+        if rays is not None:
+            S[:, rays] = sub
+        up = c == len(f)
+        if not np.count_nonzero(up):
+            return []
+        return [(np.flatnonzero(up) if rays is None else rays[up], _LADDER, _LADDER_ENDS,
+                 sub[_L, up])]
+
+    if g is not None:
+        rounds = read(None, f, g, _GUESS_ENDS, 0)
+    else:
         # the last local coordinate at the origin and at each probe
-        yd = P[-1] - body.translation[-1] + np.vstack((np.zeros(m), probes)) * W[-1]
-        g = _quadratic_guess(body._impl.quadric(np.vstack((S[1, _L], f)), yd), probes[0])
-        quadratic = g > 0.0
-        evals += n - 1
-        probes, f = probes[-1:], f[-1:]
-        if quadratic.any():
-            evals[quadratic] += 1
-            fresh = [(climb[quadratic], g[quadratic] * _GUESS_PROBES)]
-            climb = rest = climb[~quadratic]
-            probes, f = probes[:, rest], f[:, rest]
-    if climb.size:
-        climb = climb[_extend(S, rest, probes, f, evals)]
+        at = s * _ORIGIN_THIRDS
+        quadratic, guess = _quadratic_guess(
+            body._impl.quadric(np.concatenate([S[None, _F + _L], f]),
+                               lambda: P[-1] - body.translation[-1] + at * W[-1]), x[0])
+        n_quadratic = np.count_nonzero(quadratic)
+        rounds = []
+        if n_quadratic < m:
+            rest = None if n_quadratic == 0 else np.flatnonzero(~quadratic)
+            rounds = read(rest, f[-1:] if rest is None else f[-1:, rest], s, _SCALE_ENDS, 0)
+        if n_quadratic:
+            rays = None if n_quadratic == m else np.flatnonzero(quadratic)
+            rounds.append((rays, _GUESS_PROBES, _GUESS_ENDS,
+                           guess if rays is None else guess[rays]))
     for _ in range(_BRACKET_ROUNDS):
+        if not rounds:
+            return S, P, W
         # one F call for the ladder's points and the quadratic guesses' probes
-        groups = [(idx, x) for idx, x in [(climb, S[0, _L, climb] * _LADDER), *fresh] if idx.size]
-        if not groups:
-            return S
-        fx = F(np.concatenate([_points(P.take(idx, axis=1), W.take(idx, axis=1), x)
-                               for idx, x in groups], axis=1).T)
-        climb, i = [], 0
-        for idx, x in groups:
-            climb.append(idx[_extend(S, idx, x, fx[i:i + x.size].reshape(x.shape), evals)])
-            i += x.size
-        climb, fresh = np.concatenate(climb), []
+        parts = []
+        for rays, factors, _, base in rounds:
+            rays = slice(None) if rays is None else rays
+            pts = factors * base * W[:, None, rays]
+            pts += P[:, None, rays]
+            parts.append(pts.reshape(d, -1))
+        f = F((np.concatenate(parts, axis=1) if len(parts) > 1 else parts[0]).T)
+        i, done = 0, rounds
+        rounds = []
+        for rays, factors, table, base in done:
+            n = len(factors) * len(base)
+            rounds += read(rays, f[i:i + n].reshape(len(factors), -1), base, table, len(factors))
+            i += n
     raise GeometryError("boundary bracketing failed; direction nearly recessive")
 
 
 def _quadratic_guess(f, step):
-    """The smallest positive root of the quadratic through f at 0, step and
-    2 step along each ray (the first three rows of f, f < 0 at 0), where it
-    predicts f at 3 step (f's last row) to within 64 eps times the sum of
-    the four |f|; NaN elsewhere."""
+    """The rays where the quadratic through f at 0, step and 2 step along
+    each ray (the first three rows of f, f < 0 at 0) predicts f at 3 step
+    (f's last row) to within 64 eps times the sum of the four |f| and has a
+    positive root g with finite probes, and g (NaN where it has none)."""
     f0, f1, f2, f3 = f
-    exact = np.abs(f3 - 3.0 * f2 + 3.0 * f1 - f0) <= 64.0 * _EPS * np.abs(f).sum(axis=0)
-    if not exact.any():
-        return np.full(f0.shape, np.nan)
+    exact = np.abs(f3 - 3.0 * f2 + 3.0 * f1 - f0) <= 64.0 * _EPS * np.add.reduce(np.abs(f))
+    if not np.count_nonzero(exact):
+        return exact, None
     # in units of step the quadratic is a k^2 + b k + f0
     a = 0.5 * (f2 - 2.0 * f1 + f0)
     b = f1 - f0 - a
@@ -877,98 +974,150 @@ def _quadratic_guess(f, step):
     # one is free of cancellation on its own side of b = 0
     sq = np.sqrt(b * b - 4.0 * a * f0)
     g = step * np.where(b >= 0.0, -2.0 * f0 / (b + sq), (sq - b) / (2.0 * a))
-    return np.where(exact & (g > 0.0) & np.isfinite(g * _GUESS_PROBES[-1]), g, np.nan)
+    gg = g * _GUESS_PROBES[-1]
+    exact &= gg > 0.0
+    exact &= gg < INF
+    return exact, g
 
 
-def _extend(S, idx, x, fx, evals):
-    """Follow the last two points (slots Lp, l) of the rays idx (an index
-    array or a slice) by the points x, (n, rays) ascending along each ray,
-    with F values fx: with c of them inside before the first outside one,
-    slots Lp, l, h, p take the points c to c + 3 of (Lp, l, x, NaN, NaN).
-    Adds n to the rays' ``evals`` and returns the mask of those with all n
-    inside.
-
-    Near the root F's rounding can read a later point inside again; as in
-    ``_NEXT``, only the inside points before the first outside one count,
-    so slot l is inside and slot h outside."""
-    n, k = x.shape
-    seq = np.full((2, n + 4, k), np.nan)
-    seq[:, :2] = S[:, _LP:_H, idx]
-    seq[0, 2:n + 2], seq[1, 2:n + 2] = x, fx
-    c = np.count_nonzero(np.cumprod(fx <= 0.0, axis=0), axis=0)
-    S[:, _LP:, idx] = seq.reshape(2, -1).take((c + np.arange(4)[:, None]) * k + np.arange(k),
-                                              axis=1)
-    evals[idx] += n
-    return c == n
+def _band(body, f, x, p, w, out):
+    """F's rounding band 4 eps T at the points p + x w, rows x along the
+    rays with last coordinates p and w, where F = f: capped at the largest
+    float, so that F = inf (exp's overflow, T = inf) or NaN is never in it."""
+    def yd():
+        y = x * w
+        y += p
+        return y - body.translation[-1] if body._moved else y
+    np.multiply(body._impl.terms(f, yd), 4.0 * _EPS, out=out)
+    np.minimum(out, _MAX, out=out)
 
 
-def _solve(body, P, W, S, hits, evals):
-    """Shrink each ray's bracket [l, h] to F = 0; writes hits.
+def _narrow(body, S, P, W, hits):
+    """Shrink the bracket [l, h] of every ray of the state S, from the
+    origins P along the directions W, to F = 0; write each ray's hit into
+    hits and return the points evaluated along each ray.
 
-    P and W hold each ray's origin and direction as (d, rays) arrays. Only
-    unfinished rays stay in the state and in P, W. Adds the points
-    evaluated along each ray to ``evals``.
+    Each step runs over every column of S under the mask of the open rays:
+    a ray that stops gets its hit, and later steps go on over its column
+    without reading it again. Once fewer than a quarter of the columns are
+    open, the state keeps the open ones alone.
     """
-    F, terms = body.defining, body._impl.terms
-    rays = np.arange(S.shape[2])
-    cols = rays
-    last_sqrt_ratio = np.full(rays.size, INF)  # sqrt(h / l) before the last step
-    noisy = np.zeros(rays.size, dtype=bool)
+    F = body.defining
+    d = len(P)
+    n_open = S.shape[1]
+    # the ray of each column (None: column i is ray i), where the hits go,
+    # and the open columns (None: all of them)
+    cols, hit, open_, noisy = None, hits, None, None
     for step in range(_SOLVE_STEPS):
-        X, Fx = S[0], S[1]
-        l, h = X[_L], X[_H]
         # zeros of the lines through (Lp, l), (l, h) and (h, p), each taken
         # from its first point, so that F = inf at h or p gives l or NaN
-        x1, f1 = X[_LP:_H + 1], Fx[_LP:_H + 1]
-        z = x1 - f1 * ((X[_L:] - x1) / (Fx[_L:] - f1))
+        x1, f1 = S[_LP:_H + 1], S[_F + _LP:_F + _H + 1]
+        z = S[_F + _L:_F + _P + 1] - f1
+        dx = S[_L:_P + 1] - x1
+        np.divide(dx, z, out=dx)
+        np.multiply(f1, dx, out=dx)
+        z0, z1, z2 = np.subtract(x1, dx, out=z)
+        l, h, a = S[_L], S[_H], S[_A]
+        hf = _H_FACTORS * h
         # a: the chord root, kept _HIT_RTOL/2 inside h so that an accurate h ends it
-        a = np.fmin(z[1], (1.0 - 0.5 * _HIT_RTOL) * h, out=X[0])
-        # b: the nearer secant root from outside; by convexity the root lies
-        # in [a, b]. A geometric bisection instead when there is none or the
-        # last step did not halve the bracket's log-width
-        b = np.fmin(np.where(z[0] > a, z[0], np.nan), z[2])
-        ok = (b > a) & (b < h)
-        # the midpoint of [a, b] is then within _HIT_RTOL/8 of the root
-        close = ok & (b <= (1.0 + 0.25 * _HIT_RTOL) * a)
-        # F at l and h rounds within a few eps T of its value, T the sum of
-        # the magnitudes of its terms: within 4 eps T of 0, and finite (exp's
-        # overflow reads T = inf), the end is on the boundary up to rounding
-        fe = Fx[_L:_H + 1]
-        T = terms(fe, P[-1] + X[_L:_H + 1] * W[-1] - body.translation[-1])
-        rounding = (np.abs(fe) <= 4.0 * _EPS * T) & np.isfinite(fe)
-        flat = rounding[0] | rounding[1]
-        done = close | (l >= (1.0 - _HIT_RTOL) * h) | flat | noisy
+        np.fmin(z1, hf[0], out=a)
+        # the secant root: the nearer of z0 (past a) and z2, from outside;
+        # by convexity the root lies in [a, secant]
+        secant = np.fmin(np.where(z0 > a, z0, np.nan), z2)
+        ok = secant > a
+        ok &= secant < h
+        # the midpoint of [a, secant] is then within _HIT_RTOL/8 of the root
+        close = secant <= (1.0 + 0.25 * _HIT_RTOL) * a
+        close &= ok
+        done = l >= hf[1]
+        done |= close
+        if noisy is not None:
+            done |= noisy
+        still = ~done if open_ is None else open_ > done
+        n_still = np.count_nonzero(still)
+        if n_still:
+            # F at l and h rounds within a few eps T of its value: within
+            # its band of 0, the end is on the boundary up to rounding (read
+            # only where the other tests leave a ray open: the bracket's
+            # ends get their band here, the solver's points when made)
+            flh, blh = S[_F + _L:_F + _H + 1], S[_BAND + _L:_BAND + _H + 1]
+            if step == 0:
+                _band(body, flh, S[_L:_H + 1], P[-1], W[-1], blh)
+            flat = np.abs(flh) <= blh
+            done |= flat[0]
+            done |= flat[1]
+            if open_ is None:
+                np.logical_not(done, out=still)
+            else:
+                np.greater(open_, done, out=still)
+            n_still = np.count_nonzero(still)
+        if n_still < n_open:
+            # close implies done, so where every column is open the rays
+            # that stop are done's
+            new = done if open_ is None else open_ > still
+            np.copyto(hit, z1, where=new)
+            mid = a + secant
+            mid *= 0.5
+            np.copyto(hit, mid, where=close if open_ is None else new & close)
+            if step:
+                # two points in each earlier step
+                np.add(S[_EVALS], 2.0 * step, out=S[_EVALS], where=new)
+            if n_still == 0:
+                break
+            open_, n_open = still, n_still
+            if 4 * n_open < S.shape[1]:
+                # fewer than a quarter open: go on with their columns alone
+                if cols is None:
+                    evals = S[_EVALS].copy()
+                    cols = np.flatnonzero(open_)
+                else:
+                    hits[cols], evals[cols] = hit, S[_EVALS]
+                    cols = cols[open_]
+                S, P, W, hf, secant, ok = (v.compress(open_, axis=-1)
+                                           for v in (S, P, W, hf, secant, ok))
+                open_, hit = None, np.empty(n_open)
+                l, h, a = S[_L], S[_H], S[_A]
+        # b: the secant root, or a geometric bisection where there is none
+        # or the last step did not halve the bracket's log-width (sqrt(h /
+        # l) before it, infinite before the first)
+        if step == 0:
+            S[_ROOT] = INF
         ratio = h / l
-        X[1] = np.where(ok & (ratio <= last_sqrt_ratio), b,
-                        np.sqrt(np.fmax(a, 2.0 ** -20 * h) * h))
-        last_sqrt_ratio = np.sqrt(ratio)
-        if np.count_nonzero(done):
-            hits[rays[done]] = np.where(close, 0.5 * (a + b), z[1])[done]
-            # two points in each earlier step
-            evals[rays[done]] += 2 * step
-            keep = ~done
-            # unlike S[:, :, keep], compress keeps S contiguous: the flat gather
-            # below then reshapes it without a copy
-            rays, S = rays[keep], S.compress(keep, axis=2)
-            P, W = P.compress(keep, axis=1), W.compress(keep, axis=1)
-            if rays.size == 0:
-                return
-            last_sqrt_ratio = last_sqrt_ratio[keep]
-            cols = np.arange(rays.size)
-        # this step's ray-sized temporaries, freed before F's batch
-        del z, a, b, ok, close, done, ratio, T, rounding, flat
-        k = rays.size
-        S[1, 0:2] = F(_points(P, W, S[0, 0:2]).T).reshape(2, k)
-        inside = S[1, 0:2] <= 0.0
-        # the chord root is inside unless F is rounding noise there
+        secant_step = ratio <= S[_ROOT]
+        secant_step &= ok
+        np.sqrt(ratio, out=S[_ROOT])
+        b = np.fmax(a, hf[2], out=S[_B])
+        b *= h
+        np.sqrt(b, out=b)
+        np.copyto(b, secant, where=secant_step)
+        # F at a and b of the open rays, in one call
+        xab, fab = S[_A:_B + 1], S[_F + _A:_F + _B + 1]
+        pts = xab * W[:, None]
+        pts += P[:, None]
+        if open_ is None:
+            fab[...] = F(pts.reshape(d, -1).T).reshape(2, -1)
+        else:
+            fab[:, open_] = F(pts.compress(open_, axis=2).reshape(d, -1).T).reshape(2, -1)
+        _band(body, fab, xab, P[-1], W[-1], S[_BAND + _A:_BAND + _B + 1])
+        # each point updates whichever end its sign says; the chord root a
+        # is inside unless F is rounding noise there
+        inside = fab <= 0.0
         noisy = ~inside[0]
-        # slot j of ray i is at j * k + i once S is flat
-        S = S.reshape(2, -1).take((_NEXT * k).take(inside[0] * (1 + inside[1]), axis=1) + cols,
-                                  axis=1)
-    # step cap: the chord roots of the brackets still open
-    (l, h), (fl, fh) = S[:, _L:_H + 1]
-    hits[rays] = l - fl * ((h - l) / (fh - fl))
-    evals[rays] += 2 * _SOLVE_STEPS
+        slots = S[:_EVALS].reshape(3, 6, -1)  # position, F and band by slot
+        moved = slots.take(_SHIFT, axis=1)
+        np.copyto(slots[:, _H:_P + 1], slots[:, _A:_B + 1], where=noisy)
+        np.copyto(slots[:, _LP:_L + 1], slots[:, _A:_B + 1], where=inside[0] & inside[1])
+        np.copyto(slots[:, _LP:_P + 1], moved, where=inside[0] > inside[1])
+    else:
+        # step cap: the chord roots of the brackets still open
+        l, h, fl, fh = S[_L], S[_H], S[_F + _L], S[_F + _H]
+        where = True if open_ is None else open_
+        np.copyto(hit, l - fl * ((h - l) / (fh - fl)), where=where)
+        np.add(S[_EVALS], 2.0 * _SOLVE_STEPS, out=S[_EVALS], where=where)
+    if cols is None:
+        return S[_EVALS]
+    hits[cols], evals[cols] = hit, S[_EVALS]
+    return evals
 
 
 # -- convenience constructors used throughout the tests and CLI ------------

@@ -310,17 +310,22 @@ def test_conic_guessed_first_polar_batch_takes_one_round(monkeypatch, body):
 def test_unguessed_ray_brackets_a_far_root_in_two_rounds(monkeypatch):
     # near the paraboloid's axis the root is 1.1e3 body scales out, far past
     # the probes at s/3 .. s: the quadratic through them guesses it, and the
-    # guess's probes bracket the root in the second round
+    # guess's probes bracket the root in the second round, which ends the ray
     body, o = paraboloid_epigraph([1.0, 0.7]), np.array([0.0, 0.0, 1.0])
     w = np.array([[0.03, 0.0, math.sqrt(1.0 - 0.03 ** 2)]])
     root = float(_paraboloid_hit([1.0, 0.7], o, w[0]))
     assert root > 1e3 * body.scale
-    batches, states = record_defining(monkeypatch), []
-    monkeypatch.setattr(bodies, "_solve", lambda F, P, W, S, *rest: states.append(S.copy()))
-    ray_hits_batch(body, o, w)
-    assert len(batches) == 2
-    (l, h), (fl, fh) = states[0][:, bodies._L:bodies._H + 1, 0]
-    assert l < root < h and fl <= 0.0 < fh
+    batches = record_defining(monkeypatch)
+    [hit], n = ray_hits_batch(body, o, w)
+    assert len(batches) == 2 and n == 1 + 3 + 4
+    # the bracket: the last of the second round's probes inside before the
+    # first outside one, and that one
+    s = (batches[1] - o) @ w[0]
+    f = body.defining(batches[1])
+    c = int(np.argmin(f <= 0.0))
+    assert f[c] > 0.0 and np.all(f[:c] <= 0.0) and 1 <= c <= 3
+    assert s[c - 1] < root < s[c]
+    _assert_rel([hit], [root])
 
 
 def _quadratic_f_rays():
@@ -404,14 +409,45 @@ def test_ladder_reaches_a_root_1e40_out():
 def test_bracket_counts_only_the_inside_points_before_the_first_outside():
     # near the root F's rounding can read a later probe inside again: the
     # probes inside, outside, inside leave the first inside as l, the
-    # outside one as h
-    S = np.full((2, 6, 1), np.nan)
-    S[0, bodies._L], S[1, bodies._L] = 0.0, -1.0
-    evals = np.zeros(1, dtype=int)
-    x, fx = np.array([[1.0], [2.0], [3.0]]), np.array([[-1e-12], [1e-13], [-1e-14]])
-    assert not bodies._extend(S, slice(None), x, fx, evals)[0]
-    assert S[0, bodies._LP:, 0].tolist() == [0.0, 1.0, 2.0, 3.0]
-    assert evals.tolist() == [3]
+    # outside one as h, and the last inside one as p
+    table = bodies._ends_table([np.nan, 0.0], np.array([1.0, 2.0, 3.0]))
+    S = np.full((bodies._ROWS, 1), np.nan)
+    S[bodies._F + bodies._L] = -1.0  # F at the origin, slot l before the round
+    fx = np.array([[-1e-12], [1e-13], [-1e-14]])
+    c = bodies._ends(S, fx, 1.0, table)
+    assert c.tolist() == [1]
+    slots = slice(bodies._LP, bodies._P + 1)
+    assert S[slots, 0].tolist() == [0.0, 1.0, 2.0, 3.0]
+    assert S[bodies._F:][slots, 0].tolist() == [-1.0, -1e-12, 1e-13, -1e-14]
+
+
+def test_compacted_batch_matches_rays_alone(monkeypatch):
+    # 28 of 32 rays are guessed to rounding and end on their probes; the 4
+    # rays of the step-cap test's direction start from 1, climb the ladder
+    # and take 8 solver steps, so the state keeps their columns alone: each
+    # hit and each origin's count is bitwise the one it gets alone
+    body = superellipsoid(8.0)
+    rng = np.random.default_rng(7)
+    angle = rng.uniform(0.0, 2.0 * math.pi, 32)
+    w = np.column_stack([np.cos(angle), np.sin(angle)])
+    hard = [3, 11, 19, 27]
+    w[hard] = [0.6, 0.8]
+    origins = 0.05 * rng.normal(size=(4, 2))
+    guess = np.array([ray_hits_batch(body, origins[j // 8], w[j:j + 1])[0][0]
+                      for j in range(32)])
+    guess[hard] = 1.0
+    batches = record_defining(monkeypatch)
+    hits, n_evals = ray_hits_batch(body, origins, w, guess=guess)
+    # the probe round, one ladder round of the four, then their steps
+    assert [len(x) for x in batches[:3]] == [4 * 32 + 4, 4 * 12, 4 * 2]
+    assert len(batches) >= 3 + 6
+    for j in range(32):
+        assert ray_hits_batch(body, origins[j // 8], w[j:j + 1],
+                              guess=guess[j:j + 1])[0][0] == hits[j]
+    alone = [ray_hits_batch(body, o, w[8 * i:8 * i + 8], guess=guess[8 * i:8 * i + 8])
+             for i, o in enumerate(origins)]
+    assert np.array_equal(hits, np.concatenate([h for h, _ in alone]))
+    assert n_evals.tolist() == [n for _, n in alone]
 
 
 SHALLOW_SPHERE = unit_sphere(center=[0.0, 0.0, 3.0])
@@ -511,12 +547,23 @@ def test_step_cap_takes_the_chord_root_of_the_open_bracket(monkeypatch):
     # |x|^8 + |y|^8 <= 1 takes 11 solver steps on this ray
     body, w = superellipsoid(8.0), np.array([[0.6, 0.8]])
     [root], _ = ray_hits_batch(body, np.zeros(2), w)
+    batches = record_defining(monkeypatch)
     counts = []
     for cap in (4, 5, 6):
         monkeypatch.setattr(bodies, "_SOLVE_STEPS", cap)
+        batches.clear()
         [hit], n = ray_hits_batch(body, np.zeros(2), w)
-        # F is convex along the ray, so the chord root of the bracket [l, h]
-        # lies inside the body, between l and the root
-        assert 0.0 < hit < root and body.defining(hit * w[0]) <= 0.0
+        # the bracket [l, h] left open: every point the solver evaluates lies
+        # in it, so l and h are the farthest inside and nearest outside point
+        # (read back off the points to rounding)
+        points = np.concatenate(batches)
+        s, f = points @ w[0], body.defining(points)
+        inside = f <= 0.0
+        l, fl = max(zip(s[inside], f[inside]))
+        h, fh = min(zip(s[~inside], f[~inside]))
+        # the hit is its chord root; F is convex along the ray, so that lies
+        # inside the body, between l and the root
+        assert hit == pytest.approx(l - fl * ((h - l) / (fh - fl)), rel=4 * EPS)
+        assert 0.0 < l < hit < root < h and body.defining(hit * w[0]) <= 0.0
         counts.append(n)
     assert np.diff(counts).tolist() == [2, 2]

@@ -125,6 +125,51 @@ def test_ab_pairs_counts_pair_wins_and_tells_a_gain(ab_pairs):
     assert table.splitlines()[1].split()[-3:] == ["10-0", "9-1", "gain"]
 
 
+def _git(repo, *args):
+    subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args], cwd=repo,
+                   check=True, capture_output=True)
+
+
+def test_ab_pairs_exports_revisions_and_builds_the_control(tmp_path, ab_pairs):
+    # a throwaway repository whose run.py reports ops_per_s from the tree:
+    # VALUE, and 5 more where sections.py ends with the control line
+    repo = tmp_path / "repo"
+    (repo / "perfbench").mkdir(parents=True)
+    (repo / "src" / "ccgeom").mkdir(parents=True)
+    (repo / "BENCHMARK.json").write_text(
+        '{"end_to_end": [{"name": "ops_per_s", "unit": "1/s", "better": "higher"}]}')
+    (repo / "src" / "ccgeom" / "sections.py").write_text("X = 1\n")
+    (repo / "perfbench" / "run.py").write_text(
+        "import json\nfrom pathlib import Path\n"
+        "control = Path('src/ccgeom/sections.py').read_text().endswith(%r)\n"
+        "value = float(Path('VALUE').read_text()) + 5.0 * control\n"
+        "print(json.dumps({'failed': 0, 'metrics': {'ops_per_s': {'value': value}}}))\n"
+        % ab_pairs.CONTROL_LINE)
+    (repo / "VALUE").write_text("100")
+    _git(repo, "init", "-q")
+    _git(repo, "add", "-A")
+    _git(repo, "commit", "-qm", "parent")
+    (repo / "VALUE").write_text("120")
+    _git(repo, "commit", "-qam", "change")
+    done = subprocess.run([sys.executable, str(SCRIPTS / "ab_pairs.py"), "--workload", "w",
+                           "--rounds", "2", "--seconds", "0", "HEAD~1", "HEAD"],
+                          cwd=repo, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    head = next(line for line in lines if line.startswith("w seed 1: 2 rounds"))
+    row = lines[lines.index(head) + 2].split()
+    assert row[:3] == ["ops_per_s", "1/s", "100"] and row[5:6] == ["120"] and row[8:9] == ["105"]
+    assert row[-3:] == ["2-0", "2-0", "gain"]
+    # the exported trees and the control are gone, and the checkout is as it was
+    paths = [Path(part.split()[-1]) for part in head.split("; ")[1].split(", ")]
+    assert len(paths) == 3 and not any(path.exists() for path in paths)
+    assert (repo / "src" / "ccgeom" / "sections.py").read_text() == "X = 1\n"
+    done = subprocess.run([sys.executable, str(SCRIPTS / "ab_pairs.py"), "--workload", "w",
+                           "no-such-revision", "HEAD"], cwd=repo, capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 2 and "no-such-revision is neither" in done.stderr
+
+
 def test_ray_rounds_patches_the_names_it_counts_and_restores_them(ray_rounds):
     # the library names the script wraps: renaming one must fail here
     patched = [(bodies.BodySpec, "defining"), (bodies, "ray_hits_batch"),
@@ -283,8 +328,41 @@ def test_ray_rounds_times_the_solver_outside_f(ray_rounds):
         uninstall()
     assert 0.0 < counts.solve_f_s < counts.solve_s and counts.solve is None
     counts.scans, counts.solve_s, counts.solve_f_s = [[4, 3, 1], [2]], 0.003, 0.001
-    assert "  solver time per round outside F 500.0 us over 4 rounds" in (
+    assert "  solver time per round outside F 500.0 us over 4 rounds (median of 1 passes)" in (
         ray_rounds.report("shell-3d", 1, 1, counts).splitlines())
+    # over passes, the median of their seconds outside F
+    passes = [counts, ray_rounds.Counts(), ray_rounds.Counts()]
+    for c, s in zip(passes[1:], (0.001, 0.004)):
+        c.solve_s, c.solve_f_s = s, 0.0
+    assert "  solver time per round outside F 500.0 us over 4 rounds (median of 3 passes)" in (
+        ray_rounds.report("shell-3d", 1, 1, counts, passes).splitlines())
+
+
+def test_ray_rounds_times_the_ray_root_finder_outside_f(ray_rounds):
+    # per batch kind, the seconds inside ray_hits_batch less its defining
+    # calls', per call: the median over the passes, the calls of the first
+    u = np.array([0.3, -0.2, 0.93]) / np.linalg.norm([0.3, -0.2, 0.93])
+    pool = [_op("section", None)]
+    pool[0].call = lambda: section_stats(ellipsoid([1.3, 0.8, 1.0]), u, 0.3)
+    passes = [ray_rounds.Counts() for _ in range(3)]
+    for counts in passes:
+        uninstall = ray_rounds.install(ccgeom, counts)
+        try:
+            ray_rounds.run_pool(pool, counts)
+        finally:
+            uninstall()
+        assert counts.ray is None and set(counts.ray_s) == {"unguessed", "first polar"}
+        assert all(0.0 < counts.ray_f_s[k] < counts.ray_s[k] for k in counts.ray_s)
+    first = passes[0]
+    first.rounds = {"unguessed": [2, 2], "first polar": [1]}
+    for counts, (s, f) in zip(passes, [(0.004, 0.001), (0.002, 0.001), (0.003, 0.001)]):
+        counts.ray_s = {"unguessed": s, "first polar": 0.0005, "refinement": 0.0}
+        counts.ray_f_s = {"unguessed": f, "first polar": 0.0001, "refinement": 0.0}
+    # unguessed: the median of 3000, 1000 and 2000 us over 2 calls; all
+    # three calls: the median of 3400, 1400 and 2400 us
+    assert ("  ray_hits_batch time per call outside F, median of 3 passes: all 800.0 us, "
+            "unguessed 1000.0 us, first polar 400.0 us") in (
+        ray_rounds.report("sccp-3d", 1, 1, first, passes).splitlines())
 
 
 def test_ray_rounds_counts_the_page_faults_of_each_op(ray_rounds):

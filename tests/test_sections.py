@@ -668,6 +668,19 @@ def test_quadric_sections_centre_on_their_ellipse(body, normals, levels):
         assert np.max(np.abs(r - 1.0)) <= 1e-10
 
 
+def test_plane_basis_is_orthonormal_and_normal_to_u():
+    # e2 = u x e1 from scalar products is bitwise np.cross's, on seeded
+    # normals, the coordinate axes and their negatives
+    w = np.random.default_rng(12).normal(size=(200, 3))
+    normals = np.vstack([w / np.linalg.norm(w, axis=1, keepdims=True), np.eye(3), -np.eye(3)])
+    for u in normals:
+        e1, e2 = sections._plane_basis(u)
+        assert np.array_equal(e2, np.cross(u, e1))
+        E = np.stack([u, e1, e2])
+        assert np.allclose(E @ E.T, np.eye(3), rtol=0.0, atol=1e-15)
+    assert np.array_equal(sections._plane_basis(np.array([0.6, 0.8]))[0], [-0.8, 0.6])
+
+
 def test_non_quadric_section_refuses_the_conic():
     # the p = 4 superellipsoid's sections are no conics: the anchor falls back
     # to the chords' midpoints, and the section is as exact as ever
