@@ -37,10 +37,9 @@ solver's state is one array of named rows by brackets, and a round is a
 fixed sequence of about 40 numpy calls on its rows and row blocks, each
 writing in place, over every bracket under an open mask: a closed
 bracket keeps its next point at its newest, so its state repeats itself,
-and only the open brackets' points go to F. The state is compacted to
-the open brackets once, when fewer than a quarter of them stay open. A
-bracket's arithmetic does not depend on what else is in the batch, so
-its crossing solved alone is bitwise the one solved with its scan.
+and only the open brackets' points go to F. A bracket's arithmetic does
+not depend on what else is in the batch, so its crossing solved alone is
+bitwise the one solved with its scan.
 The cone/sphere intersection is R times the cone's closed-form unit boundary
 rays. The symmetric Hausdorff distance between the two sample sets is the
 reported shell distance (one-sided values are exposed for verbose output),
@@ -94,10 +93,6 @@ _A, _Y, _DEN, _SQ, _WW, _W, _ZERO, _HALF = 26, 27, 28, 29, 31, 32, 35, 36
 # rows), and h_abs, where h_abs and h_rel are half of _POLISH_ABS and
 # _POLISH_REL
 _P = 37
-# rows of the solver's masks M: x1's side F <= 0 (two rows, in turn before
-# and after the round), xn and x1 on opposite sides, closed, F(x1) == 0,
-# open, and the three clauses of Chandrupatla's test, then the test
-_SIDE, _FLIP, _CLOSED, _EQ, _OPEN, _C1, _C2, _C3, _OK = 0, 2, 3, 4, 5, 6, 7, 8, 9
 
 
 @dataclass(frozen=True)
@@ -164,7 +159,9 @@ def _on_sphere(R, f, *args):
 
 
 def _check_azimuths(n_azimuth):
-    if not (isinstance(n_azimuth, (int, np.integer)) and n_azimuth >= 1):
+    """Refuse anything but an integer >= 1; a bool is an int to isinstance."""
+    if not (isinstance(n_azimuth, (int, np.integer)) and not isinstance(n_azimuth, bool)
+            and n_azimuth >= 1):
         raise ValueError(f"n_azimuth must be an integer >= 1, got {n_azimuth!r}")
 
 
@@ -204,29 +201,6 @@ def _sign_changes(inside):
     return np.divmod(flat, inside.shape[1] - 1)
 
 
-def _solver_rows(S, M, dim):
-    """Views of the solver's state S and masks M, one per row or row block
-    that a round reads or writes, in the order _crossings unpacks them."""
-    m = S.shape[1]
-    num = _P + dim
-    factors = num + 1
-    products = factors + 3 * dim
-    ends = S[_X2:_X3 + 2].reshape(2, 2, m)
-    return (S[_COS], S[_SIN], S[_XN], S[_FN], S[_X1], S[_F1], S[_X2], S[_F3],
-            S[_D12], S[_D12 + 1], S[_D32 + 1], S[_A], S[_B], S[_BM1], S[_XI], S[_PHI],
-            S[_TL], S[_OM0], S[_OM1], S[_OMTL], S[_Y], S[_DEN], S[_SQ], S[_SQ + 1],
-            S[_WW], S[_T], S[_ZERO], S[_HALF], S[num], list(S[_W:_W + 3]),
-            M[_SIDE], M[_SIDE + 1], M[_FLIP], M[_CLOSED], M[_EQ], M[_OPEN],
-            M[_C1], M[_C2], M[_C3], M[_OK],
-            S[factors:products].reshape(3, dim, m), S[_COS:_SIN + 1:_XN - _COS, None],
-            S[products:products + 3 * dim].reshape(3, dim, m),
-            S[products:products + dim + 1], S[products + 2 * dim:products + 3 * dim + 1],
-            S[_P:num + 1], S[_P:num], ends, ends[::-1],
-            S[_XN:_XN + 2], S[_X1:_X1 + 2], S[_X2:_X2 + 2], S[_X3:_X3 + 2],
-            S[_D12:_D12 + 2], S[_D32:_D32 + 2], S[_XI:_XI + 2],
-            S[_ONE:_B + 1], S[_XI:_ONE + 1], S[_OM0:_BM1 + 1])
-
-
 def _crossings(F, R, u0, t0, f_in, f_out, step):
     """The angle d in [0, step] of each bracket's crossing, by Chandrupatla's
     bracketed inverse-quadratic method, all brackets in lockstep.
@@ -242,116 +216,106 @@ def _crossings(F, R, u0, t0, f_in, f_out, step):
     of one state array (laid out by _COS and the constants after it), each
     writing its output in place, over every bracket under an open mask: a
     closed bracket keeps xn = x1 and F(xn) = F(x1), so its state repeats
-    itself. The state is compacted to the open brackets once, when fewer
-    than a quarter of them stay open. Each bracket's arithmetic is the same
-    expressions in the same order whether it runs alone or in a batch,
-    compacted or not.
+    itself. Each bracket's arithmetic is the same expressions in the same
+    order whether it runs alone or in a batch.
     """
     n, dim = u0.shape
     num = _P + dim
-    S = np.empty((num + 1 + 6 * dim + 1, n))
+    factors, products = num + 1, num + 1 + 3 * dim
+    S = np.empty((products + 3 * dim + 1, n))
+    factor_rows = S[factors:products].reshape(3, dim, n)  # u0, h_rel and t0
+    product_rows = S[products:products + 3 * dim].reshape(3, dim, n)
     S[_X1], S[_F1], S[_X2], S[_F2], S[_XN] = 0.0, f_in, step, f_out, 0.5 * step
     S[_W + 1:_W + 3] = step  # the widths before the first round
-    S[_ONE:_B], S[_ZERO], S[_HALF] = 1.0, 0.0, 0.5
-    S[num + 1:num + 1 + dim] = u0.T
-    S[num + 1 + dim:num + 1 + 2 * dim] = 0.5 * _POLISH_REL
-    S[num + 1 + 2 * dim:num + 1 + 3 * dim] = t0.T
-    S[-1] = 0.5 * _POLISH_ABS
-    M = np.empty((_OK + 1, n), bool)
-    np.less_equal(S[_F1], 0.0, out=M[_SIDE])
-    d = np.empty(n)
-    cols = np.arange(n)  # each column's bracket
-    m = n_open = n
+    S[_ONE:_B], S[_ZERO], S[_HALF], S[-1] = 1.0, 0.0, 0.5, 0.5 * _POLISH_ABS
+    factor_rows[0], factor_rows[1], factor_rows[2] = u0.T, 0.5 * _POLISH_REL, t0.T
+    # the masks: x1's side F <= 0 (two rows, in turn before and after the
+    # round), xn and x1 on opposite sides, closed, F(x1) == 0, open (all at
+    # first), and the three clauses of Chandrupatla's test, then the test
+    M = np.ones((10, n), bool)
+    side, after, flip, closed, eq, open_, c1, c2, c3, ok = M
+    np.less_equal(S[_F1], 0.0, out=side)
+    # the rows and row blocks that a round reads or writes
+    cos_xn, sin_xn, xn, fn, x1, f1, x2, f3 = (S[_COS], S[_SIN], S[_XN], S[_FN],
+                                              S[_X1], S[_F1], S[_X2], S[_F3])
+    d12x, d12f, d32f, a, b, bm1, xi, phi, tl, om0, om1, omtl = (
+        S[_D12], S[_D12 + 1], S[_D32 + 1], S[_A], S[_B], S[_BM1], S[_XI], S[_PHI],
+        S[_TL], S[_OM0], S[_OM1], S[_OMTL])
+    y, den, phi2, om12, ww, t, zero, half, num_row = (
+        S[_Y], S[_DEN], S[_SQ], S[_SQ + 1], S[_WW], S[_T], S[_ZERO], S[_HALF], S[num])
+    widths = list(S[_W:_W + 3])
+    cxs = S[_COS:_SIN + 1:_XN - _COS, None]  # (cos xn, xn, sin xn)
+    cu_xh, st_ha = S[products:products + dim + 1], S[products + 2 * dim:]
+    p_num, p = S[_P:num + 1], S[_P:num]
+    ends = S[_X2:_X3 + 2].reshape(2, 2, n)  # (x2, f2) and (x3, f3)
+    ends_swapped = ends[::-1]
+    xnfn, x1f1, x2f2, x3f3 = S[_XN:_XN + 2], S[_X1:_X1 + 2], S[_X2:_X2 + 2], S[_X3:_X3 + 2]
+    d12, d32, xi_phi = S[_D12:_D12 + 2], S[_D32:_D32 + 2], S[_XI:_XI + 2]
+    ones_b, xi_phi_tl_one, om = S[_ONE:_B + 1], S[_XI:_ONE + 1], S[_OM0:_BM1 + 1]
     mul, add, sub, div, copyto = np.multiply, np.add, np.subtract, np.divide, np.copyto
-    rounds = iter(range(_N_POLISH))
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        while True:  # once more after the compaction
-            (cos_xn, sin_xn, xn, fn, x1, f1, x2, f3, d12x, d12f, d32f, a, b, bm1, xi, phi,
-             tl, om0, om1, omtl, y, den, phi2, om12, ww, t, zero, half, num_row, widths,
-             side, after, flip, closed, eq, open_, c1, c2, c3, ok,
-             factors, cxs, products, cu_xh, st_ha, p_num, p, ends, ends_swapped,
-             xnfn, x1f1, x2f2, x3f3, d12, d32, xi_phi, ones_b, xi_phi_tl_one, om) = (
-                _solver_rows(S, M, dim))
-            for k in rounds:
-                # p = R (cos xn u0 + sin xn t0), and num = h_abs + h_rel xn
-                np.cos(xn, out=cos_xn)
-                np.sin(xn, out=sin_xn)
-                mul(factors, cxs, out=products)
-                add(cu_xh, st_ha, out=p_num)
-                mul(p, R, out=p)
-                if n_open < m:
-                    fn[open_] = F(p.compress(open_, axis=1).T)
-                else:
-                    copyto(fn, F(p.T))
-                # xn becomes x1; the end on its side is dropped to x3 (x1
-                # itself, or x2, which x1 then replaces)
-                side, after = after, side
-                np.less_equal(fn, zero, out=side)
-                np.not_equal(after, side, out=flip)
-                copyto(x3f3, x1f1)
-                copyto(x1f1, xnfn)
-                copyto(ends, ends_swapped, where=flip)
-                sub(x1f1, x2f2, out=d12)
-                sub(x3f3, x2f2, out=d32)
-                w, w_before = widths[k % 3], widths[(k + 1) % 3]
-                np.abs(d12x, out=w)
-                div(d12, d32, out=xi_phi)
-                div(f1, d12f, out=a)
-                div(f3, d32f, out=b)
-                div(num_row, w, out=tl)
-                # closed once narrower than the stop, or where F(x1) == 0
-                np.greater(tl, half, out=closed)
-                np.equal(f1, zero, out=eq)
-                np.logical_or(closed, eq, out=closed)
-                n_open = m - np.count_nonzero(closed)
-                if n_open == 0:
-                    break
-                # the inverse-quadratic step t = (x - x1) / (x2 - x1) through
-                # (x1, x2, x3), where Chandrupatla's test phi^2 < xi and
-                # (1 - phi)^2 < 1 - xi holds and the bracket halved over the
-                # last two rounds; a bisection otherwise, and where F is inf
-                # or NaN (the test then fails)
-                sub(ones_b, xi_phi_tl_one, out=om)
-                mul(bm1, phi, out=y)
-                mul(y, om0, out=y)
-                mul(xi, om1, out=den)
-                div(y, den, out=y)
-                sub(b, y, out=y)
-                mul(a, y, out=y)
-                mul(phi, phi, out=phi2)
-                np.less(phi2, xi, out=c1)
-                mul(om1, om1, out=om12)
-                np.less(om12, om0, out=c2)
-                add(w, w, out=ww)
-                np.less_equal(ww, w_before, out=c3)
-                np.logical_and(c1, c2, out=ok)
-                np.logical_and(ok, c3, out=ok)
-                copyto(t, half)
-                copyto(t, y, where=ok)
-                # at least half the stopping width from either end
-                np.maximum(t, tl, out=t)
-                np.minimum(t, omtl, out=t)
-                mul(t, d12x, out=t)
-                sub(x1, t, out=xn)
-                if n_open < m:
-                    # a closed bracket keeps xn = x1: its state stops moving
-                    copyto(xn, x1, where=closed)
-                    np.logical_not(closed, out=open_)
-                if 4 * n_open < m == n:
-                    # fewer than a quarter open: keep the inside ends so far
-                    # and go on with the open brackets' columns alone
-                    d[cols] = np.where(side, x1, x2)
-                    M[_SIDE] = side
-                    S, M, cols, m = (S.compress(open_, axis=1), M.compress(open_, axis=1),
-                                     cols[open_], n_open)
-                    break
-            else:
-                break  # the round cap
-            if n_open == 0:
+        for k in range(_N_POLISH):
+            # p = R (cos xn u0 + sin xn t0), and num = h_abs + h_rel xn
+            np.cos(xn, out=cos_xn)
+            np.sin(xn, out=sin_xn)
+            mul(factor_rows, cxs, out=product_rows)
+            add(cu_xh, st_ha, out=p_num)
+            mul(p, R, out=p)
+            fn[open_] = F(p.compress(open_, axis=1).T)
+            # xn becomes x1; the end on its side is dropped to x3 (x1
+            # itself, or x2, which x1 then replaces)
+            side, after = after, side
+            np.less_equal(fn, zero, out=side)
+            np.not_equal(after, side, out=flip)
+            copyto(x3f3, x1f1)
+            copyto(x1f1, xnfn)
+            copyto(ends, ends_swapped, where=flip)
+            sub(x1f1, x2f2, out=d12)
+            sub(x3f3, x2f2, out=d32)
+            w, w_before = widths[k % 3], widths[(k + 1) % 3]
+            np.abs(d12x, out=w)
+            div(d12, d32, out=xi_phi)
+            div(f1, d12f, out=a)
+            div(f3, d32f, out=b)
+            div(num_row, w, out=tl)
+            # closed once narrower than the stop, or where F(x1) == 0
+            np.greater(tl, half, out=closed)
+            np.equal(f1, zero, out=eq)
+            np.logical_or(closed, eq, out=closed)
+            if closed.all():
                 break
-        # each bracket's inside end: closed ones, and any still open at the cap
-        d[cols] = np.where(side, x1, x2)
-    return d
+            # the inverse-quadratic step t = (x - x1) / (x2 - x1) through
+            # (x1, x2, x3), where Chandrupatla's test phi^2 < xi and
+            # (1 - phi)^2 < 1 - xi holds and the bracket halved over the
+            # last two rounds; a bisection otherwise, and where F is inf
+            # or NaN (the test then fails)
+            sub(ones_b, xi_phi_tl_one, out=om)
+            mul(bm1, phi, out=y)
+            mul(y, om0, out=y)
+            mul(xi, om1, out=den)
+            div(y, den, out=y)
+            sub(b, y, out=y)
+            mul(a, y, out=y)
+            mul(phi, phi, out=phi2)
+            np.less(phi2, xi, out=c1)
+            mul(om1, om1, out=om12)
+            np.less(om12, om0, out=c2)
+            add(w, w, out=ww)
+            np.less_equal(ww, w_before, out=c3)
+            np.logical_and(c1, c2, out=ok)
+            np.logical_and(ok, c3, out=ok)
+            copyto(t, half)
+            copyto(t, y, where=ok)
+            # at least half the stopping width from either end
+            np.maximum(t, tl, out=t)
+            np.minimum(t, omtl, out=t)
+            mul(t, d12x, out=t)
+            sub(x1, t, out=xn)
+            # a closed bracket keeps xn = x1: its state stops moving
+            copyto(xn, x1, where=closed)
+            np.logical_not(closed, out=open_)
+    # each bracket's inside end: closed ones, and any still open at the cap
+    return np.where(side, x1, x2)
 
 
 def cone_shell_points(cone: ConeDescriptor, R, n_azimuth=_N_AZIMUTH):

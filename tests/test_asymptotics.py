@@ -319,7 +319,7 @@ def test_sphere_radius_must_be_finite_and_positive(h, R):
             call()
 
 
-@pytest.mark.parametrize("n_azimuth", [0, -3, 2.5])
+@pytest.mark.parametrize("n_azimuth", [0, -3, 2.5, True])
 def test_n_azimuth_must_be_a_positive_integer(n_azimuth):
     h = hyperboloid_sheet([1.0, 1.0])
     R = 100.0
@@ -529,7 +529,7 @@ def test_shell_solver_meets_infinite_f():
                          ids=["sheet-1.4", "paraboloid", "hyperbola", "exp"])
 def test_crossing_does_not_depend_on_the_batch(monkeypatch, body, R):
     # a bracket solved alone ends bitwise where it ends among the rest of its
-    # scan, where the others close around it, masked and then compacted away
+    # scan, where the others close around it and are masked
     solves, crossings = [], asymptotics._crossings
 
     def recorded(*args):

@@ -1,11 +1,11 @@
 """Source hygiene: no module of the package imports a name it never reads,
-only ``bodies.py`` reads a body's or a cone's kind, and the package needs
-numpy alone at run time.
+no module defines a name that nothing reads, only ``bodies.py`` reads a
+body's or a cone's kind, and the package needs numpy alone at run time.
 
-No lint tool is a dependency, so the first is an AST scan. ``__init__.py`` is
-exempt, its imports are the package's re-exports, and so is an import on a
-line marked ``# noqa: F401``, kept because something outside the package
-looks the name up on the module.
+No lint tool is a dependency, so the first two are AST scans. ``__init__.py``
+is exempt from both, its imports are the package's re-exports, and so is an
+import on a line marked ``# noqa: F401``, kept because something outside the
+package looks the name up on the module.
 """
 import ast
 import os
@@ -41,6 +41,41 @@ def test_no_module_imports_a_name_it_never_reads():
     assert len(modules) >= 7
     unused = {p.name: names for p in modules if (names := _unused_imports(p))}
     assert unused == {}
+
+
+def _defined_names(path):
+    """The names a module binds at its top level, by def, class or assignment,
+    dunders left out."""
+    names = set()
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return {n for n in names if not (n.startswith("__") and n.endswith("__"))}
+
+
+def _read_names(path):
+    """Every name the file reads: a bare name, an attribute or an imported name."""
+    read = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(a.name for a in node.names)
+    return read
+
+
+def test_every_module_level_name_is_read_somewhere():
+    readers = [p for d in ("src", "tests", "scripts", "perfbench") for p in (ROOT / d).rglob("*.py")]
+    read = set().union(*map(_read_names, readers))
+    modules = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+    assert len(modules) >= 7
+    dead = {p.name: names for p in modules if (names := sorted(_defined_names(p) - read))}
+    assert dead == {}
 
 
 # attributes that name a body's or a cone's kind, or hold its kind class
