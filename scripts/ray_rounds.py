@@ -37,6 +37,13 @@ volume and per call. For the 3D section levels of the polar rule it
 prints the rays per level of the first polar batch (the rule's first
 nodes), the polar rays per level over all its guessed batches (diameter
 grids included), and how many levels were refined past the first batch.
+It also prints the set-up work of the pass: the calls of the row-wise Gauss
+map (``BodySpec.gauss_map``) and the normals they take, the calls of the
+cone margin (the ``margin`` of each cone kind; ``ConeDescriptor.sides``
+takes it on the rows u and -u, but the zero cone's sides need none) and the
+rows they take, and the plane set-ups (``sections._section_frames``, which
+orients the normals of a section batch, builds their bases and places
+their spine anchors) with their normals and levels.
 
 A shell scan's solver rounds are the ``defining`` calls made inside its
 call of ``asymptotics._crossings``, which the script wraps by name: one
@@ -78,7 +85,9 @@ class Counts:
     the seconds inside the solver and inside its ``defining`` calls; ``ray``
     is the kind of the running ``ray_hits_batch`` call (or None), and
     ``ray_s[kind]`` and ``ray_f_s[kind]`` are the seconds inside the calls
-    of that kind and inside their ``defining`` calls."""
+    of that kind and inside their ``defining`` calls; ``setup[name]`` counts
+    the calls and rows of each set-up step (rows: normals, or for the plane
+    set-ups normals and levels)."""
 
     def __init__(self):
         self.op = None  # the name of the op that runs
@@ -103,6 +112,7 @@ class Counts:
         self.ray = None
         self.ray_s = defaultdict(float)
         self.ray_f_s = defaultdict(float)
+        self.setup = defaultdict(lambda: [0, 0, 0])
 
 
 def label(body):
@@ -188,6 +198,22 @@ def install(ccgeom, counts):
             return out
         return counted
 
+    def rows(name):
+        """A wrapper counting the calls of a set-up step and the rows of its
+        argument at (the normals; for the plane set-ups, and the levels)."""
+        def wrapper(orig):
+            def counted(*args, **kwargs):
+                c = counts.setup[name]
+                c[0] += 1
+                if name == "plane set-ups":  # (body, normals, which, levels)
+                    c[1] += len(args[1])
+                    c[2] += len(args[3])
+                else:  # (self, rows)
+                    c[1] += len(args[1])
+                return orig(*args, **kwargs)
+            return counted
+        return wrapper
+
     def polar_sections(orig):
         def counted(body, anchors, *args, **kwargs):
             counts.guessed = 0
@@ -222,6 +248,10 @@ def install(ccgeom, counts):
     patch(cutvol, "section_measure", levels(2))  # (body, u, t)
     patch(cutvol, "_sections", levels(3))  # (body, normals, k, levels, ...), with the cut plane
     patch(asymptotics, "_crossings", crossings)
+    patch(bodies.BodySpec, "gauss_map", rows("Gauss-map"))
+    for kind in bodies._CONE_KINDS.values():
+        patch(kind, "margin", rows("cone-margin"))
+    patch(sections, "_section_frames", rows("plane set-ups"))
 
     def uninstall():
         for owner, name, orig in reversed(undo):
@@ -251,6 +281,10 @@ def report(name, seed, n_ops, counts, passes=None):
         lines.append(f"  ray_hits_batch time per call outside F, median of {len(passes)} "
                      f"passes: " + ", ".join(times))
     lines.append(f"  defining calls {counts.defining:,}, oracle points {counts.points:,}")
+    gauss, margin, planes = (counts.setup[k] for k in ("Gauss-map", "cone-margin", "plane set-ups"))
+    lines.append(f"  set-up: Gauss-map calls {gauss[0]:,} ({gauss[1]:,} normals), cone-margin "
+                 f"calls {margin[0]:,} ({margin[1]:,} rows), plane set-ups {planes[0]:,} "
+                 f"({planes[1]:,} normals, {planes[2]:,} levels)")
     if counts.scans:
         s = [len(brackets) for brackets in counts.scans]
         lines.append(f"  solver rounds per shell scan {np.mean(s):.2f} (max {max(s)}) "

@@ -16,8 +16,8 @@ function with F's sign that is a quadratic along every ray where one
 exists (F itself; F (F + 2 y_d) = height^2 - y_d^2 on the hyperboloid
 sheet and the circular cone). The four
 unbounded kinds are epigraphs y >= height(x') and share F, the inverse
-Gauss map and ``_graph_contact``, the boundary point and normal over an
-abscissa, which the other kinds refuse. The support function is read off
+Gauss map and ``_graph_contacts``, the boundary points and normals over
+abscissae, which the other kinds refuse. The support function is read off
 the Gauss map, h(u) = <u, x(u)> with x(u) the boundary point of outer
 normal u, exactly on the attained normals; elsewhere h is its limit, 0 or
 +inf.
@@ -31,10 +31,14 @@ direction Q^-1 u of its sections' centroid line. No other module tests a
 body or cone kind.
 
 Membership and defining-value evaluation are vectorized over trailing
-point batches (shape (..., dim)); all other oracles are scalar. F's value
-at a point must not depend on the memory layout of its batch: the
-root-finder and the shell scan build their batches coordinate-major, one
-contiguous row per coordinate, and hand F the transposed view.
+point batches (shape (..., dim)). F's value at a point must not depend on
+the memory layout of its batch: the root-finder and the shell scan build
+their batches coordinate-major, one contiguous row per coordinate, and
+hand F the transposed view. The Gauss map and the cone margins take an
+(n, d) array of unit normals, and the scalar oracles are one-row calls of
+them. A row's result does not depend on the other rows: its sums are
+taken along the row by ``np.sum`` or by ``np.vecdot``, which calls the dot
+kernel of ``u @ x`` once per row.
 """
 from __future__ import annotations
 
@@ -56,7 +60,7 @@ from .errors import (
 INF = math.inf
 
 _UNIT_TOL = 1e-12
-# cone margins within this of 0 count as 0 in support and meets_hyperplane
+# cone margins within this of 0 count as 0 in support and sides
 _MARGIN_TOL = 1e-14
 # epigraph normals this close to the edge of the attained set get h's limit
 _EDGE_TOL = 1e-15
@@ -83,26 +87,44 @@ def _as_point(x, dim):
     return x
 
 
+def _check_units(U):
+    """U as an (n, d) array of finite unit rows (within 1e-12)."""
+    U = np.asarray(U, dtype=float)
+    # written so that a NaN norm fails the test too
+    if not np.maximum.reduce(np.abs(np.sqrt(np.vecdot(U, U)) - 1.0), initial=0.0) <= _UNIT_TOL:
+        raise ValueError("direction must be a finite unit vector (within 1e-12)")
+    return U
+
+
 def _check_unit(u):
     u = np.asarray(u, dtype=float)
-    # written so that a NaN norm fails the test too
-    if not abs(np.linalg.norm(u) - 1.0) <= _UNIT_TOL:
-        raise ValueError("direction must be a finite unit vector (within 1e-12)")
+    _check_units(u.reshape(1, -1))
     return u
+
+
+def _each(f, x):
+    """f of each entry of x as a float (numpy's log, asinh and pow may differ
+    from the C library's in the last bit)."""
+    return np.array([f(v) for v in x.tolist()])
 
 
 # -- the cone kinds -------------------------------------------------------------
 
 
 class _Cone:
-    """Shared shape of a cone kind: rank ``dim``, F, the margin m, a unit
-    ``direction`` inside, unit boundary ``rays`` and (full rank) ``conjugate``."""
+    """Shared shape of a cone kind: rank ``dim``, F, the margin m of each row
+    of an (n, d) array, a unit ``direction`` inside, unit boundary ``rays``
+    and (full rank) ``conjugate``."""
 
     def __init__(self, ambient_dim, params):
         self.n, self.p = ambient_dim, np.array(params, dtype=float)
         if not self.valid():
             raise ValueError(self.needs)
         self.p.flags.writeable = False
+
+    def sides(self, U):  # one margin call on the rows of U and -U
+        up, down = self.margin(np.concatenate([U, -U])).reshape(2, -1)
+        return np.maximum(up, down) <= _MARGIN_TOL, up > 0.0
 
 
 class _ZeroCone(_Cone):
@@ -115,8 +137,11 @@ class _ZeroCone(_Cone):
     def F(self, x):
         return np.linalg.norm(x, axis=-1)
 
-    def margin(self, a):
-        return INF
+    def margin(self, A):
+        return np.full(len(A), INF)
+
+    def sides(self, U):  # every margin is +inf
+        return np.zeros(len(U), dtype=bool), np.ones(len(U), dtype=bool)
 
     def rays(self, n_azimuth):
         return np.empty((0, self.n))
@@ -135,8 +160,12 @@ class _RayCone(_Cone):
         perp = x - proj[..., None] * self.p
         return np.maximum(np.linalg.norm(perp, axis=-1), -proj)
 
-    def margin(self, a):
-        return float(a @ self.p)
+    def margin(self, A):
+        return np.vecdot(A, self.p)
+
+    def sides(self, U):  # the margin is linear: m(-u) = -m(u)
+        m = self.margin(U)
+        return np.abs(m) <= _MARGIN_TOL, m > 0.0
 
     def rays(self, n_azimuth):
         return self.p[None, :]
@@ -153,8 +182,8 @@ class _Quadrant(_Cone):
     def F(self, x):
         return np.maximum(x[..., 0], -x[..., 1])
 
-    def margin(self, a):
-        return float(min(-a[0], a[1]))
+    def margin(self, A):
+        return np.minimum(-A[:, 0], A[:, 1])
 
     def conjugate(self, u):  # the form is xy
         return np.array([u[1], u[0]])
@@ -175,8 +204,9 @@ class _EllipticCone(_Cone):
     def F(self, x):
         return np.sqrt(np.sum((x[..., :-1] / self.p) ** 2, axis=-1)) - x[..., -1]
 
-    def margin(self, a):
-        return float(a[-1] - np.linalg.norm(self.p * a[:-1]))
+    def margin(self, A):
+        pa = self.p * A[:, :-1]
+        return A[:, -1] - np.sqrt(np.vecdot(pa, pa))
 
     def conjugate(self, u):  # the form is sum (x_i/alpha_i)^2 - x_d^2
         return np.append(self.p ** 2 * u[:-1], -u[-1])
@@ -231,18 +261,22 @@ class ConeDescriptor:
     def contains(self, x):
         return self.defining(x) <= 1e-12
 
+    def sides(self, U):
+        """Per row u of an (n, d) array, whether the cone meets u-perp in more
+        than 0 (within rounding) and whether it is positive on u."""
+        return self._impl.sides(U)
+
     def support(self, u) -> float:
         """0 exactly when <u, v> <= 0 on the whole cone, +inf otherwise."""
-        return 0.0 if self._impl.margin(-_check_unit(u)) >= -_MARGIN_TOL else INF
+        return 0.0 if self._impl.margin(-_check_unit(u)[None])[0] >= -_MARGIN_TOL else INF
 
     def positive_on(self, a) -> bool:
         """True iff <a, v> > 0 for every nonzero v in the cone."""
-        return self._impl.margin(np.asarray(a, dtype=float)) > 0.0
+        return bool(self._impl.margin(np.asarray(a, dtype=float)[None])[0] > 0.0)
 
     def meets_hyperplane(self, u) -> bool:
         """True iff the cone meets u-perp in more than the origin."""
-        u = np.asarray(u, dtype=float)
-        return max(self._impl.margin(u), self._impl.margin(-u)) <= _MARGIN_TOL
+        return bool(self.sides(np.asarray(u, dtype=float)[None])[0][0])
 
     def interior_direction(self):
         """A unit direction strictly inside the cone (dim >= 1)."""
@@ -269,8 +303,10 @@ class _Kind:
     """Shared defaults: a bounded body whose every unit normal is attained.
 
     A subclass says in ``valid`` whether its parameters fit the kind and in
-    ``needs`` what they must be. u is an attained normal where h(u) is read
-    off the Gauss map, that is where ``limit_support`` gives None.
+    ``needs`` what they must be. The Gauss map takes an (n, d) array of unit
+    normals, one per row: u is an attained normal where h(u) is read off it,
+    that is where ``limit_support`` gives NaN (or None: every row), and
+    ``inverse_gauss`` is asked for the attained rows alone.
     """
 
     def __init__(self, spec):
@@ -296,9 +332,25 @@ class _Kind:
         quadratic along every ray where F is: F itself unless overridden."""
         return f
 
-    def limit_support(self, u):
-        """h(u) where it is not read off the Gauss map (0 or +inf), else None."""
-        return None
+    def limit_support(self, U):
+        """h(u) where it is not read off the Gauss map (0 or +inf), else NaN."""
+        return None  # every u attained
+
+    def gauss(self, U):
+        """``BodySpec.gauss_map`` in the body's frame."""
+        h = self.limit_support(U)
+        on = np.ones(len(U), dtype=bool) if h is None else np.isnan(h)
+        # (count_nonzero: the set-up paths take these masks a row at a time,
+        # where all and any cost several times as much)
+        if h is None or np.count_nonzero(on) == len(on):
+            X = self.inverse_gauss(U)
+            return np.vecdot(U, X), X, on
+        X = np.full(U.shape, np.nan)
+        if np.count_nonzero(on):
+            V = U[on]
+            X[on] = x = self.inverse_gauss(V)
+            h[on] = np.vecdot(V, x)
+        return h, X, on
 
     def cone(self):
         return ConeDescriptor("zero", self.dim)
@@ -316,8 +368,9 @@ class _Ellipsoid(_Kind):
     def grad(self, y):
         return 2.0 * y / self.p ** 2
 
-    def inverse_gauss(self, u):
-        return self.p ** 2 * u / np.linalg.norm(self.p * u)
+    def inverse_gauss(self, U):
+        pu = self.p * U
+        return self.p ** 2 * U / np.sqrt(np.vecdot(pu, pu))[:, None]
 
 
 class _Superellipsoid(_Kind):
@@ -333,18 +386,19 @@ class _Superellipsoid(_Kind):
         pw = self.p[0]
         return pw * np.sign(y) * np.abs(y) ** (pw - 1.0)
 
-    def inverse_gauss(self, u):
+    def inverse_gauss(self, U):
         pw = self.p[0]
         q = pw / (pw - 1.0)
-        nq = float(np.sum(np.abs(u) ** q))
-        return np.sign(u) * np.abs(u) ** (q / pw) / nq ** (1.0 / pw)
+        nq = _each(lambda v: v ** (1.0 / pw), np.sum(np.abs(U) ** q, axis=-1))
+        return np.sign(U) * np.abs(U) ** (q / pw) / nq[:, None]
 
 
 class _Graph(_Kind):
     """Epigraph {y >= height(x')} of a convex height over x' in R^(dim-1).
 
-    Subclasses give height, its gradient height_grad and the inverse of the
-    gradient, slope_inverse, each over x' (or slopes m) in the last axis.
+    Subclasses give height, its gradient height_grad (NaN where it has
+    none) and the inverse of the gradient, slope_inverse, each over x' (or
+    slopes m) in the last axis, height_grad and slope_inverse over rows.
     """
 
     def valid(self):  # n positive coefficients or semi-axes, unless overridden
@@ -354,7 +408,10 @@ class _Graph(_Kind):
         return self.height(y[..., :-1]) - y[..., -1]
 
     def grad(self, y):
-        return np.append(self.height_grad(y[:-1]), -1.0)
+        g = self.height_grad(y[None, :-1])[0]
+        if np.isnan(g).any():
+            raise NotOnBoundary("cone apex has no unique normal")
+        return np.append(g, -1.0)
 
     def terms(self, f, yd):
         # F = height - y_d
@@ -366,13 +423,13 @@ class _Graph(_Kind):
         y[-1] = self.height(y[:-1]) + 1.0
         return y
 
-    def limit_support(self, u):
-        return None if u[-1] < 0.0 else INF
+    def limit_support(self, U):
+        return np.where(U[:, -1] < 0.0, np.nan, INF)
 
-    def inverse_gauss(self, u):
+    def inverse_gauss(self, U):
         # the outer normal (grad height, -1) is parallel to u
-        x = self.slope_inverse(u[:-1] / -u[-1])
-        return np.append(x, self.height(x))
+        X = self.slope_inverse(U[:, :-1] / -U[:, -1:])
+        return np.concatenate([X, self.height(X)[:, None]], axis=1)
 
     def cone(self):
         return ConeDescriptor("ray", self.dim, (0.0,) * (self.dim - 1) + (1.0,))
@@ -389,6 +446,17 @@ class _Paraboloid(_Graph):
 
     def slope_inverse(self, m):
         return m / (2.0 * self.p)
+
+    def gauss(self, U):
+        with np.errstate(over="ignore", invalid="ignore"):
+            h, X, on = super().gauss(U)
+            # h = sum u_i^2 / (4 p_i |u_d|) where the height overflows
+            fine = h > -INF
+            if np.count_nonzero(fine) < len(fine):
+                over = ~fine
+                V = U[over]
+                h[over] = np.sum(V[:, :-1] ** 2 / (4.0 * self.p), axis=-1) / -V[:, -1]
+        return h, X, on
 
 
 class _QuadricGraph(_Graph):
@@ -407,18 +475,17 @@ class _Hyperboloid(_QuadricGraph):
         return np.sqrt(1.0 + np.sum((x / self.p) ** 2, axis=-1))
 
     def height_grad(self, x):
-        return x / (self.p ** 2 * self.height(x))
+        return x / (self.p ** 2 * self.height(x)[:, None])
 
     def slope_inverse(self, m):
         pm = self.p * m
-        return self.p * pm / math.sqrt(1.0 - float(pm @ pm))
+        return self.p * pm / np.sqrt(1.0 - np.vecdot(pm, pm))[:, None]
 
-    def limit_support(self, u):
-        s, r = -u[-1], float(np.linalg.norm(self.p * u[:-1]))
-        if s > r:
-            return None
+    def limit_support(self, U):
+        s, pu = -U[:, -1], self.p * U[:, :-1]
+        r = np.sqrt(np.vecdot(pu, pu))
         # on the asymptotic cone's normals the supremum is 0, not attained
-        return 0.0 if s == r else INF
+        return np.where(s > r, np.nan, np.where(s == r, 0.0, INF))
 
     def cone(self):
         return ConeDescriptor("elliptic", self.dim, self.params)
@@ -434,20 +501,20 @@ class _CircularCone(_QuadricGraph):
         return self.p[0] * np.linalg.norm(x, axis=-1)
 
     def height_grad(self, x):
-        r = float(np.linalg.norm(x))
-        if r < 1e-300:
-            raise NotOnBoundary("cone apex has no unique normal")
-        return self.p[0] * x / r
+        r = np.sqrt(np.vecdot(x, x))
+        # the apex has no normal
+        return self.p[0] * x / np.where(r < 1e-300, np.nan, r)[:, None]
 
     def interior(self):
         y = np.zeros(self.dim)
         y[-1] = max(1.0, self.params[0])
         return y
 
-    def limit_support(self, u):
-        # never None: not strictly convex, so the Gauss map is not invertible;
+    def limit_support(self, U):
+        # never NaN: not strictly convex, so the Gauss map is not invertible;
         # 0 at the apex for normals of the polar cone
-        return 0.0 if self.p[0] * -u[-1] >= np.linalg.norm(u[:-1]) else INF
+        x = U[:, :-1]
+        return np.where(self.p[0] * -U[:, -1] >= np.sqrt(np.vecdot(x, x)), 0.0, INF)
 
     def cone(self):
         return ConeDescriptor("elliptic", self.dim, (1.0 / self.params[0],) * (self.dim - 1))
@@ -488,17 +555,16 @@ class _FunctionEpigraph(_Graph):
             return self.df(x)
 
     def slope_inverse(self, m):
-        return np.array([self.df_inverse(float(m[0]))])
+        return _each(self.df_inverse, m[:, 0])[:, None]
 
-    def limit_support(self, u):
-        s = -u[1]
-        if s <= _EDGE_TOL:
-            return INF
-        edge = u[0] - self.slope_inf * s
-        if edge < -_EDGE_TOL:
-            return INF
+    def limit_support(self, U):
+        s = -U[:, 1]
+        with np.errstate(invalid="ignore"):  # -inf * 0 where s = 0
+            edge = U[:, 0] - self.slope_inf * s
         # a finite inf f' is exp's 0, where h is the limit of -s*f = 0 as x -> -inf
-        return 0.0 if edge <= _EDGE_TOL else None
+        h = np.where(edge <= _EDGE_TOL, 0.0, np.nan)
+        h[(s <= _EDGE_TOL) | (edge < -_EDGE_TOL)] = INF
+        return h
 
     def cone(self):
         # f grows both ways, or (exp) tends to 0 as x -> -inf
@@ -589,6 +655,20 @@ class BodySpec:
 
     # -- support function / Gauss map ------------------------------------
 
+    def gauss_map(self, U):
+        """(h, X, attained) at each row u of an (n, d) array of unit normals:
+        X holds the boundary point x(u) of outer normal u (a NaN row where u
+        is not attained), h(u) = <u, x(u)>, a float wherever it can be one
+        (the paraboloid's x(u) may overflow), or its limit 0 or +inf."""
+        h, X, on = self._impl.gauss(U)
+        # the translation moves every point, and h by <u, translation>
+        return h + np.vecdot(U, self.translation), X + self.translation, on
+
+    def support_rows(self, U):
+        """``support`` of each row of an (n, d) array."""
+        nrm = np.sqrt(np.vecdot(U, U))
+        return nrm * self.gauss_map(U / nrm[:, None])[0]
+
     def support(self, u) -> float:
         """h(u) = sup over the body of <u, x>; +inf in recession-positive directions.
 
@@ -597,27 +677,24 @@ class BodySpec:
         accepted and rescaled.
         """
         u = np.asarray(u, dtype=float)
-        nrm = float(np.linalg.norm(u))
-        if nrm == 0.0 or not np.all(np.isfinite(u)):
+        if float(np.linalg.norm(u)) == 0.0 or not np.all(np.isfinite(u)):
             raise ValueError("direction must be finite and nonzero")
-        u = u / nrm
-        h = self._impl.limit_support(u)
-        if h is None:
-            h = float(u @ self._impl.inverse_gauss(u))
-        if h == INF:
-            return INF
-        return nrm * (h + float(u @ self.translation))
+        return float(self.support_rows(u[None])[0])
 
     def support_attained(self, u) -> bool:
         """Whether u lies in the Gauss-map image N(boundary)."""
-        return self._impl.limit_support(_check_unit(u)) is None
+        return bool(self.gauss_map(_check_unit(u)[None])[2][0])
 
     def inverse_gauss(self, u):
-        """The unique boundary point whose outer unit normal is u."""
+        """The unique boundary point whose outer unit normal is u; a
+        ValueError where that point overflows."""
         u = _check_unit(u)
-        if not self.support_attained(u):
+        _, X, on = self.gauss_map(u[None])
+        if not on[0]:
             raise InadmissibleNormal(f"{u} is not an attained normal of this body")
-        return self._impl.inverse_gauss(u) + self.translation
+        if not np.all(np.isfinite(X)):
+            raise ValueError(f"the boundary point of outer normal {u} overflows: {X[0]}")
+        return X[0]
 
     def outer_normal(self, x):
         """Outward unit normal at a boundary point."""
@@ -680,37 +757,49 @@ class BodySpec:
         )
 
 
-def _graph_contact(body, abscissa):
-    """Boundary point and inner unit normal at an abscissa of a graph body.
+def _graph_contacts(body, abscissae):
+    """Boundary points and inner unit normals over the abscissae of a graph
+    body (one row each, or in 2D one number each): two (n, d) arrays.
 
     Every graph kind has F(x', y) = height(x') - y in its own frame, so the
     height is F at (x', 0) and the graph gradient is the x' part of grad F.
-    A body that is not an epigraph raises ``NotGraphLike``; an abscissa
-    where the height has no gradient, ``NotOnBoundary`` naming it; one where
-    the height or the normal overflows, a ValueError naming it.
+    A body that is not an epigraph raises ``NotGraphLike``; then, naming the
+    first abscissa at fault, one that is not finite or where the height or
+    the normal overflows raises a ValueError, and one where the height has
+    no gradient ``NotOnBoundary``.
     """
     if not isinstance(body._impl, _Graph):
         raise NotGraphLike("a graph contact needs a graph-like body, an epigraph")
-    x0 = np.atleast_1d(np.asarray(abscissa, dtype=float))
-    n = body.ambient_dim - 1
-    if x0.shape != (n,):
-        raise ValueError(f"anchor abscissa must have {n} component(s)")
-    if not np.all(np.isfinite(x0)):
-        raise ValueError(f"anchor abscissa must be finite, got {x0}")
+    X0 = np.asarray(abscissae, dtype=float)
+    X0 = X0[:, None] if X0.ndim == 1 else X0
+    n, d = len(X0), body.ambient_dim
+    if n and X0.shape != (n, d - 1):
+        raise ValueError(f"anchor abscissa must have {d - 1} component(s)")
+    X0 = X0.reshape(n, d - 1)
+    bad = ~np.isfinite(X0).all(axis=1)
+    if bad.any():
+        raise ValueError(f"anchor abscissa must be finite, got {X0[bad.argmax()]}")
     with np.errstate(over="ignore", invalid="ignore"):
-        height = float(body.defining(np.append(x0, 0.0) + body.translation))
-        point = np.append(x0, height) + body.translation
-        if not np.all(np.isfinite(point)):
-            raise ValueError(f"graph height at abscissa {x0.tolist()} is not finite: {height}")
-        try:
-            grad = body.defining_gradient(point)
-        except NotOnBoundary as e:
-            raise NotOnBoundary(f"no graph contact at abscissa {x0.tolist()}: {e}") from e
-        normal = np.append(-grad[:-1], 1.0)
-        length = float(np.linalg.norm(normal))
-    if not math.isfinite(length):
-        raise ValueError(f"graph slope at abscissa {x0.tolist()} is not finite")
-    return point, normal / length
+        height = body.defining(np.column_stack([X0, np.zeros(n)]) + body.translation)
+        P = np.column_stack([X0, height]) + body.translation
+        N = np.column_stack([-body._impl.height_grad(body._local(P)[:, :-1]), np.ones(n)])
+        length = np.sqrt(np.vecdot(N, N))
+    for bad, error, message in (
+            (~np.isfinite(P).all(axis=1), ValueError,
+             "graph height at abscissa {} is not finite: {}"),
+            (np.isnan(N).any(axis=1), NotOnBoundary,
+             "no graph contact at abscissa {}: cone apex has no unique normal"),
+            (~np.isfinite(length), ValueError, "graph slope at abscissa {} is not finite")):
+        if bad.any():
+            i = bad.argmax()
+            raise error(message.format(X0[i].tolist(), float(height[i])))
+    return P, N / length[:, None]
+
+
+def _graph_contact(body, abscissa):
+    """``_graph_contacts`` of one abscissa."""
+    P, N = _graph_contacts(body, [np.atleast_1d(np.asarray(abscissa, dtype=float))])
+    return P[0], N[0]
 
 
 def ray_hits_batch(body, origin, directions, guess=None):

@@ -9,8 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bodies import _check_unit
-from .errors import ConeSectionUnbounded, DegeneratePointSet, UnboundedSection
-from .sections import DEFAULT_RTOL, admissible_levels, section_bounded, section_stats
+from .errors import ConeSectionUnbounded, DegeneratePointSet
+from .sections import DEFAULT_RTOL, admissible_levels, section_stats
 
 GEOMETRIC_RATIO = 1.7
 N_LEVELS_BOUNDED = 16
@@ -50,9 +50,17 @@ def sample_levels(body, u, n_levels=None):
     get a geometric grid t0 + delta * r^k probing the asymptotic regime.
     ``n_levels`` is a whole number >= 1, or None for the interval's default.
     """
+    _check_count(n_levels)
+    return _levels_in(*admissible_levels(body, u), n_levels)
+
+
+def _check_count(n_levels):
     if n_levels is not None and not (n_levels >= 1 and float(n_levels).is_integer()):
         raise ValueError(f"n_levels must be a whole number >= 1, got {n_levels!r}")
-    lo, hi = admissible_levels(body, u)
+
+
+def _levels_in(lo, hi, n_levels):
+    """``sample_levels`` of the admissible interval (lo, hi)."""
     if math.isfinite(lo) and math.isfinite(hi):
         n = N_LEVELS_BOUNDED if n_levels is None else int(n_levels)
         j = np.arange(n)
@@ -108,12 +116,12 @@ def sccp_residual(body, u, n_levels=None, rtol=DEFAULT_RTOL) -> LineFit:
     parallel-section centroids are collinear, bounded away from 0 otherwise.
     """
     u = np.array(_check_unit(u))
-    if not section_bounded(body, u):
-        raise UnboundedSection(f"sections normal to {u} are unbounded")
+    bounds = admissible_levels(body, u)  # UnboundedSection where the sections are unbounded
     if n_levels is not None and n_levels < MIN_LEVELS:
         raise ValueError(f"need at least {MIN_LEVELS} levels")
-    levels = sample_levels(body, u, n_levels)
-    return fit_line(centroid_curve(body, u, levels, rtol=rtol))
+    _check_count(n_levels)
+    # the centroid curve of the levels, as ``centroid_curve`` takes it
+    return fit_line(list(section_stats(body, u, _levels_in(*bounds, n_levels), rtol=rtol).centroid))
 
 
 def classify_lines(lines, tol=1e-5) -> LineFamilyVerdict:

@@ -31,15 +31,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies import INF, _graph_contact
+from .bodies import INF, _check_units, _graph_contacts
 from .errors import DegenerateCut, NotApexCentered, NotGraphLike, OriginInsideBody
 from .sections import (
     DEFAULT_RTOL,
     _check_levels,
     _check_measures,
-    _plane,
     _rtols,
     _sections,
+    _support_levels,
     section_measure,
 )
 from .sections import section_diameter, section_stats  # noqa: F401  (perfbench/tracer.py wraps them by name)
@@ -164,39 +164,43 @@ class CutVolumeResult:
     section_diameter: float
 
 
-def _level_range(body, u, t):
-    """Levels (s_lo, s_hi) that body ∩ {<u,x> <= t} spans, u a unit normal,
-    or the volume itself where it needs no integral: +inf when the cut
-    contains a recession direction, 0 when the halfspace misses the interior.
+def _level_ranges(body, U, T):
+    """The levels that body ∩ {<u,x> <= t} spans, for each row u of an (n, d)
+    array of unit normals and entry t of T, in one pass: the support levels
+    (lo, hi) = (-h(-u), h(u)) and the ranges (s_lo, s_hi, fixed), s_hi =
+    min(t, hi), with fixed the volume itself where it needs no integral
+    (NaN elsewhere): +inf when the cut contains a recession direction, 0
+    when the halfspace misses the interior.
     """
-    s_lo = -body.support(-u)
-    cone = body.recession_cone()
     # as the section kernel decides it, a cone that meets the planes within
-    # rounding meets them
-    if cone.meets_hyperplane(u) or not cone.positive_on(u):
-        # some recession direction stays in the halfspace: infinite volume
-        return 0.0 if t <= s_lo else INF
-    s_hi = min(t, body.support(u))
-    if s_hi <= s_lo + 1e-12 * body.scale:
-        return 0.0
-    return s_lo, s_hi
+    # rounding meets them; then, or where the cone is not positive on u,
+    # some recession direction stays in the halfspace: infinite volume
+    meets, up = body.recession_cone().sides(U)
+    lo, hi = _support_levels(body, U, up)
+    s_hi = np.where(hi < T, hi, T)
+    fixed = np.where(s_hi <= lo + 1e-12 * body.scale, 0.0, np.nan)
+    meets |= ~up
+    if np.count_nonzero(meets):
+        fixed[meets] = np.where(T <= lo, 0.0, INF)[meets]
+    return (lo, hi), (lo, s_hi, fixed)
 
 
 def _cut_volumes(body, normals, ranges, rtols, plane=None):
     """Volumes of the cuts of body with unit normals normals[k] over the level
-    ranges ranges[k] (from ``_level_range``; a number is the volume itself),
-    each to its own rtols[k]: the integrals in one lockstep ``quad``, whose
-    every round sections the levels of all of them in one batch.
+    ranges (s_lo, s_hi, fixed) of ``_level_ranges`` (where fixed is a number,
+    the volume itself), each to its own rtols[k]: the integrals in one
+    lockstep ``quad``, whose every round sections the levels of all of them
+    in one batch.
 
     Returns the volumes and, for plane = (u, t, rtol), that section's
     measure, centroid, diameter and whether its anchor is inside the body,
     from the first round's batch, in which it rides as one more level.
     """
-    rtols = _rtols(rtols, len(ranges))
-    volumes = np.array([math.nan if isinstance(r, tuple) else r for r in ranges])
+    s_lo, s_hi, volumes = ranges
+    rtols = _rtols(rtols, len(volumes))
+    volumes = volumes.copy()
     todo = np.flatnonzero(np.isnan(volumes))
-    normals, rtols = np.asarray(normals)[todo], rtols[todo]
-    s_lo, s_hi = np.array([ranges[k] for k in todo]).reshape(-1, 2).T
+    normals, rtols, s_lo, s_hi = normals[todo], rtols[todo], s_lo[todo], s_hi[todo]
     # levels s = c + h x (3 - x^2) / 2 over x in [-1, 1]: s - s_lo and s_hi - s
     # go as (1 -+ x)^2 at the ends, which removes a 2D chord's square root
     # there, and a measure polynomial in s stays a polynomial in x
@@ -235,21 +239,31 @@ def halfspace_cut_volume(body, u, t, rtol=DEFAULT_RTOL) -> float:
     +inf when the cut contains a recession direction; 0 when the halfspace
     misses the interior.
     """
-    u, t = _plane(u, t)
-    return float(_cut_volumes(body, [u], [_level_range(body, u, t)], [rtol])[0][0])
+    t = float(t)
+    if math.isnan(t):
+        raise ValueError("hyperplane level must be a number")
+    U = np.array(_check_units(np.asarray(u, dtype=float)[None]))
+    return _volume(body, U, np.array([t]), rtol)
 
 
-def _cut_plane(a):
-    """Unit normal and level of the hyperplane {<a,x> = 1}."""
-    nrm = float(np.linalg.norm(a))
-    if not (0.0 < nrm < INF):
+def _volume(body, U, T, rtol):
+    """The volume of one cut of a checked plane, as a number."""
+    return float(_cut_volumes(body, U, _level_ranges(body, U, T)[1], [rtol])[0][0])
+
+
+def _cut_planes(A):
+    """Unit normals and levels of the hyperplanes {<a,x> = 1}, one per row a
+    of A."""
+    nrm = np.sqrt(np.vecdot(A, A))
+    # written so that a NaN fails the test too
+    if not (nrm.min() > 0.0 and nrm.max() < INF):
         raise ValueError("cut parameter must be finite and nonzero")
-    return _plane(a / nrm, 1.0 / nrm)
+    return _check_units(A / nrm[:, None]), 1.0 / nrm
 
 
 def cut_volume(body, a, rtol=DEFAULT_RTOL) -> float:
     """V(a) = volume of body on the <= side of {<a,x> = 1}."""
-    return halfspace_cut_volume(body, *_cut_plane(np.asarray(a, dtype=float)), rtol=rtol)
+    return _volume(body, *_cut_planes(np.asarray(a, dtype=float)[None]), rtol)
 
 
 def cut_gradient(body, a, rtol=DEFAULT_RTOL) -> CutVolumeResult:
@@ -269,28 +283,27 @@ def cut_gradient(body, a, rtol=DEFAULT_RTOL) -> CutVolumeResult:
     _rtols(rtol, 1)  # before the step, which it sets
     if bool(body.contains(np.zeros(body.ambient_dim))):
         raise OriginInsideBody("translate the body so that 0 is outside first")
-    planes = [_cut_plane(a)]
-    ranges = [_level_range(body, *planes[0])]
-    if not isinstance(ranges[0], tuple):
-        raise DegenerateCut(f"V(a) = {ranges[0]} is not finite positive")
-    nrm = float(np.linalg.norm(a))
     # the difference quotient amplifies quadrature noise by 1/step, so the
     # perturbed volumes are computed tighter than the requested tolerance
     fd_rtol = min(rtol, 1e-10)
+    nrm = float(np.linalg.norm(a))
+    if not (0.0 < nrm < INF):
+        raise ValueError("cut parameter must be finite and nonzero")
     step = max(1.0, nrm) * fd_rtol ** (1.0 / 3.0)
     dim = body.ambient_dim
-    for j in range(dim):
-        e = np.zeros(dim)
-        e[j] = step
-        for p in (a + e, a - e):
-            planes.append(_cut_plane(p))
-            ranges.append(_level_range(body, *planes[-1]))
-        if INF in ranges[-2:]:
-            raise DegenerateCut("perturbed cut became unbounded; reduce the step")
-    u, t = planes[0]
-    _check_levels(body, u, np.array([t]))
-    volumes, section = _cut_volumes(body, [u for u, _ in planes], ranges,
-                                    [rtol] + [fd_rtol] * (2 * dim), plane=(u, t, rtol))
+    # a, then a + step e_j and a - step e_j for each j
+    E = step * np.eye(dim)
+    U, T = _cut_planes(np.vstack([a, np.stack([a + E, a - E], axis=1).reshape(-1, dim)]))
+    (lo, hi), ranges = _level_ranges(body, U, T)
+    fixed = ranges[2]
+    if not math.isnan(fixed[0]):
+        raise DegenerateCut(f"V(a) = {float(fixed[0])} is not finite positive")
+    if np.any(fixed[1:] == INF):
+        raise DegenerateCut("perturbed cut became unbounded; reduce the step")
+    u, t = U[0], float(T[0])
+    _check_levels(body, T[:1], float(lo[0]), float(hi[0]))
+    volumes, section = _cut_volumes(body, U, ranges, [rtol] + [fd_rtol] * (2 * dim),
+                                    plane=(u, t, rtol))
     V0 = float(volumes[0])
     if not V0 > 0.0:  # every level of the cut grazed the body
         raise DegenerateCut(f"V(a) = {V0} is not finite positive")
@@ -321,21 +334,18 @@ def _check_finite(name, value):
         raise ValueError(f"{name} must be finite, got {value}")
 
 
-def _moved_tangent_cuts(body, contacts, mode, k, rtol):
-    """Volumes of body ∩ {<n,x> <= t} for the tangent planes {<n,x> = <n,p>}
-    at the contacts (p, n), n the inner unit normal, each moved by k:
-    t = <n,p> + k n_d for mode "translate" (shift by k e_d), t = k <n,p> for
-    "scale" (about the origin).  One lockstep ``quad`` integrates them all,
-    each volume bitwise as ``halfspace_cut_volume`` gives it; an empty cut
-    is 0 and an unbounded one inf.
+def _moved_tangent_cuts(body, normals, levels, mode, k, rtol):
+    """Volumes of body ∩ {<n,x> <= t} for the tangent planes {<n,x> = s},
+    one per row n of normals (inner unit normals) and entry s of levels,
+    each moved by k: t = s + k n_d for mode "translate" (shift by k e_d),
+    t = k s for "scale" (about the origin).  One lockstep ``quad``
+    integrates them all, each volume bitwise as ``halfspace_cut_volume``
+    gives it; an empty cut is 0 and an unbounded one inf.
     """
-    planes = []
-    for point, normal in contacts:
-        s = float(normal @ point)
-        planes.append(_plane(normal, s + k * normal[-1] if mode == "translate" else k * s))
-    ranges = [_level_range(body, u, t) for u, t in planes]
-    volumes = _cut_volumes(body, [u for u, _ in planes], ranges, rtol)[0]
-    return [float(v) for v in volumes]
+    T = levels + k * normals[:, -1] if mode == "translate" else k * levels
+    U = _check_units(normals)
+    volumes = _cut_volumes(body, U, _level_ranges(body, U, T)[1], rtol)[0]
+    return volumes.tolist()
 
 
 def parallel_cut_scan(body, k, anchors, rtol=DEFAULT_RTOL):
@@ -349,8 +359,8 @@ def parallel_cut_scan(body, k, anchors, rtol=DEFAULT_RTOL):
         raise ValueError("shift k must be positive")
     if body.recession_cone().dim != 1:
         raise NotGraphLike("parallel cuts need a graph-like body whose recession cone is a ray")
-    contacts = [_graph_contact(body, anchor) for anchor in anchors]
-    return _moved_tangent_cuts(body, contacts, "translate", k, rtol)
+    points, normals = _graph_contacts(body, anchors)
+    return _moved_tangent_cuts(body, normals, np.vecdot(normals, points), "translate", k, rtol)
 
 
 def homothety_cut_scan(body, k, anchors, rtol=DEFAULT_RTOL):
@@ -364,13 +374,13 @@ def homothety_cut_scan(body, k, anchors, rtol=DEFAULT_RTOL):
     _check_finite("homothety factor k", k)
     if k <= 1.0:
         raise ValueError("homothety factor k must exceed 1")
-    contacts = [_graph_contact(body, anchor) for anchor in anchors]
+    points, normals = _graph_contacts(body, anchors)
     if float(np.linalg.norm(body.translation)) > 0.0:
         raise NotApexCentered("body must keep its asymptotic-cone apex at 0")
-    for point, normal in contacts:
-        if float(normal @ point) <= 1e-12 * body.scale:
-            raise DegenerateCut("tangent plane does not separate the apex from the surface")
-    return _moved_tangent_cuts(body, contacts, "scale", k, rtol)
+    levels = np.vecdot(normals, points)
+    if np.any(levels <= 1e-12 * body.scale):
+        raise DegenerateCut("tangent plane does not separate the apex from the surface")
+    return _moved_tangent_cuts(body, normals, levels, "scale", k, rtol)
 
 
 def floating_constancy(body, mode, lam, n_normals=12, seed=0, rtol=DEFAULT_RTOL):
@@ -402,16 +412,21 @@ def floating_constancy(body, mode, lam, n_normals=12, seed=0, rtol=DEFAULT_RTOL)
     while len(values) < n_normals and attempts < 100 * n_normals:
         # draw, in order, as many contacts as values are missing, and
         # integrate the caps beyond the copy's support hyperplanes there
-        contacts = []
-        while len(contacts) < n_normals - len(values) and attempts < 100 * n_normals:
+        normals, points = [], []
+        while len(normals) < n_normals - len(values) and attempts < 100 * n_normals:
             attempts += 1
             u = rng.normal(size=body.ambient_dim)
             u[-1] = -abs(u[-1]) - 0.3 * np.linalg.norm(u[:-1])  # bias downward
             u /= np.linalg.norm(u)
-            if body.support_attained(u):
-                contacts.append((body.inverse_gauss(u), -u))
+            _, x, on = body.gauss_map(u[None])
+            if on[0]:
+                normals.append(-u)
+                points.append(x[0])
+        normals, points = (np.reshape(v, (-1, body.ambient_dim)) for v in (normals, points))
         # an empty or unbounded cap, or one whose every level grazed the body, gives no value
-        values += [v for v in _moved_tangent_cuts(body, contacts, mode, lam, rtol) if 0.0 < v < INF]
+        levels = np.vecdot(normals, points)
+        values += [v for v in _moved_tangent_cuts(body, normals, levels, mode, lam, rtol)
+                   if 0.0 < v < INF]
     if len(values) < n_normals:
         raise DegenerateCut("could not sample enough admissible normals")
     return dict(_spread(values), values=values)

@@ -18,11 +18,13 @@ defining function was evaluated, in 2D and 3D.
 One kernel does this for a whole array of levels at once, each with its
 own normal and tolerance: one ray batch centres every level (two rays
 each in 2D, eight in 3D), and each round of the polar rules is one batch over
-the levels still short of their tolerance. Anchors and plane bases are
-built once per distinct normal. The root-finder solves every ray on its
-own, so each level comes out bitwise as it would alone. Each level asks
-for its first moments (the centroid) and its diameter apart, so sections
-that need them ride in the batches of sections that do not. The kernel
+the levels still short of their tolerance. The set-up of a batch
+(``_section_frames``) orients every distinct normal, builds its plane
+basis and places its spine anchors in one pass, row-wise, with one
+Gauss-map call for both ends of every spine. The root-finder solves every
+ray on its own, so each level comes out bitwise as it would alone. Each
+level asks for its first moments (the centroid) and its diameter apart, so
+sections that need them ride in the batches of sections that do not. The kernel
 alone decides grazing (see ``_sections``): ``section_measure`` answers 0
 at a grazing or empty level, so cut volumes integrate it up to the
 support levels, while ``section_stats`` and ``section_diameter`` refuse
@@ -38,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies import _HIT_RTOL, _check_unit, ray_hits_batch
+from .bodies import _HIT_RTOL, INF, _check_unit, _check_units, ray_hits_batch
 from .errors import (
     DegenerateSection,
     LevelOutOfRange,
@@ -56,6 +58,9 @@ _SQRT_HALF = math.sqrt(0.5)
 _OCTAGON = np.array([[1.0, _SQRT_HALF, 0.0, -_SQRT_HALF, -1.0, -_SQRT_HALF, 0.0, _SQRT_HALF],
                      [0.0, _SQRT_HALF, 1.0, _SQRT_HALF, 0.0, -_SQRT_HALF, -1.0, -_SQRT_HALF]])
 _NEXT = np.arange(1, 9) % 8  # the next ray counterclockwise
+_TURN = np.array([-1.0, 1.0])  # (u0, u1) -> (-u1, u0), a 2D normal's basis vector
+_EYE3 = np.eye(3)
+_NEXT3, _PREV3 = np.array([1, 2, 0]), np.array([2, 0, 1])  # (u x a)_i = u_i+1 a_i+2 - u_i+2 a_i+1
 _CONIC_RTOL = 1e-8  # residuals and margin within which centring hits fix a conic
 
 
@@ -74,14 +79,6 @@ class SectionStats:
     err_estimate: float
     n_evals: int  # points at which the defining function was evaluated
     converged: bool  # False when the polar rule stopped at its node cap short of rtol
-
-
-def _plane(u, t):
-    """Validated (unit normal, level) of a hyperplane {<u,x> = t}."""
-    t = float(t)
-    if math.isnan(t):
-        raise ValueError("hyperplane level must be a number")
-    return np.array(_check_unit(u)), t
 
 
 def _planes(u, t):
@@ -106,10 +103,9 @@ def _planes(u, t):
             raise ValueError("an (L, d) array of normals needs a 1-D array of L levels")
         first = np.ones(len(u), dtype=bool)
         first[1:] = (u[1:] != u[:-1]).any(axis=1)
-        normals, which = u[first], np.cumsum(first) - 1
+        normals, which = _check_units(u[first]), np.cumsum(first) - 1
     else:
-        normals, which = u[None], np.zeros(ts.size, dtype=np.intp)
-    normals = np.array([_check_unit(n) for n in normals])
+        normals, which = np.array(_check_unit(u))[None], np.zeros(ts.size, dtype=np.intp)
     return normals, which, np.atleast_1d(ts), ts.ndim == 0
 
 
@@ -122,64 +118,96 @@ def section_bounded(body, u) -> bool:
 def admissible_levels(body, u):
     """Open interval of levels t with 0 < measure < inf; endpoints may be inf."""
     u = _check_unit(u)
-    if not section_bounded(body, u):
+    meets, up = body.recession_cone().sides(u[None])
+    if meets[0]:
         raise UnboundedSection(f"sections normal to {u} are unbounded")
-    lo = -body.support(-np.asarray(u))
-    hi = body.support(u)
-    return (lo, hi)
+    return tuple(float(h[0]) for h in _support_levels(body, u[None], up))
 
 
-def _plane_basis(u):
-    """Deterministic orthonormal basis of the hyperplane through 0 normal to u."""
-    u = np.asarray(u, dtype=float)
-    if u.shape[0] == 2:
-        return (np.array([-u[1], u[0]]),)
-    k = int(np.argmin(np.abs(u)))
-    e = np.zeros(3)
-    e[k] = 1.0
-    e1 = e - u * float(u @ e)
-    e1 /= np.linalg.norm(e1)
-    # u x e1 from its scalar products, as np.cross forms them, at a tenth of
-    # its cost
-    (u0, u1, u2), (a0, a1, a2) = u.tolist(), e1.tolist()
-    return (e1, np.array([u1 * a2 - u2 * a1, u2 * a0 - u0 * a2, u0 * a1 - u1 * a0]))
+def _support_levels(body, U, up):
+    """-h(-u) and h(u) at each row u of U (as ``support`` takes them), up
+    the mask of the rows on which the recession cone is positive: there an
+    unbounded body's h(u) is +inf, read off the cone."""
+    n = len(U)
+    if body.recession_cone().dim == 0:
+        lo, hi = body.support_rows(np.concatenate([-U, U])).reshape(2, -1)
+        return -lo, hi
+    hi = np.full(n, INF)
+    if np.count_nonzero(up) == n:
+        return -body.support_rows(-U), hi
+    h = body.support_rows(np.concatenate([-U, U[~up]]))
+    hi[~up] = h[n:]
+    return -h[:n], hi
 
 
-def _section_anchors(body, u, ts):
-    """Interior points of the section planes via the interior 'spine' of the body.
+def _plane_basis(U):
+    """Deterministic orthonormal bases of the hyperplanes through 0 normal to
+    the rows of U: an (d - 1, n, d) array, one (n, d) array of rows per
+    basis vector."""
+    if U.shape[1] == 2:
+        return (U[:, ::-1] * _TURN)[None]
+    B = np.empty((2,) + U.shape)
+    # e1 is e_k less its projection on u, k the first of u's smallest entries
+    E = _EYE3.take(np.argmin(np.abs(U), axis=1), axis=0)
+    e1 = np.subtract(E, U * np.vecdot(U, E)[:, None], out=B[0])
+    e1 /= np.sqrt(np.vecdot(e1, e1))[:, None]
+    # u x e1 from its scalar products, as np.cross forms them
+    np.subtract(U.take(_NEXT3, axis=1) * e1.take(_PREV3, axis=1),
+                U.take(_PREV3, axis=1) * e1.take(_NEXT3, axis=1), out=B[1])
+    return B
 
-    The spine runs from the boundary point attaining the minimum level,
-    through a deep interior point, and onward to either the maximum-level
-    boundary point (bounded bodies) or along an interior recession direction.
-    Points on it are interior by convexity and hit every level once.  When
-    the minimum level is not attained (a cone's apex), the spine is the
-    line through the interior point along the recession direction.  One row
-    per level of the array ts.
+
+def _section_frames(body, normals, which, ts, admissible=False):
+    """The spine anchors (one row per level) and plane bases (one (L, d)
+    array per basis vector) of the sections {<u,x> = t}, t in ts and u =
+    normals[which], every normal in one pass; with admissible, first
+    ``_check_levels`` on the supports h(-u), h(u) of that pass.
+
+    Each normal is oriented so that the unbounded side of the level axis is
+    +u. Its spine runs from the boundary point attaining the minimum level
+    (when attained; not at a cone's apex) through a deep interior point to
+    the maximum-level boundary point, or on along an interior recession
+    direction: points on it are interior by convexity and hit every level
+    once. Both ends come from one Gauss-map call on the rows of -N and N, N
+    the oriented normals (-N alone for an unbounded body, where h(N) is
+    +inf). A cone that meets a plane (within rounding, as
+    ``section_bounded`` decides it) means unbounded sections.
     """
     cone = body.recession_cone()
+    meets, up = cone.sides(normals)
+    if np.count_nonzero(meets):
+        raise UnboundedSection(f"sections normal to {normals[meets.argmax()]} are unbounded")
+    n = len(normals)
+    # each level's normal; a lone normal's rows broadcast over the levels
+    at = which if n > 1 else slice(None)
+    N, levels = normals, ts
+    if np.count_nonzero(up) < n:
+        sign = np.where(up, 1.0, -1.0)
+        N = normals * sign[:, None]
+        ts = ts * sign[at]
     z0 = body.interior_point()
-    s0 = float(u @ z0)
-    out = np.empty((len(ts), len(u)))
-    low = ts <= s0
-    if low.any() and body.support_attained(-u):
-        p_bot = body.inverse_gauss(-u)
-        s_bot = float(u @ p_bot)
-        lam = (ts[low] - s_bot) / (s0 - s_bot)
-        out[low] = p_bot + lam[:, None] * (z0 - p_bot)
-    else:
-        low[:] = False
-    high = ~low
-    if not high.any():
-        return out
-    if cone.dim == 0:
-        p_top = body.inverse_gauss(np.asarray(u))
-        s_top = float(u @ p_top)
-        lam = (ts[high] - s0) / (s_top - s0)
-        out[high] = z0 + lam[:, None] * (p_top - z0)
+    bounded = cone.dim == 0
+    h, X, on = body.gauss_map(np.concatenate([-N, N]) if bounded else -N)
+    # the bottom ends, then the top ends of a bounded body
+    ends = X.reshape(-1, n, X.shape[1])
+    if admissible:  # h(-N) and h(N)
+        h_down, h_up = h.reshape(2, -1)[:, at] if bounded else (h[at], INF)
+        _check_levels(body, levels, -np.where(up[at], h_down, h_up), np.where(up[at], h_up, h_down))
+    s0 = np.vecdot(N, z0)
+    s_ends = np.vecdot(N, ends)
+    # a level at or below z0's on a normal whose minimum is attained lies
+    # between the bottom end and z0, any other one beyond z0
+    low = ts <= s0[at]
+    low &= on[:n][at]
+    p_bot = ends[0, at]
+    anchors = p_bot + ((ts - s_ends[0, at]) / (s0 - s_ends[0])[at])[:, None] * (z0 - p_bot)
+    if bounded:
+        top = z0 + ((ts - s0[at]) / (s_ends[1] - s0)[at])[:, None] * (ends[1, at] - z0)
     else:
         zdir = cone.interior_direction()
-        out[high] = z0 + ((ts[high] - s0) / float(u @ zdir))[:, None] * zdir
-    return out
+        top = z0 + ((ts - s0[at]) / np.vecdot(N, zdir)[at])[:, None] * zdir
+    np.copyto(anchors, top, where=~low[:, None])
+    return anchors, _plane_basis(N)[:, which]
 
 
 def _polar_dirs(e1, e2, n_nodes, nodes=None):
@@ -271,12 +299,13 @@ def _section_conics(r):
     return (x, y), (a / k, b / k, c / k), ok
 
 
-def _centred_sections(body, normals, which, ts):
+def _centred_sections(body, normals, which, ts, admissible=False):
     """Anchor the sections {<u,x> = t}, t in ts and u = normals[which], on the
     spine and centre them in one ray batch.
 
-    Each plane is first oriented so that the unbounded side of the level
-    axis is +u, the way round the spine is built. A 2D anchor then moves to
+    The spine anchors and plane bases come from ``_section_frames`` (which
+    with admissible first checks the levels), each plane oriented so that
+    the unbounded side of the level axis is +u. A 2D anchor then moves to
     the midpoint of its chord along the plane's basis vector. A 3D anchor
     casts 8 rays, along +-e1, +-e2 and +-(e1 +- e2)/sqrt(2): where the conic
     through their hits is the section's ellipse (every bounded plane section
@@ -288,22 +317,11 @@ def _centred_sections(body, normals, which, ts):
     half-lengths, in 3D the rows g1 = e1/sqrt(a), g2 = (e2 - (b/2a) e1) /
     sqrt(c - b^2/4a) of the Cholesky factor of its ellipse a x^2 + b x y +
     c y^2 = 1 about the anchor, which map the unit circle onto it) and the
-    oracle points spent per level. A cone that meets the plane (within
-    rounding, as ``section_bounded`` decides it) means unbounded sections;
-    an anchor that is not strictly inside means a level grazes the body.
+    oracle points spent per level. A cone that meets the plane means
+    unbounded sections; an anchor that is not strictly inside means a level
+    grazes the body.
     """
-    cone = body.recession_cone()
-    anchors, bases = np.empty((len(ts), normals.shape[1])), []
-    for i, u in enumerate(normals):
-        at = which == i
-        s = ts[at]
-        if cone.meets_hyperplane(u):
-            raise UnboundedSection(f"sections normal to {u} are unbounded")
-        if not cone.positive_on(u):
-            u, s = -u, -s
-        bases.append(_plane_basis(u))
-        anchors[at] = _section_anchors(body, u, s)
-    basis = np.stack(bases, axis=1)[:, which]
+    anchors, basis = _section_frames(body, normals, which, ts, admissible)
     # each ray's coefficients on the basis vectors: (cos, sin) in 3D, +-1 in 2D
     star = _OCTAGON if len(basis) == 2 else np.array([[1.0, -1.0]])
     dirs = sum(c * w.T[:, :, None] for c, w in zip(star, basis))
@@ -423,12 +441,14 @@ def _rtols(rtol, n):
     return rtol
 
 
-def _sections(body, normals, which, ts, rtol, moments, diameter=False):
+def _sections(body, normals, which, ts, rtol, moments, diameter=False, admissible=False):
     """The section kernel: measure, centroid, error estimate, oracle points
     and convergence of every section {<u,x> = t}, t in the 1-D array ts and
     u = normals[which], to rtol, a number or one tolerance per level; then
     the diameters of the levels in the mask diameter, and the mask of the
-    levels whose anchor lies inside the body.
+    levels whose anchor lies inside the body. With admissible, a level
+    outside its normal's admissible interval by 1e-9 scale first raises
+    ``LevelOutOfRange``.
 
     moments is the mask of the levels whose centroid is wanted; the centroid
     of any other level is its centred anchor, and its rule stops on the
@@ -443,7 +463,7 @@ def _sections(body, normals, which, ts, rtol, moments, diameter=False):
     moments = np.broadcast_to(np.asarray(moments, dtype=bool), ts.shape)
     diameter = np.broadcast_to(diameter, ts.shape)
     try:
-        anchors, basis, guide, n_evals = _centred_sections(body, normals, which, ts)
+        anchors, basis, guide, n_evals = _centred_sections(body, normals, which, ts, admissible)
     except DegenerateSection:
         if ts.size == 1:
             return (np.zeros(1), np.zeros((1, normals.shape[1])), np.zeros(1), np.zeros(1, dtype=int),
@@ -456,16 +476,16 @@ def _sections(body, normals, which, ts, rtol, moments, diameter=False):
     return measure, centroid, err, n_evals + k, converged, diam, np.ones(ts.size, dtype=bool)
 
 
-def _check_levels(body, u, ts):
-    """Raise unless every level of ts lies inside the admissible interval of
-    the normal u by 1e-9 scale: ``LevelOutOfRange``, or ``UnboundedSection``
-    where the sections are unbounded."""
-    lo, hi = admissible_levels(body, u)
+def _check_levels(body, ts, lo, hi):
+    """Raise ``LevelOutOfRange`` unless every level of ts lies inside the
+    admissible interval (lo, hi) of its normal by 1e-9 scale (lo and hi one
+    number each, or one per level)."""
     buf = 1e-9 * body.scale
     outside = ~((lo + buf <= ts) & (ts <= hi - buf))
     if outside.any():
-        raise LevelOutOfRange(
-            f"level {float(ts[outside][0])} outside admissible interval ({lo}, {hi})")
+        i = outside.argmax()
+        lo, hi = (float(np.broadcast_to(v, ts.shape)[i]) for v in (lo, hi))
+        raise LevelOutOfRange(f"level {float(ts[i])} outside admissible interval ({lo}, {hi})")
 
 
 def _check_measures(body, measure, inside):
@@ -482,7 +502,10 @@ def section_stats(body, u, t, rtol=DEFAULT_RTOL) -> SectionStats:
 
     For a 1-D array of levels t, the sections at all of them in one batch.
     Every level must lie inside ``admissible_levels`` by 1e-9 scale, else
-    ``LevelOutOfRange``: an empty section has no centroid. A level that
+    ``LevelOutOfRange``: an empty section has no centroid. (The check reads
+    the supports of u and -u that the set-up evaluates for its spine; they
+    may differ from ``admissible_levels``', which rescales u to unit length
+    first, in the last bit.) A level that
     grazes the body, or whose measure is below 1e-12 scale^(d-1), raises
     ``DegenerateSection``.
     """
@@ -490,9 +513,8 @@ def section_stats(body, u, t, rtol=DEFAULT_RTOL) -> SectionStats:
         raise ValueError("section_stats takes one normal for all its levels")
     normals, which, ts, scalar = _planes(u, t)
     u = normals[0]
-    _check_levels(body, u, ts)
     measure, centroid, err, n_evals, converged, _, inside = _sections(
-        body, normals, which, ts, rtol, True)
+        body, normals, which, ts, rtol, True, admissible=True)
     _check_measures(body, measure, inside)
     if scalar:
         return SectionStats(u, float(ts[0]), float(measure[0]), centroid[0], float(err[0]),
@@ -529,8 +551,7 @@ def section_diameter(body, u, t) -> float:
     normals, which, ts, scalar = _planes(u, t)
     if not scalar:
         raise ValueError("section_diameter takes one level")
-    _check_levels(body, normals[0], ts)
-    anchors, basis, guide, _ = _centred_sections(body, normals, which, ts)
+    anchors, basis, guide, _ = _centred_sections(body, normals, which, ts, admissible=True)
     if len(basis) == 1:
         return float(2.0 * guide[0])
     dirs = _polar_dirs(*guide, _DIAMETER_NODES)

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis.extra.numpy import arrays
 
 from ccgeom import (
     BodySpec,
+    ConeDescriptor,
     circular_cone,
     ellipsoid,
     function_epigraph,
@@ -381,3 +383,107 @@ def test_defining_reads_a_read_only_batch(body):
         body.defining(x[1])
         body.defining_gradient(point)
     assert np.array_equal(x, keep[0]) and np.array_equal(point, keep[1])
+
+
+def _gauss_rows(body):
+    """Unit normals of every case the Gauss map tells apart, for body: seeded
+    ones, normals with u_d = +-0.0 and +-1, the paraboloid's nearly
+    horizontal ones, whose boundary point overflows, and each kind's
+    normals of limit 0 (the hyperboloid's s == r, the circular cone's polar
+    normals, exp's edge within _EDGE_TOL)."""
+    d = body.ambient_dim
+    w = np.random.default_rng(11).normal(size=(12, d))
+    rows = list(w / np.linalg.norm(w, axis=1, keepdims=True))
+    e = np.eye(d)
+    rows += [e[-1], -e[-1], e[0], -e[0], np.where(e[-1] == 1.0, -0.0, e[0])]
+    horizontal = np.append(np.full(d - 1, 1.0 / math.sqrt(d - 1)), -1e-155)
+    rows += [horizontal / np.linalg.norm(horizontal)]
+    c = 1.0 / math.sqrt(1.0 + body.params[0] ** 2) if body.params else 0.0
+    edge = np.zeros(d)
+    edge[0], edge[-1] = c, -(body.params[0] * c) if body.params else -1.0
+    rows += [edge, e[0] * 0.1 - e[-1] * math.sqrt(0.99)]
+    if body.tag == "exp":
+        rows += [np.array([1e-16, -1.0]), np.array([-1e-16, -1.0]), np.array([2e-15, -1.0])]
+    return np.array(rows)
+
+
+def _row_bytes(arrays, i):
+    return tuple(np.asarray(a)[i].tobytes() for a in arrays)
+
+
+@pytest.mark.parametrize("body", UNMOVED + CATALOG, ids=lambda b: f"{b.tag or b.kind}-"
+                         f"{b.ambient_dim}d{'-moved' if np.any(b.translation) else ''}")
+def test_gauss_map_rows_are_their_one_row_calls_bitwise(body):
+    # each row's h, boundary point and attained flag are bitwise its lone
+    # call's, in any order and any number of rows, with no numpy warning
+    U = _gauss_rows(body)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = body.gauss_map(U)
+        for i in range(len(U)):
+            assert _row_bytes(out, i) == _row_bytes(body.gauss_map(U[i:i + 1]), 0)
+        order = np.random.default_rng(3).permutation(len(U))
+        assert _row_bytes(body.gauss_map(U[order]), slice(None)) == _row_bytes(out, order)
+        tiled = body.gauss_map(np.tile(U, (3, 1)))
+        thrice = [np.tile(a, 3 if a.ndim == 1 else (3, 1)) for a in out]
+        assert _row_bytes(tiled, slice(None)) == _row_bytes(thrice, slice(None))
+        h, X, on = out
+        # every case is there: attained rows (the cone has none), +inf and
+        # limit-0 rows as the kind has them
+        assert on.any() != (body.kind == "circular-cone")
+        if body.recession_cone().dim:
+            assert np.any(h == INF)
+        if body.kind in ("hyperboloid-upper-sheet", "circular-cone") or body.tag == "exp":
+            assert np.any(~on & (h < INF))
+        # the public oracles are one-row calls of it
+        for u, hu, x, a in zip(U, h, X, on):
+            assert body.support_attained(u) == a
+            assert np.float64(body.support(u)).tobytes() == body.support_rows(u[None]).tobytes()
+            if a and np.all(np.isfinite(x)):
+                assert body.inverse_gauss(u).tobytes() == x.tobytes()
+    assert np.array_equal(body.support_rows(U), [body.support(u) for u in U])
+
+
+CONE_KINDS = [ConeDescriptor("zero", 2), ConeDescriptor("zero", 3),
+              ConeDescriptor("ray", 2, (0.6, 0.8)), ConeDescriptor("ray", 3, (0.0, 0.0, 1.0)),
+              ConeDescriptor("quadrant", 2), ConeDescriptor("elliptic", 2, (0.5,)),
+              ConeDescriptor("elliptic", 3, (1.0, 2.0))]
+
+
+@pytest.mark.parametrize("cone", CONE_KINDS, ids=lambda c: f"{c.kind}-{c.ambient_dim}d")
+def test_cone_margin_rows_are_their_one_row_calls_bitwise(cone):
+    # margins and sides of each row, boundary and +-0.0 rows among them, are
+    # bitwise their lone calls', and the scalar predicates are one-row calls
+    d = cone.ambient_dim
+    w = np.random.default_rng(5).normal(size=(10, d))
+    U = np.vstack([w / np.linalg.norm(w, axis=1, keepdims=True), np.eye(d), -np.eye(d),
+                   np.where(np.eye(d) == 0.0, -0.0, 1.0) / math.sqrt(1.0)])
+    if cone.dim:
+        U = np.vstack([U, cone.boundary_rays(8)])
+    margins = cone._impl.margin
+    m, (meets, up) = margins(U), cone.sides(U)
+    for i, u in enumerate(U):
+        assert m[i].tobytes() == margins(U[i:i + 1]).tobytes()
+        assert (meets[i], up[i]) == tuple(s[0] for s in cone.sides(U[i:i + 1]))
+        assert cone.meets_hyperplane(u) == meets[i] and cone.positive_on(u) == up[i]
+    order = np.random.default_rng(2).permutation(len(U))
+    assert margins(U[order]).tobytes() == m[order].tobytes()
+    assert margins(np.tile(U, (2, 1))).tobytes() == np.tile(m, 2).tobytes()
+
+
+@pytest.mark.parametrize("body, u, h", [
+    (paraboloid_epigraph([1.0, 0.7]), [0.7071, 0.7071, -1e-155], 0.7071 ** 2 * (0.25 + 0.25 / 0.7)),
+    (paraboloid_epigraph([1.0]), [1.0, -1e-155], 0.25),
+], ids=["3d", "2d"])
+def test_paraboloid_support_is_finite_where_its_boundary_point_overflows(body, u, h):
+    # h = sum u_i^2 / (4 p_i |u_d|) is a float though the height of x(u)
+    # overflows: no -inf, no warning; inverse_gauss names the overflow
+    u = np.array(u) / np.linalg.norm(u)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert body.support(u) == pytest.approx(h / 1e-155, rel=1e-4)
+        assert body.support_attained(u)
+        with pytest.raises(ValueError, match="overflows"):
+            body.inverse_gauss(u)
+        # where h itself overflows it is +inf
+        assert body.support(np.append(u[:-1], -1e-310)) == INF

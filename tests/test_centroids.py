@@ -19,7 +19,7 @@ from ccgeom import (
     superellipsoid,
     unit_disk,
 )
-from ccgeom.centroids import GEOMETRIC_RATIO
+from ccgeom.centroids import GEOMETRIC_RATIO, LineFit
 from ccgeom.errors import ConeSectionUnbounded, DegeneratePointSet, UnboundedSection
 
 from oracles import parabola_chord_midpoint
@@ -179,3 +179,44 @@ def test_cone_direction_check_rejects_bounded_body():
 def test_sccp_residual_refuses_rtol_outside_the_unit_interval(rtol):
     with pytest.raises(ValueError, match="rtol"):
         sccp_residual(ellipsoid([1.0, 2.0, 1.5]), _unit([0.2, 0.3, 1.0]), rtol=rtol)
+
+
+def _lines(bases, dirs):
+    return [LineFit(np.array(b, dtype=float), _unit(d), 0.0, 0.0, 8) for b, d in zip(bases, dirs)]
+
+
+def _solve_is_nonsingular(lines):
+    # the common-point system of classify_lines, A = n I - sum d d^T
+    dirs = np.array([ln.dir for ln in lines])
+    A = len(lines) * np.eye(dirs.shape[1]) - dirs.T @ dirs
+    return np.linalg.eigvalsh(A)[0] >= 1e-10 * len(lines)
+
+
+def test_classify_nearly_parallel_lines_with_a_far_common_point():
+    # three lines 2e-4 rad apart at most: the common-point solve is regular,
+    # but its point lies some 1e4 away, off the lines, so the family is
+    # parallel (within tol) and not concurrent
+    lines = _lines([[0.0, 0.0], [0.0, 1.0], [0.0, 2.5]],
+                   [[1.0, 0.0], [1.0, 1e-4], [1.0, -1e-4]])
+    assert _solve_is_nonsingular(lines)
+    v = classify_lines(lines, tol=1e-3)
+    assert v.tag == "parallel" and not v.tie
+    assert v.score == pytest.approx(2e-4, rel=1e-6)
+    assert np.allclose(v.witness, [1.0, 0.0], atol=1e-8)
+
+
+def test_classify_skew_lines_as_neither():
+    # three pairwise skew lines in 3D: a regular solve whose point lies on
+    # none of them, and angles far above tol
+    lines = _lines([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [1.0, -1.0, 2.0]],
+                   [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 1.0]])
+    assert _solve_is_nonsingular(lines)
+    v = classify_lines(lines)
+    assert v.tag == "neither" and not v.tie
+    # the witness is the least-squares common point, 1.13 off the farthest
+    # line; the score is that distance over the bases' spread, 1.05
+    assert np.allclose(v.witness, [0.2, -0.8, 0.8], atol=1e-12)
+    bases = np.array([ln.base for ln in lines])
+    spread = math.sqrt(np.mean(np.sum((bases - bases.mean(axis=0)) ** 2, axis=1)))
+    dmax = max(ln.distance_to(v.witness) for ln in lines)
+    assert v.score == pytest.approx(dmax / spread, rel=1e-12) and dmax / spread < math.pi / 2

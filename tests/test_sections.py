@@ -623,7 +623,7 @@ def _quadric(body):
 def _plane_ellipse(body, u, t):
     """Centre and semi-axes (a >= b) of the section {<u,x> = t} of a quadric body."""
     P, g, c = _quadric(body)
-    e1, e2 = sections._plane_basis(u)
+    e1, e2 = (e[0] for e in sections._plane_basis(u[None]))
     E = np.stack([e1, e2], axis=1)
     y0 = t * u - np.asarray(body.translation)
     M = E.T @ P @ E
@@ -670,15 +670,22 @@ def test_quadric_sections_centre_on_their_ellipse(body, normals, levels):
 
 def test_plane_basis_is_orthonormal_and_normal_to_u():
     # e2 = u x e1 from scalar products is bitwise np.cross's, on seeded
-    # normals, the coordinate axes and their negatives
+    # normals, the coordinate axes and their negatives, in one call, and
+    # each row is bitwise its lone call's
     w = np.random.default_rng(12).normal(size=(200, 3))
     normals = np.vstack([w / np.linalg.norm(w, axis=1, keepdims=True), np.eye(3), -np.eye(3)])
-    for u in normals:
-        e1, e2 = sections._plane_basis(u)
-        assert np.array_equal(e2, np.cross(u, e1))
+    E1, E2 = sections._plane_basis(normals)
+    assert np.array_equal(E2, np.cross(normals, E1))
+    for u, e1, e2 in zip(normals, E1, E2):
+        lone = sections._plane_basis(u[None])
+        assert np.array_equal(lone[0][0], e1) and np.array_equal(lone[1][0], e2)
+        # e1 = e_k - u_k u bitwise, e_k the first of u's smallest entries
+        k = int(np.argmin(np.abs(u)))
+        e = np.eye(3)[k] - u * u[k]
+        assert np.array_equal(e1, e / np.linalg.norm(e))
         E = np.stack([u, e1, e2])
         assert np.allclose(E @ E.T, np.eye(3), rtol=0.0, atol=1e-15)
-    assert np.array_equal(sections._plane_basis(np.array([0.6, 0.8]))[0], [-0.8, 0.6])
+    assert np.array_equal(sections._plane_basis(np.array([[0.6, 0.8]]))[0], [[-0.8, 0.6]])
 
 
 def test_non_quadric_section_refuses_the_conic():
@@ -687,8 +694,8 @@ def test_non_quadric_section_refuses_the_conic():
     body, u, t = superellipsoid(4.0, dim=3), np.array([0.3, -0.5, 0.8]), 0.25
     u /= np.linalg.norm(u)
     normals, which, ts, _ = sections._planes(u, t)
-    anchors = sections._section_anchors(body, u, ts)
-    e1, e2 = sections._plane_basis(u)
+    anchors, (e1, e2) = sections._section_frames(body, normals, which, ts)
+    e1, e2 = e1[0], e2[0]
     dirs = sections._OCTAGON[0] * e1[:, None, None] + sections._OCTAGON[1] * e2[:, None, None]
     r, _ = sections._polar_radii(body, anchors, dirs, None)
     assert not sections._section_conics(r)[2].any()
