@@ -40,10 +40,10 @@ grids included), and how many levels were refined past the first batch.
 It also prints the set-up work of the pass: the calls of the row-wise Gauss
 map (``BodySpec.gauss_map``) and the normals they take, the calls of the
 cone margin (the ``margin`` of each cone kind; ``ConeDescriptor.sides``
-takes it on the rows u and -u, but the zero cone's sides need none) and the
-rows they take, and the plane set-ups (``sections._section_frames``, which
-orients the normals of a section batch, builds their bases and places
-their spine anchors) with their normals and levels.
+takes it on the rows u and -u) and the rows they take, and the plane
+set-ups (``sections._section_frames``, which orients the normals of a
+section batch, builds their bases and places their spine anchors) with
+their normals and levels.
 
 A shell scan's solver rounds are the ``defining`` calls made inside its
 call of ``asymptotics._crossings``, which the script wraps by name: one

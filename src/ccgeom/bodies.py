@@ -37,8 +37,8 @@ their batches coordinate-major, one contiguous row per coordinate, and
 hand F the transposed view. The Gauss map and the cone margins take an
 (n, d) array of unit normals, and the scalar oracles are one-row calls of
 them. A row's result does not depend on the other rows: its sums are
-taken along the row by ``np.sum`` or by ``np.vecdot``, which calls the dot
-kernel of ``u @ x`` once per row.
+taken along the row by ``np.add.reduce`` or by ``np.vecdot``, which calls
+the dot kernel of ``u @ x`` once per row.
 """
 from __future__ import annotations
 
@@ -140,9 +140,6 @@ class _ZeroCone(_Cone):
     def margin(self, A):
         return np.full(len(A), INF)
 
-    def sides(self, U):  # every margin is +inf
-        return np.zeros(len(U), dtype=bool), np.ones(len(U), dtype=bool)
-
     def rays(self, n_azimuth):
         return np.empty((0, self.n))
 
@@ -162,10 +159,6 @@ class _RayCone(_Cone):
 
     def margin(self, A):
         return np.vecdot(A, self.p)
-
-    def sides(self, U):  # the margin is linear: m(-u) = -m(u)
-        m = self.margin(U)
-        return np.abs(m) <= _MARGIN_TOL, m > 0.0
 
     def rays(self, n_azimuth):
         return self.p[None, :]
@@ -202,7 +195,7 @@ class _EllipticCone(_Cone):
         return p.shape == (self.n - 1,) and bool(np.all(np.isfinite(p) & (p > 0)))
 
     def F(self, x):
-        return np.sqrt(np.sum((x[..., :-1] / self.p) ** 2, axis=-1)) - x[..., -1]
+        return np.sqrt(np.add.reduce((x[..., :-1] / self.p) ** 2, axis=-1)) - x[..., -1]
 
     def margin(self, A):
         pa = self.p * A[:, :-1]
@@ -305,8 +298,8 @@ class _Kind:
     A subclass says in ``valid`` whether its parameters fit the kind and in
     ``needs`` what they must be. The Gauss map takes an (n, d) array of unit
     normals, one per row: u is an attained normal where h(u) is read off it,
-    that is where ``limit_support`` gives NaN (or None: every row), and
-    ``inverse_gauss`` is asked for the attained rows alone.
+    that is where ``limit_support`` gives NaN, and ``inverse_gauss`` is
+    asked for the attained rows alone.
     """
 
     def __init__(self, spec):
@@ -334,15 +327,15 @@ class _Kind:
 
     def limit_support(self, U):
         """h(u) where it is not read off the Gauss map (0 or +inf), else NaN."""
-        return None  # every u attained
+        return np.full(len(U), np.nan)  # every u attained
 
     def gauss(self, U):
         """``BodySpec.gauss_map`` in the body's frame."""
         h = self.limit_support(U)
-        on = np.ones(len(U), dtype=bool) if h is None else np.isnan(h)
+        on = np.isnan(h)
         # (count_nonzero: the set-up paths take these masks a row at a time,
         # where all and any cost several times as much)
-        if h is None or np.count_nonzero(on) == len(on):
+        if np.count_nonzero(on) == len(on):
             X = self.inverse_gauss(U)
             return np.vecdot(U, X), X, on
         X = np.full(U.shape, np.nan)
@@ -363,7 +356,7 @@ class _Ellipsoid(_Kind):
         return len(self.params) == self.dim and min(self.params) > 0
 
     def F(self, y):
-        return np.sum((y / self.p) ** 2, axis=-1) - 1.0
+        return np.add.reduce((y / self.p) ** 2, axis=-1) - 1.0
 
     def grad(self, y):
         return 2.0 * y / self.p ** 2
@@ -380,7 +373,7 @@ class _Superellipsoid(_Kind):
         return len(self.params) == 1 and self.params[0] >= 2
 
     def F(self, y):
-        return np.sum(np.abs(y) ** self.p[0], axis=-1) - 1.0
+        return np.add.reduce(np.abs(y) ** self.p[0], axis=-1) - 1.0
 
     def grad(self, y):
         pw = self.p[0]
@@ -389,7 +382,7 @@ class _Superellipsoid(_Kind):
     def inverse_gauss(self, U):
         pw = self.p[0]
         q = pw / (pw - 1.0)
-        nq = _each(lambda v: v ** (1.0 / pw), np.sum(np.abs(U) ** q, axis=-1))
+        nq = _each(lambda v: v ** (1.0 / pw), np.add.reduce(np.abs(U) ** q, axis=-1))
         return np.sign(U) * np.abs(U) ** (q / pw) / nq[:, None]
 
 
@@ -409,7 +402,8 @@ class _Graph(_Kind):
 
     def grad(self, y):
         g = self.height_grad(y[None, :-1])[0]
-        if np.isnan(g).any():
+        # at a finite point only the circular cone's apex has no gradient
+        if np.isnan(g).any() and np.isfinite(y).all():
             raise NotOnBoundary("cone apex has no unique normal")
         return np.append(g, -1.0)
 
@@ -439,7 +433,7 @@ class _Paraboloid(_Graph):
     needs = "paraboloid needs n positive quadratic coefficients"
 
     def height(self, x):
-        return np.sum(self.p * x ** 2, axis=-1)
+        return np.add.reduce(self.p * x ** 2, axis=-1)
 
     def height_grad(self, x):
         return 2.0 * self.p * x
@@ -450,12 +444,12 @@ class _Paraboloid(_Graph):
     def gauss(self, U):
         with np.errstate(over="ignore", invalid="ignore"):
             h, X, on = super().gauss(U)
-            # h = sum u_i^2 / (4 p_i |u_d|) where the height overflows
-            fine = h > -INF
-            if np.count_nonzero(fine) < len(fine):
-                over = ~fine
+            # h = sum u_i^2 / (4 p_i |u_d|) where the height overflows (h is
+            # -inf or NaN there, and nowhere else)
+            if not np.minimum.reduce(h, initial=INF) > -INF:
+                over = ~(h > -INF)
                 V = U[over]
-                h[over] = np.sum(V[:, :-1] ** 2 / (4.0 * self.p), axis=-1) / -V[:, -1]
+                h[over] = np.add.reduce(V[:, :-1] ** 2 / (4.0 * self.p), axis=-1) / -V[:, -1]
         return h, X, on
 
 
@@ -472,7 +466,7 @@ class _Hyperboloid(_QuadricGraph):
     needs = "hyperboloid sheet needs n positive semi-axes"
 
     def height(self, x):
-        return np.sqrt(1.0 + np.sum((x / self.p) ** 2, axis=-1))
+        return np.sqrt(1.0 + np.add.reduce((x / self.p) ** 2, axis=-1))
 
     def height_grad(self, x):
         return x / (self.p ** 2 * self.height(x)[:, None])

@@ -177,7 +177,7 @@ def _level_ranges(body, U, T):
     # some recession direction stays in the halfspace: infinite volume
     meets, up = body.recession_cone().sides(U)
     lo, hi = _support_levels(body, U, up)
-    s_hi = np.where(hi < T, hi, T)
+    s_hi = np.minimum(T, hi)
     fixed = np.where(s_hi <= lo + 1e-12 * body.scale, 0.0, np.nan)
     meets |= ~up
     if np.count_nonzero(meets):

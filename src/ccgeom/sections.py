@@ -244,11 +244,11 @@ def _polar_rule(r, moments, jac, axes):
     The moments, in (e1, e2), of the rows in the mask moments, 0 for the
     others."""
     n = r.shape[-1]
-    measure = jac * np.sum(r ** 2, axis=-1) * math.pi / n
+    measure = jac * np.add.reduce(r ** 2, axis=-1) * math.pi / n
     theta = 2.0 * math.pi * np.arange(n) / n
     rows = r[moments]
-    c = np.sum(rows ** 3 * np.cos(theta), axis=-1) * (2.0 * math.pi / n) / 3.0
-    s = np.sum(rows ** 3 * np.sin(theta), axis=-1) * (2.0 * math.pi / n) / 3.0
+    c = np.add.reduce(rows ** 3 * np.cos(theta), axis=-1) * (2.0 * math.pi / n) / 3.0
+    s = np.add.reduce(rows ** 3 * np.sin(theta), axis=-1) * (2.0 * math.pi / n) / 3.0
     m = np.zeros((2, len(measure)))
     m[:, moments] = jac[moments] * (c * axes[moments, 0].T + s * axes[moments, 1].T)
     return measure, m[0], m[1]
@@ -377,7 +377,7 @@ def _polar_sections(body, anchors, basis, guide, rtol, moments, wide):
         converged = np.ones(len(anchors), dtype=bool)
         return measure, anchors, 1e-12 * measure, 0, converged, measure[wide]
     (e1, e2), (g1, g2) = basis, guide
-    axes = np.stack([np.stack([np.sum(g * e, axis=1) for e in basis], axis=1) for g in guide], axis=1)
+    axes = np.stack([np.stack([np.add.reduce(g * e, axis=1) for e in basis], axis=1) for g in guide], axis=1)
     jac = np.abs(axes[:, 0, 0] * axes[:, 1, 1] - axes[:, 0, 1] * axes[:, 1, 0])
     n, n_levels = _FIRST_NODES, len(anchors)
     # the first batch holds every step-th node of the diameter grid, and the
@@ -434,9 +434,9 @@ def _polar_sections(body, anchors, basis, guide, rtol, moments, wide):
 def _rtols(rtol, n):
     """rtol, a number or n numbers, as an array of n relative tolerances,
     each of which must lie in (0, 1)."""
-    rtol = np.broadcast_to(np.asarray(rtol, dtype=float), (n,))
+    rtol = np.full(n, rtol, dtype=float)
     # written so that a NaN fails the test too
-    if not np.all((rtol > 0.0) & (rtol < 1.0)):
+    if not ((rtol > 0.0) & (rtol < 1.0)).all():
         raise ValueError("rtol must lie in (0, 1)")
     return rtol
 
@@ -460,8 +460,8 @@ def _sections(body, normals, which, ts, rtol, moments, diameter=False, admissibl
     every other level comes out as its lone section, bitwise.
     """
     rtol = _rtols(rtol, ts.size)
-    moments = np.broadcast_to(np.asarray(moments, dtype=bool), ts.shape)
-    diameter = np.broadcast_to(diameter, ts.shape)
+    moments = np.full(ts.shape, moments, dtype=bool)
+    diameter = np.full(ts.shape, diameter, dtype=bool)
     try:
         anchors, basis, guide, n_evals = _centred_sections(body, normals, which, ts, admissible)
     except DegenerateSection:

@@ -487,3 +487,16 @@ def test_paraboloid_support_is_finite_where_its_boundary_point_overflows(body, u
             body.inverse_gauss(u)
         # where h itself overflows it is +inf
         assert body.support(np.append(u[:-1], -1e-310)) == INF
+
+
+@pytest.mark.parametrize("body", [
+    paraboloid_epigraph([1.0, 0.7]), hyperboloid_sheet([1.0, 1.0]), function_epigraph("exp"),
+    circular_cone(1.0, dim=3)], ids=lambda b: b.tag or b.kind)
+def test_graph_gradient_at_a_nan_point_is_nan_and_only_the_apex_is_refused(body):
+    # a NaN point has a NaN gradient, as every graph kind gives it; the cone
+    # apex error is the circular cone's alone, at its apex
+    x = np.full(body.ambient_dim, np.nan)
+    assert np.isnan(body.defining_gradient(x)).any()
+    if body.kind == "circular_cone":
+        with pytest.raises(NotOnBoundary, match="cone apex"):
+            body.defining_gradient(np.zeros(body.ambient_dim))

@@ -240,25 +240,27 @@ def test_ray_rounds_counts_the_set_up_work(ray_rounds):
     # a 2D gradient's five cuts take one Gauss-map call for their level
     # ranges (-u and u of each, the disk being bounded), and its one round
     # one plane set-up of the five normals and the cut plane's, whose spines
-    # take one more call on -u and u of each; the disk's cone is {0}, whose
-    # sides need no margin. An sccp residual on the paraboloid takes one
-    # margin call (of u alone: the ray's margin is linear) and a Gauss-map
-    # call of one row for its levels' bounds and as many for its set-up.
+    # take one more call on -u and u of each; the level ranges and the
+    # set-up each take one cone-margin call on u and -u of their normals.
+    # An sccp residual on the paraboloid takes one margin call on u and -u
+    # and a Gauss-map call of one row for its levels' bounds, and as many
+    # for its set-up.
     counts = ray_rounds.Counts()
     uninstall = ray_rounds.install(ccgeom, counts)
     try:
         counts.op = "cut_gradient"
         counts.ops["cut_gradient"] += 1
         ccgeom.cut_gradient(ccgeom.unit_disk([0.0, 3.0]), [0.1, 0.35])
-        assert dict(counts.setup) == {"Gauss-map": [2, 22, 0], "plane set-ups": [1, 6, 106]}
+        assert dict(counts.setup) == {"Gauss-map": [2, 22, 0], "cone-margin": [2, 22, 0],
+                                      "plane set-ups": [1, 6, 106]}
         counts.setup.clear()
         u = np.array([0.2, -0.1, 0.95]) / np.linalg.norm([0.2, -0.1, 0.95])
         ccgeom.sccp_residual(ccgeom.paraboloid_epigraph([1.0, 0.7]), u)
     finally:
         uninstall()
-    assert dict(counts.setup) == {"Gauss-map": [2, 2, 0], "cone-margin": [2, 2, 0],
+    assert dict(counts.setup) == {"Gauss-map": [2, 2, 0], "cone-margin": [2, 4, 0],
                                   "plane set-ups": [1, 1, 12]}
-    assert ("  set-up: Gauss-map calls 2 (2 normals), cone-margin calls 2 (2 rows), plane "
+    assert ("  set-up: Gauss-map calls 2 (2 normals), cone-margin calls 2 (4 rows), plane "
             "set-ups 1 (1 normals, 12 levels)") in ray_rounds.report("sccp-3d", 1, 1, counts)
 
 
