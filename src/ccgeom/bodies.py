@@ -9,12 +9,13 @@ integration scheme, not the oracles. Only bodies go through it.
 Each body kind lives in one class of the table ``_BODY_KINDS``: parameter
 check, F, grad F, interior point, support limit, inverse Gauss map and
 recession cone (built once per body), in the body's own frame, and two
-hooks read off F and the point's last local coordinate y_d (a function
-that computes it, called only by the kinds that read it) for the
-root-finder: ``terms``, the size of F's rounding, and ``quadric``, a
-function with F's sign that is a quadratic along every ray where one
-exists (F itself; F (F + 2 y_d) = height^2 - y_d^2 on the hyperboloid
-sheet and the circular cone). The four
+hooks for the root-finder: ``terms``, the size of F's rounding, read off F
+and the point's last local coordinate y_d (a function that computes it,
+called only by the kinds that read it), and ``form``, a quadric Q with F's
+sign, where the kind has one, whose coefficients along a ray
+``ray_quadratic`` states (F itself on the ellipsoid, the elliptic
+paraboloid and the square epigraph; F (F + 2 y_d) = height^2 - y_d^2 on
+the hyperboloid sheet and the circular cone). The four
 unbounded kinds are epigraphs y >= height(x') and share F, the inverse
 Gauss map and ``_graph_contacts``, the boundary points and normals over
 abscissae, which the other kinds refuse. The support function is read off
@@ -65,14 +66,13 @@ _MARGIN_TOL = 1e-14
 # epigraph normals this close to the edge of the attained set get h's limit
 _EDGE_TOL = 1e-15
 # ray root-finder: the probes around a guess, as factors of it (the inner
-# pair is within _HIT_RTOL, so it ends a ray guessed to rounding), the probes
-# of an unguessed ray, as factors of the body scale, the outward ladder, as
+# pair is within _HIT_RTOL, so it ends a ray guessed to rounding), the probe
+# of an unguessed ray, as a factor of the body scale, the outward ladder, as
 # factors of the last inside point, the relative tolerance on each hit, caps
 # on ladder rounds (a reach of 2^204) and on solver steps
 _GUESS_PROBES = 1.0 + np.array([-2.0 ** -20, -2.0 ** -41, 2.0 ** -41, 2.0 ** -20])[:, None]
-_THIRDS = np.array([1.0, 2.0, 3.0])[:, None] / 3.0
+_SCALE_PROBE = np.ones((1, 1))
 _LADDER = 2.0 ** np.arange(1, 13)[:, None]
-_ORIGIN_THIRDS = np.vstack([[0.0], _THIRDS])
 _HIT_RTOL = 1e-12
 _EPS = np.finfo(float).eps
 _MAX = np.finfo(float).max
@@ -106,6 +106,11 @@ def _each(f, x):
     """f of each entry of x as a float (numpy's log, asinh and pow may differ
     from the C library's in the last bit)."""
     return np.array([f(v) for v in x.tolist()])
+
+
+def _dots(a, b):
+    """The scalar products of the columns (rays) of two (d, rays) arrays."""
+    return np.add.reduce(a * b, axis=0)
 
 
 # -- the cone kinds -------------------------------------------------------------
@@ -304,6 +309,7 @@ class _Kind:
 
     def __init__(self, spec):
         self.params, self.dim, self.p = spec.params, spec.ambient_dim, np.asarray(spec.params)
+        self.t_d = abs(float(spec.translation[-1]))
         self.check(spec)
 
     def check(self, spec):
@@ -320,10 +326,17 @@ class _Kind:
         whose last local coordinates are yd(): F = sum - 1, so T = F + 2."""
         return f + 2.0
 
-    def quadric(self, f, yd):
-        """A function of F = f and yd(), negative exactly inside, that is a
-        quadratic along every ray where F is: F itself unless overridden."""
-        return f
+    form = None  # (q, e, k): Q(y) = sum q_i y_i^2 + e y_d + k < 0 exactly inside
+
+    def ray_quadratic(self, y, w):
+        """(a, b, c) of Q(y + s w) = a s^2 + b s + c along the rays from the
+        points y along the directions w, both (d, rays) arrays in the body's
+        frame; None for a kind without ``form``."""
+        if self.form is None:
+            return None
+        q, e, k = self.form
+        qy, qw = q[:, None] * y, q[:, None] * w
+        return _dots(qw, w), 2.0 * _dots(qy, w) + e * w[-1], _dots(qy, y) + (e * y[-1] + k)
 
     def limit_support(self, U):
         """h(u) where it is not read off the Gauss map (0 or +inf), else NaN."""
@@ -361,6 +374,8 @@ class _Ellipsoid(_Kind):
     def grad(self, y):
         return 2.0 * y / self.p ** 2
 
+    form = cached_property(lambda self: (1.0 / self.p ** 2, 0.0, -1.0))  # F itself
+
     def inverse_gauss(self, U):
         pu = self.p * U
         return self.p ** 2 * U / np.sqrt(np.vecdot(pu, pu))[:, None]
@@ -390,8 +405,9 @@ class _Graph(_Kind):
     """Epigraph {y >= height(x')} of a convex height over x' in R^(dim-1).
 
     Subclasses give height, its gradient height_grad (NaN where it has
-    none) and the inverse of the gradient, slope_inverse, each over x' (or
-    slopes m) in the last axis, height_grad and slope_inverse over rows.
+    none) and the inverse of the gradient, slope_inverse (unless they give
+    the Gauss map whole), each over x' (or slopes m) in the last axis,
+    height_grad and slope_inverse over rows.
     """
 
     def valid(self):  # n positive coefficients or semi-axes, unless overridden
@@ -408,9 +424,10 @@ class _Graph(_Kind):
         return np.append(g, -1.0)
 
     def terms(self, f, yd):
-        # F = height - y_d
+        # F = height - y_d, y_d formed from x_d, which rounds at eps |x_d| <=
+        # eps (|y_d| + |t_d|), t the body's translation
         yd = yd()
-        return np.abs(f + yd) + np.abs(yd)
+        return np.abs(f + yd) + (np.abs(yd) + self.t_d)
 
     def interior(self):
         y = np.zeros(self.dim)
@@ -438,6 +455,8 @@ class _Paraboloid(_Graph):
     def height_grad(self, x):
         return 2.0 * self.p * x
 
+    form = cached_property(lambda self: (np.append(self.p, 0.0), -1.0, 0.0))  # F itself
+
     def slope_inverse(self, m):
         return m / (2.0 * self.p)
 
@@ -453,17 +472,33 @@ class _Paraboloid(_Graph):
         return h, X, on
 
 
-class _QuadricGraph(_Graph):
-    """An epigraph whose squared height is a quadratic form: along every ray
-    F (F + 2 y_d) = height^2 - y_d^2 is a quadratic, negative inside, where
-    height > -y_d."""
+def _two_product(a, b):
+    """(a b, e), a b + e the product of the floats a and b exactly (Dekker's,
+    on Veltkamp's halves of a and b), for a and b below 2^995 in magnitude."""
+    ta, tb = 134217729.0 * a, 134217729.0 * b  # 2^27 + 1
+    ah, bh = ta - (ta - a), tb - (tb - b)
+    al, bl, ab = a - ah, b - bh, a * b
+    return ab, ((ah * bh - ab) + ah * bl + al * bh) + al * bl
 
-    def quadric(self, f, yd):
-        return f * (f + 2.0 * yd())
+
+def _square_gap(s, p, u):
+    """s^2 - sum (p_i u_i)^2 for each entry of s and row of u, to rounding:
+    every product is the sum of two floats (``_two_product``, with (p_i
+    u_i)^2 less its last piece, 2^-106 of it), added exactly by math.fsum."""
+    def gap(s, u):
+        pieces = list(_two_product(s, s))
+        for a, b in zip(p, u):
+            hi, lo = _two_product(a, b)
+            pieces += [-v for v in _two_product(hi, hi)] + [-2.0 * hi * lo]
+        return math.fsum(pieces)
+    p = p.tolist()
+    return np.array([gap(a, b) for a, b in zip(s.tolist(), u.tolist())])
 
 
-class _Hyperboloid(_QuadricGraph):
+class _Hyperboloid(_Graph):
     needs = "hyperboloid sheet needs n positive semi-axes"
+    # F (F + 2 y_d) = height^2 - y_d^2, negative inside, where height > -y_d
+    form = cached_property(lambda self: (np.append(1.0 / self.p ** 2, -1.0), 0.0, 1.0))
 
     def height(self, x):
         return np.sqrt(1.0 + np.add.reduce((x / self.p) ** 2, axis=-1))
@@ -471,22 +506,28 @@ class _Hyperboloid(_QuadricGraph):
     def height_grad(self, x):
         return x / (self.p ** 2 * self.height(x)[:, None])
 
-    def slope_inverse(self, m):
-        pm = self.p * m
-        return self.p * pm / np.sqrt(1.0 - np.vecdot(pm, pm))[:, None]
-
-    def limit_support(self, U):
-        s, pu = -U[:, -1], self.p * U[:, :-1]
-        r = np.sqrt(np.vecdot(pu, pu))
-        # on the asymptotic cone's normals the supremum is 0, not attained
-        return np.where(s > r, np.nan, np.where(s == r, 0.0, INF))
+    def gauss(self, U):
+        # with s = -u_d and r = |p u'|, u is attained where s > r, with x(u)
+        # = (p^2 u', s) / sqrt(D) and h(u) = -sqrt(D), D = s^2 - r^2; on the
+        # asymptotic cone's normals (s = r) the supremum is 0, not attained.
+        # D is formed from u's entries to rounding, as it cancels there.
+        s = -U[:, -1]
+        D = _square_gap(s, self.p, U[:, :-1])
+        on = (D > 0.0) & (s > 0.0)
+        root = np.sqrt(D, out=np.full(len(U), np.nan), where=on)
+        h = np.where(on, -root, np.where((D == 0.0) & (s > 0.0), 0.0, INF))
+        X = np.concatenate([self.p ** 2 * U[:, :-1], s[:, None]], axis=1) / root[:, None]
+        return h, X, on
 
     def cone(self):
         return ConeDescriptor("elliptic", self.dim, self.params)
 
 
-class _CircularCone(_QuadricGraph):
+class _CircularCone(_Graph):
     needs = "circular cone needs one positive slope"
+    # height^2 - y_d^2, as on the sheet
+    form = cached_property(lambda self: (np.append(np.full(self.dim - 1, self.p[0] ** 2), -1.0),
+                                         0.0, 0.0))
 
     def valid(self):
         return len(self.params) == 1 and self.params[0] > 0
@@ -514,14 +555,16 @@ class _CircularCone(_QuadricGraph):
         return ConeDescriptor("elliptic", self.dim, (1.0 / self.params[0],) * (self.dim - 1))
 
 
-# Generating functions of the planar epigraphs: f, f', the inverse of f'
-# and the infimum of f' over R (each f' is increasing onto (inf f', inf)).
+# Generating functions of the planar epigraphs: f, f', the inverse of f',
+# the infimum of f' over R (each f' is increasing onto (inf f', inf)) and
+# the ``form`` of the epigraph where it is a quadric.
 _FUNCTIONS = {
-    "square": (lambda x: x * x, lambda x: 2.0 * x, lambda m: m / 2.0, -INF),
+    "square": (lambda x: x * x, lambda x: 2.0 * x, lambda m: m / 2.0, -INF,
+               (np.array([1.0, 0.0]), -1.0, 0.0)),
     "quartic": (lambda x: x ** 4, lambda x: 4.0 * x ** 3,
-                lambda m: math.copysign(abs(m / 4.0) ** (1.0 / 3.0), m), -INF),
-    "exp": (np.exp, np.exp, math.log, 0.0),
-    "cosh": (np.cosh, np.sinh, math.asinh, -INF),
+                lambda m: math.copysign(abs(m / 4.0) ** (1.0 / 3.0), m), -INF, None),
+    "exp": (np.exp, np.exp, math.log, 0.0, None),
+    "cosh": (np.cosh, np.sinh, math.asinh, -INF, None),
 }
 
 FUNCTION_TAGS = tuple(_FUNCTIONS)
@@ -530,7 +573,7 @@ FUNCTION_TAGS = tuple(_FUNCTIONS)
 class _FunctionEpigraph(_Graph):
     def __init__(self, spec):
         super().__init__(spec)
-        self.f, self.df, self.df_inverse, self.slope_inf = _FUNCTIONS[spec.tag]
+        self.f, self.df, self.df_inverse, self.slope_inf, self.form = _FUNCTIONS[spec.tag]
 
     def check(self, spec):
         if self.dim != 2:
@@ -790,12 +833,6 @@ def _graph_contacts(body, abscissae):
     return P, N / length[:, None]
 
 
-def _graph_contact(body, abscissa):
-    """``_graph_contacts`` of one abscissa."""
-    P, N = _graph_contacts(body, [np.atleast_1d(np.asarray(abscissa, dtype=float))])
-    return P[0], N[0]
-
-
 def ray_hits_batch(body, origin, directions, guess=None):
     """Distances s > 0 with F(origin + s*w) = 0, one per direction w, and the
     oracle points evaluated: ``(hits, n_evals)``. A hit is in units of its
@@ -810,29 +847,24 @@ def ray_hits_batch(body, origin, directions, guess=None):
     counts, one per origin.
 
     A ray is bracketed from ``guess`` (one distance per ray, m entries in
-    any shape) by four probes g (1 -+ 2^-20) and g (1 -+ 2^-41). The inner
-    pair is within ``_HIT_RTOL``, so a guess good to rounding ends its ray
-    on its probes. A ray without a guess is probed at s/3, 2s/3 and s, s the
-    body scale, in units of its direction's length like its hit, so at
-    multiples of the scale itself only along a unit direction. F is read
-    through the body kind's ``quadric``, Q: F itself, or F (F + 2 y_d) on
-    the hyperboloid sheet and the circular cone, with y_d the point's last
-    local coordinate. Where the quadratic through Q at
-    its origin, s/3 and 2s/3 predicts Q(s) to within 64 eps times the sum of
-    the four |Q|, Q is quadratic along the ray to rounding (every ellipsoid,
-    elliptic paraboloid, hyperboloid sheet and circular cone, the square
-    epigraph), and the quadratic's smallest positive root is the ray's
-    guess, probed as above in the next ``defining`` call; elsewhere the ray
-    goes on from its probe at s. A ray whose probes are all inside steps out
-    to 2^1 .. 2^12 times its last inside point, one ``defining`` call a
-    round, until one is outside. Then each step evaluates two points in one
-    ``defining`` call. F is convex along a ray, so the chord through the
-    inside and outside ends lands inside, and the secant through two
-    outside points, or through two inside points, lands outside: the root
-    lies between the chord root and the nearer secant root. Each point
-    updates whichever end its sign says.
-    A step that does not halve the bracket (in log scale) is followed by a
-    geometric bisection. Every ray stops on its own bracket, once the
+    any shape) by four probes g (1 -+ 2^-20) and g (1 -+ 2^-41), evaluated
+    with the origins in the first ``defining`` call. The inner pair is
+    within ``_HIT_RTOL``, so a guess good to rounding ends its ray on its
+    probes. Without guesses, a body kind with a ray quadratic (the
+    ellipsoid, elliptic paraboloid, hyperboloid sheet, circular cone and
+    square epigraph) states its coefficients along each ray in closed form,
+    and its smallest positive root is the ray's guess; a ray without one,
+    and every ray of another kind, is probed at the body scale s alone, in
+    units of its direction's length like its hit. A ray whose probes are all
+    inside steps out to 2^1 .. 2^12 times its last inside point, one
+    ``defining`` call a round, until one is outside. Then each step
+    evaluates two points in one ``defining`` call. F is convex along a ray,
+    so the chord through the inside and outside ends lands inside, and the
+    secant through two outside points, or through two inside points, lands
+    outside: the root lies between the chord root and the nearer secant
+    root. Each point updates whichever end its sign says. A step that does
+    not halve the bracket (in log scale) is followed by a geometric
+    bisection. Every ray stops on its own bracket, once the
     bracket, or the chord and secant roots, are within ``_HIT_RTOL``
     relative to the hit distance or F at either end of the bracket is finite
     and within 4 eps T of 0, T the sum of the magnitudes of F's terms there
@@ -843,16 +875,12 @@ def ray_hits_batch(body, origin, directions, guess=None):
     hit is bitwise the one a call with its origin alone returns.
 
     All rays share one state array of named rows, one column per ray (laid
-    out after this function): each bracket slot's position with F and F's
-    rounding band 4 eps T there, T computed once per point, the ray's
-    points evaluated and its last bracket ratio. A round is a fixed
-    sequence of numpy calls on the state's rows. A probe or ladder round
-    reads each ray's ends off its first outside point; each solver step
-    runs over every column under the mask of the open rays, hands F only
-    their points, and compacts the state (with the rays' origins and
-    directions) to them once fewer than a quarter of its columns are open.
-    A ray's arithmetic is the same expressions in the same order whatever
-    its column.
+    out after this function). A probe or ladder round reads each ray's ends
+    off its first outside point; each solver step runs over every column
+    under the mask of the open rays, hands F only their points, and keeps
+    the open columns alone once fewer than a quarter are open. A ray's
+    arithmetic is the same expressions in the same order whatever its
+    column.
 
     All directions must be non-recessive (guaranteed for bounded sections).
     Origins, directions and every batch of points are held coordinate-major,
@@ -921,7 +949,7 @@ def _ends_table(before, factors):
 # from the origin, at 0 g or 0 s; the ladder from its base, the last inside
 # point, whose Lp is kept where the first rung is outside
 _GUESS_ENDS = _ends_table([np.nan, 0.0], _GUESS_PROBES)
-_SCALE_ENDS = _ends_table([np.nan, 0.0], np.ones(1))
+_SCALE_ENDS = _ends_table([np.nan, 0.0], _SCALE_PROBE)
 _LADDER_ENDS = _ends_table([np.nan, 1.0], _LADDER)
 
 
@@ -955,43 +983,28 @@ def _ends(S, f, base, table):
 def _reach(body, O, D, g):
     """The root-finder state of the rays D from the origins O, one per
     group, with every root bracketed, and each ray's origin and direction as
-    (d, rays) arrays: evaluate the probes about the guesses g (or, g None,
-    at the thirds of the body scale) and the origins, then step every ray
-    without an outside point out along the ladder, one F call a round,
-    until it has one.
-
-    Unguessed rays bring the probes s ``_THIRDS``: a ray whose quadratic
-    (fitted to the kind's ``quadric`` of F) gives a guess is probed around
-    it in the next round, as a guessed ray is in the first, and the others
-    keep only their probe at s.
-    """
+    (d, rays) arrays: F at the origins and at each ray's first probes, about
+    its guess (g, or else the root of ``_quadratic_roots``) or at the body
+    scale, then along the ladder for each ray without an outside point, one
+    F call a round, until it has one."""
     F = body.defining
     (L, d), m = O.shape, len(D)
-    s = float(body.scale)
-    x = s * _THIRDS if g is None else _GUESS_PROBES * g
-    n = len(x)
-    # the probes P + x W, P each ray's origin, then the origins; the probes'
-    # first copy is freed before F's call
-    pts = x * D.T[:, None]
-    pts.reshape(d, n, L, -1)[...] += O.T[:, None, :, None]
-    batch = np.concatenate([pts.reshape(d, -1), O.T], axis=1)
-    del pts
-    f = F(batch.T)
-    del batch
-    if not f[n * m:].max() < 0.0:
-        raise NotInterior("ray origin is not inside the body")
-    S = np.empty((_ROWS, m))
     P, W = np.repeat(O.T, m // L, axis=1), np.ascontiguousarray(D.T)
-    # each ray's point before its probes is its origin, at 0 in the tables;
-    # every probe counts, the probe at s of a quadratic's ray too
-    S[_F + _L].reshape(L, -1)[...] = f[n * m:, None]
-    S[_EVALS] = n
-    f = f[:n * m].reshape(n, m)
+    S = np.empty((_ROWS, m))
+    S[_EVALS] = 0.0
+    if g is None:
+        g = _quadratic_roots(body, P, W)
+    # a round: its rays (all if None), probe factors, ends table and base
+    bare = np.full(m, True) if g is None else np.isnan(g)
+    n_bare, scale = np.count_nonzero(bare), (_SCALE_PROBE, _SCALE_ENDS, float(body.scale))
+    rounds = [(None,) + scale] if n_bare == m else [(None, _GUESS_PROBES, _GUESS_ENDS, g)]
+    if 0 < n_bare < m:
+        rays = np.flatnonzero(~bare)
+        rounds = [(rays, _GUESS_PROBES, _GUESS_ENDS, g[rays]), (np.flatnonzero(bare),) + scale]
 
     def read(rays, f, base, table, new):
         """``_ends`` on the rays (all if None), with new points evaluated
-        along each; the ladder round of those with every point inside, as
-        (rays, factors, ends table, base)."""
+        along each; the ladder round of those with every point inside."""
         sub = S if rays is None else S.take(rays, axis=1)
         c = _ends(sub, f, base, table)
         sub[_EVALS] += new
@@ -1003,64 +1016,48 @@ def _reach(body, O, D, g):
         return [(np.flatnonzero(up) if rays is None else rays[up], _LADDER, _LADDER_ENDS,
                  sub[_L, up])]
 
-    if g is not None:
-        rounds = read(None, f, g, _GUESS_ENDS, 0)
-    else:
-        # the last local coordinate at the origin and at each probe
-        at = s * _ORIGIN_THIRDS
-        quadratic, guess = _quadratic_guess(
-            body._impl.quadric(np.concatenate([S[None, _F + _L], f]),
-                               lambda: P[-1] - body.translation[-1] + at * W[-1]), x[0])
-        n_quadratic = np.count_nonzero(quadratic)
-        rounds = []
-        if n_quadratic < m:
-            rest = None if n_quadratic == 0 else np.flatnonzero(~quadratic)
-            rounds = read(rest, f[-1:] if rest is None else f[-1:, rest], s, _SCALE_ENDS, 0)
-        if n_quadratic:
-            rays = None if n_quadratic == m else np.flatnonzero(quadratic)
-            rounds.append((rays, _GUESS_PROBES, _GUESS_ENDS,
-                           guess if rays is None else guess[rays]))
-    for _ in range(_BRACKET_ROUNDS):
-        if not rounds:
-            return S, P, W
-        # one F call for the ladder's points and the quadratic guesses' probes
-        parts = []
+    # the first call, the probes', also takes the origins, ahead of the
+    # probes, whose F values start at i; then come the ladder's rounds
+    parts, i = [O.T], L
+    for _ in range(_BRACKET_ROUNDS + 1):
         for rays, factors, _, base in rounds:
-            rays = slice(None) if rays is None else rays
-            pts = factors * base * W[:, None, rays]
-            pts += P[:, None, rays]
+            pts = factors * base * W[:, None, slice(None) if rays is None else rays]
+            pts += P[:, None, slice(None) if rays is None else rays]
             parts.append(pts.reshape(d, -1))
         f = F((np.concatenate(parts, axis=1) if len(parts) > 1 else parts[0]).T)
-        i, done = 0, rounds
-        rounds = []
+        if i:
+            if not f[:L].max() < 0.0:
+                raise NotInterior("ray origin is not inside the body")
+            # each ray's point before its probes is its origin, at 0 in the tables
+            S[_F + _L].reshape(L, -1)[...] = f[:L, None]
+        done, rounds, parts = rounds, [], []
         for rays, factors, table, base in done:
-            n = len(factors) * len(base)
+            n = len(factors) * (m if rays is None else len(rays))
             rounds += read(rays, f[i:i + n].reshape(len(factors), -1), base, table, len(factors))
             i += n
+        if not rounds:
+            return S, P, W
+        i = 0
     raise GeometryError("boundary bracketing failed; direction nearly recessive")
 
 
-def _quadratic_guess(f, step):
-    """The rays where the quadratic through f at 0, step and 2 step along
-    each ray (the first three rows of f, f < 0 at 0) predicts f at 3 step
-    (f's last row) to within 64 eps times the sum of the four |f| and has a
-    positive root g with finite probes, and g (NaN where it has none)."""
-    f0, f1, f2, f3 = f
-    exact = np.abs(f3 - 3.0 * f2 + 3.0 * f1 - f0) <= 64.0 * _EPS * np.add.reduce(np.abs(f))
-    if not np.count_nonzero(exact):
-        return exact, None
-    # in units of step the quadratic is a k^2 + b k + f0
-    a = 0.5 * (f2 - 2.0 * f1 + f0)
-    b = f1 - f0 - a
-    # f0 < 0, so for a > 0 the roots have opposite signs, and for a < 0 both
-    # are positive (b > 0) or neither is: each form of the smallest positive
-    # one is free of cancellation on its own side of b = 0
-    sq = np.sqrt(b * b - 4.0 * a * f0)
-    g = step * np.where(b >= 0.0, -2.0 * f0 / (b + sq), (sq - b) / (2.0 * a))
-    gg = g * _GUESS_PROBES[-1]
-    exact &= gg > 0.0
-    exact &= gg < INF
-    return exact, g
+def _quadratic_roots(body, P, W):
+    """The smallest positive root of the body kind's ray quadratic along
+    each ray from the origins P along the directions W ((d, rays) arrays),
+    NaN where it has none that leaves the probes about it finite and
+    positive; None for a kind without a ray quadratic."""
+    abc = body._impl.ray_quadratic(P - body.translation[:, None] if body._moved else P, W)
+    if abc is None:
+        return None
+    a, b, c = abc
+    # c < 0 at an origin inside, so for a > 0 the roots have opposite
+    # signs, and for a < 0 both are positive (b > 0) or neither is: each
+    # form of the smallest positive one is free of cancellation on its own
+    # side of b = 0
+    sq = np.sqrt(b * b - 4.0 * a * c)
+    g = np.where(b >= 0.0, -2.0 * c / (b + sq), (sq - b) / (2.0 * a))
+    g[~((g > 0.0) & (g < 0.5 * _MAX))] = np.nan  # its probes finite and positive
+    return g
 
 
 def _band(body, f, x, p, w, out):

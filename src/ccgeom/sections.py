@@ -312,26 +312,27 @@ def _centred_sections(body, normals, which, ts, admissible=False):
     of a quadric is one), the anchor moves to its centre, which is the
     section's centroid; elsewhere to the mean of the four chords' midpoints,
     and the guide ellipse has the e1 and e2 chords' half-lengths as
-    semi-axes. Returns the centred anchors, the plane basis (one (L, d)
-    array of rows per basis vector), the guide (in 2D the chords'
-    half-lengths, in 3D the rows g1 = e1/sqrt(a), g2 = (e2 - (b/2a) e1) /
-    sqrt(c - b^2/4a) of the Cholesky factor of its ellipse a x^2 + b x y +
-    c y^2 = 1 about the anchor, which map the unit circle onto it) and the
-    oracle points spent per level. A cone that meets the plane means
-    unbounded sections; an anchor that is not strictly inside means a level
-    grazes the body.
+    semi-axes. Returns the centred anchors, the spine anchors, which the
+    centring rays found strictly inside, the plane basis (one (L, d) array
+    of rows per basis vector), the guide (in 2D the chords' half-lengths,
+    in 3D the rows g1 = e1/sqrt(a), g2 = (e2 - (b/2a) e1) / sqrt(c -
+    b^2/4a) of the Cholesky factor of its ellipse a x^2 + b x y + c y^2 = 1
+    about the anchor, which map the unit circle onto it) and the oracle
+    points spent per level. A cone that meets the plane means unbounded
+    sections; an anchor that is not strictly inside means a level grazes
+    the body.
     """
-    anchors, basis = _section_frames(body, normals, which, ts, admissible)
+    spine, basis = _section_frames(body, normals, which, ts, admissible)
     # each ray's coefficients on the basis vectors: (cos, sin) in 3D, +-1 in 2D
     star = _OCTAGON if len(basis) == 2 else np.array([[1.0, -1.0]])
     dirs = sum(c * w.T[:, :, None] for c, w in zip(star, basis))
     try:
-        r, n_evals = _polar_radii(body, anchors, dirs, None)
+        r, n_evals = _polar_radii(body, spine, dirs, None)
     except NotInterior as e:
         raise DegenerateSection("section anchor is not inside the body") from e
     if len(basis) == 1:
         half = 0.5 * (r[:, 0] + r[:, 1])
-        return anchors + (0.5 * (r[:, 0] - r[:, 1]))[:, None] * basis[0], basis, half, n_evals
+        return spine + (0.5 * (r[:, 0] - r[:, 1]))[:, None] * basis[0], spine, basis, half, n_evals
     (x, y), form, ok = _section_conics(r)
     if not ok.all():
         # the mean of the chords' midpoints, and the ellipse on the e1 and e2 chords
@@ -342,11 +343,11 @@ def _centred_sections(body, normals, which, ts, admissible=False):
         form[0][no] = 4.0 / (r[no, 0] + r[no, 4]) ** 2
         form[1][no] = 0.0
         form[2][no] = 4.0 / (r[no, 2] + r[no, 6]) ** 2
-    anchors = anchors + x[:, None] * basis[0] + y[:, None] * basis[1]
+    anchors = spine + x[:, None] * basis[0] + y[:, None] * basis[1]
     a, b, c = form
     g1 = basis[0] / np.sqrt(a)[:, None]
     g2 = (basis[1] - (0.5 * b / a)[:, None] * basis[0]) / np.sqrt(c - 0.25 * b * b / a)[:, None]
-    return anchors, basis, (g1, g2), n_evals
+    return anchors, spine, basis, (g1, g2), n_evals
 
 
 def _polar_sections(body, anchors, basis, guide, rtol, moments, wide):
@@ -454,16 +455,21 @@ def _sections(body, normals, which, ts, rtol, moments, diameter=False, admissibl
     of any other level is its centred anchor, and its rule stops on the
     measure alone. Either mask may be one bool for every level.
 
-    This is the one place that decides grazing: a level whose anchor is not
-    strictly inside the body has measure 0, False in the inside mask and 0
-    in every other entry. Where one does, each level is sectioned alone, and
-    every other level comes out as its lone section, bitwise.
+    This is the one place that decides grazing: a level whose spine anchor
+    is not strictly inside the body has measure 0, False in the inside mask
+    and 0 in every other entry. Where one does, each level is sectioned
+    alone, and every other level comes out as its lone section, bitwise.
+    Near a support level a centred anchor can round outside the body, which
+    refuses the first polar batch: then each level whose centred anchor F
+    does not read inside is integrated about its spine anchor instead (the
+    points of the refused batch are not counted).
     """
     rtol = _rtols(rtol, ts.size)
     moments = np.full(ts.shape, moments, dtype=bool)
     diameter = np.full(ts.shape, diameter, dtype=bool)
     try:
-        anchors, basis, guide, n_evals = _centred_sections(body, normals, which, ts, admissible)
+        anchors, spine, basis, guide, n_evals = _centred_sections(body, normals, which, ts,
+                                                                  admissible)
     except DegenerateSection:
         if ts.size == 1:
             return (np.zeros(1), np.zeros((1, normals.shape[1])), np.zeros(1), np.zeros(1, dtype=int),
@@ -471,8 +477,15 @@ def _sections(body, normals, which, ts, rtol, moments, diameter=False, admissibl
         alone = [_sections(body, normals, which[i:i + 1], ts[i:i + 1], rtol[i:i + 1],
                            moments[i:i + 1], diameter[i:i + 1]) for i in range(ts.size)]
         return tuple(np.concatenate(part) for part in zip(*alone))
-    measure, centroid, err, k, converged, diam = _polar_sections(
-        body, anchors, basis, guide, rtol, moments, np.flatnonzero(diameter))
+    try:
+        measure, centroid, err, k, converged, diam = _polar_sections(
+            body, anchors, basis, guide, rtol, moments, np.flatnonzero(diameter))
+    except NotInterior:
+        outside = ~(body.defining(anchors) < 0.0)
+        anchors[outside] = spine[outside]
+        measure, centroid, err, k, converged, diam = _polar_sections(
+            body, anchors, basis, guide, rtol, moments, np.flatnonzero(diameter))
+        n_evals = n_evals + 1  # F at the centred anchors
     return measure, centroid, err, n_evals + k, converged, diam, np.ones(ts.size, dtype=bool)
 
 
@@ -551,7 +564,7 @@ def section_diameter(body, u, t) -> float:
     normals, which, ts, scalar = _planes(u, t)
     if not scalar:
         raise ValueError("section_diameter takes one level")
-    anchors, basis, guide, _ = _centred_sections(body, normals, which, ts, admissible=True)
+    anchors, _, basis, guide, _ = _centred_sections(body, normals, which, ts, admissible=True)
     if len(basis) == 1:
         return float(2.0 * guide[0])
     dirs = _polar_dirs(*guide, _DIAMETER_NODES)

@@ -179,6 +179,26 @@ def shell_points_bisection(body, R, n_azimuth=720):
     return on_sphere(lo)
 
 
+def quadric_form(body):
+    """(P, g, c) with Q(y) = y.P y + g.y + c negative exactly inside a
+    quadric body, y about its translation: F on the ellipsoid, the elliptic
+    paraboloid and the square epigraph, height^2 - y_d^2 on the hyperboloid
+    sheet and the circular cone (on the side of the upper sheet)."""
+    p = np.asarray(body.params, dtype=float)
+    d = body.ambient_dim
+    down = -np.eye(d)[-1]
+    if body.kind == "ellipsoid":
+        return np.diag(1.0 / p ** 2), np.zeros(d), -1.0
+    if body.kind == "elliptic-paraboloid-epigraph":
+        return np.diag(np.append(p, 0.0)), down, 0.0
+    if body.tag == "square":
+        return np.diag([1.0, 0.0]), down, 0.0
+    if body.kind == "hyperboloid-upper-sheet":
+        return np.diag(np.append(1.0 / p ** 2, -1.0)), np.zeros(d), 1.0
+    assert body.kind == "circular-cone"
+    return np.diag(np.append(np.full(d - 1, p[0] ** 2), -1.0)), np.zeros(d), 0.0
+
+
 def superellipsoid_section_stats(p, u, t):
     """Area and centroid of the section {<u,x> = t} of the 3D body
     |x|^p + |y|^p + |z|^p <= 1, by adaptive quadrature in polar coordinates.

@@ -1,8 +1,10 @@
 import json
 import math
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -95,6 +97,32 @@ def test_hyperboloid_support_cases():
     assert h.support([0.0, 0.0, 1.0]) == INF
     u = np.array([0.3, 0.0, -1.0])
     assert h.support(u) == pytest.approx(-math.sqrt(1.0 - 0.09), rel=1e-12)
+
+
+@pytest.mark.parametrize("axes", [[1.0, 1.0], [1.0, 1.4], [0.8]])
+def test_sheet_support_near_its_asymptotic_cone_normals(axes):
+    # s = -u_d just above r = |p u'|: h(u) = -sqrt(s^2 - r^2) and x(u) =
+    # (p^2 u', s) / sqrt(s^2 - r^2), where s^2 - r^2 cancels; each is
+    # exact to a few rounding errors of u's own entries (50-digit mpmath)
+    body = hyperboloid_sheet(axes)
+    p = np.array(axes)
+    for gap in (1e-12, 1e-10, 1e-8):
+        for k in range(7):
+            phi = 2.0 * math.pi * k / 7.0 + 0.1
+            v = np.array([math.cos(phi), math.sin(phi)])[:len(axes)] / p
+            u = np.append(0.6 * v / np.linalg.norm(p * v), -(0.6 + gap))
+            u /= np.linalg.norm(u)
+            h, X, on = body.gauss_map(u[None])
+            assert on[0]
+            with mpmath.workdps(50):
+                mu = [mpmath.mpf(float(x)) for x in u]
+                s2 = mu[-1] ** 2 - sum((mpmath.mpf(float(a)) * x) ** 2 for a, x in zip(p, mu))
+                root = mpmath.sqrt(s2)
+                exact_x = [mpmath.mpf(float(a)) ** 2 * x / root for a, x in zip(p, mu)] + [
+                    -mu[-1] / root]
+                assert abs(h[0] + root) <= 4 * np.finfo(float).eps * root
+                for x, e in zip(X[0], exact_x):
+                    assert abs(x - e) <= 4 * np.finfo(float).eps * abs(e)
 
 
 def test_inverse_gauss_round_trip_quadrics():
@@ -389,8 +417,8 @@ def _gauss_rows(body):
     """Unit normals of every case the Gauss map tells apart, for body: seeded
     ones, normals with u_d = +-0.0 and +-1, the paraboloid's nearly
     horizontal ones, whose boundary point overflows, and each kind's
-    normals of limit 0 (the hyperboloid's s == r, the circular cone's polar
-    normals, exp's edge within _EDGE_TOL)."""
+    normals of limit 0 (the hyperboloid's s == r, exactly where p_1 = 1, the
+    circular cone's polar normals, exp's edge within _EDGE_TOL)."""
     d = body.ambient_dim
     w = np.random.default_rng(11).normal(size=(12, d))
     rows = list(w / np.linalg.norm(w, axis=1, keepdims=True))
@@ -405,6 +433,11 @@ def _gauss_rows(body):
     if body.tag == "exp":
         rows += [np.array([1e-16, -1.0]), np.array([-1e-16, -1.0]), np.array([2e-15, -1.0])]
     return np.array(rows)
+
+
+def _exact_square_gap(u, p):
+    """s^2 - |p u'|^2, s = -u_d, as a fraction."""
+    return Fraction(u[-1]) ** 2 - sum((Fraction(a) * Fraction(b)) ** 2 for a, b in zip(p, u[:-1]))
 
 
 def _row_bytes(arrays, i):
@@ -433,8 +466,15 @@ def test_gauss_map_rows_are_their_one_row_calls_bitwise(body):
         assert on.any() != (body.kind == "circular-cone")
         if body.recession_cone().dim:
             assert np.any(h == INF)
-        if body.kind in ("hyperboloid-upper-sheet", "circular-cone") or body.tag == "exp":
+        if body.kind == "circular-cone" or body.tag == "exp" or body.params == (1.0, 2.0):
             assert np.any(~on & (h < INF))
+        if body.kind == "hyperboloid-upper-sheet":
+            # attained where s^2 > |p u'|^2, s = -u_d > 0, and of limit 0 where
+            # they are equal, in exact arithmetic (a unit normal of the [0.8]
+            # hyperbola never meets the equality)
+            gaps = [_exact_square_gap(u, body.params) for u in U]
+            assert on.tolist() == [g > 0 and u[-1] < 0 for g, u in zip(gaps, U)]
+            assert (~on & (h < INF)).tolist() == [g == 0 and u[-1] < 0 for g, u in zip(gaps, U)]
         # the public oracles are one-row calls of it
         for u, hu, x, a in zip(U, h, X, on):
             assert body.support_attained(u) == a

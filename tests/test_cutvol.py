@@ -91,7 +91,7 @@ def test_cut_within_rounding_of_the_cone_is_read_off_it():
     # within the 1e-14 by which the section kernel calls its sections
     # unbounded: the cut is infinite, decided before any integration
     p = function_epigraph("exp")
-    point, u = bodies._graph_contact(p, [-33.0])
+    [point], [u] = bodies._graph_contacts(p, [-33.0])
     assert 0.0 < -u[0] < 1e-14
     assert halfspace_cut_volume(p, u, float(u @ point) + 1.0) == math.inf
 
@@ -192,7 +192,7 @@ def test_scan_is_its_lone_cut_volumes_bitwise(scan, body, k, anchors):
     values = (parallel_cut_scan if scan == "parallel" else homothety_cut_scan)(body, k, anchors)
     lone = []
     for anchor in anchors:
-        point, normal = bodies._graph_contact(body, anchor)
+        [point], [normal] = bodies._graph_contacts(body, [anchor])
         s = float(normal @ point)
         t = s + k * normal[-1] if scan == "parallel" else k * s
         lone.append(halfspace_cut_volume(body, normal, t))

@@ -25,6 +25,7 @@ from ccgeom import bodies, sections
 from ccgeom.bodies import ray_hits_batch
 from ccgeom.errors import GeometryError, NotInterior
 
+from oracles import quadric_form
 from test_bodies import CATALOG
 
 EPS = np.finfo(float).eps
@@ -171,12 +172,12 @@ def _sheet_and_cone_rays():
 def test_sheet_and_cone_hits_match_closed_form_in_two_calls(monkeypatch, body, o, w, exact,
                                                               steep):
     # G is a quadratic along every ray, so its smallest positive root guesses
-    # each unguessed ray in the probe round, also where G opens downward, and
-    # the guess's probes end it in the next
+    # each unguessed ray, also where G opens downward, and the guess's probes
+    # end it in the first call, with the origin's F
     assert steep.sum() >= 20 and not steep.all()
     batches = record_defining(monkeypatch)
     hits, _ = ray_hits_batch(body, o, w)
-    assert len(batches) == 2
+    assert len(batches) == 1
     _assert_rel(hits, exact)
     _assert_hits(body, o, w, exact)
 
@@ -185,14 +186,14 @@ def test_guess_good_to_rounding_ends_with_both_inner_probes_outside(monkeypatch)
     # a chord of the disk at (0, 3), 0.006 long: the quadratic's guess is
     # within F's rounding of the root, but both inner probes read F >= 0, so
     # the ray ends on its outside end, inner probe g (1 - 2^-41), whose F is
-    # within 4 eps T of 0: the probe round and the guess's, two calls
+    # within 4 eps T of 0: one call, the origin and the guess's probes
     body = ellipsoid([1.0, 1.0], center=[0.0, 3.0])
     o = np.array([-0.1104771985567295, 2.0061405279327884])
     w = np.array([[0.9938784247051028, -0.11047930532775527]])
     batches = record_defining(monkeypatch)
     [hit], _ = ray_hits_batch(body, o, w)
-    assert len(batches) == 2
-    f = body.defining(batches[1][:4])
+    assert len(batches) == 1
+    f = body.defining(batches[0][1:])
     assert f[0] < 0.0 <= f[1] and f[2] >= 0.0
     root = float(_ellipsoid_hit(np.ones(2), body.translation, o, w[0]))
     p = o + root * w[0]
@@ -309,19 +310,19 @@ def test_conic_guessed_first_polar_batch_takes_one_round(monkeypatch, body):
 
 def test_unguessed_ray_brackets_a_far_root_in_two_rounds(monkeypatch):
     # near the paraboloid's axis the root is 1.1e3 body scales out, far past
-    # the probes at s/3 .. s: the quadratic through them guesses it, and the
-    # guess's probes bracket the root in the second round, which ends the ray
+    # a probe at the body scale: the ray's quadratic guesses it, and the
+    # guess's probes bracket the root in the first round, which ends the ray
     body, o = paraboloid_epigraph([1.0, 0.7]), np.array([0.0, 0.0, 1.0])
     w = np.array([[0.03, 0.0, math.sqrt(1.0 - 0.03 ** 2)]])
     root = float(_paraboloid_hit([1.0, 0.7], o, w[0]))
     assert root > 1e3 * body.scale
     batches = record_defining(monkeypatch)
     [hit], n = ray_hits_batch(body, o, w)
-    assert len(batches) == 2 and n == 1 + 3 + 4
-    # the bracket: the last of the second round's probes inside before the
-    # first outside one, and that one
-    s = (batches[1] - o) @ w[0]
-    f = body.defining(batches[1])
+    assert len(batches) == 1 and n == 1 + 4
+    # the bracket: the last of the round's probes (after the origin) inside
+    # before the first outside one, and that one
+    s = (batches[0][1:] - o) @ w[0]
+    f = body.defining(batches[0][1:])
     c = int(np.argmin(f <= 0.0))
     assert f[c] > 0.0 and np.all(f[:c] <= 0.0) and 1 <= c <= 3
     assert s[c - 1] < root < s[c]
@@ -349,12 +350,105 @@ def _quadratic_f_rays():
 @pytest.mark.parametrize("body, o, w, exact", _quadratic_f_rays(),
                          ids=["disk", "sphere", "paraboloid", "square"])
 def test_unguessed_rays_on_a_quadratic_f_end_in_two_calls(monkeypatch, body, o, w, exact):
-    # the quadratic through F at the origin, s/3 and 2s/3 predicts F(s), so
-    # its root is the guess, and the guess's inner probes end every ray
+    # F is the kind's ray quadratic, so its root is the guess, and the
+    # guess's inner probes end every ray in the first call
     batches = record_defining(monkeypatch)
     hits, _ = ray_hits_batch(body, o, w)
-    assert len(batches) == 2
+    assert len(batches) == 1
     _assert_rel(hits, exact)
+
+
+# one body of each kind with a ray quadratic, moved and not, in 2D and 3D
+QUADRIC_BODIES = [
+    ellipsoid([2.0, 0.7], center=[0.4, -1.1]),
+    ellipsoid([1.3, 0.8, 1.0], center=[0.2, -0.1, 0.4]),
+    paraboloid_epigraph([1.5]),
+    paraboloid_epigraph([1.0, 0.7], shift=[0.1, -0.2, 1.0]),
+    function_epigraph("square", shift=[0.0, 1.0]),
+    hyperboloid_sheet([0.8]),
+    hyperboloid_sheet([1.0, 1.4], shift=[0.3, 0.0, -0.5]),
+    circular_cone(0.7, shift=[0.1, 0.2]),
+    circular_cone(1.3, dim=3, shift=[-0.2, 0.1, 0.3]),
+]
+
+
+@mpmath.workdps(40)
+def _form_along(form, y, w):
+    """(a, b, c) of Q(y + s w) for Q(y) = y.P y + g.y + c0, and the sums
+    of the magnitudes of each one's terms, in mpmath."""
+    P, g, c0 = form
+    y, w = [mpmath.mpf(float(v)) for v in y], [mpmath.mpf(float(v)) for v in w]
+    P, g = [[mpmath.mpf(float(v)) for v in row] for row in P], [mpmath.mpf(float(v)) for v in g]
+    n = range(len(y))
+    terms = ([P[i][k] * w[i] * w[k] for i in n for k in n],
+             [2 * P[i][k] * y[i] * w[k] for i in n for k in n] + [g[i] * w[i] for i in n],
+             [P[i][k] * y[i] * y[k] for i in n for k in n] + [g[i] * y[i] for i in n]
+             + [mpmath.mpf(float(c0))])
+    return [sum(t) for t in terms], [sum(abs(v) for v in t) for t in terms]
+
+
+@pytest.mark.parametrize("body", QUADRIC_BODIES, ids=lambda b: f"{b.tag or b.kind}-"
+                         f"{b.ambient_dim}d{'-moved' if np.any(b.translation) else ''}")
+def test_ray_quadratic_matches_the_quadric_form(body):
+    # each kind's (a, b, c) against y.P y + g.y + c0 along the ray, and the
+    # guess, its smallest positive root, against the exact one from origins
+    # inside; steep rays down the sheet and the cone, where G opens
+    # downward (a < 0), are among them
+    d, form = body.ambient_dim, quadric_form(body)
+    rng = np.random.default_rng(17)
+    o = body.interior_point() + 0.2 * rng.normal(size=(60, d))
+    o = o[np.asarray(body.contains(o))]
+    w = _directions(len(o), 18, d)
+    y = o - body.translation
+    a, b, c = body._impl.ray_quadratic(y.T, w.T)
+    guess = bodies._quadratic_roots(body, o.T, w.T)
+    for j in range(len(o)):
+        exact, size = _form_along(form, y[j], w[j])
+        for got, e, m in zip((a[j], b[j], c[j]), exact, size):
+            assert abs(got - float(e)) <= 8.0 * EPS * float(m), (j, got, e)
+        A, B, C = exact
+        with mpmath.workdps(40):
+            disc = B * B - 4 * A * C
+            roots = [] if disc < 0 else [r for r in ((-B - mpmath.sqrt(disc)) / (2 * A),
+                                                     (-B + mpmath.sqrt(disc)) / (2 * A)) if r > 0]
+        if roots:
+            _assert_rel([guess[j]], [min(roots)])
+        else:  # along the recession cone: no root, the ray is probed at the body scale
+            assert np.isnan(guess[j])
+    if body.kind in ("hyperboloid-upper-sheet", "circular-cone"):
+        assert np.count_nonzero(a < 0.0) >= 5 and np.count_nonzero(a > 0.0) >= 5
+
+
+def test_rays_without_a_root_are_probed_at_the_body_scale(monkeypatch):
+    # a ray whose quadratic gives no root (NaN) starts from its probe at the
+    # body scale, in the same first call as the guessed rays' probes, and
+    # its hit is bitwise the one it gets in a batch of such rays alone
+    axes, center = np.array([1.3, 0.8, 1.0]), np.array([0.2, -0.1, 0.4])
+    body, o, w = ellipsoid(axes, center=center), center + 0.1, _directions(12, 9)
+    exact = [_ellipsoid_hit(axes, center, o, d) for d in w]
+    roots = bodies._quadratic_roots
+
+    def bare(every):
+        def some_roots(body, P, W):
+            g = roots(body, P, W)
+            g[::every] = np.nan
+            return g
+        monkeypatch.setattr(bodies, "_quadratic_roots", some_roots)
+        return ray_hits_batch(body, o, w)[0]
+
+    batches = record_defining(monkeypatch)
+    mixed = bare(3)
+    assert len(batches[0]) == 1 + 4 * 8 + 4
+    _assert_rel(mixed, exact)
+    assert np.array_equal(mixed[::3], bare(1)[::3])
+
+
+@pytest.mark.parametrize("body", [superellipsoid(4.0), superellipsoid(3.0, dim=3)] + [
+    function_epigraph(tag) for tag in ("quartic", "exp", "cosh")], ids=lambda b: b.tag or b.kind)
+def test_other_kinds_have_no_ray_quadratic(body):
+    d = body.ambient_dim
+    assert body._impl.ray_quadratic(np.zeros((d, 1)), np.ones((d, 1))) is None
+    assert bodies._quadratic_roots(body, np.zeros((d, 1)), np.ones((d, 1))) is None
 
 
 def test_tiny_sphere_sections_end_their_first_polar_batch_in_two_calls(monkeypatch):

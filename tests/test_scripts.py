@@ -203,12 +203,57 @@ def test_ray_rounds_counts_a_first_polar_batch_guessed_to_rounding(ray_rounds):
     assert len(counts.rounds["unguessed"]) == 1  # the centring batch
     # every defining call of a section is an F-round of one of its batches
     assert counts.defining == sum(map(sum, counts.rounds.values()))
-    # F is quadratic along the centring rays: their quadratic's roots are
-    # guessed in the probe round and end the rays in the next
+    # F is the kind's ray quadratic: the centring rays start at its roots,
+    # whose probes end them in the first F-round
     body = "ellipsoid [1.3, 0.8, 1.0] at [0.2, -0.1, 0.4]"
-    assert counts.unguessed == {body: [2]}
-    assert f"    unguessed on {body}: 2.00 (max 2) over 1 calls" in (
+    assert counts.unguessed == {body: [1]}
+    assert f"    unguessed on {body}: 1.00 (max 1) over 1 calls" in (
         ray_rounds.report("sccp-3d", 1, 1, counts).splitlines())
+
+
+def _workloads(monkeypatch):
+    """perfbench/workloads.py as a module, importing perfbench/oracles.py as
+    its ``oracles`` (the tests have a module of that name too); both leave
+    sys.modules with the test."""
+    def load(name):
+        spec = importlib.util.spec_from_file_location(name, SCRIPTS.parent / "perfbench" / f"{name}.py")
+        module = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, name, module)
+        spec.loader.exec_module(module)
+        return module
+
+    load("oracles")
+    return load("workloads")
+
+
+def test_ray_rounds_counts_one_f_round_per_unguessed_quadric_call(ray_rounds, monkeypatch):
+    # at seed 1 every unguessed batch on a quadric, moved or not, starts at
+    # its rays' quadratic roots, whose probes end it in its first F-round;
+    # the superellipse climbs from its probe at the body scale
+    workloads = _workloads(monkeypatch)
+    means, defining = {}, []
+    for name in ("cutvol-3d", "sccp-3d", "planar-2d"):
+        pool, counts = workloads.WORKLOADS[name].build(1), ray_rounds.Counts()
+        uninstall = ray_rounds.install(ccgeom, counts)
+        try:
+            ray_rounds.run_pool(pool, counts)
+        finally:
+            uninstall()
+        means.update({body: round(float(np.mean(r)), 2) for body, r in counts.unguessed.items()})
+        defining.append(counts.defining)
+    assert means == {
+        "ellipsoid [1.0, 1.0, 1.0] at [0.0, 0.0, 3.0]": 1.0,
+        "elliptic-paraboloid-epigraph [1.0, 0.7] at [0.0, 0.0, 1.0]": 1.0,
+        "ellipsoid [1.3, 0.8, 1.0] at [0.2, -0.1, 0.4]": 1.0,
+        "elliptic-paraboloid-epigraph [1.0, 0.7]": 1.0,
+        "hyperboloid-upper-sheet [1.0, 1.4]": 1.0,
+        "ellipsoid [1.0, 1.0] at [0.0, 3.0]": 1.0,
+        "square": 1.0,
+        "square at [0.0, 1.0]": 1.0,
+        "hyperboloid-upper-sheet [1.0]": 1.0,
+        "superellipsoid [4.0]": 10.33,
+    }
+    assert defining == [90, 72, 184]
 
 
 def test_ray_rounds_counts_the_levels_of_each_cut_volume(ray_rounds):
