@@ -12,7 +12,8 @@ outside the library, as ``op_digest.py`` runs them. An F-round is one
 ``defining`` call made inside one ``ray_hits_batch`` call. Each batch is of
 one of three kinds:
 
-- unguessed: a 3D section's centring rays, a 2D chord, a gauge ray;
+- unguessed: a 2D chord, a gauge ray (and the centring rays of a 3D
+  section on a body whose kind has no form, which no workload sections);
 - first polar: the first guessed batch of a 3D section's polar rule, cast
   in its guide ellipse's angle with every radius guessed at 1;
 - refinement: the later guessed batches, guessed by interpolation, and
@@ -23,7 +24,10 @@ F-rounds per call of each kind (mean and max, and its number of calls),
 the unguessed F-rounds per call of each body (its kind or function tag,
 params and any translation), the root-finder's time per call outside F,
 and the ``defining`` calls and oracle points (points at which
-``defining`` was evaluated) of the whole pass, the solver rounds per shell
+``defining`` was evaluated) of the whole pass, the spine checks (the
+``defining`` calls, and their points, that a section set-up makes outside
+any ray batch: F at the spine anchors of a 3D section centred from its
+kind's form, one point a level), the solver rounds per shell
 scan (mean and max, and the number of scans), the brackets still open in
 each solver round (the mean over the scans, a scan that has stopped
 counting 0), the solver's mean time per round outside F, and the minor
@@ -87,7 +91,9 @@ class Counts:
     ``ray_s[kind]`` and ``ray_f_s[kind]`` are the seconds inside the calls
     of that kind and inside their ``defining`` calls; ``setup[name]`` counts
     the calls and rows of each set-up step (rows: normals, or for the plane
-    set-ups normals and levels)."""
+    set-ups normals and levels); ``centring`` is whether a section set-up
+    (``sections._centred_sections``) runs, and ``spine`` counts the calls
+    and points of the ``defining`` calls it makes outside any ray batch."""
 
     def __init__(self):
         self.op = None  # the name of the op that runs
@@ -113,6 +119,8 @@ class Counts:
         self.ray_s = defaultdict(float)
         self.ray_f_s = defaultdict(float)
         self.setup = defaultdict(lambda: [0, 0, 0])
+        self.centring = False
+        self.spine = [0, 0]
 
 
 def label(body):
@@ -142,8 +150,12 @@ def install(ccgeom, counts):
         def counted(self, x):
             t0 = perf_counter()
             x = np.asarray(x)
+            n = x.size // x.shape[-1] if x.ndim else 1
             counts.defining += 1
-            counts.points += x.size // x.shape[-1] if x.ndim else 1
+            counts.points += n
+            if counts.centring and counts.ray is None:  # a spine check
+                counts.spine[0] += 1
+                counts.spine[1] += n
             solve = counts.solve
             if solve is not None:  # a round of a shell scan's solver
                 solve.append(len(x))
@@ -214,6 +226,15 @@ def install(ccgeom, counts):
             return counted
         return wrapper
 
+    def centred_sections(orig):
+        def counted(*args, **kwargs):
+            counts.centring = True
+            try:
+                return orig(*args, **kwargs)
+            finally:
+                counts.centring = False
+        return counted
+
     def polar_sections(orig):
         def counted(body, anchors, *args, **kwargs):
             counts.guessed = 0
@@ -243,6 +264,7 @@ def install(ccgeom, counts):
     patch(bodies.BodySpec, "defining", defining)
     patch(bodies, "ray_hits_batch", ray_hits_batch)  # the gauge's
     patch(sections, "ray_hits_batch", ray_hits_batch)
+    patch(sections, "_centred_sections", centred_sections)
     patch(sections, "_polar_sections", polar_sections)
     patch(cutvol, "quad", quad)
     patch(cutvol, "section_measure", levels(2))  # (body, u, t)
@@ -281,6 +303,8 @@ def report(name, seed, n_ops, counts, passes=None):
         lines.append(f"  ray_hits_batch time per call outside F, median of {len(passes)} "
                      f"passes: " + ", ".join(times))
     lines.append(f"  defining calls {counts.defining:,}, oracle points {counts.points:,}")
+    lines.append(f"  spine checks: defining calls {counts.spine[0]:,}, oracle points "
+                 f"{counts.spine[1]:,}")
     gauss, margin, planes = (counts.setup[k] for k in ("Gauss-map", "cone-margin", "plane set-ups"))
     lines.append(f"  set-up: Gauss-map calls {gauss[0]:,} ({gauss[1]:,} normals), cone-margin "
                  f"calls {margin[0]:,} ({margin[1]:,} rows), plane set-ups {planes[0]:,} "

@@ -15,7 +15,9 @@ called only by the kinds that read it), and ``form``, a quadric Q with F's
 sign, where the kind has one, whose coefficients along a ray
 ``ray_quadratic`` states (F itself on the ellipsoid, the elliptic
 paraboloid and the square epigraph; F (F + 2 y_d) = height^2 - y_d^2 on
-the hyperboloid sheet and the circular cone). The four
+the hyperboloid sheet and the circular cone); the module function of that
+name states them in space, for the root-finder's guesses and the centres
+of quadric sections. The four
 unbounded kinds are epigraphs y >= height(x') and share F, the inverse
 Gauss map and ``_graph_contacts``, the boundary points and normals over
 abscissae, which the other kinds refuse. The support function is read off
@@ -1041,12 +1043,20 @@ def _reach(body, O, D, g):
     raise GeometryError("boundary bracketing failed; direction nearly recessive")
 
 
+def ray_quadratic(body, P, W):
+    """(a, b, c) of Q(p + s w) = a s^2 + b s + c, Q the ``form`` of the
+    body's kind about its translation, along each ray from the points P
+    along the directions W ((d, rays) arrays); None for a kind without a
+    form."""
+    return body._impl.ray_quadratic(P - body.translation[:, None] if body._moved else P, W)
+
+
 def _quadratic_roots(body, P, W):
     """The smallest positive root of the body kind's ray quadratic along
     each ray from the origins P along the directions W ((d, rays) arrays),
     NaN where it has none that leaves the probes about it finite and
     positive; None for a kind without a ray quadratic."""
-    abc = body._impl.ray_quadratic(P - body.translation[:, None] if body._moved else P, W)
+    abc = ray_quadratic(body, P, W)
     if abc is None:
         return None
     a, b, c = abc

@@ -1,24 +1,26 @@
 """Hyperplane sections: boundedness, admissible levels, measure and centroid.
 
 Every section, in 2D and 3D, starts from one anchor: the point where the
-level meets the body's interior 'spine', then centred by one batch of
-chords. In 2D the plane is a line and its chord is the section, with the
-chord's midpoint as centroid. In 3D the anchor casts four chords, along
-the plane's basis vectors and their diagonals. The bodies of the paper are
-quadrics, whose bounded plane sections are ellipses: where the conic
-through the eight hits is one, the anchor moves to its centre (the
-section's centroid) and the conic guides the polar rule; elsewhere the
-anchor moves to the chords' mean midpoint. 3D sections are integrated in
-polar coordinates around the centred anchor, in the guide ellipse's own
-angle, where a quadric's radii are all 1 to rounding, with a fixed
+level meets the body's interior 'spine', then centred. In 2D the plane is
+a line and its chord is the section, with the chord's midpoint as
+centroid. The bodies of the paper are quadrics, whose bounded plane
+sections are ellipses: on a body whose kind has a form Q, the centre of
+a 3D section is the point of its plane where grad Q is parallel to the
+normal, read off Q restricted to the plane with no oracle call, and that
+ellipse guides the polar rule. Elsewhere (the superellipsoids) the anchor
+casts four chords, along the plane's basis vectors and their diagonals,
+and moves to their mean midpoint. 3D sections are integrated in polar
+coordinates around the centred anchor, in the guide ellipse's own angle,
+where a quadric's radii are all 1 to rounding, with a fixed
 node-doubling refinement schedule, so results are deterministic for a
 given tolerance. ``n_evals`` counts the points at which the body's
 defining function was evaluated, in 2D and 3D.
 
 One kernel does this for a whole array of levels at once, each with its
-own normal and tolerance: one ray batch centres every level (two rays
-each in 2D, eight in 3D), and each round of the polar rules is one batch over
-the levels still short of their tolerance. The set-up of a batch
+own normal and tolerance: one ray batch centres every level that casts
+chords (two rays each in 2D, eight in 3D), one ``defining`` call checks
+the spine anchors of the others, and each round of the polar rules is one
+batch over the levels still short of their tolerance. The set-up of a batch
 (``_section_frames``) orients every distinct normal, builds its plane
 basis and places its spine anchors in one pass, row-wise, with one
 Gauss-map call for both ends of every spine. The root-finder solves every
@@ -40,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies import _HIT_RTOL, INF, _check_unit, _check_units, ray_hits_batch
+from .bodies import _HIT_RTOL, INF, _check_unit, _check_units, ray_hits_batch, ray_quadratic
 from .errors import (
     DegenerateSection,
     LevelOutOfRange,
@@ -53,15 +55,13 @@ _MAX_POLAR_NODES = 16384
 _FIRST_NODES = 16  # the first polar batch, per level
 _DIAMETER_NODES = 128  # every 8th node is one of the first batch's
 _SQRT_HALF = math.sqrt(0.5)
-# the centring rays of a 3D section, (cos, sin) of the angles k pi/4 in its
-# plane, k = 0..7: rays k and k + 4 are opposite
+# the centring rays of a 3D section without a form, (cos, sin) of the
+# angles k pi/4 in its plane, k = 0..7: rays k and k + 4 are opposite
 _OCTAGON = np.array([[1.0, _SQRT_HALF, 0.0, -_SQRT_HALF, -1.0, -_SQRT_HALF, 0.0, _SQRT_HALF],
                      [0.0, _SQRT_HALF, 1.0, _SQRT_HALF, 0.0, -_SQRT_HALF, -1.0, -_SQRT_HALF]])
-_NEXT = np.arange(1, 9) % 8  # the next ray counterclockwise
 _TURN = np.array([-1.0, 1.0])  # (u0, u1) -> (-u1, u0), a 2D normal's basis vector
 _EYE3 = np.eye(3)
 _NEXT3, _PREV3 = np.array([1, 2, 0]), np.array([2, 0, 1])  # (u x a)_i = u_i+1 a_i+2 - u_i+2 a_i+1
-_CONIC_RTOL = 1e-8  # residuals and margin within which centring hits fix a conic
 
 
 @dataclass(frozen=True)
@@ -261,88 +261,64 @@ def _widest(r, dirs):
     return np.max((r[:, :h] + r[:, h:]) * np.linalg.norm(dirs[:, :, :h], axis=0), axis=-1)
 
 
-def _section_conics(r):
-    """The conics Q(y) + L(y) = 1 through the centring hits r (one row of 8
-    per level, at the angles of ``_OCTAGON`` around the anchor y = 0), and
-    where each is its section's ellipse.
-
-    An opposite pair (r+, r-) along a unit v gives Q(v) = 1/(r+ r-) and
-    L(v) = (r- - r+)/(r+ r-). The pairs along e1 and e2 give Q's diagonal
-    and L, the diagonal pairs Q's cross term and three residuals, which are
-    at rounding level exactly where the section is a conic. Returns the
-    centre (its e1 and e2 coordinates), the form (a, b, c) of the ellipse
-    about it, and the mask of the levels where the conic is an ellipse, its
-    residuals are within ``_CONIC_RTOL`` and its centre lies inside the
-    octagon of the hits, which a convex section contains, by that margin.
-    """
-    rp, rm = r[:, :4].T, r[:, 4:].T
-    q = 1.0 / (rp * rm)
-    l = (rm - rp) * q
-    a, c, d, e = q[0], q[2], l[0], l[2]
-    b = q[1] - q[3]
-    size = a + c  # an inverse squared length
-    res = np.maximum(np.abs(q[1] + q[3] - size),
-                     np.maximum(np.abs(l[1] - _SQRT_HALF * (d + e)),
-                                np.abs(l[3] - _SQRT_HALF * (e - d))) * np.sqrt(size))
-    det = 4.0 * a * c - b * b
-    ok = (res <= _CONIC_RTOL * size) & (det > 0.0)
-    det[~ok] = 1.0  # no centre: the caller replaces these levels
-    x, y = (b * e - 2.0 * c * d) / det, (b * d - 2.0 * a * e) / det
-    k = 1.0 - 0.5 * (d * x + e * y)  # the form's value on the conic, about its centre
-    k[~ok] = 1.0
-    # in the triangle (anchor, hit j, hit j + 1) the centre's weight on the
-    # anchor is 1 + (w_j+1 - w_j) / (s r_j r_j+1), s = sin(pi/4): the centre
-    # is inside the octagon where every such weight is positive
-    # (here: above _CONIC_RTOL)
-    w = (y[:, None] * _OCTAGON[0] - x[:, None] * _OCTAGON[1]) * r
-    ok &= ((w[:, _NEXT] - w) > (_CONIC_RTOL - 1.0) * _SQRT_HALF * (r * r[:, _NEXT])).all(axis=1)
-    return (x, y), (a / k, b / k, c / k), ok
-
-
 def _centred_sections(body, normals, which, ts, admissible=False):
     """Anchor the sections {<u,x> = t}, t in ts and u = normals[which], on the
-    spine and centre them in one ray batch.
+    spine and centre them.
 
     The spine anchors and plane bases come from ``_section_frames`` (which
     with admissible first checks the levels), each plane oriented so that
     the unbounded side of the level axis is +u. A 2D anchor then moves to
-    the midpoint of its chord along the plane's basis vector. A 3D anchor
-    casts 8 rays, along +-e1, +-e2 and +-(e1 +- e2)/sqrt(2): where the conic
-    through their hits is the section's ellipse (every bounded plane section
-    of a quadric is one), the anchor moves to its centre, which is the
-    section's centroid; elsewhere to the mean of the four chords' midpoints,
-    and the guide ellipse has the e1 and e2 chords' half-lengths as
-    semi-axes. Returns the centred anchors, the spine anchors, which the
-    centring rays found strictly inside, the plane basis (one (L, d) array
-    of rows per basis vector), the guide (in 2D the chords' half-lengths,
-    in 3D the rows g1 = e1/sqrt(a), g2 = (e2 - (b/2a) e1) / sqrt(c -
-    b^2/4a) of the Cholesky factor of its ellipse a x^2 + b x y + c y^2 = 1
-    about the anchor, which map the unit circle onto it) and the oracle
-    points spent per level. A cone that meets the plane means unbounded
-    sections; an anchor that is not strictly inside means a level grazes
-    the body.
+    the midpoint of its chord along the plane's basis vector. In 3D, on a
+    body whose kind has a form Q, the anchor moves to the centre of Q's
+    ellipse in the plane, which is the section's centroid: about the anchor
+    a, Q(a + x e1 + y e2) = z^T M z + beta^T z + c with z = (x, y), read off
+    Q along e1, e2 and e1 + e2, so the centre is z* = -M^-1 beta / 2 and the
+    section is z^T M z <= kappa about it, with kappa = -c + beta^T M^-1
+    beta / 4 = -Q(z*). A level where F at the spine anchors or kappa does
+    not read the anchor strictly inside grazes the body. Any other 3D
+    anchor casts 8 rays in one batch, along +-e1, +-e2 and +-(e1 +-
+    e2)/sqrt(2), and moves to the mean of the four chords' midpoints, with
+    the e1 and e2 chords' half-lengths as the guide's semi-axes. Returns the
+    centred anchors, the spine anchors, the plane basis (one (L, d) array of
+    rows per basis vector), the guide (in 2D the chords' half-lengths, in 3D
+    the rows g1 = e1/sqrt(a), g2 = (e2 - (b/2a) e1) / sqrt(c - b^2/4a) of
+    the Cholesky factor of its ellipse a x^2 + b x y + c y^2 = 1 about the
+    anchor, which map the unit circle onto it) and the oracle points spent
+    per level. A cone that meets the plane means unbounded sections; an
+    anchor that is not strictly inside means a level grazes the body.
     """
     spine, basis = _section_frames(body, normals, which, ts, admissible)
-    # each ray's coefficients on the basis vectors: (cos, sin) in 3D, +-1 in 2D
-    star = _OCTAGON if len(basis) == 2 else np.array([[1.0, -1.0]])
-    dirs = sum(c * w.T[:, :, None] for c, w in zip(star, basis))
-    try:
-        r, n_evals = _polar_radii(body, spine, dirs, None)
-    except NotInterior as e:
-        raise DegenerateSection("section anchor is not inside the body") from e
-    if len(basis) == 1:
-        half = 0.5 * (r[:, 0] + r[:, 1])
-        return spine + (0.5 * (r[:, 0] - r[:, 1]))[:, None] * basis[0], spine, basis, half, n_evals
-    (x, y), form, ok = _section_conics(r)
-    if not ok.all():
-        # the mean of the chords' midpoints, and the ellipse on the e1 and e2 chords
-        no = ~ok
-        mid = 0.5 * (r[no, :4] - r[no, 4:])
-        x[no] = 0.25 * (mid[:, 0] + _SQRT_HALF * (mid[:, 1] - mid[:, 3]))
-        y[no] = 0.25 * (mid[:, 2] + _SQRT_HALF * (mid[:, 1] + mid[:, 3]))
-        form[0][no] = 4.0 / (r[no, 0] + r[no, 4]) ** 2
-        form[1][no] = 0.0
-        form[2][no] = 4.0 / (r[no, 2] + r[no, 6]) ** 2
+    abc = None
+    if len(basis) == 2:
+        Y = np.ascontiguousarray(spine.T)  # coordinate-major, as F takes batches
+        abc = ray_quadratic(body, np.tile(Y, 3), np.concatenate([*basis, basis[0] + basis[1]]).T)
+    if abc is not None:
+        if not (body.defining(Y.T) < 0.0).all():
+            raise DegenerateSection("section anchor is not inside the body")
+        # M = [[a1, m], [m, a2]], beta = (b1, b2)
+        (a1, a2, a12), (b1, b2, _), (c, _, _) = (v.reshape(3, -1) for v in abc)
+        m = 0.5 * (a12 - a1 - a2)
+        det = a1 * a2 - m * m
+        x, y = 0.5 * (m * b2 - a2 * b1) / det, 0.5 * (m * b1 - a1 * b2) / det
+        kappa = -c - 0.5 * (b1 * x + b2 * y)
+        if not (kappa > 0.0).all():
+            raise DegenerateSection("section anchor is not inside the body")
+        form, n_evals = (a1 / kappa, 2.0 * m / kappa, a2 / kappa), np.ones(len(spine), dtype=int)
+    else:
+        # each ray's coefficients on the basis vectors: (cos, sin) in 3D, +-1 in 2D
+        star = _OCTAGON if len(basis) == 2 else np.array([[1.0, -1.0]])
+        dirs = sum(c * w.T[:, :, None] for c, w in zip(star, basis))
+        try:
+            r, n_evals = _polar_radii(body, spine, dirs, None)
+        except NotInterior as e:
+            raise DegenerateSection("section anchor is not inside the body") from e
+        if len(basis) == 1:
+            half, mid = 0.5 * (r[:, 0] + r[:, 1]), 0.5 * (r[:, 0] - r[:, 1])
+            return spine + mid[:, None] * basis[0], spine, basis, half, n_evals
+        mid = 0.5 * (r[:, :4] - r[:, 4:])
+        x = 0.25 * (mid[:, 0] + _SQRT_HALF * (mid[:, 1] - mid[:, 3]))
+        y = 0.25 * (mid[:, 2] + _SQRT_HALF * (mid[:, 1] + mid[:, 3]))
+        form = (4.0 / (r[:, 0] + r[:, 4]) ** 2, np.zeros(len(r)), 4.0 / (r[:, 2] + r[:, 6]) ** 2)
     anchors = spine + x[:, None] * basis[0] + y[:, None] * basis[1]
     a, b, c = form
     g1 = basis[0] / np.sqrt(a)[:, None]
@@ -354,7 +330,7 @@ def _polar_sections(body, anchors, basis, guide, rtol, moments, wide):
     """Section integrals around centred anchors, with node-doubling refinement.
 
     Returns per level the measure, centroid, error estimate, oracle points
-    spent beyond the centring chords, and whether the rule met its entry of
+    spent beyond the centring, and whether the rule met its entry of
     the per-level tolerances rtol; then the diameters of the levels wide (an
     index array). moments is a mask of the levels whose centroid is
     wanted; the others keep the anchor as centroid and stop on the measure

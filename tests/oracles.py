@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 
 
@@ -197,6 +198,44 @@ def quadric_form(body):
         return np.diag(np.append(1.0 / p ** 2, -1.0)), np.zeros(d), 1.0
     assert body.kind == "circular-cone"
     return np.diag(np.append(np.full(d - 1, p[0] ** 2), -1.0)), np.zeros(d), 0.0
+
+
+@mpmath.workdps(40)
+def plane_ellipse(body, u, t):
+    """Centre, semi-axes (a >= b) and form A of the ellipse that is the
+    section {<u,x> = t} of a 3D quadric body, in 40-digit arithmetic on the
+    floats u and t and ``quadric_form``: the section is the set of points x
+    of its plane with (x - centre)^T A (x - centre) <= 1.
+
+    In an orthonormal basis E of the plane through y0 = t u/|u|^2 (about the
+    body's translation), Q(y0 + E s) = s^T M s + h^T s + Q(y0), with M =
+    E^T P E and h = E^T (2 P y0 + g): the centre is s* = -M^-1 h / 2 and
+    the section s^T M s <= kappa about it, kappa = -Q(y0 + E s*), so A =
+    P / kappa on the plane and the semi-axes are sqrt(kappa / lambda) over
+    M's eigenvalues lambda.
+    """
+    P, g, c = (mpmath.matrix(np.atleast_1d(v).tolist()) for v in quadric_form(body))
+    c = c[0]
+    u = mpmath.matrix([float(v) for v in u])
+    uu = (u.T * u)[0]
+    k = int(np.argmin(np.abs([float(v) for v in u])))
+    e1 = mpmath.matrix([1 if i == k else 0 for i in range(3)]) - u * (u[k] / uu)
+    e1 /= mpmath.norm(e1)
+    e2 = mpmath.matrix([u[1] * e1[2] - u[2] * e1[1], u[2] * e1[0] - u[0] * e1[2],
+                        u[0] * e1[1] - u[1] * e1[0]]) / mpmath.sqrt(uu)
+    E = mpmath.matrix([[e1[i], e2[i]] for i in range(3)])
+    x0 = u * (mpmath.mpf(float(t)) / uu)
+    y0 = x0 - mpmath.matrix([float(v) for v in body.translation])
+    M = E.T * P * E
+    h = E.T * (2 * P * y0 + g)
+    s = -(M ** -1 * h) / 2
+    kappa = -((y0.T * P * y0)[0] + (g.T * y0)[0] + c + (h.T * s)[0] / 2)
+    tr, det = M[0, 0] + M[1, 1], M[0, 0] * M[1, 1] - M[0, 1] ** 2
+    root = mpmath.sqrt(tr * tr - 4 * det)
+    lam = ((tr - root) / 2, (tr + root) / 2)
+    centre = np.array([float(v) for v in x0 + E * s])
+    A = np.array([[float(P[i, j] / kappa) for j in range(3)] for i in range(3)])
+    return centre, float(mpmath.sqrt(kappa / lam[0])), float(mpmath.sqrt(kappa / lam[1])), A
 
 
 def superellipsoid_section_stats(p, u, t):

@@ -287,8 +287,9 @@ def test_root_finder_hands_f_coordinate_major_batches(monkeypatch, call):
     hyperboloid_sheet([1.0, 1.4]),
 ], ids=lambda b: b.kind)
 def test_conic_guessed_first_polar_batch_takes_one_round(monkeypatch, body):
-    # guessed from the section's conic to rounding, every ray of the first
-    # polar batch ends on its probes: one F call for the whole batch
+    # guessed from the section's ellipse, read off the kind's form, to
+    # rounding, every ray of the first polar batch ends on its probes: one F
+    # call for the whole batch
     batches, rounds = record_defining(monkeypatch), []
 
     def counted(*args, guess=None):
@@ -304,8 +305,8 @@ def test_conic_guessed_first_polar_batch_takes_one_round(monkeypatch, body):
         for t in (lo + 0.3 * min(hi - lo, 10.0), lo + 0.7 * min(hi - lo, 10.0)):
             rounds.clear()
             section_stats(body, u, t)
-            # the unguessed centring batch, then the first polar batch
-            assert rounds[1] == (True, 1), (u, t, rounds)
+            # no centring batch: the first batch is the first polar one
+            assert rounds[0] == (True, 1), (u, t, rounds)
 
 
 def test_unguessed_ray_brackets_a_far_root_in_two_rounds(monkeypatch):
@@ -470,8 +471,8 @@ def test_tiny_sphere_sections_end_their_first_polar_batch_in_two_calls(monkeypat
     for t in [*levels, levels]:
         rounds.clear()
         section_measure(body, u, t)
-        # the centring batch, then the first polar batch
-        assert rounds[1] <= 2, (t, rounds)
+        # no centring batch: the first batch is the first polar one
+        assert rounds[0] <= 2, (t, rounds)
 
 
 @pytest.mark.parametrize("body, u, calls", [

@@ -173,7 +173,8 @@ def test_ab_pairs_exports_revisions_and_builds_the_control(tmp_path, ab_pairs):
 def test_ray_rounds_patches_the_names_it_counts_and_restores_them(ray_rounds):
     # the library names the script wraps: renaming one must fail here
     patched = [(bodies.BodySpec, "defining"), (bodies, "ray_hits_batch"),
-               (sections, "ray_hits_batch"), (sections, "_polar_sections"),
+               (sections, "ray_hits_batch"), (sections, "_centred_sections"),
+               (sections, "_polar_sections"),
                (cutvol, "quad"), (cutvol, "section_measure"), (cutvol, "_sections"),
                (asymptotics, "_crossings"), (bodies.BodySpec, "gauss_map"),
                (sections, "_section_frames")]
@@ -189,26 +190,30 @@ def test_ray_rounds_patches_the_names_it_counts_and_restores_them(ray_rounds):
 
 
 def test_ray_rounds_counts_a_first_polar_batch_guessed_to_rounding(ray_rounds):
-    # an sccp-3d section of its ellipsoid: the conic through the centring
-    # hits guesses the first polar radii to rounding, so that batch ends in
-    # its probe round, one F-round
+    # an sccp-3d section of its ellipsoid: the ellipse read off the kind's
+    # form guesses the first polar radii to rounding, so that batch ends in
+    # its probe round, one F-round, after one spine check of one point
     counts = ray_rounds.Counts()
     uninstall = ray_rounds.install(ccgeom, counts)
     try:
         u = np.array([0.3, -0.2, 0.93]) / np.linalg.norm([0.3, -0.2, 0.93])
         section_stats(ellipsoid([1.3, 0.8, 1.0], center=[0.2, -0.1, 0.4]), u, 0.3)
+        assert counts.rounds == {"first polar": [1]} and counts.spine == [1, 1]
+        # a 2D section's chord is unguessed: F is the kind's ray quadratic,
+        # and its rays start at its roots, whose probes end them in the
+        # first F-round
+        section_stats(ellipsoid([1.3, 0.8], center=[0.2, -0.1]), u[:2] / np.linalg.norm(u[:2]), 0.3)
     finally:
         uninstall()
-    assert counts.rounds["first polar"] == [1]
-    assert len(counts.rounds["unguessed"]) == 1  # the centring batch
+    assert counts.rounds["first polar"] == [1] and counts.spine == [1, 1]
     # every defining call of a section is an F-round of one of its batches
-    assert counts.defining == sum(map(sum, counts.rounds.values()))
-    # F is the kind's ray quadratic: the centring rays start at its roots,
-    # whose probes end them in the first F-round
-    body = "ellipsoid [1.3, 0.8, 1.0] at [0.2, -0.1, 0.4]"
+    # or a spine check
+    assert counts.defining == sum(map(sum, counts.rounds.values())) + counts.spine[0]
+    body = "ellipsoid [1.3, 0.8] at [0.2, -0.1]"
     assert counts.unguessed == {body: [1]}
-    assert f"    unguessed on {body}: 1.00 (max 1) over 1 calls" in (
-        ray_rounds.report("sccp-3d", 1, 1, counts).splitlines())
+    lines = ray_rounds.report("sccp-3d", 1, 1, counts).splitlines()
+    assert f"    unguessed on {body}: 1.00 (max 1) over 1 calls" in lines
+    assert "  spine checks: defining calls 1, oracle points 1" in lines
 
 
 def _workloads(monkeypatch):
@@ -229,9 +234,11 @@ def _workloads(monkeypatch):
 def test_ray_rounds_counts_one_f_round_per_unguessed_quadric_call(ray_rounds, monkeypatch):
     # at seed 1 every unguessed batch on a quadric, moved or not, starts at
     # its rays' quadratic roots, whose probes end it in its first F-round;
-    # the superellipse climbs from its probe at the body scale
+    # the superellipse climbs from its probe at the body scale. The 3D
+    # sections cast no unguessed batch: each batch of levels takes one spine
+    # check instead of its centring batch's one F-round
     workloads = _workloads(monkeypatch)
-    means, defining = {}, []
+    means, defining, spine = {}, [], []
     for name in ("cutvol-3d", "sccp-3d", "planar-2d"):
         pool, counts = workloads.WORKLOADS[name].build(1), ray_rounds.Counts()
         uninstall = ray_rounds.install(ccgeom, counts)
@@ -241,12 +248,8 @@ def test_ray_rounds_counts_one_f_round_per_unguessed_quadric_call(ray_rounds, mo
             uninstall()
         means.update({body: round(float(np.mean(r)), 2) for body, r in counts.unguessed.items()})
         defining.append(counts.defining)
+        spine.append(counts.spine)
     assert means == {
-        "ellipsoid [1.0, 1.0, 1.0] at [0.0, 0.0, 3.0]": 1.0,
-        "elliptic-paraboloid-epigraph [1.0, 0.7] at [0.0, 0.0, 1.0]": 1.0,
-        "ellipsoid [1.3, 0.8, 1.0] at [0.2, -0.1, 0.4]": 1.0,
-        "elliptic-paraboloid-epigraph [1.0, 0.7]": 1.0,
-        "hyperboloid-upper-sheet [1.0, 1.4]": 1.0,
         "ellipsoid [1.0, 1.0] at [0.0, 3.0]": 1.0,
         "square": 1.0,
         "square at [0.0, 1.0]": 1.0,
@@ -254,6 +257,7 @@ def test_ray_rounds_counts_one_f_round_per_unguessed_quadric_call(ray_rounds, mo
         "superellipsoid [4.0]": 10.33,
     }
     assert defining == [90, 72, 184]
+    assert spine == [[40, 1510], [36, 480], [0, 0]]
 
 
 def test_ray_rounds_counts_the_levels_of_each_cut_volume(ray_rounds):
@@ -362,7 +366,9 @@ def test_ray_rounds_counts_the_solver_rounds_of_each_shell_scan(ray_rounds):
     assert len(s) == 2 and min(s) >= 1
     # 96 meridians of 192 samples take five chunks, the 2D circle one; every
     # defining call of the section is an F-round of one of its ray batches
-    assert sum(s) == counts.defining - 6 - sum(map(sum, counts.rounds.values()))
+    # or a spine check
+    assert counts.spine == [1, 1]
+    assert sum(s) == counts.defining - 6 - sum(map(sum, counts.rounds.values())) - 1
     assert (f"  solver rounds per shell scan {np.mean(s):.2f} (max {max(s)}) over 2 scans"
             in ray_rounds.report("shell-3d", 1, 2, counts).splitlines())
 
@@ -415,10 +421,12 @@ def test_ray_rounds_times_the_solver_outside_f(ray_rounds):
 
 def test_ray_rounds_times_the_ray_root_finder_outside_f(ray_rounds):
     # per batch kind, the seconds inside ray_hits_batch less its defining
-    # calls', per call: the median over the passes, the calls of the first
+    # calls', per call: the median over the passes, the calls of the first;
+    # a 3D section casts a first polar batch, a 2D one an unguessed chord
     u = np.array([0.3, -0.2, 0.93]) / np.linalg.norm([0.3, -0.2, 0.93])
     pool = [_op("section", None)]
-    pool[0].call = lambda: section_stats(ellipsoid([1.3, 0.8, 1.0]), u, 0.3)
+    pool[0].call = lambda: (section_stats(ellipsoid([1.3, 0.8, 1.0]), u, 0.3),
+                            section_stats(ellipsoid([1.3, 0.8]), [0.6, 0.8], 0.3))
     passes = [ray_rounds.Counts() for _ in range(3)]
     for counts in passes:
         uninstall = ray_rounds.install(ccgeom, counts)

@@ -33,9 +33,11 @@ from ccgeom.errors import DegenerateSection, GeometryError, LevelOutOfRange, Unb
 from oracles import (
     chord_length_brute,
     chord_midpoint_brute,
-    quadric_form,
+    plane_ellipse,
     superellipsoid_section_stats,
 )
+
+EPS = np.finfo(float).eps
 
 
 def test_disk_chord_measure_and_centroid():
@@ -272,14 +274,16 @@ def test_finite_levels_outside_the_interval_are_out_of_range(entry, body, u, t):
 
 
 def test_section_measure_is_defined_just_above_the_support_level():
-    # a few ulps above the support level the centring rays find the spine
-    # anchor inside, but the centred one rounds outside: the polar rule then
-    # runs about the spine anchor, and the measure is defined (a point, nearly)
+    # a few ulps above the support level F finds the spine anchor inside,
+    # but the centred one can round outside (it does at the second level):
+    # the polar rule then runs about the spine anchor, and the measure is
+    # defined (a point, nearly)
     body = unit_sphere(center=[0.0, 0.0, 3.0])
-    u = np.array([-0.21552667678576967, -0.7421232379255468, 0.6346663307003015])
-    t = 0.903998992100905
-    assert 0.0 < t - admissible_levels(body, u)[0] < 4e-16
-    assert 0.0 <= section_measure(body, u, t) < 1e-12
+    for u, t in [([-0.21552667678576967, -0.7421232379255468, 0.6346663307003015], 0.903998992100905),
+                 ([-0.7867605383663435, -0.32849945163039956, 0.5225858451470228], 0.5677575354410683)]:
+        u = np.array(u)
+        assert 0.0 < t - admissible_levels(body, u)[0] < 4e-16
+        assert 0.0 <= section_measure(body, u, t) < 1e-12
     # and on levels 1 ulp to 2^-13 above lo, on each quadric kind in 3D
     rng = np.random.default_rng(5)
     for body in (unit_sphere(center=[0.0, 0.0, 3.0]),
@@ -654,20 +658,6 @@ def test_sections_are_equivariant_under_power_of_two_scales(axes, center, u, lev
         assert np.array_equal(st.n_evals, one.n_evals), lam
 
 
-def _plane_ellipse(body, u, t):
-    """Centre and semi-axes (a >= b) of the section {<u,x> = t} of a quadric body."""
-    P, g, c = quadric_form(body)
-    e1, e2 = (e[0] for e in sections._plane_basis(u[None]))
-    E = np.stack([e1, e2], axis=1)
-    y0 = t * u - np.asarray(body.translation)
-    M = E.T @ P @ E
-    h = E.T @ (2.0 * P @ y0 + g)
-    s = np.linalg.solve(2.0 * M, -h)
-    k = -(y0 @ P @ y0 + g @ y0 + c + 0.5 * h @ s)
-    lam = np.linalg.eigvalsh(M)
-    return t * u + E @ s, math.sqrt(k / lam[0]), math.sqrt(k / lam[1])
-
-
 # (quadric body, normals, levels) with bounded elliptic sections
 QUADRIC_SECTIONS = [
     (ellipsoid([1.0, 2.0, 3.0], center=[0.1, 0.2, -0.3]), [[1.0, 2.0, 2.0], [0.3, -0.5, 0.8]],
@@ -683,9 +673,9 @@ QUADRIC_SECTIONS = [
 @pytest.mark.parametrize("body,normals,levels", QUADRIC_SECTIONS,
                          ids=[b.kind for b, _, _ in QUADRIC_SECTIONS])
 def test_quadric_sections_centre_on_their_ellipse(body, normals, levels):
-    # one centring batch: the anchor lands on the closed-form centre, and the
-    # guide's axes g1, g2 map the unit circle onto the section's ellipse, so
-    # every radius in the guided angle is 1 to rounding
+    # read off the kind's form, the anchor lands on the section's centre to
+    # rounding, and the guide's axes g1, g2 map the unit circle onto the
+    # section's ellipse, so every radius in the guided angle is 1 to rounding
     for u in normals:
         u = np.asarray(u) / np.linalg.norm(u)
         ts = np.array(levels)
@@ -695,9 +685,12 @@ def test_quadric_sections_centre_on_their_ellipse(body, normals, levels):
         dirs = sections._polar_dirs(g1, g2, n)
         r, _ = sections._polar_radii(body, anchors, dirs, np.ones(len(ts) * n))
         for i, t in enumerate(ts):
-            centre, major, minor = _plane_ellipse(body, u, t)
-            assert np.linalg.norm(anchors[i] - centre) <= 1e-12 * body.scale
-            # conjugate semi-diameters span the area of the axes' rectangle
+            centre, major, minor, A = plane_ellipse(body, u, t)
+            assert np.linalg.norm(anchors[i] - centre) <= 16.0 * EPS * body.scale
+            # conjugate semi-diameters: G A G^T = I, and they span the area
+            # of the axes' rectangle
+            G = np.stack([g1[i], g2[i]])
+            assert np.max(np.abs(G @ A @ G.T - np.eye(2))) <= 16.0 * EPS
             assert np.linalg.norm(np.cross(g1[i], g2[i])) == pytest.approx(major * minor, rel=1e-10)
         assert np.max(np.abs(r - 1.0)) <= 1e-10
 
@@ -723,16 +716,10 @@ def test_plane_basis_is_orthonormal_and_normal_to_u():
 
 
 def test_non_quadric_section_refuses_the_conic():
-    # the p = 4 superellipsoid's sections are no conics: the anchor falls back
-    # to the chords' midpoints, and the section is as exact as ever
+    # the p = 4 superellipsoid has no form: its anchor moves to the chords'
+    # midpoints, and the section is as exact as ever
     body, u, t = superellipsoid(4.0, dim=3), np.array([0.3, -0.5, 0.8]), 0.25
     u /= np.linalg.norm(u)
-    normals, which, ts, _ = sections._planes(u, t)
-    anchors, (e1, e2) = sections._section_frames(body, normals, which, ts)
-    e1, e2 = e1[0], e2[0]
-    dirs = sections._OCTAGON[0] * e1[:, None, None] + sections._OCTAGON[1] * e2[:, None, None]
-    r, _ = sections._polar_radii(body, anchors, dirs, None)
-    assert not sections._section_conics(r)[2].any()
     area, centroid = superellipsoid_section_stats(4.0, u, t)
     st = section_stats(body, u, t, rtol=1e-9)
     assert st.converged
@@ -749,7 +736,7 @@ def test_section_diameter_against_the_plane_ellipse():
     for a in ([0.1, -0.2, 0.4], [0.3, 0.1, 0.4], [-0.2, 0.25, 0.3]):
         u = np.array(a) / np.linalg.norm(a)
         for t in (1.2, 2.0, 4.0):
-            _, major, minor = _plane_ellipse(body, u, t)
+            _, major, minor, _ = plane_ellipse(body, u, t)
             bound = (1.0 - (minor / major) ** 2) * (math.pi / sections._DIAMETER_NODES) ** 2 / 2.0
             d = section_diameter(body, u, t)
             assert 2.0 * major * (1.0 - bound) <= d <= 2.0 * major * (1.0 + 1e-12)
@@ -764,14 +751,18 @@ def test_3d_sections_cast_two_ray_batches(monkeypatch):
         return ray_hits_batch(*args, **kwargs)
 
     monkeypatch.setattr(sections, "ray_hits_batch", counted)
-    # one centring batch, then one polar batch that meets rtol on its own
+    # a quadric is centred from its form, with no rays, and its one polar
+    # batch meets rtol on its own; the p = 2 superellipsoid, a ball without a
+    # form, first casts its centring batch (its spine anchors are its
+    # sections' centres, so its polar batch meets rtol on its own too)
     u = np.array([0.1, -0.2, 0.9]) / math.sqrt(0.86)
-    for body in [b for b, _, _ in QUADRIC_SECTIONS[1:]] + [unit_sphere()]:
+    for body, batches in [(b, 1) for b, _, _ in QUADRIC_SECTIONS[1:]] + [
+            (unit_sphere(), 1), (superellipsoid(2.0, dim=3), 2)]:
         t = float(_finite_levels(body, u, 0.5))
         for entry in (section_stats, section_diameter):
             calls.clear()
             entry(body, u, t)
-            assert len(calls) == 2
+            assert len(calls) == batches, (body.kind, entry.__name__)
 
 
 @pytest.mark.parametrize("body,normals,levels", QUADRIC_SECTIONS[:3],
@@ -789,7 +780,7 @@ def test_quadric_sections_converge_in_the_first_batch(monkeypatch, body, normals
                 first = section_stats(body, u, np.array(levels), rtol=rtol)
             assert first.converged.all() and np.array_equal(first.n_evals, st.n_evals)
             for i, t in enumerate(levels):
-                centre, major, minor = _plane_ellipse(body, u, t)
+                centre, major, minor, _ = plane_ellipse(body, u, t)
                 assert abs(st.measure[i] - math.pi * major * minor) <= st.err_estimate[i]
                 assert np.linalg.norm(st.centroid[i] - centre) <= st.err_estimate[i]
 
