@@ -5,7 +5,12 @@
     python scripts/op_digest.py --seed 1 --dump results-seed1.npz
 
 Each workload's pool (``perfbench/workloads.py``) is built for the seed and
-every op runs once, in pool order. A result is hashed by value: a float or
+every op runs once, in pool order. A last pool, ``catalog``, covers what no
+workload runs: every body kind and function tag of ``ccgeom.bodies``, in 2D
+and in 3D where the kind allows, unmoved and moved along e_d, each through
+section_stats, one halfspace cut volume, one unguessed ray batch, the Gauss
+map and (where its recession cone has interior) a shell scan; its op names
+start with the body. A result is hashed by value: a float or
 a float array by its ``tobytes()`` (with its shape), a dataclass field by
 field, an op that raises by its error's type and message. Two checkouts
 that print the same digests gave the same result, bit for bit, on every op,
@@ -20,6 +25,7 @@ checkouts differ within a tolerance, ``scripts/op_diff.py`` compares two
 such files.
 """
 import argparse
+import collections
 import dataclasses
 import hashlib
 import sys
@@ -78,6 +84,81 @@ def digest(pool, results=None):
     return h.hexdigest()
 
 
+# the catalog's bodies: (kind, params, dimension, function tag)
+CATALOG = [
+    ("ellipsoid", (1.3, 0.8), 2, None), ("ellipsoid", (1.3, 0.8, 1.1), 3, None),
+    ("elliptic-paraboloid-epigraph", (0.7,), 2, None),
+    ("elliptic-paraboloid-epigraph", (1.0, 0.7), 3, None),
+    ("hyperboloid-upper-sheet", (1.2,), 2, None),
+    ("hyperboloid-upper-sheet", (1.0, 1.4), 3, None),
+    ("circular-cone", (1.7,), 2, None), ("circular-cone", (0.6,), 3, None),
+    ("superellipsoid", (4.0,), 2, None), ("superellipsoid", (3.0,), 3, None),
+] + [("function-epigraph", (), 2, tag) for tag in ("square", "quartic", "exp", "cosh")]
+CATALOG_SHIFT = 2.5  # the moved copy of each body, along e_d
+
+
+CatalogOp = collections.namedtuple("CatalogOp", "name call")  # name: "<body> <module>.<function>"
+
+
+def _unit_rows(rng, n, d, keep):
+    """n seeded unit rows u of R^d, drawn until keep(u) holds for each."""
+    rows = []
+    while len(rows) < n:
+        u = rng.normal(size=d)
+        u /= np.linalg.norm(u)
+        if keep(u):
+            rows.append(u)
+    return np.array(rows)
+
+
+def _body_ops(body, label, rng):
+    """The catalog's ops on one body, named after its label."""
+    import ccgeom as cg
+    from ccgeom import bodies
+
+    d, cone = body.ambient_dim, body.recession_cone()
+    ops = []
+
+    def op(fn, call):
+        ops.append(CatalogOp(f"{label} {fn}", call))
+
+    # two normals near e_d whose sections, and the cuts below them, are bounded
+    normals = _unit_rows(rng, 2, d, lambda u: u[-1] > 0.5 and cg.section_bounded(body, u)
+                         and (cone.dim == 0 or cone.positive_on(u)))
+    for u in normals:
+        lo, hi = cg.admissible_levels(body, u)
+        if not np.isfinite(hi):
+            hi = max(lo, 0.0) + 4.0 * body.scale
+        for f in (0.2, 0.5, 0.8):
+            op("sections.section_stats",
+               lambda u=u, t=lo + f * (hi - lo): cg.section_stats(body, u, t))
+    # one cut of the last normal, at the middle of its levels
+    op("cutvol.halfspace_cut_volume",
+       lambda t=0.5 * (lo + hi): cg.halfspace_cut_volume(body, normals[-1], t))
+    # directions well outside the recession cone, so that every ray leaves
+    W = _unit_rows(rng, 8, d, lambda w: cone.defining(w) > 0.1)
+    op("bodies.ray_hits_batch", lambda: bodies.ray_hits_batch(body, body.interior_point(), W))
+    U = _unit_rows(rng, 8, d, lambda u: True)
+    op("bodies.gauss_map", lambda: body.gauss_map(U))
+    if cone.dim == d:
+        op("asymptotics.shell_distance", lambda: cg.shell_distance(body, cone, 100.0, 24))
+    return ops
+
+
+def catalog(seed):
+    """The catalog pool for the seed, body by body."""
+    from ccgeom import BodySpec
+
+    rng = np.random.default_rng(seed)
+    pool = []
+    for kind, params, d, tag in CATALOG:
+        for shift in (0.0, CATALOG_SHIFT):
+            body = BodySpec(kind, params, shift * np.eye(d)[-1], ambient_dim=d, tag=tag)
+            label = f"{kind}{'' if tag is None else ':' + tag} {d}d{' moved' if shift else ''}"
+            pool += _body_ops(body, label, rng)
+    return pool
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seed", type=int, default=0)
@@ -87,8 +168,9 @@ def main(argv=None):
     import workloads
 
     dumped = {}
-    for name, workload in workloads.WORKLOADS.items():
-        pool = workload.build(args.seed)
+    pools = {name: workload.build for name, workload in workloads.WORKLOADS.items()}
+    for name, build in dict(pools, catalog=catalog).items():
+        pool = build(args.seed)
         results = []
         print(f"{name} seed {args.seed} {len(pool)} ops {digest(pool, results)}", flush=True)
         dumped.update((f"{name}/{i:04d}/{op.name}", r)

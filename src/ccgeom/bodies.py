@@ -17,13 +17,14 @@ sign, where the kind has one, whose coefficients along a ray
 paraboloid and the square epigraph; F (F + 2 y_d) = height^2 - y_d^2 on
 the hyperboloid sheet and the circular cone); the module function of that
 name states them in space, for the root-finder's guesses and the centres
-of quadric sections. The four
-unbounded kinds are epigraphs y >= height(x') and share F, the inverse
-Gauss map and ``_graph_contacts``, the boundary points and normals over
-abscissae, which the other kinds refuse. The support function is read off
-the Gauss map, h(u) = <u, x(u)> with x(u) the boundary point of outer
-normal u, exactly on the attained normals; elsewhere h is its limit, 0 or
-+inf.
+of quadric sections. The four unbounded kinds are epigraphs y >= height(x')
+and share F, the inverse Gauss map and ``_graph_contacts``, the boundary
+points and normals over abscissae, which the other kinds refuse; the sheet
+and the cone are one class, the upper nappe height = sqrt(k + sum (x_i /
+a_i)^2), with k = 1 on the sheet and k = 0 on the cone. The support
+function is read off the Gauss map, h(u) = <u, x(u)> with x(u) the
+boundary point of outer normal u, exactly on the attained normals;
+elsewhere h is its limit, 0 or +inf.
 
 Each recession cone kind ({0}, ray, quadrant, elliptic) is one class of the
 table ``_CONE_KINDS``, and every cone predicate is one comparison of its
@@ -497,64 +498,52 @@ def _square_gap(s, p, u):
     return np.array([gap(a, b) for a, b in zip(s.tolist(), u.tolist())])
 
 
-class _Hyperboloid(_Graph):
-    needs = "hyperboloid sheet needs n positive semi-axes"
-    # F (F + 2 y_d) = height^2 - y_d^2, negative inside, where height > -y_d
-    form = cached_property(lambda self: (np.append(1.0 / self.p ** 2, -1.0), 0.0, 1.0))
+class _Nappe(_Graph):
+    """The upper nappe y_d >= height(x') = sqrt(k + sum (x_i/a_i)^2): the
+    hyperboloid sheet (k = 1, a its semi-axes) and the circular cone (k = 0,
+    every a_i = 1/slope), each with its needs, by kind name."""
+    _KINDS = {"hyperboloid-upper-sheet": (1.0, "hyperboloid sheet needs n positive semi-axes"),
+              "circular-cone": (0.0, "circular cone needs one positive slope")}
 
-    def height(self, x):
-        return np.sqrt(1.0 + np.add.reduce((x / self.p) ** 2, axis=-1))
-
-    def height_grad(self, x):
-        return x / (self.p ** 2 * self.height(x)[:, None])
-
-    def gauss(self, U):
-        # with s = -u_d and r = |p u'|, u is attained where s > r, with x(u)
-        # = (p^2 u', s) / sqrt(D) and h(u) = -sqrt(D), D = s^2 - r^2; on the
-        # asymptotic cone's normals (s = r) the supremum is 0, not attained.
-        # D is formed from u's entries to rounding, as it cancels there.
-        s = -U[:, -1]
-        D = _square_gap(s, self.p, U[:, :-1])
-        on = (D > 0.0) & (s > 0.0)
-        root = np.sqrt(D, out=np.full(len(U), np.nan), where=on)
-        h = np.where(on, -root, np.where((D == 0.0) & (s > 0.0), 0.0, INF))
-        X = np.concatenate([self.p ** 2 * U[:, :-1], s[:, None]], axis=1) / root[:, None]
-        return h, X, on
-
-    def cone(self):
-        return ConeDescriptor("elliptic", self.dim, self.params)
-
-
-class _CircularCone(_Graph):
-    needs = "circular cone needs one positive slope"
-    # height^2 - y_d^2, as on the sheet
-    form = cached_property(lambda self: (np.append(np.full(self.dim - 1, self.p[0] ** 2), -1.0),
-                                         0.0, 0.0))
+    def __init__(self, spec):
+        self.k, self.needs = self._KINDS[spec.kind]
+        super().__init__(spec)
+        self.a = self.p if self.k else np.full(self.dim - 1, 1.0 / self.p[0])
 
     def valid(self):
-        return len(self.params) == 1 and self.params[0] > 0
+        return len(self.params) == (self.dim - 1 if self.k else 1) and min(self.params) > 0
+
+    # F (F + 2 y_d) = height^2 - y_d^2, negative inside, where height > -y_d
+    form = cached_property(lambda self: (np.append(1.0 / self.a ** 2, -1.0), 0.0, self.k))
 
     def height(self, x):
-        return self.p[0] * np.linalg.norm(x, axis=-1)
+        return np.sqrt(self.k + np.add.reduce((x / self.a) ** 2, axis=-1))
 
     def height_grad(self, x):
-        r = np.sqrt(np.vecdot(x, x))
-        # the apex has no normal
-        return self.p[0] * x / np.where(r < 1e-300, np.nan, r)[:, None]
+        height = self.height(x)  # 0 at the cone's apex, which has no normal
+        return x / (self.a ** 2 * np.where(height < 1e-300, np.nan, height)[:, None])
 
     def interior(self):
         y = np.zeros(self.dim)
-        y[-1] = max(1.0, self.params[0])
+        y[-1] = 2.0 if self.k else max(1.0, self.params[0])
         return y
 
-    def limit_support(self, U):
-        # never NaN: not strictly convex, so the Gauss map is not invertible;
-        # 0 at the apex for normals of the polar cone
-        x = U[:, :-1]
-        return np.where(self.p[0] * -U[:, -1] >= np.sqrt(np.vecdot(x, x)), 0.0, INF)
+    def gauss(self, U):
+        # with s = -u_d and r = |a u'|, u is attained where s > r and k > 0,
+        # with x(u) = (a^2 u', s) / sqrt(D) and h(u) = -sqrt(D), D = s^2 -
+        # r^2; elsewhere on s >= r (the cone's polar cone, the sheet's
+        # asymptotic cone normals) the supremum is 0, not attained. D is
+        # formed from u's entries to rounding, as it cancels at s = r.
+        s = -U[:, -1]
+        D = _square_gap(s, self.a, U[:, :-1])
+        on = (D > 0.0) & (s > 0.0) & (self.k > 0.0)
+        root = np.sqrt(D, out=np.full(len(U), np.nan), where=on)
+        h = np.where(on, -root, np.where((D >= 0.0) & (s > 0.0), 0.0, INF))
+        X = np.concatenate([self.a ** 2 * U[:, :-1], s[:, None]], axis=1) / root[:, None]
+        return h, X, on
 
     def cone(self):
-        return ConeDescriptor("elliptic", self.dim, (1.0 / self.params[0],) * (self.dim - 1))
+        return ConeDescriptor("elliptic", self.dim, tuple(self.a.tolist()))
 
 
 # Generating functions of the planar epigraphs: f, f', the inverse of f',
@@ -613,8 +602,8 @@ class _FunctionEpigraph(_Graph):
 _BODY_KINDS = {
     "ellipsoid": _Ellipsoid,
     "elliptic-paraboloid-epigraph": _Paraboloid,
-    "hyperboloid-upper-sheet": _Hyperboloid,
-    "circular-cone": _CircularCone,
+    "hyperboloid-upper-sheet": _Nappe,
+    "circular-cone": _Nappe,
     "function-epigraph": _FunctionEpigraph,
     "superellipsoid": _Superellipsoid,
 }
@@ -879,10 +868,9 @@ def ray_hits_batch(body, origin, directions, guess=None):
     All rays share one state array of named rows, one column per ray (laid
     out after this function). A probe or ladder round reads each ray's ends
     off its first outside point; each solver step runs over every column
-    under the mask of the open rays, hands F only their points, and keeps
-    the open columns alone once fewer than a quarter are open. A ray's
-    arithmetic is the same expressions in the same order whatever its
-    column.
+    under the mask of the open rays, all set at first, and hands F only
+    their points. A ray's arithmetic is the same expressions in the same
+    order whatever its column.
 
     All directions must be non-recessive (guaranteed for bounded sections).
     Origins, directions and every batch of points are held coordinate-major,
@@ -1087,17 +1075,14 @@ def _narrow(body, S, P, W, hits):
     origins P along the directions W, to F = 0; write each ray's hit into
     hits and return the points evaluated along each ray.
 
-    Each step runs over every column of S under the mask of the open rays:
-    a ray that stops gets its hit, and later steps go on over its column
-    without reading it again. Once fewer than a quarter of the columns are
-    open, the state keeps the open ones alone.
+    Each step runs over every column of S under the mask of the open rays,
+    all set at first, and hands F the open rays' points alone: a ray that
+    stops gets its hit, and later steps go on over its column without
+    reading it again.
     """
     F = body.defining
-    d = len(P)
-    n_open = S.shape[1]
-    # the ray of each column (None: column i is ray i), where the hits go,
-    # and the open columns (None: all of them)
-    cols, hit, open_, noisy = None, hits, None, None
+    d, n_open = len(P), S.shape[1]
+    open_ = np.full(n_open, True)
     for step in range(_SOLVE_STEPS):
         # zeros of the lines through (Lp, l), (l, h) and (h, p), each taken
         # from its first point, so that F = inf at h or p gives l or NaN
@@ -1121,9 +1106,9 @@ def _narrow(body, S, P, W, hits):
         close &= ok
         done = l >= hf[1]
         done |= close
-        if noisy is not None:
+        if step:
             done |= noisy
-        still = ~done if open_ is None else open_ > done
+        still = open_ > done
         n_still = np.count_nonzero(still)
         if n_still:
             # F at l and h rounds within a few eps T of its value: within
@@ -1136,37 +1121,18 @@ def _narrow(body, S, P, W, hits):
             flat = np.abs(flh) <= blh
             done |= flat[0]
             done |= flat[1]
-            if open_ is None:
-                np.logical_not(done, out=still)
-            else:
-                np.greater(open_, done, out=still)
+            np.greater(open_, done, out=still)
             n_still = np.count_nonzero(still)
         if n_still < n_open:
-            # close implies done, so where every column is open the rays
-            # that stop are done's
-            new = done if open_ is None else open_ > still
-            np.copyto(hit, z1, where=new)
-            mid = a + secant
-            mid *= 0.5
-            np.copyto(hit, mid, where=close if open_ is None else new & close)
+            new = open_ > still
+            np.copyto(hits, z1, where=new)
+            np.copyto(hits, 0.5 * (a + secant), where=close & new)
             if step:
                 # two points in each earlier step
                 np.add(S[_EVALS], 2.0 * step, out=S[_EVALS], where=new)
             if n_still == 0:
                 break
             open_, n_open = still, n_still
-            if 4 * n_open < S.shape[1]:
-                # fewer than a quarter open: go on with their columns alone
-                if cols is None:
-                    evals = S[_EVALS].copy()
-                    cols = np.flatnonzero(open_)
-                else:
-                    hits[cols], evals[cols] = hit, S[_EVALS]
-                    cols = cols[open_]
-                S, P, W, hf, secant, ok = (v.compress(open_, axis=-1)
-                                           for v in (S, P, W, hf, secant, ok))
-                open_, hit = None, np.empty(n_open)
-                l, h, a = S[_L], S[_H], S[_A]
         # b: the secant root, or a geometric bisection where there is none
         # or the last step did not halve the bracket's log-width (sqrt(h /
         # l) before it, infinite before the first)
@@ -1184,10 +1150,7 @@ def _narrow(body, S, P, W, hits):
         xab, fab = S[_A:_B + 1], S[_F + _A:_F + _B + 1]
         pts = xab * W[:, None]
         pts += P[:, None]
-        if open_ is None:
-            fab[...] = F(pts.reshape(d, -1).T).reshape(2, -1)
-        else:
-            fab[:, open_] = F(pts.compress(open_, axis=2).reshape(d, -1).T).reshape(2, -1)
+        fab[:, open_] = F(pts.compress(open_, axis=2).reshape(d, -1).T).reshape(2, -1)
         _band(body, fab, xab, P[-1], W[-1], S[_BAND + _A:_BAND + _B + 1])
         # each point updates whichever end its sign says; the chord root a
         # is inside unless F is rounding noise there
@@ -1201,13 +1164,9 @@ def _narrow(body, S, P, W, hits):
     else:
         # step cap: the chord roots of the brackets still open
         l, h, fl, fh = S[_L], S[_H], S[_F + _L], S[_F + _H]
-        where = True if open_ is None else open_
-        np.copyto(hit, l - fl * ((h - l) / (fh - fl)), where=where)
-        np.add(S[_EVALS], 2.0 * _SOLVE_STEPS, out=S[_EVALS], where=where)
-    if cols is None:
-        return S[_EVALS]
-    hits[cols], evals[cols] = hit, S[_EVALS]
-    return evals
+        np.copyto(hits, l - fl * ((h - l) / (fh - fl)), where=open_)
+        np.add(S[_EVALS], 2.0 * _SOLVE_STEPS, out=S[_EVALS], where=open_)
+    return S[_EVALS]
 
 
 # -- convenience constructors used throughout the tests and CLI ------------

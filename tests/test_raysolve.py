@@ -519,8 +519,8 @@ def test_bracket_counts_only_the_inside_points_before_the_first_outside():
 def test_compacted_batch_matches_rays_alone(monkeypatch):
     # 28 of 32 rays are guessed to rounding and end on their probes; the 4
     # rays of the step-cap test's direction start from 1, climb the ladder
-    # and take 8 solver steps, so the state keeps their columns alone: each
-    # hit and each origin's count is bitwise the one it gets alone
+    # and take 8 solver steps under a mask that holds their columns alone:
+    # each hit and each origin's count is bitwise the one it gets alone
     body = superellipsoid(8.0)
     rng = np.random.default_rng(7)
     angle = rng.uniform(0.0, 2.0 * math.pi, 32)

@@ -529,3 +529,30 @@ def test_op_digest_flattens_in_the_order_it_hashes(op_digest):
               for head, data in zip(h.parts, h.parts[1:]) if header.match(head)]
     assert len(hashed) == 10
     assert np.array_equal(np.concatenate(hashed), op_digest._flatten(result))
+
+
+def test_op_digest_catalog_names_every_kind_and_tag(op_digest):
+    pool = op_digest.catalog(0)
+    calls = {}
+    for op in pool:
+        kind, dim, *moved, call = op.name.split()
+        calls.setdefault((kind, dim, bool(moved)), []).append(call)
+    kinds = {kind for kind, _, _ in calls}
+    assert {kind.split(":")[0] for kind in kinds} == set(bodies.KINDS)
+    assert {kind.split(":")[1] for kind in kinds if ":" in kind} == set(bodies.FUNCTION_TAGS)
+    # every body in 2D, and in 3D but for the planar epigraphs, unmoved and
+    # moved, through every call but the shell scan, which needs a cone with
+    # interior
+    for kind in kinds:
+        for dim in ("2d",) if kind.startswith("function-epigraph") else ("2d", "3d"):
+            for moved in (False, True):
+                body = calls.pop((kind, dim, moved))
+                assert body[:8] == ["sections.section_stats"] * 6 + [
+                    "cutvol.halfspace_cut_volume", "bodies.ray_hits_batch"]
+                assert body[8:] in (["bodies.gauss_map"],
+                                    ["bodies.gauss_map", "asymptotics.shell_distance"])
+    assert not calls
+    # no op raises: every input is admissible
+    results = []
+    op_digest.digest(pool, results)
+    assert not [op.name for op, r in zip(pool, results) if r.dtype.kind == "U"]
