@@ -28,9 +28,11 @@ and the ``defining`` calls and oracle points (points at which
 ``defining`` calls, and their points, that a section set-up makes outside
 any ray batch: F at the spine anchors of a 3D section centred from its
 kind's form, one point a level), the solver rounds per shell
-scan (mean and max, and the number of scans), the brackets still open in
-each solver round (the mean over the scans, a scan that has stopped
-counting 0), the solver's mean time per round outside F, and the minor
+scan (mean and max, and the number of scans), how many scans took each
+path (the closed form or the grid scan, and how many closed-form ladders
+fell back to the grid), the brackets still open in each solver round of
+the grid scans (the mean over them, a scan that has stopped counting 0),
+the solver's mean time per round outside F, and the minor
 page faults of the process per op (``getrusage`` around each op; the
 median, which the first op's one-off set-up, such as the shell scan's
 cached arcs, does not move, the mean and the max). For each op that
@@ -50,9 +52,13 @@ section batch, builds their bases and places their spine anchors) with
 their normals and levels.
 
 A shell scan's solver rounds are the ``defining`` calls made inside its
-call of ``asymptotics._crossings``, which the script wraps by name: one
-call per round, one point per bracket still open. The solver's time
-outside F is the time inside ``_crossings`` less the time of those calls.
+solver, which the script wraps by name: ``asymptotics._form_crossings`` on
+the closed-form path (its ladder and its split, two calls), and
+``asymptotics._crossings`` after the grid scan, one call per round, one
+point per bracket still open. A closed-form call that returns None has
+fallen back to the grid: its ladder call counts apart, and the grid scan
+that follows is the scan. The solver's time outside F is the time inside
+the solvers less the time of those calls.
 Likewise the ray root-finder's time per call outside F, for all its calls
 and for each batch kind, is the time inside ``ray_hits_batch`` less that of
 its ``defining`` calls. Both times are the median over PASSES passes of
@@ -84,7 +90,9 @@ class Counts:
     the polar rule, the rays of its guessed batches and the levels refined
     past its first batch, and ``first_nodes`` lists the rays per level of
     each first polar batch; ``scans`` lists, for each shell scan, the
-    brackets open in each of its solver rounds, ``solve`` is the list of the
+    points of each of its solver rounds (on the grid path, the brackets
+    open), ``paths`` the path of each ("closed form", "grid", or "fallback"
+    for a closed-form ladder that fell back), ``solve`` is the list of the
     scan whose solver runs (or None), and ``solve_s`` and ``solve_f_s`` are
     the seconds inside the solver and inside its ``defining`` calls; ``ray``
     is the kind of the running ``ray_hits_batch`` call (or None), and
@@ -112,6 +120,7 @@ class Counts:
         self.first_nodes = []
         self.guessed = None  # guessed batches of the running polar rule so far
         self.scans = []
+        self.paths = []
         self.solve = None
         self.solve_s = 0.0
         self.solve_f_s = 0.0
@@ -167,17 +176,25 @@ def install(ccgeom, counts):
             return out
         return counted
 
-    def crossings(orig):
-        def counted(*args):
-            counts.scans.append([])
-            counts.solve = counts.scans[-1]
-            t0 = perf_counter()
-            try:
-                return orig(*args)
-            finally:
-                counts.solve_s += perf_counter() - t0
-                counts.solve = None
-        return counted
+    def solver(path):
+        """A wrapper counting a shell scan's solver calls on path, its
+        defining calls as the scan's rounds."""
+        def wrapper(orig):
+            def counted(*args):
+                counts.scans.append([])
+                counts.paths.append(path)
+                counts.solve = counts.scans[-1]
+                t0 = perf_counter()
+                try:
+                    out = orig(*args)
+                finally:
+                    counts.solve_s += perf_counter() - t0
+                    counts.solve = None
+                if out is None:  # a closed-form ladder that fell back to the grid
+                    counts.paths[-1] = "fallback"
+                return out
+            return counted
+        return wrapper
 
     def ray_hits_batch(orig):
         def counted(body, origin, directions, guess=None):
@@ -269,7 +286,8 @@ def install(ccgeom, counts):
     patch(cutvol, "quad", quad)
     patch(cutvol, "section_measure", levels(2))  # (body, u, t)
     patch(cutvol, "_sections", levels(3))  # (body, normals, k, levels, ...), with the cut plane
-    patch(asymptotics, "_crossings", crossings)
+    patch(asymptotics, "_crossings", solver("grid"))
+    patch(asymptotics, "_form_crossings", solver("closed form"))
     patch(bodies.BodySpec, "gauss_map", rows("Gauss-map"))
     for kind in bodies._CONE_KINDS.values():
         patch(kind, "margin", rows("cone-margin"))
@@ -310,16 +328,23 @@ def report(name, seed, n_ops, counts, passes=None):
                  f"calls {margin[0]:,} ({margin[1]:,} rows), plane set-ups {planes[0]:,} "
                  f"({planes[1]:,} normals, {planes[2]:,} levels)")
     if counts.scans:
-        s = [len(brackets) for brackets in counts.scans]
-        lines.append(f"  solver rounds per shell scan {np.mean(s):.2f} (max {max(s)}) "
-                     f"over {len(s)} scans")
-        table = np.zeros((len(s), max(s)))  # a stopped scan has 0 open
-        for row, brackets in zip(table, counts.scans):
-            row[:len(brackets)] = brackets
-        lines.append("  open brackets per solver round, mean over the scans: "
-                     + "/".join(f"{m:.1f}" for m in table.mean(axis=0)))
-        outside = 1e6 * np.median([c.solve_s - c.solve_f_s for c in passes]) / sum(s)
-        lines.append(f"  solver time per round outside F {outside:.1f} us over {sum(s)} rounds"
+        paths = [counts.paths.count(p) for p in ("closed form", "grid", "fallback")]
+        lines.append("  shell scans by path: {} closed form, {} grid; {} closed-form ladders "
+                     "fell back to the grid".format(*paths))
+        s = [len(r) for r, p in zip(counts.scans, counts.paths) if p != "fallback"]
+        if s:
+            lines.append(f"  solver rounds per shell scan {np.mean(s):.2f} (max {max(s)}) "
+                         f"over {len(s)} scans")
+        grid = [r for r, p in zip(counts.scans, counts.paths) if p == "grid"]
+        if grid:
+            table = np.zeros((len(grid), max(map(len, grid))))  # a stopped scan has 0 open
+            for row, brackets in zip(table, grid):
+                row[:len(brackets)] = brackets
+            lines.append("  open brackets per solver round, mean over the grid scans: "
+                         + "/".join(f"{m:.1f}" for m in table.mean(axis=0)))
+        rounds = sum(map(len, counts.scans))
+        outside = 1e6 * np.median([c.solve_s - c.solve_f_s for c in passes]) / rounds
+        lines.append(f"  solver time per round outside F {outside:.1f} us over {rounds} rounds"
                      f" (median of {len(passes)} passes)")
     if counts.faults:
         f = counts.faults

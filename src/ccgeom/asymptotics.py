@@ -3,50 +3,70 @@
 A point of (boundary ∩ S_R) is a zero of the defining function F on S_R,
 so the body's shell points are found on the sphere itself, with no ray
 cast. Every scan is about the origin: ``blowdown_check`` moves the body
-by -x0 rather than the sphere by x0. F is sampled on great-circle arcs of
-S_R: the whole circle in 2D, and in 3D one meridian from pole to pole per
-azimuth, in the vertical half-plane at that azimuth. The arcs are built
-once (in 3D once per azimuth count) and cached; the scan makes one
-``defining`` call per chunk of whole arcs, at most ``_SCAN_POINTS`` points
-(the whole 2D circle in one), each on a batch held coordinate-major, one
-contiguous block per coordinate, where F's sums over coordinates run as
-whole-row adds. F is pointwise, so the chunks change no value; they keep
-each temporary of the scan under glibc's 128 KB mmap threshold, so that it
-is served from the heap rather than mapped, and faulted in, anew each scan.
+by -x0 rather than the sphere by x0. The arcs of S_R searched are the whole
+circle in 2D, and in 3D one meridian from pole to pole per azimuth, in the
+vertical half-plane at that azimuth.
+
+A 3D body whose kind has a quadric form that is unbounded (the elliptic
+paraboloid, the hyperboloid sheet and the circular cone), moved at most
+along e_d, as ``blowdown_check`` moves it, takes a closed form: there F
+changes sign once on each meridian, where the form, restricted to the
+meridian, is a quadratic in sin a with a root on the upper nappe. The root
+gives (cos a, sin a) without an angle, which could not resolve a crossing
+near the pole, and two ``defining`` calls close the bracket about it: a
+ladder of probes 2^-52 rad apart, then the one step that changes sign split
+into 16. A ladder that does not show exactly one sign change sends the
+whole call to the scan below. The scan serves every other body: 2D bodies,
+kinds without a form (the superellipsoid and the exp, cosh and quartic
+epigraphs), bounded quadrics, and quadrics moved off their axis, where the
+meridian's equation is a quartic. The 2D circle's crossings are the same
+quadratic's roots, with both signs of cos a, but a closed form there moves
+the planar shells by rounding, which 2D's error estimate cannot yet bound,
+so 2D keeps the scan.
+
+The scan samples F on the arcs. The arcs are built once (in 3D once per
+azimuth count) and cached; the scan makes one ``defining`` call per
+chunk of whole arcs, at most ``_SCAN_POINTS`` points (the whole 2D
+circle in one), each on a batch held coordinate-major, one contiguous
+block per coordinate, where F's sums over coordinates run as whole-row
+adds. F is pointwise, so the chunks change no value; they keep each
+temporary of the scan under glibc's 128 KB mmap threshold, so that it is
+served from the heap rather than mapped, and faulted in, anew each scan.
 Each sign change of F <= 0 between neighbouring samples brackets one
-crossing; the changes are read off one flat index of the (arcs, samples -
-1) mask, divided by samples - 1 into (arc, sample), in np.nonzero's order.
-The scan's F values at both ends of a bracket start its solve. All
-brackets are solved together by Chandrupatla's bracketed inverse-quadratic
-method (T. R. Chandrupatla, "A new hybrid quadratic/bisection algorithm
-for finding the zero of a nonlinear function without using derivatives",
-Adv. Eng. Software 28 (1997) 145-149), one ``defining`` call per round
-at the points of the brackets still open, in the angle d from the
-bracket's inside sample along the arc, so the crossing is resolved to
-rounding relative to the bracket rather than to the arc's absolute angle.
-A round takes the inverse-quadratic step through the last three points
-where Chandrupatla's test allows it and bisects otherwise, and also
-whenever the last two rounds together did not halve the bracket, so any
-three rounds at least halve it. A bracket stops once it is narrower than
-2^-55 + 4 eps d radians, or F is exactly 0 at its new point: R times that
-width is under 0.4 ulp(R), below the rounding of forming the point R
-(cos d u0 + sin d t0) itself, so a narrower bracket would not move the
-point. It gives its inside end, where F <= 0, as does a bracket still
-open at the cap of 112 rounds, twice the 56 steps of a bisection. The
-solver's state is one array of named rows by brackets, and a round is a
-fixed sequence of about 40 numpy calls on its rows and row blocks, each
-writing in place, over every bracket under an open mask: a closed
-bracket keeps its next point at its newest, so its state repeats itself,
-and only the open brackets' points go to F. A bracket's arithmetic does
-not depend on what else is in the batch, so its crossing solved alone is
-bitwise the one solved with its scan.
+crossing; the changes are read off one flat index of the (arcs,
+samples - 1) mask, divided by samples - 1 into (arc, sample), in
+np.nonzero's order. The scan's F values at both ends of a bracket start
+its solve. All brackets are solved together by Chandrupatla's bracketed
+inverse-quadratic method (T. R. Chandrupatla, "A new hybrid quadratic/bisection
+algorithm for finding the zero of a nonlinear function without using
+derivatives", Adv. Eng. Software 28 (1997) 145-149), one ``defining``
+call per round at the points of the brackets still open, in the angle d
+from the bracket's inside sample along the arc, so the crossing is
+resolved to rounding relative to the bracket rather than to the arc's
+absolute angle. A round takes the inverse-quadratic step through the
+last three points where Chandrupatla's test allows it and bisects
+otherwise, and also whenever the last two rounds together did not halve
+the bracket, so any three rounds at least halve it. A bracket stops once
+it is narrower than 2^-55 + 4 eps d radians, or F is exactly 0 at its
+new point: R times that width is under 0.4 ulp(R), below the rounding of
+forming the point R (cos d u0 + sin d t0) itself, so a narrower bracket
+would not move the point. It gives its inside end, where F <= 0, as does
+a bracket still open at the cap of 112 rounds, twice the 56 steps of a
+bisection. The solver's state is one array of named rows by brackets,
+and a round is a fixed sequence of about 40 numpy calls on its rows and
+row blocks, each writing in place, over every bracket under an open
+mask: a closed bracket keeps its next point at its newest, so its state
+repeats itself, and only the open brackets' points go to F. A bracket's
+arithmetic does not depend on what else is in the batch, so its crossing
+solved alone is bitwise the one solved with its scan.
+
 The cone/sphere intersection is R times the cone's closed-form unit boundary
 rays. The symmetric Hausdorff distance between the two sample sets is the
 reported shell distance (one-sided values are exposed for verbose output),
 read off the matrix of their pairwise distances, which ``cdist`` builds in
-numpy one coordinate at a time. A radius at which the scan or the distances
-would overflow (from about 1e154, where coordinates are squared) is a
-ValueError naming it.
+numpy one coordinate at a time. A radius at which F or the distances would
+overflow (from about 1e154, where coordinates are squared) is a ValueError
+naming it.
 """
 from __future__ import annotations
 
@@ -56,7 +76,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bodies import ConeDescriptor
+from .bodies import ConeDescriptor, _two_product, ray_quadratic
 from .bodies import ray_hits_batch  # noqa: F401  (perfbench/tracer.py wraps it by name)
 from .errors import EmptyShellIntersection
 
@@ -72,6 +92,10 @@ _SCAN_POINTS = 4096
 _POLISH_ABS = 2.0 ** -55
 _POLISH_REL = 4.0 * np.finfo(float).eps
 _N_POLISH = 112
+# the closed-form path (_form_crossings): a ladder of angles 2^-52 rad apart
+# about each meridian's crossing, and the 16ths of one of its steps
+_LADDER = 2.0 ** -52 * np.arange(-5.0, 6.0)
+_SPLIT = 2.0 ** -56 * np.arange(1.0, 17.0)
 # Rows of the crossing solver's state S, one column per bracket (see
 # _crossings). The chain x2, x3, x1, xn holds the bracket's far end, the
 # point dropped to x3, the newest point and the next, each with F beside it;
@@ -134,8 +158,7 @@ def _grid(dim, n_azimuth):
     else:
         step = math.pi / (_N_SCAN_MERIDIAN - 1)
         a = step * np.arange(_N_SCAN_MERIDIAN) - 0.5 * math.pi
-        phi = 2.0 * math.pi * np.arange(n_azimuth) / n_azimuth
-        e1 = np.stack([np.cos(phi), np.sin(phi), np.zeros(n_azimuth)])[:, :, None]
+        e1 = np.stack([*_azimuths(n_azimuth), np.zeros(n_azimuth)])[:, :, None]
         e2 = np.array([0.0, 0.0, 1.0])[:, None, None]
     c, s = np.cos(a), np.sin(a)
     # every other |cos| and |sin| of the grid is at least sin(step)
@@ -145,6 +168,12 @@ def _grid(dim, n_azimuth):
     U.flags.writeable = False  # cached: no caller may write into them
     T.flags.writeable = False
     return np.moveaxis(U, 0, -1), np.moveaxis(T, 0, -1), step
+
+
+def _azimuths(n_azimuth):
+    """cos and sin of the meridians' azimuths 2 pi k / n_azimuth."""
+    phi = 2.0 * math.pi * np.arange(n_azimuth) / n_azimuth
+    return np.cos(phi), np.sin(phi)
 
 
 def _on_sphere(R, f, *args):
@@ -166,11 +195,22 @@ def _check_azimuths(n_azimuth):
 
 
 def body_shell_points(body, R, n_azimuth=_N_AZIMUTH):
-    """Sample the boundary points at distance R from the origin."""
+    """Sample the boundary points at distance R from the origin: one per
+    meridian from the closed form where it serves the body, else the scan's."""
     _check_azimuths(n_azimuth)
     R = float(R)
     if not (math.isfinite(R) and R > 0.0):
         raise ValueError(f"sphere radius must be finite and positive, got {R}")
+    bases = _meridian_bases(body, R, n_azimuth)
+    if bases is not None:
+        points = _on_sphere(R, _form_crossings, body.defining, R, *bases)
+        if points is not None:
+            return points
+    return _scanned_points(body, R, n_azimuth)
+
+
+def _scanned_points(body, R, n_azimuth):
+    """``body_shell_points`` by the grid scan and ``_crossings``."""
     U, T, step = _arcs(body.ambient_dim, n_azimuth)
     f = _on_sphere(R, _scan, body.defining, R, U)
     inside = f <= 0.0
@@ -185,6 +225,92 @@ def body_shell_points(body, R, n_azimuth=_N_AZIMUTH):
     t0 = np.where(first_in[:, None], T[arc, j], -T[arc, j + 1])
     d = _crossings(body.defining, R, u0, t0, f[arc, i_in], f[arc, i_out], step)
     return R * (np.cos(d)[:, None] * u0 + np.sin(d)[:, None] * t0)
+
+
+def _meridian_bases(body, R, n_azimuth):
+    """Each meridian's crossing u0 and the unit tangent t0 there, towards the
+    north pole (two (3, n_azimuth) arrays), from the body's quadric form;
+    None unless the body is in 3D, moved at most along e_d by b with |b| <
+    R, and its kind has a form Q = sum q_i y_i^2 + e y_d + k that is
+    unbounded (q_d <= 0 < q_1, q_2 and k >= 0) and negative at the north
+    pole.
+
+    Then on the meridian at azimuth psi, where u = c e_psi + s e_d, F <= 0
+    exactly where Q <= 0 and y_d >= 0, and with sigma = 1 - s, Q / R^2 is the
+    concave quadratic (q_d - q_psi) sigma^2 + (2 q_psi - (2 q_d eta + e /
+    R)) sigma + Q_N / R^2, eta = (R - b) / R and Q_N = Q at the north pole,
+    with q_psi = q_1 cos^2 psi + q_2 sin^2 psi. It is negative at sigma = 0
+    and positive where y_d = 0, so F changes sign once on the meridian, at
+    the smallest positive root, taken without cancellation; c^2 = sigma (2
+    - sigma) is formed from it directly, not as 1 - s^2, which near the
+    pole would lose the digits of c.
+    """
+    b = float(body.translation[-1])
+    if body.ambient_dim != 3 or np.any(body.translation[:-1]) or not -R < b < R:
+        return None
+    # e_psi, one column per meridian, then e_d: along them from the body's
+    # own origin the form is q_psi x^2 + k and q_d x^2 + e x + k
+    E = np.zeros((3, n_azimuth + 1))
+    E[0, :-1], E[1, :-1] = _azimuths(n_azimuth)
+    E[2, -1] = 1.0
+    abc = ray_quadratic(body, np.repeat(body.translation[:, None], n_azimuth + 1, axis=1), E)
+    if abc is None:
+        return None
+    q, (q_d, e, k) = abc[0][:-1], (float(x[-1]) for x in abc)
+    eta = (R - b) / R
+    C = q_d * eta * eta + (e * eta + k / R) / R
+    if not (q_d <= 0.0 and q.min() > 0.0 and k >= 0.0 and C < 0.0):
+        return None
+    B = 2.0 * q - (2.0 * q_d * eta + e / R)
+    with np.errstate(invalid="ignore"):  # NaN where rounding leaves no root: no ladder takes it
+        sigma = -2.0 * C / (B + np.sqrt(B * B - 4.0 * (q_d - q) * C))
+        c = np.sqrt(sigma * (2.0 - sigma))
+    s = 1.0 - sigma
+    e_psi = E[:, :-1]
+    u0, t0 = c * e_psi, -s * e_psi
+    u0[2], t0[2] = s, c
+    return u0, t0
+
+
+def _form_crossings(F, R, u0, t0):
+    """The shell point of each meridian from its closed-form crossing u0
+    along its tangent t0 ((3, meridians) arrays), in two coordinate-major
+    ``defining`` calls; None unless each meridian's ladder shows exactly one
+    sign change of F <= 0, from outside to inside.
+
+    The points are p(d) = R (u0 + d t0), at these angles d, where cos d is
+    1 and sin d is d to rounding; each coordinate is rounded once, from R
+    u0 split exactly into two floats (a second rounding widens the points'
+    spread about the crossing, by about a third). The first call is the
+    ladder of ``_LADDER``'s angles, 2^-52 rad apart, about d = 0; the second
+    splits the one step that changes sign into 16, to 2^-56 rad, under the
+    2^-55 rad stop of ``_crossings``. Each meridian returns its first inside
+    point, where F <= 0, as a (meridians, 3) array. A meridian's arithmetic
+    does not depend on the others: solved alone, it gives the same point
+    bitwise.
+    """
+    hi, lo = _two_product(R, u0)
+    Rt0 = R * t0
+
+    def points(d):  # (3, angles, meridians) at the angles d, one row of them an angle
+        p = d * Rt0[:, None]
+        p += lo[:, None]
+        p += hi[:, None]
+        return p
+
+    def inside(d):
+        p = points(d)
+        return (F(p.reshape(3, -1).T) <= 0.0).reshape(p.shape[1:])
+
+    ins = inside(_LADDER[:, None])
+    if ins[0].any() or not ins[-1].all() or (ins[:-1] > ins[1:]).any():
+        return None
+    # the step before each meridian's first inside rung, split; its end, the
+    # rung, reads inside
+    d_out = _LADDER[ins.argmax(axis=0) - 1]
+    ins = inside(d_out + _SPLIT[:-1, None])
+    first = np.where(ins.any(axis=0), ins.argmax(axis=0), len(_SPLIT) - 1)
+    return points(d_out + _SPLIT[first])[:, 0].T
 
 
 def _scan(F, R, U):
@@ -376,8 +502,12 @@ def blowdown_check(body, R, n_azimuth=_N_AZIMUTH) -> float:
 
 
 def trend_verdict(distances) -> str:
-    """Asymptotic / not_asymptotic / inconclusive from a d(R) sequence."""
+    """Asymptotic / not_asymptotic / inconclusive from a d(R) sequence of
+    finite distances >= 0; a ValueError names the first other entry."""
     d = [float(x) for x in distances]
+    for i, x in enumerate(d):
+        if not 0.0 <= x < math.inf:
+            raise ValueError(f"distance {i} must be finite and non-negative, got {x}")
     if len(d) < 3:
         raise ValueError("need at least 3 radii")
     decreasing = all(b < a for a, b in zip(d, d[1:]))

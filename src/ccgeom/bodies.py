@@ -16,12 +16,13 @@ sign, where the kind has one, whose coefficients along a ray
 ``ray_quadratic`` states (F itself on the ellipsoid, the elliptic
 paraboloid and the square epigraph; F (F + 2 y_d) = height^2 - y_d^2 on
 the hyperboloid sheet and the circular cone); the module function of that
-name states them in space, for the root-finder's guesses and the centres
-of quadric sections. The four unbounded kinds are epigraphs y >= height(x')
-and share F, the inverse Gauss map and ``_graph_contacts``, the boundary
-points and normals over abscissae, which the other kinds refuse; the sheet
-and the cone are one class, the upper nappe height = sqrt(k + sum (x_i /
-a_i)^2), with k = 1 on the sheet and k = 0 on the cone. The support
+name states them in space, for the root-finder's guesses, the centres
+of quadric sections and the shell crossings of ``asymptotics``. The four
+unbounded kinds are epigraphs y >= height(x') and share F, the inverse
+Gauss map and ``_graph_contacts``, the boundary points and normals over
+abscissae, which the other kinds refuse; the sheet and the cone are one
+class, the upper nappe height = sqrt(k + sum (x_i / a_i)^2), with k = 1 on
+the sheet and k = 0 on the cone. The support
 function is read off the Gauss map, h(u) = <u, x(u)> with x(u) the
 boundary point of outer normal u, exactly on the attained normals;
 elsewhere h is its limit, 0 or +inf.

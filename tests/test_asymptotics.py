@@ -142,6 +142,16 @@ def test_trend_verdict_rules():
     assert trend_verdict([1.0, 0.9, 0.85, 0.84]) == "inconclusive"
 
 
+@pytest.mark.parametrize("distances, bad", [([1.0, math.nan, 0.05], "distance 1 .* got nan"),
+                                             ([math.inf, 1.0, 0.01], "distance 0 .* got inf"),
+                                             ([1.0, 0.5, -1.0], "distance 2 .* got -1.0")],
+                         ids=["nan", "inf", "negative"])
+def test_trend_verdict_refuses_distances_that_are_not_finite_and_non_negative(distances, bad):
+    # each read as a verdict before: inconclusive, asymptotic and asymptotic
+    with pytest.raises(ValueError, match=bad):
+        trend_verdict(distances)
+
+
 def test_asymptotic_diagnostic_end_to_end():
     h = hyperboloid_sheet([1.0])
     assert asymptotic_diagnostic(h, [10.0, 100.0, 1000.0, 10000.0]) == "asymptotic"
@@ -402,11 +412,17 @@ def _scan_and_rounds(batches):
     return scan, batches[len(scan):]
 
 
+def _off_axis(body):
+    """The 3D body moved off its axis, by (1, -2, 0.5): the closed form
+    leaves it to the grid scan."""
+    return dataclasses.replace(body, translation=body.translation + [1.0, -2.0, 0.5])
+
+
 @pytest.mark.parametrize("dim", [2, 3])
 def test_shell_scan_hands_f_coordinate_major_batches_that_cover_the_grid(monkeypatch, dim):
     # whole arcs per call, each batch coordinate-major and under glibc's
     # 128 KB mmap threshold, and together the whole grid in order
-    body = hyperboloid_sheet(np.ones(dim - 1) + 0.4 * np.arange(dim - 1))
+    body = hyperboloid_sheet([1.0]) if dim == 2 else _off_axis(hyperboloid_sheet([1.0, 1.4]))
     batches = record_defining(monkeypatch)
     body_shell_points(body, 100.0, n_azimuth=96)
     scan, _ = _scan_and_rounds(batches)
@@ -494,13 +510,14 @@ def test_shell_points_against_mpmath(b):
     assert new.mean() <= ref.mean() + 0.05
 
 
-@pytest.mark.parametrize("body, R", [(hyperboloid_sheet([1.0, 1.4]), 100.0),
-                                     (hyperboloid_sheet([1.0, 1.0]), 30.0),
-                                     (paraboloid_epigraph([1.0, 0.7]), 300.0),
-                                     (paraboloid_epigraph([1.0, 1.0]), 1e5)],
+@pytest.mark.parametrize("body, R", [(_off_axis(hyperboloid_sheet([1.0, 1.4])), 100.0),
+                                     (_off_axis(hyperboloid_sheet([1.0, 1.0])), 30.0),
+                                     (_off_axis(paraboloid_epigraph([1.0, 0.7])), 300.0),
+                                     (_off_axis(paraboloid_epigraph([1.0, 1.0])), 1e5)],
                          ids=["sheet-1.4", "unit-sheet", "paraboloid", "paraboloid-pole"])
 def test_shell_solver_budget(monkeypatch, body, R):
-    # the scan, then at most 12 solver rounds (56 bisection steps before)
+    # the scan, then at most 12 solver rounds (56 bisection steps before),
+    # on bodies moved off their axes, which the grid scan serves
     batches = record_defining(monkeypatch)
     body_shell_points(body, R, n_azimuth=96)
     _, rounds = _scan_and_rounds(batches)
@@ -522,14 +539,15 @@ def test_shell_solver_meets_infinite_f():
     assert np.all(e.defining(pts) <= 0.0)
 
 
-@pytest.mark.parametrize("body, R", [(hyperboloid_sheet([1.0, 1.4]), 137.0),
-                                     (paraboloid_epigraph([1.0, 0.7]), 55.5),
+@pytest.mark.parametrize("body, R", [(_off_axis(hyperboloid_sheet([1.0, 1.4])), 137.0),
+                                     (_off_axis(paraboloid_epigraph([1.0, 0.7])), 55.5),
                                      (hyperboloid_sheet([1.0]), 300.0),
                                      (function_epigraph("exp"), 1e3)],
                          ids=["sheet-1.4", "paraboloid", "hyperbola", "exp"])
 def test_crossing_does_not_depend_on_the_batch(monkeypatch, body, R):
     # a bracket solved alone ends bitwise where it ends among the rest of its
-    # scan, where the others close around it and are masked
+    # scan, where the others close around it and are masked (in 3D on
+    # bodies moved off their axes, which the grid scan serves)
     solves, crossings = [], asymptotics._crossings
 
     def recorded(*args):
@@ -546,7 +564,7 @@ def test_crossing_does_not_depend_on_the_batch(monkeypatch, body, R):
         assert alone.tobytes() == d[one].tobytes()
 
 
-@pytest.mark.parametrize("body, R", [(hyperboloid_sheet([1.0, 1.4]), 100.0),
+@pytest.mark.parametrize("body, R", [(_off_axis(hyperboloid_sheet([1.0, 1.4])), 100.0),
                                      (function_epigraph("exp"), 1e4)], ids=["3d", "exp"])
 def test_shell_solver_round_cap_returns_inside_ends(monkeypatch, body, R):
     monkeypatch.setattr(asymptotics, "_N_POLISH", 2)
@@ -560,3 +578,87 @@ def test_shell_solver_round_cap_returns_inside_ends(monkeypatch, body, R):
     assert np.all(body.defining(pts) <= 0.0)
     assert np.allclose(np.linalg.norm(pts, axis=1), R, rtol=1e-14)
     assert np.all(np.linalg.norm(pts - ref, axis=1) <= R * step)
+
+
+# the bodies the closed form serves: each unbounded quadric kind, on its axis
+# and moved along it, as blowdown_check moves it
+_CLOSED_FORM_BODIES = [hyperboloid_sheet([1.0, 1.4]), paraboloid_epigraph([1.0, 0.7]),
+                       circular_cone(0.7, dim=3)]
+_CLOSED_FORM_IDS = ["sheet", "paraboloid", "cone"]
+
+
+@pytest.mark.parametrize("body", _CLOSED_FORM_BODIES, ids=_CLOSED_FORM_IDS)
+def test_closed_form_shells_make_two_defining_calls_and_no_grid(monkeypatch, body):
+    # the ladder of 11 rungs and the split of one step into 16, each one
+    # coordinate-major call for all 96 meridians; no 3D arcs are built
+    arcs = []
+    monkeypatch.setattr(asymptotics, "_arcs", lambda *args: arcs.append(args))
+    moved = dataclasses.replace(body, translation=body.translation - body.interior_point())
+    batches = record_defining(monkeypatch)
+    for b in (body, moved):
+        for R in (30.0, 1e3, 1e6):
+            batches.clear()
+            pts = body_shell_points(b, R, n_azimuth=96)
+            assert [x.shape for x in batches] == [(96 * 11, 3), (96 * 15, 3)]
+            assert all(coordinate_major(x) for x in batches)
+            assert pts.shape == (96, 3) and np.all(b.defining(pts) <= 0.0)
+    assert arcs == []
+
+
+@pytest.mark.parametrize("body", _CLOSED_FORM_BODIES, ids=_CLOSED_FORM_IDS)
+def test_closed_form_meridian_solved_alone_is_bitwise_the_batchs(monkeypatch, body):
+    solves, form = [], asymptotics._form_crossings
+
+    def recorded(*args):
+        solves.append((args, form(*args)))
+        return solves[-1][1]
+
+    monkeypatch.setattr(asymptotics, "_form_crossings", recorded)
+    body_shell_points(body, 137.0, n_azimuth=96)
+    (F, R, u0, t0), pts = solves[0]
+    assert pts.shape == (96, 3)
+    for i in range(96):
+        alone = form(F, R, u0[:, i:i + 1], t0[:, i:i + 1])
+        assert alone.tobytes() == pts[i:i + 1].tobytes()
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["north", "south"])
+@pytest.mark.parametrize("body", _CLOSED_FORM_BODIES, ids=_CLOSED_FORM_IDS)
+def test_closed_form_off_by_2_to_the_minus_40_falls_back_to_the_scan(monkeypatch, body, sign):
+    # every ladder then lies on one side of its crossing: the whole call
+    # takes the grid scan, whose points it returns bitwise
+    bases, delta = asymptotics._meridian_bases, sign * 2.0 ** -40
+
+    def off(*args):
+        u0, t0 = bases(*args)
+        return (math.cos(delta) * u0 + math.sin(delta) * t0,
+                math.cos(delta) * t0 - math.sin(delta) * u0)
+
+    monkeypatch.setattr(asymptotics, "_meridian_bases", off)
+    batches = record_defining(monkeypatch)
+    for R in (30.0, 1e4):
+        batches.clear()
+        pts = body_shell_points(body, R, n_azimuth=96)
+        # the ladder, then the scan's chunks
+        assert batches[0].shape == (96 * 11, 3) and batches[1].ndim == 3
+        assert pts.tobytes() == asymptotics._scanned_points(body, R, 96).tobytes()
+
+
+@pytest.mark.parametrize("body", [hyperboloid_sheet([1.0, 1.4], shift=[0.0, 0.0, 0.5]),
+                                  paraboloid_epigraph([1.0, 0.7], shift=[0.0, 0.0, -1.5])],
+                         ids=["sheet", "paraboloid"])
+def test_blowdown_on_the_closed_form_matches_the_bisection(monkeypatch, body):
+    # blowdown_check moves the body along e_d, by -x0, so its shell takes the
+    # closed form: its points within 2 eps R of the bisected scan's, and its
+    # distance within 2 eps R / R of theirs
+    solved, form = [], asymptotics._form_crossings
+    monkeypatch.setattr(asymptotics, "_form_crossings",
+                        lambda *args: solved.append(form(*args)) or solved[-1])
+    recentred = dataclasses.replace(body, translation=body.translation - body.interior_point())
+    for R in (30.0, 1e3, 1e5):
+        ref = shell_points_bisection(recentred, R, n_azimuth=96)
+        assert np.max(np.abs(body_shell_points(recentred, R, n_azimuth=96) - ref)) <= 2.0 * EPS * R
+        d = distance.cdist(ref, cone_shell_points(body.recession_cone(), R, n_azimuth=96))
+        want = max(d.min(axis=0).max(), d.min(axis=1).max()) / R
+        assert abs(blowdown_check(body, R, n_azimuth=96) - want) <= 2.0 * EPS
+    assert len(solved) == 6 and all(pts is not None for pts in solved)

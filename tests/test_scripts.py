@@ -176,7 +176,8 @@ def test_ray_rounds_patches_the_names_it_counts_and_restores_them(ray_rounds):
                (sections, "ray_hits_batch"), (sections, "_centred_sections"),
                (sections, "_polar_sections"),
                (cutvol, "quad"), (cutvol, "section_measure"), (cutvol, "_sections"),
-               (asymptotics, "_crossings"), (bodies.BodySpec, "gauss_map"),
+               (asymptotics, "_crossings"), (asymptotics, "_form_crossings"),
+               (bodies.BodySpec, "gauss_map"),
                (sections, "_section_frames")]
     patched += [(kind, "margin") for kind in bodies._CONE_KINDS.values()]
     before = [owner.__dict__[name] for owner, name in patched]
@@ -349,7 +350,8 @@ def test_ray_rounds_counts_the_polar_rays_of_each_3d_level(ray_rounds):
 def test_ray_rounds_counts_the_solver_rounds_of_each_shell_scan(ray_rounds):
     # the defining calls made inside a shell scan's solver are its rounds,
     # and the scan's chunks are not; two scans in one op count apart, and an
-    # op without a scan counts none
+    # op without a scan counts none. The sheet takes the closed form, two
+    # calls, and the hyperbola the grid scan
     sheet, hyperbola = ccgeom.hyperboloid_sheet([1.0, 1.4]), ccgeom.hyperboloid_sheet([1.0])
     u = np.array([0.3, -0.2, 0.93]) / np.linalg.norm([0.3, -0.2, 0.93])
     pool = [_op("shell", None), _op("section", None)]
@@ -363,21 +365,46 @@ def test_ray_rounds_counts_the_solver_rounds_of_each_shell_scan(ray_rounds):
     finally:
         uninstall()
     s = [len(brackets) for brackets in counts.scans]
-    assert len(s) == 2 and min(s) >= 1
-    # 96 meridians of 192 samples take five chunks, the 2D circle one; every
-    # defining call of the section is an F-round of one of its ray batches
-    # or a spine check
+    assert counts.paths == ["closed form", "grid"] and s[0] == 2 and s[1] >= 1
+    # the 2D circle takes one chunk; every defining call of the section is an
+    # F-round of one of its ray batches or a spine check
     assert counts.spine == [1, 1]
-    assert sum(s) == counts.defining - 6 - sum(map(sum, counts.rounds.values())) - 1
+    assert sum(s) == counts.defining - 1 - sum(map(sum, counts.rounds.values())) - 1
+    lines = ray_rounds.report("shell-3d", 1, 2, counts).splitlines()
     assert (f"  solver rounds per shell scan {np.mean(s):.2f} (max {max(s)}) over 2 scans"
-            in ray_rounds.report("shell-3d", 1, 2, counts).splitlines())
+            in lines)
+    assert ("  shell scans by path: 1 closed form, 1 grid; 0 closed-form ladders fell back "
+            "to the grid") in lines
+
+
+def test_ray_rounds_counts_a_closed_form_that_falls_back_apart(ray_rounds, monkeypatch):
+    # a ladder that shows no sign change returns None: its one call counts
+    # as a fallback, and the grid scan after it as the scan
+    sheet = ccgeom.hyperboloid_sheet([1.0, 1.4])
+    monkeypatch.setattr(asymptotics, "_LADDER", asymptotics._LADDER + 2.0 ** -40)
+    pool = [_op("shell", None)]
+    pool[0].call = lambda: ccgeom.body_shell_points(sheet, 100.0, n_azimuth=96)
+    counts = ray_rounds.Counts()
+    uninstall = ray_rounds.install(ccgeom, counts)
+    try:
+        ray_rounds.run_pool(pool, counts)
+    finally:
+        uninstall()
+    assert counts.paths == ["fallback", "grid"] and counts.scans[0] == [96 * 11]
+    lines = ray_rounds.report("shell-3d", 1, 1, counts).splitlines()
+    assert ("  shell scans by path: 0 closed form, 1 grid; 1 closed-form ladders fell back "
+            "to the grid") in lines
+    s = len(counts.scans[1])
+    assert f"  solver rounds per shell scan {s:.2f} (max {s}) over 1 scans" in lines
 
 
 def test_ray_rounds_counts_the_open_brackets_of_each_solver_round(ray_rounds):
-    # every meridian of the sheet crosses it once and the hyperbola crosses
-    # the circle twice: 96 and 2 brackets open in the first round, then
-    # fewer as they stop, and the last round still has one open
-    sheet, hyperbola = ccgeom.hyperboloid_sheet([1.0, 1.4]), ccgeom.hyperboloid_sheet([1.0])
+    # every meridian of the sheet (moved off its axis, so scanned) crosses it
+    # once and the hyperbola crosses the circle twice: 96 and 2 brackets open
+    # in the first round, then fewer as they stop, and the last round still
+    # has one open
+    sheet = ccgeom.hyperboloid_sheet([1.0, 2.0], shift=[1.0, -2.0, 0.5])
+    hyperbola = ccgeom.hyperboloid_sheet([1.0])
     pool = [_op("shell", None)]
     pool[0].call = lambda: (ccgeom.body_shell_points(sheet, 100.0, n_azimuth=96),
                             ccgeom.body_shell_points(hyperbola, 100.0))
@@ -390,9 +417,9 @@ def test_ray_rounds_counts_the_open_brackets_of_each_solver_round(ray_rounds):
     assert [brackets[0] for brackets in counts.scans] == [96, 2]
     for brackets in counts.scans:
         assert all(a >= b >= 1 for a, b in zip(brackets, brackets[1:]))
-    # the mean over the scans, a scan that has stopped counting 0
-    counts.scans = [[4, 3, 1], [2]]
-    assert "  open brackets per solver round, mean over the scans: 3.0/1.5/0.5" in (
+    # the mean over the grid scans, a scan that has stopped counting 0
+    counts.scans, counts.paths = [[4, 3, 1], [1056, 1440], [2]], ["grid", "closed form", "grid"]
+    assert "  open brackets per solver round, mean over the grid scans: 3.0/1.5/0.5" in (
         ray_rounds.report("shell-3d", 1, 1, counts).splitlines())
 
 
@@ -409,6 +436,7 @@ def test_ray_rounds_times_the_solver_outside_f(ray_rounds):
         uninstall()
     assert 0.0 < counts.solve_f_s < counts.solve_s and counts.solve is None
     counts.scans, counts.solve_s, counts.solve_f_s = [[4, 3, 1], [2]], 0.003, 0.001
+    counts.paths = ["grid", "grid"]
     assert "  solver time per round outside F 500.0 us over 4 rounds (median of 1 passes)" in (
         ray_rounds.report("shell-3d", 1, 1, counts).splitlines())
     # over passes, the median of their seconds outside F
