@@ -9,13 +9,14 @@ every op runs once, in pool order. A last pool, ``catalog``, covers what no
 workload runs: every body kind and function tag of ``ccgeom.bodies``, in 2D
 and in 3D where the kind allows, unmoved and moved along e_d, each through
 section_stats, one halfspace cut volume, one unguessed ray batch, the Gauss
-map and (where its recession cone has interior) a shell scan; its op names
-start with the body. A result is hashed by value: a float or
-a float array by its ``tobytes()`` (with its shape), a dataclass field by
-field, an op that raises by its error's type and message. Two checkouts
-that print the same digests gave the same result, bit for bit, on every op,
-so checking that a change leaves every number alone is one ``diff`` of
-this script's output run in each checkout.
+map and (where its recession cone has interior) a shell scan, and each 3D
+body once more through the grid scan of ``body_shell_points`` (see
+``SCAN_RADII``); its op names start with the body. A result is hashed by
+value: a float or a float array by its ``tobytes()`` (with its shape), a
+dataclass field by field, an op that raises by its error's type and
+message. Two checkouts that print the same digests gave the same result,
+bit for bit, on every op, so checking that a change leaves every number
+alone is one ``diff`` of this script's output run in each checkout.
 
 With ``--dump PATH`` the results are also written to one ``.npz`` file, one
 entry per op named ``WORKLOAD/INDEX/OP`` in pool order: the result
@@ -95,6 +96,11 @@ CATALOG = [
     ("superellipsoid", (4.0,), 2, None), ("superellipsoid", (3.0,), 3, None),
 ] + [("function-epigraph", (), 2, tag) for tag in ("square", "quartic", "exp", "cosh")]
 CATALOG_SHIFT = 2.5  # the moved copy of each body, along e_d
+# one shell scan of each 3D body on the grid path, at 24 azimuths: the
+# bounded bodies at a radius that cuts them, and the unbounded quadrics,
+# whose closed form serves them on their axis alone, moved off it
+SCAN_RADII = {"ellipsoid": 1.0, "superellipsoid": 1.1}
+SCAN_OFF_AXIS = (0.3, -0.2, 0.0)
 
 
 CatalogOp = collections.namedtuple("CatalogOp", "name call")  # name: "<body> <module>.<function>"
@@ -147,7 +153,7 @@ def _body_ops(body, label, rng):
 
 def catalog(seed):
     """The catalog pool for the seed, body by body."""
-    from ccgeom import BodySpec
+    from ccgeom import BodySpec, body_shell_points
 
     rng = np.random.default_rng(seed)
     pool = []
@@ -156,6 +162,13 @@ def catalog(seed):
             body = BodySpec(kind, params, shift * np.eye(d)[-1], ambient_dim=d, tag=tag)
             label = f"{kind}{'' if tag is None else ':' + tag} {d}d{' moved' if shift else ''}"
             pool += _body_ops(body, label, rng)
+        if d == 3:
+            R = SCAN_RADII.get(kind, 100.0)
+            shift = np.zeros(3) if kind in SCAN_RADII else np.array(SCAN_OFF_AXIS)
+            body = BodySpec(kind, params, shift, ambient_dim=d)
+            pool.append(CatalogOp(f"{kind} 3d{' off-axis' if shift.any() else ''} "
+                                  "asymptotics.body_shell_points",
+                                  lambda body=body, R=R: body_shell_points(body, R, 24)))
     return pool
 
 

@@ -37,28 +37,18 @@ crossing; the changes are read off one flat index of the (arcs,
 samples - 1) mask, divided by samples - 1 into (arc, sample), in
 np.nonzero's order. The scan's F values at both ends of a bracket start
 its solve. All brackets are solved together by Chandrupatla's bracketed
-inverse-quadratic method (T. R. Chandrupatla, "A new hybrid quadratic/bisection
-algorithm for finding the zero of a nonlinear function without using
-derivatives", Adv. Eng. Software 28 (1997) 145-149), one ``defining``
-call per round at the points of the brackets still open, in the angle d
-from the bracket's inside sample along the arc, so the crossing is
-resolved to rounding relative to the bracket rather than to the arc's
-absolute angle. A round takes the inverse-quadratic step through the
-last three points where Chandrupatla's test allows it and bisects
-otherwise, and also whenever the last two rounds together did not halve
-the bracket, so any three rounds at least halve it. A bracket stops once
-it is narrower than 2^-55 + 4 eps d radians, or F is exactly 0 at its
-new point: R times that width is under 0.4 ulp(R), below the rounding of
-forming the point R (cos d u0 + sin d t0) itself, so a narrower bracket
-would not move the point. It gives its inside end, where F <= 0, as does
-a bracket still open at the cap of 112 rounds, twice the 56 steps of a
-bisection. The solver's state is one array of named rows by brackets,
-and a round is a fixed sequence of about 40 numpy calls on its rows and
-row blocks, each writing in place, over every bracket under an open
-mask: a closed bracket keeps its next point at its newest, so its state
-repeats itself, and only the open brackets' points go to F. A bracket's
-arithmetic does not depend on what else is in the batch, so its crossing
-solved alone is bitwise the one solved with its scan.
+inverse-quadratic method (T. R. Chandrupatla, Adv. Eng. Software 28 (1997)
+145-149) in the angle d from the bracket's inside sample along the arc, so
+the crossing is resolved to rounding relative to the bracket rather than
+to the arc's absolute angle. A round takes the inverse-quadratic step
+through the last three points where Chandrupatla's test allows it and
+bisects otherwise, and also whenever the last two rounds together did not
+halve the bracket, so any three rounds at least halve it. A bracket stops
+once narrower than 2^-55 + 4 eps d radians, where R times its width is
+under 0.4 ulp(R), below the rounding of forming its point R (cos d u0 +
+sin d t0), or once F is 0 at its newest point, and gives its inside end,
+where F <= 0. Its arithmetic does not depend on the rest of the batch, so
+its crossing solved alone is bitwise the one solved with its scan.
 
 The cone/sphere intersection is R times the cone's closed-form unit boundary
 rays. The symmetric Hausdorff distance between the two sample sets is the
@@ -87,8 +77,8 @@ _N_SCAN_MERIDIAN = 192  # samples on each meridian, both poles included
 _SCAN_POINTS = 4096
 # crossing solver (_crossings): a bracket of angle d is done once narrower
 # than _POLISH_ABS + _POLISH_REL * d radians (R times that is under 0.4
-# ulp(R)); a cap on its rounds, twice the 56 steps of the bisection this
-# solver replaced, where 49 take a pi/191 bracket down to the stop
+# ulp(R)); a cap on its rounds, over twice the 49 halvings that take a
+# pi/191 bracket to the stop
 _POLISH_ABS = 2.0 ** -55
 _POLISH_REL = 4.0 * np.finfo(float).eps
 _N_POLISH = 112
@@ -96,27 +86,6 @@ _N_POLISH = 112
 # about each meridian's crossing, and the 16ths of one of its steps
 _LADDER = 2.0 ** -52 * np.arange(-5.0, 6.0)
 _SPLIT = 2.0 ** -56 * np.arange(1.0, 17.0)
-# Rows of the crossing solver's state S, one column per bracket (see
-# _crossings). The chain x2, x3, x1, xn holds the bracket's far end, the
-# point dropped to x3, the newest point and the next, each with F beside it;
-# cos and sin of xn lie as far before and after xn, so that (cos, xn, sin)
-# is one row block with a stride.
-_COS, _X2, _F2, _X3, _F3, _X1, _F1, _XN, _FN, _SIN = 0, 1, 2, 3, 4, 5, 6, 7, 8, 14
-# d12 = (x1 - x2, f1 - f2), d32 = (x3 - x2, f3 - f2), and t, the step as a
-# fraction of x2 - x1
-_D12, _D32, _T = 9, 11, 13
-# (1 - xi, 1 - phi, 1 - tl, b - 1) is the block (1, 1, 1, b) less the block
-# (xi, phi, tl, 1), where (xi, phi) = d12 / d32, tl is half the stopping
-# width as a fraction of the bracket, and b = f3 / (f3 - f2)
-_OM0, _OM1, _OMTL, _BM1, _XI, _PHI, _TL, _ONE, _B = 15, 16, 17, 18, 19, 20, 21, 22, 25
-# a = f1 / (f1 - f2), the step y, its denominator xi (1 - phi), phi^2 and
-# (1 - phi)^2, 2 w, the widths w of the last three rounds, then 0 and 1/2
-_A, _Y, _DEN, _SQ, _WW, _W, _ZERO, _HALF = 26, 27, 28, 29, 31, 32, 35, 36
-# then p (dim rows) and num = h_abs + h_rel xn beside it, the factors u0,
-# h_rel and t0 (dim rows each), their products with cos, xn and sin (3 dim
-# rows), and h_abs, where h_abs and h_rel are half of _POLISH_ABS and
-# _POLISH_REL
-_P = 37
 
 
 @dataclass(frozen=True)
@@ -328,120 +297,61 @@ def _sign_changes(inside):
 
 
 def _crossings(F, R, u0, t0, f_in, f_out, step):
-    """The angle d in [0, step] of each bracket's crossing, by Chandrupatla's
-    bracketed inverse-quadratic method, all brackets in lockstep.
+    """The angle d in [0, step] of each bracket's crossing, all brackets in
+    lockstep by Chandrupatla's method (see the module docstring).
 
-    Bracket i has F = f_in[i] <= 0 at d = 0 and f_out[i] > 0 (or NaN) at
-    d = step, on p(d) = R (cos(d) u0[i] + sin(d) t0[i]). Each round makes
-    one coordinate-major ``defining`` call, at the open brackets' points.
-    A bracket stops once narrower than 2^-55 + 4 eps d radians, where R
-    times its width is under 0.4 ulp(R), the most that forming p(d) can
-    resolve. Returns each final bracket's inside end, where F <= 0.
-
-    A round is a fixed sequence of numpy calls on the rows and row blocks
-    of one state array (laid out by _COS and the constants after it), each
-    writing its output in place, over every bracket under an open mask: a
-    closed bracket keeps xn = x1 and F(xn) = F(x1), so its state repeats
-    itself. Each bracket's arithmetic is the same expressions in the same
-    order whether it runs alone or in a batch.
+    Bracket i has F = f_in[i] <= 0 at d = 0 and f_out[i] > 0 (or NaN) at d =
+    step on p(d) = R (cos(d) u0[i] + sin(d) t0[i]). A round makes one
+    coordinate-major ``defining`` call at the open brackets' points; a closed
+    bracket takes its newest point again, so its state stays as it is.
+    Returns each bracket's inside end, where F <= 0, once it stops or at the
+    cap of ``_N_POLISH`` rounds.
     """
-    n, dim = u0.shape
-    num = _P + dim
-    factors, products = num + 1, num + 1 + 3 * dim
-    S = np.empty((products + 3 * dim + 1, n))
-    factor_rows = S[factors:products].reshape(3, dim, n)  # u0, h_rel and t0
-    product_rows = S[products:products + 3 * dim].reshape(3, dim, n)
-    S[_X1], S[_F1], S[_X2], S[_F2], S[_XN] = 0.0, f_in, step, f_out, 0.5 * step
-    S[_W + 1:_W + 3] = step  # the widths before the first round
-    S[_ONE:_B], S[_ZERO], S[_HALF], S[-1] = 1.0, 0.0, 0.5, 0.5 * _POLISH_ABS
-    factor_rows[0], factor_rows[1], factor_rows[2] = u0.T, 0.5 * _POLISH_REL, t0.T
-    # the masks: x1's side F <= 0 (two rows, in turn before and after the
-    # round), xn and x1 on opposite sides, closed, F(x1) == 0, open (all at
-    # first), and the three clauses of Chandrupatla's test, then the test
-    M = np.ones((10, n), bool)
-    side, after, flip, closed, eq, open_, c1, c2, c3, ok = M
-    np.less_equal(S[_F1], 0.0, out=side)
-    # the rows and row blocks that a round reads or writes
-    cos_xn, sin_xn, xn, fn, x1, f1, x2, f3 = (S[_COS], S[_SIN], S[_XN], S[_FN],
-                                              S[_X1], S[_F1], S[_X2], S[_F3])
-    d12x, d12f, d32f, a, b, bm1, xi, phi, tl, om0, om1, omtl = (
-        S[_D12], S[_D12 + 1], S[_D32 + 1], S[_A], S[_B], S[_BM1], S[_XI], S[_PHI],
-        S[_TL], S[_OM0], S[_OM1], S[_OMTL])
-    y, den, phi2, om12, ww, t, zero, half, num_row = (
-        S[_Y], S[_DEN], S[_SQ], S[_SQ + 1], S[_WW], S[_T], S[_ZERO], S[_HALF], S[num])
-    widths = list(S[_W:_W + 3])
-    cxs = S[_COS:_SIN + 1:_XN - _COS, None]  # (cos xn, xn, sin xn)
-    cu_xh, st_ha = S[products:products + dim + 1], S[products + 2 * dim:]
-    p_num, p = S[_P:num + 1], S[_P:num]
-    ends = S[_X2:_X3 + 2].reshape(2, 2, n)  # (x2, f2) and (x3, f3)
-    ends_swapped = ends[::-1]
-    xnfn, x1f1, x2f2, x3f3 = S[_XN:_XN + 2], S[_X1:_X1 + 2], S[_X2:_X2 + 2], S[_X3:_X3 + 2]
-    d12, d32, xi_phi = S[_D12:_D12 + 2], S[_D32:_D32 + 2], S[_XI:_XI + 2]
-    ones_b, xi_phi_tl_one, om = S[_ONE:_B + 1], S[_XI:_ONE + 1], S[_OM0:_BM1 + 1]
-    mul, add, sub, div, copyto = np.multiply, np.add, np.subtract, np.divide, np.copyto
+    n = len(f_in)
+    u0, t0 = np.ascontiguousarray(u0.T), np.ascontiguousarray(t0.T)
+    # (x, F) pairs: the next point xn and the newest x1; in ends, the far
+    # end x2, where F has the other sign, and x3, the point last dropped
+    xnfn = np.stack((np.full(n, 0.5 * step), f_in))
+    x1f1 = np.stack((np.zeros(n), f_in))
+    ends = np.stack((np.stack((np.full(n, step), f_out)), x1f1))
+    x2f2, x3f3 = ends[0], ends[1]
+    side, open_ = f_in <= 0.0, np.ones(n, bool)  # side: F(x1) <= 0
+    older = old = step  # the bracket's widths in the last two rounds
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        for k in range(_N_POLISH):
-            # p = R (cos xn u0 + sin xn t0), and num = h_abs + h_rel xn
-            np.cos(xn, out=cos_xn)
-            np.sin(xn, out=sin_xn)
-            mul(factor_rows, cxs, out=product_rows)
-            add(cu_xh, st_ha, out=p_num)
-            mul(p, R, out=p)
+        for _ in range(_N_POLISH):
+            xn, fn = xnfn[0], xnfn[1]
+            p = np.cos(xn) * u0
+            p += np.sin(xn) * t0
+            p *= R
             fn[open_] = F(p.compress(open_, axis=1).T)
-            # xn becomes x1; the end on its side is dropped to x3 (x1
-            # itself, or x2, which x1 then replaces)
-            side, after = after, side
-            np.less_equal(fn, zero, out=side)
-            np.not_equal(after, side, out=flip)
-            copyto(x3f3, x1f1)
-            copyto(x1f1, xnfn)
-            copyto(ends, ends_swapped, where=flip)
-            sub(x1f1, x2f2, out=d12)
-            sub(x3f3, x2f2, out=d32)
-            w, w_before = widths[k % 3], widths[(k + 1) % 3]
-            np.abs(d12x, out=w)
-            div(d12, d32, out=xi_phi)
-            div(f1, d12f, out=a)
-            div(f3, d32f, out=b)
-            div(num_row, w, out=tl)
-            # closed once narrower than the stop, or where F(x1) == 0
-            np.greater(tl, half, out=closed)
-            np.equal(f1, zero, out=eq)
-            np.logical_or(closed, eq, out=closed)
-            if closed.all():
+            # xn becomes x1; x1 drops to x3, or if F changed sign, x2 drops and x1 takes its place
+            inside = fn <= 0.0
+            flip, side = inside != side, inside
+            x3f3[...] = x1f1
+            np.copyto(ends, ends[::-1], where=flip)
+            x1f1, x1, f1 = xnfn, xn, fn
+            d12, d32 = x1f1 - x2f2, x3f3 - x2f2
+            q = d12 / d32
+            xi, phi = q[0], q[1]
+            w = np.abs(d12[0])
+            tl = (0.5 * _POLISH_ABS + 0.5 * _POLISH_REL * x1) / w  # half the stop, per width
+            closed = (tl > 0.5) | (f1 == 0.0)
+            if np.count_nonzero(closed) == n:
                 break
             # the inverse-quadratic step t = (x - x1) / (x2 - x1) through
-            # (x1, x2, x3), where Chandrupatla's test phi^2 < xi and
-            # (1 - phi)^2 < 1 - xi holds and the bracket halved over the
-            # last two rounds; a bisection otherwise, and where F is inf
-            # or NaN (the test then fails)
-            sub(ones_b, xi_phi_tl_one, out=om)
-            mul(bm1, phi, out=y)
-            mul(y, om0, out=y)
-            mul(xi, om1, out=den)
-            div(y, den, out=y)
-            sub(b, y, out=y)
-            mul(a, y, out=y)
-            mul(phi, phi, out=phi2)
-            np.less(phi2, xi, out=c1)
-            mul(om1, om1, out=om12)
-            np.less(om12, om0, out=c2)
-            add(w, w, out=ww)
-            np.less_equal(ww, w_before, out=c3)
-            np.logical_and(c1, c2, out=ok)
-            np.logical_and(ok, c3, out=ok)
-            copyto(t, half)
-            copyto(t, y, where=ok)
-            # at least half the stopping width from either end
-            np.maximum(t, tl, out=t)
-            np.minimum(t, omtl, out=t)
-            mul(t, d12x, out=t)
-            sub(x1, t, out=xn)
-            # a closed bracket keeps xn = x1: its state stops moving
-            copyto(xn, x1, where=closed)
-            np.logical_not(closed, out=open_)
-    # each bracket's inside end: closed ones, and any still open at the cap
-    return np.where(side, x1, x2)
+            # (x1, x2, x3) where Chandrupatla's test holds (it fails where F
+            # is inf or NaN) and the last two rounds halved the bracket
+            om_xi, om_phi = 1.0 - xi, 1.0 - phi
+            b = x3f3[1] / d32[1]
+            y = f1 / d12[1] * (b - (b - 1.0) * phi * om_xi / (xi * om_phi))
+            ok = (phi * phi < xi) & (om_phi * om_phi < om_xi) & (w + w <= older)
+            older, old = old, w
+            # at least half the stop from either end
+            t = np.minimum(np.maximum(np.where(ok, y, 0.5), tl), 1.0 - tl)
+            open_ = ~closed
+            xnfn = x1f1.copy()
+            np.subtract(x1, t * d12[0], out=xnfn[0], where=open_)
+    return np.where(side, x1f1[0], x2f2[0])
 
 
 def cone_shell_points(cone: ConeDescriptor, R, n_azimuth=_N_AZIMUTH):

@@ -418,10 +418,18 @@ def cmd_asym(cfg):
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise ConfigError("config key 'radii' must increase")
     n_az = _number(cfg, "n_azimuth", _N_AZIMUTH, integer=True)
+    if n_az < 1:
+        raise ConfigError("config key 'n_azimuth' must be >= 1")
     cone = body.recession_cone()
+
+    def shell(R):
+        try:
+            return shell_distance(body, cone, R, n_azimuth=n_az)
+        except ValueError as e:  # a radius too small for the body, or one that overflows
+            raise ConfigError(f"config key 'radii': {e}") from e
+
     header = ["R", "d_asym", "d_blowdown", "err", "error"]
-    rows, shells = _rows(header, [([R], R) for R in radii],
-                         lambda R: shell_distance(body, cone, R, n_azimuth=n_az),
+    rows, shells = _rows(header, [([R], R) for R in radii], shell,
                          lambda sd: [sd.d_asym, sd.d_blowdown, sd.err])
     summary = {"n_rows": len(rows), "n_failed": len(rows) - len(shells)}
     if len(shells) >= 4:

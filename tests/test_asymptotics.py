@@ -18,6 +18,7 @@ from ccgeom import (
     hyperboloid_sheet,
     paraboloid_epigraph,
     shell_distance,
+    superellipsoid,
     trend_verdict,
     unit_disk,
 )
@@ -516,8 +517,8 @@ def test_shell_points_against_mpmath(b):
                                      (_off_axis(paraboloid_epigraph([1.0, 1.0])), 1e5)],
                          ids=["sheet-1.4", "unit-sheet", "paraboloid", "paraboloid-pole"])
 def test_shell_solver_budget(monkeypatch, body, R):
-    # the scan, then at most 12 solver rounds (56 bisection steps before),
-    # on bodies moved off their axes, which the grid scan serves
+    # the scan, then at most 12 solver rounds, on bodies moved off their
+    # axes, which the grid scan serves
     batches = record_defining(monkeypatch)
     body_shell_points(body, R, n_azimuth=96)
     _, rounds = _scan_and_rounds(batches)
@@ -539,15 +540,18 @@ def test_shell_solver_meets_infinite_f():
     assert np.all(e.defining(pts) <= 0.0)
 
 
-@pytest.mark.parametrize("body, R", [(_off_axis(hyperboloid_sheet([1.0, 1.4])), 137.0),
-                                     (_off_axis(paraboloid_epigraph([1.0, 0.7])), 55.5),
-                                     (hyperboloid_sheet([1.0]), 300.0),
-                                     (function_epigraph("exp"), 1e3)],
-                         ids=["sheet-1.4", "paraboloid", "hyperbola", "exp"])
-def test_crossing_does_not_depend_on_the_batch(monkeypatch, body, R):
+@pytest.mark.parametrize("body, R, brackets",
+                         [(_off_axis(hyperboloid_sheet([1.0, 1.4])), 137.0, 96),
+                          (_off_axis(paraboloid_epigraph([1.0, 0.7])), 55.5, 96),
+                          (superellipsoid(4.0, dim=3), 1.1, 312),
+                          (hyperboloid_sheet([1.0]), 300.0, 2),
+                          (function_epigraph("exp"), 1e3, 2)],
+                         ids=["sheet-1.4", "paraboloid", "superellipsoid", "hyperbola", "exp"])
+def test_crossing_does_not_depend_on_the_batch(monkeypatch, body, R, brackets):
     # a bracket solved alone ends bitwise where it ends among the rest of its
     # scan, where the others close around it and are masked (in 3D on
-    # bodies moved off their axes, which the grid scan serves)
+    # bodies moved off their axes, which the grid scan serves, and on a kind
+    # without a form, with several crossings on a meridian)
     solves, crossings = [], asymptotics._crossings
 
     def recorded(*args):
@@ -557,11 +561,50 @@ def test_crossing_does_not_depend_on_the_batch(monkeypatch, body, R):
     monkeypatch.setattr(asymptotics, "_crossings", recorded)
     body_shell_points(body, R, n_azimuth=96)
     (F, R_, u0, t0, f_in, f_out, step), d = solves[0]
-    assert len(d) == (96 if body.ambient_dim == 3 else 2)
+    assert len(d) == brackets
     for i in range(len(d)):
         one = slice(i, i + 1)
         alone = crossings(F, R_, u0[one], t0[one], f_in[one], f_out[one], step)
         assert alone.tobytes() == d[one].tobytes()
+
+
+def test_crossings_meet_a_half_planes_exact_angle():
+    # F = y - c on the circle of radius R, each bracket from its own angle
+    # below asin(c / R) along the circle; the exact crossing on the float
+    # directions u0 and t0 is taken in mpmath
+    R, c, step = 100.0, 30.0, math.pi / 191
+    a = math.asin(c / R) - step * np.array([0.03, 0.25, 0.5, 0.77, 0.99])
+    u0 = np.stack([np.cos(a), np.sin(a)], axis=1)
+    t0 = np.stack([-np.sin(a), np.cos(a)], axis=1)
+
+    def at(d):  # the points R (cos d u0 + sin d t0), as the solver forms them
+        return R * (np.cos(d)[:, None] * u0 + np.sin(d)[:, None] * t0)
+
+    def F(p):
+        return p[:, 1] - c
+
+    f_in, f_out = F(at(np.zeros(5))), F(at(np.full(5, step)))
+    assert np.all(f_in < 0.0) and np.all(f_out > 0.0)
+    with mpmath.workdps(40):
+        exact = np.array([float(mpmath.asin(c / (R * mpmath.hypot(y, z))) - mpmath.atan2(y, z))
+                          for y, z in zip(u0[:, 1], t0[:, 1])])
+    # the stop's width, and F's own rounding, 4 ulp(c) at most, over its
+    # slope R cos(asin(c / R)): under 1 eps here
+    bound = 2.0 ** -55 + 4.0 * EPS * exact + 4.0 * math.ulp(c) / math.sqrt(R * R - c * c)
+    for f2 in (f_out, np.full(5, np.nan)):  # an outside end of NaN: still the inside end
+        d = asymptotics._crossings(F, R, u0, t0, f_in, f2, step)
+        assert np.all(F(at(d)) <= 0.0)
+        assert np.all(np.abs(d - exact) <= bound)
+    # F exactly 0 at the first midpoint: one round, which returns it
+    c_mid, calls = float(at(np.full(5, 0.5 * step))[2, 1]), []
+
+    def F_mid(p):
+        calls.append(len(p))
+        return p[:, 1] - c_mid
+
+    f0, f1 = (at(np.full(5, x))[2:3, 1] - c_mid for x in (0.0, step))
+    d = asymptotics._crossings(F_mid, R, u0[2:3], t0[2:3], f0, f1, step)
+    assert calls == [1] and d.tolist() == [0.5 * step]
 
 
 @pytest.mark.parametrize("body, R", [(_off_axis(hyperboloid_sheet([1.0, 1.4])), 100.0),

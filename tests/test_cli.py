@@ -341,6 +341,10 @@ ASYM = PRESETS["asym"]["hyperboloid"]
     # tangent planes moved by 1e-300 cut volumes that round to 0, whose
     # relative spread would be 0/0
     ("cutvol", dict(PRESETS["cutvol"]["paraboloid-parallel"], k=1e-300), "k"),
+    # below 10 (|translation| + 1), and a sphere whose scan overflows
+    ("asym", dict(ASYM, radii=[1.0, 10.0, 100.0, 1000.0]), "radii"),
+    ("asym", dict(ASYM, radii=[10.0, 100.0, 1000.0, 1e200]), "radii"),
+    ("asym", dict(ASYM, n_azimuth=0), "n_azimuth"),
 ])
 def test_non_finite_or_out_of_range_number_is_config_error(tmp_path, capsys, command, cfg,
                                                            key):

@@ -561,10 +561,15 @@ def test_op_digest_flattens_in_the_order_it_hashes(op_digest):
 
 def test_op_digest_catalog_names_every_kind_and_tag(op_digest):
     pool = op_digest.catalog(0)
-    calls = {}
+    calls, scans = {}, []
     for op in pool:
         kind, dim, *moved, call = op.name.split()
+        if call == "asymptotics.body_shell_points":
+            scans.append((kind, dim))
+            continue
         calls.setdefault((kind, dim, bool(moved)), []).append(call)
+    # each 3D body once through the grid scan of body_shell_points
+    assert sorted(scans) == sorted({(kind, "3d") for kind, dim, _ in calls if dim == "3d"})
     kinds = {kind for kind, _, _ in calls}
     assert {kind.split(":")[0] for kind in kinds} == set(bodies.KINDS)
     assert {kind.split(":")[1] for kind in kinds if ":" in kind} == set(bodies.FUNCTION_TAGS)
