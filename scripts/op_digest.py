@@ -8,8 +8,9 @@ Each workload's pool (``perfbench/workloads.py``) is built for the seed and
 every op runs once, in pool order. A last pool, ``catalog``, covers what no
 workload runs: every body kind and function tag of ``ccgeom.bodies``, in 2D
 and in 3D where the kind allows, unmoved and moved along e_d, each through
-section_stats, one halfspace cut volume, one unguessed ray batch, the Gauss
-map and (where its recession cone has interior) a shell scan, and each 3D
+section_stats, one halfspace cut volume, one unguessed ray batch and one
+guessed from its hits (see ``GUESS_OFFSETS``), the Gauss map and (where
+its recession cone has interior) a shell scan, and each 3D
 body once more through the grid scan of ``body_shell_points`` (see
 ``SCAN_RADII``); its op names start with the body. A result is hashed by
 value: a float or a float array by its ``tobytes()`` (with its shape), a
@@ -101,6 +102,11 @@ CATALOG_SHIFT = 2.5  # the moved copy of each body, along e_d
 # whose closed form serves them on their axis alone, moved off it
 SCAN_RADII = {"ellipsoid": 1.0, "superellipsoid": 1.1}
 SCAN_OFF_AXIS = (0.3, -0.2, 0.0)
+# the guessed ray batch's guesses, as offsets of the unguessed hits: 0 and
+# +-3e-13 lie inside the inner probe pair, +-1e-9 between the pairs, +-1e-3
+# outside both (the solver steps) and -0.5 has every probe inside (the
+# ladder), so every body's ladder and steps are covered
+GUESS_OFFSETS = np.array([0.0, 3e-13, -3e-13, 1e-9, -1e-9, 1e-3, -1e-3, -0.5])
 
 
 CatalogOp = collections.namedtuple("CatalogOp", "name call")  # name: "<body> <module>.<function>"
@@ -144,6 +150,12 @@ def _body_ops(body, label, rng):
     # directions well outside the recession cone, so that every ray leaves
     W = _unit_rows(rng, 8, d, lambda w: cone.defining(w) > 0.1)
     op("bodies.ray_hits_batch", lambda: bodies.ray_hits_batch(body, body.interior_point(), W))
+
+    def guessed():
+        c = body.interior_point()
+        hits = bodies.ray_hits_batch(body, c, W)[0]
+        return bodies.ray_hits_batch(body, c, W, guess=hits * (1.0 + GUESS_OFFSETS))
+    op("bodies.ray_hits_batch", guessed)
     U = _unit_rows(rng, 8, d, lambda u: True)
     op("bodies.gauss_map", lambda: body.gauss_map(U))
     if cone.dim == d:

@@ -866,12 +866,13 @@ def ray_hits_batch(body, origin, directions, guess=None):
     depend on the other rays of the batch, nor on the other origins: each
     hit is bitwise the one a call with its origin alone returns.
 
-    All rays share one state array of named rows, one column per ray (laid
-    out after this function). A probe or ladder round reads each ray's ends
-    off its first outside point; each solver step runs over every column
-    under the mask of the open rays, all set at first, and hands F only
-    their points. A ray's arithmetic is the same expressions in the same
-    order whatever its column.
+    Each ray's bracket is one column of a (3, 4, rays) array: position, F
+    and F's rounding band at the slots Lp, l, h and p. Every probe round,
+    ladder round and solver step moves it by one rule (``_read``): the new
+    slots are the entries c to c + 3 (from 0) of Lp, l, the round's points,
+    h, p, c the round's points read inside before the first outside one. A
+    ray's arithmetic is the same expressions in the same order whatever its
+    column.
 
     All directions must be non-recessive (guaranteed for bounded sections).
     Origins, directions and every batch of points are held coordinate-major,
@@ -907,127 +908,86 @@ def ray_hits_batch(body, origin, directions, guess=None):
     return hits, (counts if origin.ndim == 2 else int(counts[0]))
 
 
-# Root-finder state: one array of named rows, one column per ray. Rows _A
-# to _P hold the positions along the ray of the slots a, b (a solver step's
-# two points), Lp, l (the last two inside points) and h, p (the first two
-# outside points), NaN where not yet known; F at each slot lies _F rows
-# further on, and F's rounding band 4 eps T there (T from ``terms``, capped
-# at the largest float) _BAND rows on, known at a, b, l and h only. Then
-# come the points evaluated along the ray and sqrt(h / l) before the
-# solver's last step. Each ray's origin and direction are the columns of
-# two (d, rays) arrays beside the state.
-_A, _B, _LP, _L, _H, _P = range(6)
-_F, _BAND = 6, 12
-_EVALS, _ROOT, _ROWS = 18, 19, 20
-# (1 - _HIT_RTOL/2, 1 - _HIT_RTOL, 2^-20) times h: a's cap, the bracket's
-# stop and the bisection's floor
-_H_FACTORS = np.array([1.0 - 0.5 * _HIT_RTOL, 1.0 - _HIT_RTOL, 2.0 ** -20])[:, None]
-# slots (l, a, b, h) become (Lp, l, h, p) in a step with a inside and b outside
-_SHIFT = [_L, _A, _B, _H]
+# Each ray's bracket is a column of one (3, 4, rays) array E: the position
+# along the ray, F and F's rounding band 4 eps T (T from ``terms``, capped at
+# the largest float) at the slots Lp, l (the last two inside points) and h,
+# p (the first two outside points); position and F are NaN where not yet
+# known, and the band is read at l and h alone, once the solver sets it.
 
 
-def _ends_table(before, factors):
-    """The positions of slots Lp, l, h and p, as factors of a round's base,
-    by c: the round's points are base * factors, and c of them are inside
-    before the first outside one. ``before`` holds the factors of Lp and l
-    before the round (NaN where Lp is not one)."""
-    seq = np.concatenate([before, factors.ravel(), [np.nan, np.nan]])
-    n = factors.size
-    return np.array([seq[j:j + n + 1] for j in range(4)])
-
-
-# the rounds about a guess g and from the probe at the body scale s start
-# from the origin, at 0 g or 0 s; the ladder from its base, the last inside
-# point, whose Lp is kept where the first rung is outside
-_GUESS_ENDS = _ends_table([np.nan, 0.0], _GUESS_PROBES)
-_SCALE_ENDS = _ends_table([np.nan, 0.0], _SCALE_PROBE)
-_LADDER_ENDS = _ends_table([np.nan, 1.0], _LADDER)
-
-
-def _ends(S, f, base, table):
-    """Set slots Lp, l, h and p of every ray (column) of the state S after
-    a round at the points base * ``table``'s factors, F = f there ((n,
-    rays), ascending along each ray): with c of them inside before the
-    first outside one, the slots take the points c to c + 3 of (Lp, l, the
-    round's points), NaN past them. Returns c.
+def _read(E, new):
+    """Move the brackets E ((k, 4, rays): the first k of the layers
+    position, F and band) past a round's points, new ((k, n, rays),
+    ascending along each ray): with c of them read inside before the first
+    outside one, slots Lp, l, h and p take the entries c to c + 3 (from 0)
+    of Lp, l, the points, h, p. Returns c.
 
     Near the root F's rounding can read a later point inside again: only
     the inside points before the first outside one count, so slot l is
-    inside and slot h outside."""
-    n, w = f.shape
-    # F at Lp, l and the points, over a row that reads outside
-    seq = np.empty((n + 3, w))
-    seq[:2] = S[_F + _LP:_F + _H]
-    seq[2:-1] = f
-    seq[-1] = np.nan
-    c = (seq[2:] <= 0.0).argmin(axis=0)
-    if table is _LADDER_ENDS:
-        lp = S[_LP].copy()
-    np.multiply(table.take(c, axis=1), base, out=S[_LP:_P + 1])
-    if table is _LADDER_ENDS:
-        np.copyto(S[_LP], lp, where=c == 0)
-    # F at slot j is seq[c + j]; past seq's end the position is NaN
-    np.take(seq, c * w + np.arange(4 * w).reshape(4, w), mode="clip", out=S[_F + _LP:_F + _P + 1])
+    inside and slot h outside. F at h is NaN or positive, so c <= n."""
+    k, n, w = new.shape
+    seq = np.concatenate([E[:, :2], new, E[:, 2:]], axis=1)
+    c = (seq[1, 2:n + 3] <= 0.0).argmin(axis=0)
+    np.take(seq.reshape(k, -1), c * w + np.arange(4 * w).reshape(4, w), axis=1, mode="clip", out=E)
     return c
 
 
 def _reach(body, O, D, g):
-    """The root-finder state of the rays D from the origins O, one per
-    group, with every root bracketed, and each ray's origin and direction as
-    (d, rays) arrays: F at the origins and at each ray's first probes, about
-    its guess (g, or else the root of ``_quadratic_roots``) or at the body
-    scale, then along the ladder for each ray without an outside point, one
-    F call a round, until it has one."""
+    """The brackets of the rays D from the origins O, one per group, with
+    every root bracketed, the points evaluated along each ray, and each
+    ray's origin and direction as (d, rays) arrays: F at the origins and at
+    each ray's first probes, about its guess (g, or else the root of
+    ``_quadratic_roots``) or at the body scale s, then along the ladder for
+    each ray without an outside point, one F call a round, until it has
+    one. Before its probes a ray's slot l is its origin, at 0."""
     F = body.defining
     (L, d), m = O.shape, len(D)
     P, W = np.repeat(O.T, m // L, axis=1), np.ascontiguousarray(D.T)
-    S = np.empty((_ROWS, m))
-    S[_EVALS] = 0.0
+    E = np.empty((3, 4, m))
+    E[:2] = np.nan
+    E[0, 1] = 0.0
+    evals = np.zeros(m, dtype=int)
     if g is None:
         g = _quadratic_roots(body, P, W)
-    # a round: its rays (all if None), probe factors, ends table and base
+    # a round: its rays (all if None), probe factors and base
     bare = np.full(m, True) if g is None else np.isnan(g)
-    n_bare, scale = np.count_nonzero(bare), (_SCALE_PROBE, _SCALE_ENDS, float(body.scale))
-    rounds = [(None,) + scale] if n_bare == m else [(None, _GUESS_PROBES, _GUESS_ENDS, g)]
+    n_bare, scale = np.count_nonzero(bare), (_SCALE_PROBE, float(body.scale))
+    rounds = [(None,) + scale] if n_bare == m else [(None, _GUESS_PROBES, g)]
     if 0 < n_bare < m:
         rays = np.flatnonzero(~bare)
-        rounds = [(rays, _GUESS_PROBES, _GUESS_ENDS, g[rays]), (np.flatnonzero(bare),) + scale]
-
-    def read(rays, f, base, table, new):
-        """``_ends`` on the rays (all if None), with new points evaluated
-        along each; the ladder round of those with every point inside."""
-        sub = S if rays is None else S.take(rays, axis=1)
-        c = _ends(sub, f, base, table)
-        sub[_EVALS] += new
-        if rays is not None:
-            S[:, rays] = sub
-        up = c == len(f)
-        if not np.count_nonzero(up):
-            return []
-        return [(np.flatnonzero(up) if rays is None else rays[up], _LADDER, _LADDER_ENDS,
-                 sub[_L, up])]
-
+        rounds = [(rays, _GUESS_PROBES, g[rays]), (np.flatnonzero(bare),) + scale]
     # the first call, the probes', also takes the origins, ahead of the
     # probes, whose F values start at i; then come the ladder's rounds
     parts, i = [O.T], L
     for _ in range(_BRACKET_ROUNDS + 1):
-        for rays, factors, _, base in rounds:
-            pts = factors * base * W[:, None, slice(None) if rays is None else rays]
-            pts += P[:, None, slice(None) if rays is None else rays]
+        news = []
+        for rays, factors, base in rounds:
+            cols = slice(None) if rays is None else rays
+            new = np.empty((2, len(factors), m if rays is None else len(rays)))
+            pts = np.multiply(factors, base, out=new[0]) * W[:, None, cols]
+            pts += P[:, None, cols]
             parts.append(pts.reshape(d, -1))
+            news.append((rays, cols, new))
         f = F((np.concatenate(parts, axis=1) if len(parts) > 1 else parts[0]).T)
         if i:
             if not f[:L].max() < 0.0:
                 raise NotInterior("ray origin is not inside the body")
-            # each ray's point before its probes is its origin, at 0 in the tables
-            S[_F + _L].reshape(L, -1)[...] = f[:L, None]
-        done, rounds, parts = rounds, [], []
-        for rays, factors, table, base in done:
-            n = len(factors) * (m if rays is None else len(rays))
-            rounds += read(rays, f[i:i + n].reshape(len(factors), -1), base, table, len(factors))
-            i += n
+            E[1, 1].reshape(L, -1)[...] = f[:L, None]
+        rounds, parts = [], []
+        for rays, cols, new in news:
+            n, k = new[1].shape
+            new[1] = f[i:i + n * k].reshape(n, k)
+            i += n * k
+            # the probe and ladder rounds know no band: E's first two layers
+            sub = E[:2, :, cols]
+            up = _read(sub, new) == n
+            evals[cols] += n
+            if rays is not None:
+                E[:2, :, rays] = sub
+            if np.count_nonzero(up):  # the ladder, from each ray's last inside point
+                rounds.append((np.flatnonzero(up) if rays is None else rays[up], _LADDER, sub[0, 1, up]))
         if not rounds:
-            return S, P, W
+            return E, evals, P, W
         i = 0
     raise GeometryError("boundary bracketing failed; direction nearly recessive")
 
@@ -1071,41 +1031,40 @@ def _band(body, f, x, p, w, out):
     np.minimum(out, _MAX, out=out)
 
 
-def _narrow(body, S, P, W, hits):
-    """Shrink the bracket [l, h] of every ray of the state S, from the
-    origins P along the directions W, to F = 0; write each ray's hit into
-    hits and return the points evaluated along each ray.
+def _narrow(body, E, evals, P, W, hits):
+    """Shrink the bracket [l, h] of every ray of E, from the origins P along
+    the directions W, to F = 0; write each ray's hit into hits and return
+    evals, the points evaluated along each ray, with the solver's added.
 
-    Each step runs over every column of S under the mask of the open rays,
+    Each step runs over every column of E under the mask of the open rays,
     all set at first, and hands F the open rays' points alone: a ray that
-    stops gets its hit, and later steps go on over its column without
-    reading it again.
-    """
+    stops gets its hit, and later steps do not read its column again."""
     F = body.defining
-    d, n_open = len(P), S.shape[1]
+    d, n_open = len(P), E.shape[2]
     open_ = np.full(n_open, True)
+    # position, F and band at a step's two points a and b
+    new = np.empty((3, 2, n_open))
+    x, f = E[0], E[1]
+    root = INF  # sqrt(h / l) before the last step
     for step in range(_SOLVE_STEPS):
         # zeros of the lines through (Lp, l), (l, h) and (h, p), each taken
         # from its first point, so that F = inf at h or p gives l or NaN
-        x1, f1 = S[_LP:_H + 1], S[_F + _LP:_F + _H + 1]
-        z = S[_F + _L:_F + _P + 1] - f1
-        dx = S[_L:_P + 1] - x1
+        z = f[1:] - f[:3]
+        dx = x[1:] - x[:3]
         np.divide(dx, z, out=dx)
-        np.multiply(f1, dx, out=dx)
-        z0, z1, z2 = np.subtract(x1, dx, out=z)
-        l, h, a = S[_L], S[_H], S[_A]
-        hf = _H_FACTORS * h
+        np.multiply(f[:3], dx, out=dx)
+        z0, z1, z2 = np.subtract(x[:3], dx, out=z)
+        l, h = x[1], x[2]
         # a: the chord root, kept _HIT_RTOL/2 inside h so that an accurate h ends it
-        np.fmin(z1, hf[0], out=a)
+        a = np.fmin(z1, (1.0 - 0.5 * _HIT_RTOL) * h, out=new[0, 0])
         # the secant root: the nearer of z0 (past a) and z2, from outside;
         # by convexity the root lies in [a, secant]
         secant = np.fmin(np.where(z0 > a, z0, np.nan), z2)
-        ok = secant > a
-        ok &= secant < h
+        ok = (secant > a) & (secant < h)
         # the midpoint of [a, secant] is then within _HIT_RTOL/8 of the root
         close = secant <= (1.0 + 0.25 * _HIT_RTOL) * a
         close &= ok
-        done = l >= hf[1]
+        done = l >= (1.0 - _HIT_RTOL) * h
         done |= close
         if step:
             done |= noisy
@@ -1116,58 +1075,47 @@ def _narrow(body, S, P, W, hits):
             # its band of 0, the end is on the boundary up to rounding (read
             # only where the other tests leave a ray open: the bracket's
             # ends get their band here, the solver's points when made)
-            flh, blh = S[_F + _L:_F + _H + 1], S[_BAND + _L:_BAND + _H + 1]
             if step == 0:
-                _band(body, flh, S[_L:_H + 1], P[-1], W[-1], blh)
-            flat = np.abs(flh) <= blh
+                _band(body, f[1:3], x[1:3], P[-1], W[-1], E[2, 1:3])
+            flat = np.abs(f[1:3]) <= E[2, 1:3]
             done |= flat[0]
             done |= flat[1]
             np.greater(open_, done, out=still)
             n_still = np.count_nonzero(still)
         if n_still < n_open:
-            new = open_ > still
-            np.copyto(hits, z1, where=new)
-            np.copyto(hits, 0.5 * (a + secant), where=close & new)
+            stop = open_ > still
+            np.copyto(hits, z1, where=stop)
+            np.copyto(hits, 0.5 * (a + secant), where=close & stop)
             if step:
                 # two points in each earlier step
-                np.add(S[_EVALS], 2.0 * step, out=S[_EVALS], where=new)
+                np.add(evals, 2 * step, out=evals, where=stop)
             if n_still == 0:
                 break
             open_, n_open = still, n_still
         # b: the secant root, or a geometric bisection where there is none
-        # or the last step did not halve the bracket's log-width (sqrt(h /
-        # l) before it, infinite before the first)
-        if step == 0:
-            S[_ROOT] = INF
+        # or the last step did not halve the bracket's log-width
         ratio = h / l
-        secant_step = ratio <= S[_ROOT]
+        secant_step = ratio <= root
         secant_step &= ok
-        np.sqrt(ratio, out=S[_ROOT])
-        b = np.fmax(a, hf[2], out=S[_B])
+        root = np.sqrt(ratio)
+        b = np.fmax(a, 2.0 ** -20 * h, out=new[0, 1])
         b *= h
         np.sqrt(b, out=b)
         np.copyto(b, secant, where=secant_step)
         # F at a and b of the open rays, in one call
-        xab, fab = S[_A:_B + 1], S[_F + _A:_F + _B + 1]
-        pts = xab * W[:, None]
+        pts = new[0] * W[:, None]
         pts += P[:, None]
-        fab[:, open_] = F(pts.compress(open_, axis=2).reshape(d, -1).T).reshape(2, -1)
-        _band(body, fab, xab, P[-1], W[-1], S[_BAND + _A:_BAND + _B + 1])
+        new[1][:, open_] = F(pts.compress(open_, axis=2).reshape(d, -1).T).reshape(2, -1)
+        _band(body, new[1], new[0], P[-1], W[-1], new[2])
         # each point updates whichever end its sign says; the chord root a
         # is inside unless F is rounding noise there
-        inside = fab <= 0.0
-        noisy = ~inside[0]
-        slots = S[:_EVALS].reshape(3, 6, -1)  # position, F and band by slot
-        moved = slots.take(_SHIFT, axis=1)
-        np.copyto(slots[:, _H:_P + 1], slots[:, _A:_B + 1], where=noisy)
-        np.copyto(slots[:, _LP:_L + 1], slots[:, _A:_B + 1], where=inside[0] & inside[1])
-        np.copyto(slots[:, _LP:_P + 1], moved, where=inside[0] > inside[1])
+        noisy = _read(E, new) == 0
     else:
         # step cap: the chord roots of the brackets still open
-        l, h, fl, fh = S[_L], S[_H], S[_F + _L], S[_F + _H]
+        (l, h), (fl, fh) = x[1:3], f[1:3]
         np.copyto(hits, l - fl * ((h - l) / (fh - fl)), where=open_)
-        np.add(S[_EVALS], 2.0 * _SOLVE_STEPS, out=S[_EVALS], where=open_)
-    return S[_EVALS]
+        np.add(evals, 2 * _SOLVE_STEPS, out=evals, where=open_)
+    return evals
 
 
 # -- convenience constructors used throughout the tests and CLI ------------

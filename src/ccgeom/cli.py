@@ -314,7 +314,9 @@ def cmd_cutvol(cfg):
         return _cutvol_gradient(body, cfg)
     rtol = _rtol(cfg)
     if op in ("parallel", "homothety"):
-        k = _number(cfg, "k")
+        k, floor = _number(cfg, "k"), (0 if op == "parallel" else 1)
+        if not k > floor:
+            raise ConfigError(f"config key 'k' must be > {floor} for op {op!r}")
         anchors = _list(cfg, "anchors", body.ambient_dim - 1)
         scan = parallel_cut_scan if op == "parallel" else homothety_cut_scan
         values = scan(body, k, anchors, rtol=rtol)
@@ -326,10 +328,14 @@ def cmd_cutvol(cfg):
         n_normals = _number(cfg, "n_normals", 12, integer=True)
         if n_normals < 1:
             raise ConfigError(NO_ROWS)
-        values = floating_constancy(
-            body, _require(cfg, "mode"), _number(cfg, "lam"), n_normals=n_normals,
-            seed=_seed(cfg), rtol=rtol,
-        )["values"]
+        mode = _require(cfg, "mode")
+        if mode not in ("translate", "scale"):
+            raise ConfigError("config key 'mode' must be 'translate' or 'scale'")
+        lam, floor = _number(cfg, "lam"), (0 if mode == "translate" else 1)
+        if not lam > floor:
+            raise ConfigError(f"config key 'lam' must be > {floor} in mode {mode!r}")
+        values = floating_constancy(body, mode, lam, n_normals=n_normals, seed=_seed(cfg),
+                                    rtol=rtol)["values"]
         labels = range(len(values))
         header = ["index", "value", "err"]
     elif op == "volume":

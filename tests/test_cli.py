@@ -311,6 +311,7 @@ def test_anchor_whose_height_overflows_is_config_error_naming_it(tmp_path, capsy
 ELLIPSOID = PRESETS["sccp"]["ellipsoid"]["body"]
 PARALLEL = PRESETS["cutvol"]["parabola-parallel"]
 ASYM = PRESETS["asym"]["hyperboloid"]
+FLOATING = {"body": PARABOLA, "op": "floating", "mode": "translate", "lam": 1.0, "n_normals": 2}
 
 
 @pytest.mark.parametrize("command, cfg, key", [
@@ -345,6 +346,12 @@ ASYM = PRESETS["asym"]["hyperboloid"]
     ("asym", dict(ASYM, radii=[1.0, 10.0, 100.0, 1000.0]), "radii"),
     ("asym", dict(ASYM, radii=[10.0, 100.0, 1000.0, 1e200]), "radii"),
     ("asym", dict(ASYM, n_azimuth=0), "n_azimuth"),
+    # the library's own range errors, which name no key
+    ("cutvol", dict(PARALLEL, k=0.0), "k"),
+    ("cutvol", dict(PRESETS["cutvol"]["hyperbola-homothety"], k=1.0), "k"),
+    ("cutvol", dict(FLOATING, lam=0.0), "lam"),
+    ("cutvol", dict(FLOATING, mode="scale"), "lam"),
+    ("cutvol", dict(FLOATING, mode="shear"), "mode"),
 ])
 def test_non_finite_or_out_of_range_number_is_config_error(tmp_path, capsys, command, cfg,
                                                            key):

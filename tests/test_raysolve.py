@@ -505,15 +505,31 @@ def test_bracket_counts_only_the_inside_points_before_the_first_outside():
     # near the root F's rounding can read a later probe inside again: the
     # probes inside, outside, inside leave the first inside as l, the
     # outside one as h, and the last inside one as p
-    table = bodies._ends_table([np.nan, 0.0], np.array([1.0, 2.0, 3.0]))
-    S = np.full((bodies._ROWS, 1), np.nan)
-    S[bodies._F + bodies._L] = -1.0  # F at the origin, slot l before the round
-    fx = np.array([[-1e-12], [1e-13], [-1e-14]])
-    c = bodies._ends(S, fx, 1.0, table)
-    assert c.tolist() == [1]
-    slots = slice(bodies._LP, bodies._P + 1)
-    assert S[slots, 0].tolist() == [0.0, 1.0, 2.0, 3.0]
-    assert S[bodies._F:][slots, 0].tolist() == [-1.0, -1e-12, 1e-13, -1e-14]
+    E = np.full((2, 4, 1), np.nan)  # position and F at Lp, l, h, p
+    E[:, 1] = [[0.0], [-1.0]]  # the origin, slot l before the round
+    probes = np.array([[[1.0], [2.0], [3.0]], [[-1e-12], [1e-13], [-1e-14]]])
+    assert bodies._read(E, probes).tolist() == [1]
+    assert E[0, :, 0].tolist() == [0.0, 1.0, 2.0, 3.0]
+    assert E[1, :, 0].tolist() == [-1.0, -1e-12, 1e-13, -1e-14]
+
+
+@pytest.mark.parametrize("fa, fb, c, slots", [
+    (0.5, -0.25, 0, "Lp l a b"),  # a outside (b's sign is not read)
+    (-0.5, -0.25, 2, "a b h p"),  # a and b inside
+    (-0.5, 2.0, 1, "l a b h"),  # a inside, b outside
+], ids=["a-outside", "both-inside", "a-inside-b-outside"])
+def test_solver_step_moves_the_bracket_by_its_points_signs(fa, fb, c, slots):
+    # the solver's points a < b sit between l and h; the sequence Lp, l, a,
+    # b, h, p gives the new Lp, l, h, p from c on, in every layer
+    # (position, F and band)
+    before = {"Lp": (1.0, -3.0, 0.1), "l": (2.0, -1.0, 0.2),
+              "h": (5.0, 4.0, 0.5), "p": (6.0, 9.0, 0.6)}
+    points = {"a": (3.0, fa, 0.3), "b": (4.0, fb, 0.4)}
+    E = np.array([before[k] for k in ("Lp", "l", "h", "p")]).T[:, :, None]
+    new = np.array([points["a"], points["b"]]).T[:, :, None]
+    assert bodies._read(E, new).tolist() == [c]
+    expect = np.array([dict(before, **points)[k] for k in slots.split()]).T
+    assert E[:, :, 0].tolist() == expect.tolist()
 
 
 def test_compacted_batch_matches_rays_alone(monkeypatch):

@@ -580,9 +580,9 @@ def test_op_digest_catalog_names_every_kind_and_tag(op_digest):
         for dim in ("2d",) if kind.startswith("function-epigraph") else ("2d", "3d"):
             for moved in (False, True):
                 body = calls.pop((kind, dim, moved))
-                assert body[:8] == ["sections.section_stats"] * 6 + [
-                    "cutvol.halfspace_cut_volume", "bodies.ray_hits_batch"]
-                assert body[8:] in (["bodies.gauss_map"],
+                assert body[:9] == ["sections.section_stats"] * 6 + [
+                    "cutvol.halfspace_cut_volume"] + ["bodies.ray_hits_batch"] * 2
+                assert body[9:] in (["bodies.gauss_map"],
                                     ["bodies.gauss_map", "asymptotics.shell_distance"])
     assert not calls
     # no op raises: every input is admissible
