@@ -27,10 +27,23 @@ against each, its median lies beyond the control's interquartile range on
 the better side, and it is better than the parent's median by more than the
 parent's interquartile range; it loses when the same holds the other way.
 The exit code is 1 when a run fails or reports a failed op, else 0.
+
+``--workload`` may be given more than once; the workloads then run one
+after another. With ``--record LABEL`` the script also writes
+``BENCH_<LABEL>.json`` at the top of the repository around the working
+directory: the revisions compared, the environment (CPU count, Python,
+numpy, and the load average before and after the rounds), and for each
+workload every end-to-end metric's median, quartiles and interquartile
+range per checkout, the change's pair wins and losses against the parent
+and the control, the verdict, each round's values, and the profiled calls
+per op of each checkout (``scripts/op_calls.py`` run on the seed's pool,
+null where a checkout cannot run it).
 """
 import argparse
 import io
 import json
+import os
+import platform
 import shutil
 import subprocess
 import sys
@@ -83,6 +96,34 @@ def run_once(checkout, workload, seed, seconds):
         return json.loads(lines[-1])
     except (IndexError, ValueError):
         sys.stderr.write(done.stderr)
+        return None
+
+
+def revision(spec):
+    """The commit a checkout was given as: the full hash of a git revision,
+    or of the HEAD of a directory that holds a git repository; else the
+    directory."""
+    path = Path(spec)
+    if path.is_dir():
+        if not (path / ".git").exists():
+            return str(path.resolve())
+        cmd = ["git", "-C", str(path), "rev-parse", "HEAD"]
+    else:
+        cmd = ["git", "rev-parse", "--verify", f"{spec}^{{commit}}"]
+    done = subprocess.run(cmd, capture_output=True, text=True)
+    return done.stdout.strip() if done.returncode == 0 else spec
+
+
+def count_calls(checkout, workload, seed):
+    """Profiled calls per op of one pass of the workload's pool in the
+    checkout (``scripts/op_calls.py``, run in a process of its own), or
+    None if the checkout cannot run it."""
+    done = subprocess.run([sys.executable, str(Path(__file__).resolve().parent / "op_calls.py"),
+                           "--root", str(checkout), "--workload", workload, "--seed", str(seed)],
+                          capture_output=True, text=True)
+    try:
+        return json.loads(done.stdout.strip().splitlines()[-1])[workload]
+    except (IndexError, KeyError, ValueError):
         return None
 
 
@@ -159,10 +200,13 @@ def format_rows(rows, labels, units):
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--workload", required=True)
+    ap.add_argument("--workload", required=True, action="append",
+                    help="a workload to run (repeatable)")
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--rounds", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=20.0)
+    ap.add_argument("--record", metavar="LABEL",
+                    help="also write BENCH_LABEL.json at the top of the repository")
     ap.add_argument("checkouts", nargs="+",
                     help="parent, change and optional control: directories or git revisions")
     args = ap.parse_args(argv)
@@ -175,14 +219,25 @@ def main(argv=None):
         for spec, path in zip(args.checkouts, checkouts):
             if path is None:
                 ap.error(f"{spec} is neither a directory nor a git revision")
+        revisions = {label: revision(spec) for label, spec in zip(LABELS, args.checkouts)}
         if len(checkouts) == 2:
             checkouts.append(make_control(checkouts[0], scratch))
-        return compare(args, checkouts)
+            revisions["control"] = f"parent with {CONTROL_LINE.strip()!r} appended to {CONTROL_FILE}"
+        before = os.getloadavg()
+        record = {}
+        for workload in args.workload:
+            code = compare(args, workload, checkouts, record)
+            if code:
+                return code
+        if args.record:
+            write_record(args, revisions, before, record)
+        return 0
 
 
-def compare(args, checkouts):
-    """Run the rounds over the checkouts (parent, change and control) and
-    print the table; the exit code of ``main``."""
+def compare(args, workload, checkouts, record):
+    """Run the rounds of one workload over the checkouts (parent, change and
+    control), print the table and put the workload's entry into record; the
+    exit code of ``main``."""
     labels = LABELS
     manifest = json.loads((checkouts[0] / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in manifest["end_to_end"]}
@@ -190,16 +245,57 @@ def compare(args, checkouts):
     runs = {label: [] for label in labels}
     for r in range(args.rounds):
         for i in [(r + j) % len(labels) for j in range(len(labels))]:
-            result = run_once(checkouts[i], args.workload, args.seed, args.seconds)
+            result = run_once(checkouts[i], workload, args.seed, args.seconds)
             if result is None or result["failed"]:
                 print(f"round {r + 1}: the {labels[i]} run failed", flush=True)
                 return 1
             runs[labels[i]].append({k: v["value"] for k, v in result["metrics"].items()})
         print(f"round {r + 1}/{args.rounds} done", flush=True)
-    print(f"{args.workload} seed {args.seed}: {args.rounds} rounds of {args.seconds:g} s; "
+    print(f"{workload} seed {args.seed}: {args.rounds} rounds of {args.seconds:g} s; "
           + ", ".join(f"{label} {path}" for label, path in zip(labels, checkouts)))
-    print(format_rows(summarize(runs, better), labels, units))
+    rows = summarize(runs, better)
+    print(format_rows(rows, labels, units))
+    if args.record:
+        calls = {label: count_calls(path, workload, args.seed)
+                 for label, path in zip(labels, checkouts)}
+        print("calls per op: " + ", ".join(f"{label} {n}" for label, n in calls.items()))
+        record[workload] = workload_record(rows, units, runs, calls)
     return 0
+
+
+def workload_record(rows, units, runs, calls):
+    """One workload's entry of a record, from ``summarize``'s rows, the
+    units, each checkout's rounds and its calls per op."""
+    metrics = {}
+    for row in rows:
+        entry = {"unit": units[row["metric"]], "better": row["better"]}
+        for label in LABELS:
+            median, q1, q3 = row[label]
+            entry[label] = {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1}
+        entry["wins"] = {label: list(row[f"wins vs {label}"]) for label in LABELS
+                         if label != "change"}
+        entry["verdict"] = row["verdict"]
+        metrics[row["metric"]] = entry
+    return {"metrics": metrics, "calls_per_op": calls, "runs": runs}
+
+
+def write_record(args, revisions, load_before, workloads):
+    """Write BENCH_<label>.json at the top of the repository around the
+    working directory (the working directory outside one)."""
+    done = subprocess.run(["git", "rev-parse", "--show-toplevel"], capture_output=True, text=True)
+    root = Path(done.stdout.strip()) if done.returncode == 0 else Path.cwd()
+    record = {
+        "label": args.record,
+        "revisions": revisions,
+        "environment": {"cpu_count": os.cpu_count(), "python": platform.python_version(),
+                        "numpy": np.__version__, "load_before": list(load_before),
+                        "load_after": list(os.getloadavg())},
+        "seed": args.seed, "rounds": args.rounds, "seconds": args.seconds,
+        "workloads": workloads,
+    }
+    path = root / f"BENCH_{args.record}.json"
+    path.write_text(json.dumps(record, indent=1) + "\n")
+    print(f"wrote {path}")
 
 
 if __name__ == "__main__":

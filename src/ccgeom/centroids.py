@@ -85,15 +85,21 @@ def centroid_curve(body, u, levels, rtol=DEFAULT_RTOL):
 
 
 def fit_line(points) -> LineFit:
-    """Least-squares affine line through points (principal direction)."""
+    """Least-squares affine line through points (principal direction):
+    any (n, d) array of n >= 3 points, or a sequence of n rows.
+
+    Means are sums over n and roots ``math.sqrt``, bitwise what ``np.mean``
+    and ``np.sqrt`` give.
+    """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] < 3:
         raise DegeneratePointSet("need at least 3 points")
     if not np.all(np.isfinite(pts)):
         raise ValueError("points must be finite")
-    base = pts.mean(axis=0)
+    n = len(pts)
+    base = np.add.reduce(pts, axis=0) / n
     centered = pts - base
-    spread = float(np.sqrt(np.mean(np.sum(centered ** 2, axis=-1))))
+    spread = math.sqrt(np.add.reduce(np.add.reduce(centered ** 2, axis=-1)) / n)
     if spread < 1e-300:
         raise DegeneratePointSet("points are all coincident")
     _, sv, vt = np.linalg.svd(centered, full_matrices=False)
@@ -103,10 +109,10 @@ def fit_line(points) -> LineFit:
         direction = -direction
     proj = centered @ direction
     perp = centered - np.outer(proj, direction)
-    residual_rms = float(np.sqrt(np.mean(np.sum(perp ** 2, axis=-1))))
-    along_rms = float(np.sqrt(np.mean(proj ** 2)))
+    residual_rms = math.sqrt(np.add.reduce(np.add.reduce(perp ** 2, axis=-1)) / n)
+    along_rms = math.sqrt(np.add.reduce(proj ** 2) / n)
     residual_norm = residual_rms / along_rms if along_rms > 0 else 1.0
-    return LineFit(base, direction, residual_rms, min(residual_norm, 1.0), len(pts))
+    return LineFit(base, direction, residual_rms, min(residual_norm, 1.0), n)
 
 
 def sccp_residual(body, u, n_levels=None, rtol=DEFAULT_RTOL) -> LineFit:
@@ -121,7 +127,7 @@ def sccp_residual(body, u, n_levels=None, rtol=DEFAULT_RTOL) -> LineFit:
         raise ValueError(f"need at least {MIN_LEVELS} levels")
     _check_count(n_levels)
     # the centroid curve of the levels, as ``centroid_curve`` takes it
-    return fit_line(list(section_stats(body, u, _levels_in(*bounds, n_levels), rtol=rtol).centroid))
+    return fit_line(section_stats(body, u, _levels_in(*bounds, n_levels), rtol=rtol).centroid)
 
 
 def classify_lines(lines, tol=1e-5) -> LineFamilyVerdict:

@@ -87,6 +87,24 @@ def _number(cfg, key, default=None, integer=False):
     return int(x) if integer else float(x)
 
 
+# the largest shift (in body scales) or factor of a moved tangent cut: its
+# volumes grow as up to the d-th power of it, so at 1e30 a 3D one is about
+# 1e90 scale^3, far from overflow; past 1e150 they overflow, or the cut's
+# boundary search fails
+_MAX_MOVE = 1e30
+
+
+def _move(cfg, key, floor, cap, where):
+    """The config's required number ``key``, a cut's shift or factor, in
+    (floor, cap]; where names the op or mode in the message."""
+    x = _number(cfg, key)
+    if not x > floor:
+        raise ConfigError(f"config key {key!r} must be > {floor} {where}")
+    if not x <= cap:
+        raise ConfigError(f"config key {key!r} must be at most {cap:g} {where}")
+    return x
+
+
 def _rtol(cfg):
     """The config's ``tol``, a relative tolerance in (0, 1)."""
     tol = _number(cfg, "tol", DEFAULT_RTOL)
@@ -314,9 +332,9 @@ def cmd_cutvol(cfg):
         return _cutvol_gradient(body, cfg)
     rtol = _rtol(cfg)
     if op in ("parallel", "homothety"):
-        k, floor = _number(cfg, "k"), (0 if op == "parallel" else 1)
-        if not k > floor:
-            raise ConfigError(f"config key 'k' must be > {floor} for op {op!r}")
+        shift = op == "parallel"
+        k = _move(cfg, "k", 0 if shift else 1, _MAX_MOVE * (body.scale if shift else 1.0),
+                  f"for op {op!r}")
         anchors = _list(cfg, "anchors", body.ambient_dim - 1)
         scan = parallel_cut_scan if op == "parallel" else homothety_cut_scan
         values = scan(body, k, anchors, rtol=rtol)
@@ -331,9 +349,9 @@ def cmd_cutvol(cfg):
         mode = _require(cfg, "mode")
         if mode not in ("translate", "scale"):
             raise ConfigError("config key 'mode' must be 'translate' or 'scale'")
-        lam, floor = _number(cfg, "lam"), (0 if mode == "translate" else 1)
-        if not lam > floor:
-            raise ConfigError(f"config key 'lam' must be > {floor} in mode {mode!r}")
+        shift = mode == "translate"
+        lam = _move(cfg, "lam", 0 if shift else 1, _MAX_MOVE * (body.scale if shift else 1.0),
+                    f"in mode {mode!r}")
         values = floating_constancy(body, mode, lam, n_normals=n_normals, seed=_seed(cfg),
                                     rtol=rtol)["values"]
         labels = range(len(values))

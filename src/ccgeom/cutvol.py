@@ -108,7 +108,8 @@ def quad(f, a, b, epsabs, epsrel, rule=DQK21):
     test; until then its panels within their share of that bound by width
     close, and the others are bisected, left halves before right halves.
     Past ``_MAX_PANELS`` open panels of one integral its sum so far is
-    taken, with one RuntimeWarning a round.
+    taken, with one RuntimeWarning a round.  A round after which every
+    integral has stopped returns at once, with no split bookkeeping.
     """
     a, b = np.atleast_1d(np.asarray(a, dtype=float)), np.atleast_1d(np.asarray(b, dtype=float))
     K = len(a)
@@ -138,6 +139,8 @@ def quad(f, a, b, epsabs, epsrel, rule=DQK21):
             warnings.warn(f"quad: more than {_MAX_PANELS} panels short of the tolerance; "
                           "returning the sum so far", RuntimeWarning, stacklevel=2)
             done |= 2 * n_short > _MAX_PANELS
+        if done.all():
+            return out
         total = np.where(done, out, total + np.bincount(k, np.where(short, 0.0, result), K))
         total_err += np.bincount(k, np.where(short, 0.0, err), K)
         split = short & ~done[k]

@@ -239,8 +239,8 @@ def _refine_radii(r):
 
 def _polar_rule(r, moments, jac, axes):
     """Measure and first moments of the periodic trapezoid rule on the radii
-    of each row of r, cast along cos t g1 + sin t g2: axes holds g1 and g2
-    per row in (e1, e2) coordinates, (rows, 2, 2), and jac is |g1 x g2|.
+    of each row of r, cast along cos t g1 + sin t g2: axes[i, j] holds
+    <g_i, e_j> per row, (2, 2, rows), and jac is |g1 x g2|.
     The moments, in (e1, e2), of the rows in the mask moments, 0 for the
     others."""
     n = r.shape[-1]
@@ -250,7 +250,7 @@ def _polar_rule(r, moments, jac, axes):
     c = np.add.reduce(rows ** 3 * np.cos(theta), axis=-1) * (2.0 * math.pi / n) / 3.0
     s = np.add.reduce(rows ** 3 * np.sin(theta), axis=-1) * (2.0 * math.pi / n) / 3.0
     m = np.zeros((2, len(measure)))
-    m[:, moments] = jac[moments] * (c * axes[moments, 0].T + s * axes[moments, 1].T)
+    m[:, moments] = jac[moments] * (c * axes[0][:, moments] + s * axes[1][:, moments])
     return measure, m[0], m[1]
 
 
@@ -281,11 +281,12 @@ def _centred_sections(body, normals, which, ts, admissible=False):
     the e1 and e2 chords' half-lengths as the guide's semi-axes. Returns the
     centred anchors, the spine anchors, the plane basis (one (L, d) array of
     rows per basis vector), the guide (in 2D the chords' half-lengths, in 3D
-    the rows g1 = e1/sqrt(a), g2 = (e2 - (b/2a) e1) / sqrt(c - b^2/4a) of
-    the Cholesky factor of its ellipse a x^2 + b x y + c y^2 = 1 about the
-    anchor, which map the unit circle onto it) and the oracle points spent
-    per level. A cone that meets the plane means unbounded sections; an
-    anchor that is not strictly inside means a level grazes the body.
+    one (L, d) array of rows per vector g1 = e1/sqrt(a), g2 = (e2 - (b/2a)
+    e1) / sqrt(c - b^2/4a) of the Cholesky factor of its ellipse a x^2 +
+    b x y + c y^2 = 1 about the anchor, which map the unit circle onto it)
+    and the oracle points spent per level. A cone that meets the plane means
+    unbounded sections; an anchor that is not strictly inside means a level
+    grazes the body.
     """
     spine, basis = _section_frames(body, normals, which, ts, admissible)
     abc = None
@@ -323,7 +324,7 @@ def _centred_sections(body, normals, which, ts, admissible=False):
     a, b, c = form
     g1 = basis[0] / np.sqrt(a)[:, None]
     g2 = (basis[1] - (0.5 * b / a)[:, None] * basis[0]) / np.sqrt(c - 0.25 * b * b / a)[:, None]
-    return anchors, spine, basis, (g1, g2), n_evals
+    return anchors, spine, basis, np.array((g1, g2)), n_evals
 
 
 def _polar_sections(body, anchors, basis, guide, rtol, moments, wide):
@@ -346,42 +347,48 @@ def _polar_sections(body, anchors, basis, guide, rtol, moments, wide):
     A level still short at ``_MAX_POLAR_NODES`` stops there unconverged.
     A level in wide adds the other nodes of its ``_DIAMETER_NODES`` grid
     (the first batch holds every 8th) as more groups of rays from its
-    anchor, whose points are not counted, and its diameter is taken on that
-    grid, bitwise as ``section_diameter`` takes it.
+    anchor in the same batch, whose points are not counted, and its
+    diameter is taken on that grid, bitwise as ``section_diameter`` takes
+    it. The grid is built only when wide is not empty: a batch with no
+    diameter level casts its first batch alone.
     """
     if len(basis) == 1:
         measure = 2.0 * guide
         converged = np.ones(len(anchors), dtype=bool)
         return measure, anchors, 1e-12 * measure, 0, converged, measure[wide]
     (e1, e2), (g1, g2) = basis, guide
-    axes = np.stack([np.stack([np.add.reduce(g * e, axis=1) for e in basis], axis=1) for g in guide], axis=1)
-    jac = np.abs(axes[:, 0, 0] * axes[:, 1, 1] - axes[:, 0, 1] * axes[:, 1, 0])
+    # axes[i, j] = <g_i, e_j>, one entry per level
+    axes = np.add.reduce(guide[:, None] * basis, axis=-1)
+    jac = np.abs(axes[0, 0] * axes[1, 1] - axes[0, 1] * axes[1, 0])
     n, n_levels = _FIRST_NODES, len(anchors)
-    # the first batch holds every step-th node of the diameter grid, and the
-    # levels in wide cast its other nodes in step - 1 more groups of rays
-    step = _DIAMETER_NODES // n
-    grid = _polar_dirs(g1[wide], g2[wide], _DIAMETER_NODES)
-    rest = np.flatnonzero(np.arange(_DIAMETER_NODES) % step)
-    dirs = np.concatenate((_polar_dirs(g1, g2, n),
-                           grid[:, :, rest].reshape(len(grid), len(wide) * (step - 1), n)), axis=1)
-    origins = np.concatenate((anchors, np.repeat(anchors[wide], step - 1, axis=0)))
+    dirs, origins, diameter = _polar_dirs(g1, g2, n), anchors, np.zeros(0)
+    if wide.size:
+        # the first batch holds every step-th node of the diameter grid, and
+        # the levels in wide cast its other nodes in step - 1 more groups of rays
+        step = _DIAMETER_NODES // n
+        grid = _polar_dirs(g1[wide], g2[wide], _DIAMETER_NODES)
+        rest = np.flatnonzero(np.arange(_DIAMETER_NODES) % step)
+        dirs = np.concatenate((dirs, grid[:, :, rest].reshape(len(grid), len(wide) * (step - 1), n)),
+                              axis=1)
+        origins = np.concatenate((anchors, np.repeat(anchors[wide], step - 1, axis=0)))
     r, n_evals = _polar_radii(body, origins, dirs, np.ones(dirs[0].size))
-    full = np.empty((len(wide), _DIAMETER_NODES))
-    full[:, ::step], full[:, rest] = r[wide], r[n_levels:].reshape(len(wide), len(rest))
-    diameter = _widest(full, grid)
-    r, n_evals = r[:n_levels], n_evals[:n_levels]
+    if wide.size:
+        full = np.empty((len(wide), _DIAMETER_NODES))
+        full[:, ::step], full[:, rest] = r[wide], r[n_levels:].reshape(len(wide), len(rest))
+        diameter = _widest(full, grid)
+        r, n_evals = r[:n_levels], n_evals[:n_levels]
     measure, err = np.empty(n_levels), np.empty(n_levels)
     centroid, converged = np.empty_like(anchors), np.zeros(n_levels, dtype=bool)
     prev = _polar_rule(r[:, ::2], moments, jac, axes)
     todo = np.arange(n_levels)  # levels still refining
     while True:
-        mu, m1, m2 = _polar_rule(r, moments, jac[todo], axes[todo])
+        mu, m1, m2 = _polar_rule(r, moments, jac[todo], axes[:, :, todo])
         gap = np.abs(mu - prev[0])
         # math.hypot level by level: np.hypot can differ from it in the last
         # bit, and the stopping test must not depend on the batch
         moment_gap = np.zeros(len(todo))
-        moment_gap[moments] = [math.hypot(a, b) for a, b in zip((m1 - prev[1])[moments],
-                                                                 (m2 - prev[2])[moments])]
+        moment_gap[moments] = list(map(math.hypot, (m1 - prev[1])[moments].tolist(),
+                                       (m2 - prev[2])[moments].tolist()))
         tol = rtol[todo]
         # the moments are lengths cubed: their floor is mu^(3/2), not mu
         met = (gap <= tol * np.maximum(mu, 1e-300)) & (

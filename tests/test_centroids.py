@@ -16,6 +16,7 @@ from ccgeom import (
     paraboloid_epigraph,
     sample_levels,
     sccp_residual,
+    section_stats,
     superellipsoid,
     unit_disk,
 )
@@ -88,6 +89,22 @@ def test_fit_line_exact_points():
     fit = fit_line(pts)
     assert fit.residual_norm < 1e-14
     assert abs(fit.dir @ _unit([1.0, 1.0])) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("body,u", [
+    (ellipsoid([1.0, 2.0, 3.0], center=[0.1, 0.2, -0.3]), [1.0, 2.0, 2.0]),
+    (paraboloid_epigraph([1.0, 0.7], shift=[0.0, 0.0, 1.0]), [0.1, -0.2, 0.4]),
+    (hyperboloid_sheet([1.0, 1.4]), [0.1, -0.2, 0.9]),
+], ids=["ellipsoid", "paraboloid", "sheet"])
+def test_sccp_residual_is_the_fit_of_the_centroid_rows_bitwise(body, u):
+    # the centroid array goes to fit_line whole, and its sums over n and
+    # math.sqrt are bitwise the fit of the centroids as a list of rows
+    u = _unit(u)
+    rows = list(section_stats(body, u, sample_levels(body, u)).centroid)
+    fit, alone = sccp_residual(body, u), fit_line(rows)
+    for name in ("base", "dir", "residual_rms", "residual_norm", "n_points"):
+        assert np.array_equal(getattr(fit, name), getattr(alone, name)), name
+        assert type(getattr(fit, name)) is type(getattr(alone, name)), name
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -308,6 +308,24 @@ def test_anchor_whose_height_overflows_is_config_error_naming_it(tmp_path, capsy
     assert out == ""
 
 
+@pytest.mark.parametrize("cfg, key", [
+    # the cut volumes overflow to inf, after three RuntimeWarnings
+    ({"body": PARABOLA, "op": "parallel", "k": 1e300, "anchors": [[0.0]]}, "k"),
+    # every sampled normal's cap overflows, and none is kept
+    ({"body": PARABOLA, "op": "floating", "mode": "translate", "lam": 1e300, "n_normals": 2},
+     "lam"),
+    # the moved tangent planes lie too far out for the boundary search
+    ({"body": HYPERBOLA, "op": "homothety", "k": 1e300, "anchors": [[0.0], [1.0]]}, "k"),
+])
+def test_huge_finite_shift_or_factor_is_config_error_naming_it(tmp_path, capsys, cfg, key):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_config(tmp_path, capsys, "cutvol", cfg)
+    assert code == EXIT_BAD_CONFIG
+    assert err.startswith("error: ") and repr(key) in err and "at most 1e+30" in err
+    assert out == "" and not caught
+
+
 ELLIPSOID = PRESETS["sccp"]["ellipsoid"]["body"]
 PARALLEL = PRESETS["cutvol"]["parabola-parallel"]
 ASYM = PRESETS["asym"]["hyperboloid"]

@@ -3,6 +3,7 @@ the digest behind every "numbers unchanged" claim and the F-round counter,
 on results and sections made up here rather than a workload pool."""
 import dataclasses
 import importlib.util
+import json
 import mmap
 import re
 import subprocess
@@ -132,7 +133,8 @@ def _git(repo, *args):
 
 def test_ab_pairs_exports_revisions_and_builds_the_control(tmp_path, ab_pairs):
     # a throwaway repository whose run.py reports ops_per_s from the tree:
-    # VALUE, and 5 more where sections.py ends with the control line
+    # VALUE, and 5 more where sections.py ends with the control line; its
+    # one op calls abs VALUE times
     repo = tmp_path / "repo"
     (repo / "perfbench").mkdir(parents=True)
     (repo / "src" / "ccgeom").mkdir(parents=True)
@@ -141,10 +143,18 @@ def test_ab_pairs_exports_revisions_and_builds_the_control(tmp_path, ab_pairs):
     (repo / "src" / "ccgeom" / "sections.py").write_text("X = 1\n")
     (repo / "perfbench" / "run.py").write_text(
         "import json\nfrom pathlib import Path\n"
-        "control = Path('src/ccgeom/sections.py').read_text().endswith(%r)\n"
-        "value = float(Path('VALUE').read_text()) + 5.0 * control\n"
-        "print(json.dumps({'failed': 0, 'metrics': {'ops_per_s': {'value': value}}}))\n"
+        "def import_library():\n    pass\n"
+        "if __name__ == '__main__':\n"
+        "    control = Path('src/ccgeom/sections.py').read_text().endswith(%r)\n"
+        "    value = float(Path('VALUE').read_text()) + 5.0 * control\n"
+        "    print(json.dumps({'failed': 0, 'metrics': {'ops_per_s': {'value': value}}}))\n"
         % ab_pairs.CONTROL_LINE)
+    (repo / "perfbench" / "workloads.py").write_text(
+        "import types\nfrom pathlib import Path\n"
+        "N = int((Path(__file__).resolve().parent.parent / 'VALUE').read_text())\n"
+        "def call():\n    for _ in range(N):\n        abs(0)\n"
+        "WORKLOADS = {'w': types.SimpleNamespace(\n"
+        "    build=lambda seed: [types.SimpleNamespace(call=call)])}\n")
     (repo / "VALUE").write_text("100")
     _git(repo, "init", "-q")
     _git(repo, "add", "-A")
@@ -152,7 +162,8 @@ def test_ab_pairs_exports_revisions_and_builds_the_control(tmp_path, ab_pairs):
     (repo / "VALUE").write_text("120")
     _git(repo, "commit", "-qam", "change")
     done = subprocess.run([sys.executable, str(SCRIPTS / "ab_pairs.py"), "--workload", "w",
-                           "--rounds", "2", "--seconds", "0", "HEAD~1", "HEAD"],
+                           "--rounds", "2", "--seconds", "0", "--record", "test",
+                           "HEAD~1", "HEAD"],
                           cwd=repo, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
@@ -164,6 +175,27 @@ def test_ab_pairs_exports_revisions_and_builds_the_control(tmp_path, ab_pairs):
     paths = [Path(part.split()[-1]) for part in head.split("; ")[1].split(", ")]
     assert len(paths) == 3 and not any(path.exists() for path in paths)
     assert (repo / "src" / "ccgeom" / "sections.py").read_text() == "X = 1\n"
+    # the record, at the top of the repository
+    record = json.loads((repo / "BENCH_test.json").read_text())
+    assert list(record) == ["label", "revisions", "environment", "seed", "rounds", "seconds",
+                            "workloads"]
+    revs = [subprocess.run(["git", "rev-parse", rev], cwd=repo, capture_output=True,
+                           text=True).stdout.strip() for rev in ("HEAD~1", "HEAD")]
+    assert [record["revisions"][label] for label in ("parent", "change")] == revs
+    assert "control" in record["revisions"]
+    assert list(record["environment"]) == ["cpu_count", "python", "numpy", "load_before",
+                                           "load_after"]
+    assert len(record["environment"]["load_after"]) == 3
+    assert (record["label"], record["seed"], record["rounds"]) == ("test", 1, 2)
+    entry = record["workloads"]["w"]
+    assert list(entry) == ["metrics", "calls_per_op", "runs"]
+    ops = entry["metrics"]["ops_per_s"]
+    assert list(ops) == ["unit", "better", "parent", "change", "control", "wins", "verdict"]
+    assert ops["change"] == {"median": 120.0, "q1": 120.0, "q3": 120.0, "iqr": 0.0}
+    assert ops["wins"] == {"parent": [2, 0], "control": [2, 0]} and ops["verdict"] == "gain"
+    assert entry["runs"]["control"] == [{"ops_per_s": 105.0}] * 2
+    calls = entry["calls_per_op"]
+    assert calls["change"] - calls["parent"] == 20 and calls["control"] == calls["parent"]
     done = subprocess.run([sys.executable, str(SCRIPTS / "ab_pairs.py"), "--workload", "w",
                            "no-such-revision", "HEAD"], cwd=repo, capture_output=True, text=True,
                           timeout=60)
@@ -230,6 +262,16 @@ def _workloads(monkeypatch):
 
     load("oracles")
     return load("workloads")
+
+
+def test_op_calls_repeat_exactly_on_a_seed_1_pool(monkeypatch):
+    # the profiled calls of a pass are a count, not a timing: two counts of
+    # one pool agree exactly on every workload
+    op_calls, workloads = _script(monkeypatch, "op_calls"), _workloads(monkeypatch)
+    for name, workload in workloads.WORKLOADS.items():
+        pool = workload.build(1)
+        first = op_calls.calls_per_op(pool)
+        assert first > 0 and op_calls.calls_per_op(pool) == first, name
 
 
 def test_ray_rounds_counts_one_f_round_per_unguessed_quadric_call(ray_rounds, monkeypatch):

@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -763,6 +764,60 @@ def test_3d_sections_cast_two_ray_batches(monkeypatch):
             calls.clear()
             entry(body, u, t)
             assert len(calls) == batches, (body.kind, entry.__name__)
+
+
+def _profiled_calls(fn):
+    """fn's result and the calls (Python plus C) that sys.setprofile sees it
+    make, after one call unprofiled (which pays any one-off set-up, such as
+    a body's cached properties)."""
+    fn()
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event in ("call", "c_call")
+
+    sys.setprofile(count)
+    try:
+        out = fn()
+    finally:
+        sys.setprofile(None)
+    return out, calls
+
+
+@pytest.mark.parametrize("body,normals,levels", QUADRIC_SECTIONS[:3],
+                         ids=[b.kind for b, _, _ in QUADRIC_SECTIONS[:3]])
+def test_diameter_grid_is_built_only_for_a_diameter_level(monkeypatch, body, normals, levels):
+    # a batch with no diameter level builds no grid, and so makes fewer
+    # calls; its one ray batch is the 16 L first-batch rays alone, whose
+    # radii are bitwise those of the same batch with one diameter level,
+    # and every other result is bitwise too
+    batches = []
+    ray_hits_batch = sections.ray_hits_batch
+
+    def kept(*args, **kwargs):
+        out = ray_hits_batch(*args, **kwargs)
+        batches.append(out[0])
+        return out
+
+    monkeypatch.setattr(sections, "ray_hits_batch", kept)
+    u = np.asarray(normals[0]) / np.linalg.norm(normals[0])
+    ts = np.array(levels)
+    runs = []
+    for diameter in (False, np.arange(len(ts)) == 1):
+        out, calls = _profiled_calls(lambda: sections._sections(
+            body, u[None], np.zeros(len(ts), dtype=np.intp), ts, 1e-8, True, diameter))
+        # the profiled call's ray batches come after the warm-up call's
+        runs.append((out, calls, batches[len(batches) // 2:]))
+        batches.clear()
+    (plain, plain_calls, plain_rays), (wide, wide_calls, wide_rays) = runs
+    assert plain_calls < wide_calls
+    first = sections._FIRST_NODES * len(ts)
+    assert len(plain_rays) == len(wide_rays) == 1 and plain_rays[0].shape == (first,)
+    assert np.array_equal(plain_rays[0], wide_rays[0][:first])
+    for a, b in zip(plain[:5], wide[:5]):
+        assert np.array_equal(a, b)
+    assert plain[5].shape == (0,) and wide[5].shape == (1,)
 
 
 @pytest.mark.parametrize("body,normals,levels", QUADRIC_SECTIONS[:3],
