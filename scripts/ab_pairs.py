@@ -35,11 +35,13 @@ directory: the revisions compared, the environment (CPU count, Python,
 numpy, and the load average before and after the rounds), and for each
 workload every end-to-end metric's median, quartiles and interquartile
 range per checkout, the change's pair wins and losses against the parent
-and the control, the verdict, each round's values, and the profiled calls
-per op of each checkout (``scripts/op_calls.py`` run on the seed's pool,
-null where a checkout cannot run it).
+and the control, the verdict, each round's values, the profiled calls per
+op of each checkout (``scripts/op_calls.py`` run on the seed's pool) and
+the workload's lines of each checkout's own ``scripts/ray_rounds.py --seed
+SEED``, each null where a checkout cannot run it.
 """
 import argparse
+import functools
 import io
 import json
 import os
@@ -125,6 +127,23 @@ def count_calls(checkout, workload, seed):
         return json.loads(done.stdout.strip().splitlines()[-1])[workload]
     except (IndexError, KeyError, ValueError):
         return None
+
+
+@functools.cache
+def ray_rounds(checkout, seed):
+    """The lines that the checkout's own ``scripts/ray_rounds.py --seed
+    seed`` prints, by workload (its header line and the indented lines
+    under it), or None if the checkout cannot run it."""
+    done = subprocess.run([sys.executable, "scripts/ray_rounds.py", "--seed", str(seed)],
+                          cwd=checkout, capture_output=True, text=True)
+    if done.returncode:
+        return None
+    blocks, lines = {}, []
+    for line in done.stdout.splitlines():
+        if not line.startswith(" "):
+            blocks[line.split()[0]] = lines = []
+        lines.append(line)
+    return blocks
 
 
 def _wins(a, b, better):
@@ -259,13 +278,16 @@ def compare(args, workload, checkouts, record):
         calls = {label: count_calls(path, workload, args.seed)
                  for label, path in zip(labels, checkouts)}
         print("calls per op: " + ", ".join(f"{label} {n}" for label, n in calls.items()))
-        record[workload] = workload_record(rows, units, runs, calls)
+        rounds = {label: (ray_rounds(path, args.seed) or {}).get(workload)
+                  for label, path in zip(labels, checkouts)}
+        record[workload] = workload_record(rows, units, runs, calls, rounds)
     return 0
 
 
-def workload_record(rows, units, runs, calls):
+def workload_record(rows, units, runs, calls, rounds):
     """One workload's entry of a record, from ``summarize``'s rows, the
-    units, each checkout's rounds and its calls per op."""
+    units, each checkout's rounds, its calls per op and its ``ray_rounds.py``
+    lines."""
     metrics = {}
     for row in rows:
         entry = {"unit": units[row["metric"]], "better": row["better"]}
@@ -276,7 +298,7 @@ def workload_record(rows, units, runs, calls):
                          if label != "change"}
         entry["verdict"] = row["verdict"]
         metrics[row["metric"]] = entry
-    return {"metrics": metrics, "calls_per_op": calls, "runs": runs}
+    return {"metrics": metrics, "calls_per_op": calls, "ray_rounds": rounds, "runs": runs}
 
 
 def write_record(args, revisions, load_before, workloads):

@@ -8,7 +8,8 @@ Each workload's pool (``perfbench/workloads.py``) is built for the seed and
 every op runs once, in pool order. A last pool, ``catalog``, covers what no
 workload runs: every body kind and function tag of ``ccgeom.bodies``, in 2D
 and in 3D where the kind allows, unmoved and moved along e_d, each through
-section_stats, one halfspace cut volume, one unguessed ray batch and one
+admissible_levels and section_stats at two normals, one halfspace cut
+volume and section_diameter at its level, one unguessed ray batch and one
 guessed from its hits (see ``GUESS_OFFSETS``), the Gauss map and (where
 its recession cone has interior) a shell scan, and each 3D
 body once more through the grid scan of ``body_shell_points`` (see
@@ -138,15 +139,19 @@ def _body_ops(body, label, rng):
     normals = _unit_rows(rng, 2, d, lambda u: u[-1] > 0.5 and cg.section_bounded(body, u)
                          and (cone.dim == 0 or cone.positive_on(u)))
     for u in normals:
+        op("sections.admissible_levels", lambda u=u: cg.admissible_levels(body, u))
         lo, hi = cg.admissible_levels(body, u)
         if not np.isfinite(hi):
             hi = max(lo, 0.0) + 4.0 * body.scale
         for f in (0.2, 0.5, 0.8):
             op("sections.section_stats",
                lambda u=u, t=lo + f * (hi - lo): cg.section_stats(body, u, t))
-    # one cut of the last normal, at the middle of its levels
+    # one cut of the last normal, and its section's diameter, at the middle
+    # of its levels
     op("cutvol.halfspace_cut_volume",
        lambda t=0.5 * (lo + hi): cg.halfspace_cut_volume(body, normals[-1], t))
+    op("sections.section_diameter",
+       lambda t=0.5 * (lo + hi): cg.section_diameter(body, normals[-1], t))
     # directions well outside the recession cone, so that every ray leaves
     W = _unit_rows(rng, 8, d, lambda w: cone.defining(w) > 0.1)
     op("bodies.ray_hits_batch", lambda: bodies.ray_hits_batch(body, body.interior_point(), W))

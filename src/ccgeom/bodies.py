@@ -693,11 +693,6 @@ class BodySpec:
         # the translation moves every point, and h by <u, translation>
         return h + np.vecdot(U, self.translation), X + self.translation, on
 
-    def support_rows(self, U):
-        """``support`` of each row of an (n, d) array."""
-        nrm = np.sqrt(np.vecdot(U, U))
-        return nrm * self.gauss_map(U / nrm[:, None])[0]
-
     def support(self, u) -> float:
         """h(u) = sup over the body of <u, x>; +inf in recession-positive directions.
 
@@ -708,7 +703,8 @@ class BodySpec:
         u = np.asarray(u, dtype=float)
         if float(np.linalg.norm(u)) == 0.0 or not np.all(np.isfinite(u)):
             raise ValueError("direction must be finite and nonzero")
-        return float(self.support_rows(u[None])[0])
+        nrm = np.sqrt(np.vecdot(u, u))
+        return float(nrm * self.gauss_map((u / nrm)[None])[0][0])
 
     def support_attained(self, u) -> bool:
         """Whether u lies in the Gauss-map image N(boundary)."""

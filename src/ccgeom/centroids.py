@@ -55,7 +55,9 @@ def sample_levels(body, u, n_levels=None):
 
 
 def _check_count(n_levels):
-    if n_levels is not None and not (n_levels >= 1 and float(n_levels).is_integer()):
+    """Refuse anything but None or a whole number >= 1 (not a bool)."""
+    if n_levels is not None and (isinstance(n_levels, (bool, np.bool_))
+                                 or not (n_levels >= 1 and float(n_levels).is_integer())):
         raise ValueError(f"n_levels must be a whole number >= 1, got {n_levels!r}")
 
 
@@ -134,10 +136,14 @@ def classify_lines(lines, tol=1e-5) -> LineFamilyVerdict:
     """Concurrent / parallel / neither for a family of fitted lines.
 
     Concurrency is decided first via the least-squares common point; a
-    near-singular normal matrix signals a (near-)parallel family.
+    near-singular normal matrix signals a (near-)parallel family. tol, finite
+    and positive, bounds the relative distances and the angles of both tests.
     """
     if len(lines) < 3:
         raise ValueError("need at least 3 lines")
+    # written so that a NaN fails the test too
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
     dim = lines[0].base.shape[0]
     bases = np.array([ln.base for ln in lines])
     dirs = np.array([ln.dir for ln in lines])

@@ -25,6 +25,7 @@ from .asymptotics import _N_AZIMUTH, blowdown_check, shell_distance, trend_verdi
 from .bodies import BodySpec
 from .centroids import MIN_LEVELS, classify_lines, sccp_residual
 from .cutvol import (
+    _check_move,
     _spread,
     cut_gradient,
     cut_volume,
@@ -87,21 +88,15 @@ def _number(cfg, key, default=None, integer=False):
     return int(x) if integer else float(x)
 
 
-# the largest shift (in body scales) or factor of a moved tangent cut: its
-# volumes grow as up to the d-th power of it, so at 1e30 a 3D one is about
-# 1e90 scale^3, far from overflow; past 1e150 they overflow, or the cut's
-# boundary search fails
-_MAX_MOVE = 1e30
-
-
-def _move(cfg, key, floor, cap, where):
-    """The config's required number ``key``, a cut's shift or factor, in
-    (floor, cap]; where names the op or mode in the message."""
+def _move(cfg, key, body, shift, where):
+    """The config's required number ``key``, a cut's shift (shift True) or
+    factor, in the range the library's scans take; where names the op or
+    mode in the message."""
     x = _number(cfg, key)
-    if not x > floor:
-        raise ConfigError(f"config key {key!r} must be > {floor} {where}")
-    if not x <= cap:
-        raise ConfigError(f"config key {key!r} must be at most {cap:g} {where}")
+    try:
+        _check_move(f"config key {key!r}", x, body, shift)
+    except ValueError as e:
+        raise ConfigError(f"{e} {where}") from e
     return x
 
 
@@ -333,8 +328,7 @@ def cmd_cutvol(cfg):
     rtol = _rtol(cfg)
     if op in ("parallel", "homothety"):
         shift = op == "parallel"
-        k = _move(cfg, "k", 0 if shift else 1, _MAX_MOVE * (body.scale if shift else 1.0),
-                  f"for op {op!r}")
+        k = _move(cfg, "k", body, shift, f"for op {op!r}")
         anchors = _list(cfg, "anchors", body.ambient_dim - 1)
         scan = parallel_cut_scan if op == "parallel" else homothety_cut_scan
         values = scan(body, k, anchors, rtol=rtol)
@@ -350,8 +344,7 @@ def cmd_cutvol(cfg):
         if mode not in ("translate", "scale"):
             raise ConfigError("config key 'mode' must be 'translate' or 'scale'")
         shift = mode == "translate"
-        lam = _move(cfg, "lam", 0 if shift else 1, _MAX_MOVE * (body.scale if shift else 1.0),
-                    f"in mode {mode!r}")
+        lam = _move(cfg, "lam", body, shift, f"in mode {mode!r}")
         values = floating_constancy(body, mode, lam, n_normals=n_normals, seed=_seed(cfg),
                                     rtol=rtol)["values"]
         labels = range(len(values))

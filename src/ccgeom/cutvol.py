@@ -38,13 +38,18 @@ from .sections import (
     _check_levels,
     _check_measures,
     _rtols,
+    _plane_setup,
     _sections,
-    _support_levels,
     section_measure,
 )
 from .sections import section_diameter, section_stats  # noqa: F401  (perfbench/tracer.py wraps them by name)
 
 _MAX_PANELS = 200  # open panels past which quad stops refining
+# the largest shift (in body scales) or factor of a moved tangent cut: its
+# volumes grow as up to the d-th power of it, so at 1e30 a 3D one is about
+# 1e90 scale^3, far from overflow; past 1e150 they overflow, or the cut's
+# boundary search fails
+_MAX_MOVE = 1e30
 
 # QUADPACK's Gauss-Kronrod tables (Piessens et al., QUADPACK, 1983), each
 # given by its abscissae x_1 > ... > x_n = 0 on [-1, 1] with the weights there
@@ -170,7 +175,8 @@ class CutVolumeResult:
 def _level_ranges(body, U, T):
     """The levels that body ∩ {<u,x> <= t} spans, for each row u of an (n, d)
     array of unit normals and entry t of T, in one pass: the support levels
-    (lo, hi) = (-h(-u), h(u)) and the ranges (s_lo, s_hi, fixed), s_hi =
+    (lo, hi) = (-h(-u), h(u)) of ``_plane_setup``, which the section kernel
+    checks its levels on, and the ranges (s_lo, s_hi, fixed), s_hi =
     min(t, hi), with fixed the volume itself where it needs no integral
     (NaN elsewhere): +inf when the cut contains a recession direction, 0
     when the halfspace misses the interior.
@@ -178,8 +184,7 @@ def _level_ranges(body, U, T):
     # as the section kernel decides it, a cone that meets the planes within
     # rounding meets them; then, or where the cone is not positive on u,
     # some recession direction stays in the halfspace: infinite volume
-    meets, up = body.recession_cone().sides(U)
-    lo, hi = _support_levels(body, U, up)
+    meets, up, lo, hi, _, _ = _plane_setup(body, U)
     s_hi = np.minimum(T, hi)
     fixed = np.where(s_hi <= lo + 1e-12 * body.scale, 0.0, np.nan)
     meets |= ~up
@@ -332,9 +337,14 @@ def cut_gradient(body, a, rtol=DEFAULT_RTOL) -> CutVolumeResult:
     )
 
 
-def _check_finite(name, value):
+def _check_move(name, value, body, shift):
+    """Refuse a moved tangent cut's shift (shift True) or factor outside (0,
+    ``_MAX_MOVE`` body scales] or (1, ``_MAX_MOVE``], before any arithmetic."""
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value}")
+    floor, cap = (0.0, _MAX_MOVE * body.scale) if shift else (1.0, _MAX_MOVE)
+    if not floor < value <= cap:
+        raise ValueError(f"{name} must be > {floor:g} and at most {cap:g}, got {value!r}")
 
 
 def _moved_tangent_cuts(body, normals, levels, mode, k, rtol):
@@ -357,9 +367,7 @@ def parallel_cut_scan(body, k, anchors, rtol=DEFAULT_RTOL):
     Constant across anchors exactly for elliptic paraboloids.  A body is
     graph-like here when its recession cone is a ray.
     """
-    _check_finite("shift k", k)
-    if k <= 0:
-        raise ValueError("shift k must be positive")
+    _check_move("shift k", k, body, True)
     if body.recession_cone().dim != 1:
         raise NotGraphLike("parallel cuts need a graph-like body whose recession cone is a ray")
     points, normals = _graph_contacts(body, anchors)
@@ -374,9 +382,7 @@ def homothety_cut_scan(body, k, anchors, rtol=DEFAULT_RTOL):
     (else ``NotApexCentered``), and each tangent plane must separate 0 from
     the surface (else ``DegenerateCut``).
     """
-    _check_finite("homothety factor k", k)
-    if k <= 1.0:
-        raise ValueError("homothety factor k must exceed 1")
+    _check_move("homothety factor k", k, body, False)
     points, normals = _graph_contacts(body, anchors)
     if float(np.linalg.norm(body.translation)) > 0.0:
         raise NotApexCentered("body must keep its asymptotic-cone apex at 0")
@@ -399,15 +405,9 @@ def floating_constancy(body, mode, lam, n_normals=12, seed=0, rtol=DEFAULT_RTOL)
     """
     if n_normals < 1:
         raise ValueError(f"n_normals must be at least 1, got {n_normals}")
-    _check_finite("lam", lam)
-    if mode == "translate":
-        if lam <= 0:
-            raise ValueError("translate mode needs lam > 0")
-    elif mode == "scale":
-        if lam <= 1:
-            raise ValueError("scale mode needs lam > 1")
-    else:
+    if mode not in ("translate", "scale"):
         raise ValueError("mode must be 'translate' or 'scale'")
+    _check_move("lam", lam, body, mode == "translate")
     _rtols(rtol, 1)  # before the draws, some of which may integrate nothing
     rng = np.random.default_rng(seed)
     values = []

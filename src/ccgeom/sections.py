@@ -16,21 +16,22 @@ node-doubling refinement schedule, so results are deterministic for a
 given tolerance. ``n_evals`` counts the points at which the body's
 defining function was evaluated, in 2D and 3D.
 
-One kernel does this for a whole array of levels at once, each with its
-own normal and tolerance: one ray batch centres every level that casts
-chords (two rays each in 2D, eight in 3D), one ``defining`` call checks
-the spine anchors of the others, and each round of the polar rules is one
-batch over the levels still short of their tolerance. The set-up of a batch
-(``_section_frames``) orients every distinct normal, builds its plane
-basis and places its spine anchors in one pass, row-wise, with one
-Gauss-map call for both ends of every spine. The root-finder solves every
+One kernel does this for a whole array of levels at once, each with its own
+normal and tolerance: one ray batch centres every level that casts chords
+(two rays each in 2D, eight in 3D), one ``defining`` call checks the spine
+anchors of the others, and each round of the polar rules is one batch over
+the levels still short of their tolerance. One set-up per normal,
+``_plane_setup`` (one cone-margin and one Gauss-map call, row-wise), gives
+the support levels -h(-u), h(u) and the spine's ends; the kernel's level
+check, ``admissible_levels`` and the cut volumes' level ranges all read it,
+so they agree bitwise on which levels exist. The root-finder solves every
 ray on its own, so each level comes out bitwise as it would alone. Each
 level asks for its first moments (the centroid) and its diameter apart, so
-sections that need them ride in the batches of sections that do not. The kernel
-alone decides grazing (see ``_sections``): ``section_measure`` answers 0
-at a grazing or empty level, so cut volumes integrate it up to the
-support levels, while ``section_stats`` and ``section_diameter`` refuse
-it. ``section_stats`` and ``section_measure`` take a number or a 1-D array of
+sections that need them ride in the batches of sections that do not. The
+kernel alone decides grazing (see ``_sections``): ``section_measure``
+answers 0 at a grazing or empty level, so cut volumes integrate it up to the
+support levels, while ``section_stats`` and ``section_diameter`` refuse it.
+``section_stats`` and ``section_measure`` take a number or a 1-D array of
 levels; ``section_measure`` also takes one normal and one tolerance per
 level, so that the sections of several cuts share their batches. Every
 tolerance must lie in (0, 1).
@@ -118,26 +119,35 @@ def section_bounded(body, u) -> bool:
 def admissible_levels(body, u):
     """Open interval of levels t with 0 < measure < inf; endpoints may be inf."""
     u = _check_unit(u)
-    meets, up = body.recession_cone().sides(u[None])
+    meets, _, lo, hi, _, _ = _plane_setup(body, u[None])
     if meets[0]:
         raise UnboundedSection(f"sections normal to {u} are unbounded")
-    return tuple(float(h[0]) for h in _support_levels(body, u[None], up))
+    return float(lo[0]), float(hi[0])
 
 
-def _support_levels(body, U, up):
-    """-h(-u) and h(u) at each row u of U (as ``support`` takes them), up
-    the mask of the rows on which the recession cone is positive: there an
-    unbounded body's h(u) is +inf, read off the cone."""
+def _plane_setup(body, U):
+    """Per row u of an (n, d) array U: whether the cone meets u-perp (within
+    rounding: unbounded sections) and is positive on u, lo = -h(-u), hi =
+    h(u), and the spine ends, the boundary points at -N and (bounded body) N
+    as a (2 or 1, n, d) array, N = u oriented so that the cone is positive
+    on it, with whether those at -N are attained. One cone-margin call, then
+    one Gauss-map call on the rows -U, then U (where the cone is positive on
+    u, h(u) is +inf, so an unbounded body takes only U's other rows).
+    """
+    cone = body.recession_cone()
+    meets, up = cone.sides(U)
     n = len(U)
-    if body.recession_cone().dim == 0:
-        lo, hi = body.support_rows(np.concatenate([-U, U])).reshape(2, -1)
-        return -lo, hi
-    hi = np.full(n, INF)
+    if cone.dim == 0:
+        h, X, on = body.gauss_map(np.concatenate([-U, U]))
+        return meets, up, -h[:n], h[n:], X.reshape(2, n, -1), on[:n]
+    hi = np.where(up, INF, np.nan)
     if np.count_nonzero(up) == n:
-        return -body.support_rows(-U), hi
-    h = body.support_rows(np.concatenate([-U, U[~up]]))
-    hi[~up] = h[n:]
-    return -h[:n], hi
+        h, X, on = body.gauss_map(-U)
+    else:  # where the cone is not positive on u: h(u), and -N = u
+        down = ~up
+        h, X, on = body.gauss_map(np.concatenate([-U, U[down]]))
+        hi[down], X[:n][down], on[:n][down] = h[n:], X[n:], on[n:]
+    return meets, up, -h[:n], hi, X[None, :n], on[:n]
 
 
 def _plane_basis(U):
@@ -160,51 +170,44 @@ def _plane_basis(U):
 def _section_frames(body, normals, which, ts, admissible=False):
     """The spine anchors (one row per level) and plane bases (one (L, d)
     array per basis vector) of the sections {<u,x> = t}, t in ts and u =
-    normals[which], every normal in one pass; with admissible, first
-    ``_check_levels`` on the supports h(-u), h(u) of that pass.
+    normals[which], every normal in one ``_plane_setup``; with admissible,
+    first ``_check_levels`` on its support levels, the interval that
+    ``admissible_levels`` reports.
 
     Each normal is oriented so that the unbounded side of the level axis is
     +u. Its spine runs from the boundary point attaining the minimum level
     (when attained; not at a cone's apex) through a deep interior point to
     the maximum-level boundary point, or on along an interior recession
     direction: points on it are interior by convexity and hit every level
-    once. Both ends come from one Gauss-map call on the rows of -N and N, N
-    the oriented normals (-N alone for an unbounded body, where h(N) is
-    +inf). A cone that meets a plane (within rounding, as
-    ``section_bounded`` decides it) means unbounded sections.
+    once. Its ends are the set-up's. A cone that meets a plane means
+    unbounded sections.
     """
-    cone = body.recession_cone()
-    meets, up = cone.sides(normals)
+    meets, up, lo, hi, ends, on = _plane_setup(body, normals)
     if np.count_nonzero(meets):
         raise UnboundedSection(f"sections normal to {normals[meets.argmax()]} are unbounded")
     n = len(normals)
     # each level's normal; a lone normal's rows broadcast over the levels
     at = which if n > 1 else slice(None)
-    N, levels = normals, ts
+    if admissible:
+        _check_levels(body, ts, lo[at], hi[at])
+    N = normals
     if np.count_nonzero(up) < n:
         sign = np.where(up, 1.0, -1.0)
         N = normals * sign[:, None]
         ts = ts * sign[at]
     z0 = body.interior_point()
-    bounded = cone.dim == 0
-    h, X, on = body.gauss_map(np.concatenate([-N, N]) if bounded else -N)
-    # the bottom ends, then the top ends of a bounded body
-    ends = X.reshape(-1, n, X.shape[1])
-    if admissible:  # h(-N) and h(N)
-        h_down, h_up = h.reshape(2, -1)[:, at] if bounded else (h[at], INF)
-        _check_levels(body, levels, -np.where(up[at], h_down, h_up), np.where(up[at], h_up, h_down))
     s0 = np.vecdot(N, z0)
     s_ends = np.vecdot(N, ends)
     # a level at or below z0's on a normal whose minimum is attained lies
     # between the bottom end and z0, any other one beyond z0
     low = ts <= s0[at]
-    low &= on[:n][at]
+    low &= on[at]
     p_bot = ends[0, at]
     anchors = p_bot + ((ts - s_ends[0, at]) / (s0 - s_ends[0])[at])[:, None] * (z0 - p_bot)
-    if bounded:
+    if ends.shape[0] == 2:  # a bounded body's top ends
         top = z0 + ((ts - s0[at]) / (s_ends[1] - s0)[at])[:, None] * (ends[1, at] - z0)
     else:
-        zdir = cone.interior_direction()
+        zdir = body.recession_cone().interior_direction()
         top = z0 + ((ts - s0[at]) / np.vecdot(N, zdir)[at])[:, None] * zdir
     np.copyto(anchors, top, where=~low[:, None])
     return anchors, _plane_basis(N)[:, which]
@@ -498,10 +501,7 @@ def section_stats(body, u, t, rtol=DEFAULT_RTOL) -> SectionStats:
 
     For a 1-D array of levels t, the sections at all of them in one batch.
     Every level must lie inside ``admissible_levels`` by 1e-9 scale, else
-    ``LevelOutOfRange``: an empty section has no centroid. (The check reads
-    the supports of u and -u that the set-up evaluates for its spine; they
-    may differ from ``admissible_levels``', which rescales u to unit length
-    first, in the last bit.) A level that
+    ``LevelOutOfRange``: an empty section has no centroid. A level that
     grazes the body, or whose measure is below 1e-12 scale^(d-1), raises
     ``DegenerateSection``.
     """

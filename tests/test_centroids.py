@@ -75,6 +75,14 @@ def test_sample_levels_refuses_a_count_that_is_not_a_whole_number(n_levels):
         sample_levels(paraboloid_epigraph([1.0, 1.0]), np.array([0.0, 0.0, 1.0]), n_levels)
 
 
+@pytest.mark.parametrize("n_levels", [True, np.True_])
+def test_sample_levels_refuses_a_bool_count(n_levels):
+    # True once read as one level
+    for body, u in ((unit_disk(), [0.0, 1.0]), (paraboloid_epigraph([1.0, 1.0]), [0.0, 0.0, 1.0])):
+        with pytest.raises(ValueError, match="n_levels"):
+            sample_levels(body, np.array(u), n_levels)
+
+
 def test_sample_levels_takes_a_whole_count():
     u = np.array([0.0, 0.0, 1.0])
     assert len(sample_levels(ellipsoid([1.0, 1.0, 1.0]), u, 9)) == 9
@@ -171,6 +179,18 @@ def test_superellipse_oblique_is_not_collinear():
     # axis direction is an actual symmetry, so it stays collinear
     fit_axis = sccp_residual(se, np.array([0.0, 1.0]))
     assert fit_axis.residual_norm <= 1e-9
+
+
+def test_classify_lines_refuses_a_tolerance_it_cannot_use():
+    # four concurrent lines (score 2.4e-17) read "neither" at a NaN, 0 or
+    # negative tol, and an infinite tol passes every family
+    e = ellipsoid([1.3, 0.8, 1.1])
+    fits = [sccp_residual(e, _unit(u)) for u in ([0.2, 0.1, 1.0], [1.0, 0.3, 0.2],
+                                                  [-0.4, 1.0, 0.5], [0.5, -0.6, 0.7])]
+    assert classify_lines(fits).tag == "concurrent"
+    for tol in (math.nan, 0.0, -1.0, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            classify_lines(fits, tol=tol)
 
 
 def test_classify_needs_enough_lines():

@@ -221,6 +221,35 @@ def test_scans_refuse_non_finite_inputs_up_front(bad):
                 floating_constancy(hyper, mode, bad)
 
 
+def test_scans_refuse_a_huge_shift_or_factor_naming_it():
+    # a shift above 1e30 body scales, or a factor above 1e30, is refused
+    # before any arithmetic: at 1e300 the square's parallel cuts overflowed
+    # to inf after RuntimeWarnings, at 1e200 the hyperbola's boundary search
+    # failed, and at 1e40 the square's cut came out as 1.33e60
+    square, hyper = function_epigraph("square"), hyperboloid_sheet([1.0])
+    raised = function_epigraph("square", shift=[0.0, 3.0])  # scale 3
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in (1e40, 1e300):
+            with pytest.raises(ValueError, match="shift k must be > 0 and at most 1e\\+30"):
+                parallel_cut_scan(square, k, [[0.0], [1.0]])
+        for k in (1e40, 1e200):
+            with pytest.raises(ValueError, match="factor k must be > 1 and at most 1e\\+30"):
+                homothety_cut_scan(hyper, k, [[0.0], [1.0]])
+            for mode in ("translate", "scale"):
+                with pytest.raises(ValueError, match="lam must be > [01] and at most 1e\\+30"):
+                    floating_constancy(hyper, mode, k)
+        # the caps themselves give finite volumes
+        cap = cutvol._MAX_MOVE * raised.scale
+        assert all(0.0 < v < math.inf for v in parallel_cut_scan(raised, cap, [[0.0]]))
+        with pytest.raises(ValueError, match="shift k must be > 0 and at most 3e\\+30"):
+            parallel_cut_scan(raised, math.nextafter(cap, math.inf), [[0.0]])
+        assert all(0.0 < v < math.inf for v in homothety_cut_scan(hyper, 1e30, [[0.0]]))
+        for mode in ("translate", "scale"):
+            values = floating_constancy(hyper, mode, 1e30, n_normals=2)["values"]
+            assert all(0.0 < v < math.inf for v in values)
+
+
 def test_homothety_scan_requires_apex_at_origin():
     h = hyperboloid_sheet([1.0], shift=[0.5, 0.0])
     with pytest.raises(NotApexCentered):

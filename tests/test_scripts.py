@@ -134,7 +134,8 @@ def _git(repo, *args):
 def test_ab_pairs_exports_revisions_and_builds_the_control(tmp_path, ab_pairs):
     # a throwaway repository whose run.py reports ops_per_s from the tree:
     # VALUE, and 5 more where sections.py ends with the control line; its
-    # one op calls abs VALUE times
+    # one op calls abs VALUE times; the change adds a ray_rounds.py that
+    # prints two workloads' lines
     repo = tmp_path / "repo"
     (repo / "perfbench").mkdir(parents=True)
     (repo / "src" / "ccgeom").mkdir(parents=True)
@@ -160,7 +161,13 @@ def test_ab_pairs_exports_revisions_and_builds_the_control(tmp_path, ab_pairs):
     _git(repo, "add", "-A")
     _git(repo, "commit", "-qm", "parent")
     (repo / "VALUE").write_text("120")
-    _git(repo, "commit", "-qam", "change")
+    (repo / "scripts").mkdir()
+    (repo / "scripts" / "ray_rounds.py").write_text(
+        "import sys\nseed = sys.argv[sys.argv.index('--seed') + 1]\n"
+        "print(f'v seed {seed}: 1 op')\nprint('  v line')\n"
+        "print(f'w seed {seed}: 1 op')\nprint('  w line')\n")
+    _git(repo, "add", "-A")
+    _git(repo, "commit", "-qm", "change")
     done = subprocess.run([sys.executable, str(SCRIPTS / "ab_pairs.py"), "--workload", "w",
                            "--rounds", "2", "--seconds", "0", "--record", "test",
                            "HEAD~1", "HEAD"],
@@ -188,7 +195,7 @@ def test_ab_pairs_exports_revisions_and_builds_the_control(tmp_path, ab_pairs):
     assert len(record["environment"]["load_after"]) == 3
     assert (record["label"], record["seed"], record["rounds"]) == ("test", 1, 2)
     entry = record["workloads"]["w"]
-    assert list(entry) == ["metrics", "calls_per_op", "runs"]
+    assert list(entry) == ["metrics", "calls_per_op", "ray_rounds", "runs"]
     ops = entry["metrics"]["ops_per_s"]
     assert list(ops) == ["unit", "better", "parent", "change", "control", "wins", "verdict"]
     assert ops["change"] == {"median": 120.0, "q1": 120.0, "q3": 120.0, "iqr": 0.0}
@@ -196,6 +203,9 @@ def test_ab_pairs_exports_revisions_and_builds_the_control(tmp_path, ab_pairs):
     assert entry["runs"]["control"] == [{"ops_per_s": 105.0}] * 2
     calls = entry["calls_per_op"]
     assert calls["change"] - calls["parent"] == 20 and calls["control"] == calls["parent"]
+    # the workload's ray_rounds.py lines, null in the trees that have no such script
+    assert entry["ray_rounds"] == {"parent": None, "change": ["w seed 1: 1 op", "  w line"],
+                                   "control": None}
     done = subprocess.run([sys.executable, str(SCRIPTS / "ab_pairs.py"), "--workload", "w",
                            "no-such-revision", "HEAD"], cwd=repo, capture_output=True, text=True,
                           timeout=60)
@@ -622,10 +632,12 @@ def test_op_digest_catalog_names_every_kind_and_tag(op_digest):
         for dim in ("2d",) if kind.startswith("function-epigraph") else ("2d", "3d"):
             for moved in (False, True):
                 body = calls.pop((kind, dim, moved))
-                assert body[:9] == ["sections.section_stats"] * 6 + [
-                    "cutvol.halfspace_cut_volume"] + ["bodies.ray_hits_batch"] * 2
-                assert body[9:] in (["bodies.gauss_map"],
-                                    ["bodies.gauss_map", "asymptotics.shell_distance"])
+                at_normal = ["sections.admissible_levels"] + ["sections.section_stats"] * 3
+                assert body[:12] == at_normal * 2 + [
+                    "cutvol.halfspace_cut_volume", "sections.section_diameter"] + [
+                    "bodies.ray_hits_batch"] * 2
+                assert body[12:] in (["bodies.gauss_map"],
+                                     ["bodies.gauss_map", "asymptotics.shell_distance"])
     assert not calls
     # no op raises: every input is admissible
     results = []

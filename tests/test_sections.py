@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ccgeom import (
+    BodySpec,
     admissible_levels,
     circular_cone,
     cone_direction_check,
@@ -374,6 +375,52 @@ def test_every_section_entry_answers_at_the_edges_of_its_levels():
             if not np.all(np.isfinite(out)):
                 wrong.append((entry.__name__, body.kind, u, t, out))
     assert wrong == []
+
+
+# every body kind and function tag, in 2D and in 3D where the kind allows
+SHARED_INTERVAL_BODIES = [
+    ("ellipsoid", (1.3, 0.8), 2, None), ("ellipsoid", (1.3, 0.8, 1.1), 3, None),
+    ("elliptic-paraboloid-epigraph", (0.7,), 2, None),
+    ("elliptic-paraboloid-epigraph", (1.0, 0.7), 3, None),
+    ("hyperboloid-upper-sheet", (1.2,), 2, None), ("hyperboloid-upper-sheet", (1.0, 1.4), 3, None),
+    ("circular-cone", (1.7,), 2, None), ("circular-cone", (0.6,), 3, None),
+    ("superellipsoid", (4.0,), 2, None), ("superellipsoid", (3.0,), 3, None),
+] + [("function-epigraph", (), 2, tag) for tag in ("square", "quartic", "exp", "cosh")]
+
+
+def test_section_entries_check_the_interval_admissible_levels_reports():
+    # the levels 1e-9 scale inside each finite end of admissible_levels pass
+    # the check of section_stats and section_diameter, and the next float
+    # outward fails it, bitwise: they read the same supports, also on a
+    # normal whose float norm is not 1, where rescaling u moved them
+    rng = np.random.default_rng(42)
+    norms = []
+    for kind, params, d, tag in SHARED_INTERVAL_BODIES:
+        for shift in (0.0, 2.5):
+            body = BodySpec(kind, params, shift * np.eye(d)[-1], ambient_dim=d, tag=tag)
+            buf = 1e-9 * body.scale
+            drawn = 0
+            while drawn < 4:
+                u = rng.normal(size=d)
+                u /= np.linalg.norm(u)
+                if not section_bounded(body, u):
+                    continue
+                drawn += 1
+                norms.append(float(np.sqrt(np.vecdot(u, u))))
+                lo, hi = admissible_levels(body, u)
+                for inside, way in ((lo + buf, -math.inf), (hi - buf, math.inf)):
+                    if not math.isfinite(inside):
+                        continue
+                    for entry in (section_stats, section_diameter):
+                        try:
+                            entry(body, u, inside)
+                        except DegenerateSection:
+                            # the level is checked in, but a 3D cone's
+                            # section next to its apex is below the threshold
+                            assert kind == "circular-cone" and d == 3
+                        with pytest.raises(LevelOutOfRange):
+                            entry(body, u, math.nextafter(inside, way))
+    assert any(n != 1.0 for n in norms) and any(n == 1.0 for n in norms)
 
 
 def _unit(v):
