@@ -8,13 +8,16 @@ Each workload's pool (``perfbench/workloads.py``) is built for the seed and
 run once, in pool order, as a warm-up; a second pass then runs under
 ``sys.setprofile``, which sees every call of a Python function and every
 call of a C function (numpy's functions and methods, builtins), but not
-numpy's operators. The count of those calls over the pool's ops is
-exact: two passes of one pool give the same count, so two trees compare by
-it without timing noise. ``--root`` names the checkout whose ``perfbench/``
-and ``src/`` are run (default: the one around this script); the last line
-of stdout is one JSON object, workload -> calls per op.
+numpy's operators. The garbage collector is off during that pass, so that
+no callback of a collection (``gc.callbacks``, which a test library may
+fill) is counted with the ops. The count of those calls over the pool's
+ops is exact: two passes of one pool give the same count, so two trees
+compare by it without timing noise. ``--root`` names the checkout whose
+``perfbench/`` and ``src/`` are run (default: the one around this script);
+the last line of stdout is one JSON object, workload -> calls per op.
 """
 import argparse
+import gc
 import json
 import sys
 from pathlib import Path
@@ -24,7 +27,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 def calls_per_op(pool):
     """Profiled calls (Python plus C) per op of one pass over pool, after
-    one pass of warm-up."""
+    one pass of warm-up, with the garbage collector off."""
     for op in pool:
         op.call()
     calls = 0
@@ -34,12 +37,16 @@ def calls_per_op(pool):
         if event == "call" or event == "c_call":
             calls += 1
 
+    enabled = gc.isenabled()
+    gc.disable()
     sys.setprofile(count)
     try:
         for op in pool:
             op.call()
     finally:
         sys.setprofile(None)
+        if enabled:
+            gc.enable()
     return calls / len(pool)
 
 

@@ -8,9 +8,13 @@
 Prints one line per workload and op name: how many of its ops are
 identical, the largest absolute difference of any number in their results
 and the largest relative one, |a - b| / max(|a|, |b|). Two NaNs, or two
-equal infinities, count as equal. Ops whose results differ in length or
-in error text are listed on their own. The exit code is 1 when the two
-files do not hold the same ops, else 0.
+equal infinities, count as equal. Below the table, each row whose numbers
+differ names the number that sets its largest relative difference (the
+op and the index in its flattened result), its two values and its own
+absolute difference: a large relative move of a number at rounding level
+reads apart from a move of a number of size. Ops whose results differ in
+length or in error text are listed on their own. The exit code is 1 when
+the two files do not hold the same ops, else 0.
 """
 import argparse
 import sys
@@ -20,15 +24,18 @@ import numpy as np
 
 
 def compare(a, b):
-    """(identical, max abs difference, max relative difference) of two
-    flattened results of the same length."""
+    """(identical, max abs difference, max relative difference, cell) of
+    two flattened results of the same length, cell = (index, a, b) of the
+    number that sets the relative one (None when identical)."""
     same = (a == b) | (np.isnan(a) & np.isnan(b))
     if same.all():
-        return True, 0.0, 0.0
-    a, b = a[~same], b[~same]
+        return True, 0.0, 0.0, None
+    at = np.flatnonzero(~same)
+    a, b = a[at], b[at]
     diff = np.abs(a - b)
     rel = diff / np.maximum(np.abs(a), np.abs(b))
-    return False, float(diff.max()), float(rel.max())
+    i = int(rel.argmax())
+    return False, float(diff.max()), float(rel[i]), (int(at[i]), float(a[i]), float(b[i]))
 
 
 def main(argv=None):
@@ -40,7 +47,8 @@ def main(argv=None):
     if set(A.files) != set(B.files):
         print(f"different ops: {sorted(set(A.files) ^ set(B.files))[:10]}")
         return 1
-    rows = defaultdict(lambda: [0, 0, 0.0, 0.0])  # ops, identical, max abs, max rel
+    # ops, identical, max abs, max rel and its cell (op, index, a, b)
+    rows = defaultdict(lambda: [0, 0, 0.0, 0.0, None])
     odd = []
     for key in sorted(A.files):
         workload, _, op = key.split("/", 2)
@@ -53,12 +61,18 @@ def main(argv=None):
             else:
                 odd.append(f"{key}: {a!s:.60} | {b!s:.60}")
             continue
-        same, diff, rel = compare(a, b)
+        same, diff, rel, cell = compare(a.ravel(), b.ravel())
         row[1] += same
-        row[2], row[3] = max(row[2], diff), max(row[3], rel)
+        row[2] = max(row[2], diff)
+        if cell is not None and (row[4] is None or rel > row[3]):
+            row[3], row[4] = rel, (key,) + cell
     print(f"{'workload':<10} {'op':<32} {'identical':>10} {'max abs':>10} {'max rel':>10}")
-    for (workload, op), (n, same, diff, rel) in rows.items():
+    for (workload, op), (n, same, diff, rel, _) in rows.items():
         print(f"{workload:<10} {op:<32} {f'{same}/{n}':>10} {diff:10.3g} {rel:10.3g}")
+    for (workload, op), (*_, cell) in rows.items():
+        if cell is not None:
+            key, i, a, b = cell
+            print(f"max rel of {workload} {op}: {key}[{i}] {a!r} -> {b!r}, abs {abs(a - b):.3g}")
     for line in odd:
         print("differs:", line)
     return 0

@@ -9,7 +9,11 @@ Compares every CSV file under A with the file at the same path under B.
 A byte-identical file prints one line. Otherwise each column that differs
 prints its largest absolute difference and its largest relative one,
 |a - b| / max(|a|, |b|), where both cells are numbers, and the count of
-differing cells where either is text (a verdict tag, say). Two NaNs, or
+differing cells where either is text (a verdict tag, say); the line below
+it names the cell that sets the relative one (its data row, from 1), its
+two values and its own absolute difference, so that a large relative move
+of a value at rounding level reads apart from a move of a value of size.
+Two NaNs, or
 two equal infinities, count as equal. Other files (a report.json holds
 wall times) are only checked to exist on both sides. The exit code is 1
 when the two trees hold different files, or a CSV differs in its header
@@ -34,13 +38,14 @@ def number(cell):
 
 
 def column_diffs(rows_a, rows_b):
-    """{column: (max abs, max rel, differing text cells)} of the columns
-    with a differing cell."""
+    """{column: (max abs, max rel, differing text cells, cell)} of the
+    columns with a differing cell, cell = (data row from 1, a, b, abs
+    difference) of the number that sets the relative one, or None."""
     out = {}
     for col in rows_a[0]:
         diff = rel = 0.0
-        text = 0
-        for ra, rb in zip(rows_a, rows_b):
+        text, cell = 0, None
+        for row, (ra, rb) in enumerate(zip(rows_a, rows_b), start=1):
             a, b = ra[col], rb[col]
             if a == b:
                 continue
@@ -49,9 +54,12 @@ def column_diffs(rows_a, rows_b):
                 text += 1
             elif not (x == y or (math.isnan(x) and math.isnan(y))):
                 d = abs(x - y)
-                diff, rel = max(diff, d), max(rel, d / max(abs(x), abs(y)))
+                r = d / max(abs(x), abs(y))
+                diff = max(diff, d)
+                if cell is None or r > rel:
+                    rel, cell = r, (row, a, b, d)
         if diff or rel or text:
-            out[col] = (diff, rel, text)
+            out[col] = (diff, rel, text, cell)
     return out
 
 
@@ -82,9 +90,12 @@ def main(argv=None):
             rc = 1
             continue
         print(f"{rel_path}: {len(rows_a)} rows")
-        for col, (diff, rel, text) in column_diffs(rows_a, rows_b).items():
+        for col, (diff, rel, text, cell) in column_diffs(rows_a, rows_b).items():
             tail = f"  {text} text cells differ" if text else ""
             print(f"  {col:<24} max abs {diff:10.3g}  max rel {rel:10.3g}{tail}")
+            if cell is not None:
+                row, x, y, d = cell
+                print(f"    max rel at row {row}: {x} -> {y}, abs {d:.3g}")
     return rc
 
 

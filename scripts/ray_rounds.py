@@ -15,7 +15,9 @@ one of three kinds:
 - unguessed: a 2D chord, a gauge ray (and the centring rays of a 3D
   section on a body whose kind has no form, which no workload sections);
 - first polar: the first guessed batch of a 3D section's polar rule, cast
-  in its guide ellipse's angle with every radius guessed at 1;
+  in its guide ellipse's angle with every radius guessed at 1 (a 3D
+  level centred from its kind's form that asks for its measure alone casts
+  none when F confirms its closed form, ``sections._form_check``);
 - refinement: the later guessed batches, guessed by interpolation, and
   the 128-ray grid of a ``section_diameter`` call, cast outside any rule.
 
@@ -27,7 +29,8 @@ and the ``defining`` calls and oracle points (points at which
 ``defining`` was evaluated) of the whole pass, the spine checks (the
 ``defining`` calls, and their points, that a section set-up makes outside
 any ray batch: F at the spine anchors of a 3D section centred from its
-kind's form, one point a level), the solver rounds per shell
+kind's form, one point a level; the F checks of closed-form measures are
+counted in the pass's calls but not here), the solver rounds per shell
 scan (mean and max, and the number of scans), how many scans took each
 path (the closed form or the grid scan, and how many closed-form ladders
 fell back to the grid), the brackets still open in each solver round of
@@ -39,7 +42,10 @@ cached arcs, does not move, the mean and the max). For each op that
 integrates cut volumes it prints its calls, the volumes they integrate (one
 ``quad`` integral each), the section levels they take (each a node of a
 volume's quadrature rule, or a gradient's cut plane) and the levels per
-volume and per call. For the 3D section levels of the polar rule it
+volume and per call. It prints how many 3D section levels took each
+path: the closed form (measure-only levels centred from a form whose F
+check passed), or the polar rule, and how many of those checked fell back
+to the polar rule. For the 3D section levels of the polar rule it
 prints the rays per level of the first polar batch (the rule's first
 nodes), the polar rays per level over all its guessed batches (diameter
 grids included), and how many levels were refined past the first batch.
@@ -89,10 +95,12 @@ class Counts:
     ``polar_levels``, ``polar_rays`` and ``refined`` count the 3D levels of
     the polar rule, the rays of its guessed batches and the levels refined
     past its first batch, and ``first_nodes`` lists the rays per level of
-    each first polar batch; ``scans`` lists, for each shell scan, the
-    points of each of its solver rounds (on the grid path, the brackets
-    open), ``paths`` the path of each ("closed form", "grid", or "fallback"
-    for a closed-form ladder that fell back), ``solve`` is the list of the
+    each first polar batch; ``closed`` and ``fell_back`` count the 3D levels
+    that F's check of the closed form passed and failed; ``scans`` lists,
+    for each shell scan, the points of each of its solver rounds (on the
+    grid path, the brackets open), ``paths`` the path of each ("closed
+    form", "grid", or "fallback" for a closed-form ladder that fell back),
+    ``solve`` is the list of the
     scan whose solver runs (or None), and ``solve_s`` and ``solve_f_s`` are
     the seconds inside the solver and inside its ``defining`` calls; ``ray``
     is the kind of the running ``ray_hits_batch`` call (or None), and
@@ -118,6 +126,8 @@ class Counts:
         self.polar_rays = 0
         self.refined = 0
         self.first_nodes = []
+        self.closed = 0
+        self.fell_back = 0
         self.guessed = None  # guessed batches of the running polar rule so far
         self.scans = []
         self.paths = []
@@ -263,6 +273,14 @@ def install(ccgeom, counts):
                 counts.guessed = None
         return counted
 
+    def form_check(orig):
+        def counted(*args):
+            ok, points = orig(*args)
+            counts.closed += int(np.count_nonzero(ok))
+            counts.fell_back += int(ok.size - np.count_nonzero(ok))
+            return ok, points
+        return counted
+
     def quad(orig):
         def counted(f, a, *args, **kwargs):
             counts.volumes[counts.op] += np.size(a)
@@ -283,6 +301,7 @@ def install(ccgeom, counts):
     patch(sections, "ray_hits_batch", ray_hits_batch)
     patch(sections, "_centred_sections", centred_sections)
     patch(sections, "_polar_sections", polar_sections)
+    patch(sections, "_form_check", form_check)
     patch(cutvol, "quad", quad)
     patch(cutvol, "section_measure", levels(2))  # (body, u, t)
     patch(cutvol, "_sections", levels(3))  # (body, normals, k, levels, ...), with the cut plane
@@ -350,6 +369,9 @@ def report(name, seed, n_ops, counts, passes=None):
         f = counts.faults
         lines.append(f"  minor page faults per op: median {np.median(f):g}, "
                      f"mean {np.mean(f):.1f} (max {max(f)}) over {len(f)} ops")
+    if counts.closed or counts.polar_levels:
+        lines.append(f"  3D section levels by path: {counts.closed:,} closed form, "
+                     f"{counts.polar_levels:,} polar; {counts.fell_back:,} fell back")
     if counts.polar_levels:
         nodes = sorted(set(counts.first_nodes))
         lines.append(f"  polar rays per 3D section level: {'/'.join(map(str, nodes))} in the "

@@ -13,14 +13,22 @@ and moves to their mean midpoint. 3D sections are integrated in polar
 coordinates around the centred anchor, in the guide ellipse's own angle,
 where a quadric's radii are all 1 to rounding, with a fixed
 node-doubling refinement schedule, so results are deterministic for a
-given tolerance. ``n_evals`` counts the points at which the body's
-defining function was evaluated, in 2D and 3D.
+given tolerance. A 3D level centred from a form that asks for its measure
+alone skips the rule: its measure is the ellipse's, pi |g1 x g2| from
+the guide (g1, g2), once F confirms that the boundary crosses each node of
+the rule's first batch between the root-finder's inner probes (one
+``defining`` call, ``_form_check``); a level F does not confirm takes the
+rule. A level that asks for its centroid or its diameter always takes the
+rule, whose moments correct the form centre's rounding. ``n_evals`` counts
+the points at which the body's defining function was evaluated, in 2D
+and 3D.
 
 One kernel does this for a whole array of levels at once, each with its own
 normal and tolerance: one ray batch centres every level that casts chords
 (two rays each in 2D, eight in 3D), one ``defining`` call checks the spine
-anchors of the others, and each round of the polar rules is one batch over
-the levels still short of their tolerance. One set-up per normal,
+anchors of the others, one more checks the closed forms, and each round of
+the polar rules is one batch over the levels still short of their
+tolerance. One set-up per normal,
 ``_plane_setup`` (one cone-margin and one Gauss-map call, row-wise), gives
 the support levels -h(-u), h(u) and the spine's ends; the kernel's level
 check, ``admissible_levels`` and the cut volumes' level ranges all read it,
@@ -43,7 +51,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies import _HIT_RTOL, INF, _check_unit, _check_units, ray_hits_batch, ray_quadratic
+from .bodies import (
+    _GUESS_PROBES,
+    _HIT_RTOL,
+    INF,
+    _band,
+    _check_unit,
+    _check_units,
+    ray_hits_batch,
+    ray_quadratic,
+)
 from .errors import (
     DegenerateSection,
     LevelOutOfRange,
@@ -55,6 +72,9 @@ DEFAULT_RTOL = 1e-8
 _MAX_POLAR_NODES = 16384
 _FIRST_NODES = 16  # the first polar batch, per level
 _DIAMETER_NODES = 128  # every 8th node is one of the first batch's
+# F's check of a closed-form measure: the root-finder's inner pair of probes
+# about a radius guessed at 1, (factor, levels, nodes)
+_CHECK_PROBES = _GUESS_PROBES[1:3, :, None]
 _SQRT_HALF = math.sqrt(0.5)
 # the centring rays of a 3D section without a form, (cos, sin) of the
 # angles k pi/4 in its plane, k = 0..7: rays k and k + 4 are opposite
@@ -283,13 +303,15 @@ def _centred_sections(body, normals, which, ts, admissible=False):
     e2)/sqrt(2), and moves to the mean of the four chords' midpoints, with
     the e1 and e2 chords' half-lengths as the guide's semi-axes. Returns the
     centred anchors, the spine anchors, the plane basis (one (L, d) array of
-    rows per basis vector), the guide (in 2D the chords' half-lengths, in 3D
-    one (L, d) array of rows per vector g1 = e1/sqrt(a), g2 = (e2 - (b/2a)
-    e1) / sqrt(c - b^2/4a) of the Cholesky factor of its ellipse a x^2 +
-    b x y + c y^2 = 1 about the anchor, which map the unit circle onto it)
-    and the oracle points spent per level. A cone that meets the plane means
-    unbounded sections; an anchor that is not strictly inside means a level
-    grazes the body.
+    rows per basis vector), the guide (in 2D one row of the chords'
+    half-lengths, in 3D one (L, d) array of rows per vector g1 =
+    e1/sqrt(a), g2 = (e2 - (b/2a) e1) / sqrt(c - b^2/4a) of the Cholesky
+    factor of its ellipse a x^2 + b x y + c y^2 = 1 about the anchor, which
+    map the unit circle onto it),
+    the oracle points spent per level, and whether the sections were
+    centred from a form (then each is the guide's ellipse to rounding). A
+    cone that meets the plane means unbounded sections; an anchor that is
+    not strictly inside means a level grazes the body.
     """
     spine, basis = _section_frames(body, normals, which, ts, admissible)
     abc = None
@@ -318,7 +340,7 @@ def _centred_sections(body, normals, which, ts, admissible=False):
             raise DegenerateSection("section anchor is not inside the body") from e
         if len(basis) == 1:
             half, mid = 0.5 * (r[:, 0] + r[:, 1]), 0.5 * (r[:, 0] - r[:, 1])
-            return spine + mid[:, None] * basis[0], spine, basis, half, n_evals
+            return spine + mid[:, None] * basis[0], spine, basis, half[None], n_evals, False
         mid = 0.5 * (r[:, :4] - r[:, 4:])
         x = 0.25 * (mid[:, 0] + _SQRT_HALF * (mid[:, 1] - mid[:, 3]))
         y = 0.25 * (mid[:, 2] + _SQRT_HALF * (mid[:, 1] + mid[:, 3]))
@@ -327,7 +349,40 @@ def _centred_sections(body, normals, which, ts, admissible=False):
     a, b, c = form
     g1 = basis[0] / np.sqrt(a)[:, None]
     g2 = (basis[1] - (0.5 * b / a)[:, None] * basis[0]) / np.sqrt(c - 0.25 * b * b / a)[:, None]
-    return anchors, spine, basis, np.array((g1, g2)), n_evals
+    return anchors, spine, basis, np.array((g1, g2)), n_evals, abc is not None
+
+
+def _guide_axes(basis, guide):
+    """axes[i, j] = <g_i, e_j>, (2, 2, L), and jac = |g1 x g2|, one entry per
+    level of the plane basis (e1, e2) and the guide (g1, g2)."""
+    axes = np.add.reduce(guide[:, None] * basis, axis=-1)
+    return axes, np.abs(axes[0, 0] * axes[1, 1] - axes[0, 1] * axes[1, 0])
+
+
+def _form_check(body, anchors, guide):
+    """Whether F confirms that each form-centred 3D section, about its anchor
+    with guide (g1, g2), is the guide's ellipse, and the oracle points spent
+    per level.
+
+    One ``defining`` call takes F at the root-finder's inner pair of probes,
+    1 -+ 2^-41, along each of the ``_FIRST_NODES`` directions of the first
+    polar batch, formed as the root-finder forms them. A level passes where
+    every node ends there by the root-finder's own stop rule: the pair
+    brackets F = 0 (inside, then outside), or F at either probe is within
+    its rounding band 4 eps T (``bodies._band``).
+    """
+    dirs = _polar_dirs(guide[0], guide[1], _FIRST_NODES)
+    pts = _CHECK_PROBES * dirs[:, None]  # (d, probes, levels, nodes)
+    pts += anchors.T[:, None, :, None]
+    f = body.defining(pts.reshape(len(dirs), -1).T).reshape(2, -1)
+    ok = (f[0] <= 0.0) & (f[1] > 0.0)
+    if np.count_nonzero(ok) < ok.size:
+        band = np.empty_like(f)
+        _band(body, f, _CHECK_PROBES.reshape(2, 1), np.repeat(anchors[:, -1], _FIRST_NODES),
+              dirs[-1].ravel(), band)
+        ok |= np.abs(f[0]) <= band[0]
+        ok |= np.abs(f[1]) <= band[1]
+    return ok.reshape(len(anchors), -1).all(axis=1), 2 * _FIRST_NODES
 
 
 def _polar_sections(body, anchors, basis, guide, rtol, moments, wide):
@@ -356,13 +411,11 @@ def _polar_sections(body, anchors, basis, guide, rtol, moments, wide):
     diameter level casts its first batch alone.
     """
     if len(basis) == 1:
-        measure = 2.0 * guide
+        measure = 2.0 * guide[0]
         converged = np.ones(len(anchors), dtype=bool)
         return measure, anchors, 1e-12 * measure, 0, converged, measure[wide]
     (e1, e2), (g1, g2) = basis, guide
-    # axes[i, j] = <g_i, e_j>, one entry per level
-    axes = np.add.reduce(guide[:, None] * basis, axis=-1)
-    jac = np.abs(axes[0, 0] * axes[1, 1] - axes[0, 1] * axes[1, 0])
+    axes, jac = _guide_axes(basis, guide)
     n, n_levels = _FIRST_NODES, len(anchors)
     dirs, origins, diameter = _polar_dirs(g1, g2, n), anchors, np.zeros(0)
     if wide.size:
@@ -439,7 +492,13 @@ def _sections(body, normals, which, ts, rtol, moments, diameter=False, admissibl
 
     moments is the mask of the levels whose centroid is wanted; the centroid
     of any other level is its centred anchor, and its rule stops on the
-    measure alone. Either mask may be one bool for every level.
+    measure alone. Either mask may be one bool for every level. A 3D level
+    in neither mask, centred from its kind's form, takes the closed form
+    when ``_form_check`` passes it: measure pi |g1 x g2|, err 2
+    ``_HIT_RTOL`` times it (the polar rule's bound on radii that are 1 to
+    rounding) and 1 + 2 ``_FIRST_NODES`` oracle points; any other level
+    takes the polar rule, and one that fails the check counts the check's
+    points too. Either way each level is bitwise its lone call's.
 
     This is the one place that decides grazing: a level whose spine anchor
     is not strictly inside the body has measure 0, False in the inside mask
@@ -454,8 +513,8 @@ def _sections(body, normals, which, ts, rtol, moments, diameter=False, admissibl
     moments = np.full(ts.shape, moments, dtype=bool)
     diameter = np.full(ts.shape, diameter, dtype=bool)
     try:
-        anchors, spine, basis, guide, n_evals = _centred_sections(body, normals, which, ts,
-                                                                  admissible)
+        anchors, spine, basis, guide, n_evals, formed = _centred_sections(body, normals, which, ts,
+                                                                          admissible)
     except DegenerateSection:
         if ts.size == 1:
             return (np.zeros(1), np.zeros((1, normals.shape[1])), np.zeros(1), np.zeros(1, dtype=int),
@@ -463,16 +522,38 @@ def _sections(body, normals, which, ts, rtol, moments, diameter=False, admissibl
         alone = [_sections(body, normals, which[i:i + 1], ts[i:i + 1], rtol[i:i + 1],
                            moments[i:i + 1], diameter[i:i + 1]) for i in range(ts.size)]
         return tuple(np.concatenate(part) for part in zip(*alone))
+    polar = None  # the mask of the levels left to the polar rule, if not all
+    if formed:
+        closed = ~(moments | diameter)
+        if np.count_nonzero(closed):
+            ok, k = _form_check(body, anchors[closed], guide[:, closed])
+            n_evals[closed] += k
+            closed[closed] = ok
+            # every radius is 1 to rounding: the polar rule's measure is jac
+            # pi, its centroid the anchor, and its error bound its hits'
+            measure = np.zeros(ts.size)
+            measure[closed] = _guide_axes(basis[:, closed], guide[:, closed])[1] * math.pi
+            err, converged = 2.0 * _HIT_RTOL * measure, np.ones(ts.size, dtype=bool)
+            polar = ~closed
+            if not np.count_nonzero(polar):
+                return measure, anchors, err, n_evals, converged, np.zeros(0), converged.copy()
+    sel = slice(None) if polar is None else polar
+    sub = anchors[sel], basis[:, sel], guide[:, sel], rtol[sel], moments[sel]
+    wide = np.flatnonzero(diameter[sel])
     try:
-        measure, centroid, err, k, converged, diam = _polar_sections(
-            body, anchors, basis, guide, rtol, moments, np.flatnonzero(diameter))
+        out = _polar_sections(body, *sub, wide)
     except NotInterior:
-        outside = ~(body.defining(anchors) < 0.0)
-        anchors[outside] = spine[outside]
-        measure, centroid, err, k, converged, diam = _polar_sections(
-            body, anchors, basis, guide, rtol, moments, np.flatnonzero(diameter))
-        n_evals = n_evals + 1  # F at the centred anchors
-    return measure, centroid, err, n_evals + k, converged, diam, np.ones(ts.size, dtype=bool)
+        centred = sub[0]
+        outside = ~(body.defining(centred) < 0.0)
+        centred[outside] = spine[sel][outside]
+        out = _polar_sections(body, *sub, wide)
+        n_evals[sel] += 1  # F at the centred anchors
+    if polar is None:
+        measure, anchors, err, k, converged, diam = out
+    else:
+        measure[polar], anchors[polar], err[polar], k, converged[polar], diam = out
+    n_evals[sel] += k
+    return measure, anchors, err, n_evals, converged, diam, np.ones(ts.size, dtype=bool)
 
 
 def _check_levels(body, ts, lo, hi):
@@ -520,7 +601,10 @@ def section_stats(body, u, t, rtol=DEFAULT_RTOL) -> SectionStats:
 
 def section_measure(body, u, t, rtol=DEFAULT_RTOL):
     """Measure only (cheaper inner loop for volume slicing); an array of
-    measures for a 1-D array of levels.
+    measures for a 1-D array of levels. On a 3D quadric a level's measure
+    is its ellipse's area, pi |g1 x g2| from the form-centred guide, checked
+    by F at the polar rule's first nodes and cast no ray; elsewhere, and
+    where F disagrees, the polar rule's.
 
     u is one normal, or one normal per level as an (L, d) array, and rtol
     a number or one tolerance per level: the levels of several cuts in one
@@ -547,9 +631,9 @@ def section_diameter(body, u, t) -> float:
     normals, which, ts, scalar = _planes(u, t)
     if not scalar:
         raise ValueError("section_diameter takes one level")
-    anchors, _, basis, guide, _ = _centred_sections(body, normals, which, ts, admissible=True)
+    anchors, _, basis, guide, _, _ = _centred_sections(body, normals, which, ts, admissible=True)
     if len(basis) == 1:
-        return float(2.0 * guide[0])
+        return float(2.0 * guide[0, 0])
     dirs = _polar_dirs(*guide, _DIAMETER_NODES)
     r = _polar_radii(body, anchors, dirs, np.ones(_DIAMETER_NODES))[0]
     return float(_widest(r, dirs)[0])

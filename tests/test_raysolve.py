@@ -470,7 +470,8 @@ def test_tiny_sphere_sections_end_their_first_polar_batch_in_two_calls(monkeypat
     monkeypatch.setattr(sections, "ray_hits_batch", counted)
     for t in [*levels, levels]:
         rounds.clear()
-        section_measure(body, u, t)
+        # (section_stats: a measure alone casts no polar batch on a quadric)
+        section_stats(body, u, t)
         # no centring batch: the first batch is the first polar one
         assert rounds[0] <= 2, (t, rounds)
 

@@ -50,6 +50,39 @@ def test_op_diff(tmp_path):
     assert code == 1 and "cutvol/1/cut_volume" in out
 
 
+def test_op_diff_names_the_number_that_sets_max_rel(tmp_path):
+    # a number of size moves by 1 and one at rounding level doubles: the
+    # table's max rel is the small one's, and the line below it names that
+    # number with its own absolute difference
+    a = _dump(tmp_path / "a.npz", cutvol__0__cut_volume=np.array([1000.0, 1e-16]),
+              cutvol__1__cut_volume=np.array([2.0]))
+    b = _dump(tmp_path / "b.npz", cutvol__0__cut_volume=np.array([1001.0, 2e-16]),
+              cutvol__1__cut_volume=np.array([2.0]))
+    code, out = _run("op_diff.py", a, b)
+    lines = out.splitlines()
+    assert code == 0 and lines[1].split() == ["cutvol", "cut_volume", "1/2", "1", "0.5"]
+    assert lines[2] == "max rel of cutvol cut_volume: cutvol/0/cut_volume[1] 1e-16 -> 2e-16, abs 1e-16"
+    assert len(lines) == 3
+    # identical results name no number
+    code, out = _run("op_diff.py", a, a)
+    assert code == 0 and len(out.splitlines()) == 2
+
+
+def test_preset_diff_names_the_cell_that_sets_max_rel(tmp_path):
+    def tree(root, cells):
+        (root / "cutvol" / "sphere").mkdir(parents=True)
+        rows = "".join(f"{v},flat\n" for v in cells)
+        (root / "cutvol" / "sphere" / "rows.csv").write_text("V,verdict\n" + rows)
+        return root
+
+    code, out = _run("preset_diff.py", tree(tmp_path / "a", ["1000.0", "1e-16"]),
+                     tree(tmp_path / "b", ["1001.0", "2e-16"]))
+    lines = out.splitlines()
+    assert code == 0 and lines[1].split() == ["V", "max", "abs", "1", "max", "rel", "0.5"]
+    assert lines[2] == "    max rel at row 2: 1e-16 -> 2e-16, abs 1e-16"
+    assert len(lines) == 3
+
+
 def _tree(root, value):
     """A preset tree of one CSV, with a report.json beside it."""
     (root / "cutvol" / "sphere").mkdir(parents=True)
@@ -289,7 +322,9 @@ def test_ray_rounds_counts_one_f_round_per_unguessed_quadric_call(ray_rounds, mo
     # its rays' quadratic roots, whose probes end it in its first F-round;
     # the superellipse climbs from its probe at the body scale. The 3D
     # sections cast no unguessed batch: each batch of levels takes one spine
-    # check instead of its centring batch's one F-round
+    # check instead of its centring batch's one F-round, and a batch of
+    # cutvol-3d's measure-only levels one F check of its closed form
+    # instead of its first polar batch's one F-round
     workloads = _workloads(monkeypatch)
     means, defining, spine = {}, [], []
     for name in ("cutvol-3d", "sccp-3d", "planar-2d"):
@@ -309,7 +344,7 @@ def test_ray_rounds_counts_one_f_round_per_unguessed_quadric_call(ray_rounds, mo
         "hyperboloid-upper-sheet [1.0]": 1.0,
         "superellipsoid [4.0]": 10.33,
     }
-    assert defining == [90, 72, 184]
+    assert defining == [100, 72, 184]
     assert spine == [[40, 1510], [36, 480], [0, 0]]
 
 
@@ -369,7 +404,8 @@ def test_ray_rounds_counts_the_set_up_work(ray_rounds):
 def test_ray_rounds_counts_the_polar_rays_of_each_3d_level(ray_rounds):
     # two quadric levels meet rtol on the 16 rays of their first batch; a
     # p = 4 superellipsoid level is refined past it; a gradient's cut plane
-    # adds the other 112 nodes of its diameter grid as 7 more groups of 16
+    # adds the other 112 nodes of its diameter grid as 7 more groups of 16,
+    # and its volumes' measure-only levels take the closed form, no rays
     counts = ray_rounds.Counts()
     uninstall = ray_rounds.install(ccgeom, counts)
     u = np.array([0.3, -0.2, 0.93]) / np.linalg.norm([0.3, -0.2, 0.93])
@@ -388,15 +424,46 @@ def test_ray_rounds_counts_the_polar_rays_of_each_3d_level(ray_rounds):
         ccgeom.cut_gradient(ccgeom.unit_sphere([0.0, 0.0, 3.0]), [0.05, 0.1, 0.4])
     finally:
         uninstall()
-    # 7 volumes of 15 levels and the cut plane, each 16 rays, and 112 more
-    assert counts.polar_levels == 3 + 7 * 15 + 1
-    assert counts.polar_rays - before == (7 * 15 + 1) * 16 + 112
+    # the cut plane's 16 rays and 112 more; 7 volumes of 15 closed-form levels
+    assert counts.polar_levels == 3 + 1
+    assert counts.polar_rays - before == 16 + 112
     assert counts.first_nodes == [16] * 3 and counts.refined == 1
+    assert (counts.closed, counts.fell_back) == (7 * 15, 0)
     lines = ray_rounds.report("sccp-3d", 1, 3, counts).splitlines()
     line = next(x for x in lines if "polar rays" in x)
     assert line == (f"  polar rays per 3D section level: 16 in the first batch, "
-                    f"{counts.polar_rays / 109:.2f} in all over 109 levels; "
+                    f"{counts.polar_rays / 4:.2f} in all over 4 levels; "
                     f"1 levels refined past the first batch")
+    assert "  3D section levels by path: 105 closed form, 4 polar; 0 fell back" in lines
+
+
+def test_ray_rounds_counts_the_3d_levels_by_path(ray_rounds, monkeypatch):
+    # measure-only levels on a quadric take the closed form, and with F moved
+    # off the form by 1e-9 each falls back to the polar rule; a level with
+    # its moments, or on a body without a form, takes the polar rule
+    sphere = ccgeom.unit_sphere([0.0, 0.0, 3.0])
+    u = np.array([0.3, -0.2, 0.93]) / np.linalg.norm([0.3, -0.2, 0.93])
+    levels = float(u @ sphere.translation) + np.array([-0.5, 0.0, 0.5])
+    counts = ray_rounds.Counts()
+
+    def run(*calls):
+        uninstall = ray_rounds.install(ccgeom, counts)
+        try:
+            for call in calls:
+                call()
+        finally:
+            uninstall()
+
+    run(lambda: ccgeom.section_measure(sphere, u, levels),
+        lambda: section_stats(sphere, u, levels[:1]),
+        lambda: ccgeom.section_measure(ccgeom.superellipsoid(4.0, dim=3), u, 0.25))
+    assert (counts.closed, counts.polar_levels, counts.fell_back) == (3, 2, 0)
+    defining = bodies.BodySpec.defining
+    monkeypatch.setattr(bodies.BodySpec, "defining", lambda self, x: defining(self, x) + 1e-9)
+    run(lambda: ccgeom.section_measure(sphere, u, levels))
+    assert (counts.closed, counts.polar_levels, counts.fell_back) == (3, 5, 3)
+    report = ray_rounds.report("cutvol-3d", 1, 4, counts).splitlines()
+    assert "  3D section levels by path: 3 closed form, 5 polar; 3 fell back" in report
 
 
 def test_ray_rounds_counts_the_solver_rounds_of_each_shell_scan(ray_rounds):

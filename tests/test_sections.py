@@ -29,7 +29,7 @@ from ccgeom import (
     unit_disk,
     unit_sphere,
 )
-from ccgeom import sections
+from ccgeom import bodies, sections
 from ccgeom.errors import DegenerateSection, GeometryError, LevelOutOfRange, UnboundedSection
 
 from oracles import (
@@ -727,8 +727,9 @@ def test_quadric_sections_centre_on_their_ellipse(body, normals, levels):
     for u in normals:
         u = np.asarray(u) / np.linalg.norm(u)
         ts = np.array(levels)
-        anchors, _, basis, (g1, g2), _ = sections._centred_sections(
+        anchors, _, basis, (g1, g2), _, formed = sections._centred_sections(
             body, u[None], np.zeros(len(ts), dtype=np.intp), ts)
+        assert formed
         n = sections._FIRST_NODES
         dirs = sections._polar_dirs(g1, g2, n)
         r, _ = sections._polar_radii(body, anchors, dirs, np.ones(len(ts) * n))
@@ -902,3 +903,114 @@ def test_superellipsoid_sections_are_within_their_err():
         assert st.converged
         assert abs(st.measure - area) <= st.err_estimate
         assert np.linalg.norm(st.centroid - centroid) <= st.err_estimate
+
+
+# (quadric, shift, normal, levels above the normal's level of the shift):
+# each body unmoved and moved by its shift
+CLOSED_FORM_CASES = [
+    (lambda c: ellipsoid([1.0, 2.0, 3.0], center=c), [0.1, 0.2, -0.3], [1.0, 2.0, 2.0],
+     [-1.0, 0.2, 1.5]),
+    (lambda c: paraboloid_epigraph([1.0, 0.7], shift=c), [0.3, -0.2, 1.0], [0.1, -0.2, 0.4],
+     [0.2, 1.0, 3.0]),
+    (lambda c: hyperboloid_sheet([1.0, 1.4], shift=c), [0.2, -0.1, 0.5], [0.1, -0.2, 0.9],
+     [1.5, 3.0, 6.0]),
+    (lambda c: circular_cone(2.0, dim=3, shift=c), [0.3, -0.2, 0.5], [0.1, -0.2, 0.9],
+     [1.0, 2.5, 6.0]),
+]
+CLOSED_FORM_SECTIONS = [
+    (make(c), np.array(u) / np.linalg.norm(u), np.dot(u, c) / np.linalg.norm(u) + np.array(levels))
+    for make, shift, u, levels in CLOSED_FORM_CASES for c in (np.zeros(3), np.array(shift))]
+CLOSED_FORM_IDS = [f"{b.kind}-{'moved' if np.any(b.translation) else 'unmoved'}"
+                   for b, _, _ in CLOSED_FORM_SECTIONS]
+
+
+def _kernel_calls(monkeypatch):
+    """Lists that the section kernel's ray batches and defining calls append
+    to, one entry (the rays, or the points) per call."""
+    rays, points = [], []
+    ray_hits_batch, defining = sections.ray_hits_batch, BodySpec.defining
+
+    def batch(body, origin, directions, guess=None):
+        rays.append(len(directions))
+        return ray_hits_batch(body, origin, directions, guess=guess)
+
+    def counted(self, x):
+        points.append(np.size(x) // 3)
+        return defining(self, x)
+
+    monkeypatch.setattr(sections, "ray_hits_batch", batch)
+    monkeypatch.setattr(BodySpec, "defining", counted)
+    return rays, points
+
+
+@pytest.mark.parametrize("body,u,levels", CLOSED_FORM_SECTIONS, ids=CLOSED_FORM_IDS)
+def test_measure_only_quadric_levels_take_the_closed_form(monkeypatch, body, u, levels):
+    # read off the guide, pi |g1 x g2| is the ellipse's area to rounding;
+    # the kernel casts no ray and makes two defining calls, the spine check
+    # and F's check of the closed form at the 16 first-batch nodes' two
+    # probes, 33 points a level
+    rays, points = _kernel_calls(monkeypatch)
+    measure = section_measure(body, u, levels)
+    assert rays == [] and points == [len(levels), 32 * len(levels)]
+    for m, t in zip(measure, levels):
+        _, major, minor, _ = plane_ellipse(body, u, t)
+        assert m == pytest.approx(math.pi * major * minor, rel=1e-12, abs=0.0)
+    # 33 points a level, err the polar rule's bound on radii that are 1 to
+    # rounding, and each level alone bitwise the batch's
+    which = np.zeros(len(levels), dtype=np.intp)
+    out = sections._sections(body, u[None], which, levels, 1e-8, False)
+    assert np.array_equal(out[0], measure) and np.array_equal(out[3], np.full(len(levels), 33))
+    assert out[4].all() and np.array_equal(out[2], 2.0 * bodies._HIT_RTOL * measure)
+    for i, t in enumerate(levels):
+        assert section_measure(body, u, t) == measure[i]
+
+
+@pytest.mark.parametrize("body,u,levels", CLOSED_FORM_SECTIONS, ids=CLOSED_FORM_IDS)
+def test_a_level_whose_f_is_off_its_form_falls_back_to_the_polar_rule(monkeypatch, body, u,
+                                                                      levels):
+    # with F moved 1e-9 off the form past the first level, the closed
+    # form's check fails on the other two, which give exactly the polar
+    # rule's numbers about the same centred anchors (and count the check's
+    # points too); the first level keeps its closed form, bitwise
+    which, rtol = np.zeros(len(levels), dtype=np.intp), np.full(len(levels), 1e-8)
+    closed = sections._sections(body, u[None], which, levels, rtol, False)
+    split = 0.5 * (levels[0] + levels[1])
+    defining = BodySpec.defining
+    monkeypatch.setattr(BodySpec, "defining",
+                        lambda self, x: defining(self, x) + 1e-9 * (np.asarray(x) @ u > split))
+    measure, centroid, err, n_evals, converged, _, inside = sections._sections(
+        body, u[None], which, levels, rtol, False)
+    assert inside.all()
+    assert measure[0] == closed[0][0] and np.array_equal(centroid[0], closed[1][0])
+    assert n_evals[0] == 33
+    anchors, _, basis, guide, _, formed = sections._centred_sections(body, u[None], which, levels)
+    assert formed
+    off = slice(1, None)
+    ref = sections._polar_sections(body, anchors[off], basis[:, off], guide[:, off], rtol[off],
+                                   np.zeros(len(levels) - 1, dtype=bool), np.zeros(0, dtype=np.intp))
+    assert np.array_equal(measure[off], ref[0]) and np.array_equal(centroid[off], ref[1])
+    assert np.array_equal(err[off], ref[2]) and np.array_equal(converged[off], ref[4])
+    assert np.array_equal(n_evals[off], 33 + ref[3])
+    # and each level alone falls back, or not, as it does in the batch
+    for i, t in enumerate(levels):
+        assert section_measure(body, u, t) == measure[i]
+
+
+def test_measures_near_a_support_level_take_the_closed_form(monkeypatch):
+    # within 1e-11 of the sphere's support level the polar rule ran to its
+    # node cap on F's rounding noise (167k-181k points a level); the closed
+    # form casts no ray and spends 33 points a level
+    body = unit_sphere(center=[0.0, 0.0, 3.0])
+    u = np.array([0.3, -0.2, 0.9]) / np.linalg.norm([0.3, -0.2, 0.9])
+    lo, _ = admissible_levels(body, u)
+    levels = lo + 3.0 * 2.0 ** -np.array([37.0, 43.0, 49.0])
+    rays, points = _kernel_calls(monkeypatch)
+    for t in levels:
+        out = sections._sections(body, u[None], np.zeros(1, dtype=np.intp), np.array([t]), 1e-8,
+                                 False)
+        assert out[3][0] == 33 and out[4][0] and out[0][0] > 0.0
+    assert rays == [] and points == [1, 32] * 3
+    # its error is rounding's: about 1e-5 relative at h = 2e-11 above the
+    # support level, where the cap's section has area pi h (2 - h)
+    h = levels[0] - lo
+    assert section_measure(body, u, levels[0]) == pytest.approx(math.pi * h * (2.0 - h), rel=1e-4)
