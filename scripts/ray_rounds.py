@@ -1,77 +1,53 @@
 #!/usr/bin/env python3
-"""Print how many F-rounds the ray batches of each benchmark workload take,
-how many levels its cut volumes section and how many solver rounds its
-shell scans take:
+"""Print the work behind each benchmark workload's ops: ray batches, levels,
+shell scans and set-ups:
 
     python scripts/ray_rounds.py --seed 1
 
 Each workload's pool (``perfbench/workloads.py``) is built for the seed and
-every op runs once, in pool order, with ``BodySpec.defining``,
-``ray_hits_batch`` and the levels that ``cutvol`` sections counted from
-outside the library, as ``op_digest.py`` runs them. An F-round is one
-``defining`` call made inside one ``ray_hits_batch`` call. Each batch is of
-one of three kinds:
+every op runs once, in pool order, as ``op_digest.py`` runs them, with 17
+library names hooked from outside (``install``). The hook logs each call to
+them, with the hooked call it was made in, and one handler per name reads
+its counts off that call and its children:
 
-- unguessed: a 2D chord, a gauge ray (and the centring rays of a 3D
-  section on a body whose kind has no form, which no workload sections);
-- first polar: the first guessed batch of a 3D section's polar rule, cast
-  in its guide ellipse's angle with every radius guessed at 1 (a 3D
-  level centred from its kind's form that asks for its measure alone casts
-  none when F confirms its closed form, ``sections._form_check``);
-- refinement: the later guessed batches, guessed by interpolation, and
-  the 128-ray grid of a ``section_diameter`` call, cast outside any rule.
+- a ``ray_hits_batch`` call's F-rounds are its ``defining`` children. It is
+  unguessed (a 2D chord, a gauge ray, or the centring rays of a 3D section
+  on a body whose kind has no form, which no workload sections), first
+  polar (the first batch of a ``sections._polar_sections`` call, cast in
+  its guide ellipse with every radius guessed at 1), or refinement (the
+  later batches of a polar rule, guessed by interpolation, and the 128-ray
+  grid of a ``section_diameter`` call);
+- a spine check is a ``defining`` call made by ``_centred_sections`` itself:
+  F at the spine anchors of a 3D section centred from its kind's form, one
+  point a level (the closed form's F checks are not spine checks);
+- a shell scan is a call of its solver, ``asymptotics._form_crossings`` on
+  the closed-form path (ladder and split, two rounds; one that returns None
+  has fallen back to the grid scan that follows, and counts apart) or
+  ``asymptotics._crossings`` after the grid scan. Its solver rounds are its
+  ``defining`` children, one point per bracket still open;
+- a 3D section level takes the closed form where ``sections._form_check``
+  passes it, casting no ray, and the polar rule otherwise;
+- a cut volume is one ``cutvol.quad`` integral, and its section levels
+  those of its ``section_measure`` and ``_sections`` calls (the nodes of
+  its quadrature rule, or a gradient's cut plane);
+- the set-up work is the calls of ``BodySpec.gauss_map`` and of each cone
+  kind's ``margin`` with the rows they take, and the plane set-ups
+  (``sections._section_frames``: a section batch's normals oriented, their
+  bases and their spine anchors) with their normals and levels.
 
-For each workload it prints the ``ray_hits_batch`` calls and rays, the
-F-rounds per call of each kind (mean and max, and its number of calls),
-the unguessed F-rounds per call of each body (its kind or function tag,
-params and any translation), the root-finder's time per call outside F,
-and the ``defining`` calls and oracle points (points at which
-``defining`` was evaluated) of the whole pass, the spine checks (the
-``defining`` calls, and their points, that a section set-up makes outside
-any ray batch: F at the spine anchors of a 3D section centred from its
-kind's form, one point a level; the F checks of closed-form measures are
-counted in the pass's calls but not here), the solver rounds per shell
-scan (mean and max, and the number of scans), how many scans took each
-path (the closed form or the grid scan, and how many closed-form ladders
-fell back to the grid), the brackets still open in each solver round of
-the grid scans (the mean over them, a scan that has stopped counting 0),
-the solver's mean time per round outside F, and the minor
-page faults of the process per op (``getrusage`` around each op; the
-median, which the first op's one-off set-up, such as the shell scan's
-cached arcs, does not move, the mean and the max). For each op that
-integrates cut volumes it prints its calls, the volumes they integrate (one
-``quad`` integral each), the section levels they take (each a node of a
-volume's quadrature rule, or a gradient's cut plane) and the levels per
-volume and per call. It prints how many 3D section levels took each
-path: the closed form (measure-only levels centred from a form whose F
-check passed), or the polar rule, and how many of those checked fell back
-to the polar rule. For the 3D section levels of the polar rule it
-prints the rays per level of the first polar batch (the rule's first
-nodes), the polar rays per level over all its guessed batches (diameter
-grids included), and how many levels were refined past the first batch.
-It also prints the set-up work of the pass: the calls of the row-wise Gauss
-map (``BodySpec.gauss_map``) and the normals they take, the calls of the
-cone margin (the ``margin`` of each cone kind; ``ConeDescriptor.sides``
-takes it on the rows u and -u) and the rows they take, and the plane
-set-ups (``sections._section_frames``, which orients the normals of a
-section batch, builds their bases and places their spine anchors) with
-their normals and levels.
-
-A shell scan's solver rounds are the ``defining`` calls made inside its
-solver, which the script wraps by name: ``asymptotics._form_crossings`` on
-the closed-form path (its ladder and its split, two calls), and
-``asymptotics._crossings`` after the grid scan, one call per round, one
-point per bracket still open. A closed-form call that returns None has
-fallen back to the grid: its ladder call counts apart, and the grid scan
-that follows is the scan. The solver's time outside F is the time inside
-the solvers less the time of those calls.
-Likewise the ray root-finder's time per call outside F, for all its calls
-and for each batch kind, is the time inside ``ray_hits_batch`` less that of
-its ``defining`` calls. Both times are the median over PASSES passes of
-the pool (one pass spreads too widely to compare two trees by); every
-count comes from the first pass.
+It also prints the ``defining`` calls and oracle points of the pass, the
+3D polar levels' rays per level in the first batch and in all (diameter
+grids included), the open brackets per round of the grid scans (a stopped
+scan counting 0), the minor page faults of the process per op
+(``getrusage`` around each op), and the time outside F per ray batch (per
+kind and in all) and per shell solver round: its time less its
+``defining`` children's, the median over PASSES passes of the pool (one
+pass spreads too widely to compare two trees by). Every count comes from
+the first pass. A new count is one handler in ``install`` and its line in
+``report``.
 """
 import argparse
+import math
 import resource
 import sys
 from collections import defaultdict
@@ -84,62 +60,56 @@ import numpy as np  # noqa: E402
 
 KINDS = ("unguessed", "first polar", "refinement")
 PASSES = 5
+SETUP = {"gauss_map": "Gauss-map", "margin": "cone-margin", "_section_frames": "plane set-ups"}
+PATHS = {"_form_crossings": "closed form", "_crossings": "grid"}
 
 
 class Counts:
-    """Oracle and ray-batch counts of one pass; ``rounds[kind]`` lists the
-    F-rounds of each ray batch of that kind, ``unguessed[body]`` those of
-    each unguessed batch on the body of that label; ``ops``, ``volumes`` and
-    ``levels`` count the calls, cut volumes and section levels of each op
-    name ``op``; ``faults`` lists the minor page faults of each op;
-    ``polar_levels``, ``polar_rays`` and ``refined`` count the 3D levels of
-    the polar rule, the rays of its guessed batches and the levels refined
-    past its first batch, and ``first_nodes`` lists the rays per level of
-    each first polar batch; ``closed`` and ``fell_back`` count the 3D levels
-    that F's check of the closed form passed and failed; ``scans`` lists,
-    for each shell scan, the points of each of its solver rounds (on the
-    grid path, the brackets open), ``paths`` the path of each ("closed
-    form", "grid", or "fallback" for a closed-form ladder that fell back),
-    ``solve`` is the list of the
-    scan whose solver runs (or None), and ``solve_s`` and ``solve_f_s`` are
-    the seconds inside the solver and inside its ``defining`` calls; ``ray``
-    is the kind of the running ``ray_hits_batch`` call (or None), and
-    ``ray_s[kind]`` and ``ray_f_s[kind]`` are the seconds inside the calls
-    of that kind and inside their ``defining`` calls; ``setup[name]`` counts
-    the calls and rows of each set-up step (rows: normals, or for the plane
-    set-ups normals and levels); ``centring`` is whether a section set-up
-    (``sections._centred_sections``) runs, and ``spine`` counts the calls
-    and points of the ``defining`` calls it makes outside any ray batch."""
+    """The counts of one pass, and the seconds of its ray batches and shell
+    solvers in all and inside their ``defining`` calls."""
 
     def __init__(self):
         self.op = None  # the name of the op that runs
-        self.ops = defaultdict(int)
-        self.volumes = defaultdict(int)
-        self.levels = defaultdict(int)
-        self.defining = 0
-        self.points = 0
-        self.rays = 0
-        self.rounds = defaultdict(list)
-        self.unguessed = defaultdict(list)
-        self.faults = []
-        self.polar_levels = 0
-        self.polar_rays = 0
-        self.refined = 0
+        # per op name, its calls, its cut volumes and their section levels
+        self.ops, self.volumes, self.levels = defaultdict(int), defaultdict(int), defaultdict(int)
+        self.defining = self.points = self.rays = 0  # of the pass: F calls, oracle points, rays
+        # the F-rounds of each ray batch, per kind and, if unguessed, per body label
+        self.rounds, self.unguessed = defaultdict(list), defaultdict(list)
+        self.faults = []  # the minor page faults of each op
+        # the 3D levels of the polar rule, the rays of its guessed batches, the
+        # levels refined past its first batch and the rays per level of each first
+        self.polar_levels = self.polar_rays = self.refined = 0
         self.first_nodes = []
-        self.closed = 0
-        self.fell_back = 0
-        self.guessed = None  # guessed batches of the running polar rule so far
-        self.scans = []
-        self.paths = []
-        self.solve = None
-        self.solve_s = 0.0
-        self.solve_f_s = 0.0
-        self.ray = None
-        self.ray_s = defaultdict(float)
-        self.ray_f_s = defaultdict(float)
+        self.closed = self.fell_back = 0  # 3D levels whose closed-form check passed, failed
+        # per shell scan, the points of each solver round (on the grid, the brackets
+        # open) and its path: "closed form", "grid", or "fallback" for a closed-form
+        # ladder that fell back to the grid
+        self.scans, self.paths = [], []
+        self.solve_s = self.solve_f_s = 0.0
+        self.ray_s, self.ray_f_s = defaultdict(float), defaultdict(float)  # per batch kind
+        # per set-up step, its calls and rows (normals; for the plane set-ups, and levels)
         self.setup = defaultdict(lambda: [0, 0, 0])
-        self.centring = False
-        self.spine = [0, 0]
+        self.spine = [0, 0]  # the calls and points of the spine checks
+
+
+class Call:
+    """One hooked call: its name, the hooked call it was made in (None at
+    the top), the op that ran it, the summary of its arguments, its result,
+    whether it returned (or raised), its seconds and the hooked calls made
+    in it, in order."""
+    __slots__ = ("name", "parent", "op", "args", "result", "returned", "s", "children")
+
+    def __init__(self, name, parent, op, args):
+        self.name, self.parent, self.op, self.args = name, parent, op, args
+        self.result, self.returned, self.s, self.children = None, False, 0.0, []
+
+    def under(self, name):
+        """Whether this call was made in a call to name, no hooked call between."""
+        return self.parent is not None and self.parent.name == name
+
+    def f_calls(self):
+        """The ``defining`` calls made in this call, no hooked call between."""
+        return [c for c in self.children if c.name == "defining"]
 
 
 def label(body):
@@ -153,164 +123,121 @@ def label(body):
 
 
 def install(ccgeom, counts):
-    """Count every ``defining``, ``ray_hits_batch`` and shell solver call,
-    and every cut volume and section level of ``cutvol``, into counts;
-    returns a function that restores the library."""
+    """Log every call to the hooked library names and count it into counts
+    as it returns or raises; returns a function that restores the library."""
     bodies, sections, cutvol = ccgeom.bodies, ccgeom.sections, ccgeom.cutvol
     asymptotics = ccgeom.asymptotics
-    undo = []
+    running, undo = [], []  # the hooked calls under way, innermost last
 
-    def patch(owner, name, wrapper):
+    def hook(owner, name, summary, handler):
+        """Log each call to owner.name, with summary(*its arguments), and
+        hand it to handler when it ends."""
         orig = owner.__dict__[name]
+
+        def hooked(*args, **kwargs):
+            t0 = perf_counter()
+            parent = running[-1] if running else None
+            call = Call(name, parent, counts.op, summary(*args, **kwargs))
+            if parent is not None:
+                parent.children.append(call)
+            running.append(call)
+            try:
+                call.result = orig(*args, **kwargs)
+                call.returned = True
+                return call.result
+            finally:
+                call.s = perf_counter() - t0
+                running.pop()
+                handler(call)
+                call.parent = None  # no cycle: a tree is freed as its top call ends
         undo.append((owner, name, orig))
-        setattr(owner, name, wrapper(orig))
+        setattr(owner, name, hooked)
 
-    def defining(orig):
-        def counted(self, x):
-            t0 = perf_counter()
-            x = np.asarray(x)
-            n = x.size // x.shape[-1] if x.ndim else 1
-            counts.defining += 1
-            counts.points += n
-            if counts.centring and counts.ray is None:  # a spine check
-                counts.spine[0] += 1
-                counts.spine[1] += n
-            solve = counts.solve
-            if solve is not None:  # a round of a shell scan's solver
-                solve.append(len(x))
-            out = orig(self, x)
-            if solve is not None:
-                counts.solve_f_s += perf_counter() - t0
-            if counts.ray is not None:  # an F-round of a ray batch
-                counts.ray_f_s[counts.ray] += perf_counter() - t0
-            return out
-        return counted
+    def defining(call):  # one F evaluation; a spine check if made by a section set-up
+        n = math.prod(call.args[:-1]) if call.args else 1
+        counts.defining += 1
+        counts.points += n
+        if call.under("_centred_sections"):
+            counts.spine[0] += 1
+            counts.spine[1] += n
 
-    def solver(path):
-        """A wrapper counting a shell scan's solver calls on path, its
-        defining calls as the scan's rounds."""
-        def wrapper(orig):
-            def counted(*args):
-                counts.scans.append([])
-                counts.paths.append(path)
-                counts.solve = counts.scans[-1]
-                t0 = perf_counter()
-                try:
-                    out = orig(*args)
-                finally:
-                    counts.solve_s += perf_counter() - t0
-                    counts.solve = None
-                if out is None:  # a closed-form ladder that fell back to the grid
-                    counts.paths[-1] = "fallback"
-                return out
-            return counted
-        return wrapper
+    def ray_batch(call):  # its F-rounds are its defining calls; on raising, its seconds alone
+        body, origins, rays, guessed = call.args
+        rank = None  # which batch of its polar rule it is, the last so far
+        if call.under("_polar_sections"):
+            rank = sum(c.name == "ray_hits_batch" for c in call.parent.children) - 1
+        kind = "unguessed" if not guessed else "first polar" if rank == 0 else "refinement"
+        f = call.f_calls()
+        counts.ray_s[kind] += call.s
+        counts.ray_f_s[kind] += sum(c.s for c in f)
+        if not call.returned:
+            return
+        counts.rounds[kind].append(len(f))
+        counts.rays += rays
+        if not guessed:
+            counts.unguessed[label(body)].append(len(f))
+        elif rank is not None:
+            if rank == 0:  # the levels' diameter grids come as more groups of as many rays
+                counts.first_nodes.append(rays // origins)
+            elif rank == 1:
+                counts.refined += origins
+            counts.polar_rays += rays
 
-    def ray_hits_batch(orig):
-        def counted(body, origin, directions, guess=None):
-            if guess is None:
-                kind = "unguessed"
-            else:
-                kind = "first polar" if counts.guessed == 0 else "refinement"
-            before = counts.defining
-            counts.ray = kind
-            t0 = perf_counter()
-            try:
-                out = orig(body, origin, directions, guess=guess)
-            finally:
-                counts.ray_s[kind] += perf_counter() - t0
-                counts.ray = None
-            rounds = counts.defining - before
-            if guess is None:
-                counts.unguessed[label(body)].append(rounds)
-            else:
-                if counts.guessed is not None:  # a batch of the running polar rule
-                    if counts.guessed == 0:
-                        # the levels' diameter grids come as more groups of as many rays
-                        counts.first_nodes.append(len(directions) // len(origin))
-                    elif counts.guessed == 1:
-                        counts.refined += len(origin)
-                    counts.guessed += 1
-                    counts.polar_rays += len(directions)
-            counts.rounds[kind].append(rounds)
-            counts.rays += len(directions)
-            return out
-        return counted
+    def polar(call):  # a polar rule over the levels of its anchors, (levels, d)
+        if call.args[1] == 3:
+            counts.polar_levels += call.args[0]
 
-    def rows(name):
-        """A wrapper counting the calls of a set-up step and the rows of its
-        argument at (the normals; for the plane set-ups, and the levels)."""
-        def wrapper(orig):
-            def counted(*args, **kwargs):
-                c = counts.setup[name]
-                c[0] += 1
-                if name == "plane set-ups":  # (body, normals, which, levels)
-                    c[1] += len(args[1])
-                    c[2] += len(args[3])
-                else:  # (self, rows)
-                    c[1] += len(args[1])
-                return orig(*args, **kwargs)
-            return counted
-        return wrapper
-
-    def centred_sections(orig):
-        def counted(*args, **kwargs):
-            counts.centring = True
-            try:
-                return orig(*args, **kwargs)
-            finally:
-                counts.centring = False
-        return counted
-
-    def polar_sections(orig):
-        def counted(body, anchors, *args, **kwargs):
-            counts.guessed = 0
-            if anchors.shape[1] == 3:
-                counts.polar_levels += len(anchors)
-            try:
-                return orig(body, anchors, *args, **kwargs)
-            finally:
-                counts.guessed = None
-        return counted
-
-    def form_check(orig):
-        def counted(*args):
-            ok, points = orig(*args)
+    def form_check(call):  # its result's mask holds the levels it passed
+        if call.returned:
+            ok = call.result[0]
             counts.closed += int(np.count_nonzero(ok))
             counts.fell_back += int(ok.size - np.count_nonzero(ok))
-            return ok, points
-        return counted
 
-    def quad(orig):
-        def counted(f, a, *args, **kwargs):
-            counts.volumes[counts.op] += np.size(a)
-            return orig(f, a, *args, **kwargs)
-        return counted
+    def solver(call):  # a shell scan: its rounds are its defining calls
+        f = call.f_calls()
+        counts.scans.append([c.args[0] for c in f])
+        fell_back = call.returned and call.result is None  # a closed-form ladder
+        counts.paths.append("fallback" if fell_back else PATHS[call.name])
+        counts.solve_s += call.s
+        counts.solve_f_s += sum(c.s for c in f)
 
-    def levels(at):
-        """A wrapper counting the levels, argument at, of a section call."""
-        def wrapper(orig):
-            def counted(*args, **kwargs):
-                counts.levels[counts.op] += np.size(args[at])
-                return orig(*args, **kwargs)
-            return counted
-        return wrapper
+    def volumes(call):
+        counts.volumes[call.op] += call.args
 
-    patch(bodies.BodySpec, "defining", defining)
-    patch(bodies, "ray_hits_batch", ray_hits_batch)  # the gauge's
-    patch(sections, "ray_hits_batch", ray_hits_batch)
-    patch(sections, "_centred_sections", centred_sections)
-    patch(sections, "_polar_sections", polar_sections)
-    patch(sections, "_form_check", form_check)
-    patch(cutvol, "quad", quad)
-    patch(cutvol, "section_measure", levels(2))  # (body, u, t)
-    patch(cutvol, "_sections", levels(3))  # (body, normals, k, levels, ...), with the cut plane
-    patch(asymptotics, "_crossings", solver("grid"))
-    patch(asymptotics, "_form_crossings", solver("closed form"))
-    patch(bodies.BodySpec, "gauss_map", rows("Gauss-map"))
+    def levels(call):
+        counts.levels[call.op] += call.args
+
+    def setup(call):
+        c = counts.setup[SETUP[call.name]]
+        c[0] += 1
+        c[1] += call.args[0]
+        c[2] += call.args[1]
+
+    def rows(self, rows, *args, **kwargs):
+        return len(rows), 0
+
+    def batch(body, origin, directions, guess=None):
+        return body, len(origin), len(directions), guess is not None
+
+    def nothing(*args, **kwargs):
+        return None
+
+    hook(bodies.BodySpec, "defining", lambda self, x: np.shape(x), defining)
+    hook(bodies, "ray_hits_batch", batch, ray_batch)  # the gauge's
+    hook(sections, "ray_hits_batch", batch, ray_batch)
+    hook(sections, "_centred_sections", nothing, nothing)
+    hook(sections, "_polar_sections", lambda body, anchors, *a, **kw: anchors.shape, polar)
+    hook(sections, "_form_check", nothing, form_check)
+    hook(cutvol, "quad", lambda f, a, *args, **kw: np.size(a), volumes)
+    hook(cutvol, "section_measure", lambda body, u, t, *a, **kw: np.size(t), levels)
+    hook(cutvol, "_sections", lambda body, normals, k, ts, *a, **kw: np.size(ts), levels)
+    hook(asymptotics, "_crossings", nothing, solver)
+    hook(asymptotics, "_form_crossings", nothing, solver)
+    hook(bodies.BodySpec, "gauss_map", rows, setup)
     for kind in bodies._CONE_KINDS.values():
-        patch(kind, "margin", rows("cone-margin"))
-    patch(sections, "_section_frames", rows("plane set-ups"))
+        hook(kind, "margin", rows, setup)
+    hook(sections, "_section_frames",
+         lambda body, normals, which, ts, *a, **kw: (len(normals), len(ts)), setup)
 
     def uninstall():
         for owner, name, orig in reversed(undo):

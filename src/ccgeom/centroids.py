@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,15 +51,16 @@ def sample_levels(body, u, n_levels=None):
     get a geometric grid t0 + delta * r^k probing the asymptotic regime.
     ``n_levels`` is a whole number >= 1, or None for the interval's default.
     """
-    _check_count(n_levels)
+    if n_levels is not None:
+        _check_count(n_levels, "n_levels")
     return _levels_in(*admissible_levels(body, u), n_levels)
 
 
-def _check_count(n_levels):
-    """Refuse anything but None or a whole number >= 1 (not a bool)."""
-    if n_levels is not None and (isinstance(n_levels, (bool, np.bool_))
-                                 or not (n_levels >= 1 and float(n_levels).is_integer())):
-        raise ValueError(f"n_levels must be a whole number >= 1, got {n_levels!r}")
+def _check_count(n, name):
+    """Refuse anything but a whole number >= 1 (not a bool) as the count name."""
+    if (isinstance(n, (bool, np.bool_)) or not isinstance(n, numbers.Real)
+            or not (n >= 1 and float(n).is_integer())):
+        raise ValueError(f"{name} must be a whole number >= 1, got {n!r}")
 
 
 def _levels_in(lo, hi, n_levels):
@@ -127,7 +129,8 @@ def sccp_residual(body, u, n_levels=None, rtol=DEFAULT_RTOL) -> LineFit:
     bounds = admissible_levels(body, u)  # UnboundedSection where the sections are unbounded
     if n_levels is not None and n_levels < MIN_LEVELS:
         raise ValueError(f"need at least {MIN_LEVELS} levels")
-    _check_count(n_levels)
+    if n_levels is not None:
+        _check_count(n_levels, "n_levels")
     # the centroid curve of the levels, as ``centroid_curve`` takes it
     return fit_line(section_stats(body, u, _levels_in(*bounds, n_levels), rtol=rtol).centroid)
 

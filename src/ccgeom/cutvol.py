@@ -32,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bodies import INF, _check_units, _graph_contacts
+from .centroids import _check_count
 from .errors import DegenerateCut, NotApexCentered, NotGraphLike, OriginInsideBody
 from .sections import (
     DEFAULT_RTOL,
@@ -398,13 +399,12 @@ def floating_constancy(body, mode, lam, n_normals=12, seed=0, rtol=DEFAULT_RTOL)
     mode "translate": copy is body + lam * e_last (lam > 0).
     mode "scale":     copy is lam * body (lam > 1).
 
-    The first n_normals sampled normals whose cap is finite and positive
-    give the values, in sampling order; as many caps as values are missing
-    are integrated in one lockstep ``quad``, each bitwise as
-    ``halfspace_cut_volume`` gives it.
+    The first n_normals (a whole number >= 1) sampled normals whose cap is
+    finite and positive give the values, in sampling order; as many caps as
+    values are missing are integrated in one lockstep ``quad``, each bitwise
+    as ``halfspace_cut_volume`` gives it.
     """
-    if n_normals < 1:
-        raise ValueError(f"n_normals must be at least 1, got {n_normals}")
+    _check_count(n_normals, "n_normals")
     if mode not in ("translate", "scale"):
         raise ValueError("mode must be 'translate' or 'scale'")
     _check_move("lam", lam, body, mode == "translate")

@@ -380,6 +380,16 @@ def test_floating_constancy_rejects_no_normals():
         floating_constancy(function_epigraph("square"), "translate", 1.0, n_normals=0)
 
 
+@pytest.mark.parametrize("n_normals", [2.5, True, np.True_, math.nan, "3", None])
+def test_floating_constancy_refuses_a_count_that_is_not_a_whole_number(n_normals):
+    # 2.5 once gave 3 values and True 1; NaN warned twice ("Mean of empty
+    # slice") before numpy's zero-size error, and "3" raised a TypeError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="n_normals"):
+            floating_constancy(function_epigraph("square"), "translate", 1.0, n_normals=n_normals)
+
+
 def test_cut_volume_rejects_non_finite_parameter():
     for a in ([math.nan, 0.5], [math.inf, 0.5]):
         with pytest.raises(ValueError):
