@@ -90,7 +90,9 @@ def centroid_curve(body, u, levels, rtol=DEFAULT_RTOL):
 
 def fit_line(points) -> LineFit:
     """Least-squares affine line through points (principal direction):
-    any (n, d) array of n >= 3 points, or a sequence of n rows.
+    any (n, d) array of n >= 3 points, or a sequence of n rows. The SVD's
+    direction is refined by two Gauss-Newton steps on the perpendicular
+    residuals, d += sum proj_i perp_i / sum proj_i^2, each renormalised.
 
     Means are sums over n and roots ``math.sqrt``, bitwise what ``np.mean``
     and ``np.sqrt`` give.
@@ -106,11 +108,17 @@ def fit_line(points) -> LineFit:
     spread = math.sqrt(np.add.reduce(np.add.reduce(centered ** 2, axis=-1)) / n)
     if spread < 1e-300:
         raise DegeneratePointSet("points are all coincident")
-    _, sv, vt = np.linalg.svd(centered, full_matrices=False)
-    direction = vt[0]
+    direction = np.linalg.svd(centered, full_matrices=False)[2][0]
     i = int(np.argmax(np.abs(direction)))
     if direction[i] < 0:
         direction = -direction
+    # the SVD's direction is up to a few ulps off the fit; two steps bring it
+    # within rounding of it (one is not enough)
+    for _ in range(2):
+        proj = centered @ direction
+        perp = centered - np.outer(proj, direction)
+        direction = direction + (proj @ perp) / (proj @ proj)
+        direction /= math.sqrt(direction @ direction)
     proj = centered @ direction
     perp = centered - np.outer(proj, direction)
     residual_rms = math.sqrt(np.add.reduce(np.add.reduce(perp ** 2, axis=-1)) / n)
@@ -127,10 +135,10 @@ def sccp_residual(body, u, n_levels=None, rtol=DEFAULT_RTOL) -> LineFit:
     """
     u = np.array(_check_unit(u))
     bounds = admissible_levels(body, u)  # UnboundedSection where the sections are unbounded
-    if n_levels is not None and n_levels < MIN_LEVELS:
-        raise ValueError(f"need at least {MIN_LEVELS} levels")
     if n_levels is not None:
         _check_count(n_levels, "n_levels")
+        if n_levels < MIN_LEVELS:
+            raise ValueError(f"need at least {MIN_LEVELS} levels")
     # the centroid curve of the levels, as ``centroid_curve`` takes it
     return fit_line(section_stats(body, u, _levels_in(*bounds, n_levels), rtol=rtol).centroid)
 

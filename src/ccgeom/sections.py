@@ -13,15 +13,15 @@ and moves to their mean midpoint. 3D sections are integrated in polar
 coordinates around the centred anchor, in the guide ellipse's own angle,
 where a quadric's radii are all 1 to rounding, with a fixed
 node-doubling refinement schedule, so results are deterministic for a
-given tolerance. A 3D level centred from a form that asks for its measure
-alone skips the rule: its measure is the ellipse's, pi |g1 x g2| from
-the guide (g1, g2), once F confirms that the boundary crosses each node of
-the rule's first batch between the root-finder's inner probes (one
-``defining`` call, ``_form_check``); a level F does not confirm takes the
-rule. A level that asks for its centroid or its diameter always takes the
-rule, whose moments correct the form centre's rounding. ``n_evals`` counts
-the points at which the body's defining function was evaluated, in 2D
-and 3D.
+given tolerance. A 3D level centred from a form skips the rule once F
+confirms that the boundary crosses each node of the rule's first batch
+between the root-finder's inner probes (one ``defining`` call,
+``_form_check``): its section is then the guide (g1, g2)'s ellipse, so
+its measure is pi |g1 x g2|, its centroid the centred anchor and its
+diameter the major axis 2 sigma_max[g1 g2], and it casts no ray. A level
+F does not confirm takes the rule, and its diameter the longest chord on
+a 128-node grid. ``n_evals`` counts the points at which the body's
+defining function was evaluated, in 2D and 3D.
 
 One kernel does this for a whole array of levels at once, each with its own
 normal and tolerance: one ray batch centres every level that casts chords
@@ -359,6 +359,15 @@ def _guide_axes(basis, guide):
     return axes, np.abs(axes[0, 0] * axes[1, 1] - axes[0, 1] * axes[1, 0])
 
 
+def _major_axes(guide):
+    """The major axis of each guide's ellipse, 2 sigma_max[g1 g2], one entry
+    per level of the guide (g1, g2): twice the root of the larger eigenvalue
+    of [[p, s], [s, r]], with p = |g1|^2, r = |g2|^2 and s = <g1, g2>."""
+    g1, g2 = guide
+    p, r, s = np.vecdot(g1, g1), np.vecdot(g2, g2), np.vecdot(g1, g2)
+    return 2.0 * np.sqrt(0.5 * (p + r) + np.hypot(0.5 * (p - r), s))
+
+
 def _form_check(body, anchors, guide):
     """Whether F confirms that each form-centred 3D section, about its anchor
     with guide (g1, g2), is the guide's ellipse, and the oracle points spent
@@ -493,12 +502,13 @@ def _sections(body, normals, which, ts, rtol, moments, diameter=False, admissibl
     moments is the mask of the levels whose centroid is wanted; the centroid
     of any other level is its centred anchor, and its rule stops on the
     measure alone. Either mask may be one bool for every level. A 3D level
-    in neither mask, centred from its kind's form, takes the closed form
-    when ``_form_check`` passes it: measure pi |g1 x g2|, err 2
-    ``_HIT_RTOL`` times it (the polar rule's bound on radii that are 1 to
-    rounding) and 1 + 2 ``_FIRST_NODES`` oracle points; any other level
-    takes the polar rule, and one that fails the check counts the check's
-    points too. Either way each level is bitwise its lone call's.
+    centred from its kind's form takes the closed form when ``_form_check``
+    passes it: measure pi |g1 x g2|, centroid the centred anchor, diameter
+    ``_major_axes``', err 2 ``_HIT_RTOL`` times the measure (the polar
+    rule's bound on radii that are 1 to rounding) and 1 + 2 ``_FIRST_NODES``
+    oracle points; any other level takes the polar rule, and one that fails
+    the check counts the check's points too. Either way each level is
+    bitwise its lone call's.
 
     This is the one place that decides grazing: a level whose spine anchor
     is not strictly inside the body has measure 0, False in the inside mask
@@ -523,20 +533,20 @@ def _sections(body, normals, which, ts, rtol, moments, diameter=False, admissibl
                            moments[i:i + 1], diameter[i:i + 1]) for i in range(ts.size)]
         return tuple(np.concatenate(part) for part in zip(*alone))
     polar = None  # the mask of the levels left to the polar rule, if not all
+    diam = np.zeros(0)
     if formed:
-        closed = ~(moments | diameter)
-        if np.count_nonzero(closed):
-            ok, k = _form_check(body, anchors[closed], guide[:, closed])
-            n_evals[closed] += k
-            closed[closed] = ok
-            # every radius is 1 to rounding: the polar rule's measure is jac
-            # pi, its centroid the anchor, and its error bound its hits'
-            measure = np.zeros(ts.size)
-            measure[closed] = _guide_axes(basis[:, closed], guide[:, closed])[1] * math.pi
-            err, converged = 2.0 * _HIT_RTOL * measure, np.ones(ts.size, dtype=bool)
-            polar = ~closed
-            if not np.count_nonzero(polar):
-                return measure, anchors, err, n_evals, converged, np.zeros(0), converged.copy()
+        closed, k = _form_check(body, anchors, guide)
+        n_evals += k
+        # every radius is 1 to rounding: the polar rule's measure is jac pi,
+        # its centroid the anchor, its error bound its hits', and the
+        # diameter is the guide ellipse's major axis
+        measure = _guide_axes(basis, guide)[1] * math.pi
+        err, converged = 2.0 * _HIT_RTOL * measure, np.ones(ts.size, dtype=bool)
+        if np.count_nonzero(diameter):
+            diam = _major_axes(guide[:, diameter])
+        polar = ~closed
+        if not np.count_nonzero(polar):
+            return measure, anchors, err, n_evals, converged, diam, converged.copy()
     sel = slice(None) if polar is None else polar
     sub = anchors[sel], basis[:, sel], guide[:, sel], rtol[sel], moments[sel]
     wide = np.flatnonzero(diameter[sel])
@@ -551,7 +561,7 @@ def _sections(body, normals, which, ts, rtol, moments, diameter=False, admissibl
     if polar is None:
         measure, anchors, err, k, converged, diam = out
     else:
-        measure[polar], anchors[polar], err[polar], k, converged[polar], diam = out
+        measure[polar], anchors[polar], err[polar], k, converged[polar], diam[polar[diameter]] = out
     n_evals[sel] += k
     return measure, anchors, err, n_evals, converged, diam, np.ones(ts.size, dtype=bool)
 
@@ -581,6 +591,9 @@ def section_stats(body, u, t, rtol=DEFAULT_RTOL) -> SectionStats:
     """Measure and centroid of the section {<u,x> = t} of a convex body.
 
     For a 1-D array of levels t, the sections at all of them in one batch.
+    On a 3D quadric a level F confirms is its ellipse: the measure is pi
+    |g1 x g2| and the centroid the ellipse's centre, read off the kind's
+    form, with no ray cast; elsewhere the polar rule's.
     Every level must lie inside ``admissible_levels`` by 1e-9 scale, else
     ``LevelOutOfRange``: an empty section has no centroid. A level that
     grazes the body, or whose measure is below 1e-12 scale^(d-1), raises
@@ -623,17 +636,23 @@ def section_measure(body, u, t, rtol=DEFAULT_RTOL):
 
 
 def section_diameter(body, u, t) -> float:
-    """Diameter estimate of the section at one level (inside
-    ``admissible_levels`` as for ``section_stats``, else ``LevelOutOfRange``):
-    the longest chord through its anchor on a 128-node grid in the guide's
-    angle. A quadric's chords are then diameters of its ellipse, at most
-    (1 - (b/a)^2) (pi/128)^2 / 2 short of the major axis 2a, relative."""
+    """Diameter of the section at one level (inside ``admissible_levels`` as
+    for ``section_stats``, else ``LevelOutOfRange``). On a 3D quadric a level
+    F confirms (``_form_check``) is its ellipse, and the diameter its major
+    axis 2a = 2 sigma_max[g1 g2], with no ray cast. Elsewhere it is an
+    estimate, the longest chord through the anchor on a 128-node grid in
+    the guide's angle: on a quadric level F refuses, the chords are
+    diameters of its ellipse, at most (1 - (b/a)^2) (pi/128)^2 / 2 short of
+    2a, relative."""
     normals, which, ts, scalar = _planes(u, t)
     if not scalar:
         raise ValueError("section_diameter takes one level")
-    anchors, _, basis, guide, _, _ = _centred_sections(body, normals, which, ts, admissible=True)
+    anchors, _, basis, guide, _, formed = _centred_sections(body, normals, which, ts,
+                                                            admissible=True)
     if len(basis) == 1:
         return float(2.0 * guide[0, 0])
+    if formed and _form_check(body, anchors, guide)[0][0]:
+        return float(_major_axes(guide)[0])
     dirs = _polar_dirs(*guide, _DIAMETER_NODES)
     r = _polar_radii(body, anchors, dirs, np.ones(_DIAMETER_NODES))[0]
     return float(_widest(r, dirs)[0])

@@ -295,3 +295,22 @@ def superellipsoid_section_stats(p, u, t):
     m1 = integral(lambda th: radius(th) ** 3 * math.cos(th) / 3.0)
     m2 = integral(lambda th: radius(th) ** 3 * math.sin(th) / 3.0)
     return area, c0 + (m1 * e1 + m2 * e2) / area
+
+
+@mpmath.workdps(40)
+def line_fit(points):
+    """Base (the mean) and unit direction of the least-squares line through
+    the float points, an (n, d) array, in 40-digit arithmetic: the direction
+    is the scatter matrix's top eigenvector, as mpmath floats."""
+    P = [[mpmath.mpf(float(v)) for v in row] for row in np.asarray(points)]
+    n, d = len(P), len(P[0])
+    base = [mpmath.fsum(row[j] for row in P) / n for j in range(d)]
+    C = mpmath.matrix(d, d)
+    for row in P:
+        c = [row[j] - base[j] for j in range(d)]
+        for i in range(d):
+            for j in range(d):
+                C[i, j] += c[i] * c[j]
+    lam, Q = mpmath.eigsy(C)
+    k = max(range(d), key=lambda j: lam[j])
+    return base, [Q[j, k] for j in range(d)]

@@ -591,7 +591,7 @@ def _ray_batches(monkeypatch):
     return calls
 
 
-def test_cut_volume_ray_batch_budget(monkeypatch):
+def test_cut_volume_ray_batch_budget(monkeypatch, refuse_closed_forms):
     calls = _ray_batches(monkeypatch)
     # the plane z = 2.5 cuts a cap of height 0.5 from the unit sphere about z = 3
     # (a quadric's measure-only levels take their measures in closed form,
@@ -603,14 +603,22 @@ def test_cut_volume_ray_batch_budget(monkeypatch):
     cut_volume(unit_disk(center=[0.0, 3.0]), [0.1, 0.35])
     assert 0 < len(calls) <= 2
     # a gradient's 2d + 1 volumes and its cut plane's stats and diameter
-    # share their batches: 1 in 3D (the cut plane's polar one: a quadric
-    # casts no centring rays), 1 in 2D
+    # share their batches: none in 3D (a quadric's cut plane takes its
+    # centroid and diameter in closed form too, and casts no centring
+    # rays), 1 in 2D
     calls.clear()
     cut_gradient(unit_sphere(center=[0.0, 0.0, 3.0]), [0.05, 0.1, 0.4])
-    assert len(calls) == 1
+    assert len(calls) == 0
     calls.clear()
     cut_gradient(unit_disk(center=[0.0, 3.0]), [0.1, 0.35])
     assert len(calls) == 1
+    # where F refuses the closed forms, the 3D gradient's levels and its cut
+    # plane's diameter grid all ride in one polar batch a round
+    refuse_closed_forms()
+    calls.clear()
+    cut_gradient(unit_sphere(center=[0.0, 0.0, 3.0]), [0.05, 0.1, 0.4])
+    assert len(calls) == 1
+    refuse_closed_forms(False)
     # a scan's volumes at all its anchors share their batches too (the 3D
     # paraboloid's cast none)
     for scan, body, k, anchors in [case for case in SCAN_CASES if len(case[3]) == 5]:

@@ -270,11 +270,14 @@ def record_defining(monkeypatch):
     return batches
 
 
-@pytest.mark.parametrize("call", [
-    lambda: section_stats(unit_sphere(), np.array([0.0, 0.6, 0.8]), 0.3),
-    lambda: cut_gradient(unit_sphere([0.0, 0.0, 3.0]), np.array([0.1, 0.2, 0.25])),
+@pytest.mark.parametrize("call,polar", [
+    # (the section's closed form refused, so that it casts its polar batch)
+    (lambda: section_stats(unit_sphere(), np.array([0.0, 0.6, 0.8]), 0.3), True),
+    (lambda: cut_gradient(unit_sphere([0.0, 0.0, 3.0]), np.array([0.1, 0.2, 0.25])), False),
 ], ids=["sphere-section", "sphere-gradient"])
-def test_root_finder_hands_f_coordinate_major_batches(monkeypatch, call):
+def test_root_finder_hands_f_coordinate_major_batches(monkeypatch, refuse_closed_forms, call,
+                                                     polar):
+    refuse_closed_forms(polar)
     batches = record_defining(monkeypatch)
     call()
     assert max(x.size // x.shape[-1] for x in batches) >= 64
@@ -286,10 +289,12 @@ def test_root_finder_hands_f_coordinate_major_batches(monkeypatch, call):
     paraboloid_epigraph([1.0, 0.7]),
     hyperboloid_sheet([1.0, 1.4]),
 ], ids=lambda b: b.kind)
-def test_conic_guessed_first_polar_batch_takes_one_round(monkeypatch, body):
+def test_conic_guessed_first_polar_batch_takes_one_round(monkeypatch, refuse_closed_forms, body):
     # guessed from the section's ellipse, read off the kind's form, to
     # rounding, every ray of the first polar batch ends on its probes: one F
-    # call for the whole batch
+    # call for the whole batch (the closed form refused, so that the
+    # sections cast it)
+    refuse_closed_forms()
     batches, rounds = record_defining(monkeypatch), []
 
     def counted(*args, guess=None):
@@ -452,10 +457,13 @@ def test_other_kinds_have_no_ray_quadratic(body):
     assert bodies._quadratic_roots(body, np.zeros((d, 1)), np.ones((d, 1))) is None
 
 
-def test_tiny_sphere_sections_end_their_first_polar_batch_in_two_calls(monkeypatch):
+def test_tiny_sphere_sections_end_their_first_polar_batch_in_two_calls(monkeypatch,
+                                                                      refuse_closed_forms):
     # sections near the top of the sphere at height 3, squared radius 1e-5
     # to 5e-5: F at the anchor is about -2e-5, and each ray ends once F at
-    # its inside end is within F's own rounding, 4 eps T, of 0
+    # its inside end is within F's own rounding, 4 eps T, of 0 (the closed
+    # form refused, so that the sections cast their polar batches)
+    refuse_closed_forms()
     body = unit_sphere([0.0, 0.0, 3.0])
     u = np.array([0.3, -0.2, 0.9]) / np.linalg.norm([0.3, -0.2, 0.9])
     levels = float(u @ body.translation) + np.sqrt(1.0 - np.linspace(1e-5, 5e-5, 5))
@@ -470,7 +478,6 @@ def test_tiny_sphere_sections_end_their_first_polar_batch_in_two_calls(monkeypat
     monkeypatch.setattr(sections, "ray_hits_batch", counted)
     for t in [*levels, levels]:
         rounds.clear()
-        # (section_stats: a measure alone casts no polar batch on a quadric)
         section_stats(body, u, t)
         # no centring batch: the first batch is the first polar one
         assert rounds[0] <= 2, (t, rounds)

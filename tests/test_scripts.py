@@ -265,10 +265,13 @@ def test_ray_rounds_patches_the_names_it_counts_and_restores_them(ray_rounds):
     assert all(owner.__dict__[name] is orig for (owner, name), orig in zip(patched, before))
 
 
-def test_ray_rounds_counts_a_first_polar_batch_guessed_to_rounding(ray_rounds):
-    # an sccp-3d section of its ellipsoid: the ellipse read off the kind's
-    # form guesses the first polar radii to rounding, so that batch ends in
-    # its probe round, one F-round, after one spine check of one point
+def test_ray_rounds_counts_a_first_polar_batch_guessed_to_rounding(ray_rounds,
+                                                                 refuse_closed_forms):
+    # an sccp-3d section of its ellipsoid, its closed form refused: the
+    # ellipse read off the kind's form guesses the first polar radii to
+    # rounding, so that batch ends in its probe round, one F-round, after
+    # one spine check of one point
+    refuse_closed_forms()
     counts = ray_rounds.Counts()
     uninstall = ray_rounds.install(ccgeom, counts)
     try:
@@ -342,9 +345,9 @@ def test_ray_rounds_counts_one_f_round_per_unguessed_quadric_call(ray_rounds, mo
     # its rays' quadratic roots, whose probes end it in its first F-round;
     # the superellipse climbs from its probe at the body scale. The 3D
     # sections cast no unguessed batch: each batch of levels takes one spine
-    # check instead of its centring batch's one F-round, and a batch of
-    # cutvol-3d's measure-only levels one F check of its closed form
-    # instead of its first polar batch's one F-round
+    # check instead of its centring batch's one F-round, and one F check of
+    # its closed forms instead of its first polar batch's one F-round (a
+    # gradient's cut plane rides in its first round's check)
     workloads = _workloads(monkeypatch)
     means, defining, spine = {}, [], []
     for name in ("cutvol-3d", "sccp-3d", "planar-2d"):
@@ -364,7 +367,7 @@ def test_ray_rounds_counts_one_f_round_per_unguessed_quadric_call(ray_rounds, mo
         "hyperboloid-upper-sheet [1.0]": 1.0,
         "superellipsoid [4.0]": 10.33,
     }
-    assert defining == [100, 72, 184]
+    assert defining == [90, 72, 184]
     assert spine == [[40, 1510], [36, 480], [0, 0]]
 
 
@@ -421,14 +424,25 @@ def test_ray_rounds_counts_the_set_up_work(ray_rounds):
             "set-ups 1 (1 normals, 12 levels)") in ray_rounds.report("sccp-3d", 1, 1, counts)
 
 
-def test_ray_rounds_counts_the_polar_rays_of_each_3d_level(ray_rounds):
-    # two quadric levels meet rtol on the 16 rays of their first batch; a
-    # p = 4 superellipsoid level is refined past it; a gradient's cut plane
-    # adds the other 112 nodes of its diameter grid as 7 more groups of 16,
-    # and its volumes' measure-only levels take the closed form, no rays
+def test_ray_rounds_counts_the_polar_rays_of_each_3d_level(ray_rounds, refuse_closed_forms):
+    # with their closed forms refused, two quadric levels meet rtol on the
+    # 16 rays of their first batch, and a gradient's cut plane adds the
+    # other 112 nodes of its diameter grid as 7 more groups of 16; a p = 4
+    # superellipsoid level is refined past it. Unrefused, a gradient's
+    # levels and its cut plane take the closed form, no rays
     counts = ray_rounds.Counts()
-    uninstall = ray_rounds.install(ccgeom, counts)
     u = np.array([0.3, -0.2, 0.93]) / np.linalg.norm([0.3, -0.2, 0.93])
+    sphere = ccgeom.unit_sphere([0.0, 0.0, 3.0])
+    uninstall = ray_rounds.install(ccgeom, counts)
+    try:
+        counts.op = "cut_gradient"
+        counts.ops["cut_gradient"] += 1
+        ccgeom.cut_gradient(sphere, [0.05, 0.1, 0.4])
+    finally:
+        uninstall()
+    assert (counts.polar_levels, counts.polar_rays, counts.closed) == (0, 0, 7 * 15 + 1)
+    refuse_closed_forms()
+    uninstall = ray_rounds.install(ccgeom, counts)
     try:
         section_stats(ellipsoid([1.3, 0.8, 1.0], center=[0.2, -0.1, 0.4]), u, np.array([0.2, 0.3]))
         assert (counts.polar_levels, counts.polar_rays, counts.refined) == (2, 32, 0)
@@ -439,28 +453,31 @@ def test_ray_rounds_counts_the_polar_rays_of_each_3d_level(ray_rounds):
         before = counts.polar_rays
         sections.section_diameter(ccgeom.unit_sphere(), u, 0.3)
         assert (counts.polar_levels, counts.polar_rays, counts.refined) == (3, before, 1)
-        counts.op = "cut_gradient"
-        counts.ops["cut_gradient"] += 1
-        ccgeom.cut_gradient(ccgeom.unit_sphere([0.0, 0.0, 3.0]), [0.05, 0.1, 0.4])
+        # the gradient's cut plane, with its moments and diameter, in a
+        # kernel call of its own
+        a = np.array([0.05, 0.1, 0.4])
+        sections._sections(sphere, a[None] / np.linalg.norm(a), np.zeros(1, dtype=np.intp),
+                           np.array([1.0 / np.linalg.norm(a)]), 1e-8, True, True)
     finally:
         uninstall()
-    # the cut plane's 16 rays and 112 more; 7 volumes of 15 closed-form levels
+    # the cut plane's 16 rays and 112 more
     assert counts.polar_levels == 3 + 1
     assert counts.polar_rays - before == 16 + 112
     assert counts.first_nodes == [16] * 3 and counts.refined == 1
-    assert (counts.closed, counts.fell_back) == (7 * 15, 0)
+    # the four refused levels fell back
+    assert (counts.closed, counts.fell_back) == (7 * 15 + 1, 4)
     lines = ray_rounds.report("sccp-3d", 1, 3, counts).splitlines()
     line = next(x for x in lines if "polar rays" in x)
     assert line == (f"  polar rays per 3D section level: 16 in the first batch, "
                     f"{counts.polar_rays / 4:.2f} in all over 4 levels; "
                     f"1 levels refined past the first batch")
-    assert "  3D section levels by path: 105 closed form, 4 polar; 0 fell back" in lines
+    assert "  3D section levels by path: 106 closed form, 4 polar; 4 fell back" in lines
 
 
 def test_ray_rounds_counts_the_3d_levels_by_path(ray_rounds, monkeypatch):
-    # measure-only levels on a quadric take the closed form, and with F moved
-    # off the form by 1e-9 each falls back to the polar rule; a level with
-    # its moments, or on a body without a form, takes the polar rule
+    # levels on a quadric take the closed form, with their moments too, and
+    # with F moved off the form by 1e-9 each falls back to the polar rule; a
+    # level on a body without a form takes the polar rule
     sphere = ccgeom.unit_sphere([0.0, 0.0, 3.0])
     u = np.array([0.3, -0.2, 0.93]) / np.linalg.norm([0.3, -0.2, 0.93])
     levels = float(u @ sphere.translation) + np.array([-0.5, 0.0, 0.5])
@@ -477,20 +494,23 @@ def test_ray_rounds_counts_the_3d_levels_by_path(ray_rounds, monkeypatch):
     run(lambda: ccgeom.section_measure(sphere, u, levels),
         lambda: section_stats(sphere, u, levels[:1]),
         lambda: ccgeom.section_measure(ccgeom.superellipsoid(4.0, dim=3), u, 0.25))
-    assert (counts.closed, counts.polar_levels, counts.fell_back) == (3, 2, 0)
+    assert (counts.closed, counts.polar_levels, counts.fell_back) == (4, 1, 0)
     defining = bodies.BodySpec.defining
     monkeypatch.setattr(bodies.BodySpec, "defining", lambda self, x: defining(self, x) + 1e-9)
-    run(lambda: ccgeom.section_measure(sphere, u, levels))
-    assert (counts.closed, counts.polar_levels, counts.fell_back) == (3, 5, 3)
+    run(lambda: ccgeom.section_measure(sphere, u, levels),
+        lambda: section_stats(sphere, u, levels[:1]))
+    assert (counts.closed, counts.polar_levels, counts.fell_back) == (4, 5, 4)
     report = ray_rounds.report("cutvol-3d", 1, 4, counts).splitlines()
-    assert "  3D section levels by path: 3 closed form, 5 polar; 3 fell back" in report
+    assert "  3D section levels by path: 4 closed form, 5 polar; 4 fell back" in report
 
 
-def test_ray_rounds_counts_the_solver_rounds_of_each_shell_scan(ray_rounds):
+def test_ray_rounds_counts_the_solver_rounds_of_each_shell_scan(ray_rounds, refuse_closed_forms):
     # the defining calls made inside a shell scan's solver are its rounds,
     # and the scan's chunks are not; two scans in one op count apart, and an
-    # op without a scan counts none. The sheet takes the closed form, two
+    # op without a scan counts none (a section, its closed form refused, so
+    # that it casts a polar batch). The sheet takes the closed form, two
     # calls, and the hyperbola the grid scan
+    refuse_closed_forms()
     sheet, hyperbola = ccgeom.hyperboloid_sheet([1.0, 1.4]), ccgeom.hyperboloid_sheet([1.0])
     u = np.array([0.3, -0.2, 0.93]) / np.linalg.norm([0.3, -0.2, 0.93])
     pool = [_op("shell", None), _op("section", None)]
@@ -586,10 +606,12 @@ def test_ray_rounds_times_the_solver_outside_f(ray_rounds):
         ray_rounds.report("shell-3d", 1, 1, counts, passes).splitlines())
 
 
-def test_ray_rounds_times_the_ray_root_finder_outside_f(ray_rounds):
+def test_ray_rounds_times_the_ray_root_finder_outside_f(ray_rounds, refuse_closed_forms):
     # per batch kind, the seconds inside ray_hits_batch less its defining
     # calls', per call: the median over the passes, the calls of the first;
-    # a 3D section casts a first polar batch, a 2D one an unguessed chord
+    # a 3D section, its closed form refused, casts a first polar batch, a 2D
+    # one an unguessed chord
+    refuse_closed_forms()
     u = np.array([0.3, -0.2, 0.93]) / np.linalg.norm([0.3, -0.2, 0.93])
     pool = [_op("section", None)]
     pool[0].call = lambda: (section_stats(ellipsoid([1.3, 0.8, 1.0]), u, 0.3),

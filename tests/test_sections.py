@@ -776,11 +776,13 @@ def test_non_quadric_section_refuses_the_conic():
     assert np.linalg.norm(st.centroid - centroid) <= 1e-9
 
 
-def test_section_diameter_against_the_plane_ellipse():
-    # from the ellipse's centre the chords on a grid of 128 nodes in the
-    # guided angle are diameters at eccentric anomalies at most half a node
-    # spacing d = pi/128 off the major axis: a^2 cos^2 d + b^2 sin^2 d short
-    # of a^2, that is at most (1 - (b/a)^2) d^2 / 2 relative
+def test_section_diameter_against_the_plane_ellipse(refuse_closed_forms):
+    # where F refuses the closed form, from the ellipse's centre the chords
+    # on a grid of 128 nodes in the guided angle are diameters at eccentric
+    # anomalies at most half a node spacing d = pi/128 off the major axis:
+    # a^2 cos^2 d + b^2 sin^2 d short of a^2, that is at most
+    # (1 - (b/a)^2) d^2 / 2 relative
+    refuse_closed_forms()
     body = paraboloid_epigraph([1.0, 0.7], shift=[0.0, 0.0, 1.0])
     for a in ([0.1, -0.2, 0.4], [0.3, 0.1, 0.4], [-0.2, 0.25, 0.3]):
         u = np.array(a) / np.linalg.norm(a)
@@ -791,7 +793,7 @@ def test_section_diameter_against_the_plane_ellipse():
             assert 2.0 * major * (1.0 - bound) <= d <= 2.0 * major * (1.0 + 1e-12)
 
 
-def test_3d_sections_cast_two_ray_batches(monkeypatch):
+def test_3d_sections_cast_two_ray_batches(monkeypatch, refuse_closed_forms):
     calls = []
     ray_hits_batch = sections.ray_hits_batch
 
@@ -800,18 +802,22 @@ def test_3d_sections_cast_two_ray_batches(monkeypatch):
         return ray_hits_batch(*args, **kwargs)
 
     monkeypatch.setattr(sections, "ray_hits_batch", counted)
-    # a quadric is centred from its form, with no rays, and its one polar
-    # batch meets rtol on its own; the p = 2 superellipsoid, a ball without a
-    # form, first casts its centring batch (its spine anchors are its
-    # sections' centres, so its polar batch meets rtol on its own too)
+    # a quadric is centred from its form, with no rays, and takes its
+    # fields in closed form, with none either; with its closed form refused,
+    # its one polar batch meets rtol on its own. The p = 2 superellipsoid, a
+    # ball without a form, first casts its centring batch (its spine anchors
+    # are its sections' centres, so its polar batch meets rtol on its own too)
     u = np.array([0.1, -0.2, 0.9]) / math.sqrt(0.86)
-    for body, batches in [(b, 1) for b, _, _ in QUADRIC_SECTIONS[1:]] + [
-            (unit_sphere(), 1), (superellipsoid(2.0, dim=3), 2)]:
-        t = float(_finite_levels(body, u, 0.5))
-        for entry in (section_stats, section_diameter):
-            calls.clear()
-            entry(body, u, t)
-            assert len(calls) == batches, (body.kind, entry.__name__)
+    quadrics = [b for b, _, _ in QUADRIC_SECTIONS[1:]] + [unit_sphere()]
+    for refused in (False, True):
+        refuse_closed_forms(refused)
+        for body, batches in [(b, int(refused)) for b in quadrics] + [
+                (superellipsoid(2.0, dim=3), 2)]:
+            t = float(_finite_levels(body, u, 0.5))
+            for entry in (section_stats, section_diameter):
+                calls.clear()
+                entry(body, u, t)
+                assert len(calls) == batches, (body.kind, entry.__name__, refused)
 
 
 def _profiled_calls(fn):
@@ -835,11 +841,13 @@ def _profiled_calls(fn):
 
 @pytest.mark.parametrize("body,normals,levels", QUADRIC_SECTIONS[:3],
                          ids=[b.kind for b, _, _ in QUADRIC_SECTIONS[:3]])
-def test_diameter_grid_is_built_only_for_a_diameter_level(monkeypatch, body, normals, levels):
-    # a batch with no diameter level builds no grid, and so makes fewer
-    # calls; its one ray batch is the 16 L first-batch rays alone, whose
-    # radii are bitwise those of the same batch with one diameter level,
-    # and every other result is bitwise too
+def test_diameter_grid_is_built_only_for_a_diameter_level(monkeypatch, refuse_closed_forms, body,
+                                                          normals, levels):
+    # with the closed forms refused, a batch with no diameter level builds
+    # no grid, and so makes fewer calls; its one ray batch is the 16 L
+    # first-batch rays alone, whose radii are bitwise those of the same
+    # batch with one diameter level, and every other result is bitwise too
+    refuse_closed_forms()
     batches = []
     ray_hits_batch = sections.ray_hits_batch
 
@@ -994,6 +1002,59 @@ def test_a_level_whose_f_is_off_its_form_falls_back_to_the_polar_rule(monkeypatc
     # and each level alone falls back, or not, as it does in the batch
     for i, t in enumerate(levels):
         assert section_measure(body, u, t) == measure[i]
+
+
+@pytest.mark.parametrize("body,u,levels", CLOSED_FORM_SECTIONS, ids=CLOSED_FORM_IDS)
+def test_quadric_centroids_and_diameters_take_the_closed_form(monkeypatch, body, u, levels):
+    # a level with its moments, or its diameter, takes the closed form too:
+    # its centroid is the form-centred anchor and its diameter the guide
+    # ellipse's major axis, with no ray cast (the 128-node grid missed it
+    # by up to 2.4e-4 relative); each is within 1e-13 of the 40-digit
+    # ellipse, and the diameter level comes out bitwise as section_diameter
+    rays, _ = _kernel_calls(monkeypatch)
+    st = section_stats(body, u, levels)
+    diameters = [section_diameter(body, u, t) for t in levels]
+    assert rays == [] and np.array_equal(st.n_evals, np.full(len(levels), 33))
+    assert st.converged.all() and np.array_equal(st.err_estimate,
+                                                 2.0 * bodies._HIT_RTOL * st.measure)
+    for i, t in enumerate(levels):
+        centre, major, minor, _ = plane_ellipse(body, u, t)
+        assert np.linalg.norm(st.centroid[i] - centre) <= 1e-13 * max(1.0, np.linalg.norm(centre))
+        assert diameters[i] == pytest.approx(2.0 * major, rel=1e-13, abs=0.0)
+        assert st.measure[i] == pytest.approx(math.pi * major * minor, rel=1e-12, abs=0.0)
+    which = np.zeros(len(levels), dtype=np.intp)
+    out = sections._sections(body, u[None], which, levels, 1e-8, True, np.arange(len(levels)) == 1)
+    assert np.array_equal(out[1], st.centroid) and np.array_equal(out[5], diameters[1:2])
+
+
+@pytest.mark.parametrize("body,u,levels", CLOSED_FORM_SECTIONS, ids=CLOSED_FORM_IDS)
+def test_centroids_and_diameters_off_their_form_take_the_polar_rule(monkeypatch, body, u, levels):
+    # with F moved 1e-9 off the form past the first level, the other two
+    # levels give exactly the polar rule's centroids and grid diameters
+    # about the same centred anchors, in the batch and alone; the first
+    # level keeps its closed form, bitwise
+    which, rtol = np.zeros(len(levels), dtype=np.intp), np.full(len(levels), 1e-8)
+    moments, wide = np.ones(len(levels), dtype=bool), np.ones(len(levels), dtype=bool)
+    closed = sections._sections(body, u[None], which, levels, rtol, moments, wide)
+    split = 0.5 * (levels[0] + levels[1])
+    defining = BodySpec.defining
+    monkeypatch.setattr(BodySpec, "defining",
+                        lambda self, x: defining(self, x) + 1e-9 * (np.asarray(x) @ u > split))
+    measure, centroid, err, n_evals, converged, diam, inside = sections._sections(
+        body, u[None], which, levels, rtol, moments, wide)
+    assert inside.all()
+    assert np.array_equal(centroid[0], closed[1][0]) and diam[0] == closed[5][0]
+    anchors, _, basis, guide, _, formed = sections._centred_sections(body, u[None], which, levels)
+    assert formed
+    off = slice(1, None)
+    ref = sections._polar_sections(body, anchors[off], basis[:, off], guide[:, off], rtol[off],
+                                   moments[off], np.arange(len(levels) - 1))
+    assert np.array_equal(measure[off], ref[0]) and np.array_equal(centroid[off], ref[1])
+    assert np.array_equal(err[off], ref[2]) and np.array_equal(converged[off], ref[4])
+    assert np.array_equal(n_evals[off], 33 + ref[3]) and np.array_equal(diam[off], ref[5])
+    for i, t in enumerate(levels):
+        assert np.array_equal(section_stats(body, u, t).centroid, centroid[i])
+        assert section_diameter(body, u, t) == diam[i]
 
 
 def test_measures_near_a_support_level_take_the_closed_form(monkeypatch):
