@@ -27,9 +27,11 @@ its counts off that call and its children:
   ``defining`` children, one point per bracket still open;
 - a 3D section level takes the closed form where ``sections._form_check``
   passes it, casting no ray, and the polar rule otherwise;
-- a cut volume is one ``cutvol.quad`` integral, and its section levels
-  those of its ``section_measure`` and ``_sections`` calls (the nodes of
-  its quadrature rule, or a gradient's cut plane);
+- a cut volume is one cut that a ``cutvol._cut_volumes`` call integrates
+  (one whose ``fixed`` entry is NaN, whichever rule takes it), and its
+  section levels those of the call's ``section_measure`` and ``_sections``
+  calls (the two Gauss-Legendre levels of a 3D quadric cut, the nodes of
+  ``quad``'s rule elsewhere, or a gradient's cut plane);
 - the set-up work is the calls of ``BodySpec.gauss_map`` and of each cone
   kind's ``margin`` with the rows they take, and the plane set-ups
   (``sections._section_frames``: a section batch's normals oriented, their
@@ -228,7 +230,8 @@ def install(ccgeom, counts):
     hook(sections, "_centred_sections", nothing, nothing)
     hook(sections, "_polar_sections", lambda body, anchors, *a, **kw: anchors.shape, polar)
     hook(sections, "_form_check", nothing, form_check)
-    hook(cutvol, "quad", lambda f, a, *args, **kw: np.size(a), volumes)
+    hook(cutvol, "_cut_volumes",
+         lambda body, ranges, *a, **kw: int(np.count_nonzero(np.isnan(ranges[2]))), volumes)
     hook(cutvol, "section_measure", lambda body, u, t, *a, **kw: np.size(t), levels)
     hook(cutvol, "_sections", lambda body, normals, k, ts, *a, **kw: np.size(ts), levels)
     hook(asymptotics, "_crossings", nothing, solver)

@@ -988,6 +988,13 @@ def _reach(body, O, D, g):
     raise GeometryError("boundary bracketing failed; direction nearly recessive")
 
 
+def has_form(body):
+    """Whether the body's kind has a ``form``, as ``ray_quadratic`` decides it:
+    a quadric Q with F's sign, so that in 3D each bounded plane section is
+    an ellipse whose area is a polynomial of degree at most 2 in the level."""
+    return body._impl.form is not None
+
+
 def ray_quadratic(body, P, W):
     """(a, b, c) of Q(p + s w) = a s^2 + b s + c, Q the ``form`` of the
     body's kind about its translation, along each ray from the points P

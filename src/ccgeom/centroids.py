@@ -11,7 +11,7 @@ import numpy as np
 
 from .bodies import _check_unit
 from .errors import ConeSectionUnbounded, DegeneratePointSet
-from .sections import DEFAULT_RTOL, admissible_levels, section_stats
+from .sections import DEFAULT_RTOL, _bounded_setup, admissible_levels, section_stats
 
 GEOMETRIC_RATIO = 1.7
 N_LEVELS_BOUNDED = 16
@@ -133,14 +133,16 @@ def sccp_residual(body, u, n_levels=None, rtol=DEFAULT_RTOL) -> LineFit:
     residual_norm is the scale-free violation measure: 0 for bodies whose
     parallel-section centroids are collinear, bounded away from 0 otherwise.
     """
-    u = np.array(_check_unit(u))
-    bounds = admissible_levels(body, u)  # UnboundedSection where the sections are unbounded
+    # UnboundedSection where the sections are unbounded; the kernel reads
+    # this set-up of u rather than take its own
+    setup = _bounded_setup(body, np.array(u, dtype=float))
     if n_levels is not None:
         _check_count(n_levels, "n_levels")
         if n_levels < MIN_LEVELS:
             raise ValueError(f"need at least {MIN_LEVELS} levels")
+    levels = _levels_in(float(setup.lo[0]), float(setup.hi[0]), n_levels)
     # the centroid curve of the levels, as ``centroid_curve`` takes it
-    return fit_line(section_stats(body, u, _levels_in(*bounds, n_levels), rtol=rtol).centroid)
+    return fit_line(section_stats(body, setup, levels, rtol=rtol).centroid)
 
 
 def classify_lines(lines, tol=1e-5) -> LineFamilyVerdict:

@@ -2,21 +2,29 @@
 constancy scans for the parallel-cut / homothety-cut characterizations.
 
 V(a) is the volume of the body on the <= side of the hyperplane {<a,x> = 1},
-computed by Fubini slicing perpendicular to a: the section measure is
-integrated over the levels s = c + h x (3 - x^2) / 2, x in [-1, 1], by
-``quad``, an adaptive form of QUADPACK's Gauss-Kronrod rules that runs
-several integrals in lockstep, the open panels of all of them in three flat
+computed by Fubini slicing perpendicular to a. On a 3D body whose kind has
+a form (the ellipsoid, the paraboloid, the hyperboloid sheet and the cone)
+each bounded section is an ellipse, whose area is a polynomial of degree
+at most 2 in the level, so a cut volume is a cubic in its upper level and
+2-node Gauss-Legendre gives it exactly, from two levels. Elsewhere (the
+superellipsoid and every 2D body) the section measure is integrated over
+the levels s = c + h x (3 - x^2) / 2, x in [-1, 1], by ``quad``, an
+adaptive form of QUADPACK's Gauss-Kronrod rules that runs several
+integrals in lockstep, the open panels of all of them in three flat
 arrays.  The map keeps a measure polynomial in the level a polynomial, and
-3D bodies take the 15-point rule, 2D ones the 21-point rule.  Each round
-sections the levels of every open panel of every integral in one batch, so
-a volume that one panel meets costs one batch of 15 levels in 3D, 21 in
-2D, and a gradient's 2d + 1 volumes, or a constancy scan's volumes at all
-its anchors, share their rounds and batches, each volume bitwise as
-``halfspace_cut_volume`` gives it; a gradient's first round also sections
+3D bodies take the 15-point rule, 2D ones the 21-point rule.  Either way
+the volumes of one call share their section batches: the two levels of
+every quadric cut are one batch, and each ``quad`` round sections the
+levels of every open panel of every integral in one batch, so a volume
+that one panel meets costs one batch of 15 levels in 3D, 21 in 2D.  A
+gradient's 2d + 1 volumes, or a constancy scan's volumes at all its
+anchors, share their batches, each volume bitwise as
+``halfspace_cut_volume`` gives it; a gradient's first batch also sections
 its cut plane, for its measure, centroid and diameter, as one more level of
-the same kernel call.  ``section_measure`` is defined at every finite level,
-0 where the plane misses or grazes the body, so the integrand catches no
-section error.
+the same kernel call.  The cut normals are set up once (``_plane_setup``,
+for their level ranges), and the section kernel reads that set-up.
+``section_measure`` is defined at every finite level, 0 where the plane
+misses or grazes the body, so the integrand catches no section error.
 Unboundedness of a cut is decided analytically from the recession cone,
 with the margin by which the section kernel calls a section unbounded,
 never by runaway integration.
@@ -31,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies import INF, _check_units, _graph_contacts
+from .bodies import INF, _check_units, _graph_contacts, has_form
 from .centroids import _check_count
 from .errors import DegenerateCut, NotApexCentered, NotGraphLike, OriginInsideBody
 from .sections import (
@@ -51,6 +59,10 @@ _MAX_PANELS = 200  # open panels past which quad stops refining
 # 1e90 scale^3, far from overflow; past 1e150 they overflow, or the cut's
 # boundary search fails
 _MAX_MOVE = 1e30
+# 2-node Gauss-Legendre on [lo, hi]: its nodes lie 1 - 1/sqrt(3) half-widths
+# in from the ends (the nearest double; formed from the nearer end, each
+# node keeps the digits of that end)
+_GAUSS_END = 0.4226497308103742
 
 # QUADPACK's Gauss-Kronrod tables (Piessens et al., QUADPACK, 1983), each
 # given by its abscissae x_1 > ... > x_n = 0 on [-1, 1] with the weights there
@@ -175,62 +187,87 @@ class CutVolumeResult:
 
 def _level_ranges(body, U, T):
     """The levels that body ∩ {<u,x> <= t} spans, for each row u of an (n, d)
-    array of unit normals and entry t of T, in one pass: the support levels
-    (lo, hi) = (-h(-u), h(u)) of ``_plane_setup``, which the section kernel
-    checks its levels on, and the ranges (s_lo, s_hi, fixed), s_hi =
+    array of unit normals and entry t of T, in one pass: the ``PlaneSetup``
+    of U, whose support levels (lo, hi) = (-h(-u), h(u)) the section kernel
+    checks its levels on, and the ranges (lo, s_hi) of the cuts, s_hi =
     min(t, hi), with fixed the volume itself where it needs no integral
     (NaN elsewhere): +inf when the cut contains a recession direction, 0
-    when the halfspace misses the interior.
+    when the halfspace misses the interior.  Returns (setup, s_hi, fixed).
     """
     # as the section kernel decides it, a cone that meets the planes within
     # rounding meets them; then, or where the cone is not positive on u,
     # some recession direction stays in the halfspace: infinite volume
-    meets, up, lo, hi, _, _ = _plane_setup(body, U)
-    s_hi = np.minimum(T, hi)
+    setup = _plane_setup(body, U)
+    lo = setup.lo
+    s_hi = np.minimum(T, setup.hi)
     fixed = np.where(s_hi <= lo + 1e-12 * body.scale, 0.0, np.nan)
-    meets |= ~up
+    meets = setup.meets | ~setup.up
     if np.count_nonzero(meets):
         fixed[meets] = np.where(T <= lo, 0.0, INF)[meets]
-    return (lo, hi), (lo, s_hi, fixed)
+    return setup, s_hi, fixed
 
 
-def _cut_volumes(body, normals, ranges, rtols, plane=None):
-    """Volumes of the cuts of body with unit normals normals[k] over the level
-    ranges (s_lo, s_hi, fixed) of ``_level_ranges`` (where fixed is a number,
-    the volume itself), each to its own rtols[k]: the integrals in one
-    lockstep ``quad``, whose every round sections the levels of all of them
-    in one batch.
+def _cut_volumes(body, ranges, rtols, plane=None):
+    """Volumes of the cuts of body over the level ranges (setup, s_hi, fixed)
+    of ``_level_ranges`` (where fixed is a number, the volume itself), each
+    to its own rtols[k], with the sections of all of them in shared
+    batches, every one on the cut normals' own ``PlaneSetup``.
 
-    Returns the volumes and, for plane = (u, t, rtol), that section's
-    measure, centroid, diameter and whether its anchor is inside the body,
-    from the first round's batch, in which it rides as one more level.
+    On a 3D body whose kind has a form (``has_form``) the section measure
+    is a polynomial of degree at most 2 in the level, so 2-node
+    Gauss-Legendre gives each volume exactly: one batch sections the two
+    levels of every cut, each formed as an offset from its nearer end. The
+    rule rests on the body, not on how each area is found, so a level whose
+    closed form F refuses takes the polar rule in the same batch.
+    Elsewhere the integrals run in one lockstep ``quad``, whose every round
+    sections the levels of all of them in one batch.
+
+    Returns the volumes and, for plane = (i, t, rtol), the section {<u,x> =
+    t} of the normal u of row i: its measure, centroid, diameter and
+    whether its anchor is inside the body, from the first batch, in which
+    it rides as one more level.
     """
-    s_lo, s_hi, volumes = ranges
+    setup, s_hi, volumes = ranges
     rtols = _rtols(rtols, len(volumes))
     volumes = volumes.copy()
     todo = np.flatnonzero(np.isnan(volumes))
-    normals, rtols, s_lo, s_hi = normals[todo], rtols[todo], s_lo[todo], s_hi[todo]
+    if not todo.size:
+        return volumes, None
+    cuts = setup.rows(todo)
+    rtols, s_lo, s_hi = rtols[todo], cuts.lo, s_hi[todo]
+    section = None
+
+    def measures(k, levels):
+        """The section measures of the cuts k at levels, with the plane's
+        section in the first call."""
+        nonlocal plane, section
+        if plane is None:
+            return section_measure(body, cuts.rows(k), levels, rtol=rtols[k])
+        i, t, rtol = plane
+        planes = setup.rows(np.append(todo, i))
+        extra = np.arange(k.size + 1) == k.size
+        mu, centroid, _, _, _, diam, inside = _sections(
+            body, planes.normals, np.append(k, len(todo)), np.append(levels, t),
+            np.append(rtols[k], rtol), extra, extra, setup=planes)
+        section, plane = (float(mu[-1]), centroid[-1], float(diam[0]), inside[-1]), None
+        return mu[:-1]
+
+    h = 0.5 * (s_hi - s_lo)
+    if body.ambient_dim == 3 and has_form(body):
+        offset = _GAUSS_END * h
+        mu = measures(np.repeat(np.arange(len(todo)), 2),
+                      np.stack((s_lo + offset, s_hi - offset), axis=1).ravel())
+        volumes[todo] = h * (mu[0::2] + mu[1::2])
+        return volumes, section
+
     # levels s = c + h x (3 - x^2) / 2 over x in [-1, 1]: s - s_lo and s_hi - s
     # go as (1 -+ x)^2 at the ends, which removes a 2D chord's square root
     # there, and a measure polynomial in s stays a polynomial in x
     c = 0.5 * (s_lo + s_hi)
-    h = 0.5 * (s_hi - s_lo)
-    section = None
 
     def g(x, k):
-        nonlocal plane, section
-        levels = c[k] + h[k] * (0.5 * x * (3.0 - x * x))
-        if plane is not None:
-            u, t, rtol = plane
-            extra = np.arange(k.size + 1) == k.size
-            measures, centroid, _, _, _, diam, inside = _sections(
-                body, np.vstack((normals, u)), np.append(k, len(normals)), np.append(levels, t),
-                np.append(rtols[k], rtol), extra, extra)
-            section, plane = (float(measures[-1]), centroid[-1], float(diam[0]), inside[-1]), None
-            measures = measures[:-1]
-        else:
-            measures = section_measure(body, normals[k], levels, rtol=rtols[k])
-        return measures * (1.5 * h[k] * (1.0 - x) * (1.0 + x))
+        return measures(k, c[k] + h[k] * (0.5 * x * (3.0 - x * x))) * (
+            1.5 * h[k] * (1.0 - x) * (1.0 + x))
 
     # a 3D measure goes to 0 linearly at a curved support level, where the
     # 15-point rule meets it; a 2D chord goes as the square root, which the
@@ -257,7 +294,7 @@ def halfspace_cut_volume(body, u, t, rtol=DEFAULT_RTOL) -> float:
 
 def _volume(body, U, T, rtol):
     """The volume of one cut of a checked plane, as a number."""
-    return float(_cut_volumes(body, U, _level_ranges(body, U, T)[1], [rtol])[0][0])
+    return float(_cut_volumes(body, _level_ranges(body, U, T), [rtol])[0][0])
 
 
 def _cut_planes(A):
@@ -278,12 +315,12 @@ def cut_volume(body, a, rtol=DEFAULT_RTOL) -> float:
 def cut_gradient(body, a, rtol=DEFAULT_RTOL) -> CutVolumeResult:
     """Central-difference gradient of V plus the centroid-identity residuals.
 
-    V(a) and the 2d perturbed volumes V(a +- step e_j) are one lockstep
-    ``quad``: each of its rounds sections the levels of all of them in one
-    batch, and each volume comes out bitwise as ``cut_volume`` gives it.
-    Its first round also sections the cut plane, with its centroid and
-    diameter, bitwise as ``section_stats`` and ``section_diameter`` give
-    them. Which cuts are empty or unbounded is read off the recession cone,
+    V(a) and the 2d perturbed volumes V(a +- step e_j) share their section
+    batches (one batch of two levels each on a 3D quadric, the rounds of one
+    lockstep ``quad`` elsewhere), and each volume comes out bitwise as
+    ``cut_volume`` gives it. Its first batch also sections the cut plane,
+    with its centroid and diameter, bitwise as ``section_stats`` and
+    ``section_diameter`` give them. Which cuts are empty or unbounded is read off the recession cone,
     and a plane outside ``admissible_levels`` is refused (``LevelOutOfRange``),
     before any integration; a plane that grazes the body or whose measure is
     below the threshold raises ``DegenerateSection`` after V(a)'s own error.
@@ -303,16 +340,15 @@ def cut_gradient(body, a, rtol=DEFAULT_RTOL) -> CutVolumeResult:
     # a, then a + step e_j and a - step e_j for each j
     E = step * np.eye(dim)
     U, T = _cut_planes(np.vstack([a, np.stack([a + E, a - E], axis=1).reshape(-1, dim)]))
-    (lo, hi), ranges = _level_ranges(body, U, T)
-    fixed = ranges[2]
+    ranges = _level_ranges(body, U, T)
+    setup, _, fixed = ranges
     if not math.isnan(fixed[0]):
         raise DegenerateCut(f"V(a) = {float(fixed[0])} is not finite positive")
     if np.any(fixed[1:] == INF):
         raise DegenerateCut("perturbed cut became unbounded; reduce the step")
-    u, t = U[0], float(T[0])
-    _check_levels(body, T[:1], float(lo[0]), float(hi[0]))
-    volumes, section = _cut_volumes(body, U, ranges, [rtol] + [fd_rtol] * (2 * dim),
-                                    plane=(u, t, rtol))
+    _check_levels(body, T[:1], float(setup.lo[0]), float(setup.hi[0]))
+    volumes, section = _cut_volumes(body, ranges, [rtol] + [fd_rtol] * (2 * dim),
+                                    plane=(0, float(T[0]), rtol))
     V0 = float(volumes[0])
     if not V0 > 0.0:  # every level of the cut grazed the body
         raise DegenerateCut(f"V(a) = {V0} is not finite positive")
@@ -352,13 +388,14 @@ def _moved_tangent_cuts(body, normals, levels, mode, k, rtol):
     """Volumes of body ∩ {<n,x> <= t} for the tangent planes {<n,x> = s},
     one per row n of normals (inner unit normals) and entry s of levels,
     each moved by k: t = s + k n_d for mode "translate" (shift by k e_d),
-    t = k s for "scale" (about the origin).  One lockstep ``quad``
-    integrates them all, each volume bitwise as ``halfspace_cut_volume``
-    gives it; an empty cut is 0 and an unbounded one inf.
+    t = k s for "scale" (about the origin).  Their sections share their
+    batches (see ``_cut_volumes``), each volume bitwise as
+    ``halfspace_cut_volume`` gives it; an empty cut is 0 and an unbounded
+    one inf.
     """
     T = levels + k * normals[:, -1] if mode == "translate" else k * levels
     U = _check_units(normals)
-    volumes = _cut_volumes(body, U, _level_ranges(body, U, T)[1], rtol)[0]
+    volumes = _cut_volumes(body, _level_ranges(body, U, T), rtol)[0]
     return volumes.tolist()
 
 
@@ -401,8 +438,8 @@ def floating_constancy(body, mode, lam, n_normals=12, seed=0, rtol=DEFAULT_RTOL)
 
     The first n_normals (a whole number >= 1) sampled normals whose cap is
     finite and positive give the values, in sampling order; as many caps as
-    values are missing are integrated in one lockstep ``quad``, each bitwise
-    as ``halfspace_cut_volume`` gives it.
+    values are missing are integrated together (see ``_cut_volumes``), each
+    bitwise as ``halfspace_cut_volume`` gives it.
     """
     _check_count(n_normals, "n_normals")
     if mode not in ("translate", "scale"):

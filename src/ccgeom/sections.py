@@ -32,8 +32,11 @@ tolerance. One set-up per normal,
 ``_plane_setup`` (one cone-margin and one Gauss-map call, row-wise), gives
 the support levels -h(-u), h(u) and the spine's ends; the kernel's level
 check, ``admissible_levels`` and the cut volumes' level ranges all read it,
-so they agree bitwise on which levels exist. The root-finder solves every
-ray on its own, so each level comes out bitwise as it would alone. Each
+so they agree bitwise on which levels exist. A caller that has set its
+normals up (the cut volumes, ``sccp_residual``) hands that ``PlaneSetup``
+to the kernel in place of the normals, and the kernel does not set them up
+again. The root-finder solves every ray on its own, so each level comes
+out bitwise as it would alone. Each
 level asks for its first moments (the centroid) and its diameter apart, so
 sections that need them ride in the batches of sections that do not. The
 kernel alone decides grazing (see ``_sections``): ``section_measure``
@@ -48,6 +51,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -104,10 +108,14 @@ class SectionStats:
 
 def _planes(u, t):
     """Validated unit normals, the index of each level's normal among them,
-    the levels as a 1-D array, and whether t was a number.
+    the levels as a 1-D array, whether t was a number, and the normals'
+    ``PlaneSetup`` where u brought one (else None).
 
     u is one normal, or one normal per level as an (L, d) array; each run of
     equal rows then gives one normal (the levels of one cut come as a block).
+    u may also be the ``PlaneSetup`` of such normals, one row or one a
+    level, which a caller that has set them up hands on, so that the kernel
+    reads it instead of setting them up again.
     A NaN level is a ``ValueError`` and an infinite one ``LevelOutOfRange``
     naming it, before any arithmetic on it.
     """
@@ -118,6 +126,9 @@ def _planes(u, t):
         if np.any(np.isnan(ts)):
             raise ValueError("hyperplane level must be a number")
         raise LevelOutOfRange(f"level {float(ts[np.isinf(ts)][0])} is not finite")
+    setup = None
+    if isinstance(u, PlaneSetup):
+        setup, u = u, u.normals[0] if len(u.normals) == 1 else u.normals
     u = np.asarray(u, dtype=float)
     if u.ndim == 2:
         if ts.shape != (len(u),):
@@ -125,9 +136,11 @@ def _planes(u, t):
         first = np.ones(len(u), dtype=bool)
         first[1:] = (u[1:] != u[:-1]).any(axis=1)
         normals, which = _check_units(u[first]), np.cumsum(first) - 1
+        if setup is not None:
+            setup = setup.rows(first)
     else:
         normals, which = np.array(_check_unit(u))[None], np.zeros(ts.size, dtype=np.intp)
-    return normals, which, np.atleast_1d(ts), ts.ndim == 0
+    return normals, which, np.atleast_1d(ts), ts.ndim == 0, setup
 
 
 def section_bounded(body, u) -> bool:
@@ -138,28 +151,55 @@ def section_bounded(body, u) -> bool:
 
 def admissible_levels(body, u):
     """Open interval of levels t with 0 < measure < inf; endpoints may be inf."""
+    setup = _bounded_setup(body, u)
+    return float(setup.lo[0]), float(setup.hi[0])
+
+
+def _bounded_setup(body, u):
+    """The ``PlaneSetup`` of one unit normal u, raising ``UnboundedSection``
+    where its sections are unbounded."""
     u = _check_unit(u)
-    meets, _, lo, hi, _, _ = _plane_setup(body, u[None])
-    if meets[0]:
+    setup = _plane_setup(body, u[None])
+    if setup.meets[0]:
         raise UnboundedSection(f"sections normal to {u} are unbounded")
-    return float(lo[0]), float(hi[0])
+    return setup
+
+
+class PlaneSetup(NamedTuple):
+    """What ``_plane_setup`` reads off the body for each row u of an (n, d)
+    array of unit normals: whether the cone meets u-perp (within rounding:
+    unbounded sections) and is positive on u, lo = -h(-u), hi = h(u), and
+    the spine ends, the boundary points at -N and (bounded body) N as a (2
+    or 1, n, d) array, N = u oriented so that the cone is positive on it,
+    with whether those at -N are attained."""
+
+    normals: np.ndarray
+    meets: np.ndarray
+    up: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    ends: np.ndarray
+    on: np.ndarray
+
+    def rows(self, i):
+        """The set-up of the normals normals[i], i an index array or a mask:
+        bitwise what ``_plane_setup`` gives them, as it works row by row."""
+        normals, meets, up, lo, hi, ends, on = self
+        return PlaneSetup(normals[i], meets[i], up[i], lo[i], hi[i], ends[:, i], on[i])
 
 
 def _plane_setup(body, U):
-    """Per row u of an (n, d) array U: whether the cone meets u-perp (within
-    rounding: unbounded sections) and is positive on u, lo = -h(-u), hi =
-    h(u), and the spine ends, the boundary points at -N and (bounded body) N
-    as a (2 or 1, n, d) array, N = u oriented so that the cone is positive
-    on it, with whether those at -N are attained. One cone-margin call, then
-    one Gauss-map call on the rows -U, then U (where the cone is positive on
-    u, h(u) is +inf, so an unbounded body takes only U's other rows).
+    """The ``PlaneSetup`` of the rows of an (n, d) array U of unit normals:
+    one cone-margin call, then one Gauss-map call on the rows -U, then U
+    (where the cone is positive on u, h(u) is +inf, so an unbounded body
+    takes only U's other rows).
     """
     cone = body.recession_cone()
     meets, up = cone.sides(U)
     n = len(U)
     if cone.dim == 0:
         h, X, on = body.gauss_map(np.concatenate([-U, U]))
-        return meets, up, -h[:n], h[n:], X.reshape(2, n, -1), on[:n]
+        return PlaneSetup(U, meets, up, -h[:n], h[n:], X.reshape(2, n, -1), on[:n])
     hi = np.where(up, INF, np.nan)
     if np.count_nonzero(up) == n:
         h, X, on = body.gauss_map(-U)
@@ -167,7 +207,7 @@ def _plane_setup(body, U):
         down = ~up
         h, X, on = body.gauss_map(np.concatenate([-U, U[down]]))
         hi[down], X[:n][down], on[:n][down] = h[n:], X[n:], on[n:]
-    return meets, up, -h[:n], hi, X[None, :n], on[:n]
+    return PlaneSetup(U, meets, up, -h[:n], hi, X[None, :n], on[:n])
 
 
 def _plane_basis(U):
@@ -187,11 +227,12 @@ def _plane_basis(U):
     return B
 
 
-def _section_frames(body, normals, which, ts, admissible=False):
+def _section_frames(body, normals, which, ts, admissible=False, setup=None):
     """The spine anchors (one row per level) and plane bases (one (L, d)
     array per basis vector) of the sections {<u,x> = t}, t in ts and u =
-    normals[which], every normal in one ``_plane_setup``; with admissible,
-    first ``_check_levels`` on its support levels, the interval that
+    normals[which], every normal in one ``_plane_setup`` (or setup, the
+    normals' own, when the caller has it); with admissible, first
+    ``_check_levels`` on its support levels, the interval that
     ``admissible_levels`` reports.
 
     Each normal is oriented so that the unbounded side of the level axis is
@@ -202,7 +243,7 @@ def _section_frames(body, normals, which, ts, admissible=False):
     once. Its ends are the set-up's. A cone that meets a plane means
     unbounded sections.
     """
-    meets, up, lo, hi, ends, on = _plane_setup(body, normals)
+    _, meets, up, lo, hi, ends, on = _plane_setup(body, normals) if setup is None else setup
     if np.count_nonzero(meets):
         raise UnboundedSection(f"sections normal to {normals[meets.argmax()]} are unbounded")
     n = len(normals)
@@ -284,13 +325,14 @@ def _widest(r, dirs):
     return np.max((r[:, :h] + r[:, h:]) * np.linalg.norm(dirs[:, :, :h], axis=0), axis=-1)
 
 
-def _centred_sections(body, normals, which, ts, admissible=False):
+def _centred_sections(body, normals, which, ts, admissible=False, setup=None):
     """Anchor the sections {<u,x> = t}, t in ts and u = normals[which], on the
     spine and centre them.
 
     The spine anchors and plane bases come from ``_section_frames`` (which
-    with admissible first checks the levels), each plane oriented so that
-    the unbounded side of the level axis is +u. A 2D anchor then moves to
+    with admissible first checks the levels, and reads setup, the normals'
+    ``PlaneSetup``, where given), each plane oriented so that the unbounded
+    side of the level axis is +u. A 2D anchor then moves to
     the midpoint of its chord along the plane's basis vector. In 3D, on a
     body whose kind has a form Q, the anchor moves to the centre of Q's
     ellipse in the plane, which is the section's centroid: about the anchor
@@ -313,7 +355,7 @@ def _centred_sections(body, normals, which, ts, admissible=False):
     cone that meets the plane means unbounded sections; an anchor that is
     not strictly inside means a level grazes the body.
     """
-    spine, basis = _section_frames(body, normals, which, ts, admissible)
+    spine, basis = _section_frames(body, normals, which, ts, admissible, setup)
     abc = None
     if len(basis) == 2:
         Y = np.ascontiguousarray(spine.T)  # coordinate-major, as F takes batches
@@ -490,14 +532,16 @@ def _rtols(rtol, n):
     return rtol
 
 
-def _sections(body, normals, which, ts, rtol, moments, diameter=False, admissible=False):
+def _sections(body, normals, which, ts, rtol, moments, diameter=False, admissible=False,
+              setup=None):
     """The section kernel: measure, centroid, error estimate, oracle points
     and convergence of every section {<u,x> = t}, t in the 1-D array ts and
     u = normals[which], to rtol, a number or one tolerance per level; then
     the diameters of the levels in the mask diameter, and the mask of the
     levels whose anchor lies inside the body. With admissible, a level
     outside its normal's admissible interval by 1e-9 scale first raises
-    ``LevelOutOfRange``.
+    ``LevelOutOfRange``. setup is the normals' ``PlaneSetup`` where the
+    caller has it (else the kernel sets them up).
 
     moments is the mask of the levels whose centroid is wanted; the centroid
     of any other level is its centred anchor, and its rule stops on the
@@ -524,13 +568,13 @@ def _sections(body, normals, which, ts, rtol, moments, diameter=False, admissibl
     diameter = np.full(ts.shape, diameter, dtype=bool)
     try:
         anchors, spine, basis, guide, n_evals, formed = _centred_sections(body, normals, which, ts,
-                                                                          admissible)
+                                                                          admissible, setup)
     except DegenerateSection:
         if ts.size == 1:
             return (np.zeros(1), np.zeros((1, normals.shape[1])), np.zeros(1), np.zeros(1, dtype=int),
                     np.zeros(1, dtype=bool), np.zeros(np.count_nonzero(diameter)), np.zeros(1, dtype=bool))
         alone = [_sections(body, normals, which[i:i + 1], ts[i:i + 1], rtol[i:i + 1],
-                           moments[i:i + 1], diameter[i:i + 1]) for i in range(ts.size)]
+                           moments[i:i + 1], diameter[i:i + 1], setup=setup) for i in range(ts.size)]
         return tuple(np.concatenate(part) for part in zip(*alone))
     polar = None  # the mask of the levels left to the polar rule, if not all
     diam = np.zeros(0)
@@ -594,17 +638,18 @@ def section_stats(body, u, t, rtol=DEFAULT_RTOL) -> SectionStats:
     On a 3D quadric a level F confirms is its ellipse: the measure is pi
     |g1 x g2| and the centroid the ellipse's centre, read off the kind's
     form, with no ray cast; elsewhere the polar rule's.
+    u may also be its ``PlaneSetup`` of one row (see ``_planes``).
     Every level must lie inside ``admissible_levels`` by 1e-9 scale, else
     ``LevelOutOfRange``: an empty section has no centroid. A level that
     grazes the body, or whose measure is below 1e-12 scale^(d-1), raises
     ``DegenerateSection``.
     """
-    if np.ndim(u) != 1:
+    if (len(u.normals) if isinstance(u, PlaneSetup) else np.ndim(u)) != 1:
         raise ValueError("section_stats takes one normal for all its levels")
-    normals, which, ts, scalar = _planes(u, t)
+    normals, which, ts, scalar, setup = _planes(u, t)
     u = normals[0]
     measure, centroid, err, n_evals, converged, _, inside = _sections(
-        body, normals, which, ts, rtol, True, admissible=True)
+        body, normals, which, ts, rtol, True, admissible=True, setup=setup)
     _check_measures(body, measure, inside)
     if scalar:
         return SectionStats(u, float(ts[0]), float(measure[0]), centroid[0], float(err[0]),
@@ -621,17 +666,19 @@ def section_measure(body, u, t, rtol=DEFAULT_RTOL):
 
     u is one normal, or one normal per level as an (L, d) array, and rtol
     a number or one tolerance per level: the levels of several cuts in one
-    batch. The measure is defined at every finite level: it is 0 where the
-    plane misses the body or grazes it so that its anchor is not strictly
-    inside, so cut volumes integrate it up to the support levels. Unlike
+    batch. u may also be those normals' ``PlaneSetup`` (see ``_planes``),
+    as the cut volumes hand on their own. The measure is defined at every
+    finite level: it is 0 where the plane misses the body or grazes it so
+    that its anchor is not strictly inside, so cut volumes integrate it up
+    to the support levels. Unlike
     ``section_stats`` and ``section_diameter``, which refuse a level outside
     ``admissible_levels`` because an empty section has no centroid or
     diameter, it refuses only a NaN level (``ValueError``), an infinite one
     (``LevelOutOfRange``) and a normal whose sections are unbounded
     (``UnboundedSection``).
     """
-    normals, which, ts, scalar = _planes(u, t)
-    measure = _sections(body, normals, which, ts, rtol, False)[0]
+    normals, which, ts, scalar, setup = _planes(u, t)
+    measure = _sections(body, normals, which, ts, rtol, False, setup=setup)[0]
     return float(measure[0]) if scalar else measure
 
 
@@ -644,11 +691,11 @@ def section_diameter(body, u, t) -> float:
     the guide's angle: on a quadric level F refuses, the chords are
     diameters of its ellipse, at most (1 - (b/a)^2) (pi/128)^2 / 2 short of
     2a, relative."""
-    normals, which, ts, scalar = _planes(u, t)
+    normals, which, ts, scalar, setup = _planes(u, t)
     if not scalar:
         raise ValueError("section_diameter takes one level")
     anchors, _, basis, guide, _, formed = _centred_sections(body, normals, which, ts,
-                                                            admissible=True)
+                                                            admissible=True, setup=setup)
     if len(basis) == 1:
         return float(2.0 * guide[0, 0])
     if formed and _form_check(body, anchors, guide)[0][0]:

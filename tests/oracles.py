@@ -128,6 +128,19 @@ def sphere_cap_volume(radius, d):
     return math.pi * h * h * (3.0 * radius - h) / 3.0
 
 
+@mpmath.workdps(40)
+def ellipsoid_cap_volume(semi_axes, centre, u, t):
+    """Volume of the 3D ellipsoid part on the <= side of {<u,x> = t}, in
+    40-digit arithmetic on the floats given: the map x = centre + diag(r) y
+    takes it to the unit ball's cap at signed distance (t - <u, centre>) /
+    |diag(r) u| from its centre, and multiplies volumes by prod r."""
+    r, c, u = ([mpmath.mpf(float(v)) for v in w] for w in (semi_axes, centre, u))
+    d = (mpmath.mpf(float(t)) - sum(a * b for a, b in zip(u, c))) / mpmath.sqrt(
+        sum((a * b) ** 2 for a, b in zip(r, u)))
+    h = min(max(1 + d, 0), 2)
+    return float(r[0] * r[1] * r[2] * mpmath.pi * h * h * (3 - h) / 3)
+
+
 def paraboloid_cap_volume(coeffs, shift, a):
     """Closed form: volume of {z >= sum q_i (x_i - b_i)^2 + b_z} on the <= side
     of {<a,x> = 1}, a_z > 0: pi D^2 / (2 sqrt(prod q)) for D the plane's

@@ -36,6 +36,7 @@ from ccgeom.errors import (
 from oracles import (
     cone_cap_volume,
     disk_segment_area,
+    ellipsoid_cap_volume,
     halfspace_area_brute,
     hyperbola_homothety_value,
     parabola_chord_area,
@@ -460,11 +461,96 @@ def test_batched_first_pass_is_quads_value(monkeypatch):
     for rtol in (1e-8, 1e-10):
         calls.clear()
         batched = [cut_volume(body, a, rtol=rtol) for body, a in cases]
-        # every one of them met rtol on its first panel: 15 levels in 3D, 21 in 2D
-        assert calls == [15] * 7 + [21]
+        # a 3D quadric volume takes its two Gauss-Legendre levels, and the
+        # disk met rtol on its first panel of 21
+        assert calls == [2] * 7 + [21]
         for (body, a), v in zip(cases, batched):
             exact = _scipy_cut_volume(body, a, rtol) if body is sheet else _cap_volume(body, a)
             assert v == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+
+def _quadric_cuts(n=12, seed=0):
+    """Seeded cuts of the 3D quadrics, each (name, volume call, reference,
+    closed): n of the sphere at (0, 0, 3) and of the [1.3, 0.8, 1] ellipsoid
+    at (0.5, -1, 2) at levels 10-90% of their range, n of the paraboloid
+    [1, 0.7] and of the cone of slope 0.5, and 4 of the [1, 1.4] sheet, each
+    with bounded cuts {<a,x> <= 1}. The reference is the closed form (closed
+    True), or for the sheet scipy's quad on the section measure."""
+    rng = np.random.default_rng(seed)
+    cuts = []
+    for body in (unit_sphere(center=[0.0, 0.0, 3.0]),
+                 ellipsoid([1.3, 0.8, 1.0], center=[0.5, -1.0, 2.0])):
+        for _ in range(n):
+            u = rng.normal(size=3)
+            u /= np.linalg.norm(u)
+            lo, hi = sections.admissible_levels(body, u)
+            t = lo + rng.uniform(0.1, 0.9) * (hi - lo)
+            cuts.append((body, lambda body=body, u=u, t=t: halfspace_cut_volume(body, u, t),
+                         ellipsoid_cap_volume(body.params, body.translation, u, t), True))
+    paraboloid = paraboloid_epigraph([1.0, 0.7], shift=[0.0, 0.0, 1.5])
+    cone = circular_cone(0.5, dim=3, shift=[0.3, -0.2, 0.5])
+    sheet = hyperboloid_sheet([1.0, 1.4])
+    # |a'| relative to a_z below which the cuts are bounded: any for the
+    # paraboloid, the slope for the cone, and on the sheet |(a1, 1.4 a2)| < a_z
+    for body, reach, count in ((paraboloid, 3.0, n), (cone, 0.5, n), (sheet, 1.0 / 1.4, 4)):
+        for _ in range(count):
+            w = rng.normal(size=2)
+            a_z = rng.uniform(0.2, 0.5)
+            a = np.append(a_z * reach * rng.uniform(0.0, 0.9) * w / np.linalg.norm(w), a_z)
+            if body is paraboloid:
+                exact = paraboloid_cap_volume(body.params, body.translation, a)
+            elif body is cone:
+                exact = cone_cap_volume(0.5, body.translation, a)
+            else:
+                exact = _scipy_cut_volume(body, a, 1e-10)
+            cuts.append((body, lambda body=body, a=a: cut_volume(body, a), exact, body is not sheet))
+    return cuts
+
+
+def test_quadric_cut_volumes_take_two_levels_to_rounding(monkeypatch):
+    # a quadric's section measure is quadratic in the level, so 2-node
+    # Gauss-Legendre is exact: each volume is one section call of its two
+    # levels, and within 64 eps of its closed form (the sheet's reference,
+    # scipy's quad to 1e-13, within 1e-12)
+    cuts = _quadric_cuts()
+    calls = _measure_calls(monkeypatch)
+    eps = np.finfo(float).eps
+    for body, volume, exact, closed in cuts:
+        v = volume()
+        assert v == pytest.approx(exact, rel=64.0 * eps if closed else 1e-12, abs=0.0), body.kind
+    assert calls == [2] * len(cuts)
+
+
+def test_quadric_cut_volumes_whose_closed_forms_are_refused_keep_rtol(monkeypatch,
+                                                                       refuse_closed_forms):
+    # each level whose closed form F refuses takes the polar rule in the
+    # same batch, and the two-level volume is as good as its measures
+    refuse_closed_forms()
+    calls = _measure_calls(monkeypatch)
+    cuts = _quadric_cuts(n=4, seed=1)
+    for body, volume, exact, _ in cuts:
+        assert volume() == pytest.approx(exact, rel=sections.DEFAULT_RTOL, abs=0.0), body.kind
+    assert calls == [2] * len(cuts)
+
+
+def test_superellipsoid_cut_volume_takes_quad(monkeypatch):
+    # a body without a form integrates by quad's 15-point rule; the body is
+    # centrally symmetric, so V(u, t) + V(-u, -t) is its whole volume
+    p = 4.0
+    body = superellipsoid(p, dim=3)
+    rules = []
+    quad = cutvol.quad
+
+    def counted(*args, **kwargs):
+        rules.append(kwargs["rule"])
+        return quad(*args, **kwargs)
+
+    monkeypatch.setattr(cutvol, "quad", counted)
+    u = np.array([0.3, -0.2, 0.9]) / np.linalg.norm([0.3, -0.2, 0.9])
+    total = halfspace_cut_volume(body, u, 0.4) + halfspace_cut_volume(body, -u, -0.4)
+    assert len(rules) == 2 and all(rule is cutvol.DQK15 for rule in rules)
+    whole = 8.0 * math.gamma(1.0 + 1.0 / p) ** 3 / math.gamma(1.0 + 3.0 / p)
+    assert total == pytest.approx(whole, rel=1e-9)
 
 
 @pytest.mark.parametrize("rule, kronrod_degree, gauss_degree",

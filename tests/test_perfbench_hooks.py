@@ -40,7 +40,9 @@ def _spans(t):
 
 
 def test_traced_cut_volume_records_the_rule_and_its_sections(tracer):
-    ccgeom.cut_volume(ccgeom.unit_sphere(center=[0.0, 0.0, 3.0]), [0.0, 0.0, 0.4])
+    # a body without a form integrates its cut by quad (a quadric's takes
+    # two levels and no quad)
+    ccgeom.cut_volume(ccgeom.superellipsoid(4.0, dim=3), [0.0, 0.0, 2.0])
     assert ("sections.section_measure", "cutvol.quad") in _spans(tracer)
 
 

@@ -250,7 +250,7 @@ def test_ray_rounds_patches_the_names_it_counts_and_restores_them(ray_rounds):
     patched = [(bodies.BodySpec, "defining"), (bodies, "ray_hits_batch"),
                (sections, "ray_hits_batch"), (sections, "_centred_sections"),
                (sections, "_polar_sections"),
-               (cutvol, "quad"), (cutvol, "section_measure"), (cutvol, "_sections"),
+               (cutvol, "_cut_volumes"), (cutvol, "section_measure"), (cutvol, "_sections"),
                (asymptotics, "_crossings"), (asymptotics, "_form_crossings"),
                (bodies.BodySpec, "gauss_map"),
                (sections, "_section_frames")]
@@ -347,7 +347,8 @@ def test_ray_rounds_counts_one_f_round_per_unguessed_quadric_call(ray_rounds, mo
     # sections cast no unguessed batch: each batch of levels takes one spine
     # check instead of its centring batch's one F-round, and one F check of
     # its closed forms instead of its first polar batch's one F-round (a
-    # gradient's cut plane rides in its first round's check)
+    # gradient's cut plane rides in its volumes' check; a 3D quadric volume
+    # takes 2 levels)
     workloads = _workloads(monkeypatch)
     means, defining, spine = {}, [], []
     for name in ("cutvol-3d", "sccp-3d", "planar-2d"):
@@ -368,12 +369,13 @@ def test_ray_rounds_counts_one_f_round_per_unguessed_quadric_call(ray_rounds, mo
         "superellipsoid [4.0]": 10.33,
     }
     assert defining == [90, 72, 184]
-    assert spine == [[40, 1510], [36, 480], [0, 0]]
+    assert spine == [[40, 210], [36, 480], [0, 0]]
 
 
 def test_ray_rounds_counts_the_levels_of_each_cut_volume(ray_rounds):
-    # a 3D cut meets rtol on the 15 levels of its first panel, a 2D cut on 21;
-    # a gradient's 2d + 1 volumes take as many each, and its cut plane one more
+    # a 3D quadric cut takes its 2 Gauss-Legendre levels, a 2D cut meets rtol
+    # on the 21 levels of its first panel; a gradient's 2d + 1 volumes take
+    # as many each, and its cut plane one more
     counts = ray_rounds.Counts()
     uninstall = ray_rounds.install(ccgeom, counts)
     sphere = ccgeom.unit_sphere([0.0, 0.0, 3.0])
@@ -388,39 +390,38 @@ def test_ray_rounds_counts_the_levels_of_each_cut_volume(ray_rounds):
     finally:
         uninstall()
     assert counts.volumes == {"cut_volume": 1, "cut_gradient": 7 + 5}
-    assert counts.levels == {"cut_volume": 15, "cut_gradient": 7 * 15 + 1 + 5 * 21 + 1}
+    assert counts.levels == {"cut_volume": 2, "cut_gradient": 7 * 2 + 1 + 5 * 21 + 1}
     lines = ray_rounds.report("cutvol-3d", 1, 3, counts).splitlines()
     assert lines[-3:] == [
-        "  section levels 227 over 13 cut volumes",
-        "    cut_volume: 1 calls, 1 volumes, 15 levels, 15.00 per volume, 15.00 per call",
-        "    cut_gradient: 2 calls, 12 volumes, 212 levels, 17.67 per volume, 106.00 per call"]
+        "  section levels 123 over 13 cut volumes",
+        "    cut_volume: 1 calls, 1 volumes, 2 levels, 2.00 per volume, 2.00 per call",
+        "    cut_gradient: 2 calls, 12 volumes, 121 levels, 10.08 per volume, 60.50 per call"]
 
 
 def test_ray_rounds_counts_the_set_up_work(ray_rounds):
     # a 2D gradient's five cuts take one Gauss-map call for their level
-    # ranges (-u and u of each, the disk being bounded), and its one round
-    # one plane set-up of the five normals and the cut plane's, whose spines
-    # take one more call on -u and u of each; the level ranges and the
-    # set-up each take one cone-margin call on u and -u of their normals.
+    # ranges (-u and u of each, the disk being bounded) and one cone-margin
+    # call on u and -u of each; its one round's plane set-up of the five
+    # normals and the cut plane's reads those rows and calls neither again.
     # An sccp residual on the paraboloid takes one margin call on u and -u
-    # and a Gauss-map call of one row for its levels' bounds, and as many
-    # for its set-up.
+    # and a Gauss-map call of one row for its levels' bounds, which its
+    # sections' plane set-up reads too.
     counts = ray_rounds.Counts()
     uninstall = ray_rounds.install(ccgeom, counts)
     try:
         counts.op = "cut_gradient"
         counts.ops["cut_gradient"] += 1
         ccgeom.cut_gradient(ccgeom.unit_disk([0.0, 3.0]), [0.1, 0.35])
-        assert dict(counts.setup) == {"Gauss-map": [2, 22, 0], "cone-margin": [2, 22, 0],
+        assert dict(counts.setup) == {"Gauss-map": [1, 10, 0], "cone-margin": [1, 10, 0],
                                       "plane set-ups": [1, 6, 106]}
         counts.setup.clear()
         u = np.array([0.2, -0.1, 0.95]) / np.linalg.norm([0.2, -0.1, 0.95])
         ccgeom.sccp_residual(ccgeom.paraboloid_epigraph([1.0, 0.7]), u)
     finally:
         uninstall()
-    assert dict(counts.setup) == {"Gauss-map": [2, 2, 0], "cone-margin": [2, 4, 0],
+    assert dict(counts.setup) == {"Gauss-map": [1, 1, 0], "cone-margin": [1, 2, 0],
                                   "plane set-ups": [1, 1, 12]}
-    assert ("  set-up: Gauss-map calls 2 (2 normals), cone-margin calls 2 (4 rows), plane "
+    assert ("  set-up: Gauss-map calls 1 (1 normals), cone-margin calls 1 (2 rows), plane "
             "set-ups 1 (1 normals, 12 levels)") in ray_rounds.report("sccp-3d", 1, 1, counts)
 
 
@@ -429,7 +430,7 @@ def test_ray_rounds_counts_the_polar_rays_of_each_3d_level(ray_rounds, refuse_cl
     # 16 rays of their first batch, and a gradient's cut plane adds the
     # other 112 nodes of its diameter grid as 7 more groups of 16; a p = 4
     # superellipsoid level is refined past it. Unrefused, a gradient's
-    # levels and its cut plane take the closed form, no rays
+    # levels (two a volume) and its cut plane take the closed form, no rays
     counts = ray_rounds.Counts()
     u = np.array([0.3, -0.2, 0.93]) / np.linalg.norm([0.3, -0.2, 0.93])
     sphere = ccgeom.unit_sphere([0.0, 0.0, 3.0])
@@ -440,7 +441,7 @@ def test_ray_rounds_counts_the_polar_rays_of_each_3d_level(ray_rounds, refuse_cl
         ccgeom.cut_gradient(sphere, [0.05, 0.1, 0.4])
     finally:
         uninstall()
-    assert (counts.polar_levels, counts.polar_rays, counts.closed) == (0, 0, 7 * 15 + 1)
+    assert (counts.polar_levels, counts.polar_rays, counts.closed) == (0, 0, 7 * 2 + 1)
     refuse_closed_forms()
     uninstall = ray_rounds.install(ccgeom, counts)
     try:
@@ -465,13 +466,13 @@ def test_ray_rounds_counts_the_polar_rays_of_each_3d_level(ray_rounds, refuse_cl
     assert counts.polar_rays - before == 16 + 112
     assert counts.first_nodes == [16] * 3 and counts.refined == 1
     # the four refused levels fell back
-    assert (counts.closed, counts.fell_back) == (7 * 15 + 1, 4)
+    assert (counts.closed, counts.fell_back) == (7 * 2 + 1, 4)
     lines = ray_rounds.report("sccp-3d", 1, 3, counts).splitlines()
     line = next(x for x in lines if "polar rays" in x)
     assert line == (f"  polar rays per 3D section level: 16 in the first batch, "
                     f"{counts.polar_rays / 4:.2f} in all over 4 levels; "
                     f"1 levels refined past the first batch")
-    assert "  3D section levels by path: 106 closed form, 4 polar; 4 fell back" in lines
+    assert "  3D section levels by path: 15 closed form, 4 polar; 4 fell back" in lines
 
 
 def test_ray_rounds_counts_the_3d_levels_by_path(ray_rounds, monkeypatch):

@@ -495,6 +495,30 @@ def _finite_levels(body, u, fracs):
     return lo + np.asarray(fracs) * (hi - lo)
 
 
+@pytest.mark.parametrize("body,u", LEVEL_BATCHES,
+                         ids=[f"{b.tag or b.kind}-{b.ambient_dim}d" for b, _ in LEVEL_BATCHES])
+def test_a_handed_plane_setup_is_the_kernels_own_bitwise(body, u, monkeypatch):
+    # the set-up works row by row, so its rows handed on give every section
+    # bitwise as the kernel's own set-up, and the kernel sets nothing up
+    w = u + 0.05 * np.eye(len(u))[0]  # a second normal near u
+    w /= np.linalg.norm(w)
+    levels = _finite_levels(body, u, [0.2, 0.5, 0.7])
+    both = np.array([u, u, w, w])
+    ts = np.concatenate((levels[:2], _finite_levels(body, w, [0.3, 0.6])))
+    own = (section_stats(body, u, levels), section_measure(body, both, ts))
+    setup = sections._plane_setup(body, np.array([u, w]))
+    calls = []
+    gauss_map = bodies.BodySpec.gauss_map
+    monkeypatch.setattr(bodies.BodySpec, "gauss_map",
+                        lambda self, U: calls.append(len(U)) or gauss_map(self, U))
+    handed = (section_stats(body, setup.rows([0]), levels),
+              section_measure(body, setup.rows([0, 0, 1, 1]), ts))
+    assert calls == []
+    for field in ("measure", "centroid", "err_estimate", "n_evals", "converged"):
+        assert np.array_equal(getattr(handed[0], field), getattr(own[0], field)), field
+    assert np.array_equal(handed[1], own[1])
+
+
 def _assert_batch_is_scalar_calls(body, u, levels):
     batch = section_stats(body, u, levels)
     measures = section_measure(body, u, levels)
