@@ -15,8 +15,10 @@ its counts off that call and its children:
   on a body whose kind has no form, which no workload sections), first
   polar (the first batch of a ``sections._polar_sections`` call, cast in
   its guide ellipse with every radius guessed at 1), or refinement (the
-  later batches of a polar rule, guessed by interpolation, and the 128-ray
-  grid of a ``section_diameter`` call);
+  later batches of a polar rule, guessed by interpolation, and a diameter
+  grid: the 128 rays a level of ``sections._diameters``, in a guessed batch
+  of its own, counted alike whether ``section_diameter`` or the kernel
+  casts it);
 - a spine check is a ``defining`` call made by ``_centred_sections`` itself:
   F at the spine anchors of a 3D section centred from its kind's form, one
   point a level (the closed form's F checks are not spine checks);
@@ -38,8 +40,8 @@ its counts off that call and its children:
   bases and their spine anchors) with their normals and levels.
 
 It also prints the ``defining`` calls and oracle points of the pass, the
-3D polar levels' rays per level in the first batch and in all (diameter
-grids included), the open brackets per round of the grid scans (a stopped
+3D polar levels' rays per level in the first batch and in all batches of
+their polar rules, the open brackets per round of the grid scans (a stopped
 scan counting 0), the minor page faults of the process per op
 (``getrusage`` around each op), and the time outside F per ray batch (per
 kind and in all) and per shell solver round: its time less its
@@ -179,7 +181,7 @@ def install(ccgeom, counts):
         if not guessed:
             counts.unguessed[label(body)].append(len(f))
         elif rank is not None:
-            if rank == 0:  # the levels' diameter grids come as more groups of as many rays
+            if rank == 0:
                 counts.first_nodes.append(rays // origins)
             elif rank == 1:
                 counts.refined += origins
@@ -233,14 +235,14 @@ def install(ccgeom, counts):
     hook(cutvol, "_cut_volumes",
          lambda body, ranges, *a, **kw: int(np.count_nonzero(np.isnan(ranges[2]))), volumes)
     hook(cutvol, "section_measure", lambda body, u, t, *a, **kw: np.size(t), levels)
-    hook(cutvol, "_sections", lambda body, normals, k, ts, *a, **kw: np.size(ts), levels)
+    hook(cutvol, "_sections", lambda body, setup, k, ts, *a, **kw: np.size(ts), levels)
     hook(asymptotics, "_crossings", nothing, solver)
     hook(asymptotics, "_form_crossings", nothing, solver)
     hook(bodies.BodySpec, "gauss_map", rows, setup)
     for kind in bodies._CONE_KINDS.values():
         hook(kind, "margin", rows, setup)
     hook(sections, "_section_frames",
-         lambda body, normals, which, ts, *a, **kw: (len(normals), len(ts)), setup)
+         lambda body, planes, which, ts: (len(planes.normals), len(ts)), setup)
 
     def uninstall():
         for owner, name, orig in reversed(undo):

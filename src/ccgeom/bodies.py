@@ -84,10 +84,12 @@ _BRACKET_ROUNDS = 17
 _SOLVE_STEPS = 100
 
 
-def _as_point(x, dim):
+def _as_point(x, dim, what="point"):
+    """x as a float array of points (or vectors: what names them) in R^dim."""
     x = np.asarray(x, dtype=float)
-    if x.shape[-1] != dim:
-        raise ValueError(f"point has dimension {x.shape[-1]}, body lives in R^{dim}")
+    if x.ndim == 0 or x.shape[-1] != dim:
+        raise ValueError(f"{what} has dimension {x.shape[-1] if x.ndim else 0}, "
+                         f"body lives in R^{dim}")
     return x
 
 
@@ -265,8 +267,9 @@ class ConeDescriptor:
 
     def sides(self, U):
         """Per row u of an (n, d) array, whether the cone meets u-perp in more
-        than 0 (within rounding) and whether it is positive on u."""
-        return self._impl.sides(U)
+        than 0 (within rounding) and whether it is positive on u; a
+        ``ValueError`` naming both dimensions where d is not the cone's."""
+        return self._impl.sides(_as_point(U, self.ambient_dim, "normal"))
 
     def support(self, u) -> float:
         """0 exactly when <u, v> <= 0 on the whole cone, +inf otherwise."""

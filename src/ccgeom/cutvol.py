@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies import INF, _check_units, _graph_contacts, has_form
+from .bodies import INF, _as_point, _check_units, _graph_contacts, has_form
 from .centroids import _check_count
 from .errors import DegenerateCut, NotApexCentered, NotGraphLike, OriginInsideBody
 from .sections import (
@@ -201,6 +201,7 @@ def _level_ranges(body, U, T):
     lo = setup.lo
     s_hi = np.minimum(T, setup.hi)
     fixed = np.where(s_hi <= lo + 1e-12 * body.scale, 0.0, np.nan)
+    fixed[s_hi == INF] = INF  # t = +inf where the body is unbounded in +u
     meets = setup.meets | ~setup.up
     if np.count_nonzero(meets):
         fixed[meets] = np.where(T <= lo, 0.0, INF)[meets]
@@ -247,8 +248,8 @@ def _cut_volumes(body, ranges, rtols, plane=None):
         planes = setup.rows(np.append(todo, i))
         extra = np.arange(k.size + 1) == k.size
         mu, centroid, _, _, _, diam, inside = _sections(
-            body, planes.normals, np.append(k, len(todo)), np.append(levels, t),
-            np.append(rtols[k], rtol), extra, extra, setup=planes)
+            body, planes, np.append(k, len(todo)), np.append(levels, t),
+            np.append(rtols[k], rtol), extra, extra)
         section, plane = (float(mu[-1]), centroid[-1], float(diam[0]), inside[-1]), None
         return mu[:-1]
 
@@ -325,9 +326,10 @@ def cut_gradient(body, a, rtol=DEFAULT_RTOL) -> CutVolumeResult:
     before any integration; a plane that grazes the body or whose measure is
     below the threshold raises ``DegenerateSection`` after V(a)'s own error.
     """
-    a = np.asarray(a, dtype=float)
+    dim = body.ambient_dim
+    a = _as_point(a, dim, "cut parameter")  # before a +- step e_j
     _rtols(rtol, 1)  # before the step, which it sets
-    if bool(body.contains(np.zeros(body.ambient_dim))):
+    if bool(body.contains(np.zeros(dim))):
         raise OriginInsideBody("translate the body so that 0 is outside first")
     # the difference quotient amplifies quadrature noise by 1/step, so the
     # perturbed volumes are computed tighter than the requested tolerance
@@ -336,7 +338,6 @@ def cut_gradient(body, a, rtol=DEFAULT_RTOL) -> CutVolumeResult:
     if not (0.0 < nrm < INF):
         raise ValueError("cut parameter must be finite and nonzero")
     step = max(1.0, nrm) * fd_rtol ** (1.0 / 3.0)
-    dim = body.ambient_dim
     # a, then a + step e_j and a - step e_j for each j
     E = step * np.eye(dim)
     U, T = _cut_planes(np.vstack([a, np.stack([a + E, a - E], axis=1).reshape(-1, dim)]))

@@ -19,9 +19,11 @@ between the root-finder's inner probes (one ``defining`` call,
 ``_form_check``): its section is then the guide (g1, g2)'s ellipse, so
 its measure is pi |g1 x g2|, its centroid the centred anchor and its
 diameter the major axis 2 sigma_max[g1 g2], and it casts no ray. A level
-F does not confirm takes the rule, and its diameter the longest chord on
-a 128-node grid. ``n_evals`` counts the points at which the body's
-defining function was evaluated, in 2D and 3D.
+F does not confirm takes the rule. One rule (``_diameters``) takes every
+diameter: the chord in 2D, the major axis on a level F confirms, and
+elsewhere the longest chord through the anchor on a 128-node grid in the
+guide's angle, a ray batch of its own. ``n_evals`` counts the points at
+which the body's defining function was evaluated, in 2D and 3D.
 
 One kernel does this for a whole array of levels at once, each with its own
 normal and tolerance: one ray batch centres every level that casts chords
@@ -30,13 +32,13 @@ anchors of the others, one more checks the closed forms, and each round of
 the polar rules is one batch over the levels still short of their
 tolerance. One set-up per normal,
 ``_plane_setup`` (one cone-margin and one Gauss-map call, row-wise), gives
-the support levels -h(-u), h(u) and the spine's ends; the kernel's level
-check, ``admissible_levels`` and the cut volumes' level ranges all read it,
-so they agree bitwise on which levels exist. A caller that has set its
-normals up (the cut volumes, ``sccp_residual``) hands that ``PlaneSetup``
-to the kernel in place of the normals, and the kernel does not set them up
-again. The root-finder solves every ray on its own, so each level comes
-out bitwise as it would alone. Each
+the support levels -h(-u), h(u) and the spine's ends; the entries' level
+checks, ``admissible_levels`` and the cut volumes' level ranges all read it,
+so they agree bitwise on which levels exist. Each entry resolves its
+normals' set-up once (``_planes``): the ``PlaneSetup`` a caller that has
+set them up hands on (the cut volumes, ``sccp_residual``), or its own, and
+the kernel takes that set-up as its planes. The root-finder solves every
+ray on its own, so each level comes out bitwise as it would alone. Each
 level asks for its first moments (the centroid) and its diameter apart, so
 sections that need them ride in the batches of sections that do not. The
 kernel alone decides grazing (see ``_sections``): ``section_measure``
@@ -75,7 +77,7 @@ from .errors import (
 DEFAULT_RTOL = 1e-8
 _MAX_POLAR_NODES = 16384
 _FIRST_NODES = 16  # the first polar batch, per level
-_DIAMETER_NODES = 128  # every 8th node is one of the first batch's
+_DIAMETER_NODES = 128  # the grid of a diameter the closed form does not take
 # F's check of a closed-form measure: the root-finder's inner pair of probes
 # about a radius guessed at 1, (factor, levels, nodes)
 _CHECK_PROBES = _GUESS_PROBES[1:3, :, None]
@@ -106,18 +108,19 @@ class SectionStats:
     converged: bool  # False when the polar rule stopped at its node cap short of rtol
 
 
-def _planes(u, t):
-    """Validated unit normals, the index of each level's normal among them,
-    the levels as a 1-D array, whether t was a number, and the normals'
-    ``PlaneSetup`` where u brought one (else None).
+def _planes(body, u, t):
+    """The ``PlaneSetup`` of the validated unit normals, the index of each
+    level's normal among its rows, the levels as a 1-D array and whether t
+    was a number.
 
     u is one normal, or one normal per level as an (L, d) array; each run of
     equal rows then gives one normal (the levels of one cut come as a block).
     u may also be the ``PlaneSetup`` of such normals, one row or one a
-    level, which a caller that has set them up hands on, so that the kernel
-    reads it instead of setting them up again.
-    A NaN level is a ``ValueError`` and an infinite one ``LevelOutOfRange``
-    naming it, before any arithmetic on it.
+    level, which a caller that has set them up hands on; any other u is set
+    up here (``_plane_setup``), once. A NaN level is a ``ValueError`` and an
+    infinite one ``LevelOutOfRange`` naming it, before any arithmetic on it;
+    then a normal that is no unit vector is a ``ValueError``, and one whose
+    sections are unbounded ``UnboundedSection``.
     """
     ts = np.asarray(t, dtype=float)
     if ts.ndim > 1 or ts.size == 0:
@@ -140,7 +143,8 @@ def _planes(u, t):
             setup = setup.rows(first)
     else:
         normals, which = np.array(_check_unit(u))[None], np.zeros(ts.size, dtype=np.intp)
-    return normals, which, np.atleast_1d(ts), ts.ndim == 0, setup
+    setup = _bounded(_plane_setup(body, normals) if setup is None else setup)
+    return setup, which, np.atleast_1d(ts), ts.ndim == 0
 
 
 def section_bounded(body, u) -> bool:
@@ -158,10 +162,15 @@ def admissible_levels(body, u):
 def _bounded_setup(body, u):
     """The ``PlaneSetup`` of one unit normal u, raising ``UnboundedSection``
     where its sections are unbounded."""
-    u = _check_unit(u)
-    setup = _plane_setup(body, u[None])
-    if setup.meets[0]:
-        raise UnboundedSection(f"sections normal to {u} are unbounded")
+    return _bounded(_plane_setup(body, _check_unit(u)[None]))
+
+
+def _bounded(setup):
+    """setup, a ``PlaneSetup``, once the sections of each of its normals are
+    bounded (else ``UnboundedSection``)."""
+    if np.count_nonzero(setup.meets):
+        raise UnboundedSection(f"sections normal to {setup.normals[setup.meets.argmax()]} "
+                               "are unbounded")
     return setup
 
 
@@ -227,30 +236,22 @@ def _plane_basis(U):
     return B
 
 
-def _section_frames(body, normals, which, ts, admissible=False, setup=None):
+def _section_frames(body, setup, which, ts):
     """The spine anchors (one row per level) and plane bases (one (L, d)
-    array per basis vector) of the sections {<u,x> = t}, t in ts and u =
-    normals[which], every normal in one ``_plane_setup`` (or setup, the
-    normals' own, when the caller has it); with admissible, first
-    ``_check_levels`` on its support levels, the interval that
-    ``admissible_levels`` reports.
+    array per basis vector) of the sections {<u,x> = t}, t in ts and u the
+    normal of row which of setup, the ``PlaneSetup`` of bounded sections.
 
     Each normal is oriented so that the unbounded side of the level axis is
     +u. Its spine runs from the boundary point attaining the minimum level
     (when attained; not at a cone's apex) through a deep interior point to
     the maximum-level boundary point, or on along an interior recession
     direction: points on it are interior by convexity and hit every level
-    once. Its ends are the set-up's. A cone that meets a plane means
-    unbounded sections.
+    once. Its ends are the set-up's.
     """
-    _, meets, up, lo, hi, ends, on = _plane_setup(body, normals) if setup is None else setup
-    if np.count_nonzero(meets):
-        raise UnboundedSection(f"sections normal to {normals[meets.argmax()]} are unbounded")
+    normals, _, up, _, _, ends, on = setup
     n = len(normals)
     # each level's normal; a lone normal's rows broadcast over the levels
     at = which if n > 1 else slice(None)
-    if admissible:
-        _check_levels(body, ts, lo[at], hi[at])
     N = normals
     if np.count_nonzero(up) < n:
         sign = np.where(up, 1.0, -1.0)
@@ -318,22 +319,40 @@ def _polar_rule(r, moments, jac, axes):
     return measure, m[0], m[1]
 
 
-def _widest(r, dirs):
-    """Diameter estimate per row of radii r along dirs, (d, rows, nodes):
-    the longest chord through opposite nodes."""
-    h = r.shape[-1] // 2
-    return np.max((r[:, :h] + r[:, h:]) * np.linalg.norm(dirs[:, :, :h], axis=0), axis=-1)
+def _diameters(body, anchors, guide, closed):
+    """The diameter of each section about its anchor with its guide (of
+    ``_centred_sections``), by one rule: in 2D its chord, 2 half; in 3D,
+    where closed (the levels ``_form_check`` passed), the guide ellipse's
+    major axis 2 sigma_max[g1 g2], and elsewhere the longest chord through
+    the anchor on a grid of ``_DIAMETER_NODES`` nodes in the guide's angle,
+    one ray batch of them all guessed at 1, whose points are not counted."""
+    if len(guide) == 1:
+        return 2.0 * guide[0]
+    diameter = np.empty(len(anchors))
+    # twice the root of the larger eigenvalue of [[p, q], [q, s]], with
+    # p = |g1|^2, s = |g2|^2 and q = <g1, g2>
+    g1, g2 = guide[:, closed]
+    p, s, q = np.vecdot(g1, g1), np.vecdot(g2, g2), np.vecdot(g1, g2)
+    diameter[closed] = 2.0 * np.sqrt(0.5 * (p + s) + np.hypot(0.5 * (p - s), q))
+    grid = ~closed
+    if np.count_nonzero(grid):
+        dirs = _polar_dirs(*guide[:, grid], _DIAMETER_NODES)
+        r = _polar_radii(body, anchors[grid], dirs, np.ones(dirs[0].size))[0]
+        # the chords through opposite nodes
+        h = _DIAMETER_NODES // 2
+        chords = (r[:, :h] + r[:, h:]) * np.linalg.norm(dirs[:, :, :h], axis=0)
+        diameter[grid] = np.max(chords, axis=-1)
+    return diameter
 
 
-def _centred_sections(body, normals, which, ts, admissible=False, setup=None):
-    """Anchor the sections {<u,x> = t}, t in ts and u = normals[which], on the
-    spine and centre them.
+def _centred_sections(body, setup, which, ts):
+    """Anchor the sections {<u,x> = t}, t in ts and u the normal of row which
+    of setup, their ``PlaneSetup``, on the spine and centre them.
 
-    The spine anchors and plane bases come from ``_section_frames`` (which
-    with admissible first checks the levels, and reads setup, the normals'
-    ``PlaneSetup``, where given), each plane oriented so that the unbounded
-    side of the level axis is +u. A 2D anchor then moves to
-    the midpoint of its chord along the plane's basis vector. In 3D, on a
+    The spine anchors and plane bases come from ``_section_frames``, each
+    plane oriented so that the unbounded side of the level axis is +u. A 2D
+    anchor then moves to the midpoint of its chord along the plane's basis
+    vector. In 3D, on a
     body whose kind has a form Q, the anchor moves to the centre of Q's
     ellipse in the plane, which is the section's centroid: about the anchor
     a, Q(a + x e1 + y e2) = z^T M z + beta^T z + c with z = (x, y), read off
@@ -351,11 +370,10 @@ def _centred_sections(body, normals, which, ts, admissible=False, setup=None):
     factor of its ellipse a x^2 + b x y + c y^2 = 1 about the anchor, which
     map the unit circle onto it),
     the oracle points spent per level, and whether the sections were
-    centred from a form (then each is the guide's ellipse to rounding). A
-    cone that meets the plane means unbounded sections; an anchor that is
-    not strictly inside means a level grazes the body.
+    centred from a form (then each is the guide's ellipse to rounding). An
+    anchor that is not strictly inside means a level grazes the body.
     """
-    spine, basis = _section_frames(body, normals, which, ts, admissible, setup)
+    spine, basis = _section_frames(body, setup, which, ts)
     abc = None
     if len(basis) == 2:
         Y = np.ascontiguousarray(spine.T)  # coordinate-major, as F takes batches
@@ -401,15 +419,6 @@ def _guide_axes(basis, guide):
     return axes, np.abs(axes[0, 0] * axes[1, 1] - axes[0, 1] * axes[1, 0])
 
 
-def _major_axes(guide):
-    """The major axis of each guide's ellipse, 2 sigma_max[g1 g2], one entry
-    per level of the guide (g1, g2): twice the root of the larger eigenvalue
-    of [[p, s], [s, r]], with p = |g1|^2, r = |g2|^2 and s = <g1, g2>."""
-    g1, g2 = guide
-    p, r, s = np.vecdot(g1, g1), np.vecdot(g2, g2), np.vecdot(g1, g2)
-    return 2.0 * np.sqrt(0.5 * (p + r) + np.hypot(0.5 * (p - r), s))
-
-
 def _form_check(body, anchors, guide):
     """Whether F confirms that each form-centred 3D section, about its anchor
     with guide (g1, g2), is the guide's ellipse, and the oracle points spent
@@ -436,16 +445,15 @@ def _form_check(body, anchors, guide):
     return ok.reshape(len(anchors), -1).all(axis=1), 2 * _FIRST_NODES
 
 
-def _polar_sections(body, anchors, basis, guide, rtol, moments, wide):
+def _polar_sections(body, anchors, basis, guide, rtol, moments):
     """Section integrals around centred anchors, with node-doubling refinement.
 
     Returns per level the measure, centroid, error estimate, oracle points
     spent beyond the centring, and whether the rule met its entry of
-    the per-level tolerances rtol; then the diameters of the levels wide (an
-    index array). moments is a mask of the levels whose centroid is
-    wanted; the others keep the anchor as centroid and stop on the measure
-    alone.  A 2D section is its centring chord: the anchor is its midpoint
-    and centroid, and its length the measure and the diameter.  In 3D node
+    the per-level tolerances rtol. moments is a mask of the levels whose
+    centroid is wanted; the others keep the anchor as centroid and stop on
+    the measure alone.  A 2D section is its centring chord: the anchor is
+    its midpoint and centroid, and its length the measure.  In 3D node
     t casts its ray along cos t g1 + sin t g2 (the guide of
     ``_centred_sections``) with guess 1, a quadric's hits to rounding; the
     sums are scaled by |g1 x g2| and the moments mapped back to (e1, e2)
@@ -454,36 +462,15 @@ def _polar_sections(body, anchors, basis, guide, rtol, moments, wide):
     other node, and each doubling casts only the new midpoint rays of the
     levels still short of rtol, guessed by interpolating the radii so far.
     A level still short at ``_MAX_POLAR_NODES`` stops there unconverged.
-    A level in wide adds the other nodes of its ``_DIAMETER_NODES`` grid
-    (the first batch holds every 8th) as more groups of rays from its
-    anchor in the same batch, whose points are not counted, and its
-    diameter is taken on that grid, bitwise as ``section_diameter`` takes
-    it. The grid is built only when wide is not empty: a batch with no
-    diameter level casts its first batch alone.
     """
     if len(basis) == 1:
         measure = 2.0 * guide[0]
-        converged = np.ones(len(anchors), dtype=bool)
-        return measure, anchors, 1e-12 * measure, 0, converged, measure[wide]
+        return measure, anchors, 1e-12 * measure, 0, np.ones(len(anchors), dtype=bool)
     (e1, e2), (g1, g2) = basis, guide
     axes, jac = _guide_axes(basis, guide)
     n, n_levels = _FIRST_NODES, len(anchors)
-    dirs, origins, diameter = _polar_dirs(g1, g2, n), anchors, np.zeros(0)
-    if wide.size:
-        # the first batch holds every step-th node of the diameter grid, and
-        # the levels in wide cast its other nodes in step - 1 more groups of rays
-        step = _DIAMETER_NODES // n
-        grid = _polar_dirs(g1[wide], g2[wide], _DIAMETER_NODES)
-        rest = np.flatnonzero(np.arange(_DIAMETER_NODES) % step)
-        dirs = np.concatenate((dirs, grid[:, :, rest].reshape(len(grid), len(wide) * (step - 1), n)),
-                              axis=1)
-        origins = np.concatenate((anchors, np.repeat(anchors[wide], step - 1, axis=0)))
-    r, n_evals = _polar_radii(body, origins, dirs, np.ones(dirs[0].size))
-    if wide.size:
-        full = np.empty((len(wide), _DIAMETER_NODES))
-        full[:, ::step], full[:, rest] = r[wide], r[n_levels:].reshape(len(wide), len(rest))
-        diameter = _widest(full, grid)
-        r, n_evals = r[:n_levels], n_evals[:n_levels]
+    dirs = _polar_dirs(g1, g2, n)
+    r, n_evals = _polar_radii(body, anchors, dirs, np.ones(dirs[0].size))
     measure, err = np.empty(n_levels), np.empty(n_levels)
     centroid, converged = np.empty_like(anchors), np.zeros(n_levels, dtype=bool)
     prev = _polar_rule(r[:, ::2], moments, jac, axes)
@@ -510,7 +497,7 @@ def _polar_sections(body, anchors, basis, guide, rtol, moments, wide):
                       + 2.0 * _HIT_RTOL * mu[stop])
             keep = ~stop
             if not keep.any():
-                return measure, centroid, err, n_evals, converged, diameter
+                return measure, centroid, err, n_evals, converged
             todo, r, mu, m1, m2 = todo[keep], r[keep], mu[keep], m1[keep], m2[keep]
             moments = moments[keep]
         prev = (mu, m1, m2)
@@ -532,27 +519,23 @@ def _rtols(rtol, n):
     return rtol
 
 
-def _sections(body, normals, which, ts, rtol, moments, diameter=False, admissible=False,
-              setup=None):
+def _sections(body, setup, which, ts, rtol, moments, diameter=False):
     """The section kernel: measure, centroid, error estimate, oracle points
     and convergence of every section {<u,x> = t}, t in the 1-D array ts and
-    u = normals[which], to rtol, a number or one tolerance per level; then
-    the diameters of the levels in the mask diameter, and the mask of the
-    levels whose anchor lies inside the body. With admissible, a level
-    outside its normal's admissible interval by 1e-9 scale first raises
-    ``LevelOutOfRange``. setup is the normals' ``PlaneSetup`` where the
-    caller has it (else the kernel sets them up).
+    u the normal of row which of setup (the normals' ``PlaneSetup``, of
+    bounded sections), to rtol, a number or one tolerance per level; then
+    the diameters of the levels in the mask diameter (``_diameters``), and
+    the mask of the levels whose anchor lies inside the body.
 
     moments is the mask of the levels whose centroid is wanted; the centroid
     of any other level is its centred anchor, and its rule stops on the
     measure alone. Either mask may be one bool for every level. A 3D level
     centred from its kind's form takes the closed form when ``_form_check``
-    passes it: measure pi |g1 x g2|, centroid the centred anchor, diameter
-    ``_major_axes``', err 2 ``_HIT_RTOL`` times the measure (the polar
-    rule's bound on radii that are 1 to rounding) and 1 + 2 ``_FIRST_NODES``
-    oracle points; any other level takes the polar rule, and one that fails
-    the check counts the check's points too. Either way each level is
-    bitwise its lone call's.
+    passes it: measure pi |g1 x g2|, centroid the centred anchor, err 2
+    ``_HIT_RTOL`` times the measure (the polar rule's bound on radii that
+    are 1 to rounding) and 1 + 2 ``_FIRST_NODES`` oracle points; any other
+    level takes the polar rule, and one that fails the check counts the
+    check's points too. Either way each level is bitwise its lone call's.
 
     This is the one place that decides grazing: a level whose spine anchor
     is not strictly inside the body has measure 0, False in the inside mask
@@ -560,54 +543,56 @@ def _sections(body, normals, which, ts, rtol, moments, diameter=False, admissibl
     alone, and every other level comes out as its lone section, bitwise.
     Near a support level a centred anchor can round outside the body, which
     refuses the first polar batch: then each level whose centred anchor F
-    does not read inside is integrated about its spine anchor instead (the
-    points of the refused batch are not counted).
+    does not read inside is integrated, and its diameter taken, about its
+    spine anchor instead (the points of the refused batch are not counted).
     """
     rtol = _rtols(rtol, ts.size)
     moments = np.full(ts.shape, moments, dtype=bool)
     diameter = np.full(ts.shape, diameter, dtype=bool)
     try:
-        anchors, spine, basis, guide, n_evals, formed = _centred_sections(body, normals, which, ts,
-                                                                          admissible, setup)
+        anchors, spine, basis, guide, n_evals, formed = _centred_sections(body, setup, which, ts)
     except DegenerateSection:
         if ts.size == 1:
-            return (np.zeros(1), np.zeros((1, normals.shape[1])), np.zeros(1), np.zeros(1, dtype=int),
-                    np.zeros(1, dtype=bool), np.zeros(np.count_nonzero(diameter)), np.zeros(1, dtype=bool))
-        alone = [_sections(body, normals, which[i:i + 1], ts[i:i + 1], rtol[i:i + 1],
-                           moments[i:i + 1], diameter[i:i + 1], setup=setup) for i in range(ts.size)]
+            return (np.zeros(1), np.zeros((1, setup.normals.shape[1])), np.zeros(1),
+                    np.zeros(1, dtype=int), np.zeros(1, dtype=bool),
+                    np.zeros(np.count_nonzero(diameter)), np.zeros(1, dtype=bool))
+        alone = [_sections(body, setup, which[i:i + 1], ts[i:i + 1], rtol[i:i + 1],
+                           moments[i:i + 1], diameter[i:i + 1]) for i in range(ts.size)]
         return tuple(np.concatenate(part) for part in zip(*alone))
     polar = None  # the mask of the levels left to the polar rule, if not all
-    diam = np.zeros(0)
     if formed:
         closed, k = _form_check(body, anchors, guide)
         n_evals += k
         # every radius is 1 to rounding: the polar rule's measure is jac pi,
-        # its centroid the anchor, its error bound its hits', and the
-        # diameter is the guide ellipse's major axis
+        # its centroid the anchor and its error bound its hits'
         measure = _guide_axes(basis, guide)[1] * math.pi
         err, converged = 2.0 * _HIT_RTOL * measure, np.ones(ts.size, dtype=bool)
-        if np.count_nonzero(diameter):
-            diam = _major_axes(guide[:, diameter])
         polar = ~closed
-        if not np.count_nonzero(polar):
-            return measure, anchors, err, n_evals, converged, diam, converged.copy()
-    sel = slice(None) if polar is None else polar
-    sub = anchors[sel], basis[:, sel], guide[:, sel], rtol[sel], moments[sel]
-    wide = np.flatnonzero(diameter[sel])
-    try:
-        out = _polar_sections(body, *sub, wide)
-    except NotInterior:
-        centred = sub[0]
-        outside = ~(body.defining(centred) < 0.0)
-        centred[outside] = spine[sel][outside]
-        out = _polar_sections(body, *sub, wide)
-        n_evals[sel] += 1  # F at the centred anchors
-    if polar is None:
-        measure, anchors, err, k, converged, diam = out
     else:
-        measure[polar], anchors[polar], err[polar], k, converged[polar], diam[polar[diameter]] = out
-    n_evals[sel] += k
-    return measure, anchors, err, n_evals, converged, diam, np.ones(ts.size, dtype=bool)
+        closed = np.zeros(ts.size, dtype=bool)
+    centroid = anchors
+    if polar is None or np.count_nonzero(polar):
+        sel = slice(None) if polar is None else polar
+        sub = anchors[sel], basis[:, sel], guide[:, sel], rtol[sel], moments[sel]
+        try:
+            out = _polar_sections(body, *sub)
+        except NotInterior:
+            centred = sub[0]
+            outside = ~(body.defining(centred) < 0.0)
+            centred[outside] = spine[sel][outside]
+            out = _polar_sections(body, *sub)
+            n_evals[sel] += 1  # F at the centred anchors
+        n_evals[sel] += out[3]
+        if polar is None:
+            measure, centroid, err, _, converged = out
+        else:
+            anchors[polar] = sub[0]  # the anchors the rule cast from
+            centroid = anchors.copy()
+            measure[polar], centroid[polar], err[polar], _, converged[polar] = out
+    diam = np.zeros(0)
+    if np.count_nonzero(diameter):
+        diam = _diameters(body, anchors[diameter], guide[:, diameter], closed[diameter])
+    return measure, centroid, err, n_evals, converged, diam, np.ones(ts.size, dtype=bool)
 
 
 def _check_levels(body, ts, lo, hi):
@@ -646,10 +631,11 @@ def section_stats(body, u, t, rtol=DEFAULT_RTOL) -> SectionStats:
     """
     if (len(u.normals) if isinstance(u, PlaneSetup) else np.ndim(u)) != 1:
         raise ValueError("section_stats takes one normal for all its levels")
-    normals, which, ts, scalar, setup = _planes(u, t)
-    u = normals[0]
+    setup, which, ts, scalar = _planes(body, u, t)
+    _check_levels(body, ts, setup.lo[which], setup.hi[which])
+    u = setup.normals[0]
     measure, centroid, err, n_evals, converged, _, inside = _sections(
-        body, normals, which, ts, rtol, True, admissible=True, setup=setup)
+        body, setup, which, ts, rtol, True)
     _check_measures(body, measure, inside)
     if scalar:
         return SectionStats(u, float(ts[0]), float(measure[0]), centroid[0], float(err[0]),
@@ -677,8 +663,8 @@ def section_measure(body, u, t, rtol=DEFAULT_RTOL):
     (``LevelOutOfRange``) and a normal whose sections are unbounded
     (``UnboundedSection``).
     """
-    normals, which, ts, scalar, setup = _planes(u, t)
-    measure = _sections(body, normals, which, ts, rtol, False, setup=setup)[0]
+    setup, which, ts, scalar = _planes(body, u, t)
+    measure = _sections(body, setup, which, ts, rtol, False)[0]
     return float(measure[0]) if scalar else measure
 
 
@@ -690,16 +676,11 @@ def section_diameter(body, u, t) -> float:
     estimate, the longest chord through the anchor on a 128-node grid in
     the guide's angle: on a quadric level F refuses, the chords are
     diameters of its ellipse, at most (1 - (b/a)^2) (pi/128)^2 / 2 short of
-    2a, relative."""
-    normals, which, ts, scalar, setup = _planes(u, t)
+    2a, relative. The rule is the kernel's (``_diameters``)."""
+    setup, which, ts, scalar = _planes(body, u, t)
     if not scalar:
         raise ValueError("section_diameter takes one level")
-    anchors, _, basis, guide, _, formed = _centred_sections(body, normals, which, ts,
-                                                            admissible=True, setup=setup)
-    if len(basis) == 1:
-        return float(2.0 * guide[0, 0])
-    if formed and _form_check(body, anchors, guide)[0][0]:
-        return float(_major_axes(guide)[0])
-    dirs = _polar_dirs(*guide, _DIAMETER_NODES)
-    r = _polar_radii(body, anchors, dirs, np.ones(_DIAMETER_NODES))[0]
-    return float(_widest(r, dirs)[0])
+    _check_levels(body, ts, setup.lo[which], setup.hi[which])
+    anchors, _, _, guide, _, formed = _centred_sections(body, setup, which, ts)
+    closed = _form_check(body, anchors, guide)[0] if formed else np.zeros(1, dtype=bool)
+    return float(_diameters(body, anchors, guide, closed)[0])

@@ -443,7 +443,7 @@ def _cap_volume(body, a):
     return paraboloid_cap_volume(body.params, body.translation, a)
 
 
-def test_batched_first_pass_is_quads_value(monkeypatch):
+def test_cut_volumes_take_two_levels_on_a_quadric_and_one_panel_on_the_disk(monkeypatch):
     sphere = unit_sphere(center=[0.1, -0.2, 3.0])
     paraboloid = paraboloid_epigraph([1.0, 0.7], shift=[0.0, 0.0, 1.5])
     sheet = hyperboloid_sheet([1.0, 1.4], shift=[0.0, 0.0, 1.0])
@@ -467,6 +467,21 @@ def test_batched_first_pass_is_quads_value(monkeypatch):
         for (body, a), v in zip(cases, batched):
             exact = _scipy_cut_volume(body, a, rtol) if body is sheet else _cap_volume(body, a)
             assert v == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("body", [paraboloid_epigraph([1.0, 0.7]), hyperboloid_sheet([1.0, 1.4]),
+                                  function_epigraph("square")], ids=["paraboloid", "sheet", "square"])
+def test_halfspace_cut_volume_is_inf_at_plus_inf_on_a_body_unbounded_in_u(body):
+    # the cut at t = +inf holds the body's recession directions: its volume
+    # is +inf, fixed before any arithmetic on the level (inf - inf gave a
+    # NaN level and a RuntimeWarning); a bounded body's is its whole volume
+    u = np.eye(body.ambient_dim)[-1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert halfspace_cut_volume(body, u, math.inf) == math.inf
+        assert halfspace_cut_volume(body, u, -math.inf) == 0.0
+        assert halfspace_cut_volume(unit_disk(), u[-2:], math.inf) == pytest.approx(math.pi,
+                                                                                rel=1e-8)
 
 
 def _quadric_cuts(n=12, seed=0):
@@ -699,11 +714,12 @@ def test_cut_volume_ray_batch_budget(monkeypatch, refuse_closed_forms):
     cut_gradient(unit_disk(center=[0.0, 3.0]), [0.1, 0.35])
     assert len(calls) == 1
     # where F refuses the closed forms, the 3D gradient's levels and its cut
-    # plane's diameter grid all ride in one polar batch a round
+    # plane ride in one polar batch a round, and the cut plane's diameter
+    # grid follows in a batch of its own
     refuse_closed_forms()
     calls.clear()
     cut_gradient(unit_sphere(center=[0.0, 0.0, 3.0]), [0.05, 0.1, 0.4])
-    assert len(calls) == 1
+    assert len(calls) == 2
     refuse_closed_forms(False)
     # a scan's volumes at all its anchors share their batches too (the 3D
     # paraboloid's cast none)

@@ -457,13 +457,15 @@ def test_ray_rounds_counts_the_polar_rays_of_each_3d_level(ray_rounds, refuse_cl
         # the gradient's cut plane, with its moments and diameter, in a
         # kernel call of its own
         a = np.array([0.05, 0.1, 0.4])
-        sections._sections(sphere, a[None] / np.linalg.norm(a), np.zeros(1, dtype=np.intp),
-                           np.array([1.0 / np.linalg.norm(a)]), 1e-8, True, True)
+        sections._sections(sphere, sections._plane_setup(sphere, a[None] / np.linalg.norm(a)),
+                           np.zeros(1, dtype=np.intp), np.array([1.0 / np.linalg.norm(a)]), 1e-8,
+                           True, True)
     finally:
         uninstall()
-    # the cut plane's 16 rays and 112 more
+    # the cut plane's 16 rays: its diameter grid, like section_diameter's,
+    # is a batch of its own outside the polar rule
     assert counts.polar_levels == 3 + 1
-    assert counts.polar_rays - before == 16 + 112
+    assert counts.polar_rays - before == 16
     assert counts.first_nodes == [16] * 3 and counts.refined == 1
     # the four refused levels fell back
     assert (counts.closed, counts.fell_back) == (7 * 2 + 1, 4)

@@ -1,5 +1,4 @@
 import math
-import sys
 import warnings
 
 import numpy as np
@@ -616,6 +615,54 @@ def test_normals_per_level_are_checked():
         section_stats(unit_sphere(), up, np.array([0.1, 0.2]))
 
 
+# every entry that takes a normal, or (cut_volume, cut_gradient) a cut
+# parameter, at a level inside the range of the body's own normal e_d
+WRONG_DIMENSION_ENTRIES = {
+    "section_bounded": section_bounded,
+    "section_stats": lambda body, u: section_stats(body, u, 2.0),
+    "section_measure": lambda body, u: section_measure(body, u, 2.0),
+    "section_diameter": lambda body, u: section_diameter(body, u, 2.0),
+    "admissible_levels": admissible_levels,
+    "sccp_residual": sccp_residual,
+    "cone_direction_check": cone_direction_check,
+    "halfspace_cut_volume": lambda body, u: halfspace_cut_volume(body, u, 2.0),
+    "cut_volume": lambda body, u: cut_volume(body, 0.5 * u),
+    "cut_gradient": lambda body, u: cut_gradient(body, 0.5 * u),
+}
+
+
+@pytest.mark.parametrize("entry", WRONG_DIMENSION_ENTRIES)
+@pytest.mark.parametrize("body, u", [(hyperboloid_sheet([1.0, 1.4]), np.array([0.0, 1.0])),
+                                     (hyperboloid_sheet([1.0]), np.array([0.0, 0.0, 1.0]))],
+                         ids=["3d-body-2d-normal", "2d-body-3d-normal"])
+def test_a_normal_of_the_wrong_dimension_is_refused_naming_both(entry, body, u):
+    # a unit normal that passes the unit check, in the wrong space: the
+    # refusal names both dimensions, as a point's does
+    message = rf"has dimension {len(u)}, body lives in R\^{body.ambient_dim}"
+    with pytest.raises(ValueError, match=message):
+        WRONG_DIMENSION_ENTRIES[entry](body, u)
+
+
+@pytest.mark.parametrize("body, u", [
+    (unit_sphere(center=[0.0, 0.0, 3.0]), np.array([0.3, -0.2, 0.9]) / math.sqrt(0.94)),
+    (unit_disk(center=[0.0, 3.0]), np.array([0.6, 0.8]))], ids=["sphere", "disk"])
+def test_a_batch_with_grazing_levels_sets_its_normals_up_once(body, u, monkeypatch):
+    # the levels below and above the body send the batch to the kernel's
+    # per-level fallback, which reads the entry's one set-up: one Gauss-map
+    # call on the rows -u and u, and every level bitwise its lone call's
+    lo, hi = admissible_levels(body, u)
+    levels = np.array([lo - 0.1, lo + 0.3 * (hi - lo), lo + 0.6 * (hi - lo), hi + 0.2])
+    calls = []
+    gauss_map = bodies.BodySpec.gauss_map
+    monkeypatch.setattr(bodies.BodySpec, "gauss_map",
+                        lambda self, U: calls.append(len(U)) or gauss_map(self, U))
+    measure = section_measure(body, u, levels)
+    assert calls == [2]
+    assert measure[0] == measure[3] == 0.0 and (measure[1:3] > 0.0).all()
+    for m, t in zip(measure, levels):
+        assert section_measure(body, u, t) == m
+
+
 @pytest.mark.parametrize("rtol", [math.nan, 0.0, -1.0, 1.0, math.inf])
 def test_rtol_outside_the_unit_interval_is_refused(rtol):
     # a NaN or non-positive rtol never stops the polar rule short of its node cap
@@ -656,7 +703,8 @@ def test_mixed_kernel_batch_is_each_section_alone_bitwise(body, u, w):
     rtols = np.array([1e-6, 1e-12, 1e-9, 1e-6, 1e-12, 1e-9])
     moments = np.array([False, False, False, False, True, True])
     diameter = np.array([False, False, False, False, False, True])
-    batch = sections._sections(body, normals, which, levels, rtols, moments, diameter)
+    setup = sections._plane_setup(body, normals)
+    batch = sections._sections(body, setup, which, levels, rtols, moments, diameter)
     measure, centroid, err, n_evals, converged, diam, inside = batch
     assert inside.all()
     for i in np.flatnonzero(~moments):
@@ -673,7 +721,7 @@ def test_mixed_kernel_batch_is_each_section_alone_bitwise(body, u, w):
     # the kernel scores it 0 and every other level comes out as before
     g = 1
     *grazed, grazed_diam, grazed_inside = sections._sections(
-        body, normals, np.insert(which, g, 0), np.insert(levels, g, _finite_levels(body, w, -0.01)),
+        body, setup, np.insert(which, g, 0), np.insert(levels, g, _finite_levels(body, w, -0.01)),
         np.insert(rtols, g, 1e-6), np.insert(moments, g, False), np.insert(diameter, g, False))
     assert grazed[0][g] == 0.0 and np.array_equal(grazed_inside, np.arange(len(levels) + 1) != g)
     for name, before, after in zip(("measure", "centroid", "err", "n_evals", "converged"), batch, grazed):
@@ -752,7 +800,7 @@ def test_quadric_sections_centre_on_their_ellipse(body, normals, levels):
         u = np.asarray(u) / np.linalg.norm(u)
         ts = np.array(levels)
         anchors, _, basis, (g1, g2), _, formed = sections._centred_sections(
-            body, u[None], np.zeros(len(ts), dtype=np.intp), ts)
+            body, sections._plane_setup(body, u[None]), np.zeros(len(ts), dtype=np.intp), ts)
         assert formed
         n = sections._FIRST_NODES
         dirs = sections._polar_dirs(g1, g2, n)
@@ -844,60 +892,42 @@ def test_3d_sections_cast_two_ray_batches(monkeypatch, refuse_closed_forms):
                 assert len(calls) == batches, (body.kind, entry.__name__, refused)
 
 
-def _profiled_calls(fn):
-    """fn's result and the calls (Python plus C) that sys.setprofile sees it
-    make, after one call unprofiled (which pays any one-off set-up, such as
-    a body's cached properties)."""
-    fn()
-    calls = 0
-
-    def count(frame, event, arg):
-        nonlocal calls
-        calls += event in ("call", "c_call")
-
-    sys.setprofile(count)
-    try:
-        out = fn()
-    finally:
-        sys.setprofile(None)
-    return out, calls
-
-
 @pytest.mark.parametrize("body,normals,levels", QUADRIC_SECTIONS[:3],
                          ids=[b.kind for b, _, _ in QUADRIC_SECTIONS[:3]])
 def test_diameter_grid_is_built_only_for_a_diameter_level(monkeypatch, refuse_closed_forms, body,
                                                           normals, levels):
-    # with the closed forms refused, a batch with no diameter level builds
-    # no grid, and so makes fewer calls; its one ray batch is the 16 L
-    # first-batch rays alone, whose radii are bitwise those of the same
-    # batch with one diameter level, and every other result is bitwise too
+    # with the closed forms refused, a batch with no diameter level casts
+    # one ray batch, the 16 L first-batch rays; with one diameter level that
+    # batch comes out bitwise the same, and the level's 128-node grid follows
+    # as a batch of its own, from its anchor alone. Every other result is
+    # bitwise too, and the diameter is section_diameter's
     refuse_closed_forms()
     batches = []
     ray_hits_batch = sections.ray_hits_batch
 
-    def kept(*args, **kwargs):
-        out = ray_hits_batch(*args, **kwargs)
-        batches.append(out[0])
+    def kept(body, origin, directions, guess=None):
+        out = ray_hits_batch(body, origin, directions, guess=guess)
+        batches.append((len(origin), out[0]))
         return out
 
     monkeypatch.setattr(sections, "ray_hits_batch", kept)
     u = np.asarray(normals[0]) / np.linalg.norm(normals[0])
     ts = np.array(levels)
+    setup, which = sections._plane_setup(body, u[None]), np.zeros(len(ts), dtype=np.intp)
     runs = []
     for diameter in (False, np.arange(len(ts)) == 1):
-        out, calls = _profiled_calls(lambda: sections._sections(
-            body, u[None], np.zeros(len(ts), dtype=np.intp), ts, 1e-8, True, diameter))
-        # the profiled call's ray batches come after the warm-up call's
-        runs.append((out, calls, batches[len(batches) // 2:]))
+        runs.append((sections._sections(body, setup, which, ts, 1e-8, True, diameter), batches[:]))
         batches.clear()
-    (plain, plain_calls, plain_rays), (wide, wide_calls, wide_rays) = runs
-    assert plain_calls < wide_calls
+    (plain, plain_rays), (wide, wide_rays) = runs
     first = sections._FIRST_NODES * len(ts)
-    assert len(plain_rays) == len(wide_rays) == 1 and plain_rays[0].shape == (first,)
-    assert np.array_equal(plain_rays[0], wide_rays[0][:first])
+    assert [(n, r.shape) for n, r in plain_rays] == [(len(ts), (first,))]
+    assert [(n, r.shape) for n, r in wide_rays] == [(len(ts), (first,)),
+                                                    (1, (sections._DIAMETER_NODES,))]
+    assert np.array_equal(plain_rays[0][1], wide_rays[0][1])
     for a, b in zip(plain[:5], wide[:5]):
         assert np.array_equal(a, b)
     assert plain[5].shape == (0,) and wide[5].shape == (1,)
+    assert wide[5][0] == section_diameter(body, u, ts[1])
 
 
 @pytest.mark.parametrize("body,normals,levels", QUADRIC_SECTIONS[:3],
@@ -990,7 +1020,7 @@ def test_measure_only_quadric_levels_take_the_closed_form(monkeypatch, body, u, 
     # 33 points a level, err the polar rule's bound on radii that are 1 to
     # rounding, and each level alone bitwise the batch's
     which = np.zeros(len(levels), dtype=np.intp)
-    out = sections._sections(body, u[None], which, levels, 1e-8, False)
+    out = sections._sections(body, sections._plane_setup(body, u[None]), which, levels, 1e-8, False)
     assert np.array_equal(out[0], measure) and np.array_equal(out[3], np.full(len(levels), 33))
     assert out[4].all() and np.array_equal(out[2], 2.0 * bodies._HIT_RTOL * measure)
     for i, t in enumerate(levels):
@@ -1005,21 +1035,22 @@ def test_a_level_whose_f_is_off_its_form_falls_back_to_the_polar_rule(monkeypatc
     # rule's numbers about the same centred anchors (and count the check's
     # points too); the first level keeps its closed form, bitwise
     which, rtol = np.zeros(len(levels), dtype=np.intp), np.full(len(levels), 1e-8)
-    closed = sections._sections(body, u[None], which, levels, rtol, False)
+    setup = sections._plane_setup(body, u[None])
+    closed = sections._sections(body, setup, which, levels, rtol, False)
     split = 0.5 * (levels[0] + levels[1])
     defining = BodySpec.defining
     monkeypatch.setattr(BodySpec, "defining",
                         lambda self, x: defining(self, x) + 1e-9 * (np.asarray(x) @ u > split))
     measure, centroid, err, n_evals, converged, _, inside = sections._sections(
-        body, u[None], which, levels, rtol, False)
+        body, setup, which, levels, rtol, False)
     assert inside.all()
     assert measure[0] == closed[0][0] and np.array_equal(centroid[0], closed[1][0])
     assert n_evals[0] == 33
-    anchors, _, basis, guide, _, formed = sections._centred_sections(body, u[None], which, levels)
+    anchors, _, basis, guide, _, formed = sections._centred_sections(body, setup, which, levels)
     assert formed
     off = slice(1, None)
     ref = sections._polar_sections(body, anchors[off], basis[:, off], guide[:, off], rtol[off],
-                                   np.zeros(len(levels) - 1, dtype=bool), np.zeros(0, dtype=np.intp))
+                                   np.zeros(len(levels) - 1, dtype=bool))
     assert np.array_equal(measure[off], ref[0]) and np.array_equal(centroid[off], ref[1])
     assert np.array_equal(err[off], ref[2]) and np.array_equal(converged[off], ref[4])
     assert np.array_equal(n_evals[off], 33 + ref[3])
@@ -1047,7 +1078,8 @@ def test_quadric_centroids_and_diameters_take_the_closed_form(monkeypatch, body,
         assert diameters[i] == pytest.approx(2.0 * major, rel=1e-13, abs=0.0)
         assert st.measure[i] == pytest.approx(math.pi * major * minor, rel=1e-12, abs=0.0)
     which = np.zeros(len(levels), dtype=np.intp)
-    out = sections._sections(body, u[None], which, levels, 1e-8, True, np.arange(len(levels)) == 1)
+    out = sections._sections(body, sections._plane_setup(body, u[None]), which, levels, 1e-8, True,
+                             np.arange(len(levels)) == 1)
     assert np.array_equal(out[1], st.centroid) and np.array_equal(out[5], diameters[1:2])
 
 
@@ -1059,23 +1091,25 @@ def test_centroids_and_diameters_off_their_form_take_the_polar_rule(monkeypatch,
     # level keeps its closed form, bitwise
     which, rtol = np.zeros(len(levels), dtype=np.intp), np.full(len(levels), 1e-8)
     moments, wide = np.ones(len(levels), dtype=bool), np.ones(len(levels), dtype=bool)
-    closed = sections._sections(body, u[None], which, levels, rtol, moments, wide)
+    setup = sections._plane_setup(body, u[None])
+    closed = sections._sections(body, setup, which, levels, rtol, moments, wide)
     split = 0.5 * (levels[0] + levels[1])
     defining = BodySpec.defining
     monkeypatch.setattr(BodySpec, "defining",
                         lambda self, x: defining(self, x) + 1e-9 * (np.asarray(x) @ u > split))
     measure, centroid, err, n_evals, converged, diam, inside = sections._sections(
-        body, u[None], which, levels, rtol, moments, wide)
+        body, setup, which, levels, rtol, moments, wide)
     assert inside.all()
     assert np.array_equal(centroid[0], closed[1][0]) and diam[0] == closed[5][0]
-    anchors, _, basis, guide, _, formed = sections._centred_sections(body, u[None], which, levels)
+    anchors, _, basis, guide, _, formed = sections._centred_sections(body, setup, which, levels)
     assert formed
     off = slice(1, None)
     ref = sections._polar_sections(body, anchors[off], basis[:, off], guide[:, off], rtol[off],
-                                   moments[off], np.arange(len(levels) - 1))
+                                   moments[off])
+    grid = sections._diameters(body, anchors[off], guide[:, off], np.zeros(len(levels) - 1, dtype=bool))
     assert np.array_equal(measure[off], ref[0]) and np.array_equal(centroid[off], ref[1])
     assert np.array_equal(err[off], ref[2]) and np.array_equal(converged[off], ref[4])
-    assert np.array_equal(n_evals[off], 33 + ref[3]) and np.array_equal(diam[off], ref[5])
+    assert np.array_equal(n_evals[off], 33 + ref[3]) and np.array_equal(diam[off], grid)
     for i, t in enumerate(levels):
         assert np.array_equal(section_stats(body, u, t).centroid, centroid[i])
         assert section_diameter(body, u, t) == diam[i]
@@ -1091,8 +1125,8 @@ def test_measures_near_a_support_level_take_the_closed_form(monkeypatch):
     levels = lo + 3.0 * 2.0 ** -np.array([37.0, 43.0, 49.0])
     rays, points = _kernel_calls(monkeypatch)
     for t in levels:
-        out = sections._sections(body, u[None], np.zeros(1, dtype=np.intp), np.array([t]), 1e-8,
-                                 False)
+        out = sections._sections(body, sections._plane_setup(body, u[None]),
+                                 np.zeros(1, dtype=np.intp), np.array([t]), 1e-8, False)
         assert out[3][0] == 33 and out[4][0] and out[0][0] > 0.0
     assert rays == [] and points == [1, 32] * 3
     # its error is rounding's: about 1e-5 relative at h = 2e-11 above the

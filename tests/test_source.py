@@ -1,9 +1,10 @@
 """Source hygiene: no module of the package imports a name it never reads,
-no module defines a name that nothing reads, only ``bodies.py`` reads a
-body's or a cone's kind, and the package needs numpy alone at run time.
+no module defines a name that nothing reads, no function takes a parameter
+it never reads, only ``bodies.py`` reads a body's or a cone's kind, and the
+package needs numpy alone at run time.
 
-No lint tool is a dependency, so the first two are AST scans. ``__init__.py``
-is exempt from both, its imports are the package's re-exports, and so is an
+No lint tool is a dependency, so the first three are AST scans. ``__init__.py``
+is exempt from the first two, its imports are the package's re-exports, and so is an
 import on a line marked ``# noqa: F401``, kept because something outside the
 package looks the name up on the module.
 """
@@ -76,6 +77,34 @@ def test_every_module_level_name_is_read_somewhere():
     assert len(modules) >= 7
     dead = {p.name: names for p in modules if (names := sorted(_defined_names(p) - read))}
     assert dead == {}
+
+
+def _unread_parameters(path):
+    """(function, parameter) for each parameter that a function of the module
+    (module-level, nested or a lambda; not a method, as a kind class shares
+    its base's signature) never reads."""
+    tree = ast.parse(path.read_text())
+    methods = {id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body}
+    unread = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if id(node) in methods:
+            continue
+        a = node.args
+        params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg] if p]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        unread += [(getattr(node, "name", "<lambda>"), p) for p in params if p not in read]
+    return unread
+
+
+def test_no_function_takes_a_parameter_it_never_reads():
+    modules = sorted(SRC.glob("*.py"))
+    assert len(modules) >= 8
+    unread = {p.name: names for p in modules if (names := _unread_parameters(p))}
+    assert unread == {}
 
 
 # attributes that name a body's or a cone's kind, or hold its kind class
