@@ -163,13 +163,19 @@ def _check_azimuths(n_azimuth):
         raise ValueError(f"n_azimuth must be an integer >= 1, got {n_azimuth!r}")
 
 
+def _check_radius(R):
+    """R as a float, refusing anything but a finite R > 0."""
+    R = float(R)
+    if not (math.isfinite(R) and R > 0.0):
+        raise ValueError(f"sphere radius must be finite and positive, got {R}")
+    return R
+
+
 def body_shell_points(body, R, n_azimuth=_N_AZIMUTH):
     """Sample the boundary points at distance R from the origin: one per
     meridian from the closed form where it serves the body, else the scan's."""
     _check_azimuths(n_azimuth)
-    R = float(R)
-    if not (math.isfinite(R) and R > 0.0):
-        raise ValueError(f"sphere radius must be finite and positive, got {R}")
+    R = _check_radius(R)
     bases = _meridian_bases(body, R, n_azimuth)
     if bases is not None:
         points = _on_sphere(R, _form_crossings, body.defining, R, *bases)
@@ -355,8 +361,10 @@ def _crossings(F, R, u0, t0, f_in, f_out, step):
 
 
 def cone_shell_points(cone: ConeDescriptor, R, n_azimuth=_N_AZIMUTH):
-    """Closed-form samples of (boundary of cone) ∩ S_R: R times its boundary rays."""
+    """Closed-form samples of (boundary of cone) ∩ S_R: R times its boundary
+    rays. R must be finite and positive, as for ``body_shell_points``."""
     _check_azimuths(n_azimuth)
+    R = _check_radius(R)
     if cone.dim == 0:
         raise EmptyShellIntersection("trivial cone has no shell points")
     return R * cone.boundary_rays(n_azimuth)

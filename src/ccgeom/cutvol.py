@@ -221,7 +221,10 @@ def _cut_volumes(body, ranges, rtols, plane=None):
     rule rests on the body, not on how each area is found, so a level whose
     closed form F refuses takes the polar rule in the same batch.
     Elsewhere the integrals run in one lockstep ``quad``, whose every round
-    sections the levels of all of them in one batch.
+    sections the levels of all of them in one batch. Where a volume, or the
+    arithmetic of its sections, overflows a double, the cuts raise a
+    ``ValueError`` naming their largest level, with no RuntimeWarning: inf
+    would read as a cut that contains a recession direction.
 
     Returns the volumes and, for plane = (i, t, rtol), the section {<u,x> =
     t} of the normal u of row i: its measure, centroid, diameter and
@@ -253,30 +256,35 @@ def _cut_volumes(body, ranges, rtols, plane=None):
         section, plane = (float(mu[-1]), centroid[-1], float(diam[0]), inside[-1]), None
         return mu[:-1]
 
-    h = 0.5 * (s_hi - s_lo)
-    if body.ambient_dim == 3 and has_form(body):
-        offset = _GAUSS_END * h
-        mu = measures(np.repeat(np.arange(len(todo)), 2),
-                      np.stack((s_lo + offset, s_hi - offset), axis=1).ravel())
-        volumes[todo] = h * (mu[0::2] + mu[1::2])
-        return volumes, section
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            h = 0.5 * (s_hi - s_lo)
+            if body.ambient_dim == 3 and has_form(body):
+                offset = _GAUSS_END * h
+                mu = measures(np.repeat(np.arange(len(todo)), 2),
+                              np.stack((s_lo + offset, s_hi - offset), axis=1).ravel())
+                volumes[todo] = h * (mu[0::2] + mu[1::2])
+            else:
+                # levels s = c + h x (3 - x^2) / 2 over x in [-1, 1]: s - s_lo and
+                # s_hi - s go as (1 -+ x)^2 at the ends, which removes a 2D chord's
+                # square root there, and a measure polynomial in s stays a
+                # polynomial in x
+                c = 0.5 * (s_lo + s_hi)
 
-    # levels s = c + h x (3 - x^2) / 2 over x in [-1, 1]: s - s_lo and s_hi - s
-    # go as (1 -+ x)^2 at the ends, which removes a 2D chord's square root
-    # there, and a measure polynomial in s stays a polynomial in x
-    c = 0.5 * (s_lo + s_hi)
+                def g(x, k):
+                    return measures(k, c[k] + h[k] * (0.5 * x * (3.0 - x * x))) * (
+                        1.5 * h[k] * (1.0 - x) * (1.0 + x))
 
-    def g(x, k):
-        return measures(k, c[k] + h[k] * (0.5 * x * (3.0 - x * x))) * (
-            1.5 * h[k] * (1.0 - x) * (1.0 + x))
-
-    # a 3D measure goes to 0 linearly at a curved support level, where the
-    # 15-point rule meets it; a 2D chord goes as the square root, which the
-    # map removes only to branch points near the ends (sqrt(4 - x^2) on the
-    # disk), where the 15-point estimate falls short
-    volumes[todo] = quad(g, np.full(len(todo), -1.0), np.ones(len(todo)),
-                         epsabs=1e-14 * body.scale ** body.ambient_dim, epsrel=rtols,
-                         rule=DQK15 if body.ambient_dim == 3 else DQK21)
+                # a 3D measure goes to 0 linearly at a curved support level, where
+                # the 15-point rule meets it; a 2D chord goes as the square root,
+                # which the map removes only to branch points near the ends
+                # (sqrt(4 - x^2) on the disk), where the 15-point estimate falls short
+                volumes[todo] = quad(g, np.full(len(todo), -1.0), np.ones(len(todo)),
+                                     epsabs=1e-14 * body.scale ** body.ambient_dim, epsrel=rtols,
+                                     rule=DQK15 if body.ambient_dim == 3 else DQK21)
+    except FloatingPointError:
+        level = float(s_hi[np.argmax(np.abs(s_hi))])
+        raise ValueError(f"cut level {level} overflows the volume arithmetic") from None
     return volumes, section
 
 

@@ -7,13 +7,13 @@ centroid. The bodies of the paper are quadrics, whose bounded plane
 sections are ellipses: on a body whose kind has a form Q, the centre of
 a 3D section is the point of its plane where grad Q is parallel to the
 normal, read off Q restricted to the plane with no oracle call, and that
-ellipse guides the polar rule. Elsewhere (the superellipsoids) the anchor
-casts four chords, along the plane's basis vectors and their diagonals,
-and moves to their mean midpoint. 3D sections are integrated in polar
-coordinates around the centred anchor, in the guide ellipse's own angle,
-where a quadric's radii are all 1 to rounding, with a fixed
-node-doubling refinement schedule, so results are deterministic for a
-given tolerance. A 3D level centred from a form skips the rule once F
+ellipse guides the polar rule. Every other section (in 2D, and the
+superellipsoids in 3D) casts one chord along each basis vector of its
+plane, and the anchor moves to their mean midpoint. 3D sections are
+integrated in polar coordinates around the centred anchor, in the guide
+ellipse's own angle, where a quadric's radii are all 1 to rounding, with
+a fixed node-doubling refinement schedule, so results are deterministic
+for a given tolerance. A 3D level centred from a form skips the rule once F
 confirms that the boundary crosses each node of the rule's first batch
 between the root-finder's inner probes (one ``defining`` call,
 ``_form_check``): its section is then the guide (g1, g2)'s ellipse, so
@@ -27,7 +27,7 @@ which the body's defining function was evaluated, in 2D and 3D.
 
 One kernel does this for a whole array of levels at once, each with its own
 normal and tolerance: one ray batch centres every level that casts chords
-(two rays each in 2D, eight in 3D), one ``defining`` call checks the spine
+(two rays each in 2D, four in 3D), one ``defining`` call checks the spine
 anchors of the others, one more checks the closed forms, and each round of
 the polar rules is one batch over the levels still short of their
 tolerance. One set-up per normal,
@@ -64,6 +64,7 @@ from .bodies import (
     _band,
     _check_unit,
     _check_units,
+    has_form,
     ray_hits_batch,
     ray_quadratic,
 )
@@ -81,11 +82,6 @@ _DIAMETER_NODES = 128  # the grid of a diameter the closed form does not take
 # F's check of a closed-form measure: the root-finder's inner pair of probes
 # about a radius guessed at 1, (factor, levels, nodes)
 _CHECK_PROBES = _GUESS_PROBES[1:3, :, None]
-_SQRT_HALF = math.sqrt(0.5)
-# the centring rays of a 3D section without a form, (cos, sin) of the
-# angles k pi/4 in its plane, k = 0..7: rays k and k + 4 are opposite
-_OCTAGON = np.array([[1.0, _SQRT_HALF, 0.0, -_SQRT_HALF, -1.0, -_SQRT_HALF, 0.0, _SQRT_HALF],
-                     [0.0, _SQRT_HALF, 1.0, _SQRT_HALF, 0.0, -_SQRT_HALF, -1.0, -_SQRT_HALF]])
 _TURN = np.array([-1.0, 1.0])  # (u0, u1) -> (-u1, u0), a 2D normal's basis vector
 _EYE3 = np.eye(3)
 _NEXT3, _PREV3 = np.array([1, 2, 0]), np.array([2, 0, 1])  # (u x a)_i = u_i+1 a_i+2 - u_i+2 a_i+1
@@ -350,35 +346,32 @@ def _centred_sections(body, setup, which, ts):
     of setup, their ``PlaneSetup``, on the spine and centre them.
 
     The spine anchors and plane bases come from ``_section_frames``, each
-    plane oriented so that the unbounded side of the level axis is +u. A 2D
-    anchor then moves to the midpoint of its chord along the plane's basis
-    vector. In 3D, on a
-    body whose kind has a form Q, the anchor moves to the centre of Q's
-    ellipse in the plane, which is the section's centroid: about the anchor
-    a, Q(a + x e1 + y e2) = z^T M z + beta^T z + c with z = (x, y), read off
-    Q along e1, e2 and e1 + e2, so the centre is z* = -M^-1 beta / 2 and the
-    section is z^T M z <= kappa about it, with kappa = -c + beta^T M^-1
-    beta / 4 = -Q(z*). A level where F at the spine anchors or kappa does
-    not read the anchor strictly inside grazes the body. Any other 3D
-    anchor casts 8 rays in one batch, along +-e1, +-e2 and +-(e1 +-
-    e2)/sqrt(2), and moves to the mean of the four chords' midpoints, with
-    the e1 and e2 chords' half-lengths as the guide's semi-axes. Returns the
-    centred anchors, the spine anchors, the plane basis (one (L, d) array of
-    rows per basis vector), the guide (in 2D one row of the chords'
-    half-lengths, in 3D one (L, d) array of rows per vector g1 =
-    e1/sqrt(a), g2 = (e2 - (b/2a) e1) / sqrt(c - b^2/4a) of the Cholesky
-    factor of its ellipse a x^2 + b x y + c y^2 = 1 about the anchor, which
-    map the unit circle onto it),
-    the oracle points spent per level, and whether the sections were
-    centred from a form (then each is the guide's ellipse to rounding). An
-    anchor that is not strictly inside means a level grazes the body.
+    plane oriented so that the unbounded side of the level axis is +u. In
+    3D, on a body whose kind has a form Q, the anchor moves to the centre of
+    Q's ellipse in the plane, which is the section's centroid: about the
+    anchor a, Q(a + x e1 + y e2) = z^T M z + beta^T z + c with z = (x, y),
+    read off Q along e1, e2 and e1 + e2, so the centre is z* = -M^-1 beta / 2
+    and the section is z^T M z <= kappa about it, with kappa = -c + beta^T
+    M^-1 beta / 4 = -Q(z*). A level where F at the spine anchors or kappa
+    does not read the anchor strictly inside grazes the body; the guide is
+    g1 = e1/sqrt(a), g2 = (e2 - (b/2a) e1) / sqrt(c - b^2/4a), the Cholesky
+    factor of the ellipse a x^2 + b x y + c y^2 = 1 about the centre, which
+    maps the unit circle onto it. Every other section casts one chord along
+    each basis vector e_i of its plane, rays +e_i then -e_i, all in one
+    batch, and its anchor moves to the mean of the chords' midpoints, inside
+    the section by convexity; the half-chords are its guide, in 2D as plain
+    lengths and in 3D as the vectors g_i = (r+_i + r-_i) e_i / 2. Returns
+    the centred anchors, the spine anchors, the plane basis (one (L, d)
+    array of rows per basis vector), the guide (one row of lengths, or one
+    (L, d) array of rows per vector), the oracle points spent per level, and
+    whether the sections were centred from a form (then each is the guide's
+    ellipse to rounding). An anchor that is not strictly inside means a
+    level grazes the body.
     """
     spine, basis = _section_frames(body, setup, which, ts)
-    abc = None
-    if len(basis) == 2:
+    if len(basis) == 2 and has_form(body):
         Y = np.ascontiguousarray(spine.T)  # coordinate-major, as F takes batches
         abc = ray_quadratic(body, np.tile(Y, 3), np.concatenate([*basis, basis[0] + basis[1]]).T)
-    if abc is not None:
         if not (body.defining(Y.T) < 0.0).all():
             raise DegenerateSection("section anchor is not inside the body")
         # M = [[a1, m], [m, a2]], beta = (b1, b2)
@@ -389,27 +382,22 @@ def _centred_sections(body, setup, which, ts):
         kappa = -c - 0.5 * (b1 * x + b2 * y)
         if not (kappa > 0.0).all():
             raise DegenerateSection("section anchor is not inside the body")
-        form, n_evals = (a1 / kappa, 2.0 * m / kappa, a2 / kappa), np.ones(len(spine), dtype=int)
-    else:
-        # each ray's coefficients on the basis vectors: (cos, sin) in 3D, +-1 in 2D
-        star = _OCTAGON if len(basis) == 2 else np.array([[1.0, -1.0]])
-        dirs = sum(c * w.T[:, :, None] for c, w in zip(star, basis))
-        try:
-            r, n_evals = _polar_radii(body, spine, dirs, None)
-        except NotInterior as e:
-            raise DegenerateSection("section anchor is not inside the body") from e
-        if len(basis) == 1:
-            half, mid = 0.5 * (r[:, 0] + r[:, 1]), 0.5 * (r[:, 0] - r[:, 1])
-            return spine + mid[:, None] * basis[0], spine, basis, half[None], n_evals, False
-        mid = 0.5 * (r[:, :4] - r[:, 4:])
-        x = 0.25 * (mid[:, 0] + _SQRT_HALF * (mid[:, 1] - mid[:, 3]))
-        y = 0.25 * (mid[:, 2] + _SQRT_HALF * (mid[:, 1] + mid[:, 3]))
-        form = (4.0 / (r[:, 0] + r[:, 4]) ** 2, np.zeros(len(r)), 4.0 / (r[:, 2] + r[:, 6]) ** 2)
-    anchors = spine + x[:, None] * basis[0] + y[:, None] * basis[1]
-    a, b, c = form
-    g1 = basis[0] / np.sqrt(a)[:, None]
-    g2 = (basis[1] - (0.5 * b / a)[:, None] * basis[0]) / np.sqrt(c - 0.25 * b * b / a)[:, None]
-    return anchors, spine, basis, np.array((g1, g2)), n_evals, abc is not None
+        anchors = spine + x[:, None] * basis[0] + y[:, None] * basis[1]
+        a, b, c = a1 / kappa, 2.0 * m / kappa, a2 / kappa
+        g1 = basis[0] / np.sqrt(a)[:, None]
+        g2 = basis[1] - (0.5 * b / a)[:, None] * basis[0]
+        g2 /= np.sqrt(c - 0.25 * b * b / a)[:, None]
+        return anchors, spine, basis, np.array((g1, g2)), np.ones(len(spine), dtype=int), True
+    # one chord along each basis vector e_i: rays +e_i, then -e_i, in one batch
+    k = len(basis)
+    try:
+        r, n_evals = _polar_radii(body, spine, np.concatenate([basis, -basis]).T, None)
+    except NotInterior as e:
+        raise DegenerateSection("section anchor is not inside the body") from e
+    mid, half = 0.5 * (r[:, :k] - r[:, k:]), 0.5 * (r[:, :k] + r[:, k:])
+    anchors = spine + np.add.reduce(mid.T[:, :, None] * basis) / k
+    guide = half.T if k == 1 else half.T[:, :, None] * basis
+    return anchors, spine, basis, guide, n_evals, False
 
 
 def _guide_axes(basis, guide):

@@ -323,6 +323,7 @@ def test_every_shell_entry_answers_at_low_radii(body):
 def test_sphere_radius_must_be_finite_and_positive(h, R):
     radii = [1e2, 1e3, 1e4, R] if R > 0.0 else [R, 1e2, 1e3, 1e4]
     for call in (lambda: body_shell_points(h, R, n_azimuth=24),
+                 lambda: cone_shell_points(h.recession_cone(), R, n_azimuth=24),
                  lambda: shell_distance(h, h.recession_cone(), R, n_azimuth=24),
                  lambda: blowdown_check(h, R, n_azimuth=24),
                  lambda: asymptotic_diagnostic(h, radii, n_azimuth=24)):

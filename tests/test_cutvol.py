@@ -314,6 +314,32 @@ def test_graph_contacts_that_overflow_name_the_abscissa(scan, body, k, anchor):
             scan(body, k, [anchor])
 
 
+@pytest.mark.parametrize("body, u, t", [
+    (hyperboloid_sheet([1.0, 1.4]), [0.0, 0.0, 1.0], 1e150),
+    (hyperboloid_sheet([1.0, 1.4]), [0.0, 0.0, 1.0], 1e200),
+    (circular_cone(0.5, dim=3), [0.0, 0.0, 1.0], 1e150),
+    (circular_cone(0.5, dim=3), [0.0, 0.0, 1.0], 1e200),
+    (paraboloid_epigraph([1.0, 0.7]), [0.0, 0.0, 1.0], 1e200),
+    (function_epigraph("square"), [0.0, 1.0], 1e300),
+], ids=["sheet-1e150", "sheet-1e200", "cone-1e150", "cone-1e200", "paraboloid-1e200",
+        "parabola-1e300"])
+def test_cut_volumes_that_overflow_a_double_name_the_level(body, u, t):
+    # inf means a cut that contains a recession direction, so a volume whose
+    # arithmetic overflows is one ValueError naming the level, with no numpy
+    # warning before it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(f"cut level {t}")):
+            halfspace_cut_volume(body, u, t)
+
+
+def test_a_huge_cut_volume_short_of_overflow_is_kept():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v = halfspace_cut_volume(hyperboloid_sheet([1.0, 1.4]), [0.0, 0.0, 1.0], 1e100)
+    assert v == 1.4660765716752367e300
+
+
 def test_homothety_scan_exp_varies():
     # exp's tangent planes separate 0 from the graph at every anchor below 1
     vals = homothety_cut_scan(function_epigraph("exp"), 2.0, [[-2.0], [-1.0], [0.0], [0.5]])

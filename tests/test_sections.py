@@ -892,6 +892,54 @@ def test_3d_sections_cast_two_ray_batches(monkeypatch, refuse_closed_forms):
                 assert len(calls) == batches, (body.kind, entry.__name__, refused)
 
 
+CHORD_CENTRED = [unit_disk(), superellipsoid(4.0, dim=2), superellipsoid(4.0, dim=3),
+                 superellipsoid(2.01, dim=3)]
+
+
+@pytest.mark.parametrize("body", CHORD_CENTRED, ids=["disk", "superellipse-4", "superellipsoid-4",
+                                                    "superellipsoid-2.01"])
+def test_a_centring_batch_casts_one_chord_along_each_basis_vector(monkeypatch, body):
+    # a section without a form, every 2D one and the superellipsoid's in 3D,
+    # is centred by one unguessed batch: rays +e_i, then -e_i, along each
+    # basis vector e_i of its plane, 2 rays a level in 2D and 4 in 3D
+    batches = []
+    ray_hits_batch = sections.ray_hits_batch
+
+    def kept(body, origin, directions, guess=None):
+        batches.append((len(origin), np.array(directions), guess))
+        return ray_hits_batch(body, origin, directions, guess=guess)
+
+    monkeypatch.setattr(sections, "ray_hits_batch", kept)
+    d = body.ambient_dim
+    u = np.array([0.3, -0.5, 0.8][-d:]) / np.linalg.norm([0.3, -0.5, 0.8][-d:])
+    ts = _finite_levels(body, u, [0.1, 0.5, 0.9])
+    section_stats(body, u, ts)
+    unguessed = [(n, dirs) for n, dirs, guess in batches if guess is None]
+    assert [(n, len(dirs)) for n, dirs in unguessed] == [(len(ts), 2 * (d - 1) * len(ts))]
+    dirs = unguessed[0][1].reshape(len(ts), 2, d - 1, d)
+    assert np.array_equal(dirs[:, 1], -dirs[:, 0])
+    for e in dirs[:, 0]:
+        assert np.allclose(e @ e.T, np.eye(d - 1), rtol=0.0, atol=1e-15)
+        assert np.allclose(e @ u, 0.0, rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("p", [4.0, 2.01])
+def test_chord_centred_anchors_lie_inside_oblique_superellipsoid_sections(p):
+    # the mean of the two chords' midpoints lies inside each section by
+    # convexity, and on its plane
+    body = superellipsoid(p, dim=3)
+    rng = np.random.default_rng(5)
+    for _ in range(6):
+        u = rng.normal(size=3)
+        u /= np.linalg.norm(u)
+        ts = _finite_levels(body, u, np.linspace(0.02, 0.98, 9))
+        setup = sections._plane_setup(body, u[None])
+        anchors = sections._centred_sections(body, setup, np.zeros(len(ts), dtype=np.intp),
+                                             ts)[0]
+        assert (body.defining(anchors) < 0.0).all()
+        assert np.allclose(anchors @ u, ts, rtol=0.0, atol=1e-14)
+
+
 @pytest.mark.parametrize("body,normals,levels", QUADRIC_SECTIONS[:3],
                          ids=[b.kind for b, _, _ in QUADRIC_SECTIONS[:3]])
 def test_diameter_grid_is_built_only_for_a_diameter_level(monkeypatch, refuse_closed_forms, body,
